@@ -6,9 +6,9 @@
 
 use crate::envelope::{self, ArtifactError, ArtifactKind, EnvelopeError};
 use sd_locations::LocationDictionary;
-use sd_model::{ErrorCode, Interner, RouterId, TemplateId};
+use sd_model::{ErrorCode, FxHashMap, Interner, RouterId, TemplateId, TokenScratch};
 use sd_rules::RuleSet;
-use sd_templates::{TemplateSet, TokenScratch};
+use sd_templates::TemplateSet;
 use sd_temporal::TemporalConfig;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -39,8 +39,9 @@ pub struct DomainKnowledge {
     /// Historical per-(router, template) message counts — the `f_m` of
     /// §4.2.4 (stored as a Vec for serde friendliness).
     freq: Vec<((u32, u32), u64)>,
+    /// Lookup over `freq`; learned keys only, so Fx-hashed.
     #[serde(skip)]
-    freq_map: HashMap<(u32, u32), u64>,
+    freq_map: FxHashMap<(u32, u32), u64>,
 }
 
 impl DomainKnowledge {
@@ -64,7 +65,7 @@ impl DomainKnowledge {
             rules,
             window_secs,
             freq,
-            freq_map,
+            freq_map: freq_map.into_iter().collect(),
         }
     }
 
@@ -159,18 +160,21 @@ impl DomainKnowledge {
     /// per-code fallback if the code was seen in training, otherwise
     /// [`UNKNOWN_TEMPLATE`].
     pub fn resolve_template(&self, code: &ErrorCode, detail: &str) -> TemplateId {
-        self.resolve_template_with(code, detail, &mut TokenScratch::new())
+        let mut toks = TokenScratch::new();
+        toks.tokenize(detail);
+        self.resolve_template_with(code, detail, &toks)
     }
 
-    /// [`DomainKnowledge::resolve_template`] with a caller-provided token
-    /// scratch, so batch loops resolve every message allocation-free.
+    /// [`DomainKnowledge::resolve_template`] reading the tokens of
+    /// `detail` from `toks` (already filled by `toks.tokenize(detail)`),
+    /// so batch loops resolve every message allocation-free.
     pub fn resolve_template_with(
         &self,
         code: &ErrorCode,
         detail: &str,
-        scratch: &mut TokenScratch,
+        toks: &TokenScratch,
     ) -> TemplateId {
-        if let Some(t) = self.templates.match_with(code, detail, scratch) {
+        if let Some(t) = self.templates.match_tokens(code, detail, toks) {
             return t;
         }
         match self.fallback_codes.get(code.as_str()) {

@@ -6,10 +6,10 @@
 use crate::augment::{augment, augment_with};
 use crate::knowledge::DomainKnowledge;
 use sd_locations::LocationDictionary;
-use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp};
+use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp, TokenScratch};
 use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
 use sd_telemetry::Telemetry;
-use sd_templates::{learn_par as learn_templates_par, LearnerConfig, TokenScratch};
+use sd_templates::{learn_par as learn_templates_par, LearnerConfig};
 use sd_temporal::{calibrate_par, SeriesSet, TemporalConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};

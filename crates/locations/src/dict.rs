@@ -4,9 +4,8 @@
 
 use crate::names::{parse_iface_name, IfaceStruct};
 use crate::parse::{parse_config, ParsedConfig};
-use sd_model::{Interner, LocationId, LocationLevel, RouterId};
+use sd_model::{FxHashMap, FxHashSet, Interner, LocationId, LocationLevel, RouterId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Metadata of one location.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -22,6 +21,8 @@ pub struct LocationInfo {
 
 /// The learned dictionary. Canonical data is Vec-based (serde-friendly);
 /// lookup maps are rebuilt via [`LocationDictionary::rebuild_index`].
+/// Every map is keyed by config-derived names and ids, which messages only
+/// look up, so they are Fx-hashed (see `sd_model::fxhash`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LocationDictionary {
     /// Router-name interner; `RouterId(i)` indexes it.
@@ -44,19 +45,19 @@ pub struct LocationDictionary {
     ip_entries: Vec<(String, u32)>,
 
     #[serde(skip)]
-    by_name: Vec<HashMap<String, u32>>,
+    by_name: Vec<FxHashMap<String, u32>>,
     #[serde(skip)]
-    by_ip: HashMap<String, u32>,
+    by_ip: FxHashMap<String, u32>,
     #[serde(skip)]
-    by_slot: HashMap<(u32, u8), u32>,
+    by_slot: FxHashMap<(u32, u8), u32>,
     #[serde(skip)]
-    by_path: HashMap<String, u32>,
+    by_path: FxHashMap<String, u32>,
     #[serde(skip)]
-    peer_map: HashMap<u32, u32>,
+    peer_map: FxHashMap<u32, u32>,
     #[serde(skip)]
-    bundle_map: HashMap<u32, Vec<u32>>,
+    bundle_map: FxHashMap<u32, Vec<u32>>,
     #[serde(skip)]
-    adjacent: std::collections::HashSet<(u32, u32)>,
+    adjacent: FxHashSet<(u32, u32)>,
 }
 
 /// Normalized unordered router-pair key.
@@ -271,7 +272,7 @@ impl LocationDictionary {
         });
         self.parent.push(parent);
         while self.by_name.len() <= router as usize {
-            self.by_name.push(HashMap::new());
+            self.by_name.push(FxHashMap::default());
         }
         id
     }
@@ -323,8 +324,8 @@ impl LocationDictionary {
             })
             .collect();
         // by_name / by_slot:
-        self.by_name = vec![HashMap::new(); self.routers.len()];
-        self.by_slot = HashMap::new();
+        self.by_name = vec![FxHashMap::default(); self.routers.len()];
+        self.by_slot = FxHashMap::default();
         for (id, info) in self.infos.iter().enumerate() {
             let rid = info.router.0;
             match info.level {
@@ -426,13 +427,19 @@ impl LocationDictionary {
 
     /// Walk `loc` and its ancestors up to the router node (inclusive).
     pub fn ancestors(&self, loc: LocationId) -> Vec<LocationId> {
-        let mut out = vec![loc];
-        let mut cur = loc.0;
-        while let Some(Some(p)) = self.parent.get(cur as usize) {
-            out.push(LocationId(*p));
-            cur = *p;
-        }
-        out
+        self.chain(loc).collect()
+    }
+
+    /// [`LocationDictionary::ancestors`] as an iterator over the parent
+    /// chain: the hot relatedness queries walk it without allocating.
+    fn chain(&self, loc: LocationId) -> impl Iterator<Item = LocationId> + '_ {
+        std::iter::successors(Some(loc), |l| {
+            self.parent
+                .get(l.0 as usize)
+                .copied()
+                .flatten()
+                .map(LocationId)
+        })
     }
 
     /// §4.2 spatial matching: true when one location maps up the hierarchy
@@ -445,24 +452,16 @@ impl LocationDictionary {
         if self.router_of(a) != self.router_of(b) {
             return false;
         }
-        let anc_a = self.ancestors(a);
-        if anc_a.contains(&b) {
-            return true;
-        }
-        let anc_b = self.ancestors(b);
-        if anc_b.contains(&a) {
+        if self.chain(a).any(|x| x == b) || self.chain(b).any(|x| x == a) {
             return true;
         }
         // Bundle containment: bundle matches anything that maps up to a
         // member physical interface.
-        for (bundle, members) in [(a, &anc_b), (b, &anc_a)] {
-            if let Some(ms) = self.bundle_map.get(&bundle.0) {
-                if members.iter().any(|x| ms.contains(&x.0)) {
-                    return true;
-                }
-            }
-        }
-        false
+        [(a, b), (b, a)].into_iter().any(|(bundle, other)| {
+            self.bundle_map
+                .get(&bundle.0)
+                .is_some_and(|ms| self.chain(other).any(|x| ms.contains(&x.0)))
+        })
     }
 
     /// Cross-router relatedness (§4.2.3): equal locations (shared path or
@@ -474,10 +473,9 @@ impl LocationDictionary {
             return true;
         }
         // Link peers, including children of the linked interfaces.
-        let anc_b = self.ancestors(b);
-        for x in self.ancestors(a) {
+        for x in self.chain(a) {
             if let Some(p) = self.link_peer(x) {
-                if anc_b.contains(&p) {
+                if self.chain(b).any(|y| y == p) {
                     return true;
                 }
             }
@@ -552,6 +550,89 @@ interface Serial1/0.20/20:0
 !
 ";
         LocationDictionary::build(&[cfg_a.to_owned(), cfg_b.to_owned()])
+    }
+
+    /// `spatially_match` as it was before it walked the parent chain in
+    /// place: the reference the allocation-free version must agree with.
+    fn spatially_match_reference(d: &LocationDictionary, a: LocationId, b: LocationId) -> bool {
+        if a == b {
+            return true;
+        }
+        if d.router_of(a) != d.router_of(b) {
+            return false;
+        }
+        let anc_a = d.ancestors(a);
+        if anc_a.contains(&b) {
+            return true;
+        }
+        let anc_b = d.ancestors(b);
+        if anc_b.contains(&a) {
+            return true;
+        }
+        for (bundle, members) in [(a, &anc_b), (b, &anc_a)] {
+            if let Some(ms) = d.bundle_map.get(&bundle.0) {
+                if members.iter().any(|x| ms.contains(&x.0)) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// `cross_router_related` as it was, over collected ancestor lists.
+    fn cross_router_related_reference(
+        d: &LocationDictionary,
+        a: LocationId,
+        b: LocationId,
+    ) -> bool {
+        if a == b {
+            return true;
+        }
+        let anc_b = d.ancestors(b);
+        for x in d.ancestors(a) {
+            if let Some(p) = d.link_peer(x) {
+                if anc_b.contains(&p) {
+                    return true;
+                }
+            }
+        }
+        if d.info(a).level == LocationLevel::Router && d.info(b).level == LocationLevel::Router {
+            return d.routers_adjacent(d.router_of(a), d.router_of(b));
+        }
+        false
+    }
+
+    #[test]
+    fn chain_walks_equal_ancestor_lists_on_generated_networks() {
+        use sd_netsim::topology::{TopoSpec, Topology};
+        for (vendor, seed) in [(sd_model::Vendor::V1, 3), (sd_model::Vendor::V2, 5)] {
+            let topo = Topology::generate(&TopoSpec {
+                n_routers: 8,
+                vendor,
+                iptv: vendor == sd_model::Vendor::V2,
+                seed,
+            });
+            let d = LocationDictionary::build(&sd_netsim::config::render_all(&topo));
+            if vendor == sd_model::Vendor::V1 {
+                assert!(!d.bundle_map.is_empty(), "V1 networks carry bundles");
+            }
+            let locs: Vec<LocationId> = (0..d.len() as u32).map(LocationId).collect();
+            let (mut matched, mut related) = (0usize, 0usize);
+            for &a in &locs {
+                for &b in &locs {
+                    let m = d.spatially_match(a, b);
+                    assert_eq!(m, spatially_match_reference(&d, a, b), "spatial {a},{b}");
+                    let r = d.cross_router_related(a, b);
+                    assert_eq!(r, cross_router_related_reference(&d, a, b), "cross {a},{b}");
+                    matched += usize::from(m && a != b);
+                    related += usize::from(r && a != b);
+                }
+            }
+            assert!(
+                matched > 0 && related > 0,
+                "the network exercises both relations"
+            );
+        }
     }
 
     #[test]

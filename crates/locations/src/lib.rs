@@ -17,5 +17,5 @@ pub mod names;
 pub mod parse;
 
 pub use dict::{LocationDictionary, LocationInfo};
-pub use extract::{extract, Extracted};
+pub use extract::{extract, extract_with, Extracted};
 pub use parse::{parse_config, ParsedConfig};

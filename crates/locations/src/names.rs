@@ -97,8 +97,8 @@ fn slot_port(rest: &str) -> Option<(u8, u8, bool)> {
 }
 
 /// Whether a token looks like a dotted-quad IPv4 address; returns the
-/// normalized address text.
-pub fn parse_ip_token(tok: &str) -> Option<String> {
+/// address text (the token itself, borrowed).
+pub fn parse_ip_token(tok: &str) -> Option<&str> {
     let mut n = 0;
     for part in tok.split('.') {
         let v: u32 = part.parse().ok()?;
@@ -107,7 +107,7 @@ pub fn parse_ip_token(tok: &str) -> Option<String> {
         }
         n += 1;
     }
-    (n == 4).then(|| tok.to_owned())
+    (n == 4).then_some(tok)
 }
 
 #[cfg(test)]
@@ -175,10 +175,7 @@ mod tests {
 
     #[test]
     fn ip_tokens_validate() {
-        assert_eq!(
-            parse_ip_token("192.168.32.42"),
-            Some("192.168.32.42".to_owned())
-        );
+        assert_eq!(parse_ip_token("192.168.32.42"), Some("192.168.32.42"));
         assert_eq!(parse_ip_token("192.168.32"), None);
         assert_eq!(parse_ip_token("192.168.32.256"), None);
         assert_eq!(parse_ip_token("a.b.c.d"), None);

@@ -5,15 +5,18 @@
 //! with dense `u32` ids thereafter (hashable, copyable, and usable as
 //! vector indices).
 
+use crate::fxhash::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Bidirectional `String <-> u32` mapping with dense, insertion-ordered ids.
+///
+/// The reverse map is Fx-hashed: interners hold knowledge-base names
+/// (routers, codes), which the feed only looks up.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct Interner {
     names: Vec<String>,
     #[serde(skip)]
-    map: HashMap<String, u32>,
+    map: FxHashMap<String, u32>,
 }
 
 impl Interner {

@@ -14,14 +14,18 @@
 
 pub mod augmented;
 pub mod errorcode;
+pub mod fxhash;
 pub mod intern;
 pub mod message;
 pub mod par;
 pub mod time;
+pub mod tokens;
 
 pub use augmented::{LocationId, LocationLevel, RouterId, SyslogPlus, TemplateId};
 pub use errorcode::{ErrorCode, Severity};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::Interner;
 pub use message::{sort_batch, GroundTruthId, ParseError, RawMessage, Vendor};
 pub use par::{catch_panic, par_chunks, par_chunks_isolated, par_map, Parallelism};
 pub use time::{Timestamp, DAY, HOUR, MINUTE, WEEK};
+pub use tokens::TokenScratch;

@@ -2,7 +2,7 @@
 //! grouper queries.
 
 use crate::transactions::CoOccurrence;
-use sd_model::TemplateId;
+use sd_model::{FxHashSet, TemplateId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
@@ -39,11 +39,12 @@ impl Default for MineConfig {
 
 /// A queryable set of rules. Direction is kept for bookkeeping but the
 /// grouper's `related` query is undirected (§4.2.2 ignores direction).
+/// The lookup holds learned template pairs only, so it is Fx-hashed.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RuleSet {
     rules: Vec<Rule>,
     #[serde(skip)]
-    undirected: HashSet<(u32, u32)>,
+    undirected: FxHashSet<(u32, u32)>,
 }
 
 impl RuleSet {
@@ -51,7 +52,7 @@ impl RuleSet {
     pub fn new(rules: Vec<Rule>) -> Self {
         let mut s = RuleSet {
             rules,
-            undirected: HashSet::new(),
+            undirected: FxHashSet::default(),
         };
         s.rebuild_index();
         s

@@ -15,4 +15,4 @@ pub mod set;
 
 pub use learner::{learn, learn_par, LearnerConfig};
 pub use sd_model::TemplateId;
-pub use set::{MaskTok, Template, TemplateSet, TokenScratch};
+pub use set::{MaskTok, Template, TemplateSet};

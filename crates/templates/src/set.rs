@@ -1,9 +1,8 @@
 //! Learned template sets and the online matcher (the "Signature Matching"
 //! boxes of Figure 1).
 
-use sd_model::{ErrorCode, RawMessage, TemplateId};
+use sd_model::{ErrorCode, FxHashMap, RawMessage, TemplateId, TokenScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// One token of a learned template: a fixed word or a masked variable.
@@ -77,55 +76,6 @@ impl Template {
     }
 }
 
-/// Reusable whitespace-tokenizer scratch. Tokens are stored as byte spans
-/// into the tokenized string, so a single buffer serves every message of a
-/// batch with no per-message allocation (the matcher's hot path).
-#[derive(Debug, Default)]
-pub struct TokenScratch {
-    spans: Vec<(u32, u32)>,
-}
-
-impl TokenScratch {
-    /// Empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Tokenize `s` exactly as `str::split_whitespace` would, replacing
-    /// the previous contents; returns the token count.
-    pub fn tokenize(&mut self, s: &str) -> usize {
-        self.spans.clear();
-        let base = s.as_ptr() as usize;
-        for tok in s.split_whitespace() {
-            let start = (tok.as_ptr() as usize - base) as u32;
-            self.spans.push((start, start + tok.len() as u32));
-        }
-        self.spans.len()
-    }
-
-    /// Number of tokens from the last `tokenize`.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether the last tokenized string had no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// The token byte spans.
-    pub fn spans(&self) -> &[(u32, u32)] {
-        &self.spans
-    }
-
-    /// Iterate the tokens of `s` (the string last passed to `tokenize`).
-    pub fn tokens<'a, 's: 'a>(&'a self, s: &'s str) -> impl Iterator<Item = &'s str> + 'a {
-        self.spans
-            .iter()
-            .map(move |&(a, b)| &s[a as usize..b as usize])
-    }
-}
-
 impl fmt::Display for Template {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.masked())
@@ -136,13 +86,14 @@ impl fmt::Display for Template {
 /// code → token-count index for O(candidates) matching. The outer level is
 /// keyed by the code *string* so lookups borrow the incoming message's
 /// code (`index.get(code.as_str())`) instead of cloning an [`ErrorCode`]
-/// per probe.
+/// per probe. The index is keyed by learned data only, so it is
+/// Fx-hashed (see `sd_model::fxhash`).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 #[serde(from = "TemplateSetData")]
 pub struct TemplateSet {
     templates: Vec<Template>,
     #[serde(skip)]
-    index: HashMap<String, HashMap<usize, Vec<u32>>>,
+    index: FxHashMap<String, FxHashMap<usize, Vec<u32>>>,
 }
 
 /// Serialized form of [`TemplateSet`]; deserializing converts through this
@@ -156,7 +107,7 @@ impl From<TemplateSetData> for TemplateSet {
     fn from(data: TemplateSetData) -> Self {
         let mut set = TemplateSet {
             templates: data.templates,
-            index: HashMap::new(),
+            index: FxHashMap::default(),
         };
         set.rebuild_index();
         set
@@ -174,7 +125,7 @@ impl TemplateSet {
         templates.dedup();
         let mut set = TemplateSet {
             templates,
-            index: HashMap::new(),
+            index: FxHashMap::default(),
         };
         set.rebuild_index();
         set
@@ -228,7 +179,9 @@ impl TemplateSet {
     /// Match a message against the set, returning the most specific
     /// matching template.
     pub fn match_message(&self, m: &RawMessage) -> Option<TemplateId> {
-        self.match_with(&m.code, &m.detail, &mut TokenScratch::new())
+        let mut toks = TokenScratch::new();
+        toks.tokenize(&m.detail);
+        self.match_tokens(&m.code, &m.detail, &toks)
     }
 
     /// Match `(code, detail tokens)` against the set.
@@ -240,20 +193,19 @@ impl TemplateSet {
             .map(|&i| TemplateId(i))
     }
 
-    /// Allocation-free variant of [`TemplateSet::match_detail`]: tokenizes
-    /// `detail` into the caller's reusable `scratch` and matches via byte
-    /// spans, so a batch loop performs no per-message allocation here.
-    pub fn match_with(
+    /// Allocation-free variant of [`TemplateSet::match_detail`]: matches
+    /// via the byte spans of `toks`, which the caller has already filled
+    /// by tokenizing `detail` (the same spans serve location extraction).
+    pub fn match_tokens(
         &self,
         code: &ErrorCode,
         detail: &str,
-        scratch: &mut TokenScratch,
+        toks: &TokenScratch,
     ) -> Option<TemplateId> {
-        scratch.tokenize(detail);
-        let cands = self.index.get(code.as_str())?.get(&scratch.len())?;
+        let cands = self.index.get(code.as_str())?.get(&toks.len())?;
         cands
             .iter()
-            .find(|&&i| self.templates[i as usize].matches_spans(detail, scratch.spans()))
+            .find(|&&i| self.templates[i as usize].matches_spans(detail, toks.spans()))
             .map(|&i| TemplateId(i))
     }
 
@@ -385,23 +337,12 @@ mod tests {
         ] {
             let code = ErrorCode::from(code);
             let toks: Vec<&str> = detail.split_whitespace().collect();
+            scratch.tokenize(detail);
             assert_eq!(
-                set.match_with(&code, detail, &mut scratch),
+                set.match_tokens(&code, detail, &scratch),
                 set.match_detail(&code, &toks),
                 "code {code:?} detail {detail:?}"
             );
-        }
-    }
-
-    #[test]
-    fn token_scratch_mirrors_split_whitespace() {
-        let mut scratch = TokenScratch::new();
-        for s in ["", "  ", "a", " a  bb\tccc \n d "] {
-            let n = scratch.tokenize(s);
-            let expect: Vec<&str> = s.split_whitespace().collect();
-            assert_eq!(n, expect.len());
-            assert_eq!(scratch.tokens(s).collect::<Vec<_>>(), expect);
-            assert_eq!(scratch.is_empty(), expect.is_empty());
         }
     }
 
