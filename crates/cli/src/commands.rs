@@ -177,8 +177,8 @@ fn log_malformed(logger: &Logger, samples: &[(usize, String)]) {
     }
 }
 
-/// Load a knowledge base, accepting both the enveloped (checksummed)
-/// format written by `sdigest learn` and legacy raw-JSON files.
+/// Load a knowledge base in the enveloped (checksummed) format written
+/// by `sdigest learn`.
 fn load_knowledge(p: &Parsed) -> Result<DomainKnowledge, ArgError> {
     DomainKnowledge::load(Path::new(p.req("knowledge")?))
         .map_err(|e| ArgError(format!("reading knowledge: {e}")))

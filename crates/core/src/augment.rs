@@ -5,7 +5,7 @@
 use crate::knowledge::DomainKnowledge;
 use sd_locations::extract_with;
 use sd_model::{
-    catch_panic, par_chunks, par_chunks_isolated, Parallelism, RawMessage, SyslogPlus, TokenScratch,
+    catch_panic, par_chunks_isolated, Parallelism, RawMessage, SyslogPlus, TokenScratch,
 };
 
 /// Fewest messages each worker must get before a batch's augmentation is
@@ -56,39 +56,17 @@ pub fn augment_with(
     })
 }
 
-/// Augment a whole batch, dropping unknown-router messages; returns the
-/// augmented messages and the number dropped.
+/// Augment a whole batch on the calling thread, dropping unknown-router
+/// messages; returns the augmented messages and the number dropped.
 pub fn augment_batch(k: &DomainKnowledge, batch: &[RawMessage]) -> (Vec<SyslogPlus>, usize) {
-    augment_batch_with(k, batch, Parallelism::sequential())
-}
-
-/// [`augment_batch`] over up to `par.threads` scoped threads (fewer when
-/// the batch is below 1,024 messages per worker). Augmentation is
-/// per-message pure, so chunks are processed independently (each with its
-/// own token scratch) and concatenated in input order — the output is
-/// identical for every thread count.
-pub fn augment_batch_with(
-    k: &DomainKnowledge,
-    batch: &[RawMessage],
-    par: Parallelism,
-) -> (Vec<SyslogPlus>, usize) {
-    let chunk_results = par_chunks(augment_par(par, batch.len()), batch, |start, chunk| {
-        let mut out = Vec::with_capacity(chunk.len());
-        let mut dropped = 0usize;
-        let mut scratch = TokenScratch::new();
-        for (off, m) in chunk.iter().enumerate() {
-            match augment_with(k, start + off, m, &mut scratch) {
-                Some(sp) => out.push(sp),
-                None => dropped += 1,
-            }
-        }
-        (out, dropped)
-    });
+    let mut scratch = TokenScratch::new();
     let mut out = Vec::with_capacity(batch.len());
     let mut dropped = 0usize;
-    for (chunk_out, chunk_dropped) in chunk_results {
-        out.extend(chunk_out);
-        dropped += chunk_dropped;
+    for (i, m) in batch.iter().enumerate() {
+        match augment_with(k, i, m, &mut scratch) {
+            Some(sp) => out.push(sp),
+            None => dropped += 1,
+        }
     }
     (out, dropped)
 }
@@ -111,9 +89,10 @@ pub struct IsolatedAugment {
 /// poisoned shard is retried sequentially message-by-message (with a
 /// fresh scratch — the panicked one may hold torn state) so only the
 /// truly offending messages are quarantined; every healthy message in
-/// the shard still augments. The output is deterministic and identical
-/// for every thread count, and with no panics it is exactly
-/// [`augment_batch_with`]'s, with the same per-worker floor.
+/// the shard still augments. Shards are split only while every worker
+/// gets at least 1,024 messages, and chunks are concatenated in input
+/// order, so the output is deterministic and identical for every thread
+/// count.
 pub fn augment_batch_isolated(
     k: &DomainKnowledge,
     batch: &[RawMessage],

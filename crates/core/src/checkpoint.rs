@@ -29,8 +29,9 @@
 //!   [`CheckpointError::Version`] rather than a confusing parse error,
 //!   and [`StreamSnapshot::verify`] refuses to resume against a different
 //!   knowledge base ([`CheckpointError::KnowledgeMismatch`]) — dense ids
-//!   would silently mis-group otherwise. Pre-envelope snapshot files
-//!   (raw JSON, PR 2 era) still load via a legacy fallback.
+//!   would silently mis-group otherwise. A file that is not enveloped
+//!   (such as a bare JSON snapshot) is rejected with
+//!   [`EnvelopeError::BadMagic`].
 //!
 //! Delivery semantics: events emitted between the last checkpoint and a
 //! crash are emitted *again* after resume (at-least-once); exactly-once
@@ -69,9 +70,7 @@ pub struct DigesterState {
     pub(crate) grouping: GroupingConfig,
     pub(crate) stream: StreamConfig,
     pub(crate) next_seq: u64,
-    /// Next event id to assign (`default` so pre-provenance snapshots
-    /// still load, restarting ids at 1).
-    #[serde(default)]
+    /// Next event id to assign.
     pub(crate) next_event_id: u64,
     pub(crate) clock: Timestamp,
     pub(crate) since_sweep: usize,
@@ -317,9 +316,9 @@ impl StreamSnapshot {
         self.save(path)
     }
 
-    /// Read a snapshot written by [`StreamSnapshot::save`], or a legacy
-    /// pre-envelope raw-JSON snapshot. Failures carry the file path (and
-    /// generation, when scanned via
+    /// Read a snapshot written by [`StreamSnapshot::save`]. A file without
+    /// the envelope fails with [`EnvelopeError::BadMagic`]. Failures carry
+    /// the file path (and generation, when scanned via
     /// [`StreamSnapshot::recover_last_good`]).
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
         Self::load_generation(path, None)
@@ -331,27 +330,15 @@ impl StreamSnapshot {
             None => CheckpointError::Artifact(e),
         };
         let bytes = envelope::load_bytes(path).map_err(&ctx)?;
-        let text = if envelope::is_enveloped(&bytes) {
-            let payload = envelope::decode(&bytes, ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION)
-                .map_err(|e| ctx(ArtifactError::at(path, e)))?;
-            std::str::from_utf8(payload)
-                .map_err(|e| {
-                    ctx(ArtifactError::at(
-                        path,
-                        EnvelopeError::Payload(e.to_string()),
-                    ))
-                })?
-                .to_string()
-        } else {
-            // Legacy pre-envelope snapshot: the file is the JSON itself.
-            String::from_utf8(bytes).map_err(|e| {
-                ctx(ArtifactError::at(
-                    path,
-                    EnvelopeError::Payload(e.to_string()),
-                ))
-            })?
-        };
-        Self::from_json(&text).map_err(|e| match e {
+        let payload = envelope::decode(&bytes, ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION)
+            .map_err(|e| ctx(ArtifactError::at(path, e)))?;
+        let text = std::str::from_utf8(payload).map_err(|e| {
+            ctx(ArtifactError::at(
+                path,
+                EnvelopeError::Payload(e.to_string()),
+            ))
+        })?;
+        Self::from_json(text).map_err(|e| match e {
             // Attach the failing path to body decode errors; version and
             // knowledge errors are already self-explanatory.
             CheckpointError::Corrupt(why) => {
@@ -511,18 +498,6 @@ mod tests {
             digester: tiny_state(),
             ingest: None,
         }
-    }
-
-    #[test]
-    fn legacy_raw_json_snapshots_still_load() {
-        let dir = std::env::temp_dir().join("sd_checkpoint_legacy_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("old.ckpt");
-        // A PR 2-era snapshot: raw JSON, no envelope.
-        std::fs::write(&path, snap_with_fp(11).to_json().unwrap()).unwrap();
-        let back = StreamSnapshot::load(&path).unwrap();
-        assert_eq!(back.knowledge_fp, 11);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

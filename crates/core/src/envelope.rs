@@ -23,9 +23,8 @@
 //! Writes are atomic: payload goes to a `<name>.tmp` sibling first and
 //! is renamed over the destination, so a crash mid-write leaves either
 //! the old artifact or a garbage temp file — never a half-new artifact
-//! under the real name. Files that do not start with the magic are
-//! handled by callers as legacy raw-JSON artifacts (pre-envelope
-//! checkpoints and knowledge files keep loading).
+//! under the real name. A file that does not start with the magic, such
+//! as a bare JSON artifact, fails with [`EnvelopeError::BadMagic`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -62,8 +61,7 @@ impl fmt::Display for ArtifactKind {
 /// could be trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EnvelopeError {
-    /// The file does not start with [`ENVELOPE_MAGIC`] (and is not
-    /// recognizable as a legacy artifact either).
+    /// The file does not start with [`ENVELOPE_MAGIC`].
     BadMagic,
     /// The envelope is valid but holds a different artifact kind.
     KindMismatch {
@@ -199,12 +197,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Whether `bytes` begin with the envelope magic (used to route legacy
-/// raw-JSON artifacts to their old parsers).
-pub fn is_enveloped(bytes: &[u8]) -> bool {
-    bytes.len() >= ENVELOPE_MAGIC.len() && bytes[..ENVELOPE_MAGIC.len()] == ENVELOPE_MAGIC
-}
-
 /// Serialize `payload` into a fully framed artifact image.
 pub fn encode(kind: ArtifactKind, version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -235,7 +227,7 @@ pub fn decode(
     kind: ArtifactKind,
     expected_version: u32,
 ) -> Result<&[u8], EnvelopeError> {
-    if bytes.len() >= ENVELOPE_MAGIC.len() && !is_enveloped(bytes) {
+    if bytes.len() >= ENVELOPE_MAGIC.len() && !bytes.starts_with(&ENVELOPE_MAGIC) {
         return Err(EnvelopeError::BadMagic);
     }
     if bytes.len() < HEADER_LEN {
@@ -314,7 +306,7 @@ mod tests {
     fn roundtrip_preserves_payload() {
         let payload = br#"{"hello": "world"}"#;
         let framed = encode(ArtifactKind::CHECKPOINT, 3, payload);
-        assert!(is_enveloped(&framed));
+        assert!(framed.starts_with(&ENVELOPE_MAGIC));
         assert_eq!(framed.len(), HEADER_LEN + payload.len());
         let back = decode(&framed, ArtifactKind::CHECKPOINT, 3).expect("decodes");
         assert_eq!(back, payload);

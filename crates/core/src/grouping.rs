@@ -1,12 +1,15 @@
-//! The three grouping stages (§4.2.1–§4.2.3) over a Syslog+ batch,
-//! fused through a union-find so the stage order cannot change the result.
+//! The three grouping stages (§4.2.1–§4.2.3), implemented once in
+//! `Stages`: driven over a Syslog+ batch here and message by message by
+//! the stream digester, and fused through a union-find so the stage order
+//! cannot change the result.
 
 use crate::knowledge::DomainKnowledge;
-use crate::provenance::{GroupProv, MergeCause};
+use crate::provenance::MergeCause;
 use crate::union_find::UnionFind;
-use sd_model::{par_map, Parallelism, SyslogPlus, TemplateId};
+use sd_model::{par_map, LocationId, Parallelism, SyslogPlus, TemplateId, Timestamp};
 use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Which stages to run (Table 7 compares T, T+R, T+R+C).
@@ -91,158 +94,166 @@ impl GroupingResult {
     }
 }
 
-/// Union edges produced by the router-local stages over one router shard
-/// (or, on the sequential path, the whole batch). Each edge carries the
-/// stage (and, for rules, the template pair) that produced it — the
-/// provenance layer consumes the causes; plain grouping ignores them.
-struct RouterLocalOutcome {
-    edges: Vec<(usize, usize, MergeCause)>,
+/// Most messages the cross-router stage keeps per template; beyond it the
+/// oldest falls out of the lookback even inside the window. Bounds the
+/// per-message scan under a simultaneity storm. Batch and stream share
+/// it; only the reference oracle in `sd-conformance` is uncapped.
+const CROSS_QUEUE_CAP: usize = 1024;
+
+/// The latest `(id, ts)` per `(template, location)` of one router.
+type RuleLookback = HashMap<(u32, u32), (u64, Timestamp)>;
+
+/// State and per-message step of the three grouping stages, the one
+/// implementation behind both the batch edge fold ([`stage_edges`]) and
+/// the streaming closure ([`StreamDigester`](crate::StreamDigester)).
+///
+/// Messages must arrive in time order. Ids are the caller's: batch indices
+/// in batch, sequence numbers in the stream. Each step appends the links
+/// `(earlier id, cause)` from the current message to a caller-owned list.
+#[derive(Default)]
+pub(crate) struct Stages {
+    /// §4.2.1: EWMA tracker and last id per (router, template, location).
+    pub(crate) trackers: HashMap<(u32, u32, u32), (EwmaTracker, u64)>,
+    /// §4.2.2: rule lookback per router.
+    pub(crate) recent_rules: HashMap<u32, RuleLookback>,
+    /// §4.2.3: recent `(id, ts)` per template, oldest first.
+    pub(crate) recent_cross: HashMap<u32, VecDeque<(u64, Timestamp)>>,
 }
 
-/// Run the temporal and rule-based stages over the messages selected by
-/// `idxs` (ascending batch indices). Both stages key all state by router,
-/// so running them over one router's messages is *exactly* the sequential
-/// traversal restricted to that router — sharding by router changes
-/// nothing about the produced edge set.
+impl Stages {
+    /// Temporal stage: link to the previous message of the same (router,
+    /// template, location) series unless its tracker starts a new group.
+    pub(crate) fn temporal(
+        &mut self,
+        k: &DomainKnowledge,
+        sp: &SyslogPlus,
+        id: u64,
+        links: &mut Vec<(u64, MergeCause)>,
+    ) {
+        match self.trackers.entry(tkey(sp)) {
+            Entry::Vacant(e) => {
+                let mut tr = EwmaTracker::new();
+                tr.observe(sp.ts, &k.temporal);
+                e.insert((tr, id));
+            }
+            Entry::Occupied(mut e) => {
+                let (tr, last) = e.get_mut();
+                if !tr.observe(sp.ts, &k.temporal) {
+                    links.push((*last, MergeCause::Temporal));
+                }
+                *last = id;
+            }
+        }
+    }
+
+    /// Rule-based stage: link to each recent message of the same router
+    /// within W whose template is related to this one by a mined rule and
+    /// whose location spatially matches.
+    pub(crate) fn rule(
+        &mut self,
+        k: &DomainKnowledge,
+        sp: &SyslogPlus,
+        id: u64,
+        links: &mut Vec<(u64, MergeCause)>,
+    ) {
+        let Some(tj) = sp.template else { return };
+        let w = k.window_secs;
+        let rmap = self.recent_rules.entry(sp.router.0).or_default();
+        if let Some(loc_j) = sp.primary_location() {
+            for (&(t2, loc2), &(i2, ts2)) in rmap.iter() {
+                if sp.ts.seconds_since(ts2) > w
+                    || t2 == tj.0
+                    || !k.rules.related(tj, TemplateId(t2))
+                {
+                    continue;
+                }
+                if k.dict.spatially_match(loc_j, LocationId(loc2)) {
+                    links.push((i2, MergeCause::Rule(tj.0.min(t2), tj.0.max(t2))));
+                }
+            }
+            rmap.insert((tj.0, loc_j.0), (id, sp.ts));
+        }
+        // Prune stale representatives occasionally.
+        if rmap.len() > 256 {
+            let now = sp.ts;
+            rmap.retain(|_, &mut (_, ts)| now.seconds_since(ts) <= w);
+        }
+    }
+
+    /// Cross-router stage: link to each message of the same template on
+    /// another router within `window_secs` whose locations are related.
+    /// `lookup` resolves an earlier id to its message; ids it cannot
+    /// resolve are skipped.
+    pub(crate) fn cross<'a>(
+        &mut self,
+        k: &DomainKnowledge,
+        window_secs: i64,
+        sp: &SyslogPlus,
+        id: u64,
+        lookup: impl Fn(u64) -> Option<&'a SyslogPlus>,
+        links: &mut Vec<(u64, MergeCause)>,
+    ) {
+        let Some(tj) = sp.template else { return };
+        let q = self.recent_cross.entry(tj.0).or_default();
+        while q
+            .front()
+            .is_some_and(|&(_, ts)| sp.ts.seconds_since(ts) > window_secs)
+        {
+            q.pop_front();
+        }
+        for &(i2, _) in q.iter() {
+            let Some(other) = lookup(i2) else { continue };
+            if other.router != sp.router && cross_related(k, sp, other) {
+                links.push((i2, MergeCause::Cross));
+            }
+        }
+        q.push_back((id, sp.ts));
+        if q.len() > CROSS_QUEUE_CAP {
+            q.pop_front();
+        }
+    }
+}
+
+/// Move the links of batch message `j` into `edges` as undirected edges.
+fn drain_links(
+    j: usize,
+    links: &mut Vec<(u64, MergeCause)>,
+    edges: &mut Vec<(usize, usize, MergeCause)>,
+) {
+    edges.extend(links.drain(..).map(|(i, cause)| (i as usize, j, cause)));
+}
+
+/// Edges of the temporal and rule-based stages over the messages selected
+/// by `idxs` (ascending batch indices). Both stages key all state by
+/// router, so running them over one router's messages is *exactly* the
+/// sequential traversal restricted to that router — sharding by router
+/// changes nothing about the produced edge set.
 fn router_local_stages(
     k: &DomainKnowledge,
     batch: &[SyslogPlus],
     cfg: &GroupingConfig,
-    idxs: impl Iterator<Item = usize> + Clone,
-) -> RouterLocalOutcome {
-    let mut edges: Vec<(usize, usize, MergeCause)> = Vec::new();
-
-    // ---- temporal stage -------------------------------------------------
-    if cfg.temporal {
-        let mut trackers: HashMap<(u32, u32, u32), (EwmaTracker, usize)> = HashMap::new();
-        for i in idxs.clone() {
-            let sp = &batch[i];
-            let key = tkey(sp);
-            match trackers.get_mut(&key) {
-                None => {
-                    let mut tr = EwmaTracker::new();
-                    tr.observe(sp.ts, &k.temporal);
-                    trackers.insert(key, (tr, i));
-                }
-                Some((tr, last)) => {
-                    let new_group = tr.observe(sp.ts, &k.temporal);
-                    if !new_group {
-                        edges.push((*last, i, MergeCause::Temporal));
-                    }
-                    *last = i;
-                }
-            }
-        }
-    }
-
-    // ---- rule-based stage ------------------------------------------------
-    if cfg.rules {
-        // Per router: a recent representative per (template, location).
-        type Recent = HashMap<(u32, u32), (usize, sd_model::Timestamp)>;
-        let mut recent: HashMap<u32, Recent> = HashMap::new();
-        let w = k.window_secs;
-        for j in idxs {
-            let sp = &batch[j];
-            let Some(tj) = sp.template else { continue };
-            let loc_j = sp.primary_location();
-            let rmap = recent.entry(sp.router.0).or_default();
-            for (&(t2, loc2), &(i2, ts2)) in rmap.iter() {
-                if sp.ts.seconds_since(ts2) > w {
-                    continue;
-                }
-                if t2 == tj.0 {
-                    continue;
-                }
-                if !k.rules.related(tj, TemplateId(t2)) {
-                    continue;
-                }
-                let spatial = match loc_j {
-                    Some(a) => k.dict.spatially_match(a, sd_model::LocationId(loc2)),
-                    None => false,
-                };
-                if spatial {
-                    edges.push((i2, j, MergeCause::Rule(tj.0.min(t2), tj.0.max(t2))));
-                }
-            }
-            if let Some(loc) = loc_j {
-                rmap.insert((tj.0, loc.0), (j, sp.ts));
-            }
-            // Prune stale representatives occasionally.
-            if rmap.len() > 256 {
-                let now = sp.ts;
-                rmap.retain(|_, &mut (_, ts)| now.seconds_since(ts) <= w);
-            }
-        }
-    }
-
-    RouterLocalOutcome { edges }
-}
-
-/// All union edges of the configured stages, with their causes. The
-/// router-local stages shard by router when parallel; the cross-router
-/// stage is sequential (its state spans routers). Union-find partitions
-/// do not depend on the order edges are applied, so the edge set fully
-/// determines the grouping.
-fn collect_edges(
-    k: &DomainKnowledge,
-    batch: &[SyslogPlus],
-    cfg: &GroupingConfig,
+    idxs: impl Iterator<Item = usize>,
 ) -> Vec<(usize, usize, MergeCause)> {
-    let mut edges: Vec<(usize, usize, MergeCause)> = Vec::new();
-
-    // ---- router-local stages (temporal + rules), sharded by router -------
-    let outcomes: Vec<RouterLocalOutcome> = if cfg.par.is_sequential() {
-        vec![router_local_stages(k, batch, cfg, 0..batch.len())]
-    } else {
-        // Shard batch indices by router, routers in ascending id order.
-        let mut shards: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, sp) in batch.iter().enumerate() {
-            shards.entry(sp.router.0).or_default().push(i);
+    let mut stages = Stages::default();
+    let mut links = Vec::new();
+    let mut edges = Vec::new();
+    for j in idxs {
+        let sp = &batch[j];
+        if cfg.temporal {
+            stages.temporal(k, sp, j as u64, &mut links);
         }
-        let shards: Vec<Vec<usize>> = shards.into_values().collect();
-        par_map(cfg.par, &shards, |_, shard| {
-            router_local_stages(k, batch, cfg, shard.iter().copied())
-        })
-    };
-    for outcome in outcomes {
-        edges.extend(outcome.edges);
-    }
-
-    // ---- cross-router stage (sequential: state spans routers) ------------
-    if cfg.cross {
-        let cw = cfg.cross_window_secs;
-        let mut recent: HashMap<u32, VecDeque<(usize, sd_model::Timestamp)>> = HashMap::new();
-        for (j, sp) in batch.iter().enumerate() {
-            let Some(tj) = sp.template else { continue };
-            let q = recent.entry(tj.0).or_default();
-            while let Some(&(_, ts)) = q.front() {
-                if sp.ts.seconds_since(ts) > cw {
-                    q.pop_front();
-                } else {
-                    break;
-                }
-            }
-            for &(i2, _) in q.iter() {
-                let other = &batch[i2];
-                if other.router == sp.router {
-                    continue;
-                }
-                if cross_related(k, sp, other) {
-                    edges.push((i2, j, MergeCause::Cross));
-                }
-            }
-            q.push_back((j, sp.ts));
-            if q.len() > 1024 {
-                q.pop_front();
-            }
+        if cfg.rules {
+            stages.rule(k, sp, j as u64, &mut links);
         }
+        drain_links(j, &mut links, &mut edges);
     }
-
     edges
 }
 
 /// All union edges the configured stages produce over `batch`, with the
 /// stage (and, for rules, the undirected template pair) that caused each.
+/// The router-local stages shard by router when parallel; the
+/// cross-router stage is sequential (its state spans routers).
 ///
 /// This is the conformance seam: [`group`] is exactly a union-find fold of
 /// this edge set, so a differential oracle that compares it against an
@@ -254,23 +265,52 @@ pub fn stage_edges(
     batch: &[SyslogPlus],
     cfg: &GroupingConfig,
 ) -> Vec<(usize, usize, MergeCause)> {
-    collect_edges(k, batch, cfg)
-}
+    let mut edges = if cfg.par.is_sequential() {
+        router_local_stages(k, batch, cfg, 0..batch.len())
+    } else {
+        // Shard batch indices by router, routers in ascending id order.
+        let mut shards: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+        for (i, sp) in batch.iter().enumerate() {
+            shards.entry(sp.router.0).or_default().push(i);
+        }
+        let shards: Vec<Vec<usize>> = shards.into_values().collect();
+        par_map(cfg.par, &shards, |_, shard| {
+            router_local_stages(k, batch, cfg, shard.iter().copied())
+        })
+        .concat()
+    };
 
-fn result_from_edges(n: usize, edges: &[(usize, usize, MergeCause)]) -> GroupingResult {
-    let mut uf = UnionFind::new(n);
-    let mut active_rules: HashSet<(u32, u32)> = HashSet::new();
-    for &(a, b, cause) in edges {
-        uf.union(a, b);
-        if let MergeCause::Rule(x, y) = cause {
-            active_rules.insert((x, y));
+    if cfg.cross {
+        let mut stages = Stages::default();
+        let mut links = Vec::new();
+        for (j, sp) in batch.iter().enumerate() {
+            let lookup = |i: u64| batch.get(i as usize);
+            stages.cross(k, cfg.cross_window_secs, sp, j as u64, lookup, &mut links);
+            drain_links(j, &mut links, &mut edges);
         }
     }
-    let (group_of, n_groups) = uf.groups();
-    GroupingResult {
-        group_of,
-        n_groups,
-        active_rules,
+    edges
+}
+
+impl GroupingResult {
+    /// The union-find fold of `edges` over `n` messages. Partitions do
+    /// not depend on the order edges are applied, so the edge set fully
+    /// determines the grouping.
+    pub(crate) fn from_edges(n: usize, edges: &[(usize, usize, MergeCause)]) -> Self {
+        let mut uf = UnionFind::new(n);
+        let mut active_rules: HashSet<(u32, u32)> = HashSet::new();
+        for &(a, b, cause) in edges {
+            uf.union(a, b);
+            if let MergeCause::Rule(x, y) = cause {
+                active_rules.insert((x, y));
+            }
+        }
+        let (group_of, n_groups) = uf.groups();
+        GroupingResult {
+            group_of,
+            n_groups,
+            active_rules,
+        }
     }
 }
 
@@ -279,25 +319,7 @@ fn result_from_edges(n: usize, edges: &[(usize, usize, MergeCause)]) -> Grouping
 /// stages by router, and union-find partitions do not depend on the order
 /// edges are applied.
 pub fn group(k: &DomainKnowledge, batch: &[SyslogPlus], cfg: &GroupingConfig) -> GroupingResult {
-    result_from_edges(batch.len(), &collect_edges(k, batch, cfg))
-}
-
-/// [`group`] plus a per-group [`GroupProv`] link accumulator (indexed by
-/// the result's group index). The grouping itself is *identical* to
-/// [`group`] — the causes are replayed over the final partition after the
-/// fact, never consulted while merging.
-pub fn group_traced(
-    k: &DomainKnowledge,
-    batch: &[SyslogPlus],
-    cfg: &GroupingConfig,
-) -> (GroupingResult, Vec<GroupProv>) {
-    let edges = collect_edges(k, batch, cfg);
-    let result = result_from_edges(batch.len(), &edges);
-    let mut provs = vec![GroupProv::default(); result.n_groups];
-    for &(a, _, cause) in &edges {
-        provs[result.group_of[a]].record(cause);
-    }
-    (result, provs)
+    GroupingResult::from_edges(batch.len(), &stage_edges(k, batch, cfg))
 }
 
 fn tkey(sp: &SyslogPlus) -> (u32, u32, u32) {

@@ -104,25 +104,19 @@ impl DomainKnowledge {
         )
     }
 
-    /// Load from `path`: an enveloped artifact written by
-    /// [`DomainKnowledge::save`], or a legacy raw-JSON knowledge file.
+    /// Load from `path`, an enveloped artifact written by
+    /// [`DomainKnowledge::save`]; a file without the envelope fails with
+    /// [`EnvelopeError::BadMagic`].
     /// Truncation, bit flips, kind confusion (e.g. pointing `--knowledge`
     /// at a checkpoint) and version skew all surface as typed
     /// [`ArtifactError`]s carrying the file path.
     pub fn load(path: &std::path::Path) -> Result<Self, ArtifactError> {
         let bytes = envelope::load_bytes(path)?;
-        let text = if envelope::is_enveloped(&bytes) {
-            let payload = envelope::decode(&bytes, ArtifactKind::KNOWLEDGE, KNOWLEDGE_VERSION)
-                .map_err(|e| ArtifactError::at(path, e))?;
-            std::str::from_utf8(payload)
-                .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))?
-                .to_string()
-        } else {
-            // Legacy pre-envelope knowledge file: the file is the JSON.
-            String::from_utf8(bytes)
-                .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))?
-        };
-        Self::from_json(&text)
+        let payload = envelope::decode(&bytes, ArtifactKind::KNOWLEDGE, KNOWLEDGE_VERSION)
+            .map_err(|e| ArtifactError::at(path, e))?;
+        let text = std::str::from_utf8(payload)
+            .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))?;
+        Self::from_json(text)
             .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))
     }
 
@@ -303,12 +297,6 @@ mod tests {
         let back = DomainKnowledge::load(&path).unwrap();
         assert_eq!(back.fingerprint(), k.fingerprint());
 
-        // Legacy raw-JSON files keep loading.
-        let legacy = dir.join("knowledge.json");
-        std::fs::write(&legacy, k.to_json().unwrap()).unwrap();
-        let back = DomainKnowledge::load(&legacy).unwrap();
-        assert_eq!(back.fingerprint(), k.fingerprint());
-
         // A flipped payload bit is a checksum mismatch, not a misdecode.
         let bytes = std::fs::read(&path).unwrap();
         let mut dam = bytes.clone();
@@ -328,6 +316,33 @@ mod tests {
         .unwrap();
         let err = DomainKnowledge::load(&ck).unwrap_err();
         assert!(matches!(err.error, EnvelopeError::KindMismatch { .. }));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Bare JSON (no envelope) is not an artifact: both loaders reject it
+    /// as bad magic instead of parsing it.
+    #[test]
+    fn raw_json_artifacts_fail_with_bad_magic() {
+        use crate::checkpoint::{CheckpointError, StreamSnapshot};
+        use crate::grouping::GroupingConfig;
+        use crate::stream::StreamDigester;
+        let dir = std::env::temp_dir().join("sd_raw_json_artifact_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let k = tiny_knowledge();
+
+        let kpath = dir.join("knowledge.json");
+        std::fs::write(&kpath, k.to_json().unwrap()).unwrap();
+        let err = DomainKnowledge::load(&kpath).unwrap_err();
+        assert_eq!(err.error, EnvelopeError::BadMagic);
+
+        let snap = StreamDigester::new(&k, GroupingConfig::default(), 0).checkpoint();
+        let spath = dir.join("run.ckpt");
+        std::fs::write(&spath, snap.to_json().unwrap()).unwrap();
+        match StreamSnapshot::load(&spath) {
+            Err(CheckpointError::Artifact(e)) => assert_eq!(e.error, EnvelopeError::BadMagic),
+            other => panic!("expected bad magic, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -54,16 +54,13 @@ pub mod stream;
 pub mod union_find;
 pub mod viz;
 
-pub use augment::{
-    augment, augment_batch, augment_batch_isolated, augment_batch_with, augment_with,
-    IsolatedAugment,
-};
+pub use augment::{augment, augment_batch, augment_batch_isolated, augment_with, IsolatedAugment};
 pub use checkpoint::{
     generation_path, CheckpointError, RecoveryReport, StreamSnapshot, SNAPSHOT_VERSION,
 };
 pub use envelope::{ArtifactError, ArtifactKind, EnvelopeError, ENVELOPE_MAGIC};
 pub use event::{build_event, label_for, NetworkEvent};
-pub use grouping::{group, group_traced, stage_edges, GroupingConfig, GroupingResult};
+pub use grouping::{group, stage_edges, GroupingConfig, GroupingResult};
 pub use ingest::{FaultTolerantIngest, IngestStats};
 pub use knowledge::{DomainKnowledge, KNOWLEDGE_VERSION, UNKNOWN_TEMPLATE};
 pub use metrics::{

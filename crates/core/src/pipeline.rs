@@ -3,10 +3,10 @@
 
 use crate::augment::augment_batch_isolated;
 use crate::event::{build_event, NetworkEvent};
-use crate::grouping::{group, group_traced, GroupingConfig, GroupingResult};
+use crate::grouping::{stage_edges, GroupingConfig, GroupingResult};
 use crate::knowledge::DomainKnowledge;
 use crate::priority::score_group;
-use crate::provenance::{build_provenance, CloseReason, EventProvenance};
+use crate::provenance::{build_provenance, CloseReason, EventProvenance, GroupProv};
 use crate::quarantine::QuarantineRecord;
 use sd_model::RawMessage;
 use sd_telemetry::Telemetry;
@@ -98,11 +98,18 @@ pub fn digest_instrumented(
     };
     let (grouping, provs) = {
         let _g = tel.time("digest.group");
+        let edges = stage_edges(k, &batch, cfg);
+        let grouping = GroupingResult::from_edges(batch.len(), &edges);
+        // Provenance replays the causes over the final partition; it is
+        // never consulted while merging.
+        let mut provs = Vec::new();
         if trace {
-            group_traced(k, &batch, cfg)
-        } else {
-            (group(k, &batch, cfg), Vec::new())
+            provs = vec![GroupProv::default(); grouping.n_groups];
+            for &(a, _, cause) in &edges {
+                provs[grouping.group_of[a]].record(cause);
+            }
         }
+        (grouping, provs)
     };
     let members = grouping.members();
     let mut events: Vec<(usize, NetworkEvent)> = {

@@ -2,8 +2,9 @@
 //!
 //! [`pipeline::digest`](crate::pipeline::digest) processes a finished
 //! batch; real deployments consume the syslog feed continuously. The
-//! [`StreamDigester`] accepts one message at a time, maintains exactly the
-//! batch pipeline's grouping state incrementally, and *closes* a group —
+//! [`StreamDigester`] accepts one message at a time, runs it through the
+//! batch pipeline's own grouping stages (`grouping::Stages`), unions the
+//! links into its open groups, and *closes* a group —
 //! emitting its [`NetworkEvent`] — once the group has been idle longer
 //! than every mechanism that could still grow it:
 //!
@@ -39,20 +40,15 @@
 use crate::augment::augment_batch_isolated;
 use crate::checkpoint::{CheckpointError, DigesterState, StreamSnapshot};
 use crate::event::{build_event, NetworkEvent};
-use crate::grouping::GroupingConfig;
+use crate::grouping::{GroupingConfig, Stages};
 use crate::knowledge::DomainKnowledge;
 use crate::priority::score_group;
 use crate::provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};
 use crate::quarantine::QuarantineRecord;
-use sd_model::{LocationId, RawMessage, SyslogPlus, TemplateId, Timestamp};
+use sd_model::{RawMessage, SyslogPlus, Timestamp};
 use sd_telemetry::{Counter, SpanHandle, Telemetry};
-use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-
-/// Per router: the recent representative per `(template, location)` the
-/// rule-based stage looks back at.
-type RecentRules = HashMap<u32, HashMap<(u32, u32), (u64, Timestamp)>>;
+use std::collections::HashMap;
 
 /// One open (not yet emitted) group.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
@@ -62,8 +58,7 @@ pub(crate) struct OpenGroup {
     /// Latest member timestamp (drives closure).
     pub(crate) last_ts: Timestamp,
     /// Per-stage link accumulator (provenance; checkpointed so traces
-    /// survive resume, `default` so pre-provenance snapshots still load).
-    #[serde(default)]
+    /// survive resume).
     pub(crate) prov: GroupProv,
 }
 
@@ -104,9 +99,7 @@ pub struct StreamStats {
     /// Messages quarantined because their augmentation shard panicked
     /// even on sequential retry (see [`crate::quarantine`]). They are
     /// excluded from the digest exactly as if never fed; records drain
-    /// via [`StreamDigester::take_quarantined`]. `serde(default)` keeps
-    /// pre-quarantine snapshots loading.
-    #[serde(default)]
+    /// via [`StreamDigester::take_quarantined`].
     pub n_quarantined: usize,
 }
 
@@ -162,10 +155,8 @@ pub struct StreamDigester<'k> {
     /// Group state, keyed by current root.
     groups: HashMap<u64, OpenGroup>,
 
-    // Stage state (mirrors `grouping::group`).
-    trackers: HashMap<(u32, u32, u32), (EwmaTracker, u64)>,
-    recent_rules: RecentRules,
-    recent_cross: HashMap<u32, VecDeque<(u64, Timestamp)>>,
+    /// Lookback state of the grouping stages.
+    stages: Stages,
 
     /// Drop / degradation / throughput counters ([`StreamStats`] is a
     /// view over these; with telemetry attached they are also exported).
@@ -241,9 +232,7 @@ impl<'k> StreamDigester<'k> {
             raw: HashMap::new(),
             parent: HashMap::new(),
             groups: HashMap::new(),
-            trackers: HashMap::new(),
-            recent_rules: HashMap::new(),
-            recent_cross: HashMap::new(),
+            stages: Stages::default(),
             counters: StreamCounters::new(tel),
             clock: Timestamp(i64::MIN),
             since_sweep: 0,
@@ -454,96 +443,22 @@ impl<'k> StreamDigester<'k> {
             },
         );
 
-        // --- temporal stage ---
+        let mut links = Vec::new();
         if self.cfg.temporal {
-            let key = (
-                sp.router.0,
-                sp.template.map(|t| t.0).unwrap_or(u32::MAX),
-                sp.primary_location().map(|l| l.0).unwrap_or(u32::MAX),
-            );
-            match self.trackers.get_mut(&key) {
-                None => {
-                    let mut tr = EwmaTracker::new();
-                    tr.observe(sp.ts, &self.k.temporal);
-                    self.trackers.insert(key, (tr, seq));
-                }
-                Some((tr, last)) => {
-                    let new_group = tr.observe(sp.ts, &self.k.temporal);
-                    let last_seq = *last;
-                    *last = seq;
-                    if !new_group && self.open.contains_key(&last_seq) {
-                        self.union(last_seq, seq, MergeCause::Temporal);
-                    }
-                }
-            }
+            self.stages.temporal(self.k, &sp, seq, &mut links);
         }
-
-        // --- rule-based stage ---
         if self.cfg.rules {
-            let w = self.k.window_secs;
-            if let Some(tj) = sp.template {
-                let loc_j = sp.primary_location();
-                let unions: Vec<(u64, u32)> = {
-                    let rmap = self.recent_rules.entry(sp.router.0).or_default();
-                    let mut hits = Vec::new();
-                    for (&(t2, loc2), &(i2, ts2)) in rmap.iter() {
-                        if sp.ts.seconds_since(ts2) > w || t2 == tj.0 {
-                            continue;
-                        }
-                        if !self.k.rules.related(tj, TemplateId(t2)) {
-                            continue;
-                        }
-                        let spatial =
-                            loc_j.is_some_and(|a| self.k.dict.spatially_match(a, LocationId(loc2)));
-                        if spatial {
-                            hits.push((i2, t2));
-                        }
-                    }
-                    if let Some(loc) = loc_j {
-                        rmap.insert((tj.0, loc.0), (seq, sp.ts));
-                    }
-                    if rmap.len() > 256 {
-                        let now = sp.ts;
-                        rmap.retain(|_, &mut (_, ts)| now.seconds_since(ts) <= w);
-                    }
-                    hits
-                };
-                for (i2, t2) in unions {
-                    if self.open.contains_key(&i2) {
-                        self.union(i2, seq, MergeCause::Rule(tj.0.min(t2), tj.0.max(t2)));
-                    }
-                }
-            }
+            self.stages.rule(self.k, &sp, seq, &mut links);
         }
-
-        // --- cross-router stage ---
         if self.cfg.cross {
+            let lookup = |i| self.open.get(&i);
             let cw = self.cfg.cross_window_secs;
-            if let Some(tj) = sp.template {
-                let unions: Vec<u64> = {
-                    let q = self.recent_cross.entry(tj.0).or_default();
-                    while let Some(&(_, ts)) = q.front() {
-                        if sp.ts.seconds_since(ts) > cw {
-                            q.pop_front();
-                        } else {
-                            break;
-                        }
-                    }
-                    q.iter().map(|&(i, _)| i).collect()
-                };
-                for i2 in unions {
-                    let Some(other) = self.open.get(&i2) else {
-                        continue;
-                    };
-                    if other.router != sp.router && cross_related(self.k, &sp, other) {
-                        self.union(i2, seq, MergeCause::Cross);
-                    }
-                }
-                let q = self.recent_cross.entry(tj.0).or_default();
-                q.push_back((seq, sp.ts));
-                if q.len() > 1024 {
-                    q.pop_front();
-                }
+            self.stages.cross(self.k, cw, &sp, seq, lookup, &mut links);
+        }
+        // A link to a message whose group already closed merges nothing.
+        for (earlier, cause) in links {
+            if self.open.contains_key(&earlier) {
+                self.union(earlier, seq, cause);
             }
         }
 
@@ -753,9 +668,10 @@ impl<'k> StreamDigester<'k> {
             raw: sorted(&self.raw),
             parent: sorted(&self.parent),
             groups: sorted(&self.groups),
-            trackers: sorted(&self.trackers),
+            trackers: sorted(&self.stages.trackers),
             recent_rules: {
                 let mut outer: crate::checkpoint::RulesLookback = self
+                    .stages
                     .recent_rules
                     .iter()
                     .map(|(&r, inner)| (r, sorted(inner)))
@@ -765,6 +681,7 @@ impl<'k> StreamDigester<'k> {
             },
             recent_cross: {
                 let mut outer: Vec<(u32, Vec<(u64, Timestamp)>)> = self
+                    .stages
                     .recent_cross
                     .iter()
                     .map(|(&t, q)| (t, q.iter().copied().collect()))
@@ -796,17 +713,19 @@ impl<'k> StreamDigester<'k> {
             raw: st.raw.into_iter().collect(),
             parent: st.parent.into_iter().collect(),
             groups: st.groups.into_iter().collect(),
-            trackers: st.trackers.into_iter().collect(),
-            recent_rules: st
-                .recent_rules
-                .into_iter()
-                .map(|(r, inner)| (r, inner.into_iter().collect()))
-                .collect(),
-            recent_cross: st
-                .recent_cross
-                .into_iter()
-                .map(|(t, q)| (t, q.into_iter().collect()))
-                .collect(),
+            stages: Stages {
+                trackers: st.trackers.into_iter().collect(),
+                recent_rules: st
+                    .recent_rules
+                    .into_iter()
+                    .map(|(r, inner)| (r, inner.into_iter().collect()))
+                    .collect(),
+                recent_cross: st
+                    .recent_cross
+                    .into_iter()
+                    .map(|(t, q)| (t, q.into_iter().collect()))
+                    .collect(),
+            },
             counters,
             clock: st.clock,
             since_sweep: st.since_sweep,
@@ -820,21 +739,6 @@ impl<'k> StreamDigester<'k> {
             sp_sweep: tel.span("stream.sweep"),
         }
     }
-}
-
-/// Same predicate as the batch cross-router stage.
-fn cross_related(k: &DomainKnowledge, a: &SyslogPlus, b: &SyslogPlus) -> bool {
-    for &x in &a.locations {
-        for &y in &b.locations {
-            if x == y || k.dict.cross_router_related(x, y) {
-                return true;
-            }
-            if k.dict.router_of(x) == k.dict.router_of(y) && k.dict.spatially_match(x, y) {
-                return true;
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]

@@ -11,17 +11,25 @@
 //! u64s) so CI can sweep a matrix without recompiling.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use syslogdigest_repro::digest::checkpoint::{CheckpointError, StreamSnapshot};
 use syslogdigest_repro::digest::grouping::GroupingConfig;
 use syslogdigest_repro::digest::ingest::FaultTolerantIngest;
 use syslogdigest_repro::digest::knowledge::DomainKnowledge;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::stream::StreamConfig;
-use syslogdigest_repro::digest::{generation_path, set_poison_marker, NetworkEvent};
-use syslogdigest_repro::netsim::{
-    inject, poison_message, Dataset, DatasetSpec, FaultSpec, POISON_MARKER,
+use syslogdigest_repro::digest::pipeline::digest_instrumented;
+use syslogdigest_repro::digest::stream::{StreamConfig, StreamDigester};
+use syslogdigest_repro::digest::{
+    augment_batch, generation_path, set_poison_marker, stage_edges, GroupProv, MergeCause,
+    NetworkEvent,
 };
+use syslogdigest_repro::model::Parallelism;
+use syslogdigest_repro::netsim::{
+    inject, poison_message, Corpus, Dataset, DatasetSpec, FaultSpec, GOLDEN_SCALE, GOLDEN_SEEDS,
+    POISON_MARKER,
+};
+use syslogdigest_repro::telemetry::Telemetry;
 
 fn setup() -> &'static (Dataset, DomainKnowledge) {
     static CELL: OnceLock<(Dataset, DomainKnowledge)> = OnceLock::new();
@@ -307,6 +315,101 @@ fn quarantined_poison_message_leaves_digest_byte_identical() {
         digest_fingerprint(&pois_events),
         "digest with a quarantined message diverged from the poison-free feed"
     );
+}
+
+/// Count links per cause: `(temporal, rule, cross)`.
+fn cause_counts(causes: impl Iterator<Item = MergeCause>) -> (u64, u64, u64) {
+    let mut n = (0, 0, 0);
+    for cause in causes {
+        match cause {
+            MergeCause::Temporal => n.0 += 1,
+            MergeCause::Rule(..) => n.1 += 1,
+            MergeCause::Cross => n.2 += 1,
+        }
+    }
+    n
+}
+
+/// Batch and stream are one function of a clean feed, down to the links.
+/// For every golden seed and thread count, the streaming digester emits
+/// the batch digest's events, each event carries the same per-stage link
+/// counts, and the stream's link counters equal the per-cause counts of
+/// the batch edge set.
+#[test]
+fn batch_and_stream_agree_link_for_link_on_golden_seeds() {
+    for seed in GOLDEN_SEEDS {
+        let corpus = Corpus::generate(seed, GOLDEN_SCALE);
+        let d = &corpus.dataset;
+        let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
+        let online = d.online();
+        let (augmented, dropped) = augment_batch(&k, online);
+        // Stream sequence numbers equal batch indices only without drops.
+        assert_eq!(dropped, 0, "seed {seed}");
+
+        for threads in [1, 4] {
+            let cfg = GroupingConfig {
+                par: Parallelism::with_threads(threads),
+                ..GroupingConfig::default()
+            };
+            let (batch, batch_prov) =
+                digest_instrumented(&k, online, &cfg, &Telemetry::disabled(), true);
+            let batch_prov = batch_prov.expect("tracing was enabled");
+
+            let tel = Telemetry::new();
+            let mut sd = StreamDigester::with_telemetry(&k, cfg, StreamConfig::default(), &tel);
+            sd.set_trace(true);
+            let mut events = sd.push_batch(online);
+            let mut stream_prov = sd.take_provenance();
+            let (rest, rest_prov) = sd.finish_traced();
+            events.extend(rest);
+            stream_prov.extend(rest_prov);
+
+            let first = |e: &NetworkEvent| e.message_idxs.iter().copied().min();
+            let batch_by_first: BTreeMap<_, _> = batch
+                .events
+                .iter()
+                .zip(&batch_prov)
+                .map(|(e, p)| (first(e), (e, &p.links)))
+                .collect();
+            let links_by_id: BTreeMap<u64, &GroupProv> =
+                stream_prov.iter().map(|p| (p.event_id, &p.links)).collect();
+            let stream_by_first: BTreeMap<_, _> = events
+                .iter()
+                .map(|e| (first(e), (e, links_by_id[&e.id])))
+                .collect();
+            assert_eq!(
+                stream_by_first.len(),
+                events.len(),
+                "seed {seed} threads {threads}"
+            );
+            assert_eq!(
+                batch_by_first.keys().collect::<Vec<_>>(),
+                stream_by_first.keys().collect::<Vec<_>>(),
+                "seed {seed} threads {threads}: event sets differ"
+            );
+            for (key, (be, bl)) in &batch_by_first {
+                let (se, sl) = stream_by_first[key];
+                let ctx = format!("seed {seed} threads {threads} event at {key:?}");
+                assert_eq!(be.message_idxs, se.message_idxs, "{ctx}");
+                assert_eq!(be.format_line(), se.format_line(), "{ctx}");
+                assert_eq!(be.score.to_bits(), se.score.to_bits(), "{ctx}");
+                assert_eq!(*bl, sl, "{ctx}: links differ");
+            }
+
+            let edges = stage_edges(&k, &augmented, &cfg);
+            let counters = tel.snapshot();
+            let counter = |name| counters.counter(name).unwrap_or(0);
+            assert_eq!(
+                cause_counts(edges.iter().map(|&(_, _, cause)| cause)),
+                (
+                    counter("stream.links_temporal"),
+                    counter("stream.links_rule"),
+                    counter("stream.links_cross"),
+                ),
+                "seed {seed} threads {threads}: per-stage link counts differ"
+            );
+        }
+    }
 }
 
 proptest! {
