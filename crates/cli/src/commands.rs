@@ -396,21 +396,14 @@ fn stream_digest(
             .map_err(|e| ArgError(format!("writing checkpoint: {e}")))?;
     }
 
-    let samples = ingest.malformed_samples().to_vec();
+    let (rest, stats) = ingest.finish();
+    events.extend(rest);
     if let Some(sink) = obs.trace {
         write_trace(sink, &ingest.take_provenance())?;
     }
     if let Some(sink) = qsink.as_mut() {
         write_quarantine(sink, &ingest.take_quarantined())?;
     }
-    let (rest, stats, prov, quarantined) = ingest.finish_full();
-    if let Some(sink) = obs.trace {
-        write_trace(sink, &prov)?;
-    }
-    if let Some(sink) = qsink.as_mut() {
-        write_quarantine(sink, &quarantined)?;
-    }
-    events.extend(rest);
     events.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.start.cmp(&b.start)));
     out.push_str(&format!(
         "streamed {} lines ({} malformed, {} late, {} duplicate, {} unknown-router, \
@@ -424,7 +417,7 @@ fn stream_digest(
         stats.digester.n_quarantined,
         events.len()
     ));
-    log_malformed(obs.logger, &samples);
+    log_malformed(obs.logger, ingest.malformed_samples());
     Ok(events)
 }
 

@@ -12,6 +12,7 @@
 //! one-file change alongside the code that caused it.
 
 use sd_netsim::{inject, FaultSpec};
+use sd_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use syslogdigest::ingest::{FaultTolerantIngest, IngestStats};
 use syslogdigest::stream::StreamConfig;
@@ -179,11 +180,12 @@ pub fn run_feed(
     lines: &[String],
     max_skew_secs: i64,
 ) -> (Vec<NetworkEvent>, IngestStats) {
-    let mut ing = FaultTolerantIngest::new(
+    let mut ing = FaultTolerantIngest::with_telemetry(
         k,
         GroupingConfig::default(),
         StreamConfig::default(),
         max_skew_secs,
+        &Telemetry::disabled(),
     );
     let mut events = Vec::new();
     for line in lines {

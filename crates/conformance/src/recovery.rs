@@ -14,11 +14,12 @@
 //! [`verify_recovery`] checks both, for every storage-fault kind, by
 //! streaming a prefix of the feed with rotated checkpoints, damaging the
 //! newest generation with [`sd_netsim::iofaults`], recovering through
-//! [`FaultTolerantIngest::recover`], and comparing
-//! [`partition_digest`](crate::golden::partition_digest)s.
+//! [`FaultTolerantIngest::recover_with_telemetry`], and comparing
+//! [`partition_digest`]s.
 
 use crate::golden::{partition_digest, run_feed};
 use sd_netsim::{apply_fault, StorageFault};
+use sd_telemetry::Telemetry;
 use std::fmt;
 use std::path::Path;
 use syslogdigest::{
@@ -95,11 +96,12 @@ pub fn verify_recovery(
     // *from* it, so the pre-save events combine with the replayed ones.
     let ckpt = dir.join("ref.ckpt");
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let mut ing = FaultTolerantIngest::new(
+    let mut ing = FaultTolerantIngest::with_telemetry(
         k,
         GroupingConfig::default(),
         StreamConfig::default(),
         max_skew_secs,
+        &Telemetry::disabled(),
     );
     let mut prefix_events: Vec<NetworkEvent> = Vec::new();
     let mut saves: Vec<(usize, usize)> = Vec::new(); // (lines consumed, events emitted)
@@ -140,9 +142,14 @@ pub fn verify_recovery(
                 .map_err(|e| format!("writing damaged checkpoint: {e}"))?;
         }
 
-        let (mut resumed, report) = FaultTolerantIngest::recover(k, &fault_ckpt, keep)
-            .map_err(|e| format!("fault {name}: recovery failed entirely: {e}"))?
-            .ok_or_else(|| format!("fault {name}: recovery found no snapshot at all"))?;
+        let (mut resumed, report) = FaultTolerantIngest::recover_with_telemetry(
+            k,
+            &fault_ckpt,
+            keep,
+            &Telemetry::disabled(),
+        )
+        .map_err(|e| format!("fault {name}: recovery failed entirely: {e}"))?
+        .ok_or_else(|| format!("fault {name}: recovery found no snapshot at all"))?;
         let consumed = report.lines_consumed;
 
         // Guarantee 1: bounded loss.

@@ -11,7 +11,7 @@
 //!   mutable state of the digester (plus, when checkpointed through the
 //!   ingest layer, the reorder buffer).
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
-//!   [`envelope`](crate::envelope) and writes atomically (temp file +
+//!   [`envelope`] and writes atomically (temp file +
 //!   rename), so a crash mid-write can never leave a truncated snapshot
 //!   where a good one used to be — and any truncation or bit flip that
 //!   slips through is caught at load time as a typed
@@ -52,7 +52,7 @@ use std::path::{Path, PathBuf};
 /// Current snapshot format version. Bump on any incompatible change to
 /// [`DigesterState`] / [`IngestState`]; old snapshots are then rejected
 /// with [`CheckpointError::Version`] instead of being misdecoded.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Per-tracker-key EWMA state, flattened for serialization.
 pub(crate) type TrackerTable = Vec<((u32, u32, u32), (EwmaTracker, u64))>;
@@ -64,7 +64,8 @@ pub(crate) type RulesLookback = Vec<(u32, Vec<((u32, u32), (u64, Timestamp))>)>;
 ///
 /// Every map is stored as a sorted `Vec` of pairs so the same digester
 /// state always serializes to the same bytes (hash-map iteration order
-/// must not leak into snapshot files).
+/// must not leak into snapshot files). Each open message's group is not
+/// stored: resume reads it off the `groups` member lists.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DigesterState {
     pub(crate) grouping: GroupingConfig,
@@ -76,8 +77,6 @@ pub struct DigesterState {
     pub(crate) since_sweep: usize,
     pub(crate) stats: StreamStats,
     pub(crate) open: Vec<(u64, SyslogPlus)>,
-    pub(crate) raw: Vec<(u64, RawMessage)>,
-    pub(crate) parent: Vec<(u64, u64)>,
     pub(crate) groups: Vec<(u64, OpenGroup)>,
     pub(crate) trackers: TrackerTable,
     pub(crate) recent_rules: RulesLookback,
@@ -415,8 +414,6 @@ mod tests {
                 n_quarantined: 0,
             },
             open: Vec::new(),
-            raw: Vec::new(),
-            parent: vec![(0, 0), (1, 0)],
             groups: Vec::new(),
             trackers: Vec::new(),
             recent_rules: Vec::new(),

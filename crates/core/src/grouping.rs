@@ -28,7 +28,6 @@ pub struct GroupingConfig {
     /// rule-based stages are per-router and shard perfectly; the
     /// cross-router stage is always sequential). Output is identical for
     /// every thread count.
-    #[serde(default)]
     pub par: Parallelism,
 }
 

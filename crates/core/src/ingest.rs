@@ -29,6 +29,7 @@ use crate::event::NetworkEvent;
 use crate::grouping::GroupingConfig;
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::EventProvenance;
+use crate::quarantine::QuarantineRecord;
 use crate::reorder::ReorderBuffer;
 use crate::stream::{StreamConfig, StreamDigester, StreamStats};
 use sd_model::{ParseError, RawMessage};
@@ -67,18 +68,9 @@ pub struct FaultTolerantIngest<'k> {
 }
 
 impl<'k> FaultTolerantIngest<'k> {
-    /// New ingest layer tolerating up to `max_skew_secs` of reordering.
-    pub fn new(
-        k: &'k DomainKnowledge,
-        cfg: GroupingConfig,
-        scfg: StreamConfig,
-        max_skew_secs: i64,
-    ) -> Self {
-        Self::with_telemetry(k, cfg, scfg, max_skew_secs, &Telemetry::disabled())
-    }
-
-    /// [`new`](Self::new) with every stage counter and span registered in
-    /// `tel` (`ingest.*` and `stream.*` names).
+    /// New ingest layer tolerating up to `max_skew_secs` of reordering,
+    /// with every stage counter and span registered in `tel` (`ingest.*`
+    /// and `stream.*` names; pass [`Telemetry::disabled`] to run without).
     pub fn with_telemetry(
         k: &'k DomainKnowledge,
         cfg: GroupingConfig,
@@ -133,41 +125,16 @@ impl<'k> FaultTolerantIngest<'k> {
         self.digester.push_batch(&self.released)
     }
 
-    /// Flush the reorder buffer and close every remaining group.
-    pub fn finish(self) -> (Vec<NetworkEvent>, IngestStats) {
-        let (events, stats, _) = self.finish_traced();
-        (events, stats)
-    }
-
-    /// [`finish`](Self::finish), also returning the provenance records of
-    /// every event closed during the final flush (empty unless tracing
-    /// was enabled via [`set_trace`](Self::set_trace)).
-    pub fn finish_traced(self) -> (Vec<NetworkEvent>, IngestStats, Vec<EventProvenance>) {
-        let (events, stats, prov, _) = self.finish_full();
-        (events, stats, prov)
-    }
-
-    /// [`finish_traced`](Self::finish_traced), also draining the
-    /// quarantine records of messages whose augmentation panicked during
-    /// the final reorder-buffer flush — the only records a caller that
-    /// drains [`take_quarantined`](Self::take_quarantined) before
-    /// finishing would otherwise lose.
-    pub fn finish_full(
-        mut self,
-    ) -> (
-        Vec<NetworkEvent>,
-        IngestStats,
-        Vec<EventProvenance>,
-        Vec<crate::quarantine::QuarantineRecord>,
-    ) {
+    /// Flush the reorder buffer and close every remaining group. The
+    /// provenance and quarantine records of this final flush drain through
+    /// [`take_provenance`](Self::take_provenance) and
+    /// [`take_quarantined`](Self::take_quarantined) like any others.
+    pub fn finish(&mut self) -> (Vec<NetworkEvent>, IngestStats) {
         self.released.clear();
         self.reorder.flush(&mut self.released);
         let mut events = self.digester.push_batch(&self.released);
-        let stats = self.stats();
-        let quarantined = self.digester.take_quarantined();
-        let (rest, prov) = self.digester.finish_traced();
-        events.extend(rest);
-        (events, stats, prov, quarantined)
+        events.extend(self.digester.finish());
+        (events, self.stats())
     }
 
     /// Current counters (views over the registry-backed atomics).
@@ -189,7 +156,7 @@ impl<'k> FaultTolerantIngest<'k> {
 
     /// Drain the quarantine records of messages whose augmentation shard
     /// panicked (see [`crate::quarantine`]); empty in a healthy run.
-    pub fn take_quarantined(&mut self) -> Vec<crate::quarantine::QuarantineRecord> {
+    pub fn take_quarantined(&mut self) -> Vec<QuarantineRecord> {
         self.digester.take_quarantined()
     }
 
@@ -215,16 +182,9 @@ impl<'k> FaultTolerantIngest<'k> {
     }
 
     /// Rebuild an ingest layer (digester + reorder buffer) from a
-    /// snapshot taken by [`FaultTolerantIngest::checkpoint`].
-    pub fn resume(
-        k: &'k DomainKnowledge,
-        snapshot: &StreamSnapshot,
-    ) -> Result<Self, CheckpointError> {
-        Self::resume_with_telemetry(k, snapshot, &Telemetry::disabled())
-    }
-
-    /// [`resume`](Self::resume) with counters and spans re-registered in
-    /// `tel`; checkpointed counter values carry over.
+    /// snapshot taken by [`FaultTolerantIngest::checkpoint`], with
+    /// counters and spans re-registered in `tel`; checkpointed counter
+    /// values carry over.
     pub fn resume_with_telemetry(
         k: &'k DomainKnowledge,
         snapshot: &StreamSnapshot,
@@ -236,7 +196,7 @@ impl<'k> FaultTolerantIngest<'k> {
                 "snapshot carries no ingest-layer state".to_owned(),
             ));
         };
-        let reorder = ReorderBuffer::restore_with(
+        let reorder = ReorderBuffer::restore(
             ing.max_skew_secs,
             ing.high,
             ing.buffered.iter().cloned(),
@@ -259,19 +219,10 @@ impl<'k> FaultTolerantIngest<'k> {
     }
 
     /// Resume from the newest verifiable checkpoint generation of `path`
-    /// (see [`StreamSnapshot::recover_last_good`]), without telemetry.
-    pub fn recover(
-        k: &'k DomainKnowledge,
-        path: &std::path::Path,
-        keep: usize,
-    ) -> Result<Option<(Self, RecoveryReport)>, CheckpointError> {
-        Self::recover_with_telemetry(k, path, keep, &Telemetry::disabled())
-    }
-
-    /// [`recover`](Self::recover) with telemetry: registers and updates
-    /// the durability counters — `ckpt.n_corrupt` (generations that
-    /// existed but failed verification) and `ckpt.n_fallback` (1 when an
-    /// older generation had to be used). The counters are registered
+    /// (see [`StreamSnapshot::recover_last_good`]). Registers and updates
+    /// the durability counters in `tel` — `ckpt.n_corrupt` (generations
+    /// that existed but failed verification) and `ckpt.n_fallback` (1 when
+    /// an older generation had to be used). The counters are registered
     /// even when no checkpoint exists yet, so a checkpointing run always
     /// exports them (at 0 in the healthy case).
     pub fn recover_with_telemetry(
@@ -308,11 +259,16 @@ mod tests {
         (d, k)
     }
 
+    /// Default limits, 30 s of reorder tolerance, no telemetry.
+    fn ingest(k: &DomainKnowledge) -> FaultTolerantIngest<'_> {
+        let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+        FaultTolerantIngest::with_telemetry(k, cfg, scfg, 30, &Telemetry::disabled())
+    }
+
     #[test]
     fn malformed_lines_are_counted_and_sampled_with_reasons() {
         let (_, k) = setup();
-        let mut ing =
-            FaultTolerantIngest::new(&k, GroupingConfig::default(), StreamConfig::default(), 30);
+        let mut ing = ingest(&k);
         ing.push_line("");
         ing.push_line("2010-01-10 00:00:15 r1"); // truncated
         ing.push_line("garbage line here entirely");
@@ -333,8 +289,7 @@ mod tests {
         let online = d.online();
         let n = online.len().min(3000);
 
-        let mut by_line =
-            FaultTolerantIngest::new(&k, GroupingConfig::default(), StreamConfig::default(), 30);
+        let mut by_line = ingest(&k);
         let mut e1 = Vec::new();
         for m in &online[..n] {
             e1.extend(by_line.push_line(&m.to_line()));
@@ -344,8 +299,7 @@ mod tests {
         assert_eq!(stats.n_malformed, 0);
         assert_eq!(stats.n_late, 0);
 
-        let mut by_msg =
-            FaultTolerantIngest::new(&k, GroupingConfig::default(), StreamConfig::default(), 30);
+        let mut by_msg = ingest(&k);
         let mut e2 = Vec::new();
         for m in &online[..n] {
             e2.extend(by_msg.push_message(m.clone()));
@@ -371,11 +325,7 @@ mod tests {
         let n = online.len().min(4000);
         let cut = n / 2;
 
-        fn mk(k: &DomainKnowledge) -> FaultTolerantIngest<'_> {
-            FaultTolerantIngest::new(k, GroupingConfig::default(), StreamConfig::default(), 30)
-        }
-
-        let mut whole = mk(&k);
+        let mut whole = ingest(&k);
         let mut e1 = Vec::new();
         for m in &online[..n] {
             e1.extend(whole.push_message(m.clone()));
@@ -383,7 +333,7 @@ mod tests {
         let (rest, s1) = whole.finish();
         e1.extend(rest);
 
-        let mut first = mk(&k);
+        let mut first = ingest(&k);
         let mut e2 = Vec::new();
         for m in &online[..cut] {
             e2.extend(first.push_message(m.clone()));
@@ -392,7 +342,9 @@ mod tests {
         drop(first);
         let json = snap.to_json().expect("snapshot serializes");
         let snap = StreamSnapshot::from_json(&json).expect("snapshot parses");
-        let mut second = FaultTolerantIngest::resume(&k, &snap).expect("resume");
+        let mut second =
+            FaultTolerantIngest::resume_with_telemetry(&k, &snap, &Telemetry::disabled())
+                .expect("resume");
         for m in &online[cut..n] {
             e2.extend(second.push_message(m.clone()));
         }
@@ -412,13 +364,11 @@ mod tests {
     #[test]
     fn resume_rejects_a_different_knowledge_base() {
         let (d, k) = setup();
-        let ing =
-            FaultTolerantIngest::new(&k, GroupingConfig::default(), StreamConfig::default(), 30);
-        let snap = ing.checkpoint();
+        let snap = ingest(&k).checkpoint();
         let d2 = Dataset::generate(DatasetSpec::preset_a().scaled(0.04));
         let k2 = learn(&d2.configs, d2.train(), &OfflineConfig::dataset_a());
         assert!(matches!(
-            FaultTolerantIngest::resume(&k2, &snap),
+            FaultTolerantIngest::resume_with_telemetry(&k2, &snap, &Telemetry::disabled()),
             Err(CheckpointError::KnowledgeMismatch)
         ));
         let _ = d;

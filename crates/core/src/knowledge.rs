@@ -325,7 +325,8 @@ mod tests {
     fn raw_json_artifacts_fail_with_bad_magic() {
         use crate::checkpoint::{CheckpointError, StreamSnapshot};
         use crate::grouping::GroupingConfig;
-        use crate::stream::StreamDigester;
+        use crate::stream::{StreamConfig, StreamDigester};
+        use sd_telemetry::Telemetry;
         let dir = std::env::temp_dir().join("sd_raw_json_artifact_test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -336,7 +337,9 @@ mod tests {
         let err = DomainKnowledge::load(&kpath).unwrap_err();
         assert_eq!(err.error, EnvelopeError::BadMagic);
 
-        let snap = StreamDigester::new(&k, GroupingConfig::default(), 0).checkpoint();
+        let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+        let snap =
+            StreamDigester::with_telemetry(&k, cfg, scfg, &Telemetry::disabled()).checkpoint();
         let spath = dir.join("run.ckpt");
         std::fs::write(&spath, snap.to_json().unwrap()).unwrap();
         match StreamSnapshot::load(&spath) {

@@ -151,28 +151,10 @@ impl ReorderBuffer {
         self.high
     }
 
-    /// Rebuild a buffer from checkpointed state: tolerance, observed
-    /// high timestamp, buffered messages, and counters.
+    /// Rebuild a buffer from checkpointed state — tolerance, observed
+    /// high timestamp, buffered messages, and counters — with the counters
+    /// re-registered in `tel` and set to their checkpointed values.
     pub fn restore(
-        max_skew_secs: i64,
-        high: Option<Timestamp>,
-        buffered: impl IntoIterator<Item = RawMessage>,
-        n_late: usize,
-        n_duplicate: usize,
-    ) -> Self {
-        Self::restore_with(
-            max_skew_secs,
-            high,
-            buffered,
-            n_late,
-            n_duplicate,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// [`restore`](Self::restore) with counters re-registered in `tel`
-    /// and set to their checkpointed values.
-    pub fn restore_with(
         max_skew_secs: i64,
         high: Option<Timestamp>,
         buffered: impl IntoIterator<Item = RawMessage>,

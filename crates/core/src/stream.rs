@@ -31,11 +31,12 @@
 //!   sweep from firing; each forced closure increments
 //!   [`StreamStats::n_force_closed`] so degradation is observable.
 //! * **Checkpoint/restore.** [`StreamDigester::checkpoint`] serializes the
-//!   complete mutable state (open groups, union-find forest, EWMA
-//!   trackers, rule/cross lookback, counters) into a versioned
-//!   [`StreamSnapshot`]; [`StreamDigester::resume`] rebuilds an identical
-//!   digester from it, so a killed process continues exactly where it
-//!   stopped (asserted by the kill/resume integration tests).
+//!   complete mutable state (open messages and groups, EWMA trackers,
+//!   rule/cross lookback, counters) into a versioned [`StreamSnapshot`];
+//!   [`StreamDigester::resume_with_telemetry`] rebuilds an identical
+//!   digester from it (each open message's group root is recomputed from
+//!   the group member lists), so a killed process continues exactly where
+//!   it stopped (asserted by the kill/resume integration tests).
 
 use crate::augment::augment_batch_isolated;
 use crate::checkpoint::{CheckpointError, DigesterState, StreamSnapshot};
@@ -62,6 +63,13 @@ pub(crate) struct OpenGroup {
     pub(crate) prov: GroupProv,
 }
 
+/// One open message and the key of the group it currently belongs to.
+struct OpenMsg {
+    sp: SyslogPlus,
+    /// Key of the message's group in [`StreamDigester::groups`].
+    root: u64,
+}
+
 /// Operational knobs of the streaming digester beyond the grouping
 /// configuration itself.
 #[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
@@ -73,9 +81,9 @@ pub struct StreamConfig {
     /// Upper bound on concurrently open (buffered, not yet emitted)
     /// messages; `0` means unbounded. When exceeded, the *oldest* open
     /// groups are force-closed — counted in
-    /// [`StreamStats::n_force_closed`] — instead of letting `open`/`raw`/
-    /// `groups` grow without limit when a stuck or skewed clock stops the
-    /// idle sweep from firing.
+    /// [`StreamStats::n_force_closed`] — instead of letting the open
+    /// messages and groups grow without limit when a stuck or skewed clock
+    /// stops the idle sweep from firing.
     pub max_open_messages: usize,
 }
 
@@ -92,9 +100,10 @@ pub struct StreamStats {
     /// Groups force-closed by the [`StreamConfig::max_open_messages`]
     /// memory guard before their idle horizon expired.
     pub n_force_closed: usize,
-    /// Internal invariant violations tolerated (union-find entry missing,
-    /// open member absent). Always 0 in a healthy run; nonzero values
-    /// indicate a bug worth filing, but never abort the process.
+    /// Internal invariant violations tolerated (a linked message or group
+    /// member no longer open, a group root without state). Always 0 in a
+    /// healthy run; nonzero values indicate a bug worth filing, but never
+    /// abort the process.
     pub n_inconsistent: usize,
     /// Messages quarantined because their augmentation shard panicked
     /// even on sequential retry (see [`crate::quarantine`]). They are
@@ -146,13 +155,9 @@ pub struct StreamDigester<'k> {
     scfg: StreamConfig,
 
     next_seq: u64,
-    /// Open messages by sequence number.
-    open: HashMap<u64, SyslogPlus>,
-    /// Raw copies of open messages (events own their text on emission).
-    raw: HashMap<u64, RawMessage>,
-    /// Union-find over open sequence numbers.
-    parent: HashMap<u64, u64>,
-    /// Group state, keyed by current root.
+    /// Open messages by sequence number, each with its group's root.
+    open: HashMap<u64, OpenMsg>,
+    /// Group state, keyed by root (the sequence number of one member).
     groups: HashMap<u64, OpenGroup>,
 
     /// Lookback state of the grouping stages.
@@ -187,28 +192,12 @@ pub struct StreamDigester<'k> {
 }
 
 impl<'k> StreamDigester<'k> {
-    /// New digester with default operational limits. `idle_close` is
-    /// clamped up to `max(Smax, W, cross window)` so closure can never
-    /// split a group the batch pipeline would have joined.
-    pub fn new(k: &'k DomainKnowledge, cfg: GroupingConfig, idle_close: i64) -> Self {
-        Self::with_config(
-            k,
-            cfg,
-            StreamConfig {
-                idle_close,
-                max_open_messages: 0,
-            },
-        )
-    }
-
-    /// New digester with explicit operational limits (see [`StreamConfig`]).
-    pub fn with_config(k: &'k DomainKnowledge, cfg: GroupingConfig, scfg: StreamConfig) -> Self {
-        Self::with_telemetry(k, cfg, scfg, &Telemetry::disabled())
-    }
-
-    /// [`with_config`](Self::with_config) with counters and span timers
-    /// registered in `tel` (under `stream.*`). Telemetry never changes
-    /// what the digester emits — only what it reports.
+    /// New digester with the operational limits of `scfg`, its counters
+    /// and span timers registered in `tel` (under `stream.*`; pass
+    /// [`Telemetry::disabled`] to run without). `idle_close` is clamped up
+    /// to `max(Smax, W, cross window)` so closure can never split a group
+    /// the batch pipeline would have joined. Telemetry never changes what
+    /// the digester emits — only what it reports.
     pub fn with_telemetry(
         k: &'k DomainKnowledge,
         cfg: GroupingConfig,
@@ -229,8 +218,6 @@ impl<'k> StreamDigester<'k> {
             },
             next_seq: 0,
             open: HashMap::new(),
-            raw: HashMap::new(),
-            parent: HashMap::new(),
             groups: HashMap::new(),
             stages: Stages::default(),
             counters: StreamCounters::new(tel),
@@ -293,32 +280,17 @@ impl<'k> StreamDigester<'k> {
         self.open.len()
     }
 
-    /// Find the union-find root of `x`, or `None` (counted as an internal
-    /// inconsistency) when `x` is not in the forest — a long-running
-    /// process must degrade by skipping a merge, not abort.
-    fn find(&mut self, mut x: u64) -> Option<u64> {
-        // Path compression over the hash-based forest.
-        let mut path = Vec::new();
-        loop {
-            let Some(&p) = self.parent.get(&x) else {
-                self.counters.n_inconsistent.inc();
-                return None;
-            };
-            if p == x {
-                break;
-            }
-            path.push(x);
-            x = p;
-        }
-        for p in path {
-            self.parent.insert(p, x);
-        }
-        Some(x)
-    }
-
+    /// Merge the groups of open messages `a` (the earlier one) and `b`.
+    /// The larger group's root survives (ties keep `a`'s), and the smaller
+    /// group's members are re-pointed at it as they move, so every open
+    /// message always names its group directly.
     fn union(&mut self, a: u64, b: u64, cause: MergeCause) {
-        let (Some(ra), Some(rb)) = (self.find(a), self.find(b)) else {
-            return; // inconsistency already counted by `find`
+        let (Some(ra), Some(rb)) = (
+            self.open.get(&a).map(|o| o.root),
+            self.open.get(&b).map(|o| o.root),
+        ) else {
+            self.counters.n_inconsistent.inc();
+            return;
         };
         match cause {
             MergeCause::Temporal => self.counters.links_temporal.inc(),
@@ -342,13 +314,16 @@ impl<'k> StreamDigester<'k> {
             self.groups.insert(ra, ga);
             return;
         };
-        // Attach the smaller under the larger.
-        let (root, child, mut groot, gchild) = if ga.members.len() >= gb.members.len() {
-            (ra, rb, ga, gb)
+        let (root, mut groot, gchild) = if ga.members.len() >= gb.members.len() {
+            (ra, ga, gb)
         } else {
-            (rb, ra, gb, ga)
+            (rb, gb, ga)
         };
-        self.parent.insert(child, root);
+        for m in &gchild.members {
+            if let Some(o) = self.open.get_mut(m) {
+                o.root = root;
+            }
+        }
         groot.members.extend(gchild.members);
         groot.last_ts = groot.last_ts.max(gchild.last_ts);
         groot.prov.absorb(&gchild.prov);
@@ -359,33 +334,10 @@ impl<'k> StreamDigester<'k> {
     /// Feed one message (must be non-decreasing in time — route unordered
     /// feeds through [`ReorderBuffer`](crate::reorder::ReorderBuffer)
     /// first); returns any events that became closable. A panic inside
-    /// augmentation is caught and the message quarantined instead of
-    /// aborting the run.
+    /// augmentation quarantines the message instead of aborting the run
+    /// (see [`push_batch`](Self::push_batch)).
     pub fn push(&mut self, m: &RawMessage) -> Vec<NetworkEvent> {
-        let k = self.k;
-        let idx = self.next_seq as usize;
-        match sd_model::catch_panic(|| crate::augment::augment(k, idx, m)) {
-            Ok(sp) => self.push_augmented(m, sp),
-            Err(reason) => {
-                self.quarantine_message(m, &reason);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Record `m` as quarantined: counted as input, excluded from the
-    /// digest exactly as if it had never been fed (no sequence number,
-    /// no clock advance, no sweep tick), so the surviving output is
-    /// byte-identical to a feed without the poison message.
-    fn quarantine_message(&mut self, m: &RawMessage, reason: &str) {
-        self.counters.n_input.inc();
-        self.counters.n_quarantined.inc();
-        self.quarantined.push(QuarantineRecord::from_message(
-            self.counters.n_input.get(),
-            m,
-            "augment",
-            reason,
-        ));
+        self.push_batch(std::slice::from_ref(m))
     }
 
     /// Feed a slice of messages, augmenting them on `cfg.par` threads
@@ -412,7 +364,18 @@ impl<'k> StreamDigester<'k> {
         let mut events = Vec::new();
         for (i, (m, sp)) in msgs.iter().zip(iso.augmented).enumerate() {
             if let Some(reason) = poisoned.get(&i) {
-                self.quarantine_message(m, reason);
+                // Counted as input, excluded from the digest exactly as if
+                // never fed (no sequence number, no clock advance, no
+                // sweep tick), so the surviving output is byte-identical
+                // to a feed without the poison message.
+                self.counters.n_input.inc();
+                self.counters.n_quarantined.inc();
+                self.quarantined.push(QuarantineRecord::from_message(
+                    self.counters.n_input.get(),
+                    m,
+                    "augment",
+                    reason,
+                ));
                 continue;
             }
             events.extend(self.push_augmented(m, sp));
@@ -432,7 +395,6 @@ impl<'k> StreamDigester<'k> {
         };
         sp.idx = seq as usize;
         self.next_seq += 1;
-        self.parent.insert(seq, seq);
         self.counters.groups_opened.inc();
         self.groups.insert(
             seq,
@@ -451,10 +413,11 @@ impl<'k> StreamDigester<'k> {
             self.stages.rule(self.k, &sp, seq, &mut links);
         }
         if self.cfg.cross {
-            let lookup = |i| self.open.get(&i);
+            let lookup = |i| self.open.get(&i).map(|o: &OpenMsg| &o.sp);
             let cw = self.cfg.cross_window_secs;
             self.stages.cross(self.k, cw, &sp, seq, lookup, &mut links);
         }
+        self.open.insert(seq, OpenMsg { sp, root: seq });
         // A link to a message whose group already closed merges nothing.
         for (earlier, cause) in links {
             if self.open.contains_key(&earlier) {
@@ -462,8 +425,6 @@ impl<'k> StreamDigester<'k> {
             }
         }
 
-        self.open.insert(seq, sp);
-        self.raw.insert(seq, m.clone());
         let mut events = self.maybe_sweep();
         self.enforce_open_bound(&mut events);
         self.finalize(&mut events);
@@ -513,13 +474,11 @@ impl<'k> StreamDigester<'k> {
         members.sort_unstable();
         let mut batch: Vec<SyslogPlus> = Vec::with_capacity(members.len());
         for s in &members {
-            let Some(mut sp) = self.open.remove(s) else {
+            let Some(OpenMsg { mut sp, .. }) = self.open.remove(s) else {
                 self.counters.n_inconsistent.inc();
                 continue;
             };
             sp.idx = *s as usize; // global sequence number
-            self.raw.remove(s);
-            self.parent.remove(s);
             batch.push(sp);
         }
         if batch.is_empty() {
@@ -606,18 +565,13 @@ impl<'k> StreamDigester<'k> {
         events.extend(forced);
     }
 
-    /// Close and emit every remaining group (end of the feed).
-    pub fn finish(self) -> Vec<NetworkEvent> {
-        self.finish_traced().0
-    }
-
-    /// [`finish`](Self::finish), also returning the provenance records of
-    /// the final flush (plus any not yet drained). Empty unless tracing
-    /// is on.
-    pub fn finish_traced(mut self) -> (Vec<NetworkEvent>, Vec<EventProvenance>) {
+    /// Close and emit every remaining group (end of the feed). Their
+    /// provenance records drain through
+    /// [`take_provenance`](Self::take_provenance) like any others.
+    pub fn finish(&mut self) -> Vec<NetworkEvent> {
         let mut events = self.sweep(true);
         self.finalize(&mut events);
-        (events, std::mem::take(&mut self.trace_out))
+        events
     }
 
     // ------------------------------------------------- checkpoint/restore --
@@ -629,25 +583,56 @@ impl<'k> StreamDigester<'k> {
     }
 
     /// Rebuild a digester from a snapshot taken by
-    /// [`checkpoint`](StreamDigester::checkpoint). Fails if the snapshot
-    /// was produced by an incompatible version or against a different
-    /// knowledge base.
-    pub fn resume(
-        k: &'k DomainKnowledge,
-        snapshot: &StreamSnapshot,
-    ) -> Result<Self, CheckpointError> {
-        Self::resume_with_telemetry(k, snapshot, &Telemetry::disabled())
-    }
-
-    /// [`resume`](Self::resume) with counters re-registered in `tel` and
-    /// restored to their checkpointed values.
+    /// [`checkpoint`](StreamDigester::checkpoint), with counters
+    /// re-registered in `tel` and restored to their checkpointed values.
+    /// Fails if the snapshot was produced by an incompatible version or
+    /// against a different knowledge base.
     pub fn resume_with_telemetry(
         k: &'k DomainKnowledge,
         snapshot: &StreamSnapshot,
         tel: &Telemetry,
     ) -> Result<Self, CheckpointError> {
         snapshot.verify(k)?;
-        Ok(Self::from_state_with(k, snapshot.digester.clone(), tel))
+        let st = &snapshot.digester;
+        // `st.stream` is already clamped, and clamping is idempotent.
+        let mut sd = Self::with_telemetry(k, st.grouping, st.stream, tel);
+        sd.next_seq = st.next_seq;
+        sd.clock = st.clock;
+        sd.since_sweep = st.since_sweep;
+        sd.next_event_id = st.next_event_id;
+        let c = &sd.counters;
+        c.n_input.set(st.stats.n_input as u64);
+        c.n_dropped.set(st.stats.n_dropped as u64);
+        c.n_force_closed.set(st.stats.n_force_closed as u64);
+        c.n_inconsistent.set(st.stats.n_inconsistent as u64);
+        c.n_quarantined.set(st.stats.n_quarantined as u64);
+        c.n_events.set(st.next_event_id);
+        for (seq, sp) in &st.open {
+            let (sp, root) = (sp.clone(), *seq);
+            sd.open.insert(*seq, OpenMsg { sp, root });
+        }
+        for (root, g) in &st.groups {
+            for m in &g.members {
+                if let Some(o) = sd.open.get_mut(m) {
+                    o.root = *root;
+                }
+            }
+            sd.groups.insert(*root, g.clone());
+        }
+        sd.stages = Stages {
+            trackers: st.trackers.iter().cloned().collect(),
+            recent_rules: st
+                .recent_rules
+                .iter()
+                .map(|(r, inner)| (*r, inner.iter().cloned().collect()))
+                .collect(),
+            recent_cross: st
+                .recent_cross
+                .iter()
+                .map(|(t, q)| (*t, q.iter().copied().collect()))
+                .collect(),
+        };
+        Ok(sd)
     }
 
     pub(crate) fn export_state(&self) -> DigesterState {
@@ -664,9 +649,12 @@ impl<'k> StreamDigester<'k> {
             clock: self.clock,
             since_sweep: self.since_sweep,
             stats: self.stats(),
-            open: sorted(&self.open),
-            raw: sorted(&self.raw),
-            parent: sorted(&self.parent),
+            open: {
+                let mut open: Vec<(u64, SyslogPlus)> =
+                    self.open.iter().map(|(&s, o)| (s, o.sp.clone())).collect();
+                open.sort_by_key(|&(s, _)| s);
+                open
+            },
             groups: sorted(&self.groups),
             trackers: sorted(&self.stages.trackers),
             recent_rules: {
@@ -691,54 +679,6 @@ impl<'k> StreamDigester<'k> {
             },
         }
     }
-
-    pub(crate) fn from_state_with(
-        k: &'k DomainKnowledge,
-        st: DigesterState,
-        tel: &Telemetry,
-    ) -> Self {
-        let counters = StreamCounters::new(tel);
-        counters.n_input.set(st.stats.n_input as u64);
-        counters.n_dropped.set(st.stats.n_dropped as u64);
-        counters.n_force_closed.set(st.stats.n_force_closed as u64);
-        counters.n_inconsistent.set(st.stats.n_inconsistent as u64);
-        counters.n_quarantined.set(st.stats.n_quarantined as u64);
-        counters.n_events.set(st.next_event_id);
-        StreamDigester {
-            k,
-            cfg: st.grouping,
-            scfg: st.stream,
-            next_seq: st.next_seq,
-            open: st.open.into_iter().collect(),
-            raw: st.raw.into_iter().collect(),
-            parent: st.parent.into_iter().collect(),
-            groups: st.groups.into_iter().collect(),
-            stages: Stages {
-                trackers: st.trackers.into_iter().collect(),
-                recent_rules: st
-                    .recent_rules
-                    .into_iter()
-                    .map(|(r, inner)| (r, inner.into_iter().collect()))
-                    .collect(),
-                recent_cross: st
-                    .recent_cross
-                    .into_iter()
-                    .map(|(t, q)| (t, q.into_iter().collect()))
-                    .collect(),
-            },
-            counters,
-            clock: st.clock,
-            since_sweep: st.since_sweep,
-            next_event_id: st.next_event_id,
-            trace: false,
-            pending_prov: HashMap::new(),
-            trace_out: Vec::new(),
-            quarantined: Vec::new(),
-            sp_push: tel.span("stream.push"),
-            sp_augment: tel.span("stream.augment"),
-            sp_sweep: tel.span("stream.sweep"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -754,6 +694,15 @@ mod tests {
         (d, k)
     }
 
+    /// A digester with `scfg`'s limits and no telemetry.
+    fn digester(
+        k: &DomainKnowledge,
+        cfg: GroupingConfig,
+        scfg: StreamConfig,
+    ) -> StreamDigester<'_> {
+        StreamDigester::with_telemetry(k, cfg, scfg, &Telemetry::disabled())
+    }
+
     /// The keystone property: streaming with a safe idle horizon produces
     /// exactly the batch partition.
     #[test]
@@ -764,7 +713,7 @@ mod tests {
 
         let batch_digest = digest(&k, online, &cfg);
 
-        let mut sd = StreamDigester::new(&k, cfg, 0);
+        let mut sd = digester(&k, cfg, StreamConfig::default());
         let mut events = Vec::new();
         for m in online {
             events.extend(sd.push(m));
@@ -792,7 +741,7 @@ mod tests {
     fn events_are_emitted_before_the_feed_ends() {
         let (d, k) = setup();
         let online = d.online();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let mut early = 0usize;
         for m in &online[..online.len() * 3 / 4] {
             early += sd.push(m).len();
@@ -808,7 +757,7 @@ mod tests {
     fn open_state_is_bounded() {
         let (d, k) = setup();
         let online = d.online();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let mut max_open = 0usize;
         for m in online {
             sd.push(m);
@@ -824,7 +773,11 @@ mod tests {
     #[test]
     fn idle_close_is_clamped_to_safety_floor() {
         let (_, k) = setup();
-        let sd = StreamDigester::new(&k, GroupingConfig::default(), 1);
+        let scfg = StreamConfig {
+            idle_close: 1,
+            max_open_messages: 0,
+        };
+        let sd = digester(&k, GroupingConfig::default(), scfg);
         assert!(sd.idle_close_secs() >= k.temporal.s_max);
         assert!(sd.idle_close_secs() >= k.window_secs);
     }
@@ -836,7 +789,7 @@ mod tests {
         let (d, k) = setup();
         let online = d.online();
 
-        let mut one = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut one = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e1 = Vec::new();
         for m in online {
             e1.extend(one.push(m));
@@ -847,7 +800,7 @@ mod tests {
             par: sd_model::Parallelism::with_threads(4),
             ..GroupingConfig::default()
         };
-        let mut batched = StreamDigester::new(&k, cfg, 0);
+        let mut batched = digester(&k, cfg, StreamConfig::default());
         let mut e2 = batched.push_batch(online);
         e2.extend(batched.finish());
 
@@ -862,7 +815,7 @@ mod tests {
     #[test]
     fn unknown_routers_are_counted_not_grouped() {
         let (_, k) = setup();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let m = RawMessage::new(
             Timestamp(0),
             "ghost",
@@ -880,7 +833,7 @@ mod tests {
     fn out_of_order_pushes_never_panic() {
         let (d, k) = setup();
         let online = d.online();
-        let mut sd = StreamDigester::new(&k, GroupingConfig::default(), 0);
+        let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let n = online.len().min(2000);
         // Feed a prefix backwards, then forwards again.
         for m in online[..n].iter().rev() {
@@ -902,7 +855,7 @@ mod tests {
             idle_close: 0,
             max_open_messages: 64,
         };
-        let mut sd = StreamDigester::with_config(&k, GroupingConfig::default(), scfg);
+        let mut sd = digester(&k, GroupingConfig::default(), scfg);
         // Freeze the clock: replay a window of messages all at one instant,
         // so the idle sweep can never fire.
         let frozen = online[0].ts;
@@ -925,41 +878,63 @@ mod tests {
         assert_eq!(sd.stats().n_inconsistent, 0);
     }
 
-    /// checkpoint() → resume() roundtrips the full digester state: the
-    /// resumed digester emits exactly what the original would have.
+    /// checkpoint() → resume roundtrips the full digester state: the
+    /// resumed digester re-serializes to the snapshot it came from and
+    /// emits exactly what the original would have, in the same order and
+    /// under the same ids — also when the open-message bound force-closes
+    /// groups (whose order follows the group roots rebuilt on resume).
     #[test]
     fn checkpoint_resume_is_exact() {
         let (d, k) = setup();
         let online = d.online();
         let cut = online.len() / 2;
-
-        let mut uninterrupted = StreamDigester::new(&k, GroupingConfig::default(), 0);
-        let mut e1 = Vec::new();
-        for m in online {
-            e1.extend(uninterrupted.push(m));
-        }
-        e1.extend(uninterrupted.finish());
-
-        let mut first = StreamDigester::new(&k, GroupingConfig::default(), 0);
-        let mut e2 = Vec::new();
-        for m in &online[..cut] {
-            e2.extend(first.push(m));
-        }
-        let snap = first.checkpoint();
-        drop(first); // the "kill"
-        let json = snap.to_json().expect("snapshot serializes");
-        let snap = StreamSnapshot::from_json(&json).expect("snapshot parses");
-        let mut second = StreamDigester::resume(&k, &snap).expect("resume");
-        for m in &online[cut..] {
-            e2.extend(second.push(m));
-        }
-        e2.extend(second.finish());
-
-        let norm = |evs: &[NetworkEvent]| {
-            let mut v: Vec<Vec<usize>> = evs.iter().map(|e| e.message_idxs.clone()).collect();
-            v.sort();
-            v
+        let emitted = |evs: &[NetworkEvent]| -> Vec<(u64, Vec<usize>)> {
+            evs.iter().map(|e| (e.id, e.message_idxs.clone())).collect()
         };
-        assert_eq!(norm(&e1), norm(&e2));
+
+        for max_open_messages in [0, 64] {
+            let scfg = StreamConfig {
+                idle_close: 0,
+                max_open_messages,
+            };
+            let mut uninterrupted = digester(&k, GroupingConfig::default(), scfg);
+            let mut e1 = Vec::new();
+            for m in online {
+                e1.extend(uninterrupted.push(m));
+            }
+            e1.extend(uninterrupted.finish());
+
+            let mut first = digester(&k, GroupingConfig::default(), scfg);
+            let mut e2 = Vec::new();
+            for m in &online[..cut] {
+                e2.extend(first.push(m));
+            }
+            let json = first.checkpoint().to_json().expect("snapshot serializes");
+            drop(first); // the "kill"
+            let snap = StreamSnapshot::from_json(&json).expect("snapshot parses");
+            let mut second =
+                StreamDigester::resume_with_telemetry(&k, &snap, &Telemetry::disabled())
+                    .expect("resume");
+            assert_eq!(
+                second.checkpoint().to_json().expect("snapshot serializes"),
+                json,
+                "max_open {max_open_messages}: resumed state differs from its snapshot"
+            );
+            for m in &online[cut..] {
+                e2.extend(second.push(m));
+            }
+            e2.extend(second.finish());
+
+            assert_eq!(emitted(&e1), emitted(&e2), "max_open {max_open_messages}");
+            assert_eq!(
+                uninterrupted.stats(),
+                second.stats(),
+                "max_open {max_open_messages}"
+            );
+            assert!(
+                max_open_messages == 0 || second.stats().n_force_closed > 0,
+                "the open-message bound never fired"
+            );
+        }
     }
 }

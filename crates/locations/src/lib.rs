@@ -4,7 +4,7 @@
 //! a [`LocationDictionary`] holding the Figure 3 hierarchy (router → slot →
 //! port → physical interface → logical interface, plus bundles and LSP
 //! paths), interface↔IP mappings and cross-router link/session
-//! relationships; then [`extract`] verified locations from live messages
+//! relationships; then [`extract()`] verified locations from live messages
 //! and answer the §4.2 *spatial matching* and cross-router relatedness
 //! queries the grouping stages rely on.
 

@@ -2,7 +2,7 @@
 //!
 //! Association-rule mining over syslog template streams (§4.1.4): per-router
 //! sliding-window [`transactions::CoOccurrence`] counting, pairwise
-//! support/confidence [`mine`]-ing into a [`RuleSet`], and the weekly
+//! support/confidence [`mine()`]-ing into a [`RuleSet`], and the weekly
 //! conservative add/delete [`RuleBase`] maintenance behind Figures 8–9.
 
 #![forbid(unsafe_code)]

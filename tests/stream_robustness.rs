@@ -47,6 +47,12 @@ fn fault_seeds() -> Vec<u64> {
     }
 }
 
+/// A fault-tolerant ingest layer with default limits and no telemetry.
+fn new_ingest(k: &DomainKnowledge, max_skew: i64) -> FaultTolerantIngest<'_> {
+    let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+    FaultTolerantIngest::with_telemetry(k, cfg, scfg, max_skew, &Telemetry::disabled())
+}
+
 fn ingest_lines<'a>(
     k: &'a DomainKnowledge,
     lines: impl Iterator<Item = &'a str>,
@@ -55,12 +61,7 @@ fn ingest_lines<'a>(
     Vec<NetworkEvent>,
     syslogdigest_repro::digest::ingest::IngestStats,
 ) {
-    let mut ing = FaultTolerantIngest::new(
-        k,
-        GroupingConfig::default(),
-        StreamConfig::default(),
-        max_skew,
-    );
+    let mut ing = new_ingest(k, max_skew);
     let mut events = Vec::new();
     for line in lines {
         events.extend(ing.push_line(line));
@@ -148,8 +149,7 @@ fn kill_and_resume_from_snapshot_file_equals_uninterrupted_run() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("mid.ckpt");
 
-    let mut first =
-        FaultTolerantIngest::new(k, GroupingConfig::default(), StreamConfig::default(), 30);
+    let mut first = new_ingest(k, 30);
     let mut events = Vec::new();
     for line in &faulted[..cut] {
         events.extend(first.push_line(line));
@@ -159,7 +159,8 @@ fn kill_and_resume_from_snapshot_file_equals_uninterrupted_run() {
 
     let snap = StreamSnapshot::load(&path).expect("checkpoint loads");
     assert_eq!(snap.lines_consumed(), cut);
-    let mut second = FaultTolerantIngest::resume(k, &snap).expect("resume");
+    let mut second = FaultTolerantIngest::resume_with_telemetry(k, &snap, &Telemetry::disabled())
+        .expect("resume");
     for line in &faulted[cut..] {
         events.extend(second.push_line(line));
     }
@@ -180,8 +181,7 @@ fn saved_snapshot(dir: &std::path::Path) -> (std::path::PathBuf, Vec<u8>, usize)
     let (d, k) = setup();
     let lines: Vec<String> = d.online().iter().map(|m| m.to_line()).collect();
     let cut = 200.min(lines.len() / 2);
-    let mut ing =
-        FaultTolerantIngest::new(k, GroupingConfig::default(), StreamConfig::default(), 30);
+    let mut ing = new_ingest(k, 30);
     for line in &lines[..cut] {
         ing.push_line(line);
     }
@@ -240,8 +240,7 @@ fn generation_fallback_resumes_within_one_interval() {
     let dir = std::env::temp_dir().join(format!("sd-fallback-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("run.ckpt");
-    let mut first =
-        FaultTolerantIngest::new(k, GroupingConfig::default(), StreamConfig::default(), 30);
+    let mut first = new_ingest(k, 30);
     let mut prefix_events = Vec::new();
     let mut events_at_save = Vec::new(); // events emitted by each save point
     for (i, line) in faulted[..cut].iter().enumerate() {
@@ -258,9 +257,10 @@ fn generation_fallback_resumes_within_one_interval() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
 
-    let (mut second, report) = FaultTolerantIngest::recover(k, &path, 2)
-        .expect("recovery succeeds")
-        .expect("a generation exists");
+    let (mut second, report) =
+        FaultTolerantIngest::recover_with_telemetry(k, &path, 2, &Telemetry::disabled())
+            .expect("recovery succeeds")
+            .expect("a generation exists");
     assert_eq!(report.generation, 1);
     assert_eq!(report.n_corrupt, 1);
     let consumed = report.lines_consumed;
@@ -359,10 +359,8 @@ fn batch_and_stream_agree_link_for_link_on_golden_seeds() {
             let mut sd = StreamDigester::with_telemetry(&k, cfg, StreamConfig::default(), &tel);
             sd.set_trace(true);
             let mut events = sd.push_batch(online);
-            let mut stream_prov = sd.take_provenance();
-            let (rest, rest_prov) = sd.finish_traced();
-            events.extend(rest);
-            stream_prov.extend(rest_prov);
+            events.extend(sd.finish());
+            let stream_prov = sd.take_provenance();
 
             let first = |e: &NetworkEvent| e.message_idxs.iter().copied().min();
             let batch_by_first: BTreeMap<_, _> = batch

@@ -186,8 +186,9 @@ fn streaming_ingest_is_identical_with_telemetry_and_tracing_on() {
         for m in &online[..n] {
             events.extend(ing.push_message(m.clone()));
         }
-        let (rest, _, prov) = ing.finish_traced();
+        let (rest, _) = ing.finish();
         events.extend(rest);
+        let prov = ing.take_provenance();
         (render(&events), events.len(), prov)
     };
 
@@ -209,10 +210,10 @@ fn event_ids_continue_across_checkpoint_resume() {
     let online = d.online();
     let n = online.len().min(4000);
     let cut = n / 2;
+    let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
 
     let run_whole = || {
-        let mut ing =
-            FaultTolerantIngest::new(k, GroupingConfig::default(), StreamConfig::default(), 30);
+        let mut ing = FaultTolerantIngest::with_telemetry(k, cfg, scfg, 30, &Telemetry::disabled());
         let mut events = Vec::new();
         for m in &online[..n] {
             events.extend(ing.push_message(m.clone()));
@@ -223,8 +224,7 @@ fn event_ids_continue_across_checkpoint_resume() {
     };
     let whole = run_whole();
 
-    let mut first =
-        FaultTolerantIngest::new(k, GroupingConfig::default(), StreamConfig::default(), 30);
+    let mut first = FaultTolerantIngest::with_telemetry(k, cfg, scfg, 30, &Telemetry::disabled());
     let mut split = Vec::new();
     for m in &online[..cut] {
         split.extend(first.push_message(m.clone()));
