@@ -6,10 +6,11 @@
 //! * `--trace FILE` — validate every JSONL provenance record against the
 //!   documented schema (event_id, n_messages, routers, templates, links,
 //!   closed_by);
-//! * `--baseline FILE` — re-run the digest at the baseline's scale with
-//!   telemetry enabled and assert throughput stays within `--min-ratio`
-//!   (default 0.95) of the recorded 1-thread figure, i.e. instrumentation
-//!   costs at most ~5%;
+//! * `--overhead` — in this one process, time the 1-thread `digest`
+//!   against `digest_instrumented` with telemetry enabled over
+//!   alternating pairs on dataset A and assert the median per-pair ratio
+//!   (plain time / instrumented time) stays at or above `--min-ratio`
+//!   (default 0.95), i.e. instrumentation costs at most ~5%;
 //! * `--require-durability` — additionally require the durability
 //!   counters (`sd_ckpt_n_corrupt`, `sd_ckpt_n_fallback`, and a
 //!   quarantine counter) in the `--metrics` snapshot.
@@ -22,21 +23,12 @@ use sd_telemetry::{validate_exposition, Telemetry};
 use serde::Value;
 use std::time::Instant;
 use syslogdigest::offline::{learn, OfflineConfig};
-use syslogdigest::{digest_instrumented, GroupingConfig};
+use syslogdigest::{digest, digest_instrumented, GroupingConfig};
 
 fn as_u64(v: &Value) -> Option<u64> {
     match v {
         Value::U64(n) => Some(*n),
         Value::I64(n) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::F64(x) => Some(*x),
-        Value::I64(n) => Some(*n as f64),
-        Value::U64(n) => Some(*n as f64),
         _ => None,
     }
 }
@@ -157,24 +149,24 @@ fn check_trace(path: &str) {
     println!("ok: {path} — {n} provenance records match the schema");
 }
 
-fn check_overhead(baseline: &str, min_ratio: f64) {
-    let text = std::fs::read_to_string(baseline)
-        .unwrap_or_else(|e| fail(&format!("reading {baseline}: {e}")));
-    let v: Value =
-        serde_json::parse(&text).unwrap_or_else(|e| fail(&format!("{baseline}: not JSON: {e}")));
-    let scale = v
-        .get_field("scale")
-        .and_then(as_f64)
-        .unwrap_or_else(|| fail("baseline has no scale"));
-    let reps = field_u64(&v, "reps").unwrap_or(3) as usize;
-    let base = v
-        .get_field("digest")
-        .and_then(Value::as_array)
-        .and_then(|pts| pts.iter().find(|p| field_u64(p, "threads") == Some(1)))
-        .and_then(|p| p.get_field("msgs_per_sec").and_then(as_f64))
-        .unwrap_or_else(|| fail("baseline has no 1-thread digest point"));
+/// Dataset A scale of the overhead check (about 6k online messages).
+const OVERHEAD_SCALE: f64 = 0.08;
 
-    let d = Dataset::generate(DatasetSpec::preset_a().scaled(scale));
+/// Plain/instrumented pairs the overhead check times; odd, so the median
+/// is one measured pair.
+const OVERHEAD_PAIRS: usize = 21;
+
+/// Median over `(plain, instrumented)` wall-time pairs of
+/// `plain / instrumented`: 1.0 when instrumentation is free, `1 / (1 + s)`
+/// for a constant slowdown `s`. One noisy pair cannot move it.
+fn median_pair_ratio(pairs: &[(f64, f64)]) -> f64 {
+    let mut ratios: Vec<f64> = pairs.iter().map(|&(p, i)| p / i).collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
+}
+
+fn check_overhead(min_ratio: f64) {
+    let d = Dataset::generate(DatasetSpec::preset_a().scaled(OVERHEAD_SCALE));
     let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
     let online = d.online();
     let gcfg = GroupingConfig {
@@ -182,22 +174,39 @@ fn check_overhead(baseline: &str, min_ratio: f64) {
         ..GroupingConfig::default()
     };
     let tel = Telemetry::new();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+    let plain = || {
+        let t0 = Instant::now();
+        std::hint::black_box(digest(&k, online, &gcfg));
+        t0.elapsed().as_secs_f64()
+    };
+    let instrumented = || {
         let t0 = Instant::now();
         std::hint::black_box(digest_instrumented(&k, online, &gcfg, &tel, false));
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let instrumented = online.len() as f64 / best;
-    let ratio = instrumented / base;
+        t0.elapsed().as_secs_f64()
+    };
+    // Alternate which side runs first so neither always gets the warmer
+    // cache.
+    let pairs: Vec<(f64, f64)> = (0..OVERHEAD_PAIRS)
+        .map(|i| {
+            if i % 2 == 0 {
+                let p = plain();
+                (p, instrumented())
+            } else {
+                let t = instrumented();
+                (plain(), t)
+            }
+        })
+        .collect();
+    let ratio = median_pair_ratio(&pairs);
     println!(
-        "overhead: baseline {base:.0} msg/s, instrumented {instrumented:.0} msg/s \
-         (ratio {ratio:.3}, floor {min_ratio})"
+        "overhead: {} msgs, median plain/instrumented ratio {ratio:.3} over \
+         {OVERHEAD_PAIRS} pairs (floor {min_ratio})",
+        online.len()
     );
     if ratio < min_ratio {
         fail(&format!(
-            "telemetry overhead too high: instrumented throughput is \
-             {ratio:.3}x the baseline (floor {min_ratio})"
+            "telemetry overhead too high: instrumented digest runs at \
+             {ratio:.3}x the plain digest's speed (floor {min_ratio})"
         ));
     }
 }
@@ -205,7 +214,7 @@ fn check_overhead(baseline: &str, min_ratio: f64) {
 fn main() {
     let mut metrics = None;
     let mut trace = None;
-    let mut baseline = None;
+    let mut overhead = false;
     let mut min_ratio = 0.95;
     let mut require_durability = false;
     let mut args = std::env::args().skip(1);
@@ -213,7 +222,7 @@ fn main() {
         match a.as_str() {
             "--metrics" => metrics = args.next(),
             "--trace" => trace = args.next(),
-            "--baseline" => baseline = args.next(),
+            "--overhead" => overhead = true,
             "--min-ratio" => {
                 min_ratio = args
                     .next()
@@ -224,8 +233,8 @@ fn main() {
             other => fail(&format!("unknown argument {other:?}")),
         }
     }
-    if metrics.is_none() && trace.is_none() && baseline.is_none() {
-        fail("nothing to validate: pass --metrics, --trace, and/or --baseline");
+    if metrics.is_none() && trace.is_none() && !overhead {
+        fail("nothing to validate: pass --metrics, --trace, and/or --overhead");
     }
     if let Some(p) = metrics {
         check_metrics(&p, require_durability);
@@ -233,8 +242,29 @@ fn main() {
     if let Some(p) = trace {
         check_trace(&p);
     }
-    if let Some(p) = baseline {
-        check_overhead(&p, min_ratio);
+    if overhead {
+        check_overhead(min_ratio);
     }
     println!("validate_telemetry: all checks passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::median_pair_ratio;
+
+    #[test]
+    fn constant_slowdown_reads_its_inverse() {
+        let pairs = vec![(1.0, 1.1); 21];
+        assert!((median_pair_ratio(&pairs) - 1.0 / 1.1).abs() < 1e-12);
+        assert!((median_pair_ratio(&pairs) - 0.909).abs() < 1e-3);
+    }
+
+    #[test]
+    fn one_outlier_pair_does_not_move_the_median() {
+        let mut pairs = vec![(1.0, 1.0); 21];
+        pairs[7] = (3.0, 1.0);
+        assert_eq!(median_pair_ratio(&pairs), 1.0);
+        pairs[7] = (1.0, 3.0);
+        assert_eq!(median_pair_ratio(&pairs), 1.0);
+    }
 }

@@ -1,10 +1,11 @@
 //! EXP-T7 (Table 7): compression ratio of the three grouping stacks —
 //! temporal (T), temporal + rule-based (T+R), and all three (T+R+C) —
 //! plus (beyond the paper) grouping quality against the simulator's
-//! ground truth.
+//! ground truth and the EWMA temporal stage against a fixed-gap splitter.
 
 use crate::ctx::{paper, section, Ctx};
-use syslogdigest::{compression_table, evaluate_grouping, GroupingConfig};
+use syslogdigest::baselines::{ewma_group_count, fixed_gap_group_count};
+use syslogdigest::{augment_batch, compression_table, evaluate_grouping, GroupingConfig};
 
 /// Run the Table 7 experiment.
 pub fn run(ctx: &Ctx) {
@@ -39,5 +40,14 @@ pub fn run(ctx: &Ctx) {
                 name, stages, q.pair_precision, q.pair_recall, q.fragmentation, q.purity
             );
         }
+    }
+    println!("\n  temporal splitter (not in the paper):");
+    for (name, b) in ctx.both() {
+        let (batch, _) = augment_batch(&b.knowledge, b.data.online());
+        println!(
+            "  dataset {name}: EWMA {} groups vs fixed-gap(300s) {} groups",
+            ewma_group_count(&b.knowledge, &batch),
+            fixed_gap_group_count(&batch, 300)
+        );
     }
 }

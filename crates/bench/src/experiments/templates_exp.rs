@@ -1,5 +1,6 @@
 //! EXP-TMPL (§5.2.1): learned templates vs. the generator's ground truth.
-//! The paper reports "94% of message templates matches".
+//! The paper reports "94% of message templates matches". Also sweeps the
+//! template-tree pruning threshold `k` (DESIGN.md's ablation).
 
 use crate::ctx::{paper, section, Ctx};
 use sd_templates::{learn, LearnerConfig};
@@ -33,5 +34,21 @@ pub fn run(ctx: &Ctx) {
             gt.len(),
             exact as f64 / total.max(1) as f64 * 100.0
         );
+    }
+    println!("\n  pruning threshold k (not in the paper; first 30k training messages):");
+    for (name, b) in ctx.both() {
+        let train = b.data.train();
+        let slice = &train[..train.len().min(30_000)];
+        let counts: Vec<String> = [3usize, 10, 30]
+            .iter()
+            .map(|&k| {
+                let cfg = LearnerConfig {
+                    k,
+                    ..LearnerConfig::default()
+                };
+                format!("k={k}: {}", learn(slice, &cfg).len())
+            })
+            .collect();
+        println!("  dataset {name}: templates learned {}", counts.join(", "));
     }
 }

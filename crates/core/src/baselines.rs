@@ -1,6 +1,7 @@
-//! Baselines the paper argues against, implemented for the ablation
-//! benches: vendor-severity ranking (§2 explains why it misleads) and
-//! fixed-gap temporal clustering (what EWMA improves upon).
+//! Baselines the paper argues against, implemented for the ablations the
+//! experiments print: vendor-severity ranking (§2 explains why it
+//! misleads; `exp_severity`) and fixed-gap temporal clustering (what EWMA
+//! improves upon; `exp_table7`).
 
 use crate::event::NetworkEvent;
 use crate::knowledge::DomainKnowledge;
@@ -10,7 +11,7 @@ use std::collections::HashMap;
 /// Re-rank events by vendor severity: an event's severity is the most
 /// severe (lowest-rank) vendor severity among its member messages; ties
 /// break toward more messages. This is the ranking the paper says *not*
-/// to trust — benches compare it against §4.2.4 scoring.
+/// to trust — `exp_severity` compares it against §4.2.4 scoring.
 pub fn severity_rank(events: &mut [NetworkEvent], raw: &[RawMessage]) {
     let sev_of = |e: &NetworkEvent| -> u8 {
         e.message_idxs
@@ -50,7 +51,8 @@ pub fn fixed_gap_group_count(batch: &[SyslogPlus], gap_secs: i64) -> usize {
 }
 
 /// Count the temporal-stage groups the EWMA model produces on the same
-/// batch (helper mirroring [`fixed_gap_group_count`] for bench parity).
+/// batch (helper mirroring [`fixed_gap_group_count`] for a like-for-like
+/// comparison).
 pub fn ewma_group_count(k: &DomainKnowledge, batch: &[SyslogPlus]) -> usize {
     use sd_temporal::EwmaTracker;
     let mut trackers: HashMap<(u32, u32, u32), EwmaTracker> = HashMap::new();

@@ -11,11 +11,10 @@ use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
 use sd_telemetry::Telemetry;
 use sd_templates::{learn_par as learn_templates_par, LearnerConfig};
 use sd_temporal::{calibrate_par, SeriesSet, TemporalConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Offline learning configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OfflineConfig {
     /// Template learner knobs.
     pub learner: LearnerConfig,
@@ -36,7 +35,6 @@ pub struct OfflineConfig {
     /// augmentation, calibration sweeps, transaction counting). `threads
     /// == 1` takes the exact sequential code path; every thread count
     /// learns identical knowledge.
-    #[serde(default)]
     pub par: Parallelism,
 }
 
@@ -140,23 +138,16 @@ pub fn learn_instrumented(
         mine(&co, &cfg.mine)
     };
 
+    // Finish the provisional knowledge in place; its frequency table is
+    // still empty, so merging sets it to exactly `freq`.
     k.temporal = temporal;
     k.rules = rules;
-    let templates = k.templates.clone();
-    let fallback = k.fallback_codes.clone();
-    let dict = k.dict.clone();
+    k.merge_frequencies(freq);
     tel.counter("learn.n_train").add(train.len() as u64);
-    tel.counter("learn.n_templates").add(templates.len() as u64);
+    tel.counter("learn.n_templates")
+        .add(k.templates.len() as u64);
     tel.counter("learn.n_rules").add(k.rules.len() as u64);
-    DomainKnowledge::new(
-        templates,
-        fallback,
-        dict,
-        temporal,
-        k.rules,
-        cfg.window_secs,
-        freq,
-    )
+    k
 }
 
 /// One augmented pass over time-sorted history: the mining stream, the

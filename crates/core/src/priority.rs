@@ -15,21 +15,9 @@ use sd_model::SyslogPlus;
 /// seen at least this often.
 pub const FREQ_FLOOR: f64 = 8.0;
 
-/// Score one group of messages (batch indices into `batch`) with the
-/// default [`FREQ_FLOOR`].
+/// Score one group of messages (batch indices into `batch`), flooring
+/// each frequency at [`FREQ_FLOOR`].
 pub fn score_group(k: &DomainKnowledge, batch: &[SyslogPlus], members: &[usize]) -> f64 {
-    score_group_with_floor(k, batch, members, FREQ_FLOOR)
-}
-
-/// Score with an explicit frequency floor (the ablation benches sweep it;
-/// floor 2 reproduces the raw paper formula up to the division-by-zero
-/// guard at f = 1).
-pub fn score_group_with_floor(
-    k: &DomainKnowledge,
-    batch: &[SyslogPlus],
-    members: &[usize],
-    floor: f64,
-) -> f64 {
     members
         .iter()
         .map(|&i| {
@@ -42,7 +30,7 @@ pub fn score_group_with_floor(
                 Some(t) => k.frequency(sp.router, t) as f64,
                 None => 1.0,
             };
-            l / f.max(floor.max(2.0)).ln()
+            l / f.max(FREQ_FLOOR.max(2.0)).ln()
         })
         .sum()
 }

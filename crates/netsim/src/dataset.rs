@@ -203,12 +203,6 @@ impl Dataset {
         let hi = self.messages.partition_point(|m| m.ts < end);
         &self.messages[lo.min(self.online_split)..hi.min(self.online_split)]
     }
-
-    /// Ground-truth events whose span intersects the online period.
-    pub fn online_gt_events(&self) -> Vec<&GtEvent> {
-        let s = self.spec.online_start();
-        self.gt_events.iter().filter(|e| e.end >= s).collect()
-    }
 }
 
 #[cfg(test)]

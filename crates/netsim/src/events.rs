@@ -8,10 +8,10 @@
 //! paper lacked (it validated by expert inspection).
 
 use crate::grammar::{Grammar, VarKind};
-use crate::topology::{EndPoint, RouterRole, Topology};
+use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::Rng;
-use sd_model::{GroundTruthId, RawMessage, Timestamp, Vendor};
+use sd_model::{GroundTruthId, RawMessage, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// Username pool for config sessions, login events and noise. Large enough
@@ -1355,31 +1355,12 @@ fn child_peer_ends(topo: &Topology, router: usize, iface_names: &[String]) -> Ve
     out
 }
 
-/// Pick a router index weighted toward `Core` routers.
-pub fn pick_router(topo: &Topology, rng: &mut StdRng, want_vendor: Vendor) -> usize {
-    loop {
-        let i = rng.gen_range(0..topo.routers.len());
-        if topo.routers[i].vendor != want_vendor {
-            continue;
-        }
-        if topo.routers[i].role == RouterRole::Core || rng.gen_bool(0.6) {
-            return i;
-        }
-    }
-}
-
-/// The endpoints of `link` as `(router, iface-name)` pairs.
-pub fn link_end_names(topo: &Topology, link: usize) -> [(usize, String); 2] {
-    let l = &topo.links[link];
-    let f = |ep: EndPoint| (ep.router, topo.endpoint(ep).1.name.clone());
-    [f(l.a), f(l.b)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::TopoSpec;
     use rand::SeedableRng;
+    use sd_model::Vendor;
 
     fn setup(vendor: Vendor, iptv: bool) -> (Topology, Grammar) {
         let topo = Topology::generate(&TopoSpec {

@@ -175,11 +175,6 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// The counter registered under `name` (dotted, e.g.
     /// `stream.n_input`), creating it at zero on first use. All handles
     /// cloned from the same telemetry share the same counter.

@@ -258,7 +258,7 @@ mod tests {
         // cutoff is 1-2 events) only admits a coarse check: at least one
         // important ticket hits the very top, and the median matched rank
         // sits in the upper half. The full-scale §5.3 experiment binary
-        // (exp_tickets) measures the paper's top-5% criterion.
+        // (exp_tickets) measures the paper's top-5% test.
         assert!(report.n_matched_top >= 1, "ranks {:?}", report.best_ranks);
         let mut ranks = report.best_ranks.clone();
         ranks.sort_unstable();

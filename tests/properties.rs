@@ -337,7 +337,7 @@ proptest! {
 }
 
 // A compile-time check that SyslogPlus stays Send + Sync (the streaming
-// digester shares batches across threads in the benches).
+// digest shares batches across worker threads).
 const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SyslogPlus>();
