@@ -166,7 +166,10 @@ fn median_pair_ratio(pairs: &[(f64, f64)]) -> f64 {
 }
 
 fn check_overhead(min_ratio: f64) {
-    let d = Dataset::generate(DatasetSpec::preset_a().scaled(OVERHEAD_SCALE));
+    let d = Dataset::generate(
+        DatasetSpec::preset_a().scaled(OVERHEAD_SCALE),
+        &Telemetry::disabled(),
+    );
     let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
     let online = d.online();
     let gcfg = GroupingConfig {

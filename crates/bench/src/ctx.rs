@@ -4,6 +4,7 @@
 //! paper scale (`--scale 1`, the default).
 
 use sd_netsim::{Dataset, DatasetSpec};
+use sd_telemetry::Telemetry;
 use std::sync::OnceLock;
 use std::time::Instant;
 use syslogdigest::offline::{learn, OfflineConfig};
@@ -61,7 +62,7 @@ impl Ctx {
             spec.scaled(self.scale)
         };
         let t = Instant::now();
-        let data = Dataset::generate(spec);
+        let data = Dataset::generate(spec, &Telemetry::disabled());
         let tg = t.elapsed();
         let t = Instant::now();
         let knowledge = learn(&data.configs, data.train(), &offline);

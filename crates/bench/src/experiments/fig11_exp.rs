@@ -5,7 +5,7 @@
 
 use crate::ctx::{paper, section, Ctx};
 use sd_temporal::sweep_beta;
-use syslogdigest::offline::temporal_series;
+use syslogdigest::history;
 
 /// The β grid swept.
 pub const BETAS: [f64; 6] = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
@@ -15,8 +15,8 @@ pub fn run(ctx: &Ctx) {
     section("EXP-F11  (Figure 11) — temporal compression ratio vs beta (alpha at defaults)");
     paper("ratio decreases with beta and the improvement diminishes; beta = 5 chosen");
     for (name, b) in ctx.both() {
-        let series = temporal_series(&b.knowledge, b.data.train());
-        let swept = sweep_beta(&series, &BETAS, b.knowledge.temporal.alpha);
+        let series = history(&b.knowledge, b.data.train(), b.offline.par).series;
+        let swept = sweep_beta(&series, &BETAS, b.knowledge.temporal.alpha, b.offline.par);
         print!("  dataset {name} (alpha={}): ", b.knowledge.temporal.alpha);
         for (bv, r) in &swept {
             print!("b={bv}:{r:.4}  ");

@@ -4,7 +4,7 @@
 
 use crate::ctx::{paper, section, Ctx};
 use sd_rules::{mine, CoOccurrence, MineConfig};
-use syslogdigest::mining_stream;
+use syslogdigest::history;
 
 /// Run the Figure 6 sweep.
 pub fn run(ctx: &Ctx) {
@@ -12,8 +12,8 @@ pub fn run(ctx: &Ctx) {
     paper("rules fall from ~600 to ~100 as Confmin goes 0.5 -> 0.9;");
     paper("larger SPmin always yields fewer rules (absolute counts scale with #templates)");
     let b = ctx.a();
-    let stream = mining_stream(&b.knowledge, b.data.train());
-    let co = CoOccurrence::count(&stream, 60);
+    let stream = history(&b.knowledge, b.data.train(), b.offline.par).stream;
+    let co = CoOccurrence::count(&stream, 60, b.offline.par);
     let confs = [0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9];
     print!("  {:>10}", "Confmin:");
     for c in confs {

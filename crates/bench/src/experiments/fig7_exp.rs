@@ -5,18 +5,18 @@
 
 use crate::ctx::{paper, section, Ctx};
 use sd_rules::{mine, CoOccurrence, MineConfig};
-use syslogdigest::mining_stream;
+use syslogdigest::history;
 
 /// The W grid swept (seconds).
 pub const WINDOWS: [i64; 11] = [5, 10, 20, 30, 40, 60, 90, 120, 180, 240, 300];
 
 /// Sweep rules-vs-W for one bundle; returns `(W, #rules)`.
 pub fn sweep(b: &crate::ctx::Bundle) -> Vec<(i64, usize)> {
-    let stream = mining_stream(&b.knowledge, b.data.train());
+    let stream = history(&b.knowledge, b.data.train(), b.offline.par).stream;
     WINDOWS
         .iter()
         .map(|&w| {
-            let co = CoOccurrence::count(&stream, w);
+            let co = CoOccurrence::count(&stream, w, b.offline.par);
             (w, mine(&co, &MineConfig::default()).len())
         })
         .collect()

@@ -5,7 +5,7 @@
 
 use crate::ctx::{paper, section, Ctx};
 use sd_rules::{CoOccurrence, RuleBase, UpdateStats};
-use syslogdigest::mining_stream;
+use syslogdigest::history;
 
 /// Run the weekly update experiment for one bundle; returns per-week stats.
 pub fn weekly(b: &crate::ctx::Bundle) -> Vec<UpdateStats> {
@@ -14,8 +14,8 @@ pub fn weekly(b: &crate::ctx::Bundle) -> Vec<UpdateStats> {
     let mut out = Vec::new();
     for w in 0..weeks {
         let msgs = b.data.train_week(w);
-        let stream = mining_stream(&b.knowledge, msgs);
-        let co = CoOccurrence::count(&stream, b.knowledge.window_secs);
+        let stream = history(&b.knowledge, msgs, b.offline.par).stream;
+        let co = CoOccurrence::count(&stream, b.knowledge.window_secs, b.offline.par);
         out.push(base.update(&co, &b.offline.mine));
     }
     out

@@ -5,7 +5,7 @@
 use crate::ctx::{paper, section, Ctx};
 use sd_rules::{coverage, CoOccurrence};
 use std::collections::HashMap;
-use syslogdigest::mining_stream;
+use syslogdigest::history;
 
 /// Run the Table 5 sweep.
 pub fn run(ctx: &Ctx) {
@@ -18,8 +18,8 @@ pub fn run(ctx: &Ctx) {
         "dataset", "SPmin", "top types %", "coverage %"
     );
     for (name, b) in ctx.both() {
-        let stream = mining_stream(&b.knowledge, b.data.train());
-        let co = CoOccurrence::count(&stream, b.knowledge.window_secs);
+        let stream = history(&b.knowledge, b.data.train(), b.offline.par).stream;
+        let co = CoOccurrence::count(&stream, b.knowledge.window_secs, b.offline.par);
         let mut type_counts: HashMap<u32, u64> = HashMap::new();
         for &(_, _, t) in &stream {
             *type_counts.entry(t.0).or_insert(0) += 1;

@@ -4,7 +4,7 @@
 
 use crate::ctx::{paper, section, Ctx};
 use sd_temporal::calibrate;
-use syslogdigest::offline::temporal_series;
+use syslogdigest::history;
 
 /// Run the calibration and print the Table 6 analogue.
 pub fn run(ctx: &Ctx) {
@@ -18,12 +18,13 @@ pub fn run(ctx: &Ctx) {
     println!("  (alpha/beta from the Fig 10-11 sweeps; W is the configured Table 6 value,");
     println!("   justified by the Fig 7 growth profile)");
     for (name, b) in ctx.both() {
-        let series = temporal_series(&b.knowledge, b.data.train());
+        let series = history(&b.knowledge, b.data.train(), b.offline.par).series;
         let cal = calibrate(
             &series,
             &crate::experiments::fig10_exp::ALPHAS,
             &crate::experiments::fig11_exp::BETAS,
             0.03,
+            b.offline.par,
         );
         println!(
             "  {:<8} {:>7} {:>6} {:>6} {:>8} {:>8}",

@@ -5,7 +5,7 @@
 
 use crate::ctx::{paper, section, Ctx};
 use syslogdigest::baselines::{ewma_group_count, fixed_gap_group_count};
-use syslogdigest::{augment_batch, compression_table, evaluate_grouping, GroupingConfig};
+use syslogdigest::{augment_batch_isolated, compression_table, evaluate_grouping, GroupingConfig};
 
 /// Run the Table 7 experiment.
 pub fn run(ctx: &Ctx) {
@@ -43,7 +43,8 @@ pub fn run(ctx: &Ctx) {
     }
     println!("\n  temporal splitter (not in the paper):");
     for (name, b) in ctx.both() {
-        let (batch, _) = augment_batch(&b.knowledge, b.data.online());
+        let (batch, _) =
+            augment_batch_isolated(&b.knowledge, b.data.online(), b.offline.par).split();
         println!(
             "  dataset {name}: EWMA {} groups vs fixed-gap(300s) {} groups",
             ewma_group_count(&b.knowledge, &batch),

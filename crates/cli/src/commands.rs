@@ -1,11 +1,10 @@
 //! Subcommand implementations for `sdigest`.
 
 use crate::args::{ArgError, Parsed};
-use sd_model::{Parallelism, ParseError, RawMessage, Vendor};
+use sd_model::{MalformedReport, Parallelism, ParseError, RawMessage, Vendor};
 use sd_netsim::{apply_fault, inject, Dataset, DatasetSpec, FaultSpec, StorageFault};
 use sd_telemetry::{Json, JsonlSink, LogFormat, Logger, Telemetry};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -19,44 +18,6 @@ type CmdResult = Result<String, ArgError>;
 
 fn io_err(context: &str, e: std::io::Error) -> ArgError {
     ArgError(format!("{context}: {e}"))
-}
-
-/// How many malformed lines [`read_log`] keeps verbatim for diagnostics.
-const MALFORMED_SAMPLES: usize = 5;
-
-/// What [`read_log`] found wrong with a feed file: a count plus the first
-/// few offenders as `(line number, reason)`, so operators see *why* lines
-/// were rejected, not only how many.
-#[derive(Debug, Clone, Default)]
-pub struct MalformedReport {
-    /// Non-blank lines that failed to parse.
-    pub count: usize,
-    /// First few `(1-based line number, reason)` pairs.
-    pub samples: Vec<(usize, String)>,
-}
-
-impl MalformedReport {
-    fn record(&mut self, line_no: usize, err: &ParseError) {
-        self.count += 1;
-        if self.samples.len() < MALFORMED_SAMPLES {
-            self.samples.push((line_no, err.to_string()));
-        }
-    }
-}
-
-impl fmt::Display for MalformedReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} malformed", self.count)?;
-        if !self.samples.is_empty() {
-            let shown: Vec<String> = self
-                .samples
-                .iter()
-                .map(|(n, why)| format!("line {n}: {why}"))
-                .collect();
-            write!(f, " (first: {})", shown.join("; "))?;
-        }
-        Ok(())
-    }
 }
 
 /// Read and parse a syslog wire-format file, skipping blank lines and
@@ -217,7 +178,7 @@ pub fn cmd_generate(p: &Parsed) -> CmdResult {
         spec = spec.scaled(scale);
     }
     let (tel, metrics) = telemetry_for(p);
-    let d = Dataset::generate_with(spec, &tel);
+    let d = Dataset::generate(spec, &tel);
 
     fs::create_dir_all(out.join("configs")).map_err(|e| io_err("creating output dir", e))?;
     let mut log =

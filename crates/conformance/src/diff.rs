@@ -19,9 +19,9 @@ use sd_rules::CoOccurrence;
 use sd_temporal::group_series;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use syslogdigest::offline::{learn, mining_stream, OfflineConfig};
+use syslogdigest::offline::{history, learn, OfflineConfig};
 use syslogdigest::provenance::MergeCause;
-use syslogdigest::{augment_batch, group, stage_edges, DomainKnowledge, GroupingConfig};
+use syslogdigest::{augment_batch_isolated, group, stage_edges, DomainKnowledge, GroupingConfig};
 
 /// Which oracle observed the divergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +142,7 @@ pub fn verify_dataset(
     }
 
     // ---- grouping stage oracles over the augmented online batch ----------
-    let (batch, _) = augment_batch(&k, d.online());
+    let (batch, _) = augment_batch_isolated(&k, d.online(), gcfg.par).split();
     let mut g1 = *gcfg;
     g1.par = Parallelism::sequential();
 
@@ -174,9 +174,9 @@ pub fn verify_dataset(
     }
 
     // Co-occurrence counts and mined rules over the training stream.
-    let stream = mining_stream(&k, d.train());
+    let stream = history(&k, d.train(), Parallelism::sequential()).stream;
     let ref_co = ref_count(&stream, ocfg.window_secs);
-    let opt_co = CoOccurrence::count(&stream, ocfg.window_secs);
+    let opt_co = CoOccurrence::count(&stream, ocfg.window_secs, Parallelism::sequential());
     if let Some(msg) = count_diff(&ref_co, &opt_co) {
         return Err(diverge(Stage::Rules, msg));
     }

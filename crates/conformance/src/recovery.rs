@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn every_storage_fault_recovers_to_the_baseline_partition() {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         let (lines, _) = inject(d.online(), &FaultSpec::bounded(11));
         let every = lines.len() / 5;

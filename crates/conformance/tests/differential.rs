@@ -11,7 +11,7 @@ use sd_conformance::ref_rules::{ref_count, ref_mine, RefRule};
 use sd_conformance::ref_templates::{ref_learn, ref_match};
 use sd_conformance::ref_temporal::ref_group_series;
 use sd_conformance::verify_dataset;
-use sd_model::{ErrorCode, RawMessage, RouterId, TemplateId, Timestamp};
+use sd_model::{ErrorCode, Parallelism, RawMessage, RouterId, TemplateId, Timestamp};
 use sd_netsim::corpus::Corpus;
 use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
 use sd_templates::{learn, LearnerConfig};
@@ -89,7 +89,7 @@ proptest! {
         w in 0i64..60,
     ) {
         let stream = stream_of(&spec);
-        let opt = CoOccurrence::count(&stream, w);
+        let opt = CoOccurrence::count(&stream, w, Parallelism::sequential());
         let reference = ref_count(&stream, w);
         prop_assert_eq!(reference.n_transactions, opt.n_transactions);
         let items: std::collections::BTreeMap<u32, u64> =
@@ -112,7 +112,7 @@ proptest! {
     ) {
         let stream = stream_of(&spec);
         let cfg = MineConfig { sp_min, conf_min };
-        let opt = mine(&CoOccurrence::count(&stream, w), &cfg);
+        let opt = mine(&CoOccurrence::count(&stream, w, Parallelism::sequential()), &cfg);
         let opt: Vec<RefRule> = opt
             .rules()
             .iter()
@@ -153,7 +153,7 @@ proptest! {
             .map(|&(c, words)| vocab_msg(if c == 0 { "C-1-A" } else { "C-2-B" }, words))
             .collect();
         let cfg = LearnerConfig { k, ..LearnerConfig::default() };
-        let set = learn(&msgs, &cfg);
+        let set = learn(&msgs, &cfg, Parallelism::sequential());
         let mut opt: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         opt.sort();
         prop_assert_eq!(ref_learn(&msgs, &cfg), opt);

@@ -6,7 +6,7 @@
 //! Everything in this file tests the **production** implementations; the
 //! reference oracles in `sd-conformance` get their own differential suite.
 
-use sd_model::{ErrorCode, RawMessage, Timestamp};
+use sd_model::{ErrorCode, Parallelism, RawMessage, Timestamp};
 use sd_rules::{mine, CoOccurrence, MineConfig, RuleBase};
 use sd_templates::{learn, LearnerConfig};
 use sd_temporal::{group_series, EwmaTracker, TemporalConfig};
@@ -72,7 +72,11 @@ fn prune_threshold_boundary_is_strictly_more_than_k() {
         ..LearnerConfig::default()
     };
 
-    let set = learn(&msgs_with_distinct_words(3), &cfg);
+    let set = learn(
+        &msgs_with_distinct_words(3),
+        &cfg,
+        Parallelism::sequential(),
+    );
     let mut masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
     masked.sort();
     assert_eq!(
@@ -85,7 +89,11 @@ fn prune_threshold_boundary_is_strictly_more_than_k() {
         "exactly k distinct words must split, not mask"
     );
 
-    let set = learn(&msgs_with_distinct_words(4), &cfg);
+    let set = learn(
+        &msgs_with_distinct_words(4),
+        &cfg,
+        Parallelism::sequential(),
+    );
     let masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
     assert_eq!(
         masked,

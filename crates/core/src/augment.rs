@@ -37,7 +37,7 @@ pub fn augment(k: &DomainKnowledge, idx: usize, m: &RawMessage) -> Option<Syslog
 /// [`augment`] with a caller-provided token scratch, so one scratch serves
 /// a whole batch. The detail is tokenized once; location extraction and
 /// template matching both read those spans, and neither copies a token.
-pub fn augment_with(
+pub(crate) fn augment_with(
     k: &DomainKnowledge,
     idx: usize,
     m: &RawMessage,
@@ -56,21 +56,6 @@ pub fn augment_with(
     })
 }
 
-/// Augment a whole batch on the calling thread, dropping unknown-router
-/// messages; returns the augmented messages and the number dropped.
-pub fn augment_batch(k: &DomainKnowledge, batch: &[RawMessage]) -> (Vec<SyslogPlus>, usize) {
-    let mut scratch = TokenScratch::new();
-    let mut out = Vec::with_capacity(batch.len());
-    let mut dropped = 0usize;
-    for (i, m) in batch.iter().enumerate() {
-        match augment_with(k, i, m, &mut scratch) {
-            Some(sp) => out.push(sp),
-            None => dropped += 1,
-        }
-    }
-    (out, dropped)
-}
-
 /// Result of a panic-isolated batch augmentation
 /// ([`augment_batch_isolated`]).
 pub struct IsolatedAugment {
@@ -82,6 +67,19 @@ pub struct IsolatedAugment {
     /// augmentation panicked — even after its shard was retried
     /// sequentially, one message at a time.
     pub quarantined: Vec<(usize, String)>,
+}
+
+impl IsolatedAugment {
+    /// The augmented messages in input order and the number of
+    /// unknown-router drops; quarantined messages are in neither.
+    pub fn split(self) -> (Vec<SyslogPlus>, usize) {
+        let n = self.augmented.len();
+        let mut kept = Vec::with_capacity(n);
+        kept.extend(self.augmented.into_iter().flatten());
+        // Every quarantined offset is a `None` of its own.
+        let n_dropped = n - kept.len() - self.quarantined.len();
+        (kept, n_dropped)
+    }
 }
 
 /// Augment a batch with each shard of the `par` fan-out running under
@@ -155,7 +153,7 @@ mod tests {
                 )
             })
             .collect();
-        let templates = learn(&train, &LearnerConfig::default());
+        let templates = learn(&train, &LearnerConfig::default(), Parallelism::sequential());
         let mut fallback = Interner::new();
         fallback.intern("LINK-3-UPDOWN");
         let cfg = "\
@@ -206,7 +204,7 @@ interface Serial1/5
                 "x y",
             ),
         ];
-        let (out, dropped) = augment_batch(&k, &batch);
+        let (out, dropped) = augment_batch_isolated(&k, &batch, Parallelism::sequential()).split();
         assert_eq!(out.len(), 1);
         assert_eq!(dropped, 1);
     }
@@ -242,6 +240,9 @@ interface Serial1/5
                     assert_eq!(sp.as_ref().unwrap().idx, i);
                 }
             }
+            // A quarantined message is kept nowhere and is no drop.
+            let (kept, dropped) = iso.split();
+            assert_eq!((kept.len(), dropped), (batch.len() - 1, 0));
         }
         crate::quarantine::set_poison_marker(None);
         // Disarmed: identical to the plain batch path.

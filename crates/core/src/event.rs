@@ -219,11 +219,11 @@ pub fn label_for(signatures: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::augment::augment_batch;
+    use crate::augment::augment_batch_isolated;
     use crate::grouping::{group, GroupingConfig};
     use crate::offline::{learn, OfflineConfig};
     use crate::priority::score_group;
-    use sd_model::{ErrorCode, RawMessage};
+    use sd_model::{ErrorCode, Parallelism, RawMessage};
     use sd_netsim::config::render_all;
     use sd_netsim::scenario::{toy_table2_messages, toy_topology};
 
@@ -254,7 +254,7 @@ mod tests {
         cfg.mine.sp_min = 0.0001;
         let k = learn(&configs, &train, &cfg);
         let raw = toy_table2_messages();
-        let (batch, _) = augment_batch(&k, &raw);
+        let (batch, _) = augment_batch_isolated(&k, &raw, Parallelism::sequential()).split();
         let res = group(&k, &batch, &GroupingConfig::default());
         assert_eq!(res.n_groups, 1);
         let members: Vec<usize> = (0..batch.len()).collect();

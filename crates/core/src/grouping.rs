@@ -351,7 +351,7 @@ fn cross_related(k: &DomainKnowledge, a: &SyslogPlus, b: &SyslogPlus) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::augment::augment_batch;
+    use crate::augment::augment_batch_isolated;
     use crate::offline::{learn, OfflineConfig};
     use sd_model::{ErrorCode, RawMessage, Timestamp};
     use sd_netsim::config::render_all;
@@ -405,7 +405,7 @@ mod tests {
     fn table2_toy_groups_exactly_as_paper_describes() {
         let k = toy_knowledge();
         let raw = toy_table2_messages();
-        let (batch, dropped) = augment_batch(&k, &raw);
+        let (batch, dropped) = augment_batch_isolated(&k, &raw, Parallelism::sequential()).split();
         assert_eq!(dropped, 0);
         assert_eq!(batch.len(), 16);
 
@@ -424,7 +424,7 @@ mod tests {
     fn compression_improves_monotonically_with_stages() {
         let k = toy_knowledge();
         let raw = toy_table2_messages();
-        let (batch, _) = augment_batch(&k, &raw);
+        let (batch, _) = augment_batch_isolated(&k, &raw, Parallelism::sequential()).split();
         let rt = group(&k, &batch, &GroupingConfig::t_only()).compression_ratio();
         let rtr = group(&k, &batch, &GroupingConfig::t_r()).compression_ratio();
         let rtrc = group(&k, &batch, &GroupingConfig::default()).compression_ratio();
@@ -450,7 +450,7 @@ mod tests {
             mk(0, "r1", "Serial1/0.10/10:0", "LINK_DOWN"),
             mk(10_000, "r2", "Serial1/0.20/20:0", "LINK_DOWN"),
         ];
-        let (batch, _) = augment_batch(&k, &raw);
+        let (batch, _) = augment_batch_isolated(&k, &raw, Parallelism::sequential()).split();
         let r = group(&k, &batch, &GroupingConfig::default());
         assert_eq!(r.n_groups, 2);
     }

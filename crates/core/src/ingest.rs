@@ -32,11 +32,8 @@ use crate::provenance::EventProvenance;
 use crate::quarantine::QuarantineRecord;
 use crate::reorder::ReorderBuffer;
 use crate::stream::{StreamConfig, StreamDigester, StreamStats};
-use sd_model::{ParseError, RawMessage};
+use sd_model::{MalformedReport, ParseError, RawMessage};
 use sd_telemetry::{Counter, Telemetry};
-
-/// How many malformed lines to keep verbatim for diagnostics.
-const MALFORMED_SAMPLES: usize = 5;
 
 /// Combined counters of a fault-tolerant ingest run. Every way the layer
 /// can degrade is observable here; a healthy feed keeps them all zero
@@ -62,7 +59,8 @@ pub struct FaultTolerantIngest<'k> {
     reorder: ReorderBuffer,
     n_lines: Counter,
     n_malformed: Counter,
-    malformed_samples: Vec<(usize, String)>,
+    /// Sampled malformed lines; its count always equals `n_malformed`.
+    malformed: MalformedReport,
     /// Scratch for released messages, reused across pushes.
     released: Vec<RawMessage>,
 }
@@ -83,7 +81,7 @@ impl<'k> FaultTolerantIngest<'k> {
             reorder: ReorderBuffer::with_telemetry(max_skew_secs, tel),
             n_lines: tel.counter("ingest.n_lines"),
             n_malformed: tel.counter("ingest.n_malformed"),
-            malformed_samples: Vec::new(),
+            malformed: MalformedReport::default(),
             released: Vec::new(),
         }
     }
@@ -109,10 +107,7 @@ impl<'k> FaultTolerantIngest<'k> {
             Err(ParseError::Blank) => Vec::new(),
             Err(e) => {
                 self.n_malformed.inc();
-                if self.malformed_samples.len() < MALFORMED_SAMPLES {
-                    self.malformed_samples
-                        .push((self.n_lines.get() as usize, e.to_string()));
-                }
+                self.malformed.record(self.n_lines.get() as usize, &e);
                 Vec::new()
             }
         }
@@ -151,7 +146,7 @@ impl<'k> FaultTolerantIngest<'k> {
     /// First few malformed lines as `(line number, reason)` — 1-based
     /// line numbers, reasons from [`ParseError`].
     pub fn malformed_samples(&self) -> &[(usize, String)] {
-        &self.malformed_samples
+        &self.malformed.samples
     }
 
     /// Drain the quarantine records of messages whose augmentation shard
@@ -177,7 +172,7 @@ impl<'k> FaultTolerantIngest<'k> {
             n_malformed: self.n_malformed.get() as usize,
             n_late: self.reorder.n_late.get() as usize,
             n_duplicate: self.reorder.n_duplicate.get() as usize,
-            malformed_samples: self.malformed_samples.clone(),
+            malformed_samples: self.malformed.samples.clone(),
         })
     }
 
@@ -213,7 +208,10 @@ impl<'k> FaultTolerantIngest<'k> {
             reorder,
             n_lines,
             n_malformed,
-            malformed_samples: ing.malformed_samples.clone(),
+            malformed: MalformedReport {
+                count: ing.n_malformed,
+                samples: ing.malformed_samples.clone(),
+            },
             released: Vec::new(),
         })
     }
@@ -254,7 +252,7 @@ mod tests {
     use sd_netsim::{Dataset, DatasetSpec};
 
     fn setup() -> (Dataset, DomainKnowledge) {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         (d, k)
     }
@@ -361,11 +359,55 @@ mod tests {
         assert_eq!(s1.digester.n_dropped, s2.digester.n_dropped);
     }
 
+    /// Every `stream.*` and `ingest.*` counter carries over a resume, so
+    /// a checkpointed run ends on the uninterrupted run's values. Only
+    /// `stream.links_*` count since process start.
+    #[test]
+    fn resumed_counters_match_the_uninterrupted_run() {
+        let (d, k) = setup();
+        let mut lines: Vec<String> = d.online()[..4000].iter().map(|m| m.to_line()).collect();
+        lines.insert(100, "garbage line here entirely".to_owned());
+        lines.insert(2500, "2010-01-10 00:00:15 r1".to_owned());
+        lines.insert(3001, lines[3000].clone());
+        let cut = lines.len() / 2;
+        let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+        let counters = |tel: &Telemetry| -> Vec<(String, u64)> {
+            let mut c = tel.snapshot().counters;
+            c.retain(|(n, _)| {
+                (n.starts_with("stream.") || n.starts_with("ingest."))
+                    && !n.starts_with("stream.links_")
+            });
+            c
+        };
+
+        let whole_tel = Telemetry::new();
+        let mut whole = FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 30, &whole_tel);
+        for l in &lines {
+            whole.push_line(l);
+        }
+        let (_, stats) = whole.finish();
+        assert_eq!((stats.n_malformed, stats.n_duplicate), (2, 1));
+
+        let mut first = FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 30, &Telemetry::new());
+        for l in &lines[..cut] {
+            first.push_line(l);
+        }
+        let snap = first.checkpoint();
+        let resumed_tel = Telemetry::new();
+        let mut second =
+            FaultTolerantIngest::resume_with_telemetry(&k, &snap, &resumed_tel).expect("resume");
+        for l in &lines[cut..] {
+            second.push_line(l);
+        }
+        second.finish();
+        assert_eq!(counters(&resumed_tel), counters(&whole_tel));
+    }
+
     #[test]
     fn resume_rejects_a_different_knowledge_base() {
         let (d, k) = setup();
         let snap = ingest(&k).checkpoint();
-        let d2 = Dataset::generate(DatasetSpec::preset_a().scaled(0.04));
+        let d2 = Dataset::generate(DatasetSpec::preset_a().scaled(0.04), &Telemetry::disabled());
         let k2 = learn(&d2.configs, d2.train(), &OfflineConfig::dataset_a());
         assert!(matches!(
             FaultTolerantIngest::resume_with_telemetry(&k2, &snap, &Telemetry::disabled()),

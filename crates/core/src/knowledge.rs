@@ -210,6 +210,7 @@ impl DomainKnowledge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sd_model::Parallelism;
     use sd_templates::{learn, LearnerConfig};
 
     fn tiny_knowledge() -> DomainKnowledge {
@@ -223,7 +224,7 @@ mod tests {
                 )
             })
             .collect();
-        let templates = learn(&msgs, &LearnerConfig::default());
+        let templates = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
         let mut fallback = Interner::new();
         fallback.intern("LINK-3-UPDOWN");
         fallback.intern("SYS-1-CPURISINGTHRESHOLD");

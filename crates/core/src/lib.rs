@@ -24,8 +24,9 @@
 //! use syslogdigest::offline::{learn, OfflineConfig};
 //! use syslogdigest::pipeline::digest;
 //! use syslogdigest::grouping::GroupingConfig;
+//! use sd_telemetry::Telemetry;
 //!
-//! let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.05));
+//! let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
 //! let knowledge = learn(&data.configs, data.train(), &OfflineConfig::dataset_a());
 //! let report = digest(&knowledge, data.online(), &GroupingConfig::default());
 //! assert!(report.compression_ratio() < 0.2);
@@ -54,7 +55,7 @@ pub mod stream;
 pub mod union_find;
 pub mod viz;
 
-pub use augment::{augment, augment_batch, augment_batch_isolated, augment_with, IsolatedAugment};
+pub use augment::{augment, augment_batch_isolated, IsolatedAugment};
 pub use checkpoint::{
     generation_path, CheckpointError, RecoveryReport, StreamSnapshot, SNAPSHOT_VERSION,
 };
@@ -67,9 +68,7 @@ pub use metrics::{
     compression_table, evaluate_grouping, gt_quality, per_day_series, per_router_counts, DayStats,
     GtQuality,
 };
-pub use offline::{
-    learn, learn_instrumented, mining_stream, temporal_series, temporal_series_par, OfflineConfig,
-};
+pub use offline::{history, learn, learn_instrumented, History, OfflineConfig};
 pub use pipeline::{digest, digest_instrumented, Digest};
 pub use priority::score_group;
 pub use provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};

@@ -3,17 +3,17 @@
 //! the paper — quantitative grouping quality against the simulator's
 //! ground-truth event tags.
 
-use crate::augment::augment_batch;
+use crate::augment::augment_batch_isolated;
 use crate::grouping::{group, GroupingConfig, GroupingResult};
 use crate::knowledge::DomainKnowledge;
 use crate::pipeline::digest;
-use sd_model::{GroundTruthId, RawMessage, Timestamp, DAY};
+use sd_model::{GroundTruthId, Parallelism, RawMessage, Timestamp, DAY};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Compression ratios for T, T+R and T+R+C (the three Table 7 rows).
 pub fn compression_table(k: &DomainKnowledge, raw: &[RawMessage]) -> Vec<(String, f64)> {
-    let (batch, _) = augment_batch(k, raw);
+    let (batch, _) = augment_batch_isolated(k, raw, Parallelism::sequential()).split();
     [
         ("T", GroupingConfig::t_only()),
         ("T+R", GroupingConfig::t_r()),
@@ -178,7 +178,7 @@ pub fn evaluate_grouping(
     raw: &[RawMessage],
     cfg: &GroupingConfig,
 ) -> GtQuality {
-    let (batch, _) = augment_batch(k, raw);
+    let (batch, _) = augment_batch_isolated(k, raw, cfg.par).split();
     let g = group(k, &batch, cfg);
     let idxs: Vec<usize> = batch.iter().map(|sp| sp.idx).collect();
     gt_quality(raw, &idxs, &g)
@@ -189,13 +189,14 @@ mod tests {
     use super::*;
     use crate::offline::{learn, OfflineConfig};
     use sd_netsim::{Dataset, DatasetSpec};
+    use sd_telemetry::Telemetry;
 
     fn setup() -> (Dataset, DomainKnowledge) {
         // 0.12 rather than 0.08: at the smaller scale this seed's online
         // window contains two simultaneous ground-truth events whose
         // messages interleave within the temporal windows, which merges
         // them and makes pair-precision meaningless as a quality signal.
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.12));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.12), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         (d, k)
     }

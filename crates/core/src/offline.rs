@@ -3,14 +3,14 @@
 //! location parsing of the historical data → temporal mining → rule
 //! mining, producing a [`DomainKnowledge`] base.
 
-use crate::augment::{augment, augment_with};
+use crate::augment::augment_with;
 use crate::knowledge::DomainKnowledge;
 use sd_locations::LocationDictionary;
 use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp, TokenScratch};
 use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
 use sd_telemetry::Telemetry;
-use sd_templates::{learn_par as learn_templates_par, LearnerConfig};
-use sd_temporal::{calibrate_par, SeriesSet, TemporalConfig};
+use sd_templates::LearnerConfig;
+use sd_temporal::{calibrate, SeriesSet, TemporalConfig};
 use std::collections::{BTreeMap, HashMap};
 
 /// Offline learning configuration.
@@ -88,7 +88,7 @@ pub fn learn_instrumented(
     // 1. Signature identification (parallel over per-code buckets).
     let templates = {
         let _g = tel.time("learn.templates");
-        learn_templates_par(train, &cfg.learner, cfg.par)
+        sd_templates::learn(train, &cfg.learner, cfg.par)
     };
 
     // 2. Per-code fallbacks for online messages that match nothing.
@@ -116,9 +116,9 @@ pub fn learn_instrumented(
 
     // 4. Augment history once (parallel over contiguous chunks); build the
     //    mining stream, the temporal series and the frequency table.
-    let (stream, series, freq) = {
+    let h = {
         let _g = tel.time("learn.history");
-        history_pass(&k, train, cfg.par)
+        history(&k, train, cfg.par)
     };
 
     // 5. Temporal mining (Figures 10–11) unless fixed.
@@ -126,23 +126,22 @@ pub fn learn_instrumented(
         Some(t) => t,
         None => {
             let _g = tel.time("learn.calibrate");
-            let set: SeriesSet = series.into_values().collect();
-            calibrate_par(&set, &cfg.alphas, &cfg.betas, cfg.knee, cfg.par)
+            calibrate(&h.series, &cfg.alphas, &cfg.betas, cfg.knee, cfg.par)
         }
     };
 
     // 6. Rule mining (transaction counting parallel per router).
     let rules = {
         let _g = tel.time("learn.rules");
-        let co = CoOccurrence::count_par(&stream, cfg.window_secs, cfg.par);
+        let co = CoOccurrence::count(&h.stream, cfg.window_secs, cfg.par);
         mine(&co, &cfg.mine)
     };
 
     // Finish the provisional knowledge in place; its frequency table is
-    // still empty, so merging sets it to exactly `freq`.
+    // still empty, so merging sets it to exactly `h.freq`.
     k.temporal = temporal;
     k.rules = rules;
-    k.merge_frequencies(freq);
+    k.merge_frequencies(h.freq);
     tel.counter("learn.n_train").add(train.len() as u64);
     tel.counter("learn.n_templates")
         .add(k.templates.len() as u64);
@@ -150,28 +149,30 @@ pub fn learn_instrumented(
     k
 }
 
-/// One augmented pass over time-sorted history: the mining stream, the
-/// per-`(router, template, location)` timestamp series, and the
-/// `(router, template)` frequency table.
+/// What one augmented pass over history yields: everything the offline
+/// stages after augmentation read.
+pub struct History {
+    /// The `(ts, router, template)` rule-mining stream, in input order.
+    pub stream: Vec<StreamItem>,
+    /// Per-`(router, template, location)` timestamp series, key-ordered,
+    /// for the α/β calibration sweeps (Figures 10–11).
+    pub series: SeriesSet,
+    /// `(router, template)` message counts for the priority score.
+    pub freq: HashMap<(u32, u32), u64>,
+}
+
+/// Augment time-sorted history once and build its [`History`].
 ///
-/// Chunks are augmented independently (each with its own token scratch)
-/// and merged in input order; the series map is a `BTreeMap` so that the
-/// [`SeriesSet`] handed to calibration has a deterministic order (its
-/// f64 ratio sums are order-sensitive). The result is identical for every
+/// Chunks are augmented on `par.threads` threads (each with its own token
+/// scratch) and merged in input order; the series are key-ordered so that
+/// the [`SeriesSet`] handed to calibration is deterministic (its f64
+/// ratio sums are order-sensitive). The result is identical for every
 /// thread count.
-#[allow(clippy::type_complexity)]
-fn history_pass(
-    k: &DomainKnowledge,
-    msgs: &[RawMessage],
-    par: Parallelism,
-) -> (
-    Vec<StreamItem>,
-    BTreeMap<(u32, u32, u32), Vec<Timestamp>>,
-    HashMap<(u32, u32), u64>,
-) {
+pub fn history(k: &DomainKnowledge, msgs: &[RawMessage], par: Parallelism) -> History {
+    type Series = BTreeMap<(u32, u32, u32), Vec<Timestamp>>;
     let chunks = par_chunks(par, msgs, |start, chunk| {
         let mut stream: Vec<StreamItem> = Vec::with_capacity(chunk.len());
-        let mut series: BTreeMap<(u32, u32, u32), Vec<Timestamp>> = BTreeMap::new();
+        let mut series = Series::new();
         let mut freq: HashMap<(u32, u32), u64> = HashMap::new();
         let mut scratch = TokenScratch::new();
         for (off, m) in chunk.iter().enumerate() {
@@ -190,7 +191,7 @@ fn history_pass(
         (stream, series, freq)
     });
     let mut stream: Vec<StreamItem> = Vec::with_capacity(msgs.len());
-    let mut series: BTreeMap<(u32, u32, u32), Vec<Timestamp>> = BTreeMap::new();
+    let mut series = Series::new();
     let mut freq: HashMap<(u32, u32), u64> = HashMap::new();
     for (cs, cser, cf) in chunks {
         stream.extend(cs);
@@ -201,19 +202,11 @@ fn history_pass(
             *freq.entry(key).or_insert(0) += n;
         }
     }
-    (stream, series, freq)
-}
-
-/// Build the `(ts, router, template)` mining stream from already-augmented
-/// history — shared by the weekly-update experiments.
-pub fn mining_stream(k: &DomainKnowledge, msgs: &[RawMessage]) -> Vec<StreamItem> {
-    let mut stream = Vec::with_capacity(msgs.len());
-    for (i, m) in msgs.iter().enumerate() {
-        if let Some(sp) = augment(k, i, m) {
-            stream.push((sp.ts, sp.router, sp.template.expect("assigned")));
-        }
+    History {
+        stream,
+        series: series.into_values().collect(),
+        freq,
     }
-    stream
 }
 
 /// Weekly knowledge refresh (§3.1: offline learning "will be periodically
@@ -227,32 +220,12 @@ pub fn refresh_weekly(
     week: &[RawMessage],
     cfg: &MineConfig,
 ) -> sd_rules::UpdateStats {
-    let stream = mining_stream(k, week);
-    let mut freq: HashMap<(u32, u32), u64> = HashMap::new();
-    for &(_, r, t) in &stream {
-        *freq.entry((r.0, t.0)).or_insert(0) += 1;
-    }
-    k.merge_frequencies(freq);
-    let co = CoOccurrence::count(&stream, k.window_secs);
+    let h = history(k, week, Parallelism::sequential());
+    k.merge_frequencies(h.freq);
+    let co = CoOccurrence::count(&h.stream, k.window_secs, Parallelism::sequential());
     let stats = base.update(&co, cfg);
     k.rules = base.snapshot();
     stats
-}
-
-/// Build the per-`(router, template, location)` timestamp series the
-/// temporal calibration sweeps over (Figures 10–11). Key-ordered, so the
-/// returned [`SeriesSet`] is deterministic.
-pub fn temporal_series(k: &DomainKnowledge, msgs: &[RawMessage]) -> SeriesSet {
-    temporal_series_par(k, msgs, Parallelism::sequential())
-}
-
-/// [`temporal_series`] with augmentation parallel over chunks.
-pub fn temporal_series_par(
-    k: &DomainKnowledge,
-    msgs: &[RawMessage],
-    par: Parallelism,
-) -> SeriesSet {
-    history_pass(k, msgs, par).1.into_values().collect()
 }
 
 #[cfg(test)]
@@ -262,7 +235,7 @@ mod tests {
 
     #[test]
     fn learn_builds_complete_knowledge() {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.1));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.1), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         assert!(k.templates.len() > 10, "templates {}", k.templates.len());
         assert!(!k.dict.is_empty());
@@ -287,9 +260,27 @@ mod tests {
         );
     }
 
+    /// The three views of one history pass count the same messages, and
+    /// the pass does not depend on the thread count.
+    #[test]
+    fn history_views_agree_for_every_thread_count() {
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
+        let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
+        let h = history(&k, d.train(), Parallelism::sequential());
+        let n = h.stream.len();
+        assert!(n > 0);
+        assert_eq!(h.series.iter().map(Vec::len).sum::<usize>(), n);
+        assert_eq!(h.freq.values().sum::<u64>(), n as u64);
+        let h4 = history(&k, d.train(), Parallelism::with_threads(4));
+        assert_eq!(
+            (h4.stream, h4.series, h4.freq),
+            (h.stream, h.series, h.freq)
+        );
+    }
+
     #[test]
     fn weekly_refresh_updates_the_rule_base() {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.1));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.1), &Telemetry::disabled());
         let mut k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         let mut base = sd_rules::RuleBase::new();
         let weeks = d.spec.train_days.div_ceil(7);
@@ -310,7 +301,7 @@ mod tests {
 
     #[test]
     fn calibration_mode_produces_plausible_parameters() {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08), &Telemetry::disabled());
         let mut cfg = OfflineConfig::dataset_a().with_calibration();
         cfg.alphas = vec![0.0, 0.05, 0.2, 0.5];
         cfg.betas = vec![2.0, 5.0, 7.0];

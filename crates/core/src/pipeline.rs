@@ -76,24 +76,14 @@ pub fn digest_instrumented(
     let (batch, n_dropped, quarantined) = {
         let _g = tel.time("digest.augment");
         let iso = augment_batch_isolated(k, raw, cfg.par);
-        let poisoned: std::collections::HashSet<usize> =
-            iso.quarantined.iter().map(|&(i, _)| i).collect();
-        let mut batch = Vec::with_capacity(raw.len());
-        let mut n_dropped = 0usize;
-        for (i, sp) in iso.augmented.into_iter().enumerate() {
-            match sp {
-                Some(sp) => batch.push(sp),
-                None if poisoned.contains(&i) => {}
-                None => n_dropped += 1,
-            }
-        }
         let quarantined: Vec<QuarantineRecord> = iso
             .quarantined
-            .into_iter()
+            .iter()
             .map(|(i, reason)| {
-                QuarantineRecord::from_message(i as u64 + 1, &raw[i], "augment", &reason)
+                QuarantineRecord::from_message(*i as u64 + 1, &raw[*i], "augment", reason)
             })
             .collect();
+        let (batch, n_dropped) = iso.split();
         (batch, n_dropped, quarantined)
     };
     let (grouping, provs) = {
@@ -171,10 +161,11 @@ pub fn digest_instrumented(
 mod tests {
     use super::*;
     use crate::offline::{learn, OfflineConfig};
+    use sd_model::Parallelism;
     use sd_netsim::{Dataset, DatasetSpec};
 
     fn small_digest() -> (Dataset, DomainKnowledge, Digest) {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         let dg = digest(&k, d.online(), &GroupingConfig::default());
         (d, k, dg)
@@ -221,10 +212,10 @@ mod tests {
     /// raise priority, never lower it.
     #[test]
     fn score_is_additive_over_members() {
-        use crate::augment::augment_batch;
+        use crate::augment::augment_batch_isolated;
         use crate::priority::score_group;
         let (d, k, dg) = small_digest();
-        let (batch, _) = augment_batch(&k, d.online());
+        let (batch, _) = augment_batch_isolated(&k, d.online(), Parallelism::sequential()).split();
         let members = dg.grouping.members();
         let biggest = members.iter().max_by_key(|m| m.len()).unwrap();
         let whole = score_group(&k, &batch, biggest);

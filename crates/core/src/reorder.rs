@@ -23,8 +23,16 @@
 //! If every message is delayed by at most `J` seconds relative to
 //! generation order, then at any arrival the highest timestamp seen
 //! exceeds the arriving one by at most `J`; with `max_skew_secs ≥ J` no
-//! message is ever late, and the released sequence equals the sorted clean
-//! feed (the proptest in `tests/` asserts byte-identical digests).
+//! message is ever late. Every message is then released once, in
+//! `(ts, router, code, detail)` order, less repeats of an earlier key
+//! (see *Duplicates*). So a feed and any bounded reordering of it release
+//! the same sequence (`tests/stream_robustness.rs` asserts identical
+//! digests). That sequence is not always the feed sorted by
+//! [`sort_batch`](sd_model::sort_batch), which the batch path uses:
+//! `sort_batch` is a stable `(ts, router, code)` sort, so lines sharing
+//! `(ts, router, code)` keep their file order, and the two orders differ
+//! wherever such lines' details are not in lexicographic order. The
+//! ROADMAP item *Batch ≡ stream through the CLI* tracks closing that gap.
 //!
 //! # Duplicates
 //!

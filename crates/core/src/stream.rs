@@ -122,8 +122,6 @@ struct StreamCounters {
     n_force_closed: Counter,
     n_inconsistent: Counter,
     n_quarantined: Counter,
-    groups_opened: Counter,
-    groups_closed: Counter,
     n_events: Counter,
     links_temporal: Counter,
     links_rule: Counter,
@@ -138,8 +136,6 @@ impl StreamCounters {
             n_force_closed: tel.counter("stream.n_force_closed"),
             n_inconsistent: tel.counter("stream.n_inconsistent"),
             n_quarantined: tel.counter("stream.n_quarantined"),
-            groups_opened: tel.counter("stream.groups_opened"),
-            groups_closed: tel.counter("stream.groups_closed"),
             n_events: tel.counter("stream.n_events"),
             links_temporal: tel.counter("stream.links_temporal"),
             links_rule: tel.counter("stream.links_rule"),
@@ -234,8 +230,8 @@ impl<'k> StreamDigester<'k> {
         }
     }
 
-    /// Current counters as a plain [`StreamStats`] value (the legacy
-    /// stats struct is now a view over the registry-backed counters).
+    /// Current counters as a plain [`StreamStats`] value, read from the
+    /// registry-backed counters.
     pub fn stats(&self) -> StreamStats {
         StreamStats {
             n_input: self.counters.n_input.get() as usize,
@@ -395,7 +391,6 @@ impl<'k> StreamDigester<'k> {
         };
         sp.idx = seq as usize;
         self.next_seq += 1;
-        self.counters.groups_opened.inc();
         self.groups.insert(
             seq,
             OpenGroup {
@@ -474,11 +469,10 @@ impl<'k> StreamDigester<'k> {
         members.sort_unstable();
         let mut batch: Vec<SyslogPlus> = Vec::with_capacity(members.len());
         for s in &members {
-            let Some(OpenMsg { mut sp, .. }) = self.open.remove(s) else {
+            let Some(OpenMsg { sp, .. }) = self.open.remove(s) else {
                 self.counters.n_inconsistent.inc();
                 continue;
             };
-            sp.idx = *s as usize; // global sequence number
             batch.push(sp);
         }
         if batch.is_empty() {
@@ -488,7 +482,6 @@ impl<'k> StreamDigester<'k> {
         let idxs: Vec<usize> = (0..batch.len()).collect();
         let score = score_group(self.k, &batch, &idxs);
         let ev = build_event(self.k, &batch, &idxs, score);
-        self.counters.groups_closed.inc();
         if self.trace {
             // Keyed by the smallest member seq until `finalize` knows the
             // event id (event ids are assigned in emission order, after
@@ -689,7 +682,7 @@ mod tests {
     use sd_netsim::{Dataset, DatasetSpec};
 
     fn setup() -> (Dataset, DomainKnowledge) {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         (d, k)
     }

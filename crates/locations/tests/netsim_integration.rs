@@ -4,10 +4,11 @@
 use sd_locations::{extract, LocationDictionary};
 use sd_model::LocationLevel;
 use sd_netsim::{Dataset, DatasetSpec};
+use sd_telemetry::Telemetry;
 
 fn check(spec: DatasetSpec) {
     let name = spec.name.clone();
-    let d = Dataset::generate(spec.scaled(0.12));
+    let d = Dataset::generate(spec.scaled(0.12), &Telemetry::disabled());
     let dict = LocationDictionary::build(&d.configs);
 
     // Every topology router is known, with its state code.
@@ -67,7 +68,7 @@ fn dataset_b_locations_resolve() {
 
 #[test]
 fn iptv_paths_resolve() {
-    let d = Dataset::generate(DatasetSpec::preset_b().scaled(0.12));
+    let d = Dataset::generate(DatasetSpec::preset_b().scaled(0.12), &Telemetry::disabled());
     let dict = LocationDictionary::build(&d.configs);
     for p in &d.topology.paths {
         let loc = dict

@@ -25,7 +25,7 @@ pub use augmented::{LocationId, LocationLevel, RouterId, SyslogPlus, TemplateId}
 pub use errorcode::{ErrorCode, Severity};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::Interner;
-pub use message::{sort_batch, GroundTruthId, ParseError, RawMessage, Vendor};
+pub use message::{sort_batch, GroundTruthId, MalformedReport, ParseError, RawMessage, Vendor};
 pub use par::{catch_panic, par_chunks, par_chunks_isolated, par_map, Parallelism};
 pub use time::{Timestamp, DAY, HOUR, MINUTE, WEEK};
 pub use tokens::TokenScratch;

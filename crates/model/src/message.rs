@@ -81,6 +81,46 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How many malformed lines a [`MalformedReport`] keeps verbatim.
+pub const MALFORMED_SAMPLES: usize = 5;
+
+/// The malformed lines of a feed: how many there were, and the first
+/// [`MALFORMED_SAMPLES`] with line numbers and reasons, so operators see
+/// *why* lines were rejected, not only how many.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MalformedReport {
+    /// Non-blank lines that failed to parse.
+    pub count: usize,
+    /// First few `(1-based line number, reason)` pairs.
+    pub samples: Vec<(usize, String)>,
+}
+
+impl MalformedReport {
+    /// Count malformed line `line_no`, keeping it as a sample while fewer
+    /// than [`MALFORMED_SAMPLES`] are kept.
+    pub fn record(&mut self, line_no: usize, err: &ParseError) {
+        self.count += 1;
+        if self.samples.len() < MALFORMED_SAMPLES {
+            self.samples.push((line_no, err.to_string()));
+        }
+    }
+}
+
+impl fmt::Display for MalformedReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} malformed", self.count)?;
+        if !self.samples.is_empty() {
+            let shown: Vec<String> = self
+                .samples
+                .iter()
+                .map(|(n, why)| format!("line {n}: {why}"))
+                .collect();
+            write!(f, " (first: {})", shown.join("; "))?;
+        }
+        Ok(())
+    }
+}
+
 impl RawMessage {
     /// Construct a message with no ground-truth tag.
     pub fn new(
@@ -391,6 +431,18 @@ mod tests {
             "truncated line: missing code"
         );
         assert_eq!(ParseError::BadTimestamp.to_string(), "malformed timestamp");
+    }
+
+    #[test]
+    fn malformed_report_counts_every_line_and_samples_the_first() {
+        let mut r = MalformedReport::default();
+        for line_no in 1..=MALFORMED_SAMPLES + 2 {
+            r.record(line_no, &ParseError::BadTimestamp);
+        }
+        assert_eq!(r.count, MALFORMED_SAMPLES + 2);
+        assert_eq!(r.samples.len(), MALFORMED_SAMPLES);
+        assert_eq!(r.samples[0], (1, "malformed timestamp".to_owned()));
+        assert!(r.to_string().starts_with("7 malformed (first: line 1: "));
     }
 
     #[test]

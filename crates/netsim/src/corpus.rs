@@ -13,6 +13,7 @@
 
 use crate::dataset::{Dataset, DatasetSpec};
 use crate::faults::{inject, FaultReport, FaultSpec};
+use sd_telemetry::Telemetry;
 
 /// The seeds the checked-in golden corpus pins (6 seeds × 3 variants).
 pub const GOLDEN_SEEDS: [u64; 6] = [1, 2, 3, 5, 8, 13];
@@ -39,7 +40,7 @@ impl Corpus {
         spec.name = format!("conformance-{seed}");
         Corpus {
             seed,
-            dataset: Dataset::generate(spec),
+            dataset: Dataset::generate(spec, &Telemetry::disabled()),
         }
     }
 

@@ -132,15 +132,11 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Generate the dataset (deterministic in the spec's seed).
-    pub fn generate(spec: DatasetSpec) -> Dataset {
-        Self::generate_with(spec, &Telemetry::disabled())
-    }
-
-    /// [`generate`](Self::generate) with the generation stages timed in
-    /// `tel` (`netsim.topology` / `netsim.configs` / `netsim.workload`
-    /// spans, `netsim.messages` counter).
-    pub fn generate_with(spec: DatasetSpec, tel: &Telemetry) -> Dataset {
+    /// Generate the dataset (deterministic in the spec's seed), with the
+    /// generation stages timed in `tel` (`netsim.topology` /
+    /// `netsim.configs` / `netsim.workload` spans, `netsim.messages`
+    /// counter; pass [`Telemetry::disabled`] to run without).
+    pub fn generate(spec: DatasetSpec, tel: &Telemetry) -> Dataset {
         let topology = {
             let _t = tel.time("netsim.topology");
             Topology::generate(&TopoSpec {
@@ -212,7 +208,7 @@ mod tests {
     #[test]
     fn tiny_dataset_a_generates_consistently() {
         let spec = DatasetSpec::preset_a().scaled(0.1);
-        let d = Dataset::generate(spec);
+        let d = Dataset::generate(spec, &Telemetry::disabled());
         assert!(!d.messages.is_empty());
         assert_eq!(d.configs.len(), d.topology.routers.len());
         assert_eq!(d.train().len() + d.online().len(), d.messages.len());
@@ -225,7 +221,7 @@ mod tests {
     #[test]
     fn weekly_slices_partition_training() {
         let spec = DatasetSpec::preset_a().scaled(0.12);
-        let d = Dataset::generate(spec);
+        let d = Dataset::generate(spec, &Telemetry::disabled());
         let weeks = d.spec.train_days.div_ceil(7);
         let mut total = 0usize;
         for w in 0..weeks {
@@ -237,7 +233,7 @@ mod tests {
     #[test]
     fn preset_b_has_pim_events() {
         let spec = DatasetSpec::preset_b().scaled(0.15);
-        let d = Dataset::generate(spec);
+        let d = Dataset::generate(spec, &Telemetry::disabled());
         assert!(d
             .gt_events
             .iter()

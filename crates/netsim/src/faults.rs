@@ -252,9 +252,10 @@ pub fn inject(msgs: &[RawMessage], spec: &FaultSpec) -> (Vec<String>, FaultRepor
 mod tests {
     use super::*;
     use crate::dataset::{Dataset, DatasetSpec};
+    use sd_telemetry::Telemetry;
 
     fn feed() -> Vec<RawMessage> {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.03));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.03), &Telemetry::disabled());
         d.online().to_vec()
     }
 

@@ -159,7 +159,7 @@ pub fn coverage(
 mod tests {
     use super::*;
     use crate::transactions::StreamItem;
-    use sd_model::{RouterId, Timestamp};
+    use sd_model::{Parallelism, RouterId, Timestamp};
 
     fn stream_pairs() -> Vec<StreamItem> {
         let mut stream = Vec::new();
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn mines_the_reliable_pair_only() {
-        let co = CoOccurrence::count(&stream_pairs(), 10);
+        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
         let rs = mine(
             &co,
             &MineConfig {
@@ -198,7 +198,7 @@ mod tests {
 
     #[test]
     fn conf_min_prunes() {
-        let co = CoOccurrence::count(&stream_pairs(), 10);
+        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
         let loose = mine(
             &co,
             &MineConfig {
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn sp_min_excludes_rare_items() {
-        let co = CoOccurrence::count(&stream_pairs(), 10);
+        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
         // Template 3 appears in ~1/9 of transactions; a high SPmin excludes it.
         let rs = mine(
             &co,
@@ -232,7 +232,7 @@ mod tests {
 
     #[test]
     fn coverage_shrinks_with_higher_sp_min() {
-        let co = CoOccurrence::count(&stream_pairs(), 10);
+        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
         let mut counts = std::collections::HashMap::new();
         counts.insert(1u32, 200u64);
         counts.insert(2u32, 200u64);
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn serde_roundtrip_restores_relatedness() {
-        let co = CoOccurrence::count(&stream_pairs(), 10);
+        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
         let rs = mine(&co, &MineConfig::default());
         let json = serde_json::to_string(&rs).unwrap();
         let mut back: RuleSet = serde_json::from_str(&json).unwrap();

@@ -56,18 +56,13 @@ impl CoOccurrence {
         Some(sxy as f64 / sx as f64)
     }
 
-    /// Count transactions over a time-sorted stream with window `w_secs`.
-    pub fn count(stream: &[StreamItem], w_secs: i64) -> CoOccurrence {
-        Self::count_par(stream, w_secs, Parallelism::sequential())
-    }
-
-    /// [`CoOccurrence::count`] with the per-router passes running on
-    /// `par.threads` scoped threads. Windows never span routers, so each
-    /// router's counts are independent; the per-router results are
-    /// sum-merged in sorted router order (all merges are `u64` additions),
-    /// giving counts identical to the sequential pass for every thread
-    /// count.
-    pub fn count_par(stream: &[StreamItem], w_secs: i64, par: Parallelism) -> CoOccurrence {
+    /// Count transactions over a time-sorted stream with window `w_secs`,
+    /// the per-router passes running on `par.threads` scoped threads.
+    /// Windows never span routers, so each router's counts are
+    /// independent; the per-router results are sum-merged in sorted
+    /// router order (all merges are `u64` additions), giving counts
+    /// identical for every thread count.
+    pub fn count(stream: &[StreamItem], w_secs: i64, par: Parallelism) -> CoOccurrence {
         // Split per router, preserving time order.
         let mut per_router: HashMap<u32, Vec<(Timestamp, u32)>> = HashMap::new();
         for &(ts, r, t) in stream {
@@ -178,7 +173,7 @@ mod tests {
             stream.push(s(i * 100, 0, 1));
             stream.push(s(i * 100 + 5, 0, 2));
         }
-        let co = CoOccurrence::count(&stream, 10);
+        let co = CoOccurrence::count(&stream, 10, Parallelism::sequential());
         assert_eq!(co.n_transactions, 200);
         let conf = co.confidence(TemplateId(1), TemplateId(2)).unwrap();
         assert!(conf > 0.95, "conf {conf}");
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn different_routers_never_share_transactions() {
         let stream = vec![s(0, 0, 1), s(1, 1, 2), s(2, 0, 1), s(3, 1, 2)];
-        let co = CoOccurrence::count(&stream, 100);
+        let co = CoOccurrence::count(&stream, 100, Parallelism::sequential());
         assert_eq!(co.pair_support(TemplateId(1), TemplateId(2)), 0.0);
     }
 
@@ -204,8 +199,8 @@ mod tests {
             stream.push(s(i * 1000, 0, 1));
             stream.push(s(i * 1000 + 35, 0, 2)); // 35 s lag
         }
-        let narrow = CoOccurrence::count(&stream, 30);
-        let wide = CoOccurrence::count(&stream, 40);
+        let narrow = CoOccurrence::count(&stream, 30, Parallelism::sequential());
+        let wide = CoOccurrence::count(&stream, 40, Parallelism::sequential());
         assert_eq!(narrow.pair_support(TemplateId(1), TemplateId(2)), 0.0);
         assert!(wide.pair_support(TemplateId(1), TemplateId(2)) > 0.3);
     }
@@ -213,7 +208,7 @@ mod tests {
     #[test]
     fn supports_are_fractions_of_transactions() {
         let stream = vec![s(0, 0, 7), s(1, 0, 7), s(5000, 0, 8)];
-        let co = CoOccurrence::count(&stream, 10);
+        let co = CoOccurrence::count(&stream, 10, Parallelism::sequential());
         assert_eq!(co.n_transactions, 3);
         assert!((co.support(TemplateId(7)) - 2.0 / 3.0).abs() < 1e-9);
         assert!((co.support(TemplateId(8)) - 1.0 / 3.0).abs() < 1e-9);
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let co = CoOccurrence::count(&[], 60);
+        let co = CoOccurrence::count(&[], 60, Parallelism::sequential());
         assert_eq!(co.n_transactions, 0);
         assert_eq!(co.support(TemplateId(0)), 0.0);
     }
@@ -232,7 +227,7 @@ mod tests {
         // 1000 identical messages at 1 s spacing: the run-compression path
         // must still count 1000 transactions.
         let stream: Vec<StreamItem> = (0..1000).map(|i| s(i, 0, 3)).collect();
-        let co = CoOccurrence::count(&stream, 60);
+        let co = CoOccurrence::count(&stream, 60, Parallelism::sequential());
         assert_eq!(co.n_transactions, 1000);
         assert_eq!(*co.item_counts.get(&3).unwrap(), 1000);
     }

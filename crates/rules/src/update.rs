@@ -89,7 +89,7 @@ impl RuleBase {
 mod tests {
     use super::*;
     use crate::transactions::StreamItem;
-    use sd_model::{RouterId, TemplateId, Timestamp};
+    use sd_model::{Parallelism, RouterId, TemplateId, Timestamp};
 
     fn correlated_week(base: i64) -> Vec<StreamItem> {
         let mut s = Vec::new();
@@ -124,17 +124,23 @@ mod tests {
     #[test]
     fn add_then_stable_then_delete() {
         let mut base = RuleBase::new();
-        let w1 = base.update(&CoOccurrence::count(&correlated_week(0), 10), &CFG);
+        let w1 = base.update(
+            &CoOccurrence::count(&correlated_week(0), 10, Parallelism::sequential()),
+            &CFG,
+        );
         assert!(w1.added >= 1, "{w1:?}"); // 1 => 2 qualifies (2 => 1 is at conf 0.5)
         assert_eq!(w1.deleted, 0);
 
-        let w2 = base.update(&CoOccurrence::count(&correlated_week(1_000_000), 10), &CFG);
+        let w2 = base.update(
+            &CoOccurrence::count(&correlated_week(1_000_000), 10, Parallelism::sequential()),
+            &CFG,
+        );
         assert_eq!(w2.added, 0, "{w2:?}");
         assert_eq!(w2.deleted, 0);
         assert_eq!(w2.total, w1.total);
 
         let w3 = base.update(
-            &CoOccurrence::count(&decorrelated_week(2_000_000), 10),
+            &CoOccurrence::count(&decorrelated_week(2_000_000), 10, Parallelism::sequential()),
             &CFG,
         );
         assert!(w3.deleted >= 1, "{w3:?}");
@@ -144,10 +150,17 @@ mod tests {
     #[test]
     fn conservative_deletion_keeps_rules_when_antecedent_absent() {
         let mut base = RuleBase::new();
-        base.update(&CoOccurrence::count(&correlated_week(0), 10), &CFG);
+        base.update(
+            &CoOccurrence::count(&correlated_week(0), 10, Parallelism::sequential()),
+            &CFG,
+        );
         let before = base.len();
         let w = base.update(
-            &CoOccurrence::count(&without_antecedent(1_000_000), 10),
+            &CoOccurrence::count(
+                &without_antecedent(1_000_000),
+                10,
+                Parallelism::sequential(),
+            ),
             &CFG,
         );
         assert_eq!(w.deleted, 0, "{w:?}");
@@ -157,7 +170,10 @@ mod tests {
     #[test]
     fn snapshot_reflects_current_rules() {
         let mut base = RuleBase::new();
-        base.update(&CoOccurrence::count(&correlated_week(0), 10), &CFG);
+        base.update(
+            &CoOccurrence::count(&correlated_week(0), 10, Parallelism::sequential()),
+            &CFG,
+        );
         let rs = base.snapshot();
         assert!(rs.related(TemplateId(1), TemplateId(2)));
         assert_eq!(rs.len(), base.len());
@@ -166,13 +182,19 @@ mod tests {
     #[test]
     fn refresh_updates_confidence_values() {
         let mut base = RuleBase::new();
-        base.update(&CoOccurrence::count(&correlated_week(0), 10), &CFG);
+        base.update(
+            &CoOccurrence::count(&correlated_week(0), 10, Parallelism::sequential()),
+            &CFG,
+        );
         // Second week with slightly weaker correlation (but above conf).
         let mut week2 = correlated_week(1_000_000);
         for i in 0..20 {
             week2.push((Timestamp(2_000_000 + i * 100), RouterId(0), TemplateId(1)));
         }
-        base.update(&CoOccurrence::count(&week2, 10), &CFG);
+        base.update(
+            &CoOccurrence::count(&week2, 10, Parallelism::sequential()),
+            &CFG,
+        );
         let rs = base.snapshot();
         let r12 = rs
             .rules()

@@ -1,7 +1,7 @@
 //! Property tests for co-occurrence counting and rule mining.
 
 use proptest::prelude::*;
-use sd_model::{RouterId, TemplateId, Timestamp};
+use sd_model::{Parallelism, RouterId, TemplateId, Timestamp};
 use sd_rules::{mine, CoOccurrence, MineConfig, RuleBase, StreamItem};
 
 fn stream() -> impl Strategy<Value = Vec<StreamItem>> {
@@ -23,7 +23,7 @@ proptest! {
     /// item count.
     #[test]
     fn counting_invariants(s in stream(), w in 1i64..600) {
-        let co = CoOccurrence::count(&s, w);
+        let co = CoOccurrence::count(&s, w, Parallelism::sequential());
         prop_assert_eq!(co.n_transactions, s.len() as u64);
         for (&t, &c) in &co.item_counts {
             prop_assert!(c <= co.n_transactions);
@@ -41,8 +41,8 @@ proptest! {
     /// monotone in W.
     #[test]
     fn pair_counts_monotone_in_window(s in stream()) {
-        let narrow = CoOccurrence::count(&s, 10);
-        let wide = CoOccurrence::count(&s, 100);
+        let narrow = CoOccurrence::count(&s, 10, Parallelism::sequential());
+        let wide = CoOccurrence::count(&s, 100, Parallelism::sequential());
         for (k, &c) in &narrow.pair_counts {
             let cw = wide.pair_counts.get(k).copied().unwrap_or(0);
             prop_assert!(cw >= c, "pair {k:?}: wide {cw} < narrow {c}");
@@ -56,7 +56,7 @@ proptest! {
         sp in 0.0f64..0.3,
         conf in 0.3f64..0.95,
     ) {
-        let co = CoOccurrence::count(&s, 60);
+        let co = CoOccurrence::count(&s, 60, Parallelism::sequential());
         let rs = mine(&co, &MineConfig { sp_min: sp, conf_min: conf });
         for r in rs.rules() {
             prop_assert!(r.support >= sp, "rule supp {} < {}", r.support, sp);
@@ -70,7 +70,7 @@ proptest! {
     /// application adds and deletes nothing.
     #[test]
     fn weekly_update_idempotent(s in stream()) {
-        let co = CoOccurrence::count(&s, 60);
+        let co = CoOccurrence::count(&s, 60, Parallelism::sequential());
         let cfg = MineConfig { sp_min: 0.01, conf_min: 0.6 };
         let mut base = RuleBase::new();
         base.update(&co, &cfg);

@@ -42,17 +42,13 @@ impl Default for LearnerConfig {
     }
 }
 
-/// Learn a [`TemplateSet`] from historical raw messages.
-pub fn learn(messages: &[RawMessage], config: &LearnerConfig) -> TemplateSet {
-    learn_par(messages, config, Parallelism::sequential())
-}
-
-/// [`learn`] with the per-`(code, token count)` sub-type trees built on
-/// `par.threads` scoped threads. Each bucket's tree is independent and the
-/// per-bucket template lists are concatenated in sorted key order (then
-/// canonicalized by [`TemplateSet::from_templates`]), so the learned set
-/// is identical for every thread count.
-pub fn learn_par(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) -> TemplateSet {
+/// Learn a [`TemplateSet`] from historical raw messages, building the
+/// per-`(code, token count)` sub-type trees on `par.threads` scoped
+/// threads. Each bucket's tree is independent and the per-bucket template
+/// lists are concatenated in sorted key order (then canonicalized by
+/// [`TemplateSet::from_templates`]), so the learned set is identical for
+/// every thread count.
+pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) -> TemplateSet {
     // Bucket detail token-vectors by (code, token count).
     let mut buckets: HashMap<(ErrorCode, usize), Vec<Vec<&str>>> = HashMap::new();
     let mut counts: HashMap<ErrorCode, usize> = HashMap::new();
@@ -225,6 +221,7 @@ mod tests {
                 k: 3,
                 max_per_code: 1000,
             },
+            Parallelism::sequential(),
         );
         let mut masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         masked.sort();
@@ -251,7 +248,7 @@ mod tests {
                 ));
             }
         }
-        let set = learn(&msgs, &LearnerConfig::default());
+        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
         let mut masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         masked.sort();
         assert_eq!(
@@ -273,7 +270,7 @@ mod tests {
                 msgs.push(msg("X-1-Y", &format!("Interface {ifc} flapped")));
             }
         }
-        let set = learn(&msgs, &LearnerConfig::default());
+        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
         assert_eq!(set.len(), 2, "expected a (harmless) spurious split");
     }
 
@@ -284,7 +281,7 @@ mod tests {
             msgs.push(msg("C-1-M", &format!("alpha beta value{i}")));
             msgs.push(msg("C-1-M", &format!("alpha beta value{i} gamma")));
         }
-        let set = learn(&msgs, &LearnerConfig::default());
+        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
         let masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         assert!(masked.contains(&"C-1-M alpha beta *".to_owned()));
         assert!(masked.contains(&"C-1-M alpha beta * gamma".to_owned()));
@@ -292,7 +289,7 @@ mod tests {
 
     #[test]
     fn empty_input_learns_nothing() {
-        let set = learn(&[], &LearnerConfig::default());
+        let set = learn(&[], &LearnerConfig::default(), Parallelism::sequential());
         assert_eq!(set.len(), 0);
     }
 
@@ -311,6 +308,7 @@ mod tests {
                 k: 10,
                 max_per_code: 500,
             },
+            Parallelism::sequential(),
         );
         let masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         assert_eq!(

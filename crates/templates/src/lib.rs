@@ -13,6 +13,6 @@
 pub mod learner;
 pub mod set;
 
-pub use learner::{learn, learn_par, LearnerConfig};
+pub use learner::{learn, LearnerConfig};
 pub use sd_model::TemplateId;
 pub use set::{MaskTok, Template, TemplateSet};

@@ -6,7 +6,9 @@
 //! *period* but keep per-day rates at preset levels (the `exp_templates`
 //! bench binary runs the full 12-week version).
 
+use sd_model::Parallelism;
 use sd_netsim::{Dataset, DatasetSpec};
+use sd_telemetry::Telemetry;
 use sd_templates::{learn, LearnerConfig};
 
 fn check(mut spec: DatasetSpec, floor: f64) {
@@ -15,8 +17,12 @@ fn check(mut spec: DatasetSpec, floor: f64) {
     spec.intensity = 1.0; // cascade depth is irrelevant to template shapes
     spec.noise_per_day *= 3.0; // concentrate tail-type instances into fewer days
     let name = spec.name.clone();
-    let d = Dataset::generate(spec);
-    let set = learn(d.train(), &LearnerConfig::default());
+    let d = Dataset::generate(spec, &Telemetry::disabled());
+    let set = learn(
+        d.train(),
+        &LearnerConfig::default(),
+        Parallelism::sequential(),
+    );
     let gt = d.grammar.masked_set();
     let acc = set.accuracy_against(&gt);
     assert!(

@@ -1,7 +1,7 @@
 //! Property tests for template learning and matching.
 
 use proptest::prelude::*;
-use sd_model::{ErrorCode, RawMessage, Timestamp};
+use sd_model::{ErrorCode, Parallelism, RawMessage, Timestamp};
 use sd_templates::{learn, LearnerConfig, MaskTok};
 
 /// Generate message corpora: a few codes, each with a literal skeleton and
@@ -37,7 +37,7 @@ proptest! {
     /// template afterwards.
     #[test]
     fn learning_is_total_over_its_input(msgs in corpus()) {
-        let set = learn(&msgs, &LearnerConfig::default());
+        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
         for m in &msgs {
             prop_assert!(
                 set.match_message(m).is_some(),
@@ -51,7 +51,7 @@ proptest! {
     /// matches it exactly (no phantom templates).
     #[test]
     fn no_phantom_templates(msgs in corpus()) {
-        let set = learn(&msgs, &LearnerConfig::default());
+        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
         for (id, t) in set.iter() {
             let hit = msgs.iter().any(|m| {
                 set.match_message(m) == Some(id)
@@ -65,7 +65,7 @@ proptest! {
     /// star.
     #[test]
     fn match_and_extract_agree(msgs in corpus()) {
-        let set = learn(&msgs, &LearnerConfig::default());
+        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
         for m in &msgs {
             let id = set.match_message(m).expect("total");
             let t = set.get(id);
@@ -80,8 +80,9 @@ proptest! {
     /// means masking kicks in earlier, merging sub-types).
     #[test]
     fn k_monotonicity_on_template_count(msgs in corpus()) {
-        let small = learn(&msgs, &LearnerConfig { k: 2, max_per_code: 10_000 }).len();
-        let large = learn(&msgs, &LearnerConfig { k: 50, max_per_code: 10_000 }).len();
+        let seq = Parallelism::sequential();
+        let small = learn(&msgs, &LearnerConfig { k: 2, max_per_code: 10_000 }, seq).len();
+        let large = learn(&msgs, &LearnerConfig { k: 50, max_per_code: 10_000 }, seq).len();
         prop_assert!(small <= large, "k=2 gave {small} > k=50 {large}");
     }
 }

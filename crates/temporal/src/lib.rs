@@ -10,8 +10,5 @@
 pub mod calibrate;
 pub mod ewma;
 
-pub use calibrate::{
-    calibrate, calibrate_par, compression_ratio, sweep_alpha, sweep_alpha_par, sweep_beta,
-    sweep_beta_par, SeriesSet,
-};
+pub use calibrate::{calibrate, compression_ratio, sweep_alpha, sweep_beta, SeriesSet};
 pub use ewma::{count_groups, group_series, EwmaTracker, TemporalConfig};

@@ -203,10 +203,11 @@ pub fn run_ticket_experiment(
 mod tests {
     use super::*;
     use sd_netsim::DatasetSpec;
+    use sd_telemetry::Telemetry;
     use syslogdigest::offline::{learn, OfflineConfig};
 
     fn setup() -> (Dataset, DomainKnowledge) {
-        let d = Dataset::generate(DatasetSpec::preset_b().scaled(0.12));
+        let d = Dataset::generate(DatasetSpec::preset_b().scaled(0.12), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_b());
         (d, k)
     }

@@ -14,11 +14,12 @@ use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
 use syslogdigest_repro::digest::pipeline::digest;
 use syslogdigest_repro::model::{sort_batch, Timestamp};
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec, EventSim};
+use syslogdigest_repro::telemetry::Telemetry;
 
 fn main() {
     // Learn knowledge from the IPTV network's history (dataset B).
     println!("training on IPTV backbone history (vendor V2)...");
-    let data = Dataset::generate(DatasetSpec::preset_b().scaled(0.35));
+    let data = Dataset::generate(DatasetSpec::preset_b().scaled(0.35), &Telemetry::disabled());
     let knowledge = learn(&data.configs, data.train(), &OfflineConfig::dataset_b());
     println!(
         "  {} templates, {} rules learned from {} messages",

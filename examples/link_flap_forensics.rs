@@ -16,11 +16,12 @@ use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
 use syslogdigest_repro::digest::pipeline::digest;
 use syslogdigest_repro::model::{sort_batch, Timestamp};
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec, EventSim};
+use syslogdigest_repro::telemetry::Telemetry;
 
 fn main() {
     // Train knowledge on a scaled dataset A.
     println!("training domain knowledge on 3 weeks of history...");
-    let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.25));
+    let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.25), &Telemetry::disabled());
     let knowledge = learn(&data.configs, data.train(), &OfflineConfig::dataset_a());
 
     // Stage a fresh incident: one link flapping 40 times, with background

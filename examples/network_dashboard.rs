@@ -13,13 +13,14 @@ use syslogdigest_repro::digest::pipeline::digest;
 use syslogdigest_repro::digest::viz::{gini, snapshot};
 use syslogdigest_repro::model::DAY;
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
+use syslogdigest_repro::telemetry::Telemetry;
 
 fn bar(n: usize, per: usize) -> String {
     "#".repeat((n / per.max(1)).clamp(if n > 0 { 1 } else { 0 }, 40))
 }
 
 fn main() {
-    let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.25));
+    let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.25), &Telemetry::disabled());
     let knowledge = learn(&data.configs, data.train(), &OfflineConfig::dataset_a());
     let online = data.online();
     let report = digest(&knowledge, online, &GroupingConfig::default());

@@ -9,12 +9,13 @@ use syslogdigest_repro::digest::grouping::GroupingConfig;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
 use syslogdigest_repro::digest::pipeline::digest;
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
+use syslogdigest_repro::telemetry::Telemetry;
 
 fn main() {
     // A small tier-1-ISP-style network: 12 weeks of training syslog plus
     // 2 weeks to digest (scaled down so this example runs in seconds).
     println!("generating synthetic ISP dataset (vendor V1)...");
-    let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.25));
+    let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.25), &Telemetry::disabled());
     println!(
         "  {} routers, {} training messages, {} online messages",
         data.topology.routers.len(),

@@ -6,9 +6,10 @@
 use proptest::prelude::*;
 use syslogdigest_repro::digest::grouping::{group, GroupingConfig};
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::{augment_batch, digest, Digest, DomainKnowledge};
+use syslogdigest_repro::digest::{augment_batch_isolated, digest, Digest, DomainKnowledge};
 use syslogdigest_repro::model::{sort_batch, ErrorCode, Parallelism, RawMessage, Timestamp};
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
+use syslogdigest_repro::telemetry::Telemetry;
 
 fn with_threads(mut cfg: OfflineConfig, n: usize) -> OfflineConfig {
     cfg.par = Parallelism::with_threads(n);
@@ -32,7 +33,7 @@ fn event_shape(d: &Digest) -> Vec<(Vec<usize>, f64)> {
 }
 
 fn assert_threads_invariant(spec: DatasetSpec, off: OfflineConfig) {
-    let d = Dataset::generate(spec);
+    let d = Dataset::generate(spec, &Telemetry::disabled());
     let k1 = learn(&d.configs, d.train(), &with_threads(off.clone(), 1));
     let j1 = k1.to_json().expect("knowledge serializes");
     for n in [2usize, 4, 8] {
@@ -72,7 +73,7 @@ fn preset_b_is_thread_count_invariant() {
 /// series merge; the picked parameters must not depend on thread count.
 #[test]
 fn calibration_is_thread_count_invariant() {
-    let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05));
+    let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
     let mut cfg = OfflineConfig::dataset_a().with_calibration();
     cfg.alphas = vec![0.0, 0.05, 0.2, 0.5];
     cfg.betas = vec![2.0, 5.0, 7.0];
@@ -174,7 +175,7 @@ proptest! {
     #[test]
     fn grouping_labels_are_thread_count_invariant(stream in arbitrary_stream()) {
         let k = tiny_knowledge();
-        let (batch, _) = augment_batch(&k, &stream);
+        let (batch, _) = augment_batch_isolated(&k, &stream, Parallelism::sequential()).split();
         let base = group(&k, &batch, &digest_cfg(1));
         let par = group(&k, &batch, &digest_cfg(4));
         prop_assert_eq!(base.n_groups, par.n_groups);

@@ -7,9 +7,10 @@ use syslogdigest_repro::digest::knowledge::DomainKnowledge;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
 use syslogdigest_repro::digest::pipeline::digest;
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
+use syslogdigest_repro::telemetry::Telemetry;
 
 fn setup_a() -> (Dataset, DomainKnowledge) {
-    let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.1));
+    let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.1), &Telemetry::disabled());
     let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
     (d, k)
 }
@@ -72,7 +73,7 @@ fn both_vendors_compress_by_two_orders_of_magnitude() {
         ),
     ] {
         let name = spec.name.clone();
-        let d = Dataset::generate(spec);
+        let d = Dataset::generate(spec, &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &cfg);
         let r = digest(&k, d.online(), &GroupingConfig::default());
         let ratio = r.compression_ratio();
@@ -102,7 +103,7 @@ fn stage_stacking_is_monotone_on_real_data() {
 
 #[test]
 fn ticket_experiment_matches_all_top_tickets() {
-    let d = Dataset::generate(DatasetSpec::preset_b().scaled(0.2));
+    let d = Dataset::generate(DatasetSpec::preset_b().scaled(0.2), &Telemetry::disabled());
     let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_b());
     let report = syslogdigest_repro::tickets::run_ticket_experiment(&d, &k, 10, 0.10, 0xBEEF);
     assert!(report.n_tickets > 0);

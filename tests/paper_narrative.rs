@@ -94,6 +94,7 @@ fn pim_dual_failure_cascade_is_recovered() {
     // Stage the §6.1 incident on a trained dataset-B network.
     let d = syslogdigest_repro::netsim::Dataset::generate(
         syslogdigest_repro::netsim::DatasetSpec::preset_b().scaled(0.15),
+        &syslogdigest_repro::telemetry::Telemetry::disabled(),
     );
     let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_b());
     let mut sim = syslogdigest_repro::netsim::EventSim::new(&d.topology, &d.grammar);

@@ -2,12 +2,13 @@
 //! invariants, with proptest-generated message streams.
 
 use proptest::prelude::*;
+use syslogdigest_repro::digest::augment_batch_isolated;
 use syslogdigest_repro::digest::grouping::{group, GroupingConfig};
 use syslogdigest_repro::digest::knowledge::DomainKnowledge;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
 use syslogdigest_repro::digest::union_find::UnionFind;
 use syslogdigest_repro::model::{
-    sort_batch, ErrorCode, Interner, RawMessage, SyslogPlus, Timestamp,
+    sort_batch, ErrorCode, Interner, Parallelism, RawMessage, SyslogPlus, Timestamp,
 };
 use syslogdigest_repro::temporal::{count_groups, group_series, TemporalConfig};
 
@@ -223,7 +224,8 @@ proptest! {
     #[test]
     fn grouping_invariants(stream in arbitrary_stream()) {
         let k = tiny_knowledge();
-        let (batch, dropped) = syslogdigest_repro::digest::augment_batch(&k, &stream);
+        let (batch, dropped) =
+            augment_batch_isolated(&k, &stream, Parallelism::sequential()).split();
         prop_assert_eq!(dropped, 0);
 
         let mut prev = usize::MAX;
@@ -251,7 +253,7 @@ proptest! {
     #[test]
     fn scores_are_finite_and_additive(stream in arbitrary_stream()) {
         let k = tiny_knowledge();
-        let (batch, _) = syslogdigest_repro::digest::augment_batch(&k, &stream);
+        let (batch, _) = augment_batch_isolated(&k, &stream, Parallelism::sequential()).split();
         if batch.is_empty() {
             return Ok(());
         }

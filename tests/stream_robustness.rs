@@ -21,7 +21,7 @@ use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
 use syslogdigest_repro::digest::pipeline::digest_instrumented;
 use syslogdigest_repro::digest::stream::{StreamConfig, StreamDigester};
 use syslogdigest_repro::digest::{
-    augment_batch, generation_path, set_poison_marker, stage_edges, GroupProv, MergeCause,
+    augment_batch_isolated, generation_path, set_poison_marker, stage_edges, GroupProv, MergeCause,
     NetworkEvent,
 };
 use syslogdigest_repro::model::Parallelism;
@@ -34,7 +34,7 @@ use syslogdigest_repro::telemetry::Telemetry;
 fn setup() -> &'static (Dataset, DomainKnowledge) {
     static CELL: OnceLock<(Dataset, DomainKnowledge)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         (d, k)
     })
@@ -342,7 +342,8 @@ fn batch_and_stream_agree_link_for_link_on_golden_seeds() {
         let d = &corpus.dataset;
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         let online = d.online();
-        let (augmented, dropped) = augment_batch(&k, online);
+        let (augmented, dropped) =
+            augment_batch_isolated(&k, online, Parallelism::sequential()).split();
         // Stream sequence numbers equal batch indices only without drops.
         assert_eq!(dropped, 0, "seed {seed}");
 

@@ -25,7 +25,7 @@ use syslogdigest_repro::telemetry::{validate_exposition, Telemetry};
 fn setup() -> &'static (Dataset, DomainKnowledge) {
     static CELL: OnceLock<(Dataset, DomainKnowledge)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08));
+        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
         (d, k)
     })
