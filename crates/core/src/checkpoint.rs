@@ -1,20 +1,21 @@
-//! Versioned checkpoint/restore for the streaming digester.
+//! Versioned checkpoint/restore for the fault-tolerant stream ingest.
 //!
 //! A long-running `sdigest digest --stream` process must survive being
 //! killed: on restart it should continue from where it stopped without
 //! re-reading the whole feed and without losing or duplicating events.
 //! This module defines the on-disk snapshot format:
 //!
-//! * [`StreamSnapshot`] — a self-describing JSON document carrying a
-//!   **format version** ([`SNAPSHOT_VERSION`]), a **knowledge
-//!   fingerprint** (see [`DomainKnowledge::fingerprint`]) and the complete
-//!   mutable state of the digester (plus, when checkpointed through the
-//!   ingest layer, the reorder buffer).
+//! * [`StreamSnapshot`] — one JSON document, in one shape: a **knowledge
+//!   fingerprint** (see [`DomainKnowledge::fingerprint`]), the digester's
+//!   and the reorder buffer's live state serialized as they are, and the
+//!   counters of every layer. Every map in it is written in key order, so
+//!   equal states give equal bytes.
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
-//!   [`envelope`] and writes atomically (temp file +
-//!   rename), so a crash mid-write can never leave a truncated snapshot
-//!   where a good one used to be — and any truncation or bit flip that
-//!   slips through is caught at load time as a typed
+//!   [`envelope`], whose header carries the artifact kind and the
+//!   **format version** ([`SNAPSHOT_VERSION`]), and writes atomically
+//!   (temp file + rename), so a crash mid-write can never leave a
+//!   truncated snapshot where a good one used to be — and any truncation
+//!   or bit flip that slips through is caught at load time as a typed
 //!   [`EnvelopeError`] rather than a panic or silent misdecode.
 //! * [`StreamSnapshot::save_rotated`] keeps the last `keep` generations
 //!   (`run.ckpt` → `run.ckpt.1` → …) and
@@ -23,112 +24,72 @@
 //!   it rolled back in a [`RecoveryReport`]. With checkpoints taken
 //!   every *N* lines, a kill at any byte of any write loses at most one
 //!   checkpoint interval.
-//! * [`StreamSnapshot::from_json`] / [`StreamSnapshot::load`] check the
-//!   version field *before* decoding the body, so a snapshot produced by
-//!   a future incompatible build fails with
-//!   [`CheckpointError::Version`] rather than a confusing parse error,
-//!   and [`StreamSnapshot::verify`] refuses to resume against a different
-//!   knowledge base ([`CheckpointError::KnowledgeMismatch`]) — dense ids
-//!   would silently mis-group otherwise. A file that is not enveloped
-//!   (such as a bare JSON snapshot) is rejected with
-//!   [`EnvelopeError::BadMagic`].
+//! * [`StreamSnapshot::load`] reads the version from the envelope header
+//!   only, before the body, and rejects any other version
+//!   ([`EnvelopeError::VersionUnsupported`]); a file that is not
+//!   enveloped (such as a bare JSON snapshot) fails with
+//!   [`EnvelopeError::BadMagic`]. [`StreamSnapshot::verify`] refuses to
+//!   resume against a different knowledge base
+//!   ([`CheckpointError::KnowledgeMismatch`]) — dense ids would silently
+//!   mis-group otherwise.
 //!
 //! Delivery semantics: events emitted between the last checkpoint and a
 //! crash are emitted *again* after resume (at-least-once); exactly-once
 //! holds at checkpoint boundaries. Consumers needing exactly-once should
 //! checkpoint and persist emitted events in the same transaction, keyed
 //! by [`StreamSnapshot::lines_consumed`].
+//!
+//! [`EnvelopeError`]: crate::envelope::EnvelopeError
+//! [`EnvelopeError::VersionUnsupported`]: crate::envelope::EnvelopeError::VersionUnsupported
+//! [`EnvelopeError::BadMagic`]: crate::envelope::EnvelopeError::BadMagic
 
-use crate::envelope::{self, ArtifactError, ArtifactKind, EnvelopeError};
-use crate::grouping::GroupingConfig;
+use crate::envelope::{self, ArtifactError, ArtifactKind};
 use crate::knowledge::DomainKnowledge;
-use crate::stream::{OpenGroup, StreamConfig, StreamStats};
-use sd_model::{RawMessage, SyslogPlus, Timestamp};
-use sd_temporal::EwmaTracker;
+use crate::reorder::ReorderBuffer;
+use crate::stream::{StreamState, StreamStats};
+use sd_model::MalformedReport;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Current snapshot format version. Bump on any incompatible change to
-/// [`DigesterState`] / [`IngestState`]; old snapshots are then rejected
-/// with [`CheckpointError::Version`] instead of being misdecoded.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Snapshot format version, written and checked in the envelope header
+/// only. Bump on any incompatible change to [`StreamSnapshot`]'s shape;
+/// older snapshots are then rejected instead of being misdecoded.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
-/// Per-tracker-key EWMA state, flattened for serialization.
-pub(crate) type TrackerTable = Vec<((u32, u32, u32), (EwmaTracker, u64))>;
-
-/// Per-router rule-stage lookback, flattened for serialization.
-pub(crate) type RulesLookback = Vec<(u32, Vec<((u32, u32), (u64, Timestamp))>)>;
-
-/// Complete mutable state of a [`StreamDigester`](crate::StreamDigester).
-///
-/// Every map is stored as a sorted `Vec` of pairs so the same digester
-/// state always serializes to the same bytes (hash-map iteration order
-/// must not leak into snapshot files). Each open message's group is not
-/// stored: resume reads it off the `groups` member lists.
+/// Counters of the ingest layer: feed lines consumed, the reorder
+/// buffer's late and duplicate counts, and the malformed-line report.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DigesterState {
-    pub(crate) grouping: GroupingConfig,
-    pub(crate) stream: StreamConfig,
-    pub(crate) next_seq: u64,
-    /// Next event id to assign.
-    pub(crate) next_event_id: u64,
-    pub(crate) clock: Timestamp,
-    pub(crate) since_sweep: usize,
-    pub(crate) stats: StreamStats,
-    pub(crate) open: Vec<(u64, SyslogPlus)>,
-    pub(crate) groups: Vec<(u64, OpenGroup)>,
-    pub(crate) trackers: TrackerTable,
-    pub(crate) recent_rules: RulesLookback,
-    pub(crate) recent_cross: Vec<(u32, Vec<(u64, Timestamp)>)>,
-}
-
-/// State of the fault-tolerant ingest wrapper (reorder buffer contents
-/// and ingest counters), present when the snapshot was taken through
-/// [`FaultTolerantIngest`](crate::ingest::FaultTolerantIngest).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IngestState {
-    /// Buffered (accepted, not yet released) messages in release order.
-    pub(crate) buffered: Vec<RawMessage>,
-    /// Highest timestamp observed (drives the watermark).
-    pub(crate) high: Option<Timestamp>,
-    /// Reorder tolerance in seconds.
-    pub(crate) max_skew_secs: i64,
-    /// Ingest-level counters.
+pub(crate) struct IngestState {
     pub(crate) n_lines: usize,
-    pub(crate) n_malformed: usize,
     pub(crate) n_late: usize,
     pub(crate) n_duplicate: usize,
-    /// First few malformed lines, as (line number, reason).
-    pub(crate) malformed_samples: Vec<(usize, String)>,
+    pub(crate) malformed: MalformedReport,
 }
 
-/// A versioned, self-describing snapshot of a streaming digestion run.
+/// A self-describing snapshot of a fault-tolerant streaming run, taken by
+/// [`FaultTolerantIngest::checkpoint`](crate::FaultTolerantIngest::checkpoint).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamSnapshot {
-    /// Snapshot format version ([`SNAPSHOT_VERSION`] at write time).
-    pub version: u32,
     /// Fingerprint of the knowledge base the digester ran against.
     pub knowledge_fp: u64,
-    /// Digester state proper.
-    pub(crate) digester: DigesterState,
-    /// Ingest-layer state, when checkpointed through the ingest wrapper.
-    pub(crate) ingest: Option<IngestState>,
+    /// The digester's live state.
+    pub(crate) digester: StreamState,
+    /// The digester's counters.
+    pub(crate) stats: StreamStats,
+    /// The reorder buffer in front of the digester.
+    pub(crate) reorder: ReorderBuffer,
+    /// The ingest layer's counters.
+    pub(crate) ingest: IngestState,
 }
 
 /// Why a snapshot could not be written, read, or resumed from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The snapshot carries an unsupported format version.
-    Version {
-        /// Version found in the file.
-        found: u32,
-        /// Version this build understands.
-        expected: u32,
-    },
     /// The snapshot was taken against a different knowledge base.
     KnowledgeMismatch,
-    /// The snapshot file does not decode as a snapshot.
+    /// The JSON text does not decode as a snapshot
+    /// ([`StreamSnapshot::from_json`]).
     Corrupt(String),
     /// Filesystem failure while reading or writing.
     Io(String),
@@ -148,10 +109,6 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Version { found, expected } => write!(
-                f,
-                "snapshot format version {found} is not supported (this build reads {expected})"
-            ),
             CheckpointError::KnowledgeMismatch => write!(
                 f,
                 "snapshot was taken against a different knowledge base; \
@@ -214,44 +171,19 @@ pub fn generation_path(path: &Path, generation: u32) -> PathBuf {
 }
 
 impl StreamSnapshot {
-    /// Assemble a snapshot for a bare digester (no ingest layer).
-    pub(crate) fn for_digester(k: &DomainKnowledge, digester: DigesterState) -> Self {
-        StreamSnapshot {
-            version: SNAPSHOT_VERSION,
-            knowledge_fp: k.fingerprint(),
-            digester,
-            ingest: None,
-        }
-    }
-
-    /// Attach ingest-layer state (builder style).
-    pub(crate) fn with_ingest(mut self, ingest: IngestState) -> Self {
-        self.ingest = Some(ingest);
-        self
-    }
-
-    /// Check that this snapshot can be resumed against `k` by this build.
+    /// Check that this snapshot can be resumed against `k`.
     pub fn verify(&self, k: &DomainKnowledge) -> Result<(), CheckpointError> {
-        if self.version != SNAPSHOT_VERSION {
-            return Err(CheckpointError::Version {
-                found: self.version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
         if self.knowledge_fp != k.fingerprint() {
             return Err(CheckpointError::KnowledgeMismatch);
         }
         Ok(())
     }
 
-    /// Total feed lines consumed up to this snapshot (accepted + dropped +
-    /// malformed when ingest state is present) — the offset a resuming
-    /// process should skip to in the feed.
+    /// Total feed lines consumed up to this snapshot (accepted, dropped
+    /// and malformed) — the offset a resuming process should skip to in
+    /// the feed.
     pub fn lines_consumed(&self) -> usize {
-        match &self.ingest {
-            Some(ing) => ing.n_lines,
-            None => self.digester.stats.n_input,
-        }
+        self.ingest.n_lines
     }
 
     /// Serialize to JSON.
@@ -259,21 +191,8 @@ impl StreamSnapshot {
         serde_json::to_string(self).map_err(|e| CheckpointError::Corrupt(e.to_string()))
     }
 
-    /// Parse from JSON, checking the format version *before* decoding the
-    /// body so incompatible snapshots fail with a clear error.
+    /// Parse from JSON.
     pub fn from_json(text: &str) -> Result<Self, CheckpointError> {
-        let tree = serde_json::parse(text).map_err(|e| CheckpointError::Corrupt(e.to_string()))?;
-        let version = match tree.get_field("version") {
-            Some(serde::Value::I64(v)) => *v as u64,
-            Some(serde::Value::U64(v)) => *v,
-            _ => return Err(CheckpointError::Corrupt("missing version field".to_owned())),
-        };
-        if version != SNAPSHOT_VERSION as u64 {
-            return Err(CheckpointError::Version {
-                found: version as u32,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
         serde_json::from_str(text).map_err(|e| CheckpointError::Corrupt(e.to_string()))
     }
 
@@ -283,14 +202,8 @@ impl StreamSnapshot {
     /// snapshot untouched, and any damage to the bytes that do land is
     /// detected at load time.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let json = self.to_json()?;
-        envelope::save_atomic(
-            path,
-            ArtifactKind::CHECKPOINT,
-            SNAPSHOT_VERSION,
-            json.as_bytes(),
-        )
-        .map_err(CheckpointError::Artifact)
+        envelope::save_json(path, ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION, self)
+            .map_err(CheckpointError::Artifact)
     }
 
     /// Save with last-good rotation: existing generations shift up
@@ -316,7 +229,8 @@ impl StreamSnapshot {
     }
 
     /// Read a snapshot written by [`StreamSnapshot::save`]. A file without
-    /// the envelope fails with [`EnvelopeError::BadMagic`]. Failures carry
+    /// the envelope, or of another format version, fails on its header
+    /// (see the module docs). Failures carry
     /// the file path (and generation, when scanned via
     /// [`StreamSnapshot::recover_last_good`]).
     pub fn load(path: &Path) -> Result<Self, CheckpointError> {
@@ -324,26 +238,11 @@ impl StreamSnapshot {
     }
 
     fn load_generation(path: &Path, generation: Option<u32>) -> Result<Self, CheckpointError> {
-        let ctx = |e: ArtifactError| match generation {
-            Some(g) => CheckpointError::Artifact(e.with_generation(g)),
-            None => CheckpointError::Artifact(e),
-        };
-        let bytes = envelope::load_bytes(path).map_err(&ctx)?;
-        let payload = envelope::decode(&bytes, ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION)
-            .map_err(|e| ctx(ArtifactError::at(path, e)))?;
-        let text = std::str::from_utf8(payload).map_err(|e| {
-            ctx(ArtifactError::at(
-                path,
-                EnvelopeError::Payload(e.to_string()),
-            ))
-        })?;
-        Self::from_json(text).map_err(|e| match e {
-            // Attach the failing path to body decode errors; version and
-            // knowledge errors are already self-explanatory.
-            CheckpointError::Corrupt(why) => {
-                CheckpointError::Corrupt(format!("{}: {why}", path.display()))
-            }
-            other => other,
+        envelope::load_json(path, ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION).map_err(|e| {
+            CheckpointError::Artifact(match generation {
+                Some(g) => e.with_generation(g),
+                None => e,
+            })
         })
     }
 
@@ -397,63 +296,77 @@ impl StreamSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::EnvelopeError;
+    use crate::grouping::GroupingConfig;
+    use crate::ingest::FaultTolerantIngest;
+    use crate::stream::StreamConfig;
+    use sd_locations::LocationDictionary;
+    use sd_model::Interner;
+    use sd_rules::RuleSet;
+    use sd_telemetry::Telemetry;
+    use sd_templates::TemplateSet;
+    use sd_temporal::TemporalConfig;
 
-    fn tiny_state() -> DigesterState {
-        DigesterState {
-            grouping: GroupingConfig::default(),
-            stream: StreamConfig::default(),
-            next_seq: 7,
-            next_event_id: 0,
-            clock: Timestamp(1234),
-            since_sweep: 3,
-            stats: StreamStats {
-                n_input: 9,
-                n_dropped: 2,
-                n_force_closed: 0,
-                n_inconsistent: 0,
-                n_quarantined: 0,
-            },
-            open: Vec::new(),
-            groups: Vec::new(),
-            trackers: Vec::new(),
-            recent_rules: Vec::new(),
-            recent_cross: Vec::new(),
+    /// A snapshot of an ingest layer that consumed three lines, one of
+    /// them malformed, relabeled with knowledge fingerprint `fp`.
+    fn snap_with_fp(fp: u64) -> StreamSnapshot {
+        let k = DomainKnowledge::new(
+            TemplateSet::default(),
+            Interner::new(),
+            LocationDictionary::build(&["hostname r1\n".to_owned()]),
+            TemporalConfig::dataset_a(),
+            RuleSet::default(),
+            120,
+            Default::default(),
+        );
+        let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+        let mut ing =
+            FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 30, &Telemetry::disabled());
+        for line in [
+            "2010-01-10 00:00:15 r1 LINK-3-UPDOWN Interface Serial1/0, changed state to down",
+            "garbage line here entirely",
+            "2010-01-10 00:00:16 r2 LINK-3-UPDOWN Interface Serial2/0, changed state to down",
+        ] {
+            ing.push_line(line);
         }
+        let mut snap = ing.checkpoint();
+        snap.knowledge_fp = fp;
+        snap
     }
 
     #[test]
     fn snapshot_json_roundtrip() {
-        let snap = StreamSnapshot {
-            version: SNAPSHOT_VERSION,
-            knowledge_fp: 42,
-            digester: tiny_state(),
-            ingest: None,
-        };
-        let json = snap.to_json().unwrap();
+        let json = snap_with_fp(42).to_json().unwrap();
         let back = StreamSnapshot::from_json(&json).unwrap();
-        assert_eq!(back.version, SNAPSHOT_VERSION);
         assert_eq!(back.knowledge_fp, 42);
-        assert_eq!(back.digester.next_seq, 7);
-        assert_eq!(back.digester.stats.n_dropped, 2);
-        assert_eq!(back.lines_consumed(), 9);
+        assert_eq!(back.lines_consumed(), 3);
+        assert_eq!(back.ingest.malformed.count, 1);
+        assert_eq!(back.reorder.buffered(), 2);
+        assert_eq!(back.to_json().unwrap(), json);
     }
 
+    /// The format version lives in the envelope header only: a file
+    /// framed with another version fails there, with the path attached.
     #[test]
-    fn future_version_is_rejected_with_a_clear_error() {
-        let snap = StreamSnapshot {
-            version: SNAPSHOT_VERSION + 1,
-            knowledge_fp: 0,
-            digester: tiny_state(),
-            ingest: None,
-        };
-        let json = snap.to_json().unwrap();
-        match StreamSnapshot::from_json(&json) {
-            Err(CheckpointError::Version { found, expected }) => {
-                assert_eq!(found, SNAPSHOT_VERSION + 1);
-                assert_eq!(expected, SNAPSHOT_VERSION);
+    fn another_format_version_fails_in_the_envelope() {
+        let dir = std::env::temp_dir().join("sd_checkpoint_version_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.ckpt");
+        envelope::save_json(&path, ArtifactKind::CHECKPOINT, 2, &snap_with_fp(0)).unwrap();
+        match StreamSnapshot::load(&path) {
+            Err(CheckpointError::Artifact(e)) => {
+                assert_eq!(e.path, path);
+                assert_eq!(
+                    e.error,
+                    EnvelopeError::VersionUnsupported {
+                        found: 2,
+                        expected: SNAPSHOT_VERSION
+                    }
+                );
             }
-            other => panic!("expected version error, got {other:?}"),
+            other => panic!("expected an unsupported version, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -473,13 +386,7 @@ mod tests {
         let dir = std::env::temp_dir().join("sd_checkpoint_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
-        let snap = StreamSnapshot {
-            version: SNAPSHOT_VERSION,
-            knowledge_fp: 7,
-            digester: tiny_state(),
-            ingest: None,
-        };
-        snap.save(&path).unwrap();
+        snap_with_fp(7).save(&path).unwrap();
         // No temp file left behind.
         assert!(!path.with_extension("tmp").exists());
         assert!(!dir.join("snap.json.tmp").exists());
@@ -487,16 +394,6 @@ mod tests {
         assert_eq!(back.knowledge_fp, 7);
         std::fs::remove_file(&path).ok();
     }
-
-    fn snap_with_fp(fp: u64) -> StreamSnapshot {
-        StreamSnapshot {
-            version: SNAPSHOT_VERSION,
-            knowledge_fp: fp,
-            digester: tiny_state(),
-            ingest: None,
-        }
-    }
-
     #[test]
     fn rotation_keeps_generations_and_recovery_prefers_newest() {
         let dir = std::env::temp_dir().join("sd_checkpoint_rotate_test");

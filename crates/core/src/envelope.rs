@@ -26,6 +26,7 @@
 //! under the real name. A file that does not start with the magic, such
 //! as a bare JSON artifact, fails with [`EnvelopeError::BadMagic`].
 
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -296,6 +297,32 @@ pub fn save_atomic(
 /// Read an artifact's raw bytes, wrapping I/O failures with the path.
 pub fn load_bytes(path: &Path) -> Result<Vec<u8>, ArtifactError> {
     std::fs::read(path).map_err(|e| ArtifactError::at(path, EnvelopeError::Io(e.to_string())))
+}
+
+/// Atomically write `value` as a JSON `kind` artifact at `version`.
+pub fn save_json<T: Serialize>(
+    path: &Path,
+    kind: ArtifactKind,
+    version: u32,
+    value: &T,
+) -> Result<(), ArtifactError> {
+    let json = serde_json::to_string(value)
+        .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))?;
+    save_atomic(path, kind, version, json.as_bytes())
+}
+
+/// Read the JSON `kind` artifact at `path`, written at `version` by
+/// [`save_json`]; envelope and decode failures carry the path.
+pub fn load_json<T: Deserialize>(
+    path: &Path,
+    kind: ArtifactKind,
+    version: u32,
+) -> Result<T, ArtifactError> {
+    let payload_err = |e: String| ArtifactError::at(path, EnvelopeError::Payload(e));
+    let bytes = load_bytes(path)?;
+    let payload = decode(&bytes, kind, version).map_err(|e| ArtifactError::at(path, e))?;
+    let text = std::str::from_utf8(payload).map_err(|e| payload_err(e.to_string()))?;
+    serde_json::from_str(text).map_err(|e| payload_err(e.to_string()))
 }
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::MergeCause;
 use crate::union_find::UnionFind;
-use sd_model::{par_map, LocationId, Parallelism, SyslogPlus, TemplateId, Timestamp};
+use sd_model::{par_map, LocationId, Parallelism, SortedMap, SyslogPlus, TemplateId, Timestamp};
 use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// Which stages to run (Table 7 compares T, T+R, T+R+C).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -100,7 +100,7 @@ impl GroupingResult {
 const CROSS_QUEUE_CAP: usize = 1024;
 
 /// The latest `(id, ts)` per `(template, location)` of one router.
-type RuleLookback = HashMap<(u32, u32), (u64, Timestamp)>;
+type RuleLookback = SortedMap<(u32, u32), (u64, Timestamp)>;
 
 /// State and per-message step of the three grouping stages, the one
 /// implementation behind both the batch edge fold ([`stage_edges`]) and
@@ -109,14 +109,15 @@ type RuleLookback = HashMap<(u32, u32), (u64, Timestamp)>;
 /// Messages must arrive in time order. Ids are the caller's: batch indices
 /// in batch, sequence numbers in the stream. Each step appends the links
 /// `(earlier id, cause)` from the current message to a caller-owned list.
-#[derive(Default)]
+/// The stream digester checkpoints it as it is.
+#[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub(crate) struct Stages {
     /// §4.2.1: EWMA tracker and last id per (router, template, location).
-    pub(crate) trackers: HashMap<(u32, u32, u32), (EwmaTracker, u64)>,
+    trackers: SortedMap<(u32, u32, u32), (EwmaTracker, u64)>,
     /// §4.2.2: rule lookback per router.
-    pub(crate) recent_rules: HashMap<u32, RuleLookback>,
+    recent_rules: SortedMap<u32, RuleLookback>,
     /// §4.2.3: recent `(id, ts)` per template, oldest first.
-    pub(crate) recent_cross: HashMap<u32, VecDeque<(u64, Timestamp)>>,
+    recent_cross: SortedMap<u32, VecDeque<(u64, Timestamp)>>,
 }
 
 impl Stages {

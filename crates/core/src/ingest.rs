@@ -162,18 +162,13 @@ impl<'k> FaultTolerantIngest<'k> {
 
     /// Snapshot digester *and* reorder-buffer state together.
     pub fn checkpoint(&self) -> StreamSnapshot {
-        let mut buffered = Vec::new();
-        self.reorder.export_buffered(&mut buffered);
-        self.digester.checkpoint().with_ingest(IngestState {
-            buffered,
-            high: self.reorder.high_watermark_ts(),
-            max_skew_secs: self.reorder.max_skew_secs(),
+        let ingest = IngestState {
             n_lines: self.n_lines.get() as usize,
-            n_malformed: self.n_malformed.get() as usize,
             n_late: self.reorder.n_late.get() as usize,
             n_duplicate: self.reorder.n_duplicate.get() as usize,
-            malformed_samples: self.malformed.samples.clone(),
-        })
+            malformed: self.malformed.clone(),
+        };
+        self.digester.checkpoint(&self.reorder, ingest)
     }
 
     /// Rebuild an ingest layer (digester + reorder buffer) from a
@@ -185,35 +180,28 @@ impl<'k> FaultTolerantIngest<'k> {
         snapshot: &StreamSnapshot,
         tel: &Telemetry,
     ) -> Result<Self, CheckpointError> {
-        let digester = StreamDigester::resume_with_telemetry(k, snapshot, tel)?;
-        let Some(ing) = &snapshot.ingest else {
-            return Err(CheckpointError::Corrupt(
-                "snapshot carries no ingest-layer state".to_owned(),
-            ));
-        };
-        let reorder = ReorderBuffer::restore(
-            ing.max_skew_secs,
-            ing.high,
-            ing.buffered.iter().cloned(),
-            ing.n_late,
-            ing.n_duplicate,
-            tel,
-        );
-        let n_lines = tel.counter("ingest.n_lines");
-        n_lines.set(ing.n_lines as u64);
-        let n_malformed = tel.counter("ingest.n_malformed");
-        n_malformed.set(ing.n_malformed as u64);
-        Ok(FaultTolerantIngest {
-            digester,
+        let st = &snapshot.ingest;
+        // The buffer's contents come from the snapshot, its counters from `tel`.
+        let mut reorder = snapshot.reorder.clone();
+        let ReorderBuffer {
+            n_late,
+            n_duplicate,
+            ..
+        } = ReorderBuffer::with_telemetry(0, tel);
+        (reorder.n_late, reorder.n_duplicate) = (n_late, n_duplicate);
+        let ing = FaultTolerantIngest {
+            digester: StreamDigester::resume_with_telemetry(k, snapshot, tel)?,
             reorder,
-            n_lines,
-            n_malformed,
-            malformed: MalformedReport {
-                count: ing.n_malformed,
-                samples: ing.malformed_samples.clone(),
-            },
+            n_lines: tel.counter("ingest.n_lines"),
+            n_malformed: tel.counter("ingest.n_malformed"),
+            malformed: st.malformed.clone(),
             released: Vec::new(),
-        })
+        };
+        ing.n_lines.set(st.n_lines as u64);
+        ing.n_malformed.set(st.malformed.count as u64);
+        ing.reorder.n_late.set(st.n_late as u64);
+        ing.reorder.n_duplicate.set(st.n_duplicate as u64);
+        Ok(ing)
     }
 
     /// Resume from the newest verifiable checkpoint generation of `path`
@@ -314,6 +302,90 @@ mod tests {
             v
         };
         assert_eq!(norm(&e1), norm(&e2));
+    }
+
+    /// checkpoint() → resume roundtrips the full state: the resumed layer
+    /// re-serializes to the snapshot it came from and emits exactly what
+    /// the original would have, in the same order and under the same ids
+    /// — also when the open-message bound force-closes groups (whose
+    /// order follows the checkpointed group roots).
+    #[test]
+    fn checkpoint_resume_is_exact() {
+        let (d, k) = setup();
+        let online = d.online();
+        let cut = online.len() / 2;
+        let emitted = |evs: &[NetworkEvent]| -> Vec<(u64, Vec<usize>)> {
+            evs.iter().map(|e| (e.id, e.message_idxs.clone())).collect()
+        };
+        let tel = Telemetry::disabled();
+        let cfg = GroupingConfig::default();
+
+        for max_open_messages in [0, 64] {
+            let scfg = StreamConfig {
+                idle_close: 0,
+                max_open_messages,
+            };
+            let mut uninterrupted = FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 30, &tel);
+            let mut e1 = Vec::new();
+            for m in online {
+                e1.extend(uninterrupted.push_message(m.clone()));
+            }
+            let (rest, s1) = uninterrupted.finish();
+            e1.extend(rest);
+
+            let mut first = FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 30, &tel);
+            let mut e2 = Vec::new();
+            for m in &online[..cut] {
+                e2.extend(first.push_message(m.clone()));
+            }
+            let json = first.checkpoint().to_json().expect("snapshot serializes");
+            drop(first); // the "kill"
+            let snap = StreamSnapshot::from_json(&json).expect("snapshot parses");
+            let mut second =
+                FaultTolerantIngest::resume_with_telemetry(&k, &snap, &tel).expect("resume");
+            assert_eq!(
+                second.checkpoint().to_json().expect("snapshot serializes"),
+                json,
+                "max_open {max_open_messages}: resumed state differs from its snapshot"
+            );
+            for m in &online[cut..] {
+                e2.extend(second.push_message(m.clone()));
+            }
+            let (rest, s2) = second.finish();
+            e2.extend(rest);
+
+            assert_eq!(emitted(&e1), emitted(&e2), "max_open {max_open_messages}");
+            assert_eq!(s1, s2, "max_open {max_open_messages}");
+            assert!(
+                max_open_messages == 0 || s2.digester.n_force_closed > 0,
+                "the open-message bound never fired"
+            );
+        }
+    }
+
+    /// Equal states serialize to equal bytes: two ingest layers in one
+    /// process (so with differently seeded hash maps) fed the same
+    /// 17k-line feed write identical snapshots at every checkpoint.
+    #[test]
+    fn snapshots_do_not_depend_on_hash_order() {
+        let mut spec = DatasetSpec::preset_a();
+        spec.seed = 7;
+        let d = Dataset::generate(spec.scaled(0.05), &Telemetry::disabled());
+        let k = learn(&d.configs, &d.messages, &OfflineConfig::dataset_a());
+        let lines: Vec<String> = d.messages.iter().map(|m| m.to_line()).collect();
+        assert!(lines.len() > 17_000, "{} lines", lines.len());
+        let (mut a, mut b) = (ingest(&k), ingest(&k));
+        for (i, chunk) in lines.chunks(1000).enumerate() {
+            for line in chunk {
+                a.push_line(line);
+                b.push_line(line);
+            }
+            let (ja, jb) = (a.checkpoint().to_json(), b.checkpoint().to_json());
+            assert!(
+                ja.expect("serializes") == jb.expect("serializes"),
+                "checkpoint {i} differs"
+            );
+        }
     }
 
     #[test]

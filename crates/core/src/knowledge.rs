@@ -4,7 +4,7 @@
 //! prioritization. Serializable, so a learned base can be shipped to the
 //! online system.
 
-use crate::envelope::{self, ArtifactError, ArtifactKind, EnvelopeError};
+use crate::envelope::{self, ArtifactError, ArtifactKind};
 use sd_locations::LocationDictionary;
 use sd_model::{ErrorCode, FxHashMap, Interner, RouterId, TemplateId, TokenScratch};
 use sd_rules::RuleSet;
@@ -69,9 +69,9 @@ impl DomainKnowledge {
         }
     }
 
-    /// Rebuild all skipped lookup structures (after deserialization).
+    /// Rebuild all skipped lookup structures (after deserialization; the
+    /// template set rebuilds its own index as it deserializes).
     pub fn rebuild_index(&mut self) {
-        self.templates.rebuild_index();
         self.fallback_codes.rebuild_index();
         self.dict.rebuild_index();
         self.rules.rebuild_index();
@@ -93,31 +93,20 @@ impl DomainKnowledge {
     /// Persist to `path` inside the checksummed artifact envelope
     /// (kind `KNOW`, version [`KNOWLEDGE_VERSION`]), atomically.
     pub fn save(&self, path: &std::path::Path) -> Result<(), ArtifactError> {
-        let json = self
-            .to_json()
-            .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))?;
-        envelope::save_atomic(
-            path,
-            ArtifactKind::KNOWLEDGE,
-            KNOWLEDGE_VERSION,
-            json.as_bytes(),
-        )
+        envelope::save_json(path, ArtifactKind::KNOWLEDGE, KNOWLEDGE_VERSION, self)
     }
 
     /// Load from `path`, an enveloped artifact written by
     /// [`DomainKnowledge::save`]; a file without the envelope fails with
-    /// [`EnvelopeError::BadMagic`].
+    /// [`EnvelopeError::BadMagic`](crate::envelope::EnvelopeError::BadMagic).
     /// Truncation, bit flips, kind confusion (e.g. pointing `--knowledge`
     /// at a checkpoint) and version skew all surface as typed
     /// [`ArtifactError`]s carrying the file path.
     pub fn load(path: &std::path::Path) -> Result<Self, ArtifactError> {
-        let bytes = envelope::load_bytes(path)?;
-        let payload = envelope::decode(&bytes, ArtifactKind::KNOWLEDGE, KNOWLEDGE_VERSION)
-            .map_err(|e| ArtifactError::at(path, e))?;
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))?;
-        Self::from_json(text)
-            .map_err(|e| ArtifactError::at(path, EnvelopeError::Payload(e.to_string())))
+        let mut k: DomainKnowledge =
+            envelope::load_json(path, ArtifactKind::KNOWLEDGE, KNOWLEDGE_VERSION)?;
+        k.rebuild_index();
+        Ok(k)
     }
 
     /// Structural fingerprint of this knowledge base (FNV-1a over the
@@ -210,6 +199,7 @@ impl DomainKnowledge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::EnvelopeError;
     use sd_model::Parallelism;
     use sd_templates::{learn, LearnerConfig};
 
@@ -326,7 +316,8 @@ mod tests {
     fn raw_json_artifacts_fail_with_bad_magic() {
         use crate::checkpoint::{CheckpointError, StreamSnapshot};
         use crate::grouping::GroupingConfig;
-        use crate::stream::{StreamConfig, StreamDigester};
+        use crate::ingest::FaultTolerantIngest;
+        use crate::stream::StreamConfig;
         use sd_telemetry::Telemetry;
         let dir = std::env::temp_dir().join("sd_raw_json_artifact_test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -339,8 +330,8 @@ mod tests {
         assert_eq!(err.error, EnvelopeError::BadMagic);
 
         let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
-        let snap =
-            StreamDigester::with_telemetry(&k, cfg, scfg, &Telemetry::disabled()).checkpoint();
+        let snap = FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 30, &Telemetry::disabled())
+            .checkpoint();
         let spath = dir.join("run.ckpt");
         std::fs::write(&spath, snap.to_json().unwrap()).unwrap();
         match StreamSnapshot::load(&spath) {

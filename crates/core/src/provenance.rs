@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Which grouping stage merged two sub-events (§4.2.1–§4.2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum MergeCause {
     /// Temporal grouping: same (router, template, location), inter-arrival
     /// accepted by the calibrated EWMA tracker.

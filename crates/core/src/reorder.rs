@@ -37,34 +37,68 @@
 //! # Duplicates
 //!
 //! A retransmitted copy either arrives while the original is still
-//! buffered — the identical `(ts, router, code, detail)` key collides and
-//! the copy is absorbed ([`ReorderBuffer::n_duplicate`]) — or after the
+//! buffered — it equals the original in `(ts, router, code, detail)` and
+//! is absorbed ([`ReorderBuffer::n_duplicate`]) — or after the
 //! original was released, in which case its timestamp is already below
 //! the watermark and it is dropped as late. Either way a duplicate can
 //! never reach the digester twice.
 
 use sd_model::{ErrorCode, RawMessage, Timestamp};
 use sd_telemetry::{Counter, Telemetry};
-use std::collections::BTreeMap;
+use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
-/// Full-identity release key: total order even for same-second bursts, so
-/// a given message multiset always releases in exactly one order.
-type Key = (Timestamp, String, ErrorCode, String);
+/// A buffered message, ordered by `(ts, router, code, detail)`: a total
+/// order even for same-second bursts, so a given message multiset always
+/// releases in exactly one order, and the identity duplicates share.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Queued(RawMessage);
+
+impl Queued {
+    fn key(&self) -> (Timestamp, &str, &ErrorCode, &str) {
+        let m = &self.0;
+        (m.ts, &m.router, &m.code, &m.detail)
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Queued {}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// Buffers out-of-order messages and releases them in timestamp order
-/// (see the module docs for the watermark contract).
-#[derive(Debug, Default)]
+/// (see the module docs for the watermark contract). Checkpoints
+/// serialize it as it is, less the registry-backed counters.
+#[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct ReorderBuffer {
-    buf: BTreeMap<Key, RawMessage>,
+    buf: BTreeSet<Queued>,
     high: Option<Timestamp>,
     max_skew: i64,
     /// Messages dropped because they arrived more than `max_skew_secs`
     /// behind the newest message seen. Registry-backed (`ingest.n_late`)
     /// when built via [`ReorderBuffer::with_telemetry`], a detached atomic
     /// otherwise — it counts either way.
+    #[serde(skip)]
     pub n_late: Counter,
     /// Duplicate messages absorbed while the original was still buffered
     /// (`ingest.n_duplicate` when registered).
+    #[serde(skip)]
     pub n_duplicate: Counter,
 }
 
@@ -86,11 +120,6 @@ impl ReorderBuffer {
             n_duplicate: tel.counter("ingest.n_duplicate"),
             ..ReorderBuffer::default()
         }
-    }
-
-    /// The reorder tolerance in seconds.
-    pub fn max_skew_secs(&self) -> i64 {
-        self.max_skew
     }
 
     /// Number of currently buffered messages.
@@ -117,8 +146,8 @@ impl ReorderBuffer {
             }
         }
         self.high = Some(self.high.map_or(m.ts, |h| h.max(m.ts)));
-        let key: Key = (m.ts, m.router.clone(), m.code.clone(), m.detail.clone());
-        let dup = self.buf.insert(key, m).is_some();
+        // The newest copy replaces a buffered duplicate.
+        let dup = self.buf.replace(Queued(m)).is_some();
         if dup {
             self.n_duplicate.inc();
         }
@@ -129,56 +158,16 @@ impl ReorderBuffer {
     /// Release everything below the current watermark.
     fn drain(&mut self, out: &mut Vec<RawMessage>) {
         let Some(w) = self.watermark() else { return };
-        while let Some((key, _)) = self.buf.first_key_value() {
-            if key.0 >= w {
-                break;
-            }
-            if let Some((_, m)) = self.buf.pop_first() {
-                out.push(m);
+        while self.buf.first().is_some_and(|q| q.0.ts < w) {
+            if let Some(q) = self.buf.pop_first() {
+                out.push(q.0);
             }
         }
     }
 
     /// Release every buffered message (end of the feed), in order.
     pub fn flush(&mut self, out: &mut Vec<RawMessage>) {
-        while let Some((_, m)) = self.buf.pop_first() {
-            out.push(m);
-        }
-    }
-
-    // ------------------------------------------------- checkpoint support --
-
-    /// Copy the buffered messages, in release order, without draining
-    /// (checkpointing must not disturb the live buffer).
-    pub fn export_buffered(&self, out: &mut Vec<RawMessage>) {
-        out.extend(self.buf.values().cloned());
-    }
-
-    /// Highest timestamp observed so far (`None` before any message).
-    pub fn high_watermark_ts(&self) -> Option<Timestamp> {
-        self.high
-    }
-
-    /// Rebuild a buffer from checkpointed state — tolerance, observed
-    /// high timestamp, buffered messages, and counters — with the counters
-    /// re-registered in `tel` and set to their checkpointed values.
-    pub fn restore(
-        max_skew_secs: i64,
-        high: Option<Timestamp>,
-        buffered: impl IntoIterator<Item = RawMessage>,
-        n_late: usize,
-        n_duplicate: usize,
-        tel: &Telemetry,
-    ) -> Self {
-        let mut rb = ReorderBuffer::with_telemetry(max_skew_secs, tel);
-        rb.high = high;
-        rb.n_late.set(n_late as u64);
-        rb.n_duplicate.set(n_duplicate as u64);
-        for m in buffered {
-            let key: Key = (m.ts, m.router.clone(), m.code.clone(), m.detail.clone());
-            rb.buf.insert(key, m);
-        }
-        rb
+        out.extend(std::mem::take(&mut self.buf).into_iter().map(|q| q.0));
     }
 }
 

@@ -30,44 +30,85 @@
 //!   the oldest open groups when a stuck or skewed clock keeps the idle
 //!   sweep from firing; each forced closure increments
 //!   [`StreamStats::n_force_closed`] so degradation is observable.
-//! * **Checkpoint/restore.** [`StreamDigester::checkpoint`] serializes the
-//!   complete mutable state (open messages and groups, EWMA trackers,
-//!   rule/cross lookback, counters) into a versioned [`StreamSnapshot`];
-//!   [`StreamDigester::resume_with_telemetry`] rebuilds an identical
-//!   digester from it (each open message's group root is recomputed from
-//!   the group member lists), so a killed process continues exactly where
-//!   it stopped (asserted by the kill/resume integration tests).
+//! * **Checkpoint/restore.** The digester keeps its whole mutable state
+//!   (configuration, counters of sequence and event ids, clock, open
+//!   messages and groups, the stages' lookback) in one serializable
+//!   field. [`FaultTolerantIngest::checkpoint`](crate::FaultTolerantIngest::checkpoint)
+//!   writes that field as it is into a [`StreamSnapshot`], next to the
+//!   reorder buffer in front of the digester, and
+//!   [`FaultTolerantIngest::resume_with_telemetry`](crate::FaultTolerantIngest::resume_with_telemetry)
+//!   reads it back, so a killed process continues exactly where it
+//!   stopped (asserted by the kill/resume integration tests).
 
 use crate::augment::augment_batch_isolated;
-use crate::checkpoint::{CheckpointError, DigesterState, StreamSnapshot};
+use crate::checkpoint::{CheckpointError, IngestState, StreamSnapshot};
 use crate::event::{build_event, NetworkEvent};
 use crate::grouping::{GroupingConfig, Stages};
 use crate::knowledge::DomainKnowledge;
 use crate::priority::score_group;
 use crate::provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};
 use crate::quarantine::QuarantineRecord;
-use sd_model::{RawMessage, SyslogPlus, Timestamp};
+use crate::reorder::ReorderBuffer;
+use sd_model::{RawMessage, SortedMap, SyslogPlus, Timestamp};
 use sd_telemetry::{Counter, SpanHandle, Telemetry};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 
 /// One open (not yet emitted) group.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub(crate) struct OpenGroup {
+struct OpenGroup {
     /// Member sequence numbers.
-    pub(crate) members: Vec<u64>,
+    members: Vec<u64>,
     /// Latest member timestamp (drives closure).
-    pub(crate) last_ts: Timestamp,
+    last_ts: Timestamp,
     /// Per-stage link accumulator (provenance; checkpointed so traces
     /// survive resume).
-    pub(crate) prov: GroupProv,
+    prov: GroupProv,
 }
 
 /// One open message and the key of the group it currently belongs to.
+#[derive(Debug, Clone)]
 struct OpenMsg {
     sp: SyslogPlus,
-    /// Key of the message's group in [`StreamDigester::groups`].
+    /// Key of the message's group in [`StreamState::groups`].
     root: u64,
+}
+
+/// Serialized as the pair `[sp, root]`: field names would add a quarter
+/// to every open message's bytes in a checkpoint.
+impl Serialize for OpenMsg {
+    fn to_value(&self) -> Value {
+        (&self.sp, self.root).to_value()
+    }
+}
+
+impl Deserialize for OpenMsg {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let (sp, root) = Deserialize::from_value(v)?;
+        Ok(OpenMsg { sp, root })
+    }
+}
+
+/// The digester's complete mutable state, the part a checkpoint carries.
+/// The digester works on this struct directly and a [`StreamSnapshot`]
+/// serializes it as it is; its maps write their entries in key order, so
+/// equal states serialize to equal bytes.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct StreamState {
+    cfg: GroupingConfig,
+    scfg: StreamConfig,
+    next_seq: u64,
+    /// Next event id to assign (1-based emission order, checkpointed so
+    /// ids never repeat across resume).
+    next_event_id: u64,
+    clock: Timestamp,
+    since_sweep: usize,
+    /// Open messages by sequence number, each with its group's root.
+    open: SortedMap<u64, OpenMsg>,
+    /// Group state, keyed by root (the sequence number of one member).
+    groups: SortedMap<u64, OpenGroup>,
+    /// Lookback state of the grouping stages.
+    stages: Stages,
 }
 
 /// Operational knobs of the streaming digester beyond the grouping
@@ -147,27 +188,13 @@ impl StreamCounters {
 /// Incremental digester over a time-ordered syslog feed.
 pub struct StreamDigester<'k> {
     k: &'k DomainKnowledge,
-    cfg: GroupingConfig,
-    scfg: StreamConfig,
-
-    next_seq: u64,
-    /// Open messages by sequence number, each with its group's root.
-    open: HashMap<u64, OpenMsg>,
-    /// Group state, keyed by root (the sequence number of one member).
-    groups: HashMap<u64, OpenGroup>,
-
-    /// Lookback state of the grouping stages.
-    stages: Stages,
+    /// Everything a checkpoint carries.
+    st: StreamState,
 
     /// Drop / degradation / throughput counters ([`StreamStats`] is a
     /// view over these; with telemetry attached they are also exported).
     counters: StreamCounters,
-    clock: Timestamp,
-    since_sweep: usize,
 
-    /// Next event id to assign (1-based emission order, checkpointed so
-    /// ids never repeat across resume).
-    next_event_id: u64,
     /// Emit one [`EventProvenance`] per event (drained via
     /// [`StreamDigester::take_provenance`]).
     trace: bool,
@@ -207,19 +234,21 @@ impl<'k> StreamDigester<'k> {
             .max(cfg.cross_window_secs);
         StreamDigester {
             k,
-            cfg,
-            scfg: StreamConfig {
-                idle_close: scfg.idle_close.max(floor),
-                max_open_messages: scfg.max_open_messages,
+            st: StreamState {
+                cfg,
+                scfg: StreamConfig {
+                    idle_close: scfg.idle_close.max(floor),
+                    max_open_messages: scfg.max_open_messages,
+                },
+                next_seq: 0,
+                next_event_id: 0,
+                clock: Timestamp(i64::MIN),
+                since_sweep: 0,
+                open: SortedMap::default(),
+                groups: SortedMap::default(),
+                stages: Stages::default(),
             },
-            next_seq: 0,
-            open: HashMap::new(),
-            groups: HashMap::new(),
-            stages: Stages::default(),
             counters: StreamCounters::new(tel),
-            clock: Timestamp(i64::MIN),
-            since_sweep: 0,
-            next_event_id: 0,
             trace: false,
             pending_prov: HashMap::new(),
             trace_out: Vec::new(),
@@ -263,17 +292,17 @@ impl<'k> StreamDigester<'k> {
 
     /// The effective idle-closure horizon in seconds.
     pub fn idle_close_secs(&self) -> i64 {
-        self.scfg.idle_close
+        self.st.scfg.idle_close
     }
 
     /// Number of currently open groups.
     pub fn open_groups(&self) -> usize {
-        self.groups.len()
+        self.st.groups.len()
     }
 
     /// Number of currently open (buffered) messages.
     pub fn open_messages(&self) -> usize {
-        self.open.len()
+        self.st.open.len()
     }
 
     /// Merge the groups of open messages `a` (the earlier one) and `b`.
@@ -282,8 +311,8 @@ impl<'k> StreamDigester<'k> {
     /// message always names its group directly.
     fn union(&mut self, a: u64, b: u64, cause: MergeCause) {
         let (Some(ra), Some(rb)) = (
-            self.open.get(&a).map(|o| o.root),
-            self.open.get(&b).map(|o| o.root),
+            self.st.open.get(&a).map(|o| o.root),
+            self.st.open.get(&b).map(|o| o.root),
         ) else {
             self.counters.n_inconsistent.inc();
             return;
@@ -296,18 +325,18 @@ impl<'k> StreamDigester<'k> {
         if ra == rb {
             // Already one group: the link still happened (the batch path
             // records every edge too), so it still counts as provenance.
-            if let Some(g) = self.groups.get_mut(&ra) {
+            if let Some(g) = self.st.groups.get_mut(&ra) {
                 g.prov.record(cause);
             }
             return;
         }
-        let Some(ga) = self.groups.remove(&ra) else {
+        let Some(ga) = self.st.groups.remove(&ra) else {
             self.counters.n_inconsistent.inc();
             return;
         };
-        let Some(gb) = self.groups.remove(&rb) else {
+        let Some(gb) = self.st.groups.remove(&rb) else {
             self.counters.n_inconsistent.inc();
-            self.groups.insert(ra, ga);
+            self.st.groups.insert(ra, ga);
             return;
         };
         let (root, mut groot, gchild) = if ga.members.len() >= gb.members.len() {
@@ -316,7 +345,7 @@ impl<'k> StreamDigester<'k> {
             (rb, gb, ga)
         };
         for m in &gchild.members {
-            if let Some(o) = self.open.get_mut(m) {
+            if let Some(o) = self.st.open.get_mut(m) {
                 o.root = root;
             }
         }
@@ -324,11 +353,11 @@ impl<'k> StreamDigester<'k> {
         groot.last_ts = groot.last_ts.max(gchild.last_ts);
         groot.prov.absorb(&gchild.prov);
         groot.prov.record(cause);
-        self.groups.insert(root, groot);
+        self.st.groups.insert(root, groot);
     }
 
     /// Feed one message (must be non-decreasing in time — route unordered
-    /// feeds through [`ReorderBuffer`](crate::reorder::ReorderBuffer)
+    /// feeds through [`ReorderBuffer`]
     /// first); returns any events that became closable. A panic inside
     /// augmentation quarantines the message instead of aborting the run
     /// (see [`push_batch`](Self::push_batch)).
@@ -354,7 +383,7 @@ impl<'k> StreamDigester<'k> {
         // `push` would have).
         let iso = {
             let _g = self.sp_augment.start();
-            augment_batch_isolated(k, msgs, self.cfg.par)
+            augment_batch_isolated(k, msgs, self.st.cfg.par)
         };
         let poisoned: HashMap<usize, String> = iso.quarantined.into_iter().collect();
         let mut events = Vec::new();
@@ -381,8 +410,8 @@ impl<'k> StreamDigester<'k> {
 
     fn push_augmented(&mut self, m: &RawMessage, sp: Option<SyslogPlus>) -> Vec<NetworkEvent> {
         self.counters.n_input.inc();
-        self.clock = self.clock.max(m.ts);
-        let seq = self.next_seq;
+        self.st.clock = self.st.clock.max(m.ts);
+        let seq = self.st.next_seq;
         let Some(mut sp) = sp else {
             self.counters.n_dropped.inc();
             let mut events = self.maybe_sweep();
@@ -390,8 +419,8 @@ impl<'k> StreamDigester<'k> {
             return events;
         };
         sp.idx = seq as usize;
-        self.next_seq += 1;
-        self.groups.insert(
+        self.st.next_seq += 1;
+        self.st.groups.insert(
             seq,
             OpenGroup {
                 members: vec![seq],
@@ -401,21 +430,26 @@ impl<'k> StreamDigester<'k> {
         );
 
         let mut links = Vec::new();
-        if self.cfg.temporal {
-            self.stages.temporal(self.k, &sp, seq, &mut links);
+        if self.st.cfg.temporal {
+            self.st.stages.temporal(self.k, &sp, seq, &mut links);
         }
-        if self.cfg.rules {
-            self.stages.rule(self.k, &sp, seq, &mut links);
+        if self.st.cfg.rules {
+            self.st.stages.rule(self.k, &sp, seq, &mut links);
         }
-        if self.cfg.cross {
-            let lookup = |i| self.open.get(&i).map(|o: &OpenMsg| &o.sp);
-            let cw = self.cfg.cross_window_secs;
-            self.stages.cross(self.k, cw, &sp, seq, lookup, &mut links);
+        if self.st.cfg.cross {
+            let lookup = |i| self.st.open.get(&i).map(|o: &OpenMsg| &o.sp);
+            let cw = self.st.cfg.cross_window_secs;
+            self.st
+                .stages
+                .cross(self.k, cw, &sp, seq, lookup, &mut links);
         }
-        self.open.insert(seq, OpenMsg { sp, root: seq });
-        // A link to a message whose group already closed merges nothing.
+        self.st.open.insert(seq, OpenMsg { sp, root: seq });
+        // Applied in one fixed order, so group roots and member order do
+        // not follow the hash order the rule stage found its links in. A
+        // link to a message whose group already closed merges nothing.
+        links.sort_unstable();
         for (earlier, cause) in links {
-            if self.open.contains_key(&earlier) {
+            if self.st.open.contains_key(&earlier) {
                 self.union(earlier, seq, cause);
             }
         }
@@ -431,8 +465,8 @@ impl<'k> StreamDigester<'k> {
     /// ids must not depend on telemetry or tracing being attached.
     fn finalize(&mut self, events: &mut [NetworkEvent]) {
         for ev in events.iter_mut() {
-            self.next_event_id += 1;
-            ev.id = self.next_event_id;
+            self.st.next_event_id += 1;
+            ev.id = self.st.next_event_id;
             self.counters.n_events.inc();
             if self.trace {
                 let key = ev.message_idxs.first().map(|&i| i as u64).unwrap_or(0);
@@ -448,20 +482,20 @@ impl<'k> StreamDigester<'k> {
     }
 
     fn maybe_sweep(&mut self) -> Vec<NetworkEvent> {
-        self.since_sweep += 1;
-        if self.since_sweep < 256 {
+        self.st.since_sweep += 1;
+        if self.st.since_sweep < 256 {
             return Vec::new();
         }
-        self.since_sweep = 0;
+        self.st.since_sweep = 0;
         self.sweep(false)
     }
 
     /// Close and emit one group by root. Returns `None` (with the
     /// inconsistency counted) if the root has no state or no live members.
     fn close_root(&mut self, root: u64, reason: CloseReason) -> Option<NetworkEvent> {
-        let g = self.groups.remove(&root)?;
+        let g = self.st.groups.remove(&root)?;
         let idle_gap = match reason {
-            CloseReason::Idle => Some(self.clock.seconds_since(g.last_ts)),
+            CloseReason::Idle => Some(self.st.clock.seconds_since(g.last_ts)),
             _ => None,
         };
         // Materialize a mini-batch preserving SyslogPlus order by seq.
@@ -469,7 +503,7 @@ impl<'k> StreamDigester<'k> {
         members.sort_unstable();
         let mut batch: Vec<SyslogPlus> = Vec::with_capacity(members.len());
         for s in &members {
-            let Some(OpenMsg { sp, .. }) = self.open.remove(s) else {
+            let Some(OpenMsg { sp, .. }) = self.st.open.remove(s) else {
                 self.counters.n_inconsistent.inc();
                 continue;
             };
@@ -495,7 +529,7 @@ impl<'k> StreamDigester<'k> {
                 0,
                 reason,
                 idle_gap,
-                Some(self.scfg.idle_close),
+                Some(self.st.scfg.idle_close),
             );
             self.pending_prov.insert(key, p);
         }
@@ -506,8 +540,9 @@ impl<'k> StreamDigester<'k> {
         let _g = self.sp_sweep.start();
         // Saturating: `clock` is i64::MIN until the first accepted
         // message, and extreme parsed timestamps must not overflow.
-        let horizon = Timestamp(self.clock.0.saturating_sub(self.scfg.idle_close));
+        let horizon = Timestamp(self.st.clock.0.saturating_sub(self.st.scfg.idle_close));
         let closable: Vec<u64> = self
+            .st
             .groups
             .iter()
             .filter(|(_, g)| close_all || g.last_ts < horizon)
@@ -534,11 +569,12 @@ impl<'k> StreamDigester<'k> {
     /// are buffered, force-close the *least recently active* groups until
     /// back under the bound, appending their (possibly premature) events.
     fn enforce_open_bound(&mut self, events: &mut Vec<NetworkEvent>) {
-        let max = self.scfg.max_open_messages;
-        if max == 0 || self.open.len() <= max {
+        let max = self.st.scfg.max_open_messages;
+        if max == 0 || self.st.open.len() <= max {
             return;
         }
         let mut roots: Vec<(Timestamp, u64)> = self
+            .st
             .groups
             .iter()
             .map(|(&root, g)| (g.last_ts, root))
@@ -546,7 +582,7 @@ impl<'k> StreamDigester<'k> {
         roots.sort_unstable();
         let mut forced: Vec<NetworkEvent> = Vec::new();
         for (_, root) in roots {
-            if self.open.len() <= max {
+            if self.st.open.len() <= max {
                 break;
             }
             if let Some(ev) = self.close_root(root, CloseReason::ForceClosed) {
@@ -569,108 +605,42 @@ impl<'k> StreamDigester<'k> {
 
     // ------------------------------------------------- checkpoint/restore --
 
-    /// Snapshot the complete mutable state into a versioned
-    /// [`StreamSnapshot`] (see [`crate::checkpoint`] for the file format).
-    pub fn checkpoint(&self) -> StreamSnapshot {
-        StreamSnapshot::for_digester(self.k, self.export_state())
+    /// Snapshot this digester's state, its counters and the ingest layer
+    /// in front of it (see [`crate::checkpoint`] for the file format).
+    pub(crate) fn checkpoint(
+        &self,
+        reorder: &ReorderBuffer,
+        ingest: IngestState,
+    ) -> StreamSnapshot {
+        StreamSnapshot {
+            knowledge_fp: self.k.fingerprint(),
+            digester: self.st.clone(),
+            stats: self.stats(),
+            reorder: reorder.clone(),
+            ingest,
+        }
     }
 
-    /// Rebuild a digester from a snapshot taken by
+    /// Rebuild the digester of a snapshot taken by
     /// [`checkpoint`](StreamDigester::checkpoint), with counters
-    /// re-registered in `tel` and restored to their checkpointed values.
-    /// Fails if the snapshot was produced by an incompatible version or
-    /// against a different knowledge base.
-    pub fn resume_with_telemetry(
+    /// registered in `tel` and set to their checkpointed values. Fails if
+    /// the snapshot was taken against a different knowledge base.
+    pub(crate) fn resume_with_telemetry(
         k: &'k DomainKnowledge,
         snapshot: &StreamSnapshot,
         tel: &Telemetry,
     ) -> Result<Self, CheckpointError> {
         snapshot.verify(k)?;
-        let st = &snapshot.digester;
-        // `st.stream` is already clamped, and clamping is idempotent.
-        let mut sd = Self::with_telemetry(k, st.grouping, st.stream, tel);
-        sd.next_seq = st.next_seq;
-        sd.clock = st.clock;
-        sd.since_sweep = st.since_sweep;
-        sd.next_event_id = st.next_event_id;
-        let c = &sd.counters;
-        c.n_input.set(st.stats.n_input as u64);
-        c.n_dropped.set(st.stats.n_dropped as u64);
-        c.n_force_closed.set(st.stats.n_force_closed as u64);
-        c.n_inconsistent.set(st.stats.n_inconsistent as u64);
-        c.n_quarantined.set(st.stats.n_quarantined as u64);
-        c.n_events.set(st.next_event_id);
-        for (seq, sp) in &st.open {
-            let (sp, root) = (sp.clone(), *seq);
-            sd.open.insert(*seq, OpenMsg { sp, root });
-        }
-        for (root, g) in &st.groups {
-            for m in &g.members {
-                if let Some(o) = sd.open.get_mut(m) {
-                    o.root = *root;
-                }
-            }
-            sd.groups.insert(*root, g.clone());
-        }
-        sd.stages = Stages {
-            trackers: st.trackers.iter().cloned().collect(),
-            recent_rules: st
-                .recent_rules
-                .iter()
-                .map(|(r, inner)| (*r, inner.iter().cloned().collect()))
-                .collect(),
-            recent_cross: st
-                .recent_cross
-                .iter()
-                .map(|(t, q)| (*t, q.iter().copied().collect()))
-                .collect(),
-        };
+        let mut sd = Self::with_telemetry(k, snapshot.digester.cfg, snapshot.digester.scfg, tel);
+        sd.st = snapshot.digester.clone();
+        let (c, s) = (&sd.counters, &snapshot.stats);
+        c.n_input.set(s.n_input as u64);
+        c.n_dropped.set(s.n_dropped as u64);
+        c.n_force_closed.set(s.n_force_closed as u64);
+        c.n_inconsistent.set(s.n_inconsistent as u64);
+        c.n_quarantined.set(s.n_quarantined as u64);
+        c.n_events.set(sd.st.next_event_id);
         Ok(sd)
-    }
-
-    pub(crate) fn export_state(&self) -> DigesterState {
-        fn sorted<K: Ord + Copy, V: Clone>(m: &HashMap<K, V>) -> Vec<(K, V)> {
-            let mut v: Vec<(K, V)> = m.iter().map(|(&k, val)| (k, val.clone())).collect();
-            v.sort_by_key(|&(k, _)| k);
-            v
-        }
-        DigesterState {
-            grouping: self.cfg,
-            stream: self.scfg,
-            next_seq: self.next_seq,
-            next_event_id: self.next_event_id,
-            clock: self.clock,
-            since_sweep: self.since_sweep,
-            stats: self.stats(),
-            open: {
-                let mut open: Vec<(u64, SyslogPlus)> =
-                    self.open.iter().map(|(&s, o)| (s, o.sp.clone())).collect();
-                open.sort_by_key(|&(s, _)| s);
-                open
-            },
-            groups: sorted(&self.groups),
-            trackers: sorted(&self.stages.trackers),
-            recent_rules: {
-                let mut outer: crate::checkpoint::RulesLookback = self
-                    .stages
-                    .recent_rules
-                    .iter()
-                    .map(|(&r, inner)| (r, sorted(inner)))
-                    .collect();
-                outer.sort_by_key(|&(r, _)| r);
-                outer
-            },
-            recent_cross: {
-                let mut outer: Vec<(u32, Vec<(u64, Timestamp)>)> = self
-                    .stages
-                    .recent_cross
-                    .iter()
-                    .map(|(&t, q)| (t, q.iter().copied().collect()))
-                    .collect();
-                outer.sort_by_key(|&(t, _)| t);
-                outer
-            },
-        }
     }
 }
 
@@ -869,65 +839,5 @@ mod tests {
             sd.stats()
         );
         assert_eq!(sd.stats().n_inconsistent, 0);
-    }
-
-    /// checkpoint() → resume roundtrips the full digester state: the
-    /// resumed digester re-serializes to the snapshot it came from and
-    /// emits exactly what the original would have, in the same order and
-    /// under the same ids — also when the open-message bound force-closes
-    /// groups (whose order follows the group roots rebuilt on resume).
-    #[test]
-    fn checkpoint_resume_is_exact() {
-        let (d, k) = setup();
-        let online = d.online();
-        let cut = online.len() / 2;
-        let emitted = |evs: &[NetworkEvent]| -> Vec<(u64, Vec<usize>)> {
-            evs.iter().map(|e| (e.id, e.message_idxs.clone())).collect()
-        };
-
-        for max_open_messages in [0, 64] {
-            let scfg = StreamConfig {
-                idle_close: 0,
-                max_open_messages,
-            };
-            let mut uninterrupted = digester(&k, GroupingConfig::default(), scfg);
-            let mut e1 = Vec::new();
-            for m in online {
-                e1.extend(uninterrupted.push(m));
-            }
-            e1.extend(uninterrupted.finish());
-
-            let mut first = digester(&k, GroupingConfig::default(), scfg);
-            let mut e2 = Vec::new();
-            for m in &online[..cut] {
-                e2.extend(first.push(m));
-            }
-            let json = first.checkpoint().to_json().expect("snapshot serializes");
-            drop(first); // the "kill"
-            let snap = StreamSnapshot::from_json(&json).expect("snapshot parses");
-            let mut second =
-                StreamDigester::resume_with_telemetry(&k, &snap, &Telemetry::disabled())
-                    .expect("resume");
-            assert_eq!(
-                second.checkpoint().to_json().expect("snapshot serializes"),
-                json,
-                "max_open {max_open_messages}: resumed state differs from its snapshot"
-            );
-            for m in &online[cut..] {
-                e2.extend(second.push(m));
-            }
-            e2.extend(second.finish());
-
-            assert_eq!(emitted(&e1), emitted(&e2), "max_open {max_open_messages}");
-            assert_eq!(
-                uninterrupted.stats(),
-                second.stats(),
-                "max_open {max_open_messages}"
-            );
-            assert!(
-                max_open_messages == 0 || second.stats().n_force_closed > 0,
-                "the open-message bound never fired"
-            );
-        }
     }
 }

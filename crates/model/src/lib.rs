@@ -18,6 +18,7 @@ pub mod fxhash;
 pub mod intern;
 pub mod message;
 pub mod par;
+pub mod sorted_map;
 pub mod time;
 pub mod tokens;
 
@@ -27,5 +28,6 @@ pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::Interner;
 pub use message::{sort_batch, GroundTruthId, MalformedReport, ParseError, RawMessage, Vendor};
 pub use par::{catch_panic, par_chunks, par_chunks_isolated, par_map, Parallelism};
+pub use sorted_map::SortedMap;
 pub use time::{Timestamp, DAY, HOUR, MINUTE, WEEK};
 pub use tokens::TokenScratch;

@@ -87,7 +87,7 @@ pub const MALFORMED_SAMPLES: usize = 5;
 /// The malformed lines of a feed: how many there were, and the first
 /// [`MALFORMED_SAMPLES`] with line numbers and reasons, so operators see
 /// *why* lines were rejected, not only how many.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MalformedReport {
     /// Non-blank lines that failed to parse.
     pub count: usize,

@@ -131,10 +131,8 @@ impl TemplateSet {
         set
     }
 
-    /// Rebuild the lookup index. Deserialization already does this;
-    /// calling it again is harmless (kept for compatibility with callers
-    /// written against the old manual-rebuild contract).
-    pub fn rebuild_index(&mut self) {
+    /// Rebuild the lookup index from `templates`.
+    fn rebuild_index(&mut self) {
         self.index.clear();
         for (i, t) in self.templates.iter().enumerate() {
             self.index
