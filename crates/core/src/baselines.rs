@@ -4,6 +4,7 @@
 //! improves upon; `exp_table7`).
 
 use crate::event::NetworkEvent;
+use crate::grouping::tkey;
 use crate::knowledge::DomainKnowledge;
 use sd_model::{RawMessage, Severity, SyslogPlus};
 use std::collections::HashMap;
@@ -36,11 +37,7 @@ pub fn fixed_gap_group_count(batch: &[SyslogPlus], gap_secs: i64) -> usize {
     let mut last: HashMap<(u32, u32, u32), sd_model::Timestamp> = HashMap::new();
     let mut groups = 0usize;
     for sp in batch {
-        let key = (
-            sp.router.0,
-            sp.template.map(|t| t.0).unwrap_or(u32::MAX),
-            sp.primary_location().map(|l| l.0).unwrap_or(u32::MAX),
-        );
+        let key = tkey(sp);
         match last.get(&key) {
             Some(&prev) if sp.ts.seconds_since(prev) <= gap_secs => {}
             _ => groups += 1,
@@ -58,12 +55,7 @@ pub fn ewma_group_count(k: &DomainKnowledge, batch: &[SyslogPlus]) -> usize {
     let mut trackers: HashMap<(u32, u32, u32), EwmaTracker> = HashMap::new();
     let mut groups = 0usize;
     for sp in batch {
-        let key = (
-            sp.router.0,
-            sp.template.map(|t| t.0).unwrap_or(u32::MAX),
-            sp.primary_location().map(|l| l.0).unwrap_or(u32::MAX),
-        );
-        let tr = trackers.entry(key).or_default();
+        let tr = trackers.entry(tkey(sp)).or_default();
         if tr.observe(sp.ts, &k.temporal) {
             groups += 1;
         }

@@ -8,8 +8,10 @@
 //! * [`StreamSnapshot`] — one JSON document, in one shape: a **knowledge
 //!   fingerprint** (see [`DomainKnowledge::fingerprint`]), the digester's
 //!   and the reorder buffer's live state serialized as they are, and the
-//!   counters of every layer. Every map in it is written in key order, so
-//!   equal states give equal bytes.
+//!   counters of every layer. The digester's open state is the group
+//!   root of each open message id, the open groups' summaries and the
+//!   message bodies of the cross-router window. Every map in it is
+//!   written in key order, so equal states give equal bytes.
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
 //!   [`envelope`], whose header carries the artifact kind and the
 //!   **format version** ([`SNAPSHOT_VERSION`]), and writes atomically
@@ -18,7 +20,8 @@
 //!   or bit flip that slips through is caught at load time as a typed
 //!   [`EnvelopeError`] rather than a panic or silent misdecode.
 //! * [`StreamSnapshot::save_rotated`] keeps the last `keep` generations
-//!   (`run.ckpt` → `run.ckpt.1` → …) and
+//!   (`run.ckpt` → `run.ckpt.1` → …), rotating them only once the new
+//!   image is written, and
 //!   [`StreamSnapshot::recover_last_good`] scans them newest-first on
 //!   resume, falling back past damaged generations and reporting how far
 //!   it rolled back in a [`RecoveryReport`]. With checkpoints taken
@@ -55,7 +58,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot format version, written and checked in the envelope header
 /// only. Bump on any incompatible change to [`StreamSnapshot`]'s shape;
 /// older snapshots are then rejected instead of being misdecoded.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Counters of the ingest layer: feed lines consumed, the reorder
 /// buffer's late and duplicate counts, and the malformed-line report.
@@ -91,10 +94,9 @@ pub enum CheckpointError {
     /// The JSON text does not decode as a snapshot
     /// ([`StreamSnapshot::from_json`]).
     Corrupt(String),
-    /// Filesystem failure while reading or writing.
-    Io(String),
-    /// The artifact envelope failed to verify (bad magic, truncation,
-    /// checksum mismatch, …) — carries the failing path and generation.
+    /// The artifact could not be written, or its envelope failed to
+    /// verify (bad magic, truncation, checksum mismatch, …) — carries the
+    /// failing path and generation.
     Artifact(ArtifactError),
     /// Checkpoint files exist but *every* generation failed to verify;
     /// nothing safe to resume from. Carries each `(path, why)` tried.
@@ -115,7 +117,6 @@ impl fmt::Display for CheckpointError {
                  re-learn or use the original knowledge file"
             ),
             CheckpointError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
-            CheckpointError::Io(why) => write!(f, "snapshot i/o failed: {why}"),
             CheckpointError::Artifact(e) => write!(f, "{e}"),
             CheckpointError::NoUsableSnapshot { path, tried } => {
                 write!(
@@ -206,26 +207,21 @@ impl StreamSnapshot {
             .map_err(CheckpointError::Artifact)
     }
 
-    /// Save with last-good rotation: existing generations shift up
-    /// (`path` → `path.1` → … → `path.keep`, the oldest dropped) before
-    /// the new snapshot is written atomically as generation 0. `keep` is
-    /// the number of *previous* generations retained alongside the
-    /// newest; `keep == 0` degrades to a plain [`StreamSnapshot::save`].
+    /// Save with last-good rotation: write the new image to `path.tmp`,
+    /// then shift `path` → `path.1` → … → `path.keep` (the oldest dropped)
+    /// and rename `path.tmp` to `path`, so a crash while encoding or
+    /// writing leaves every generation in place. `keep == 0` degrades to
+    /// a plain [`StreamSnapshot::save`].
     pub fn save_rotated(&self, path: &Path, keep: usize) -> Result<(), CheckpointError> {
+        let (kind, version) = (ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION);
+        let tmp = envelope::write_tmp(path, kind, version, self.to_json()?.as_bytes())?;
         for g in (0..keep as u32).rev() {
             let from = generation_path(path, g);
-            let to = generation_path(path, g + 1);
             if from.exists() {
-                std::fs::rename(&from, &to).map_err(|e| {
-                    CheckpointError::Io(format!(
-                        "rotating {} -> {}: {e}",
-                        from.display(),
-                        to.display()
-                    ))
-                })?;
+                envelope::rename(&from, &generation_path(path, g + 1))?;
             }
         }
-        self.save(path)
+        Ok(envelope::rename(&tmp, path)?)
     }
 
     /// Read a snapshot written by [`StreamSnapshot::save`]. A file without
@@ -426,6 +422,26 @@ mod tests {
         assert_eq!(snap.knowledge_fp, 4);
         assert_eq!(report.generation, 0);
         assert_eq!(report.n_corrupt, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A failed write rotates nothing: with the temp path blocked by a
+    /// directory, `save_rotated` errs and both generations keep their
+    /// snapshots.
+    #[test]
+    fn failed_write_leaves_every_generation_in_place() {
+        let dir = std::env::temp_dir().join("sd_checkpoint_failed_write_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.ckpt");
+        snap_with_fp(1).save_rotated(&path, 2).unwrap();
+        snap_with_fp(2).save_rotated(&path, 2).unwrap();
+        std::fs::create_dir(dir.join("run.ckpt.tmp")).unwrap();
+        assert!(snap_with_fp(3).save_rotated(&path, 2).is_err());
+        assert_eq!(StreamSnapshot::load(&path).unwrap().knowledge_fp, 2);
+        let older = StreamSnapshot::load(&generation_path(&path, 1)).unwrap();
+        assert_eq!(older.knowledge_fp, 1);
+        assert!(!generation_path(&path, 2).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

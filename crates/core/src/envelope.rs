@@ -284,14 +284,28 @@ pub fn save_atomic(
     version: u32,
     payload: &[u8],
 ) -> Result<(), ArtifactError> {
-    let framed = encode(kind, version, payload);
+    let tmp = write_tmp(path, kind, version, payload)?;
+    rename(&tmp, path)
+}
+
+/// Write framed `payload` to the `<file name>.tmp` sibling of `path` and return that path.
+pub(crate) fn write_tmp(
+    path: &Path,
+    kind: ArtifactKind,
+    version: u32,
+    payload: &[u8],
+) -> Result<PathBuf, ArtifactError> {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
     let tmp = PathBuf::from(tmp_name);
-    std::fs::write(&tmp, &framed)
+    std::fs::write(&tmp, encode(kind, version, payload))
         .map_err(|e| ArtifactError::at(&tmp, EnvelopeError::Io(e.to_string())))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| ArtifactError::at(path, EnvelopeError::Io(e.to_string())))
+    Ok(tmp)
+}
+
+/// Rename `from` to `to`; a failure carries `to`.
+pub(crate) fn rename(from: &Path, to: &Path) -> Result<(), ArtifactError> {
+    std::fs::rename(from, to).map_err(|e| ArtifactError::at(to, EnvelopeError::Io(e.to_string())))
 }
 
 /// Read an artifact's raw bytes, wrapping I/O failures with the path.

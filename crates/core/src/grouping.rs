@@ -322,7 +322,9 @@ pub fn group(k: &DomainKnowledge, batch: &[SyslogPlus], cfg: &GroupingConfig) ->
     GroupingResult::from_edges(batch.len(), &stage_edges(k, batch, cfg))
 }
 
-fn tkey(sp: &SyslogPlus) -> (u32, u32, u32) {
+/// The §4.2.1 series key `(router, template, location)`, `u32::MAX` for a
+/// missing part.
+pub(crate) fn tkey(sp: &SyslogPlus) -> (u32, u32, u32) {
     (
         sp.router.0,
         sp.template.map(|t| t.0).unwrap_or(u32::MAX),

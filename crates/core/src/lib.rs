@@ -71,7 +71,7 @@ pub use metrics::{
 pub use offline::{history, learn, learn_instrumented, History, OfflineConfig};
 pub use pipeline::{digest, digest_instrumented, Digest};
 pub use priority::score_group;
-pub use provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};
+pub use provenance::{CloseReason, EventProvenance, GroupProv, MergeCause};
 pub use quarantine::{set_poison_marker, QuarantineRecord};
 pub use reorder::ReorderBuffer;
 pub use stream::{StreamConfig, StreamDigester, StreamStats};

@@ -4,6 +4,7 @@
 //! mining, producing a [`DomainKnowledge`] base.
 
 use crate::augment::augment_with;
+use crate::grouping::tkey;
 use crate::knowledge::DomainKnowledge;
 use sd_locations::LocationDictionary;
 use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp, TokenScratch};
@@ -182,11 +183,7 @@ pub fn history(k: &DomainKnowledge, msgs: &[RawMessage], par: Parallelism) -> Hi
             let t = sp.template.expect("offline augmentation always assigns");
             stream.push((sp.ts, sp.router, t));
             *freq.entry((sp.router.0, t.0)).or_insert(0) += 1;
-            let loc = sp.primary_location().map(|l| l.0).unwrap_or(u32::MAX);
-            series
-                .entry((sp.router.0, t.0, loc))
-                .or_default()
-                .push(sp.ts);
+            series.entry(tkey(&sp)).or_default().push(sp.ts);
         }
         (stream, series, freq)
     });

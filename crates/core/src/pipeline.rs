@@ -2,11 +2,10 @@
 //! group (temporal, rule-based, cross-router) → prioritize → present.
 
 use crate::augment::augment_batch_isolated;
-use crate::event::{build_event, NetworkEvent};
+use crate::event::{GroupSummary, NetworkEvent};
 use crate::grouping::{stage_edges, GroupingConfig, GroupingResult};
 use crate::knowledge::DomainKnowledge;
-use crate::priority::score_group;
-use crate::provenance::{build_provenance, CloseReason, EventProvenance, GroupProv};
+use crate::provenance::{CloseReason, EventProvenance};
 use crate::quarantine::QuarantineRecord;
 use sd_model::RawMessage;
 use sd_telemetry::Telemetry;
@@ -86,59 +85,48 @@ pub fn digest_instrumented(
         let (batch, n_dropped) = iso.split();
         (batch, n_dropped, quarantined)
     };
-    let (grouping, provs) = {
+    let (grouping, mut groups) = {
         let _g = tel.time("digest.group");
         let edges = stage_edges(k, &batch, cfg);
         let grouping = GroupingResult::from_edges(batch.len(), &edges);
+        let mut groups = vec![GroupSummary::default(); grouping.n_groups];
         // Provenance replays the causes over the final partition; it is
         // never consulted while merging.
-        let mut provs = Vec::new();
         if trace {
-            provs = vec![GroupProv::default(); grouping.n_groups];
             for &(a, _, cause) in &edges {
-                provs[grouping.group_of[a]].record(cause);
+                groups[grouping.group_of[a]].links.record(cause);
             }
         }
-        (grouping, provs)
+        (grouping, groups)
     };
-    let members = grouping.members();
-    let mut events: Vec<(usize, NetworkEvent)> = {
+    let mut events: Vec<(NetworkEvent, GroupSummary)> = {
         let _g = tel.time("digest.events");
-        members
-            .iter()
-            .enumerate()
-            .map(|(gi, m)| {
-                let score = score_group(k, &batch, m);
-                (gi, build_event(k, &batch, m, score))
-            })
+        for (sp, &g) in batch.iter().zip(&grouping.group_of) {
+            groups[g].add(k, sp);
+        }
+        groups
+            .into_iter()
+            .map(|s| (s.event(k, s.score(k)), s))
             .collect()
     };
     events.sort_by(|a, b| {
-        b.1.score
-            .total_cmp(&a.1.score)
-            .then(a.1.start.cmp(&b.1.start))
+        b.0.score
+            .total_cmp(&a.0.score)
+            .then(a.0.start.cmp(&b.0.start))
     });
-    for (rank, (_, ev)) in events.iter_mut().enumerate() {
+    for (rank, (ev, _)) in events.iter_mut().enumerate() {
         ev.id = rank as u64 + 1;
     }
     let provenance = trace.then(|| {
         events
             .iter()
-            .map(|(gi, ev)| {
-                build_provenance(
-                    k,
-                    &batch,
-                    &members[*gi],
-                    provs[*gi].clone(),
-                    ev.id,
-                    CloseReason::Batch,
-                    None,
-                    None,
-                )
+            .map(|(ev, s)| EventProvenance {
+                event_id: ev.id,
+                ..s.provenance(k, CloseReason::Batch, None, None)
             })
             .collect()
     });
-    let events: Vec<NetworkEvent> = events.into_iter().map(|(_, ev)| ev).collect();
+    let events: Vec<NetworkEvent> = events.into_iter().map(|(ev, _)| ev).collect();
     tel.counter("digest.n_input").add(raw.len() as u64);
     tel.counter("digest.n_dropped").add(n_dropped as u64);
     tel.counter("digest.n_events").add(events.len() as u64);

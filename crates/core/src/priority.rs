@@ -4,6 +4,7 @@
 //! signature on its router (rarer ⇒ more interesting; the logarithm keeps
 //! rare-signature events from dominating outright).
 
+use crate::event::GroupSummary;
 use crate::knowledge::DomainKnowledge;
 use sd_model::SyslogPlus;
 
@@ -18,21 +19,7 @@ pub const FREQ_FLOOR: f64 = 8.0;
 /// Score one group of messages (batch indices into `batch`), flooring
 /// each frequency at [`FREQ_FLOOR`].
 pub fn score_group(k: &DomainKnowledge, batch: &[SyslogPlus], members: &[usize]) -> f64 {
-    members
-        .iter()
-        .map(|&i| {
-            let sp = &batch[i];
-            let l = match sp.primary_location() {
-                Some(loc) => k.dict.info(loc).level.weight(),
-                None => 1.0,
-            };
-            let f = match sp.template {
-                Some(t) => k.frequency(sp.router, t) as f64,
-                None => 1.0,
-            };
-            l / f.max(FREQ_FLOOR.max(2.0)).ln()
-        })
-        .sum()
+    GroupSummary::of(k, batch, members).score(k)
 }
 
 #[cfg(test)]

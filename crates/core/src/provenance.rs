@@ -8,11 +8,9 @@
 //! scoring, or presentation decision — the telemetry-neutrality tests
 //! assert digest output is byte-identical with tracing on and off.
 
-use crate::knowledge::DomainKnowledge;
-use sd_model::{SyslogPlus, TemplateId};
+use crate::event::{add_counts, sorted_entry};
 use sd_telemetry::Json;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Which grouping stage merged two sub-events (§4.2.1–§4.2.3).
@@ -55,9 +53,8 @@ impl CloseReason {
     }
 }
 
-/// Link counts accumulated while a group is open. Maintained per open
-/// group in the streaming digester (and serialized inside checkpoints so
-/// provenance survives resume) and per final group in batch grouping.
+/// Link counts of one group, kept in its summary (and so in stream
+/// checkpoints, so provenance survives resume).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupProv {
     /// Links contributed by the temporal stage.
@@ -75,13 +72,7 @@ impl GroupProv {
         match cause {
             MergeCause::Temporal => self.n_temporal += 1,
             MergeCause::Cross => self.n_cross += 1,
-            MergeCause::Rule(a, b) => {
-                let key = (a.min(b), a.max(b));
-                match self.rules.binary_search_by_key(&key, |(k, _)| *k) {
-                    Ok(i) => self.rules[i].1 += 1,
-                    Err(i) => self.rules.insert(i, (key, 1)),
-                }
-            }
+            MergeCause::Rule(a, b) => *sorted_entry(&mut self.rules, (a.min(b), a.max(b))) += 1,
         }
     }
 
@@ -89,12 +80,7 @@ impl GroupProv {
     pub fn absorb(&mut self, other: &GroupProv) {
         self.n_temporal += other.n_temporal;
         self.n_cross += other.n_cross;
-        for &(key, n) in &other.rules {
-            match self.rules.binary_search_by_key(&key, |(k, _)| *k) {
-                Ok(i) => self.rules[i].1 += n,
-                Err(i) => self.rules.insert(i, (key, n)),
-            }
-        }
+        add_counts(&mut self.rules, other.rules.iter().copied());
     }
 
     /// Total rule-stage links.
@@ -212,58 +198,6 @@ impl EventProvenance {
             }
         }
         out
-    }
-}
-
-/// Assemble the provenance record for one emitted event from its member
-/// messages and the link accumulator its group carried.
-#[allow(clippy::too_many_arguments)]
-pub fn build_provenance(
-    k: &DomainKnowledge,
-    batch: &[SyslogPlus],
-    members: &[usize],
-    links: GroupProv,
-    event_id: u64,
-    closed_by: CloseReason,
-    idle_gap_secs: Option<i64>,
-    idle_close_secs: Option<i64>,
-) -> EventProvenance {
-    let mut routers: Vec<String> = Vec::new();
-    let mut per_template: BTreeMap<u32, u64> = BTreeMap::new();
-    for &i in members {
-        let sp = &batch[i];
-        let rname = k.dict.routers.resolve(sp.router.0).to_owned();
-        if let Err(pos) = routers.binary_search(&rname) {
-            routers.insert(pos, rname);
-        }
-        if let Some(t) = sp.template {
-            *per_template.entry(t.0).or_insert(0) += 1;
-        }
-    }
-    let templates: Vec<(u32, String, u64)> = per_template
-        .into_iter()
-        .map(|(id, n)| (id, k.template_signature(TemplateId(id)), n))
-        .collect();
-    let rule_signatures: Vec<(String, String)> = links
-        .rules
-        .iter()
-        .map(|&((a, b), _)| {
-            (
-                k.template_signature(TemplateId(a)),
-                k.template_signature(TemplateId(b)),
-            )
-        })
-        .collect();
-    EventProvenance {
-        event_id,
-        n_messages: members.len(),
-        routers,
-        templates,
-        links,
-        rule_signatures,
-        closed_by,
-        idle_gap_secs,
-        idle_close_secs,
     }
 }
 

@@ -30,10 +30,16 @@
 //!   the oldest open groups when a stuck or skewed clock keeps the idle
 //!   sweep from firing; each forced closure increments
 //!   [`StreamStats::n_force_closed`] so degradation is observable.
+//! * **Open state without bodies.** Each message is folded into its
+//!   group's summary (`event::GroupSummary`) when it arrives; an open
+//!   message is then only its id and its group's root. The one stage that
+//!   reads a body later, cross-router, finds it in a window of the
+//!   messages within `cross_window_secs` of the clock.
 //! * **Checkpoint/restore.** The digester keeps its whole mutable state
-//!   (configuration, counters of sequence and event ids, clock, open
-//!   messages and groups, the stages' lookback) in one serializable
-//!   field. [`FaultTolerantIngest::checkpoint`](crate::FaultTolerantIngest::checkpoint)
+//!   (configuration, counters of sequence and event ids, clock, the
+//!   root of each open message id, the open group summaries, the cross
+//!   window, the stages' lookback) in one serializable field.
+//!   [`FaultTolerantIngest::checkpoint`](crate::FaultTolerantIngest::checkpoint)
 //!   writes that field as it is into a [`StreamSnapshot`], next to the
 //!   reorder buffer in front of the digester, and
 //!   [`FaultTolerantIngest::resume_with_telemetry`](crate::FaultTolerantIngest::resume_with_telemetry)
@@ -42,52 +48,20 @@
 
 use crate::augment::augment_batch_isolated;
 use crate::checkpoint::{CheckpointError, IngestState, StreamSnapshot};
-use crate::event::{build_event, NetworkEvent};
+use crate::event::{GroupSummary, NetworkEvent};
 use crate::grouping::{GroupingConfig, Stages};
 use crate::knowledge::DomainKnowledge;
-use crate::priority::score_group;
-use crate::provenance::{build_provenance, CloseReason, EventProvenance, GroupProv, MergeCause};
+use crate::provenance::{CloseReason, EventProvenance, MergeCause};
 use crate::quarantine::QuarantineRecord;
 use crate::reorder::ReorderBuffer;
 use sd_model::{RawMessage, SortedMap, SyslogPlus, Timestamp};
 use sd_telemetry::{Counter, SpanHandle, Telemetry};
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, VecDeque};
 
-/// One open (not yet emitted) group.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-struct OpenGroup {
-    /// Member sequence numbers.
-    members: Vec<u64>,
-    /// Latest member timestamp (drives closure).
-    last_ts: Timestamp,
-    /// Per-stage link accumulator (provenance; checkpointed so traces
-    /// survive resume).
-    prov: GroupProv,
-}
-
-/// One open message and the key of the group it currently belongs to.
-#[derive(Debug, Clone)]
-struct OpenMsg {
-    sp: SyslogPlus,
-    /// Key of the message's group in [`StreamState::groups`].
-    root: u64,
-}
-
-/// Serialized as the pair `[sp, root]`: field names would add a quarter
-/// to every open message's bytes in a checkpoint.
-impl Serialize for OpenMsg {
-    fn to_value(&self) -> Value {
-        (&self.sp, self.root).to_value()
-    }
-}
-
-impl Deserialize for OpenMsg {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let (sp, root) = Deserialize::from_value(v)?;
-        Ok(OpenMsg { sp, root })
-    }
-}
+/// A closed group's event and, when tracing, its provenance record, both
+/// still without their event id.
+type Closed = (NetworkEvent, Option<EventProvenance>);
 
 /// The digester's complete mutable state, the part a checkpoint carries.
 /// The digester works on this struct directly and a [`StreamSnapshot`]
@@ -103,10 +77,14 @@ pub(crate) struct StreamState {
     next_event_id: u64,
     clock: Timestamp,
     since_sweep: usize,
-    /// Open messages by sequence number, each with its group's root.
-    open: SortedMap<u64, OpenMsg>,
-    /// Group state, keyed by root (the sequence number of one member).
-    groups: SortedMap<u64, OpenGroup>,
+    /// The root of each open message's group, by sequence number.
+    open: SortedMap<u64, u64>,
+    /// Open group summaries, keyed by root (the sequence number of one
+    /// member).
+    groups: SortedMap<u64, GroupSummary>,
+    /// Bodies the cross-router stage may still look up, in sequence
+    /// order: messages within `cross_window_secs` of the clock.
+    window: VecDeque<SyslogPlus>,
     /// Lookback state of the grouping stages.
     stages: Stages,
 }
@@ -198,10 +176,6 @@ pub struct StreamDigester<'k> {
     /// Emit one [`EventProvenance`] per event (drained via
     /// [`StreamDigester::take_provenance`]).
     trace: bool,
-    /// Provenance built at close time, keyed by the group's smallest
-    /// member sequence number until [`finalize`](Self::finalize) learns
-    /// the event id.
-    pending_prov: HashMap<u64, EventProvenance>,
     trace_out: Vec<EventProvenance>,
     /// Quarantined-message records pending drain
     /// ([`StreamDigester::take_quarantined`]). Not checkpointed —
@@ -246,11 +220,11 @@ impl<'k> StreamDigester<'k> {
                 since_sweep: 0,
                 open: SortedMap::default(),
                 groups: SortedMap::default(),
+                window: VecDeque::new(),
                 stages: Stages::default(),
             },
             counters: StreamCounters::new(tel),
             trace: false,
-            pending_prov: HashMap::new(),
             trace_out: Vec::new(),
             quarantined: Vec::new(),
             sp_push: tel.span("stream.push"),
@@ -310,10 +284,7 @@ impl<'k> StreamDigester<'k> {
     /// group's members are re-pointed at it as they move, so every open
     /// message always names its group directly.
     fn union(&mut self, a: u64, b: u64, cause: MergeCause) {
-        let (Some(ra), Some(rb)) = (
-            self.st.open.get(&a).map(|o| o.root),
-            self.st.open.get(&b).map(|o| o.root),
-        ) else {
+        let (Some(&ra), Some(&rb)) = (self.st.open.get(&a), self.st.open.get(&b)) else {
             self.counters.n_inconsistent.inc();
             return;
         };
@@ -322,45 +293,38 @@ impl<'k> StreamDigester<'k> {
             MergeCause::Rule(_, _) => self.counters.links_rule.inc(),
             MergeCause::Cross => self.counters.links_cross.inc(),
         }
-        if ra == rb {
-            // Already one group: the link still happened (the batch path
-            // records every edge too), so it still counts as provenance.
-            if let Some(g) = self.st.groups.get_mut(&ra) {
-                g.prov.record(cause);
-            }
-            return;
-        }
-        let Some(ga) = self.st.groups.remove(&ra) else {
+        let size = |r| self.st.groups.get(&r).map(|g| g.members.len());
+        let (Some(na), Some(nb)) = (size(ra), size(rb)) else {
             self.counters.n_inconsistent.inc();
             return;
         };
-        let Some(gb) = self.st.groups.remove(&rb) else {
-            self.counters.n_inconsistent.inc();
-            self.st.groups.insert(ra, ga);
+        let (root, child) = if nb > na { (rb, ra) } else { (ra, rb) };
+        let gchild = (child != root).then(|| self.st.groups.remove(&child));
+        let gchild = gchild.flatten();
+        let Some(groot) = self.st.groups.get_mut(&root) else {
             return;
         };
-        let (root, mut groot, gchild) = if ga.members.len() >= gb.members.len() {
-            (ra, ga, gb)
-        } else {
-            (rb, gb, ga)
-        };
-        for m in &gchild.members {
-            if let Some(o) = self.st.open.get_mut(m) {
-                o.root = root;
+        if let Some(g) = gchild {
+            for &m in &g.members {
+                if let Some(r) = self.st.open.get_mut(&(m as u64)) {
+                    *r = root;
+                }
             }
+            groot.absorb(g);
         }
-        groot.members.extend(gchild.members);
-        groot.last_ts = groot.last_ts.max(gchild.last_ts);
-        groot.prov.absorb(&gchild.prov);
-        groot.prov.record(cause);
-        self.st.groups.insert(root, groot);
+        // A link inside one group still happened (the batch path records
+        // every edge too), so it still counts as provenance.
+        groot.links.record(cause);
     }
 
     /// Feed one message (must be non-decreasing in time — route unordered
     /// feeds through [`ReorderBuffer`]
     /// first); returns any events that became closable. A panic inside
     /// augmentation quarantines the message instead of aborting the run
-    /// (see [`push_batch`](Self::push_batch)).
+    /// (see [`push_batch`](Self::push_batch)). A message older than the
+    /// clock, which the ingest layer never sends, may find fewer
+    /// cross-router links: the bodies that stage looks up are kept only
+    /// within `cross_window_secs` of the clock.
     pub fn push(&mut self, m: &RawMessage) -> Vec<NetworkEvent> {
         self.push_batch(std::slice::from_ref(m))
     }
@@ -414,130 +378,107 @@ impl<'k> StreamDigester<'k> {
         let seq = self.st.next_seq;
         let Some(mut sp) = sp else {
             self.counters.n_dropped.inc();
-            let mut events = self.maybe_sweep();
-            self.finalize(&mut events);
-            return events;
+            let closed = self.maybe_sweep();
+            return self.finalize(closed);
         };
         sp.idx = seq as usize;
         self.st.next_seq += 1;
-        self.st.groups.insert(
-            seq,
-            OpenGroup {
-                members: vec![seq],
-                last_ts: sp.ts,
-                prov: GroupProv::default(),
-            },
-        );
-
         let mut links = Vec::new();
-        if self.st.cfg.temporal {
-            self.st.stages.temporal(self.k, &sp, seq, &mut links);
+        let st = &mut self.st;
+        if st.cfg.temporal {
+            st.stages.temporal(self.k, &sp, seq, &mut links);
         }
-        if self.st.cfg.rules {
-            self.st.stages.rule(self.k, &sp, seq, &mut links);
+        if st.cfg.rules {
+            st.stages.rule(self.k, &sp, seq, &mut links);
         }
-        if self.st.cfg.cross {
-            let lookup = |i| self.st.open.get(&i).map(|o: &OpenMsg| &o.sp);
-            let cw = self.st.cfg.cross_window_secs;
-            self.st
-                .stages
-                .cross(self.k, cw, &sp, seq, lookup, &mut links);
+        if st.cfg.cross {
+            let (cw, clock) = (st.cfg.cross_window_secs, st.clock);
+            let stale = |w: &SyslogPlus| clock.seconds_since(w.ts) > cw;
+            while st.window.front().is_some_and(stale) {
+                st.window.pop_front();
+            }
+            let window = &st.window;
+            let lookup = |i| {
+                let j = window.binary_search_by_key(&i, |w| w.idx as u64).ok()?;
+                Some(&window[j])
+            };
+            st.stages.cross(self.k, cw, &sp, seq, lookup, &mut links);
         }
-        self.st.open.insert(seq, OpenMsg { sp, root: seq });
         // Applied in one fixed order, so group roots and member order do
         // not follow the hash order the rule stage found its links in. A
         // link to a message whose group already closed merges nothing.
         links.sort_unstable();
+        links.retain(|(earlier, _)| st.open.contains_key(earlier));
+        // The message joins the group of its first link, where a union
+        // would put its singleton group; every link is then unioned.
+        let first = links.first().and_then(|(e, _)| st.open.get(e).copied());
+        let root = first.unwrap_or(seq);
+        st.groups.entry(root).or_default().add(self.k, &sp);
+        st.open.insert(seq, root);
+        if st.cfg.cross {
+            st.window.push_back(sp);
+        }
         for (earlier, cause) in links {
-            if self.st.open.contains_key(&earlier) {
-                self.union(earlier, seq, cause);
-            }
+            self.union(earlier, seq, cause);
         }
 
-        let mut events = self.maybe_sweep();
-        self.enforce_open_bound(&mut events);
-        self.finalize(&mut events);
-        events
+        let mut closed = self.maybe_sweep();
+        self.enforce_open_bound(&mut closed);
+        self.finalize(closed)
     }
 
-    /// Assign emission-order event ids (and resolve pending provenance
-    /// records to them). Runs on every emission path, unconditionally —
-    /// ids must not depend on telemetry or tracing being attached.
-    fn finalize(&mut self, events: &mut [NetworkEvent]) {
-        for ev in events.iter_mut() {
+    /// Assign emission-order event ids, and hand each provenance record
+    /// its id. Runs on every emission path, unconditionally — ids must
+    /// not depend on telemetry or tracing being attached.
+    fn finalize(&mut self, closed: Vec<Closed>) -> Vec<NetworkEvent> {
+        let mut events = Vec::with_capacity(closed.len());
+        for (mut ev, prov) in closed {
             self.st.next_event_id += 1;
             ev.id = self.st.next_event_id;
             self.counters.n_events.inc();
-            if self.trace {
-                let key = ev.message_idxs.first().map(|&i| i as u64).unwrap_or(0);
-                if let Some(mut p) = self.pending_prov.remove(&key) {
-                    p.event_id = ev.id;
-                    self.trace_out.push(p);
-                }
+            if let Some(p) = prov {
+                self.trace_out.push(EventProvenance {
+                    event_id: ev.id,
+                    ..p
+                });
             }
+            events.push(ev);
         }
-        if !self.trace {
-            self.pending_prov.clear();
-        }
+        events
     }
 
-    fn maybe_sweep(&mut self) -> Vec<NetworkEvent> {
+    fn maybe_sweep(&mut self) -> Vec<Closed> {
         self.st.since_sweep += 1;
         if self.st.since_sweep < 256 {
             return Vec::new();
         }
         self.st.since_sweep = 0;
-        self.sweep(false)
+        self.sweep(CloseReason::Idle)
     }
 
-    /// Close and emit one group by root. Returns `None` (with the
-    /// inconsistency counted) if the root has no state or no live members.
-    fn close_root(&mut self, root: u64, reason: CloseReason) -> Option<NetworkEvent> {
+    /// Close one group by root, building its event (and, when tracing,
+    /// its provenance) from its summary. `None` if the root has no state;
+    /// members already gone from `open` count as inconsistencies.
+    fn close_root(&mut self, root: u64, reason: CloseReason) -> Option<Closed> {
         let g = self.st.groups.remove(&root)?;
-        let idle_gap = match reason {
-            CloseReason::Idle => Some(self.st.clock.seconds_since(g.last_ts)),
-            _ => None,
-        };
-        // Materialize a mini-batch preserving SyslogPlus order by seq.
-        let mut members = g.members;
-        members.sort_unstable();
-        let mut batch: Vec<SyslogPlus> = Vec::with_capacity(members.len());
-        for s in &members {
-            let Some(OpenMsg { sp, .. }) = self.st.open.remove(s) else {
+        for &m in &g.members {
+            if self.st.open.remove(&(m as u64)).is_none() {
                 self.counters.n_inconsistent.inc();
-                continue;
-            };
-            batch.push(sp);
+            }
         }
-        if batch.is_empty() {
-            self.counters.n_inconsistent.inc();
-            return None;
-        }
-        let idxs: Vec<usize> = (0..batch.len()).collect();
-        let score = score_group(self.k, &batch, &idxs);
-        let ev = build_event(self.k, &batch, &idxs, score);
-        if self.trace {
-            // Keyed by the smallest member seq until `finalize` knows the
-            // event id (event ids are assigned in emission order, after
-            // the per-sweep sort).
-            let key = ev.message_idxs.first().map(|&i| i as u64).unwrap_or(0);
-            let p = build_provenance(
-                self.k,
-                &batch,
-                &idxs,
-                g.prov,
-                0,
-                reason,
-                idle_gap,
-                Some(self.st.scfg.idle_close),
-            );
-            self.pending_prov.insert(key, p);
-        }
-        Some(ev)
+        let idle_gap = (reason == CloseReason::Idle).then(|| self.st.clock.seconds_since(g.end));
+        let horizon = Some(self.st.scfg.idle_close);
+        let prov = self
+            .trace
+            .then(|| g.provenance(self.k, reason, idle_gap, horizon));
+        Some((g.event(self.k, g.score(self.k)), prov))
     }
 
-    fn sweep(&mut self, close_all: bool) -> Vec<NetworkEvent> {
+    /// Close every group idle past the horizon, or every group for
+    /// [`CloseReason::Finish`].
+    fn sweep(&mut self, reason: CloseReason) -> Vec<Closed> {
         let _g = self.sp_sweep.start();
+        let close_all = reason == CloseReason::Finish;
         // Saturating: `clock` is i64::MIN until the first accepted
         // message, and extreme parsed timestamps must not overflow.
         let horizon = Timestamp(self.st.clock.0.saturating_sub(self.st.scfg.idle_close));
@@ -545,15 +486,10 @@ impl<'k> StreamDigester<'k> {
             .st
             .groups
             .iter()
-            .filter(|(_, g)| close_all || g.last_ts < horizon)
+            .filter(|(_, g)| close_all || g.end < horizon)
             .map(|(&root, _)| root)
             .collect();
-        let reason = if close_all {
-            CloseReason::Finish
-        } else {
-            CloseReason::Idle
-        };
-        let mut events: Vec<NetworkEvent> = closable
+        let mut closed: Vec<Closed> = closable
             .into_iter()
             .filter_map(|root| self.close_root(root, reason))
             .collect();
@@ -561,14 +497,14 @@ impl<'k> StreamDigester<'k> {
         // second, and a stable sort would then keep HashMap iteration
         // order — nondeterministic across digester instances. The lowest
         // member sequence number breaks ties reproducibly.
-        events.sort_by_key(|a| (a.start, a.message_idxs.first().copied()));
-        events
+        closed.sort_by_key(|(ev, _)| (ev.start, ev.message_idxs.first().copied()));
+        closed
     }
 
     /// Memory-pressure guard: when more than `max_open_messages` messages
     /// are buffered, force-close the *least recently active* groups until
     /// back under the bound, appending their (possibly premature) events.
-    fn enforce_open_bound(&mut self, events: &mut Vec<NetworkEvent>) {
+    fn enforce_open_bound(&mut self, closed: &mut Vec<Closed>) {
         let max = self.st.scfg.max_open_messages;
         if max == 0 || self.st.open.len() <= max {
             return;
@@ -577,30 +513,36 @@ impl<'k> StreamDigester<'k> {
             .st
             .groups
             .iter()
-            .map(|(&root, g)| (g.last_ts, root))
+            .map(|(&root, g)| (g.end, root))
             .collect();
         roots.sort_unstable();
-        let mut forced: Vec<NetworkEvent> = Vec::new();
+        let mut forced: Vec<Closed> = Vec::new();
         for (_, root) in roots {
             if self.st.open.len() <= max {
                 break;
             }
-            if let Some(ev) = self.close_root(root, CloseReason::ForceClosed) {
-                forced.push(ev);
-            }
+            forced.extend(self.close_root(root, CloseReason::ForceClosed));
             self.counters.n_force_closed.inc();
         }
-        forced.sort_by_key(|a| a.start);
-        events.extend(forced);
+        self.prune_window();
+        forced.sort_by_key(|(ev, _)| ev.start);
+        closed.extend(forced);
     }
 
     /// Close and emit every remaining group (end of the feed). Their
     /// provenance records drain through
     /// [`take_provenance`](Self::take_provenance) like any others.
     pub fn finish(&mut self) -> Vec<NetworkEvent> {
-        let mut events = self.sweep(true);
-        self.finalize(&mut events);
-        events
+        let closed = self.sweep(CloseReason::Finish);
+        self.prune_window();
+        self.finalize(closed)
+    }
+
+    /// Drop the window bodies of messages whose groups have closed, so
+    /// under a stuck clock the window is bounded like `open`.
+    fn prune_window(&mut self) {
+        let StreamState { open, window, .. } = &mut self.st;
+        window.retain(|w| open.contains_key(&(w.idx as u64)));
     }
 
     // ------------------------------------------------- checkpoint/restore --
@@ -822,16 +764,22 @@ mod tests {
         // Freeze the clock: replay a window of messages all at one instant,
         // so the idle sweep can never fire.
         let frozen = online[0].ts;
-        let mut peak = 0usize;
+        let (mut peak, mut peak_window) = (0usize, 0usize);
         for m in online.iter().take(3000) {
             let mut m = m.clone();
             m.ts = frozen;
             sd.push(&m);
             peak = peak.max(sd.open_messages());
+            peak_window = peak_window.max(sd.st.window.len());
         }
         assert!(
             peak <= 64 + 1,
             "open messages peaked at {peak} despite max_open_messages=64"
+        );
+        // No body outlives its group, so the cross window is bounded too.
+        assert!(
+            peak_window <= 64,
+            "cross window peaked at {peak_window} despite max_open_messages=64"
         );
         assert!(
             sd.stats().n_force_closed > 0,
