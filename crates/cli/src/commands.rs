@@ -20,10 +20,18 @@ fn io_err(context: &str, e: std::io::Error) -> ArgError {
     ArgError(format!("{context}: {e}"))
 }
 
+/// Read a log file as text. Bytes that are not UTF-8 decode lossily to
+/// U+FFFD, so one bad byte changes its line, not the whole run.
+fn read_log_text(path: &Path) -> Result<String, ArgError> {
+    let bytes = fs::read(path).map_err(|e| io_err("reading log", e))?;
+    Ok(String::from_utf8(bytes)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()))
+}
+
 /// Read and parse a syslog wire-format file, skipping blank lines and
 /// reporting the malformed ones (count + first offenders with reasons).
 pub fn read_log(path: &Path) -> Result<(Vec<RawMessage>, MalformedReport), ArgError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err("reading log", e))?;
+    let text = read_log_text(path)?;
     let mut msgs = Vec::new();
     let mut bad = MalformedReport::default();
     for (i, line) in text.lines().enumerate() {
@@ -297,7 +305,7 @@ fn stream_digest(
         max_open_messages: max_open,
     };
 
-    let text = fs::read_to_string(log).map_err(|e| io_err("reading log", e))?;
+    let text = read_log_text(log)?;
     let recovered = match ckpt {
         Some(path) => FaultTolerantIngest::recover_with_telemetry(k, path, keep, obs.tel)
             .map_err(|e| ArgError(format!("resuming from checkpoint: {e}")))?,
@@ -745,6 +753,63 @@ mod tests {
         .unwrap();
         assert!(stats.contains("top codes"), "{stats}");
 
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A byte that is not UTF-8 changes its own line only: every log
+    /// command reads the file as if the byte were U+FFFD.
+    #[test]
+    fn a_non_utf8_byte_decodes_lossily_in_every_log_command() {
+        let dir = tmpdir("non-utf8");
+        let out = dir.to_str().unwrap();
+        cmd_generate(&parse(&[
+            "generate",
+            "--dataset",
+            "A",
+            "--scale",
+            "0.04",
+            "--out",
+            out,
+        ]))
+        .unwrap();
+        let log = dir.join("syslog.log");
+        let kpath = dir.join("knowledge.json");
+        let configs = dir.join("configs");
+        let mut bytes = fs::read(&log).unwrap();
+        // The last character of a line in the middle of the log.
+        let at = bytes.len() / 2
+            + bytes[bytes.len() / 2..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .unwrap();
+        bytes[at - 1] = 0xE9;
+        let bad = dir.join("bad.log");
+        let lossy = dir.join("lossy.log");
+        fs::write(&lossy, String::from_utf8_lossy(&bytes).as_bytes()).unwrap();
+        fs::write(&bad, bytes).unwrap();
+        let run = |args: &[&str], log: &Path| {
+            let mut args = args.to_vec();
+            args.extend(["--log", log.to_str().unwrap()]);
+            dispatch(&parse(&args)).unwrap_or_else(|e| panic!("{args:?}: {}", e.0))
+        };
+        let (k, c) = (kpath.to_str().unwrap(), configs.to_str().unwrap());
+        run(&["learn", "--configs", c, "--out", k], &bad);
+        for args in [
+            &["digest", "--knowledge", k, "--top", "100000"][..],
+            &["digest", "--knowledge", k, "--top", "100000", "--stream"],
+            &["stats"],
+        ] {
+            assert_eq!(run(args, &bad), run(args, &lossy), "{args:?}");
+        }
+        let out_of = |log: &Path| dir.join(format!("{}.inj", log.display()));
+        for log in [&bad, &lossy] {
+            let inj = out_of(log);
+            run(&["inject", "--out", inj.to_str().unwrap()], log);
+        }
+        assert_eq!(
+            fs::read(out_of(&bad)).unwrap(),
+            fs::read(out_of(&lossy)).unwrap()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

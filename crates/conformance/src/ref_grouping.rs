@@ -14,6 +14,7 @@
 
 use sd_model::{LocationId, SyslogPlus};
 use std::collections::{BTreeMap, BTreeSet};
+use syslogdigest::grouping::CROSS_WINDOW_SECS;
 use syslogdigest::provenance::MergeCause;
 use syslogdigest::{DomainKnowledge, GroupingConfig};
 
@@ -93,12 +94,11 @@ pub fn ref_edges(
     // ---- §4.2.3 cross-router: same template on two routers within the
     // simultaneity window, at related locations.
     if cfg.cross {
-        let cw = cfg.cross_window_secs;
         for (j, sp) in batch.iter().enumerate() {
             let Some(tj) = sp.template else { continue };
             for i in (0..j).rev() {
                 let other = &batch[i];
-                if sp.ts.seconds_since(other.ts) > cw {
+                if sp.ts.seconds_since(other.ts) > CROSS_WINDOW_SECS {
                     break;
                 }
                 if other.template != Some(tj) || other.router == sp.router {

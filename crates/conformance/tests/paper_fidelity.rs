@@ -10,8 +10,8 @@ use sd_model::{ErrorCode, Parallelism, RawMessage, Timestamp};
 use sd_rules::{mine, CoOccurrence, MineConfig, RuleBase};
 use sd_templates::{learn, LearnerConfig};
 use sd_temporal::{group_series, EwmaTracker, TemporalConfig};
+use syslogdigest::grouping::CROSS_WINDOW_SECS;
 use syslogdigest::offline::OfflineConfig;
-use syslogdigest::GroupingConfig;
 
 // ---------------------------------------------------------------- constants
 
@@ -41,7 +41,7 @@ fn defaults_pin_paper_constants() {
     assert_eq!(OfflineConfig::dataset_b().window_secs, 40);
 
     // §4.2.3: cross-router simultaneity window ~1 s.
-    assert_eq!(GroupingConfig::default().cross_window_secs, 1);
+    assert_eq!(CROSS_WINDOW_SECS, 1);
 }
 
 // ------------------------------------------------- §4.1.1 prune boundary

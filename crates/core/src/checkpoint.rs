@@ -8,10 +8,10 @@
 //! * [`StreamSnapshot`] — one JSON document, in one shape: a **knowledge
 //!   fingerprint** (see [`DomainKnowledge::fingerprint`]), the digester's
 //!   and the reorder buffer's live state serialized as they are, and the
-//!   counters of every layer. The digester's open state is the group
-//!   root of each open message id, the open groups' summaries and the
-//!   message bodies of the cross-router window. Every map in it is
-//!   written in key order, so equal states give equal bytes.
+//!   counters of every layer. The digester's open state is the open
+//!   groups' summaries and the lookback deque of open messages (see
+//!   [`crate::stream`]). Maps are written in key order and the thread
+//!   count not at all, so equal states give equal bytes.
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
 //!   [`envelope`], whose header carries the artifact kind and the
 //!   **format version** ([`SNAPSHOT_VERSION`]), and writes atomically
@@ -58,7 +58,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot format version, written and checked in the envelope header
 /// only. Bump on any incompatible change to [`StreamSnapshot`]'s shape;
 /// older snapshots are then rejected instead of being misdecoded.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Counters of the ingest layer: feed lines consumed, the reorder
 /// buffer's late and duplicate counts, and the malformed-line report.

@@ -22,12 +22,11 @@ pub struct GroupingConfig {
     pub rules: bool,
     /// Cross-router grouping (same template, connected locations, ~1 s).
     pub cross: bool,
-    /// Cross-router simultaneity window in seconds (paper: 1 s).
-    pub cross_window_secs: i64,
     /// Thread count for the router-sharded stages (the temporal and
     /// rule-based stages are per-router and shard perfectly; the
     /// cross-router stage is always sequential). Output is identical for
-    /// every thread count.
+    /// every thread count, so checkpoints leave it out.
+    #[serde(skip)]
     pub par: Parallelism,
 }
 
@@ -37,7 +36,6 @@ impl Default for GroupingConfig {
             temporal: true,
             rules: true,
             cross: true,
-            cross_window_secs: 1,
             par: Parallelism::default(),
         }
     }
@@ -92,6 +90,9 @@ impl GroupingResult {
         out
     }
 }
+
+/// Cross-router simultaneity window in seconds (§4.2.3: 1 s).
+pub const CROSS_WINDOW_SECS: i64 = 1;
 
 /// Most messages the cross-router stage keeps per template; beyond it the
 /// oldest falls out of the lookback even inside the window. Bounds the
@@ -181,13 +182,12 @@ impl Stages {
     }
 
     /// Cross-router stage: link to each message of the same template on
-    /// another router within `window_secs` whose locations are related.
-    /// `lookup` resolves an earlier id to its message; ids it cannot
-    /// resolve are skipped.
+    /// another router within [`CROSS_WINDOW_SECS`] whose locations are
+    /// related. `lookup` resolves an earlier id to its message; ids it
+    /// cannot resolve are skipped.
     pub(crate) fn cross<'a>(
         &mut self,
         k: &DomainKnowledge,
-        window_secs: i64,
         sp: &SyslogPlus,
         id: u64,
         lookup: impl Fn(u64) -> Option<&'a SyslogPlus>,
@@ -197,7 +197,7 @@ impl Stages {
         let q = self.recent_cross.entry(tj.0).or_default();
         while q
             .front()
-            .is_some_and(|&(_, ts)| sp.ts.seconds_since(ts) > window_secs)
+            .is_some_and(|&(_, ts)| sp.ts.seconds_since(ts) > CROSS_WINDOW_SECS)
         {
             q.pop_front();
         }
@@ -285,7 +285,7 @@ pub fn stage_edges(
         let mut links = Vec::new();
         for (j, sp) in batch.iter().enumerate() {
             let lookup = |i: u64| batch.get(i as usize);
-            stages.cross(k, cfg.cross_window_secs, sp, j as u64, lookup, &mut links);
+            stages.cross(k, sp, j as u64, lookup, &mut links);
             drain_links(j, &mut links, &mut edges);
         }
     }

@@ -388,6 +388,31 @@ mod tests {
         }
     }
 
+    /// The thread count changes no output, so the snapshot does not
+    /// record it either: ingests at 1 and 4 threads write identical
+    /// snapshots.
+    #[test]
+    fn snapshots_do_not_depend_on_the_thread_count() {
+        let (d, k) = setup();
+        let snapshot_at = |threads| {
+            let cfg = GroupingConfig {
+                par: sd_model::Parallelism::with_threads(threads),
+                ..GroupingConfig::default()
+            };
+            let scfg = StreamConfig::default();
+            let mut ing =
+                FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 30, &Telemetry::disabled());
+            for m in &d.online()[..4000] {
+                ing.push_message(m.clone());
+            }
+            ing.checkpoint().to_json().expect("serializes")
+        };
+        assert!(
+            snapshot_at(1) == snapshot_at(4),
+            "snapshots differ between 1 and 4 threads"
+        );
+    }
+
     #[test]
     fn checkpoint_resume_through_the_ingest_layer_is_exact() {
         let (d, k) = setup();

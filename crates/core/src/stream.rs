@@ -1,55 +1,38 @@
 //! Streaming online digestion.
 //!
-//! [`pipeline::digest`](crate::pipeline::digest) processes a finished
-//! batch; real deployments consume the syslog feed continuously. The
-//! [`StreamDigester`] accepts one message at a time, runs it through the
-//! batch pipeline's own grouping stages (`grouping::Stages`), unions the
-//! links into its open groups, and *closes* a group —
-//! emitting its [`NetworkEvent`] — once the group has been idle longer
-//! than every mechanism that could still grow it:
+//! [`StreamDigester`] takes the feed one message at a time, runs it
+//! through the batch pipeline's own grouping stages (`grouping::Stages`),
+//! unions the links into its open groups, and *closes* a group, emitting
+//! its [`NetworkEvent`], once it has been idle longer than any stage looks
+//! back: `Smax` (temporal), `W` (rule-based) and [`CROSS_WINDOW_SECS`]
+//! (cross-router). With `idle_close` at least that long, the streaming
+//! partition is **identical** to the batch partition of the same input (a
+//! property the integration tests assert).
 //!
-//! * temporal grouping never bridges a gap above `Smax`,
-//! * rule-based grouping looks back at most `W`,
-//! * cross-router grouping looks back ~1 s,
+//! Open state is what the stages can still reach. A message is folded
+//! into its group's summary (`event::GroupSummary`) on arrival and stays
+//! in one lookback deque, with its group root, while it is within
+//! `idle_close` of the clock; its body stays only while it is within
+//! [`CROSS_WINDOW_SECS`], for the cross-router stage.
 //!
-//! so with `idle_close ≥ max(Smax, W)` the streaming partition is
-//! **identical** to the batch partition of the same input (a property the
-//! integration tests assert).
+//! A digester that runs for months against a live feed never aborts.
+//! Out-of-order timestamps, unknown routers and internal invariant
+//! violations are *counted* in [`StreamStats`] (route unordered feeds
+//! through [`ingest`](crate::ingest) first).
+//! [`StreamConfig::max_open_messages`] bounds the deque under a stuck or
+//! skewed clock by force-closing the oldest groups in it. The whole
+//! mutable state is one serializable field, which
+//! [`FaultTolerantIngest::checkpoint`](crate::FaultTolerantIngest::checkpoint)
+//! writes as it is and
+//! [`FaultTolerantIngest::resume_with_telemetry`](crate::FaultTolerantIngest::resume_with_telemetry)
+//! reads back, so a killed process continues exactly where it stopped.
 //!
-//! # Robustness guarantees
-//!
-//! A digester that runs for months against a live feed must never abort:
-//!
-//! * **No panics on any input.** Out-of-order timestamps, unknown
-//!   routers and internal invariant violations are *counted* (see
-//!   [`StreamStats`]) and tolerated, never `panic!`ed on. Feeds that
-//!   reorder beyond what the digester handles natively should go through
-//!   the [`reorder`](crate::reorder) buffer / [`ingest`](crate::ingest)
-//!   layer first.
-//! * **Bounded memory.** [`StreamConfig::max_open_messages`] force-closes
-//!   the oldest open groups when a stuck or skewed clock keeps the idle
-//!   sweep from firing; each forced closure increments
-//!   [`StreamStats::n_force_closed`] so degradation is observable.
-//! * **Open state without bodies.** Each message is folded into its
-//!   group's summary (`event::GroupSummary`) when it arrives; an open
-//!   message is then only its id and its group's root. The one stage that
-//!   reads a body later, cross-router, finds it in a window of the
-//!   messages within `cross_window_secs` of the clock.
-//! * **Checkpoint/restore.** The digester keeps its whole mutable state
-//!   (configuration, counters of sequence and event ids, clock, the
-//!   root of each open message id, the open group summaries, the cross
-//!   window, the stages' lookback) in one serializable field.
-//!   [`FaultTolerantIngest::checkpoint`](crate::FaultTolerantIngest::checkpoint)
-//!   writes that field as it is into a [`StreamSnapshot`], next to the
-//!   reorder buffer in front of the digester, and
-//!   [`FaultTolerantIngest::resume_with_telemetry`](crate::FaultTolerantIngest::resume_with_telemetry)
-//!   reads it back, so a killed process continues exactly where it
-//!   stopped (asserted by the kill/resume integration tests).
+//! [`CROSS_WINDOW_SECS`]: crate::grouping::CROSS_WINDOW_SECS
 
 use crate::augment::augment_batch_isolated;
 use crate::checkpoint::{CheckpointError, IngestState, StreamSnapshot};
 use crate::event::{GroupSummary, NetworkEvent};
-use crate::grouping::{GroupingConfig, Stages};
+use crate::grouping::{GroupingConfig, Stages, CROSS_WINDOW_SECS};
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::{CloseReason, EventProvenance, MergeCause};
 use crate::quarantine::QuarantineRecord;
@@ -77,16 +60,70 @@ pub(crate) struct StreamState {
     next_event_id: u64,
     clock: Timestamp,
     since_sweep: usize,
-    /// The root of each open message's group, by sequence number.
-    open: SortedMap<u64, u64>,
+    /// The lookback deque of open messages, in sequence order.
+    recent: VecDeque<Recent>,
     /// Open group summaries, keyed by root (the sequence number of one
     /// member).
     groups: SortedMap<u64, GroupSummary>,
-    /// Bodies the cross-router stage may still look up, in sequence
-    /// order: messages within `cross_window_secs` of the clock.
-    window: VecDeque<SyslogPlus>,
     /// Lookback state of the grouping stages.
     stages: Stages,
+}
+
+/// A lookback entry: sequence number, timestamp, group root and body (the
+/// bodies form a suffix), a tuple so checkpoints write short arrays.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Recent(u64, Timestamp, u64, Option<SyslogPlus>);
+
+impl StreamState {
+    /// The group root of open message `id`.
+    fn root_of(&self, id: u64) -> Option<u64> {
+        position(&self.recent, id).map(|j| self.recent[j].2)
+    }
+
+    /// The instant `secs` before the clock (saturating: it starts at MIN).
+    fn horizon(&self, secs: i64) -> Timestamp {
+        Timestamp(self.clock.0.saturating_sub(secs))
+    }
+
+    /// Drop the entries past the idle horizon, which no stage can link to
+    /// any more, and the bodies past the cross window.
+    fn retire(&mut self) {
+        let idle = self.horizon(self.scfg.idle_close);
+        let cross = self.horizon(CROSS_WINDOW_SECS);
+        while self.recent.front().is_some_and(|r| r.1 < idle) {
+            self.recent.pop_front();
+        }
+        let mut j = self.recent.partition_point(|r| r.3.is_none());
+        while let Some(r) = self.recent.get_mut(j).filter(|r| r.1 < cross) {
+            r.3 = None;
+            j += 1;
+        }
+    }
+
+    /// Drop the entries of a closed group, given its ascending member ids.
+    fn drop_entries(&mut self, members: &[usize]) {
+        let first = self.recent.front().map_or(u64::MAX, |r| r.0);
+        for m in members
+            .iter()
+            .rev()
+            .map(|&m| m as u64)
+            .take_while(|&m| m >= first)
+        {
+            if let Some(j) = position(&self.recent, m) {
+                self.recent.remove(j);
+            }
+        }
+    }
+}
+
+/// Position of open message `id` in the lookback deque: where its id
+/// puts it unless a force-close left a gap, else by binary search.
+fn position(recent: &VecDeque<Recent>, id: u64) -> Option<usize> {
+    let guess = id.checked_sub(recent.front()?.0)? as usize;
+    if recent.get(guess).is_some_and(|r| r.0 == id) {
+        return Some(guess);
+    }
+    recent.binary_search_by_key(&id, |r| r.0).ok()
 }
 
 /// Operational knobs of the streaming digester beyond the grouping
@@ -97,12 +134,10 @@ pub struct StreamConfig {
     /// Clamped up to `max(Smax, W, cross window)` so closure can never
     /// split a group the batch pipeline would have joined.
     pub idle_close: i64,
-    /// Upper bound on concurrently open (buffered, not yet emitted)
-    /// messages; `0` means unbounded. When exceeded, the *oldest* open
-    /// groups are force-closed — counted in
-    /// [`StreamStats::n_force_closed`] — instead of letting the open
-    /// messages and groups grow without limit when a stuck or skewed clock
-    /// stops the idle sweep from firing.
+    /// Upper bound on open messages, those within the idle horizon whose
+    /// group has not closed; `0` means unbounded. Beyond it the *oldest*
+    /// groups holding some are force-closed (counted in
+    /// [`StreamStats::n_force_closed`]), so a stuck clock cannot grow it.
     pub max_open_messages: usize,
 }
 
@@ -119,8 +154,8 @@ pub struct StreamStats {
     /// Groups force-closed by the [`StreamConfig::max_open_messages`]
     /// memory guard before their idle horizon expired.
     pub n_force_closed: usize,
-    /// Internal invariant violations tolerated (a linked message or group
-    /// member no longer open, a group root without state). Always 0 in a
+    /// Internal invariant violations tolerated (a linked message no
+    /// longer open, a group root without state). Always 0 in a
     /// healthy run; nonzero values indicate a bug worth filing, but never
     /// abort the process.
     pub n_inconsistent: usize,
@@ -201,26 +236,21 @@ impl<'k> StreamDigester<'k> {
         scfg: StreamConfig,
         tel: &Telemetry,
     ) -> Self {
-        let floor = k
-            .temporal
-            .s_max
-            .max(k.window_secs)
-            .max(cfg.cross_window_secs);
+        let floor = k.temporal.s_max.max(k.window_secs).max(CROSS_WINDOW_SECS);
         StreamDigester {
             k,
             st: StreamState {
                 cfg,
                 scfg: StreamConfig {
                     idle_close: scfg.idle_close.max(floor),
-                    max_open_messages: scfg.max_open_messages,
+                    ..scfg
                 },
                 next_seq: 0,
                 next_event_id: 0,
                 clock: Timestamp(i64::MIN),
                 since_sweep: 0,
-                open: SortedMap::default(),
+                recent: VecDeque::new(),
                 groups: SortedMap::default(),
-                window: VecDeque::new(),
                 stages: Stages::default(),
             },
             counters: StreamCounters::new(tel),
@@ -274,17 +304,17 @@ impl<'k> StreamDigester<'k> {
         self.st.groups.len()
     }
 
-    /// Number of currently open (buffered) messages.
+    /// Number of open messages, those a stage can still link to.
     pub fn open_messages(&self) -> usize {
-        self.st.open.len()
+        self.st.recent.len()
     }
 
     /// Merge the groups of open messages `a` (the earlier one) and `b`.
     /// The larger group's root survives (ties keep `a`'s), and the smaller
-    /// group's members are re-pointed at it as they move, so every open
-    /// message always names its group directly.
+    /// group's open members are re-pointed at it, so every open message
+    /// always names its group directly.
     fn union(&mut self, a: u64, b: u64, cause: MergeCause) {
-        let (Some(&ra), Some(&rb)) = (self.st.open.get(&a), self.st.open.get(&b)) else {
+        let (Some(ra), Some(rb)) = (self.st.root_of(a), self.st.root_of(b)) else {
             self.counters.n_inconsistent.inc();
             return;
         };
@@ -305,9 +335,10 @@ impl<'k> StreamDigester<'k> {
             return;
         };
         if let Some(g) = gchild {
+            let recent = &mut self.st.recent;
             for &m in &g.members {
-                if let Some(r) = self.st.open.get_mut(&(m as u64)) {
-                    *r = root;
+                if let Some(j) = position(recent, m as u64) {
+                    recent[j].2 = root;
                 }
             }
             groot.absorb(g);
@@ -322,9 +353,8 @@ impl<'k> StreamDigester<'k> {
     /// first); returns any events that became closable. A panic inside
     /// augmentation quarantines the message instead of aborting the run
     /// (see [`push_batch`](Self::push_batch)). A message older than the
-    /// clock, which the ingest layer never sends, may find fewer
-    /// cross-router links: the bodies that stage looks up are kept only
-    /// within `cross_window_secs` of the clock.
+    /// clock, which the ingest layer never sends, may find fewer links:
+    /// the lookback deque follows the clock, not the message.
     pub fn push(&mut self, m: &RawMessage) -> Vec<NetworkEvent> {
         self.push_batch(std::slice::from_ref(m))
     }
@@ -375,6 +405,7 @@ impl<'k> StreamDigester<'k> {
     fn push_augmented(&mut self, m: &RawMessage, sp: Option<SyslogPlus>) -> Vec<NetworkEvent> {
         self.counters.n_input.inc();
         self.st.clock = self.st.clock.max(m.ts);
+        self.st.retire();
         let seq = self.st.next_seq;
         let Some(mut sp) = sp else {
             self.counters.n_dropped.inc();
@@ -392,32 +423,22 @@ impl<'k> StreamDigester<'k> {
             st.stages.rule(self.k, &sp, seq, &mut links);
         }
         if st.cfg.cross {
-            let (cw, clock) = (st.cfg.cross_window_secs, st.clock);
-            let stale = |w: &SyslogPlus| clock.seconds_since(w.ts) > cw;
-            while st.window.front().is_some_and(stale) {
-                st.window.pop_front();
-            }
-            let window = &st.window;
-            let lookup = |i| {
-                let j = window.binary_search_by_key(&i, |w| w.idx as u64).ok()?;
-                Some(&window[j])
-            };
-            st.stages.cross(self.k, cw, &sp, seq, lookup, &mut links);
+            let recent = &st.recent;
+            let lookup = |i| recent[position(recent, i)?].3.as_ref();
+            st.stages.cross(self.k, &sp, seq, lookup, &mut links);
         }
         // Applied in one fixed order, so group roots and member order do
         // not follow the hash order the rule stage found its links in. A
         // link to a message whose group already closed merges nothing.
         links.sort_unstable();
-        links.retain(|(earlier, _)| st.open.contains_key(earlier));
+        links.retain(|&(e, _)| st.root_of(e).is_some_and(|r| st.groups.contains_key(&r)));
         // The message joins the group of its first link, where a union
         // would put its singleton group; every link is then unioned.
-        let first = links.first().and_then(|(e, _)| st.open.get(e).copied());
+        let first = links.first().and_then(|&(e, _)| st.root_of(e));
         let root = first.unwrap_or(seq);
         st.groups.entry(root).or_default().add(self.k, &sp);
-        st.open.insert(seq, root);
-        if st.cfg.cross {
-            st.window.push_back(sp);
-        }
+        st.recent
+            .push_back(Recent(seq, sp.ts, root, st.cfg.cross.then_some(sp)));
         for (earlier, cause) in links {
             self.union(earlier, seq, cause);
         }
@@ -457,15 +478,9 @@ impl<'k> StreamDigester<'k> {
     }
 
     /// Close one group by root, building its event (and, when tracing,
-    /// its provenance) from its summary. `None` if the root has no state;
-    /// members already gone from `open` count as inconsistencies.
+    /// its provenance) from its summary. `None` if the root has no state.
     fn close_root(&mut self, root: u64, reason: CloseReason) -> Option<Closed> {
         let g = self.st.groups.remove(&root)?;
-        for &m in &g.members {
-            if self.st.open.remove(&(m as u64)).is_none() {
-                self.counters.n_inconsistent.inc();
-            }
-        }
         let idle_gap = (reason == CloseReason::Idle).then(|| self.st.clock.seconds_since(g.end));
         let horizon = Some(self.st.scfg.idle_close);
         let prov = self
@@ -479,9 +494,7 @@ impl<'k> StreamDigester<'k> {
     fn sweep(&mut self, reason: CloseReason) -> Vec<Closed> {
         let _g = self.sp_sweep.start();
         let close_all = reason == CloseReason::Finish;
-        // Saturating: `clock` is i64::MIN until the first accepted
-        // message, and extreme parsed timestamps must not overflow.
-        let horizon = Timestamp(self.st.clock.0.saturating_sub(self.st.scfg.idle_close));
+        let horizon = self.st.horizon(self.st.scfg.idle_close);
         let closable: Vec<u64> = self
             .st
             .groups
@@ -501,32 +514,26 @@ impl<'k> StreamDigester<'k> {
         closed
     }
 
-    /// Memory-pressure guard: when more than `max_open_messages` messages
-    /// are buffered, force-close the *least recently active* groups until
-    /// back under the bound, appending their (possibly premature) events.
+    /// Memory-pressure guard: while more than `max_open_messages` messages
+    /// are open, force-close the *least recently active* group holding some
+    /// (none idle past the horizon does), appending its premature event.
     fn enforce_open_bound(&mut self, closed: &mut Vec<Closed>) {
         let max = self.st.scfg.max_open_messages;
-        if max == 0 || self.st.open.len() <= max {
-            return;
-        }
-        let mut roots: Vec<(Timestamp, u64)> = self
-            .st
-            .groups
-            .iter()
-            .map(|(&root, g)| (g.end, root))
-            .collect();
-        roots.sort_unstable();
-        let mut forced: Vec<Closed> = Vec::new();
-        for (_, root) in roots {
-            if self.st.open.len() <= max {
+        let horizon = self.st.horizon(self.st.scfg.idle_close);
+        let from = closed.len();
+        while max > 0 && self.st.recent.len() > max {
+            let groups = self.st.groups.iter().filter(|(_, g)| g.end >= horizon);
+            let oldest = groups
+                .min_by_key(|&(&root, g)| (g.end, root))
+                .map(|(&r, _)| r);
+            let Some(c) = oldest.and_then(|r| self.close_root(r, CloseReason::ForceClosed)) else {
                 break;
-            }
-            forced.extend(self.close_root(root, CloseReason::ForceClosed));
+            };
             self.counters.n_force_closed.inc();
+            self.st.drop_entries(&c.0.message_idxs);
+            closed.push(c);
         }
-        self.prune_window();
-        forced.sort_by_key(|(ev, _)| ev.start);
-        closed.extend(forced);
+        closed[from..].sort_by_key(|(ev, _)| ev.start);
     }
 
     /// Close and emit every remaining group (end of the feed). Their
@@ -534,15 +541,8 @@ impl<'k> StreamDigester<'k> {
     /// [`take_provenance`](Self::take_provenance) like any others.
     pub fn finish(&mut self) -> Vec<NetworkEvent> {
         let closed = self.sweep(CloseReason::Finish);
-        self.prune_window();
+        self.st.recent.clear();
         self.finalize(closed)
-    }
-
-    /// Drop the window bodies of messages whose groups have closed, so
-    /// under a stuck clock the window is bounded like `open`.
-    fn prune_window(&mut self) {
-        let StreamState { open, window, .. } = &mut self.st;
-        window.retain(|w| open.contains_key(&(w.idx as u64)));
     }
 
     // ------------------------------------------------- checkpoint/restore --
@@ -675,6 +675,30 @@ mod tests {
         );
     }
 
+    /// Open state is what a stage can still link to: after every push,
+    /// no more messages are open than were pushed within the idle horizon
+    /// of the clock, however long the groups they belong to run.
+    #[test]
+    fn open_messages_stay_within_the_idle_horizon() {
+        let (d, k) = setup();
+        let online = d.online();
+        let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
+        let idle = sd.idle_close_secs();
+        let mut from = 0;
+        for (i, m) in online.iter().enumerate() {
+            sd.push(m);
+            while m.ts.seconds_since(online[from].ts) > idle {
+                from += 1;
+            }
+            assert!(
+                sd.open_messages() <= i + 1 - from,
+                "{} open after message {i}, {} pushed within {idle} s",
+                sd.open_messages(),
+                i + 1 - from
+            );
+        }
+    }
+
     #[test]
     fn idle_close_is_clamped_to_safety_floor() {
         let (_, k) = setup();
@@ -764,22 +788,23 @@ mod tests {
         // Freeze the clock: replay a window of messages all at one instant,
         // so the idle sweep can never fire.
         let frozen = online[0].ts;
-        let (mut peak, mut peak_window) = (0usize, 0usize);
+        let (mut peak, mut peak_bodies) = (0usize, 0usize);
         for m in online.iter().take(3000) {
             let mut m = m.clone();
             m.ts = frozen;
             sd.push(&m);
             peak = peak.max(sd.open_messages());
-            peak_window = peak_window.max(sd.st.window.len());
+            let bodies = sd.st.recent.iter().filter(|r| r.3.is_some()).count();
+            peak_bodies = peak_bodies.max(bodies);
         }
         assert!(
             peak <= 64 + 1,
             "open messages peaked at {peak} despite max_open_messages=64"
         );
-        // No body outlives its group, so the cross window is bounded too.
+        // No body outlives its group, so the bodies held are bounded too.
         assert!(
-            peak_window <= 64,
-            "cross window peaked at {peak_window} despite max_open_messages=64"
+            peak_bodies <= 64,
+            "bodies held peaked at {peak_bodies} despite max_open_messages=64"
         );
         assert!(
             sd.stats().n_force_closed > 0,
