@@ -1,25 +1,51 @@
 //! Online message augmentation: raw message → Syslog+ (template id +
 //! verified locations), the first step of both the offline learner's
 //! historical pass and the online pipeline.
+//!
+//! Routers repeat themselves: a flapping link sends the same line again
+//! and again. An `AugmentMemo` therefore augments each distinct
+//! `(router, code, detail)` once and answers repeats from a small table;
+//! every batch, stream and history pass augments through one.
 
 use crate::knowledge::DomainKnowledge;
 use sd_locations::extract_with;
 use sd_model::{
-    catch_panic, par_chunks_isolated, Parallelism, RawMessage, SyslogPlus, TokenScratch,
+    catch_panic, par_chunks_isolated, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus,
+    TemplateId, TokenScratch,
 };
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 
 /// Fewest messages each worker must get before a batch's augmentation is
 /// split across threads; smaller batches stay on the calling thread.
 ///
-/// Measured on a shared 2-core x86-64 host (dataset A feed, batches cut
-/// from 131k messages): one thread augments a message in about 0.85 µs,
-/// and a two-thread fork-join costs about 150 µs. Two threads were 3×
-/// slower than one at 64 messages, 0.92× at 1,024, 1.16× at 2,048 and
-/// 1.33× at 4,096. The stream path hands over reorder-buffer releases of
-/// a few messages each, which threads would slow several times over. The
-/// floor lives here rather than in `par_chunks`: learning fans out over a
-/// few heavy per-code items, which must keep splitting.
-const MIN_MSGS_PER_WORKER: usize = 1024;
+/// Measured on a shared 2-core x86-64 host, over the 252,690-line
+/// `sdigest generate --dataset A --scale 0.3 --seed 7` feed cut into
+/// batches, median of five: one thread augments a message in 0.22–0.47 µs
+/// through its memo (about 0.85 µs without one), and every shard of a
+/// fork-join learns its own memo from scratch. Two threads ran 0.62–0.80×
+/// as fast as one at 2,048 messages, 0.80–0.98× at 4,096, 1.13–1.23× at
+/// 8,192 and 1.17–1.31× at 16,384–32,768. The stream path hands over
+/// reorder-buffer releases of a few messages each, which threads would
+/// slow several times over. The floor lives here rather than in
+/// `par_chunks`: learning fans out over a few heavy per-code items, which
+/// must keep splitting.
+const MIN_MSGS_PER_WORKER: usize = 4096;
+
+/// Slots in an [`AugmentMemo`] table (a power of two).
+const MEMO_SLOTS: usize = 4096;
+
+/// Longest `router + code + detail`, in bytes, an [`AugmentMemo`]
+/// remembers; longer lines are augmented afresh, so the table never holds
+/// more than `MEMO_SLOTS × MEMO_MAX_KEY` bytes of keys.
+const MEMO_MAX_KEY: usize = 1024;
+
+/// Table lookups per [`AugmentMemo`] epoch; an epoch with fewer than a
+/// quarter hits starts a bypass.
+const MEMO_EPOCH: u32 = 1024;
+
+/// Most epochs one [`AugmentMemo`] bypass lasts.
+const MEMO_MAX_BYPASS: u32 = 64;
 
 /// `par` capped so every worker augments at least
 /// [`MIN_MSGS_PER_WORKER`] of `n` messages.
@@ -31,19 +57,19 @@ fn augment_par(par: Parallelism, n: usize) -> Parallelism {
 /// unknown to the location dictionary (such messages are counted and
 /// skipped by the pipeline — there is nothing to anchor them to).
 pub fn augment(k: &DomainKnowledge, idx: usize, m: &RawMessage) -> Option<SyslogPlus> {
-    augment_with(k, idx, m, &mut TokenScratch::new())
+    crate::quarantine::poison_check(&m.detail);
+    augment_fresh(k, idx, m, &mut TokenScratch::new())
 }
 
-/// [`augment`] with a caller-provided token scratch, so one scratch serves
-/// a whole batch. The detail is tokenized once; location extraction and
-/// template matching both read those spans, and neither copies a token.
-pub(crate) fn augment_with(
+/// Augment `m` from scratch. The detail is tokenized once into `scratch`;
+/// location extraction and template matching both read those spans, and
+/// neither copies a token.
+fn augment_fresh(
     k: &DomainKnowledge,
     idx: usize,
     m: &RawMessage,
     scratch: &mut TokenScratch,
 ) -> Option<SyslogPlus> {
-    crate::quarantine::poison_check(&m.detail);
     scratch.tokenize(&m.detail);
     let ex = extract_with(&k.dict, m, scratch)?;
     let template = k.resolve_template_with(&m.code, &m.detail, scratch);
@@ -54,6 +80,170 @@ pub(crate) fn augment_with(
         template: Some(template),
         locations: ex.locations,
     })
+}
+
+/// Augmentation that remembers what it augmented: a line whose exact
+/// `(router, code, detail)` it saw recently gets the router, template and
+/// locations (or the unknown-router `None`) found then, and only `idx` and
+/// `ts` from the message itself. Augmentation is a function of those three
+/// fields and the fixed knowledge, so the output equals [`augment`]'s.
+///
+/// * The table is [`MEMO_SLOTS`] reusable slots. A line hashes to one
+///   slot and evicts whatever held it, so memory stays bounded and a miss
+///   allocates nothing of its own. The hash is SipHash with a per-memo
+///   key: the feed chooses these keys. Router and code are length-prefixed
+///   in the hash and compared field by field, so router `ab` with code `c`
+///   never answers for router `a` with code `bc`.
+/// * A feed where nothing repeats would pay for hashing and storing every
+///   line. After each epoch of [`MEMO_EPOCH`] lookups with fewer than a
+///   quarter hits, the memo steps aside for 1, 2, 4, … up to
+///   [`MEMO_MAX_BYPASS`] epochs and augments directly; an epoch with
+///   enough hits resets that to one.
+/// * The poison check runs on every message before the lookup, so a
+///   quarantining hook armed after a line was memoized still catches it.
+pub(crate) struct AugmentMemo {
+    scratch: TokenScratch,
+    hasher: RandomState,
+    slots: Vec<Slot>,
+    /// Lookups and hits so far in the current epoch.
+    lookups: u32,
+    hits: u32,
+    /// Messages still to augment without the table.
+    bypass: u32,
+    /// Epochs the next bypass lasts.
+    next_bypass: u32,
+}
+
+/// One remembered line and its augmentation.
+#[derive(Default)]
+struct Slot {
+    /// The line's hash; `None` while the slot is empty.
+    hash: Option<u64>,
+    router: String,
+    code: String,
+    detail: String,
+    /// `None` for a router the dictionary does not know.
+    router_id: Option<RouterId>,
+    template: Option<TemplateId>,
+    locations: Vec<LocationId>,
+}
+
+impl Slot {
+    fn holds(&self, hash: u64, m: &RawMessage) -> bool {
+        self.hash == Some(hash)
+            && self.router == m.router
+            && self.code == m.code.as_str()
+            && self.detail == m.detail
+    }
+
+    fn get(&self, idx: usize, m: &RawMessage) -> Option<SyslogPlus> {
+        Some(SyslogPlus {
+            idx,
+            ts: m.ts,
+            router: self.router_id?,
+            template: self.template,
+            locations: self.locations.clone(),
+        })
+    }
+
+    /// Remember `m` and its augmentation `sp`, reusing the slot's buffers.
+    fn store(&mut self, hash: u64, m: &RawMessage, sp: Option<&SyslogPlus>) {
+        self.hash = Some(hash);
+        self.router.clone_from(&m.router);
+        self.code.clone_from(&m.code.0);
+        self.detail.clone_from(&m.detail);
+        self.router_id = sp.map(|sp| sp.router);
+        self.template = sp.and_then(|sp| sp.template);
+        match sp {
+            Some(sp) => self.locations.clone_from(&sp.locations),
+            None => self.locations.clear(),
+        }
+    }
+}
+
+impl AugmentMemo {
+    /// An empty memo.
+    pub(crate) fn new() -> Self {
+        Self::with_slots(MEMO_SLOTS)
+    }
+
+    fn with_slots(n: usize) -> Self {
+        debug_assert!(n.is_power_of_two());
+        AugmentMemo {
+            scratch: TokenScratch::new(),
+            hasher: RandomState::new(),
+            slots: std::iter::repeat_with(Slot::default).take(n).collect(),
+            lookups: 0,
+            hits: 0,
+            bypass: 0,
+            next_bypass: 1,
+        }
+    }
+
+    /// Augment `m` as [`augment`] would, at batch position `idx`.
+    pub(crate) fn augment(
+        &mut self,
+        k: &DomainKnowledge,
+        idx: usize,
+        m: &RawMessage,
+    ) -> Option<SyslogPlus> {
+        crate::quarantine::poison_check(&m.detail);
+        if self.bypass > 0 {
+            self.bypass -= 1;
+            return augment_fresh(k, idx, m, &mut self.scratch);
+        }
+        let key_len = m.router.len() + m.code.as_str().len() + m.detail.len();
+        let out = if key_len > MEMO_MAX_KEY {
+            augment_fresh(k, idx, m, &mut self.scratch)
+        } else {
+            let hash = self.hash(m);
+            let mask = self.slots.len() - 1;
+            let slot = &mut self.slots[hash as usize & mask];
+            if slot.holds(hash, m) {
+                self.hits += 1;
+                slot.get(idx, m)
+            } else {
+                let sp = augment_fresh(k, idx, m, &mut self.scratch);
+                slot.store(hash, m, sp.as_ref());
+                sp
+            }
+        };
+        self.lookups += 1;
+        if self.lookups == MEMO_EPOCH {
+            if self.hits < MEMO_EPOCH / 4 {
+                self.bypass = self.next_bypass * MEMO_EPOCH;
+                self.next_bypass = (self.next_bypass * 2).min(MEMO_MAX_BYPASS);
+            } else {
+                self.next_bypass = 1;
+            }
+            (self.lookups, self.hits) = (0, 0);
+        }
+        out
+    }
+
+    /// Augment `chunk`, whose first message sits at batch position `start`.
+    fn augment_all(
+        &mut self,
+        k: &DomainKnowledge,
+        start: usize,
+        chunk: &[RawMessage],
+    ) -> Vec<Option<SyslogPlus>> {
+        let mut out = Vec::with_capacity(chunk.len());
+        for (off, m) in chunk.iter().enumerate() {
+            out.push(self.augment(k, start + off, m));
+        }
+        out
+    }
+
+    fn hash(&self, m: &RawMessage) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        h.write_usize(m.router.len());
+        h.write(m.router.as_bytes());
+        h.write_usize(m.code.as_str().len());
+        h.write(m.code.as_str().as_bytes());
+        h.write(m.detail.as_bytes());
+        h.finish()
+    }
 }
 
 /// Result of a panic-isolated batch augmentation
@@ -85,25 +275,38 @@ impl IsolatedAugment {
 /// Augment a batch with each shard of the `par` fan-out running under
 /// `catch_unwind`: a panicking shard does not abort the run. The
 /// poisoned shard is retried sequentially message-by-message (with a
-/// fresh scratch — the panicked one may hold torn state) so only the
+/// fresh memo — the panicked one may hold torn state) so only the
 /// truly offending messages are quarantined; every healthy message in
 /// the shard still augments. Shards are split only while every worker
-/// gets at least 1,024 messages, and chunks are concatenated in input
-/// order, so the output is deterministic and identical for every thread
-/// count.
+/// gets at least 4,096 messages, each shard augments through a memo of
+/// its own, and chunks are concatenated in input order, so the output is
+/// deterministic and identical for every thread count.
 pub fn augment_batch_isolated(
     k: &DomainKnowledge,
     batch: &[RawMessage],
     par: Parallelism,
 ) -> IsolatedAugment {
-    let shards = par_chunks_isolated(augment_par(par, batch.len()), batch, |start, chunk| {
-        let mut out = Vec::with_capacity(chunk.len());
-        let mut scratch = TokenScratch::new();
-        for (off, m) in chunk.iter().enumerate() {
-            out.push(augment_with(k, start + off, m, &mut scratch));
-        }
-        out
-    });
+    augment_isolated(k, batch, par, &mut AugmentMemo::new())
+}
+
+/// [`augment_batch_isolated`] augmenting through `memo` whenever the batch
+/// stays on the calling thread, so a caller that augments many small
+/// batches keeps what earlier ones taught it. After a panic `memo` is
+/// replaced by a fresh one.
+pub(crate) fn augment_isolated(
+    k: &DomainKnowledge,
+    batch: &[RawMessage],
+    par: Parallelism,
+    memo: &mut AugmentMemo,
+) -> IsolatedAugment {
+    let par = augment_par(par, batch.len());
+    let shards = if par.is_sequential() {
+        vec![(0, catch_panic(|| memo.augment_all(k, 0, batch)))]
+    } else {
+        par_chunks_isolated(par, batch, |start, chunk| {
+            AugmentMemo::new().augment_all(k, start, chunk)
+        })
+    };
     let starts: Vec<usize> = shards.iter().map(|(s, _)| *s).collect();
     let mut augmented: Vec<Option<SyslogPlus>> = Vec::with_capacity(batch.len());
     let mut quarantined: Vec<(usize, String)> = Vec::new();
@@ -112,10 +315,11 @@ pub fn augment_batch_isolated(
             Ok(chunk_out) => augmented.extend(chunk_out),
             Err(_) => {
                 // Poisoned shard: retry each message alone.
+                *memo = AugmentMemo::new();
                 let end = starts.get(si + 1).copied().unwrap_or(batch.len());
                 for (off, m) in batch[start..end].iter().enumerate() {
                     let idx = start + off;
-                    match catch_panic(|| augment_with(k, idx, m, &mut TokenScratch::new())) {
+                    match catch_panic(|| memo.augment(k, idx, m)) {
                         Ok(sp) => augmented.push(sp),
                         Err(reason) => {
                             augmented.push(None);
@@ -135,10 +339,17 @@ pub fn augment_batch_isolated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grouping::GroupingConfig;
     use crate::knowledge::UNKNOWN_TEMPLATE;
+    use crate::quarantine::{set_poison_marker, POISON_TEST_LOCK};
+    use crate::stream::{StreamConfig, StreamDigester};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sd_locations::LocationDictionary;
     use sd_model::{ErrorCode, Interner, Timestamp};
     use sd_rules::RuleSet;
+    use sd_telemetry::Telemetry;
     use sd_templates::{learn, LearnerConfig};
     use sd_temporal::TemporalConfig;
 
@@ -224,6 +435,7 @@ interface Serial1/5
             })
             .collect();
         batch[23].detail = "detail with AUGTESTPOISON inside".to_string();
+        let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::quarantine::set_poison_marker(Some("AUGTESTPOISON"));
         for threads in [1usize, 4] {
             let iso = augment_batch_isolated(&k, &batch, Parallelism::with_threads(threads));
@@ -262,5 +474,166 @@ interface Serial1/5
         );
         let sp = augment(&k, 0, &m).unwrap();
         assert_eq!(sp.template, Some(UNKNOWN_TEMPLATE));
+    }
+
+    fn msg(ts: i64, router: &str, code: &str, detail: &str) -> RawMessage {
+        RawMessage::new(Timestamp(ts), router, ErrorCode::from(code), detail)
+    }
+
+    /// Every message of `msgs` augmented through `memo` equals [`augment`].
+    fn assert_memo_matches(k: &DomainKnowledge, memo: &mut AugmentMemo, msgs: &[RawMessage]) {
+        for (i, m) in msgs.iter().enumerate() {
+            assert_eq!(
+                memo.augment(k, i, m),
+                augment(k, i, m),
+                "message {i}: {m:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Through a memo of any size, down to one slot where every
+        /// distinct line evicts the last, augmentation equals the
+        /// memo-free [`augment`] on feeds that repeat lines, mix known and
+        /// unknown routers and codes, and shift bytes between router and
+        /// code.
+        #[test]
+        fn memo_equals_memo_free_augment(
+            seed in 0u64..u64::MAX,
+            len in 1usize..600,
+            slots_log2 in 0u32..14,
+        ) {
+            let k = knowledge();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let routers = ["r1", "r", "ghost"];
+            let codes = ["LINK-3-UPDOWN", "1LINK-3-UPDOWN", "ALIEN-9-THING"];
+            let msgs: Vec<RawMessage> = (0..len)
+                .map(|i| {
+                    let detail = format!(
+                        "Interface Serial1/{}, changed state to {}",
+                        rng.gen_range(0..8),
+                        ["down", "up"][rng.gen_range(0..2)]
+                    );
+                    msg(
+                        i as i64,
+                        routers[rng.gen_range(0..routers.len())],
+                        codes[rng.gen_range(0..codes.len())],
+                        &detail,
+                    )
+                })
+                .collect();
+            let mut memo = AugmentMemo::with_slots(1 << slots_log2);
+            for (i, m) in msgs.iter().enumerate() {
+                prop_assert_eq!(memo.augment(&k, i, m), augment(&k, i, m));
+            }
+        }
+    }
+
+    /// Router `r` with code `1LINK-3-UPDOWN` concatenates to the same bytes
+    /// as router `r1` with code `LINK-3-UPDOWN`, but only `r1` is known:
+    /// sharing one slot, neither may answer for the other.
+    #[test]
+    fn router_and_code_boundaries_are_part_of_the_key() {
+        let k = knowledge();
+        let detail = "Interface Serial1/5, changed state to down";
+        let known = msg(0, "r1", "LINK-3-UPDOWN", detail);
+        let shifted = msg(1, "r", "1LINK-3-UPDOWN", detail);
+        assert!(augment(&k, 0, &known).is_some());
+        assert!(augment(&k, 1, &shifted).is_none());
+        let mut memo = AugmentMemo::with_slots(1);
+        assert_memo_matches(&k, &mut memo, &[known.clone(), shifted.clone()]);
+        assert_memo_matches(&k, &mut memo, &[shifted, known]);
+    }
+
+    /// A feed where no line repeats sends the memo into its bypass, and
+    /// the output still equals [`augment`]'s, during the bypass and after.
+    #[test]
+    fn all_unique_feed_enters_the_bypass_and_still_matches() {
+        let k = knowledge();
+        let unique: Vec<RawMessage> = (0..3 * MEMO_EPOCH as i64)
+            .map(|i| {
+                msg(
+                    i,
+                    "r1",
+                    "LINK-3-UPDOWN",
+                    &format!("Interface Serial1/{i}, down"),
+                )
+            })
+            .collect();
+        let mut memo = AugmentMemo::new();
+        assert_memo_matches(&k, &mut memo, &unique[..MEMO_EPOCH as usize]);
+        assert_eq!(memo.bypass, MEMO_EPOCH, "one bad epoch bypasses one epoch");
+        assert_eq!(memo.next_bypass, 2);
+        assert_memo_matches(&k, &mut memo, &unique[MEMO_EPOCH as usize..]);
+        assert_eq!(memo.bypass, 2 * MEMO_EPOCH, "a second bad epoch doubles it");
+        // A repetitive stretch after the bypass resets the backoff.
+        let repeats: Vec<RawMessage> = (0..3 * MEMO_EPOCH as i64)
+            .map(|i| msg(i, "r1", "LINK-3-UPDOWN", "Interface Serial1/5, down"))
+            .collect();
+        assert_memo_matches(&k, &mut memo, &repeats);
+        assert_eq!((memo.bypass, memo.next_bypass), (0, 1));
+    }
+
+    /// A repeated poison line is quarantined at every occurrence, whether
+    /// or not a memo has seen it.
+    #[test]
+    fn repeated_poison_line_is_quarantined_every_time() {
+        let k = knowledge();
+        let poison = msg(0, "r1", "LINK-3-UPDOWN", "Interface Serial1/5 MEMOPOISON");
+        let healthy = msg(0, "r1", "LINK-3-UPDOWN", "Interface Serial1/5, down");
+        let batch: Vec<RawMessage> = (0..12)
+            .map(|i| {
+                if i % 3 == 1 {
+                    poison.clone()
+                } else {
+                    healthy.clone()
+                }
+            })
+            .collect();
+        let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_poison_marker(Some("MEMOPOISON"));
+        let iso = augment_batch_isolated(&k, &batch, Parallelism::sequential());
+        set_poison_marker(None);
+        let offsets: Vec<usize> = iso.quarantined.iter().map(|(i, _)| *i).collect();
+        assert_eq!(offsets, vec![1, 4, 7, 10]);
+        let (kept, dropped) = iso.split();
+        assert_eq!((kept.len(), dropped), (8, 0));
+    }
+
+    /// The stream digester's memo learns a line while the poison hook is
+    /// disarmed; arming the hook still quarantines every later copy.
+    #[test]
+    fn stream_quarantines_a_line_memoized_before_the_hook_was_armed() {
+        let k = knowledge();
+        let line = |ts| {
+            msg(
+                ts,
+                "r1",
+                "LINK-3-UPDOWN",
+                "Interface Serial1/5 MEMOSTREAMPOISON",
+            )
+        };
+        let tel = Telemetry::disabled();
+        let mut sd = StreamDigester::with_telemetry(
+            &k,
+            GroupingConfig::default(),
+            StreamConfig::default(),
+            &tel,
+        );
+        let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_poison_marker(None);
+        sd.push(&line(0));
+        sd.push(&line(1));
+        assert_eq!(sd.stats().n_quarantined, 0);
+        set_poison_marker(Some("MEMOSTREAMPOISON"));
+        sd.push(&line(2));
+        sd.push(&line(3));
+        set_poison_marker(None);
+        let stats = sd.stats();
+        assert_eq!((stats.n_input, stats.n_quarantined), (4, 2));
+        assert_eq!(sd.take_quarantined().len(), 2);
+        assert_eq!(sd.open_messages(), 2);
     }
 }

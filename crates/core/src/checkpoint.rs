@@ -22,7 +22,8 @@
 //! * [`StreamSnapshot::save_rotated`] keeps the last `keep` generations
 //!   (`run.ckpt` → `run.ckpt.1` → …), rotating them only once the new
 //!   image is written, and
-//!   [`StreamSnapshot::recover_last_good`] scans them newest-first on
+//!   [`StreamSnapshot::recover_last_good`] finishes a save that a kill
+//!   interrupted after that write, then scans them newest-first on
 //!   resume, falling back past damaged generations and reporting how far
 //!   it rolled back in a [`RecoveryReport`]. With checkpoints taken
 //!   every *N* lines, a kill at any byte of any write loses at most one
@@ -171,6 +172,21 @@ pub fn generation_path(path: &Path, generation: u32) -> PathBuf {
     PathBuf::from(name)
 }
 
+/// Make `tmp` generation 0 of `path`, keeping `keep` older generations:
+/// shift `path.g` → `path.g+1` for every generation below the first
+/// missing one (`path.keep` is overwritten), then rename `tmp` to `path`.
+/// Shifting stops at a gap, so generations a killed save left behind stay
+/// one interval apart.
+fn promote(tmp: &Path, path: &Path, keep: usize) -> Result<(), ArtifactError> {
+    let present = (0..keep as u32)
+        .take_while(|&g| generation_path(path, g).exists())
+        .count() as u32;
+    for g in (0..present).rev() {
+        envelope::rename(&generation_path(path, g), &generation_path(path, g + 1))?;
+    }
+    envelope::rename(tmp, path)
+}
+
 impl StreamSnapshot {
     /// Check that this snapshot can be resumed against `k`.
     pub fn verify(&self, k: &DomainKnowledge) -> Result<(), CheckpointError> {
@@ -215,13 +231,7 @@ impl StreamSnapshot {
     pub fn save_rotated(&self, path: &Path, keep: usize) -> Result<(), CheckpointError> {
         let (kind, version) = (ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION);
         let tmp = envelope::write_tmp(path, kind, version, self.to_json()?.as_bytes())?;
-        for g in (0..keep as u32).rev() {
-            let from = generation_path(path, g);
-            if from.exists() {
-                envelope::rename(&from, &generation_path(path, g + 1))?;
-            }
-        }
-        Ok(envelope::rename(&tmp, path)?)
+        Ok(promote(&tmp, path, keep)?)
     }
 
     /// Read a snapshot written by [`StreamSnapshot::save`]. A file without
@@ -256,6 +266,13 @@ impl StreamSnapshot {
         path: &Path,
         keep: usize,
     ) -> Result<Option<(Self, RecoveryReport)>, CheckpointError> {
+        // A kill inside `save_rotated` can leave its complete new image in
+        // `path.tmp`, before or between the renames: finish that save. A
+        // torn `path.tmp` is no generation and stays where it is.
+        let tmp = envelope::tmp_path(path);
+        if tmp.exists() && Self::load(&tmp).is_ok() {
+            promote(&tmp, path, keep)?;
+        }
         let mut skipped: Vec<(String, String)> = Vec::new();
         for g in 0..=(keep as u32) {
             let p = generation_path(path, g);
@@ -442,6 +459,75 @@ mod tests {
         let older = StreamSnapshot::load(&generation_path(&path, 1)).unwrap();
         assert_eq!(older.knowledge_fp, 1);
         assert!(!generation_path(&path, 2).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A kill inside `save_rotated` (after the new image is written, or
+    /// after any one of its renames) followed by a torn `run.ckpt` still
+    /// resumes at most one interval back, and recovery leaves the
+    /// generations consecutive. A torn temp file is no generation.
+    #[test]
+    fn kill_inside_rotation_resumes_within_one_interval() {
+        let dir = std::env::temp_dir().join("sd_checkpoint_kill_rotation_test");
+        let path = dir.join("run.ckpt");
+        let tmp = dir.join("run.ckpt.tmp");
+        let g = |n| generation_path(&path, n);
+        let fp_at = |n| StreamSnapshot::load(&generation_path(&path, n)).map(|s| s.knowledge_fp);
+        let tear = |p: &Path| {
+            let bytes = std::fs::read(p).unwrap();
+            std::fs::write(p, &bytes[..bytes.len() / 2]).unwrap();
+        };
+        // Saves 1–3 complete; the kill lands inside save 4, after
+        // `renames` of its three renames.
+        for renames in 0..=3 {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            for fp in [1u64, 2, 3] {
+                snap_with_fp(fp).save_rotated(&path, 2).unwrap();
+            }
+            let json = snap_with_fp(4).to_json().unwrap();
+            let (kind, version) = (ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION);
+            envelope::write_tmp(&path, kind, version, json.as_bytes()).unwrap();
+            for (from, to) in [(g(1), g(2)), (g(0), g(1)), (tmp.clone(), g(0))]
+                .into_iter()
+                .take(renames)
+            {
+                std::fs::rename(from, to).unwrap();
+            }
+            if path.exists() {
+                tear(&path);
+            }
+
+            let (snap, _) = StreamSnapshot::recover_last_good(&path, 2)
+                .unwrap()
+                .expect("generations exist");
+            assert!(
+                snap.knowledge_fp >= 3,
+                "after {renames} renames: resumed from save {}",
+                snap.knowledge_fp
+            );
+            let newest = snap.knowledge_fp + u64::from(renames == 3);
+            for n in 0..=2u32 {
+                assert!(g(n).exists(), "after {renames} renames: no generation {n}");
+                if let Ok(fp) = fp_at(n) {
+                    assert_eq!(fp + u64::from(n), newest, "after {renames} renames");
+                }
+            }
+            assert!(!tmp.exists());
+        }
+
+        // A torn temp file is left alone and skipped silently.
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        snap_with_fp(1).save_rotated(&path, 2).unwrap();
+        snap_with_fp(2).save_rotated(&path, 2).unwrap();
+        std::fs::write(&tmp, b"SDAR").unwrap();
+        let (snap, report) = StreamSnapshot::recover_last_good(&path, 2)
+            .unwrap()
+            .expect("generations exist");
+        assert_eq!((snap.knowledge_fp, report.generation), (2, 0));
+        assert_eq!(report.n_corrupt, 0);
+        assert_eq!(fp_at(1).unwrap(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -295,12 +295,17 @@ pub(crate) fn write_tmp(
     version: u32,
     payload: &[u8],
 ) -> Result<PathBuf, ArtifactError> {
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
+    let tmp = tmp_path(path);
     std::fs::write(&tmp, encode(kind, version, payload))
         .map_err(|e| ArtifactError::at(&tmp, EnvelopeError::Io(e.to_string())))?;
     Ok(tmp)
+}
+
+/// The `<file name>.tmp` sibling of `path` that [`write_tmp`] writes.
+pub(crate) fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 /// Rename `from` to `to`; a failure carries `to`.

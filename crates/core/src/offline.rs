@@ -3,11 +3,11 @@
 //! location parsing of the historical data → temporal mining → rule
 //! mining, producing a [`DomainKnowledge`] base.
 
-use crate::augment::augment_with;
+use crate::augment::AugmentMemo;
 use crate::grouping::tkey;
 use crate::knowledge::DomainKnowledge;
 use sd_locations::LocationDictionary;
-use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp, TokenScratch};
+use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp};
 use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
 use sd_telemetry::Telemetry;
 use sd_templates::LearnerConfig;
@@ -164,20 +164,20 @@ pub struct History {
 
 /// Augment time-sorted history once and build its [`History`].
 ///
-/// Chunks are augmented on `par.threads` threads (each with its own token
-/// scratch) and merged in input order; the series are key-ordered so that
-/// the [`SeriesSet`] handed to calibration is deterministic (its f64
-/// ratio sums are order-sensitive). The result is identical for every
-/// thread count.
+/// Chunks are augmented on `par.threads` threads (each through its own
+/// augmentation memo) and merged in input order; the series are
+/// key-ordered so that the [`SeriesSet`] handed to calibration is
+/// deterministic (its f64 ratio sums are order-sensitive). The result is
+/// identical for every thread count.
 pub fn history(k: &DomainKnowledge, msgs: &[RawMessage], par: Parallelism) -> History {
     type Series = BTreeMap<(u32, u32, u32), Vec<Timestamp>>;
     let chunks = par_chunks(par, msgs, |start, chunk| {
         let mut stream: Vec<StreamItem> = Vec::with_capacity(chunk.len());
         let mut series = Series::new();
         let mut freq: HashMap<(u32, u32), u64> = HashMap::new();
-        let mut scratch = TokenScratch::new();
+        let mut memo = AugmentMemo::new();
         for (off, m) in chunk.iter().enumerate() {
-            let Some(sp) = augment_with(k, start + off, m, &mut scratch) else {
+            let Some(sp) = memo.augment(k, start + off, m) else {
                 continue;
             };
             let t = sp.template.expect("offline augmentation always assigns");

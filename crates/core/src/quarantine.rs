@@ -95,6 +95,11 @@ pub fn poison_check(detail: &str) {
     }
 }
 
+/// Held by every unit test that arms or disarms the process-global poison
+/// hook, so tests running in parallel never see each other's marker.
+#[cfg(test)]
+pub(crate) static POISON_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,6 +127,7 @@ mod tests {
 
     #[test]
     fn disarmed_hook_never_panics() {
+        let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_poison_marker(None);
         poison_check("anything at all");
     }

@@ -29,7 +29,7 @@
 //!
 //! [`CROSS_WINDOW_SECS`]: crate::grouping::CROSS_WINDOW_SECS
 
-use crate::augment::augment_batch_isolated;
+use crate::augment::{augment_isolated, AugmentMemo};
 use crate::checkpoint::{CheckpointError, IngestState, StreamSnapshot};
 use crate::event::{GroupSummary, NetworkEvent};
 use crate::grouping::{GroupingConfig, Stages, CROSS_WINDOW_SECS};
@@ -203,6 +203,10 @@ pub struct StreamDigester<'k> {
     k: &'k DomainKnowledge,
     /// Everything a checkpoint carries.
     st: StreamState,
+    /// Augmentation of the lines seen so far. A cache over the fixed
+    /// knowledge, so it is never checkpointed; a panic inside
+    /// augmentation replaces it with an empty one.
+    memo: AugmentMemo,
 
     /// Drop / degradation / throughput counters ([`StreamStats`] is a
     /// view over these; with telemetry attached they are also exported).
@@ -253,6 +257,7 @@ impl<'k> StreamDigester<'k> {
                 groups: SortedMap::default(),
                 stages: Stages::default(),
             },
+            memo: AugmentMemo::new(),
             counters: StreamCounters::new(tel),
             trace: false,
             trace_out: Vec::new(),
@@ -377,7 +382,7 @@ impl<'k> StreamDigester<'k> {
         // `push` would have).
         let iso = {
             let _g = self.sp_augment.start();
-            augment_batch_isolated(k, msgs, self.st.cfg.par)
+            augment_isolated(k, msgs, self.st.cfg.par, &mut self.memo)
         };
         let poisoned: HashMap<usize, String> = iso.quarantined.into_iter().collect();
         let mut events = Vec::new();

@@ -11,9 +11,6 @@
 //!   single flipped bit, a silent short write, and a disk-full error.
 //! * [`apply_fault`] / [`corrupt_file`] — damage a byte image / a file
 //!   on disk the way the fault would have left it.
-//! * [`FaultyWriter`] / [`FaultyReader`] — `io::Write` / `io::Read`
-//!   wrappers that inject the fault mid-stream, for exercising code
-//!   paths that never materialize the whole artifact in memory.
 //!
 //! Determinism contract (same philosophy as [`crate::faults`]): the
 //! fault derived by [`StorageFault::from_seed`] depends only on
@@ -22,7 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::Path;
 
 /// One injected storage fault.
@@ -114,121 +111,6 @@ pub fn corrupt_file(path: &Path, fault: &StorageFault) -> io::Result<()> {
     std::fs::write(path, apply_fault(&bytes, fault))
 }
 
-/// An `io::Write` that injects `fault` into the byte stream. Torn and
-/// short writes silently discard everything past the fault offset
-/// (claiming success, as a crashed or lying kernel would); disk-full
-/// surfaces an error once the offset is reached; bit flips pass the
-/// stream through with one bit damaged.
-pub struct FaultyWriter<W: Write> {
-    inner: W,
-    fault: StorageFault,
-    written: usize,
-}
-
-impl<W: Write> FaultyWriter<W> {
-    /// Wrap `inner`, injecting `fault`.
-    pub fn new(inner: W, fault: StorageFault) -> Self {
-        FaultyWriter {
-            inner,
-            fault,
-            written: 0,
-        }
-    }
-
-    /// Bytes offered to the writer so far (pre-fault accounting).
-    pub fn offered(&self) -> usize {
-        self.written
-    }
-}
-
-impl<W: Write> Write for FaultyWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let start = self.written;
-        match self.fault {
-            StorageFault::Truncate { at } | StorageFault::ShortWrite { at } => {
-                let keep = at.saturating_sub(start).min(buf.len());
-                self.inner.write_all(&buf[..keep])?;
-                // Claim the whole buffer landed: the caller only finds
-                // out at (enveloped) load time.
-                self.written = start + buf.len();
-                Ok(buf.len())
-            }
-            StorageFault::DiskFull { at } => {
-                let keep = at.saturating_sub(start).min(buf.len());
-                self.inner.write_all(&buf[..keep])?;
-                self.written = start + keep;
-                if keep < buf.len() {
-                    Err(io::Error::other("injected fault: no space left on device"))
-                } else {
-                    Ok(buf.len())
-                }
-            }
-            StorageFault::BitFlip { offset, bit } => {
-                if offset >= start && offset < start + buf.len() {
-                    let mut damaged = buf.to_vec();
-                    damaged[offset - start] ^= 1 << (bit % 8);
-                    self.inner.write_all(&damaged)?;
-                } else {
-                    self.inner.write_all(buf)?;
-                }
-                self.written = start + buf.len();
-                Ok(buf.len())
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// An `io::Read` that injects `fault` into the byte stream: prefix
-/// faults turn into an early EOF at the fault offset, bit flips damage
-/// the byte as it streams past.
-pub struct FaultyReader<R: Read> {
-    inner: R,
-    fault: StorageFault,
-    pos: usize,
-}
-
-impl<R: Read> FaultyReader<R> {
-    /// Wrap `inner`, injecting `fault`.
-    pub fn new(inner: R, fault: StorageFault) -> Self {
-        FaultyReader {
-            inner,
-            fault,
-            pos: 0,
-        }
-    }
-}
-
-impl<R: Read> Read for FaultyReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self.fault {
-            StorageFault::Truncate { at }
-            | StorageFault::ShortWrite { at }
-            | StorageFault::DiskFull { at } => {
-                let remaining = at.saturating_sub(self.pos);
-                if remaining == 0 {
-                    return Ok(0);
-                }
-                let cap = remaining.min(buf.len());
-                let n = self.inner.read(&mut buf[..cap])?;
-                self.pos += n;
-                Ok(n)
-            }
-            StorageFault::BitFlip { offset, bit } => {
-                let n = self.inner.read(buf)?;
-                if offset >= self.pos && offset < self.pos + n {
-                    buf[offset - self.pos] ^= 1 << (bit % 8);
-                }
-                self.pos += n;
-                Ok(n)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,49 +146,16 @@ mod tests {
     }
 
     #[test]
-    fn apply_fault_matches_writer_image() {
-        let payload: Vec<u8> = (0..=255u8).cycle().take(3000).collect();
-        for kind in STORAGE_FAULT_KINDS {
-            for seed in [1u64, 2, 3] {
-                let fault = StorageFault::from_seed(kind, seed, payload.len()).expect("kind");
-                let expected = apply_fault(&payload, &fault);
-
-                let mut sink = Vec::new();
-                let mut w = FaultyWriter::new(&mut sink, fault);
-                // Write in awkward chunk sizes to cross the fault offset.
-                let mut res = Ok(());
-                for chunk in payload.chunks(97) {
-                    if let Err(e) = w.write_all(chunk) {
-                        res = Err(e);
-                        break;
-                    }
-                }
-                w.flush().expect("flush");
-                drop(w);
-                match fault {
-                    StorageFault::DiskFull { .. } => {
-                        assert!(res.is_err(), "disk-full must surface an error")
-                    }
-                    _ => assert!(res.is_ok(), "{kind} should be silent"),
-                }
-                assert_eq!(sink, expected, "kind {kind} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn faulty_reader_truncates_and_flips() {
+    fn apply_fault_leaves_a_prefix_or_one_flipped_bit() {
         let payload: Vec<u8> = (0..200u8).collect();
-        let mut out = Vec::new();
-        FaultyReader::new(&payload[..], StorageFault::Truncate { at: 50 })
-            .read_to_end(&mut out)
-            .expect("read");
-        assert_eq!(out, &payload[..50]);
-
-        let mut out = Vec::new();
-        FaultyReader::new(&payload[..], StorageFault::BitFlip { offset: 10, bit: 0 })
-            .read_to_end(&mut out)
-            .expect("read");
+        for fault in [
+            StorageFault::Truncate { at: 50 },
+            StorageFault::ShortWrite { at: 50 },
+            StorageFault::DiskFull { at: 50 },
+        ] {
+            assert_eq!(apply_fault(&payload, &fault), &payload[..50]);
+        }
+        let out = apply_fault(&payload, &StorageFault::BitFlip { offset: 10, bit: 0 });
         assert_eq!(out.len(), payload.len());
         assert_eq!(out[10], payload[10] ^ 1);
         assert_eq!(out[11], payload[11]);

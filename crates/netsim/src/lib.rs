@@ -40,8 +40,6 @@ pub use dataset::{Dataset, DatasetSpec};
 pub use events::{EventKind, EventSim, GtEvent};
 pub use faults::{inject, FaultReport, FaultSpec};
 pub use grammar::{poison_message, Grammar, GrammarTemplate, VarKind, POISON_MARKER};
-pub use iofaults::{
-    apply_fault, corrupt_file, FaultyReader, FaultyWriter, StorageFault, STORAGE_FAULT_KINDS,
-};
+pub use iofaults::{apply_fault, corrupt_file, StorageFault, STORAGE_FAULT_KINDS};
 pub use topology::{TopoSpec, Topology};
 pub use workload::{Workload, WorkloadSpec};

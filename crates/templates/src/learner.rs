@@ -63,8 +63,8 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
     }
 
     // One work item per (code, token count) bucket with its sampled
-    // token-vectors.
-    type Bucket<'a> = ((ErrorCode, usize), Vec<Vec<&'a str>>);
+    // token-vectors, each distinct one once with its count.
+    type Bucket<'a> = ((ErrorCode, usize), Vec<(Vec<&'a str>, usize)>);
     // Deterministic order: sort bucket keys, sampling each bucket up front.
     let mut keys: Vec<(ErrorCode, usize)> = buckets.keys().cloned().collect();
     keys.sort();
@@ -81,7 +81,7 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
                     msgs = msgs.into_iter().step_by(stride.max(1)).collect();
                 }
             }
-            (key, msgs)
+            (key, distinct(msgs))
         })
         .collect();
 
@@ -94,6 +94,19 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
     TemplateSet::from_templates(per_bucket.concat())
 }
 
+/// `msgs` with each distinct token-vector once, in sorted order, with the
+/// number of times it occurs: routers repeat the same lines, and the tree
+/// only counts words.
+fn distinct(msgs: Vec<Vec<&str>>) -> Vec<(Vec<&str>, usize)> {
+    let mut counts: HashMap<Vec<&str>, usize> = HashMap::new();
+    for toks in msgs {
+        *counts.entry(toks).or_insert(0) += 1;
+    }
+    let mut out: Vec<(Vec<&str>, usize)> = counts.into_iter().collect();
+    out.sort_unstable();
+    out
+}
+
 /// Recursively split one tree node.
 ///
 /// `pattern[p]` is `Some(word)` once position `p` is fixed on this path,
@@ -103,7 +116,7 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
 /// masked on this path is fixed as `Some(MASK)`.
 fn split_node(
     code: &ErrorCode,
-    msgs: &[Vec<&str>],
+    msgs: &[(Vec<&str>, usize)],
     members: Vec<usize>,
     mut pattern: Vec<Option<String>>,
     config: &LearnerConfig,
@@ -120,7 +133,8 @@ fn split_node(
             }
             let mut freq: HashMap<&str, usize> = HashMap::new();
             for &mi in &members {
-                *freq.entry(msgs[mi][p]).or_insert(0) += 1;
+                let (toks, n) = &msgs[mi];
+                *freq.entry(toks[p]).or_insert(0) += n;
             }
             let distinct = freq.len();
             let top = freq.values().copied().max().unwrap_or(0);
@@ -145,13 +159,13 @@ fn split_node(
         }
         if distinct == 1 {
             // Constant word everywhere: fix it and continue (single child).
-            pattern[pos] = Some(msgs[members[0]][pos].to_owned());
+            pattern[pos] = Some(msgs[members[0]].0[pos].to_owned());
             continue;
         }
         // 2..=k distinct words: create one child per word (BFS expansion).
         let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
         for &mi in &members {
-            groups.entry(msgs[mi][pos]).or_default().push(mi);
+            groups.entry(msgs[mi].0[pos]).or_default().push(mi);
         }
         let mut words: Vec<&str> = groups.keys().copied().collect();
         words.sort_unstable();
