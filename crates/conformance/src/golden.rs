@@ -11,6 +11,7 @@
 //! `validate_conformance --bless`, whose diff the reviewer sees as a
 //! one-file change alongside the code that caused it.
 
+use sd_model::Fnv;
 use sd_netsim::{inject, FaultSpec};
 use sd_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
@@ -93,34 +94,9 @@ pub fn default_golden_path() -> String {
     concat!(env!("CARGO_MANIFEST_DIR"), "/golden/corpus.json").to_owned()
 }
 
-/// FNV-1a over a byte stream.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv {
-    /// Fold bytes in.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Fold one u64 in (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The digest so far, as the hex string stored in golden files.
-    pub fn hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
+/// `h`'s digest as the hex string stored in golden files.
+fn hex(h: Fnv) -> String {
+    format!("{:016x}", h.finish())
 }
 
 /// Canonical partition digest: each event's member sequence ids sorted,
@@ -146,7 +122,7 @@ pub fn partition_digest(events: &[NetworkEvent]) -> String {
         }
         h.write(b"/");
     }
-    h.hex()
+    hex(h)
 }
 
 /// Digest of the learned template set: the sorted masked strings.
@@ -158,7 +134,7 @@ pub fn template_digest(k: &DomainKnowledge) -> String {
         h.write(m.as_bytes());
         h.write(b"\n");
     }
-    h.hex()
+    hex(h)
 }
 
 /// Digest of the mined rule set: directed ids plus the exact statistic
@@ -171,7 +147,7 @@ pub fn rule_digest(k: &DomainKnowledge) -> String {
         h.write_u64(r.support.to_bits());
         h.write_u64(r.confidence.to_bits());
     }
-    h.hex()
+    hex(h)
 }
 
 /// Stream a feed through the fault-tolerant ingest layer.
@@ -233,18 +209,6 @@ pub fn compute_entry(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable_and_order_sensitive() {
-        let mut a = Fnv::default();
-        a.write(b"ab");
-        let mut b = Fnv::default();
-        b.write(b"ba");
-        assert_ne!(a.hex(), b.hex());
-        let mut c = Fnv::default();
-        c.write(b"ab");
-        assert_eq!(a.hex(), c.hex());
-    }
 
     #[test]
     fn golden_file_roundtrips() {

@@ -26,6 +26,7 @@
 //! under the real name. A file that does not start with the magic, such
 //! as a bare JSON artifact, fails with [`EnvelopeError::BadMagic`].
 
+use sd_model::Fnv;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -34,7 +35,7 @@ use std::path::{Path, PathBuf};
 pub const ENVELOPE_MAGIC: [u8; 4] = *b"SDAR";
 
 /// Total header size in bytes (magic + kind + version + length + checksum).
-pub const HEADER_LEN: usize = 28;
+const HEADER_LEN: usize = 28;
 
 /// Four-byte artifact-kind tag inside the envelope header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,17 +188,6 @@ impl fmt::Display for ArtifactError {
 
 impl std::error::Error for ArtifactError {}
 
-/// FNV-1a 64-bit hash — the workspace's standard content digest
-/// (matches the fingerprint/digest hashing in knowledge and netsim).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Serialize `payload` into a fully framed artifact image.
 pub fn encode(kind: ArtifactKind, version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -205,7 +195,7 @@ pub fn encode(kind: ArtifactKind, version: u32, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&kind.0);
     out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(&Fnv::hash(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -266,7 +256,7 @@ pub fn decode(
     }
     let payload = &bytes[HEADER_LEN..needed];
     let expected_sum = le_u64(&bytes[20..28]);
-    let found_sum = fnv1a(payload);
+    let found_sum = Fnv::hash(payload);
     if found_sum != expected_sum {
         return Err(EnvelopeError::ChecksumMismatch {
             expected: expected_sum,
@@ -278,7 +268,7 @@ pub fn decode(
 
 /// Atomically write an enveloped artifact: frame, write to a
 /// `<file name>.tmp` sibling, rename over `path`.
-pub fn save_atomic(
+fn save_atomic(
     path: &Path,
     kind: ArtifactKind,
     version: u32,
@@ -314,7 +304,7 @@ pub(crate) fn rename(from: &Path, to: &Path) -> Result<(), ArtifactError> {
 }
 
 /// Read an artifact's raw bytes, wrapping I/O failures with the path.
-pub fn load_bytes(path: &Path) -> Result<Vec<u8>, ArtifactError> {
+fn load_bytes(path: &Path) -> Result<Vec<u8>, ArtifactError> {
     std::fs::read(path).map_err(|e| ArtifactError::at(path, EnvelopeError::Io(e.to_string())))
 }
 

@@ -6,11 +6,11 @@
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::MergeCause;
 use crate::union_find::UnionFind;
-use sd_model::{par_map, LocationId, Parallelism, SortedMap, SyslogPlus, TemplateId, Timestamp};
+use sd_model::{LocationId, Parallelism, SortedMap, SyslogPlus, TemplateId, Timestamp};
 use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// Which stages to run (Table 7 compares T, T+R, T+R+C).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -22,10 +22,12 @@ pub struct GroupingConfig {
     pub rules: bool,
     /// Cross-router grouping (same template, connected locations, ~1 s).
     pub cross: bool,
-    /// Thread count for the router-sharded stages (the temporal and
-    /// rule-based stages are per-router and shard perfectly; the
-    /// cross-router stage is always sequential). Output is identical for
-    /// every thread count, so checkpoints leave it out.
+    /// Thread count for augmentation (batch `digest` and the stream's
+    /// `push_batch`). Grouping is always one sequential pass: a link is
+    /// unioned as soon as it is found, which a fan-out over routers would
+    /// have to buffer and merge, and that costs more than the stages.
+    /// Output is identical for every thread count, so checkpoints leave it
+    /// out.
     #[serde(skip)]
     pub par: Parallelism,
 }
@@ -103,8 +105,8 @@ const CROSS_QUEUE_CAP: usize = 1024;
 /// The latest `(id, ts)` per `(template, location)` of one router.
 type RuleLookback = SortedMap<(u32, u32), (u64, Timestamp)>;
 
-/// State and per-message step of the three grouping stages, the one
-/// implementation behind both the batch edge fold ([`stage_edges`]) and
+/// State and per-message step of the three grouping stages. The step has
+/// two drivers: the batch pass behind [`group`] and [`stage_edges`], and
 /// the streaming closure ([`StreamDigester`](crate::StreamDigester)).
 ///
 /// Messages must arrive in time order. Ids are the caller's: batch indices
@@ -122,9 +124,32 @@ pub(crate) struct Stages {
 }
 
 impl Stages {
+    /// The per-message step: run the stages `cfg` enables on message `sp`
+    /// and append its links `(earlier id, cause)` to `links`. `lookup`
+    /// resolves an earlier id to its message for the cross-router stage.
+    pub(crate) fn step<'a>(
+        &mut self,
+        k: &DomainKnowledge,
+        cfg: &GroupingConfig,
+        sp: &SyslogPlus,
+        id: u64,
+        lookup: impl Fn(u64) -> Option<&'a SyslogPlus>,
+        links: &mut Vec<(u64, MergeCause)>,
+    ) {
+        if cfg.temporal {
+            self.temporal(k, sp, id, links);
+        }
+        if cfg.rules {
+            self.rule(k, sp, id, links);
+        }
+        if cfg.cross {
+            self.cross(k, sp, id, lookup, links);
+        }
+    }
+
     /// Temporal stage: link to the previous message of the same (router,
     /// template, location) series unless its tracker starts a new group.
-    pub(crate) fn temporal(
+    fn temporal(
         &mut self,
         k: &DomainKnowledge,
         sp: &SyslogPlus,
@@ -150,7 +175,7 @@ impl Stages {
     /// Rule-based stage: link to each recent message of the same router
     /// within W whose template is related to this one by a mined rule and
     /// whose location spatially matches.
-    pub(crate) fn rule(
+    fn rule(
         &mut self,
         k: &DomainKnowledge,
         sp: &SyslogPlus,
@@ -185,7 +210,7 @@ impl Stages {
     /// another router within [`CROSS_WINDOW_SECS`] whose locations are
     /// related. `lookup` resolves an earlier id to its message; ids it
     /// cannot resolve are skipped.
-    pub(crate) fn cross<'a>(
+    fn cross<'a>(
         &mut self,
         k: &DomainKnowledge,
         sp: &SyslogPlus,
@@ -214,49 +239,32 @@ impl Stages {
     }
 }
 
-/// Move the links of batch message `j` into `edges` as undirected edges.
-fn drain_links(
-    j: usize,
-    links: &mut Vec<(u64, MergeCause)>,
-    edges: &mut Vec<(usize, usize, MergeCause)>,
-) {
-    edges.extend(links.drain(..).map(|(i, cause)| (i as usize, j, cause)));
-}
-
-/// Edges of the temporal and rule-based stages over the messages selected
-/// by `idxs` (ascending batch indices). Both stages key all state by
-/// router, so running them over one router's messages is *exactly* the
-/// sequential traversal restricted to that router — sharding by router
-/// changes nothing about the produced edge set.
-fn router_local_stages(
+/// The batch driver: one pass over the time-sorted `batch` in index order,
+/// handing each link `(earlier index, later index, cause)` to `sink` as
+/// the step finds it.
+fn for_each_link(
     k: &DomainKnowledge,
     batch: &[SyslogPlus],
     cfg: &GroupingConfig,
-    idxs: impl Iterator<Item = usize>,
-) -> Vec<(usize, usize, MergeCause)> {
+    mut sink: impl FnMut(usize, usize, MergeCause),
+) {
     let mut stages = Stages::default();
     let mut links = Vec::new();
-    let mut edges = Vec::new();
-    for j in idxs {
-        let sp = &batch[j];
-        if cfg.temporal {
-            stages.temporal(k, sp, j as u64, &mut links);
+    let lookup = |i: u64| batch.get(i as usize);
+    for (j, sp) in batch.iter().enumerate() {
+        stages.step(k, cfg, sp, j as u64, lookup, &mut links);
+        for (i, cause) in links.drain(..) {
+            sink(i as usize, j, cause);
         }
-        if cfg.rules {
-            stages.rule(k, sp, j as u64, &mut links);
-        }
-        drain_links(j, &mut links, &mut edges);
     }
-    edges
 }
 
-/// All union edges the configured stages produce over `batch`, with the
-/// stage (and, for rules, the undirected template pair) that caused each.
-/// The router-local stages shard by router when parallel; the
-/// cross-router stage is sequential (its state spans routers).
+/// All union edges the configured stages produce over `batch`, in the
+/// order the batch pass finds them, with the stage (and, for rules, the
+/// undirected template pair) that caused each.
 ///
-/// This is the conformance seam: [`group`] is exactly a union-find fold of
-/// this edge set, so a differential oracle that compares it against an
+/// This is the conformance seam: [`group`] unions exactly these links,
+/// found by the same pass, so a differential oracle that compares it against an
 /// independently derived reference edge set can pinpoint the first
 /// *decision* that differed (which two messages were linked, by which
 /// stage) rather than only observing that two partitions disagree.
@@ -265,61 +273,41 @@ pub fn stage_edges(
     batch: &[SyslogPlus],
     cfg: &GroupingConfig,
 ) -> Vec<(usize, usize, MergeCause)> {
-    let mut edges = if cfg.par.is_sequential() {
-        router_local_stages(k, batch, cfg, 0..batch.len())
-    } else {
-        // Shard batch indices by router, routers in ascending id order.
-        let mut shards: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for (i, sp) in batch.iter().enumerate() {
-            shards.entry(sp.router.0).or_default().push(i);
-        }
-        let shards: Vec<Vec<usize>> = shards.into_values().collect();
-        par_map(cfg.par, &shards, |_, shard| {
-            router_local_stages(k, batch, cfg, shard.iter().copied())
-        })
-        .concat()
-    };
-
-    if cfg.cross {
-        let mut stages = Stages::default();
-        let mut links = Vec::new();
-        for (j, sp) in batch.iter().enumerate() {
-            let lookup = |i: u64| batch.get(i as usize);
-            stages.cross(k, sp, j as u64, lookup, &mut links);
-            drain_links(j, &mut links, &mut edges);
-        }
-    }
+    let mut edges = Vec::new();
+    for_each_link(k, batch, cfg, |a, b, cause| edges.push((a, b, cause)));
     edges
 }
 
-impl GroupingResult {
-    /// The union-find fold of `edges` over `n` messages. Partitions do
-    /// not depend on the order edges are applied, so the edge set fully
-    /// determines the grouping.
-    pub(crate) fn from_edges(n: usize, edges: &[(usize, usize, MergeCause)]) -> Self {
-        let mut uf = UnionFind::new(n);
-        let mut active_rules: HashSet<(u32, u32)> = HashSet::new();
-        for &(a, b, cause) in edges {
-            uf.union(a, b);
-            if let MergeCause::Rule(x, y) = cause {
-                active_rules.insert((x, y));
-            }
-        }
-        let (group_of, n_groups) = uf.groups();
-        GroupingResult {
-            group_of,
-            n_groups,
-            active_rules,
-        }
-    }
+/// Group a time-sorted augmented batch: one sequential pass of the stages,
+/// each link unioned as it is found. `cfg.par` plays no part, so the
+/// result is the same for every thread count.
+pub fn group(k: &DomainKnowledge, batch: &[SyslogPlus], cfg: &GroupingConfig) -> GroupingResult {
+    group_with(k, batch, cfg, |_, _| {})
 }
 
-/// Group a time-sorted augmented batch. The result is identical for every
-/// `cfg.par.threads` value: the parallel path shards the router-local
-/// stages by router, and union-find partitions do not depend on the order
-/// edges are applied.
-pub fn group(k: &DomainKnowledge, batch: &[SyslogPlus], cfg: &GroupingConfig) -> GroupingResult {
-    GroupingResult::from_edges(batch.len(), &stage_edges(k, batch, cfg))
+/// [`group`], handing each link's earlier message and cause to `on_link`
+/// as it is unioned.
+pub(crate) fn group_with(
+    k: &DomainKnowledge,
+    batch: &[SyslogPlus],
+    cfg: &GroupingConfig,
+    mut on_link: impl FnMut(usize, MergeCause),
+) -> GroupingResult {
+    let mut uf = UnionFind::new(batch.len());
+    let mut active_rules = HashSet::new();
+    for_each_link(k, batch, cfg, |a, b, cause| {
+        uf.union(a, b);
+        if let MergeCause::Rule(x, y) = cause {
+            active_rules.insert((x, y));
+        }
+        on_link(a, cause);
+    });
+    let (group_of, n_groups) = uf.groups();
+    GroupingResult {
+        group_of,
+        n_groups,
+        active_rules,
+    }
 }
 
 /// The §4.2.1 series key `(router, template, location)`, `u32::MAX` for a

@@ -6,7 +6,7 @@
 
 use crate::envelope::{self, ArtifactError, ArtifactKind};
 use sd_locations::LocationDictionary;
-use sd_model::{ErrorCode, FxHashMap, Interner, RouterId, TemplateId, TokenScratch};
+use sd_model::{ErrorCode, Fnv, FxHashMap, Interner, RouterId, TemplateId, TokenScratch};
 use sd_rules::RuleSet;
 use sd_templates::TemplateSet;
 use sd_temporal::TemporalConfig;
@@ -117,26 +117,18 @@ impl DomainKnowledge {
     /// are dense indexes, and replaying them against another base would
     /// silently mis-group rather than fail.
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        mix(self.templates.len() as u64);
-        mix(self.fallback_codes.len() as u64);
-        mix(self.dict.len() as u64);
-        mix(self.rules.len() as u64);
-        mix(self.window_secs as u64);
-        mix(self.temporal.alpha.to_bits());
-        mix(self.temporal.beta.to_bits());
-        mix(self.temporal.s_min as u64);
-        mix(self.temporal.s_max as u64);
-        mix(self.freq.len() as u64);
-        h
+        let mut h = Fnv::default();
+        h.write_u64(self.templates.len() as u64);
+        h.write_u64(self.fallback_codes.len() as u64);
+        h.write_u64(self.dict.len() as u64);
+        h.write_u64(self.rules.len() as u64);
+        h.write_u64(self.window_secs as u64);
+        h.write_u64(self.temporal.alpha.to_bits());
+        h.write_u64(self.temporal.beta.to_bits());
+        h.write_u64(self.temporal.s_min as u64);
+        h.write_u64(self.temporal.s_max as u64);
+        h.write_u64(self.freq.len() as u64);
+        h.finish()
     }
 
     /// Resolve a message's template: learned template if one matches, the

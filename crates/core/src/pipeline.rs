@@ -3,7 +3,7 @@
 
 use crate::augment::augment_batch_isolated;
 use crate::event::{GroupSummary, NetworkEvent};
-use crate::grouping::{stage_edges, GroupingConfig, GroupingResult};
+use crate::grouping::{group_with, GroupingConfig, GroupingResult};
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::{CloseReason, EventProvenance};
 use crate::quarantine::QuarantineRecord;
@@ -54,8 +54,9 @@ impl Digest {
 }
 
 /// Run the full online pipeline over time-sorted raw messages.
-/// `cfg.par` parallelizes augmentation and the router-local grouping
-/// stages; the digest is identical for every thread count.
+/// `cfg.par` parallelizes augmentation; grouping is one sequential pass
+/// that unions each link as it is found, so no edge list is built. The
+/// digest is identical for every thread count.
 pub fn digest(k: &DomainKnowledge, raw: &[RawMessage], cfg: &GroupingConfig) -> Digest {
     digest_instrumented(k, raw, cfg, &Telemetry::disabled(), false).0
 }
@@ -87,15 +88,17 @@ pub fn digest_instrumented(
     };
     let (grouping, mut groups) = {
         let _g = tel.time("digest.group");
-        let edges = stage_edges(k, &batch, cfg);
-        let grouping = GroupingResult::from_edges(batch.len(), &edges);
-        let mut groups = vec![GroupSummary::default(); grouping.n_groups];
         // Provenance replays the causes over the final partition; it is
         // never consulted while merging.
-        if trace {
-            for &(a, _, cause) in &edges {
-                groups[grouping.group_of[a]].links.record(cause);
+        let mut traced = Vec::new();
+        let grouping = group_with(k, &batch, cfg, |a, cause| {
+            if trace {
+                traced.push((a, cause));
             }
+        });
+        let mut groups = vec![GroupSummary::default(); grouping.n_groups];
+        for (a, cause) in traced {
+            groups[grouping.group_of[a]].links.record(cause);
         }
         (grouping, groups)
     };

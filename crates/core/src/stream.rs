@@ -1,8 +1,10 @@
 //! Streaming online digestion.
 //!
 //! [`StreamDigester`] takes the feed one message at a time, runs it
-//! through the batch pipeline's own grouping stages (`grouping::Stages`),
-//! unions the links into its open groups, and *closes* a group, emitting
+//! through the per-message grouping step that batch drives too
+//! (`grouping::Stages::step`, one sequential pass in both, because each
+//! stage's lookback follows the clock), unions the links into its open
+//! groups, and *closes* a group, emitting
 //! its [`NetworkEvent`], once it has been idle longer than any stage looks
 //! back: `Smax` (temporal), `W` (rule-based) and [`CROSS_WINDOW_SECS`]
 //! (cross-router). With `idle_close` at least that long, the streaming
@@ -421,17 +423,10 @@ impl<'k> StreamDigester<'k> {
         self.st.next_seq += 1;
         let mut links = Vec::new();
         let st = &mut self.st;
-        if st.cfg.temporal {
-            st.stages.temporal(self.k, &sp, seq, &mut links);
-        }
-        if st.cfg.rules {
-            st.stages.rule(self.k, &sp, seq, &mut links);
-        }
-        if st.cfg.cross {
-            let recent = &st.recent;
-            let lookup = |i| recent[position(recent, i)?].3.as_ref();
-            st.stages.cross(self.k, &sp, seq, lookup, &mut links);
-        }
+        let recent = &st.recent;
+        let lookup = |i| recent[position(recent, i)?].3.as_ref();
+        st.stages
+            .step(self.k, &st.cfg, &sp, seq, lookup, &mut links);
         // Applied in one fixed order, so group roots and member order do
         // not follow the hash order the rule stage found its links in. A
         // link to a message whose group already closed merges nothing.

@@ -14,6 +14,7 @@
 
 pub mod augmented;
 pub mod errorcode;
+pub mod fnv;
 pub mod fxhash;
 pub mod intern;
 pub mod message;
@@ -24,6 +25,7 @@ pub mod tokens;
 
 pub use augmented::{LocationId, LocationLevel, RouterId, SyslogPlus, TemplateId};
 pub use errorcode::{ErrorCode, Severity};
+pub use fnv::Fnv;
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::Interner;
 pub use message::{sort_batch, GroundTruthId, MalformedReport, ParseError, RawMessage, Vendor};

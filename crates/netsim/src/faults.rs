@@ -28,7 +28,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_model::RawMessage;
+use sd_model::{Fnv, RawMessage};
 
 /// What to do to a clean feed. All probabilities are per message.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,16 +134,6 @@ pub struct FaultReport {
     pub n_lines: usize,
 }
 
-/// FNV-1a over a router name, for stable skewed-router selection.
-fn router_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Corrupt a wire line so that it is *guaranteed* not to parse: truncate
 /// at a random point, and if the prefix still parses (short lines with an
 /// empty detail are valid), garble the timestamp too.
@@ -208,7 +198,7 @@ pub fn inject(msgs: &[RawMessage], spec: &FaultSpec) -> (Vec<String>, FaultRepor
 
         let skewed = spec.skew_router_every > 0
             && spec.clock_skew_secs != 0
-            && router_hash(&m.router).is_multiple_of(spec.skew_router_every);
+            && Fnv::hash(m.router.as_bytes()).is_multiple_of(spec.skew_router_every);
         let line = if skewed {
             report.n_skewed += 1;
             let mut sm = m.clone();

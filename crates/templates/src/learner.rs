@@ -50,23 +50,19 @@ impl Default for LearnerConfig {
 /// every thread count.
 pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) -> TemplateSet {
     // Bucket detail token-vectors by (code, token count).
-    let mut buckets: HashMap<(ErrorCode, usize), Vec<Vec<&str>>> = HashMap::new();
-    let mut counts: HashMap<ErrorCode, usize> = HashMap::new();
+    let mut buckets: HashMap<(&ErrorCode, usize), Vec<Vec<&str>>> = HashMap::new();
+    let mut counts: HashMap<&ErrorCode, usize> = HashMap::new();
     for m in messages {
-        let c = counts.entry(m.code.clone()).or_insert(0);
-        *c += 1;
+        *counts.entry(&m.code).or_insert(0) += 1;
         let toks: Vec<&str> = m.detail.split_whitespace().collect();
-        buckets
-            .entry((m.code.clone(), toks.len()))
-            .or_default()
-            .push(toks);
+        buckets.entry((&m.code, toks.len())).or_default().push(toks);
     }
 
     // One work item per (code, token count) bucket with its sampled
     // token-vectors, each distinct one once with its count.
-    type Bucket<'a> = ((ErrorCode, usize), Vec<(Vec<&'a str>, usize)>);
+    type Bucket<'a> = ((&'a ErrorCode, usize), Vec<(Vec<&'a str>, usize)>);
     // Deterministic order: sort bucket keys, sampling each bucket up front.
-    let mut keys: Vec<(ErrorCode, usize)> = buckets.keys().cloned().collect();
+    let mut keys: Vec<(&ErrorCode, usize)> = buckets.keys().copied().collect();
     keys.sort();
     let work: Vec<Bucket<'_>> = keys
         .into_iter()
@@ -88,7 +84,7 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
     let per_bucket: Vec<Vec<Template>> = par_map(par, &work, |_, (key, msgs)| {
         let mut out = Vec::new();
         let idx: Vec<usize> = (0..msgs.len()).collect();
-        split_node(&key.0, msgs, idx, vec![None; key.1], config, &mut out);
+        split_node(key.0, msgs, idx, vec![None; key.1], config, &mut out);
         out
     });
     TemplateSet::from_templates(per_bucket.concat())

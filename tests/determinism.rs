@@ -4,8 +4,9 @@
 //! presets and on arbitrary proptest-generated streams.
 
 use proptest::prelude::*;
-use syslogdigest_repro::digest::grouping::{group, GroupingConfig};
+use syslogdigest_repro::digest::grouping::{group, stage_edges, GroupingConfig};
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
+use syslogdigest_repro::digest::union_find::UnionFind;
 use syslogdigest_repro::digest::{augment_batch_isolated, digest, Digest, DomainKnowledge};
 use syslogdigest_repro::model::{sort_batch, ErrorCode, Parallelism, RawMessage, Timestamp};
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
@@ -171,7 +172,8 @@ proptest! {
     }
 
     /// The grouping stage alone is thread-count invariant on shared
-    /// augmented batches.
+    /// augmented batches, down to the order of its edge list, and `group`
+    /// is the union-find fold of `stage_edges`.
     #[test]
     fn grouping_labels_are_thread_count_invariant(stream in arbitrary_stream()) {
         let k = tiny_knowledge();
@@ -179,6 +181,14 @@ proptest! {
         let base = group(&k, &batch, &digest_cfg(1));
         let par = group(&k, &batch, &digest_cfg(4));
         prop_assert_eq!(base.n_groups, par.n_groups);
-        prop_assert_eq!(base.group_of, par.group_of);
+        prop_assert_eq!(&base.group_of, &par.group_of);
+
+        let edges = stage_edges(&k, &batch, &digest_cfg(1));
+        prop_assert_eq!(&edges, &stage_edges(&k, &batch, &digest_cfg(4)));
+        let mut uf = UnionFind::new(batch.len());
+        for &(a, b, _) in &edges {
+            uf.union(a, b);
+        }
+        prop_assert_eq!(uf.groups(), (base.group_of, base.n_groups));
     }
 }
