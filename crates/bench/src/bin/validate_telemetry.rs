@@ -5,7 +5,7 @@
 //!   missing pipeline counters/spans;
 //! * `--trace FILE` — validate every JSONL provenance record against the
 //!   documented schema (event_id, n_messages, routers, templates, links,
-//!   closed_by);
+//!   closed_by, and the idle fields, integers on an idle close);
 //! * `--overhead` — in this one process, time the 1-thread `digest`
 //!   against `digest_instrumented` with telemetry enabled over
 //!   alternating pairs on dataset A and assert the median per-pair ratio
@@ -124,9 +124,18 @@ fn check_trace_record(line_no: usize, v: &Value) {
             fail(&ctx("links"));
         }
     }
-    match v.get_field("closed_by").and_then(as_str) {
-        Some("batch" | "idle" | "force_closed" | "finish") => {}
+    let closed_by = match v.get_field("closed_by").and_then(as_str) {
+        Some(c @ ("batch" | "idle" | "force_closed" | "finish")) => c,
         _ => fail(&ctx("closed_by")),
+    };
+    // Both idle fields are always present: integers on an idle close,
+    // an integer or null otherwise.
+    for field in ["idle_gap_secs", "idle_close_secs"] {
+        match v.get_field(field) {
+            Some(Value::I64(_) | Value::U64(_)) => {}
+            Some(Value::Null) if closed_by != "idle" => {}
+            _ => fail(&ctx(field)),
+        }
     }
 }
 

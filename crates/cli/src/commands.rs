@@ -1,9 +1,11 @@
 //! Subcommand implementations for `sdigest`.
 
 use crate::args::{ArgError, Parsed};
+use crate::output::{Jsonl, LogFormat};
 use sd_model::{MalformedReport, Parallelism, ParseError, RawMessage, Vendor};
 use sd_netsim::{apply_fault, inject, Dataset, DatasetSpec, FaultSpec, StorageFault};
-use sd_telemetry::{Json, JsonlSink, LogFormat, Logger, Telemetry};
+use sd_telemetry::Telemetry;
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -64,13 +66,11 @@ fn threads_arg(p: &Parsed) -> Result<Parallelism, ArgError> {
 }
 
 /// `--log-format text|json` (default text): how diagnostics reach stderr.
-pub fn logger_for(p: &Parsed) -> Result<Logger, ArgError> {
-    let fmt: LogFormat = p
-        .opt("log-format")
+fn log_format(p: &Parsed) -> Result<LogFormat, ArgError> {
+    p.opt("log-format")
         .unwrap_or("text")
         .parse()
-        .map_err(ArgError)?;
-    Ok(Logger::stderr(fmt))
+        .map_err(ArgError)
 }
 
 /// `--metrics-out FILE` enables the counter/span registry; without it
@@ -87,40 +87,26 @@ fn write_metrics(tel: &Telemetry, path: &Path) -> Result<(), ArgError> {
     fs::write(path, tel.snapshot().to_prometheus()).map_err(|e| io_err("writing metrics", e))
 }
 
-/// `--trace FILE` opens a JSONL sink for per-event provenance records.
-fn trace_sink(p: &Parsed) -> Result<Option<JsonlSink>, ArgError> {
-    match p.opt("trace") {
-        Some(path) => Ok(Some(
-            JsonlSink::create(Path::new(path)).map_err(|e| io_err("creating trace file", e))?,
-        )),
-        None => Ok(None),
-    }
+/// The JSONL sidecar named by option `name` (`trace`, `quarantine-out`),
+/// if given; `what` names it in errors.
+fn jsonl_sink(p: &Parsed, name: &str, what: &str) -> Result<Option<Jsonl>, ArgError> {
+    p.opt(name)
+        .map(|path| Jsonl::create(Path::new(path)))
+        .transpose()
+        .map_err(|e| io_err(&format!("creating {what}"), e))
 }
 
-fn write_trace(sink: &JsonlSink, prov: &[EventProvenance]) -> Result<(), ArgError> {
-    for record in prov {
-        sink.write(&record.to_json())
-            .map_err(|e| io_err("writing trace", e))?;
-    }
-    Ok(())
+/// Append one provenance record per event to the `--trace` sidecar.
+fn write_trace(sink: &Jsonl, prov: &[EventProvenance]) -> Result<(), ArgError> {
+    sink.write(prov.iter().map(EventProvenance::to_json))
+        .map_err(|e| io_err("writing trace", e))
 }
 
-/// `--quarantine-out FILE` opens a JSONL sidecar for messages whose
-/// augmentation panicked (quarantined rather than crashing the run).
-fn quarantine_sink(p: &Parsed) -> Result<Option<fs::File>, ArgError> {
-    match p.opt("quarantine-out") {
-        Some(path) => Ok(Some(
-            fs::File::create(Path::new(path)).map_err(|e| io_err("creating quarantine file", e))?,
-        )),
-        None => Ok(None),
-    }
-}
-
-fn write_quarantine(sink: &mut fs::File, records: &[QuarantineRecord]) -> Result<(), ArgError> {
-    for rec in records {
-        writeln!(sink, "{}", rec.to_json()).map_err(|e| io_err("writing quarantine file", e))?;
-    }
-    Ok(())
+/// Append the records of quarantined messages (augmentation panicked;
+/// the run continues without them) to the `--quarantine-out` sidecar.
+fn write_quarantine(sink: &Jsonl, records: &[QuarantineRecord]) -> Result<(), ArgError> {
+    sink.write(records.iter().map(QuarantineRecord::to_json))
+        .map_err(|e| io_err("writing quarantine file", e))
 }
 
 /// The observability outputs one command run threads through its stages:
@@ -129,20 +115,15 @@ fn write_quarantine(sink: &mut fs::File, records: &[QuarantineRecord]) -> Result
 struct Obs<'a> {
     tel: &'a Telemetry,
     metrics: Option<&'a Path>,
-    trace: Option<&'a JsonlSink>,
-    logger: &'a Logger,
+    trace: Option<&'a Jsonl>,
+    log: LogFormat,
 }
 
-/// Report sampled malformed lines through the structured log sink.
-fn log_malformed(logger: &Logger, samples: &[(usize, String)]) {
+/// Report sampled malformed lines as `warn` diagnostics.
+fn log_malformed(log: LogFormat, samples: &[(usize, String)]) {
     for (n, why) in samples {
-        logger.warn(
-            "malformed line",
-            &[
-                ("line", Json::from(*n)),
-                ("reason", Json::from(why.as_str())),
-            ],
-        );
+        let fields = [("line", n.to_value()), ("reason", why.to_value())];
+        log.emit("warn", "malformed line", &fields);
     }
 }
 
@@ -235,7 +216,7 @@ pub fn cmd_learn(p: &Parsed) -> CmdResult {
     let mut cfg = profile(p.opt("profile").unwrap_or("A"))?;
     cfg.par = threads_arg(p)?;
     let (tel, metrics) = telemetry_for(p);
-    let logger = logger_for(p)?;
+    let log_fmt = log_format(p)?;
 
     let mut configs = Vec::new();
     let mut entries: Vec<_> = fs::read_dir(cfg_dir)
@@ -252,7 +233,7 @@ pub fn cmd_learn(p: &Parsed) -> CmdResult {
         return Err(ArgError(format!("no .cfg files in {}", cfg_dir.display())));
     }
     let (msgs, bad) = read_log(log)?;
-    log_malformed(&logger, &bad.samples);
+    log_malformed(log_fmt, &bad.samples);
     let k = learn_instrumented(&configs, &msgs, &cfg, &tel);
     k.save(out)
         .map_err(|e| ArgError(format!("writing knowledge: {e}")))?;
@@ -299,7 +280,7 @@ fn stream_digest(
     let every: usize = p.opt_parse("checkpoint-every", 10_000)?;
     let keep: usize = p.opt_parse("checkpoint-keep", 2)?;
     let ckpt = p.opt("checkpoint").map(Path::new);
-    let mut qsink = quarantine_sink(p)?;
+    let qsink = jsonl_sink(p, "quarantine-out", "quarantine file")?;
     let scfg = StreamConfig {
         idle_close: 0,
         max_open_messages: max_open,
@@ -352,7 +333,7 @@ fn stream_digest(
                 if let Some(sink) = obs.trace {
                     write_trace(sink, &ingest.take_provenance())?;
                 }
-                if let Some(sink) = qsink.as_mut() {
+                if let Some(sink) = &qsink {
                     write_quarantine(sink, &ingest.take_quarantined())?;
                 }
             }
@@ -370,7 +351,7 @@ fn stream_digest(
     if let Some(sink) = obs.trace {
         write_trace(sink, &ingest.take_provenance())?;
     }
-    if let Some(sink) = qsink.as_mut() {
+    if let Some(sink) = &qsink {
         write_quarantine(sink, &ingest.take_quarantined())?;
     }
     events.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.start.cmp(&b.start)));
@@ -386,7 +367,7 @@ fn stream_digest(
         stats.digester.n_quarantined,
         events.len()
     ));
-    log_malformed(obs.logger, ingest.malformed_samples());
+    log_malformed(obs.log, ingest.malformed_samples());
     Ok(events)
 }
 
@@ -400,8 +381,8 @@ pub fn cmd_digest(p: &Parsed) -> CmdResult {
     let mut gcfg = stages(p.opt("stages").unwrap_or("TRC"))?;
     gcfg.par = threads_arg(p)?;
     let (tel, metrics) = telemetry_for(p);
-    let logger = logger_for(p)?;
-    let trace = trace_sink(p)?;
+    let log_fmt = log_format(p)?;
+    let trace = jsonl_sink(p, "trace", "trace file")?;
 
     let mut out = String::new();
     let events = if p.flag("stream") {
@@ -415,18 +396,18 @@ pub fn cmd_digest(p: &Parsed) -> CmdResult {
                 tel: &tel,
                 metrics: metrics.as_deref(),
                 trace: trace.as_ref(),
-                logger: &logger,
+                log: log_fmt,
             },
         )?
     } else {
         let (msgs, bad) = read_log(log)?;
-        log_malformed(&logger, &bad.samples);
+        log_malformed(log_fmt, &bad.samples);
         let (d, prov) = digest_instrumented(&k, &msgs, &gcfg, &tel, trace.is_some());
         if let (Some(sink), Some(prov)) = (trace.as_ref(), prov.as_deref()) {
             write_trace(sink, prov)?;
         }
-        if let Some(mut sink) = quarantine_sink(p)? {
-            write_quarantine(&mut sink, &d.quarantined)?;
+        if let Some(sink) = jsonl_sink(p, "quarantine-out", "quarantine file")? {
+            write_quarantine(&sink, &d.quarantined)?;
         }
         out.push_str(&format!(
             "digested {} messages ({bad}, {} unknown-router, {} quarantined) -> {} events \
@@ -470,10 +451,10 @@ pub fn cmd_explain(p: &Parsed) -> CmdResult {
         .map_err(|_| ArgError("invalid value for --event: expected an event id".to_owned()))?;
     let mut gcfg = stages(p.opt("stages").unwrap_or("TRC"))?;
     gcfg.par = threads_arg(p)?;
-    let logger = logger_for(p)?;
+    let log_fmt = log_format(p)?;
 
     let (msgs, bad) = read_log(log)?;
-    log_malformed(&logger, &bad.samples);
+    log_malformed(log_fmt, &bad.samples);
     let (d, prov) = digest_instrumented(&k, &msgs, &gcfg, &Telemetry::disabled(), true);
     let prov = prov.unwrap_or_default();
     match prov.iter().find(|e| e.event_id == id) {
@@ -532,16 +513,12 @@ pub fn cmd_inject(p: &Parsed) -> CmdResult {
     let log = Path::new(p.req("log")?);
     let out_path = Path::new(p.req("out")?);
     let seed: u64 = p.opt_parse("seed", 1)?;
-    let spec = match p.opt("preset").unwrap_or("bounded") {
-        "clean" => FaultSpec::clean(seed),
-        "bounded" => FaultSpec::bounded(seed),
-        "hostile" => FaultSpec::hostile(seed),
-        other => {
-            return Err(ArgError(format!(
-                "unknown preset {other:?} (use clean, bounded, or hostile)"
-            )))
-        }
-    };
+    let preset = p.opt("preset").unwrap_or("bounded");
+    let spec = FaultSpec::preset(preset, seed).ok_or_else(|| {
+        ArgError(format!(
+            "unknown preset {preset:?} (use clean, bounded, or hostile)"
+        ))
+    })?;
     let (msgs, bad) = read_log(log)?;
     let (lines, report) = inject(&msgs, &spec);
     let mut f = fs::File::create(out_path).map_err(|e| io_err("creating faulted log", e))?;
@@ -573,29 +550,16 @@ fn inject_artifact(p: &Parsed, artifact: &Path) -> CmdResult {
             let at: usize = s.parse().map_err(|_| {
                 ArgError("invalid value for --at: expected a byte offset".to_owned())
             })?;
-            match kind {
-                "truncate" => StorageFault::Truncate { at },
-                "bitflip" => StorageFault::BitFlip {
-                    offset: at,
-                    bit: (seed % 8) as u8,
-                },
-                "short" | "short-write" => StorageFault::ShortWrite { at },
-                "diskfull" | "disk-full" => StorageFault::DiskFull { at },
-                other => {
-                    return Err(ArgError(format!(
-                        "unknown storage fault {other:?} \
-                         (use truncate, bitflip, short-write, or disk-full)"
-                    )))
-                }
-            }
+            StorageFault::new(kind, at, (seed % 8) as u8)
         }
-        None => StorageFault::from_seed(kind, seed, bytes.len()).ok_or_else(|| {
-            ArgError(format!(
-                "unknown storage fault {kind:?} \
-                 (use truncate, bitflip, short-write, or disk-full)"
-            ))
-        })?,
-    };
+        None => StorageFault::from_seed(kind, seed, bytes.len()),
+    }
+    .ok_or_else(|| {
+        ArgError(format!(
+            "unknown storage fault {kind:?} \
+             (use truncate, bitflip, short-write, or disk-full)"
+        ))
+    })?;
     let out_path = p.opt("out").map(Path::new).unwrap_or(artifact);
     let damaged = apply_fault(&bytes, &fault);
     fs::write(out_path, &damaged).map_err(|e| io_err("writing damaged artifact", e))?;

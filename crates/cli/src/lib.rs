@@ -17,6 +17,7 @@
 
 pub mod args;
 pub mod commands;
+pub mod output;
 
 pub use args::{ArgError, Parsed};
 pub use commands::{cmd_digest, cmd_explain, cmd_generate, cmd_learn, cmd_stats};

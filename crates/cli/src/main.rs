@@ -1,7 +1,7 @@
 //! `sdigest` — the SyslogDigest command line (see `sd_cli` for the
 //! subcommand implementations).
 
-use sd_telemetry::{LogFormat, Logger};
+use sd_cli::output::LogFormat;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -12,7 +12,6 @@ fn main() {
         .find(|w| w[0] == "--log-format")
         .and_then(|w| w[1].parse().ok())
         .unwrap_or(LogFormat::Text);
-    let logger = Logger::stderr(fmt);
     if args.is_empty() {
         eprint!("{}", sd_cli::commands::usage());
         std::process::exit(2);
@@ -20,14 +19,14 @@ fn main() {
     let parsed = match sd_cli::Parsed::parse(args) {
         Ok(p) => p,
         Err(e) => {
-            logger.error(&e.to_string(), &[]);
+            fmt.emit("error", &e.to_string(), &[]);
             std::process::exit(2);
         }
     };
     match sd_cli::commands::dispatch(&parsed) {
         Ok(out) => println!("{out}"),
         Err(e) => {
-            logger.error(&e.to_string(), &[]);
+            fmt.emit("error", &e.to_string(), &[]);
             std::process::exit(1);
         }
     }

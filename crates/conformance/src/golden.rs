@@ -172,16 +172,6 @@ pub fn run_feed(
     (events, stats)
 }
 
-/// The [`FaultSpec`] preset for a golden variant name.
-pub fn variant_spec(variant: &str, seed: u64) -> FaultSpec {
-    match variant {
-        "clean" => FaultSpec::clean(seed),
-        "bounded" => FaultSpec::bounded(seed),
-        "hostile" => FaultSpec::hostile(seed),
-        other => panic!("unknown golden variant {other:?}"),
-    }
-}
-
 /// Compute the golden entry for one `(seed, variant)` corpus run.
 pub fn compute_entry(
     k: &DomainKnowledge,
@@ -190,7 +180,9 @@ pub fn compute_entry(
     variant: &str,
     max_skew_secs: i64,
 ) -> GoldenEntry {
-    let (lines, _report) = inject(online, &variant_spec(variant, seed));
+    let spec = FaultSpec::preset(variant, seed)
+        .unwrap_or_else(|| panic!("unknown golden variant {variant:?}"));
+    let (lines, _report) = inject(online, &spec);
     let (events, stats) = run_feed(k, &lines, max_skew_secs);
     GoldenEntry {
         seed,

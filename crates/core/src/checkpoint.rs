@@ -6,7 +6,8 @@
 //! This module defines the on-disk snapshot format:
 //!
 //! * [`StreamSnapshot`] — one JSON document, in one shape: a **knowledge
-//!   fingerprint** (see [`DomainKnowledge::fingerprint`]), the digester's
+//!   fingerprint** (FNV-1a over the knowledge base's content, see
+//!   [`DomainKnowledge::fingerprint`]), the digester's
 //!   and the reorder buffer's live state serialized as they are, and the
 //!   counters of every layer. The digester's open state is the open
 //!   groups' summaries and the lookback deque of open messages (see
@@ -14,7 +15,8 @@
 //!   count not at all, so equal states give equal bytes.
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
 //!   [`envelope`], whose header carries the artifact kind and the
-//!   **format version** ([`SNAPSHOT_VERSION`]), and writes atomically
+//!   **format version** ([`SNAPSHOT_VERSION`], 6 since the fingerprint
+//!   covers content), and writes atomically
 //!   (temp file + rename), so a crash mid-write can never leave a
 //!   truncated snapshot where a good one used to be — and any truncation
 //!   or bit flip that slips through is caught at load time as a typed
@@ -32,10 +34,12 @@
 //!   only, before the body, and rejects any other version
 //!   ([`EnvelopeError::VersionUnsupported`]); a file that is not
 //!   enveloped (such as a bare JSON snapshot) fails with
-//!   [`EnvelopeError::BadMagic`]. [`StreamSnapshot::verify`] refuses to
-//!   resume against a different knowledge base
+//!   [`EnvelopeError::BadMagic`]. A resume
+//!   ([`FaultTolerantIngest::resume_with_telemetry`]) refuses a snapshot
+//!   taken against a different knowledge base
 //!   ([`CheckpointError::KnowledgeMismatch`]) — dense ids would silently
-//!   mis-group otherwise.
+//!   mis-group otherwise. Two bases with the same component counts but
+//!   other rules, words or frequencies count as different.
 //!
 //! Delivery semantics: events emitted between the last checkpoint and a
 //! crash are emitted *again* after resume (at-least-once); exactly-once
@@ -43,12 +47,13 @@
 //! checkpoint and persist emitted events in the same transaction, keyed
 //! by [`StreamSnapshot::lines_consumed`].
 //!
+//! [`DomainKnowledge::fingerprint`]: crate::DomainKnowledge::fingerprint
+//! [`FaultTolerantIngest::resume_with_telemetry`]: crate::FaultTolerantIngest::resume_with_telemetry
 //! [`EnvelopeError`]: crate::envelope::EnvelopeError
 //! [`EnvelopeError::VersionUnsupported`]: crate::envelope::EnvelopeError::VersionUnsupported
 //! [`EnvelopeError::BadMagic`]: crate::envelope::EnvelopeError::BadMagic
 
 use crate::envelope::{self, ArtifactError, ArtifactKind};
-use crate::knowledge::DomainKnowledge;
 use crate::reorder::ReorderBuffer;
 use crate::stream::{StreamState, StreamStats};
 use sd_model::MalformedReport;
@@ -59,7 +64,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot format version, written and checked in the envelope header
 /// only. Bump on any incompatible change to [`StreamSnapshot`]'s shape;
 /// older snapshots are then rejected instead of being misdecoded.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Counters of the ingest layer: feed lines consumed, the reorder
 /// buffer's late and duplicate counts, and the malformed-line report.
@@ -188,14 +193,6 @@ fn promote(tmp: &Path, path: &Path, keep: usize) -> Result<(), ArtifactError> {
 }
 
 impl StreamSnapshot {
-    /// Check that this snapshot can be resumed against `k`.
-    pub fn verify(&self, k: &DomainKnowledge) -> Result<(), CheckpointError> {
-        if self.knowledge_fp != k.fingerprint() {
-            return Err(CheckpointError::KnowledgeMismatch);
-        }
-        Ok(())
-    }
-
     /// Total feed lines consumed up to this snapshot (accepted, dropped
     /// and malformed) — the offset a resuming process should skip to in
     /// the feed.
@@ -312,6 +309,7 @@ mod tests {
     use crate::envelope::EnvelopeError;
     use crate::grouping::GroupingConfig;
     use crate::ingest::FaultTolerantIngest;
+    use crate::knowledge::DomainKnowledge;
     use crate::stream::StreamConfig;
     use sd_locations::LocationDictionary;
     use sd_model::Interner;

@@ -109,26 +109,24 @@ impl DomainKnowledge {
         Ok(k)
     }
 
-    /// Structural fingerprint of this knowledge base (FNV-1a over the
-    /// learned-component shapes and calibrated parameters).
+    /// Content fingerprint of this knowledge base: FNV-1a over its JSON
+    /// encoding, so the templates, fallback codes, location dictionary,
+    /// temporal parameters, rules, W and frequencies all count. The
+    /// encoding is deterministic, so a base, its save→load copy and the
+    /// same file loaded by another process share one fingerprint.
     ///
     /// Stored inside stream checkpoints so a snapshot is never resumed
     /// against a *different* knowledge base — template/location/rule ids
-    /// are dense indexes, and replaying them against another base would
-    /// silently mis-group rather than fail.
+    /// are dense indexes, and replaying them against another base (even
+    /// one learned from another week with the same component counts)
+    /// would silently mis-group rather than fail. It encodes the whole
+    /// base, so a stream digester computes it once, when it is built.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::default();
-        h.write_u64(self.templates.len() as u64);
-        h.write_u64(self.fallback_codes.len() as u64);
-        h.write_u64(self.dict.len() as u64);
-        h.write_u64(self.rules.len() as u64);
-        h.write_u64(self.window_secs as u64);
-        h.write_u64(self.temporal.alpha.to_bits());
-        h.write_u64(self.temporal.beta.to_bits());
-        h.write_u64(self.temporal.s_min as u64);
-        h.write_u64(self.temporal.s_max as u64);
-        h.write_u64(self.freq.len() as u64);
-        h.finish()
+        Fnv::hash(
+            self.to_json()
+                .expect("a knowledge base always encodes")
+                .as_bytes(),
+        )
     }
 
     /// Resolve a message's template: learned template if one matches, the
@@ -300,6 +298,33 @@ mod tests {
         let err = DomainKnowledge::load(&ck).unwrap_err();
         assert!(matches!(err.error, EnvelopeError::KindMismatch { .. }));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A weekly refresh can change content without changing any count:
+    /// one frequency differs, so the fingerprints differ and a snapshot
+    /// taken against one base does not resume against the other.
+    #[test]
+    fn a_changed_frequency_changes_the_fingerprint_and_refuses_resume() {
+        use crate::checkpoint::CheckpointError;
+        use crate::grouping::GroupingConfig;
+        use crate::ingest::FaultTolerantIngest;
+        use crate::stream::StreamConfig;
+        use sd_telemetry::Telemetry;
+        let k = tiny_knowledge();
+        let mut refreshed = k.clone();
+        refreshed.merge_frequencies([((0u32, 0u32), 1u64)]);
+        assert_eq!(refreshed.freq.len(), k.freq.len());
+        assert_ne!(refreshed.fingerprint(), k.fingerprint());
+
+        let tel = Telemetry::disabled();
+        let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+        let snap =
+            FaultTolerantIngest::with_telemetry(&refreshed, cfg, scfg, 30, &tel).checkpoint();
+        assert!(matches!(
+            FaultTolerantIngest::resume_with_telemetry(&k, &snap, &tel),
+            Err(CheckpointError::KnowledgeMismatch)
+        ));
+        assert!(FaultTolerantIngest::resume_with_telemetry(&refreshed, &snap, &tel).is_ok());
     }
 
     /// Bare JSON (no envelope) is not an artifact: both loaders reject it

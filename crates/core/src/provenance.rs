@@ -9,8 +9,7 @@
 //! assert digest output is byte-identical with tracing on and off.
 
 use crate::event::{add_counts, sorted_entry};
-use sd_telemetry::Json;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
 
 /// Which grouping stage merged two sub-events (§4.2.1–§4.2.3).
@@ -115,51 +114,56 @@ pub struct EventProvenance {
     pub idle_close_secs: Option<i64>,
 }
 
-impl EventProvenance {
-    /// One JSONL trace record.
-    pub fn to_json(&self) -> Json {
-        let templates: Vec<Json> = self
-            .templates
-            .iter()
-            .map(|(id, sig, n)| {
-                Json::obj()
-                    .field("id", *id)
-                    .field("signature", sig.as_str())
-                    .field("members", *n)
-            })
-            .collect();
-        let rules: Vec<Json> = self
-            .links
-            .rules
-            .iter()
-            .zip(&self.rule_signatures)
-            .map(|(&((a, b), fired), (sa, sb))| {
-                Json::obj()
-                    .field("templates", vec![Json::U64(a.into()), Json::U64(b.into())])
-                    .field(
-                        "signatures",
-                        vec![Json::Str(sa.clone()), Json::Str(sb.clone())],
-                    )
-                    .field("fired", fired)
-            })
-            .collect();
-        let routers: Vec<Json> = self.routers.iter().map(|r| Json::Str(r.clone())).collect();
-        Json::obj()
-            .field("event_id", self.event_id)
-            .field("n_messages", self.n_messages)
-            .field("routers", routers)
-            .field("templates", templates)
-            .field(
+/// A JSON object with `fields` in order.
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Map(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+}
+
+/// The `--trace` record shape: per-stage link totals, fired rules with
+/// their signatures, and `null` idle fields outside idle closes.
+impl Serialize for EventProvenance {
+    fn to_value(&self) -> Value {
+        let templates = self.templates.iter().map(|(id, sig, n)| {
+            object([
+                ("id", id.to_value()),
+                ("signature", sig.to_value()),
+                ("members", n.to_value()),
+            ])
+        });
+        let links = &self.links;
+        let rules = links.rules.iter().zip(&self.rule_signatures);
+        let rules = rules.map(|(&(pair, fired), sigs)| {
+            object([
+                ("templates", pair.to_value()),
+                ("signatures", sigs.to_value()),
+                ("fired", fired.to_value()),
+            ])
+        });
+        object([
+            ("event_id", self.event_id.to_value()),
+            ("n_messages", self.n_messages.to_value()),
+            ("routers", self.routers.to_value()),
+            ("templates", Value::Array(templates.collect())),
+            (
                 "links",
-                Json::obj()
-                    .field("temporal", self.links.n_temporal)
-                    .field("rule", self.links.n_rule())
-                    .field("cross", self.links.n_cross),
-            )
-            .field("rules", rules)
-            .field("closed_by", self.closed_by.as_str())
-            .field("idle_gap_secs", self.idle_gap_secs)
-            .field("idle_close_secs", self.idle_close_secs)
+                object([
+                    ("temporal", links.n_temporal.to_value()),
+                    ("rule", links.n_rule().to_value()),
+                    ("cross", links.n_cross.to_value()),
+                ]),
+            ),
+            ("rules", Value::Array(rules.collect())),
+            ("closed_by", self.closed_by.as_str().to_value()),
+            ("idle_gap_secs", self.idle_gap_secs.to_value()),
+            ("idle_close_secs", self.idle_close_secs.to_value()),
+        ])
+    }
+}
+
+impl EventProvenance {
+    /// One JSONL trace record (a single line, no trailing newline).
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(self).expect("a provenance record always encodes")
     }
 
     /// Multi-line human rendering for `sdigest explain`.
@@ -295,13 +299,42 @@ mod tests {
             idle_gap_secs: Some(301),
             idle_close_secs: Some(300),
         };
-        let s = p.to_json().render();
-        assert!(s.contains("\"event_id\":7"), "{s}");
-        assert!(s.contains("\"closed_by\":\"idle\""), "{s}");
-        assert!(s.contains("\"idle_gap_secs\":301"), "{s}");
-        assert!(s.contains("\"fired\":1"), "{s}");
+        assert_eq!(
+            p.to_json(),
+            concat!(
+                r#"{"event_id":7,"n_messages":4,"routers":["r1"],"#,
+                r#""templates":[{"id":0,"signature":"LINK *","members":3},"#,
+                r#"{"id":1,"signature":"PROTO *","members":1}],"#,
+                r#""links":{"temporal":1,"rule":1,"cross":0},"#,
+                r#""rules":[{"templates":[0,1],"signatures":["LINK *","PROTO *"],"fired":1}],"#,
+                r#""closed_by":"idle","idle_gap_secs":301,"idle_close_secs":300}"#
+            )
+        );
         let text = p.render_text();
         assert!(text.contains("event 7: 4 messages on r1"), "{text}");
         assert!(text.contains("quiet 301 s > horizon 300 s"), "{text}");
+
+        // A batch close: no rules, idle fields null, a signature that
+        // needs escaping.
+        let p = EventProvenance {
+            event_id: 1,
+            n_messages: 2,
+            routers: vec!["r1".into(), "r2".into()],
+            templates: vec![(5, "SYS \"x\"\t*".into(), 2)],
+            links: GroupProv::default(),
+            rule_signatures: Vec::new(),
+            closed_by: CloseReason::Batch,
+            idle_gap_secs: None,
+            idle_close_secs: None,
+        };
+        assert_eq!(
+            p.to_json(),
+            concat!(
+                r#"{"event_id":1,"n_messages":2,"routers":["r1","r2"],"#,
+                r#""templates":[{"id":5,"signature":"SYS \"x\"\t*","members":2}],"#,
+                r#""links":{"temporal":0,"rule":0,"cross":0},"rules":[],"#,
+                r#""closed_by":"batch","idle_gap_secs":null,"idle_close_secs":null}"#
+            )
+        );
     }
 }

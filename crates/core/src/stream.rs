@@ -203,6 +203,9 @@ impl StreamCounters {
 /// Incremental digester over a time-ordered syslog feed.
 pub struct StreamDigester<'k> {
     k: &'k DomainKnowledge,
+    /// `k.fingerprint()`, computed once: `k` is borrowed immutably for
+    /// the digester's life.
+    knowledge_fp: u64,
     /// Everything a checkpoint carries.
     st: StreamState,
     /// Augmentation of the lines seen so far. A cache over the fixed
@@ -245,6 +248,7 @@ impl<'k> StreamDigester<'k> {
         let floor = k.temporal.s_max.max(k.window_secs).max(CROSS_WINDOW_SECS);
         StreamDigester {
             k,
+            knowledge_fp: k.fingerprint(),
             st: StreamState {
                 cfg,
                 scfg: StreamConfig {
@@ -555,7 +559,7 @@ impl<'k> StreamDigester<'k> {
         ingest: IngestState,
     ) -> StreamSnapshot {
         StreamSnapshot {
-            knowledge_fp: self.k.fingerprint(),
+            knowledge_fp: self.knowledge_fp,
             digester: self.st.clone(),
             stats: self.stats(),
             reorder: reorder.clone(),
@@ -572,8 +576,10 @@ impl<'k> StreamDigester<'k> {
         snapshot: &StreamSnapshot,
         tel: &Telemetry,
     ) -> Result<Self, CheckpointError> {
-        snapshot.verify(k)?;
         let mut sd = Self::with_telemetry(k, snapshot.digester.cfg, snapshot.digester.scfg, tel);
+        if snapshot.knowledge_fp != sd.knowledge_fp {
+            return Err(CheckpointError::KnowledgeMismatch);
+        }
         sd.st = snapshot.digester.clone();
         let (c, s) = (&sd.counters, &snapshot.stats);
         c.n_input.set(s.n_input as u64);

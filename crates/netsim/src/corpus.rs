@@ -54,12 +54,8 @@ impl Corpus {
     /// [`Corpus::feed`] for a named variant (`clean`/`bounded`/`hostile`),
     /// seeding the fault RNG with the corpus seed.
     pub fn variant_feed(&self, variant: &str) -> (Vec<String>, FaultReport) {
-        let spec = match variant {
-            "clean" => FaultSpec::clean(self.seed),
-            "bounded" => FaultSpec::bounded(self.seed),
-            "hostile" => FaultSpec::hostile(self.seed),
-            other => panic!("unknown corpus variant {other:?}"),
-        };
+        let spec = FaultSpec::preset(variant, self.seed)
+            .unwrap_or_else(|| panic!("unknown corpus variant {variant:?}"));
         self.feed(&spec)
     }
 }

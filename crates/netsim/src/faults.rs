@@ -113,6 +113,19 @@ impl FaultSpec {
             ..FaultSpec::clean(seed)
         }
     }
+
+    /// The preset called `name` (`clean`, `bounded` or `hostile`) with
+    /// fault seed `seed`, or `None` for any other name. The one table
+    /// behind `sdigest inject --preset`, corpus variants and golden
+    /// entries.
+    pub fn preset(name: &str, seed: u64) -> Option<Self> {
+        match name {
+            "clean" => Some(FaultSpec::clean(seed)),
+            "bounded" => Some(FaultSpec::bounded(seed)),
+            "hostile" => Some(FaultSpec::hostile(seed)),
+            _ => None,
+        }
+    }
 }
 
 /// What [`inject`] actually did, for test assertions and reporting.
@@ -247,6 +260,18 @@ mod tests {
     fn feed() -> Vec<RawMessage> {
         let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.03), &Telemetry::disabled());
         d.online().to_vec()
+    }
+
+    #[test]
+    fn presets_are_named_once() {
+        for (name, spec) in [
+            ("clean", FaultSpec::clean(4)),
+            ("bounded", FaultSpec::bounded(4)),
+            ("hostile", FaultSpec::hostile(4)),
+        ] {
+            assert_eq!(FaultSpec::preset(name, 4), Some(spec));
+        }
+        assert_eq!(FaultSpec::preset("gentle", 4), None);
     }
 
     #[test]

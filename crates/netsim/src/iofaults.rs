@@ -67,6 +67,14 @@ impl StorageFault {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5d_10_fa_17);
         let at = if len == 0 { 0 } else { rng.gen_range(0..len) };
         let bit = rng.gen_range(0..8u32) as u8;
+        StorageFault::new(kind, at, bit)
+    }
+
+    /// A fault of `kind` at byte `at`; `bit` is the flipped bit of a
+    /// `bitflip` (the other kinds ignore it). The one name table behind
+    /// [`StorageFault::from_seed`] and `sdigest inject --at`; `None` for
+    /// an unknown kind.
+    pub fn new(kind: &str, at: usize, bit: u8) -> Option<StorageFault> {
         match kind {
             "truncate" => Some(StorageFault::Truncate { at }),
             "bitflip" => Some(StorageFault::BitFlip { offset: at, bit }),
@@ -133,6 +141,19 @@ mod tests {
             }
         }
         assert!(StorageFault::from_seed("melt", 7, 10).is_none());
+        // An explicit offset goes through the same name table, shorthands
+        // included.
+        for (kind, canonical) in [("short", "short-write"), ("diskfull", "disk-full")] {
+            assert_eq!(
+                StorageFault::new(kind, 3, 0).map(|f| f.kind()),
+                Some(canonical)
+            );
+        }
+        assert_eq!(
+            StorageFault::new("bitflip", 9, 5),
+            Some(StorageFault::BitFlip { offset: 9, bit: 5 })
+        );
+        assert!(StorageFault::new("melt", 9, 5).is_none());
         // Different seeds explore different offsets.
         let offsets: std::collections::HashSet<usize> = (0..32)
             .map(

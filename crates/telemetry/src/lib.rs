@@ -3,8 +3,9 @@
 //! The unified observability layer of SyslogDigest: the digester is an
 //! operator-facing system (§6 of the paper deploys it on two tier-1
 //! networks), so the pipeline itself must be inspectable. This crate is
-//! deliberately **dependency-free** (std only) and provides four pieces,
-//! all cheap enough to leave compiled into the hot path:
+//! deliberately **dependency-free** (std only) and holds counters, spans
+//! and their exposition, all cheap enough to leave compiled into the hot
+//! path:
 //!
 //! * [`Telemetry`] — a cloneable handle bundling an atomic
 //!   [`Counter`] registry and hierarchical [`SpanHandle`] timers.
@@ -19,11 +20,11 @@
 //!   Prometheus text exposition format (`--metrics-out`).
 //!   [`validate_exposition`] is the line-format checker CI runs against
 //!   emitted files.
-//! * [`Json`] / [`JsonlSink`] — a minimal JSON value builder and a
-//!   line-per-record sink used for `--trace` provenance streams.
-//! * [`Logger`] — structured operator logging with a text and a JSON
-//!   rendering (`--log-format {text,json}`), replacing ad-hoc
-//!   `eprintln!` reporting.
+//!
+//! JSON output lives with its callers, encoded by the vendored
+//! `serde_json`: `--trace` provenance records in the core crate
+//! (`EventProvenance::to_json`), `--log-format` diagnostics and the JSONL
+//! sidecars in the CLI.
 //!
 //! Telemetry is strictly *observational*: attaching a handle, enabling
 //! tracing, or changing thread counts never changes any digest output —
@@ -33,12 +34,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod json;
-mod log;
 mod prometheus;
 mod registry;
 
-pub use json::{Json, JsonlSink};
-pub use log::{LogFormat, LogLevel, Logger};
 pub use prometheus::validate_exposition;
 pub use registry::{global, Counter, Snapshot, SpanGuard, SpanHandle, SpanStat, Telemetry};

@@ -49,17 +49,20 @@ impl Default for LearnerConfig {
 /// [`TemplateSet::from_templates`]), so the learned set is identical for
 /// every thread count.
 pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) -> TemplateSet {
-    // Bucket detail token-vectors by (code, token count).
-    let mut buckets: HashMap<(&ErrorCode, usize), Vec<Vec<&str>>> = HashMap::new();
+    // Bucket the borrowed details by (code, token count).
+    let mut buckets: HashMap<(&ErrorCode, usize), Vec<&str>> = HashMap::new();
     let mut counts: HashMap<&ErrorCode, usize> = HashMap::new();
     for m in messages {
         *counts.entry(&m.code).or_insert(0) += 1;
-        let toks: Vec<&str> = m.detail.split_whitespace().collect();
-        buckets.entry((&m.code, toks.len())).or_default().push(toks);
+        let n_toks = m.detail.split_whitespace().count();
+        buckets
+            .entry((&m.code, n_toks))
+            .or_default()
+            .push(&m.detail);
     }
 
     // One work item per (code, token count) bucket with its sampled
-    // token-vectors, each distinct one once with its count.
+    // token-vectors, each distinct detail once with its count.
     type Bucket<'a> = ((&'a ErrorCode, usize), Vec<(Vec<&'a str>, usize)>);
     // Deterministic order: sort bucket keys, sampling each bucket up front.
     let mut keys: Vec<(&ErrorCode, usize)> = buckets.keys().copied().collect();
@@ -67,17 +70,17 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
     let work: Vec<Bucket<'_>> = keys
         .into_iter()
         .map(|key| {
-            let mut msgs = buckets.remove(&key).expect("bucket exists");
+            let mut details = buckets.remove(&key).expect("bucket exists");
             let total_for_code = counts[&key.0];
             if total_for_code > config.max_per_code {
                 // Stride-sample to the cap, preserving time spread.
-                let keep = (config.max_per_code * msgs.len() / total_for_code).max(64);
-                if msgs.len() > keep {
-                    let stride = msgs.len() / keep;
-                    msgs = msgs.into_iter().step_by(stride.max(1)).collect();
+                let keep = (config.max_per_code * details.len() / total_for_code).max(64);
+                if details.len() > keep {
+                    let stride = details.len() / keep;
+                    details = details.into_iter().step_by(stride.max(1)).collect();
                 }
             }
-            (key, distinct(msgs))
+            (key, distinct(details))
         })
         .collect();
 
@@ -90,17 +93,19 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
     TemplateSet::from_templates(per_bucket.concat())
 }
 
-/// `msgs` with each distinct token-vector once, in sorted order, with the
-/// number of times it occurs: routers repeat the same lines, and the tree
-/// only counts words.
-fn distinct(msgs: Vec<Vec<&str>>) -> Vec<(Vec<&str>, usize)> {
-    let mut counts: HashMap<Vec<&str>, usize> = HashMap::new();
-    for toks in msgs {
-        *counts.entry(toks).or_insert(0) += 1;
+/// Each distinct detail of `details` once, in sorted order, tokenized,
+/// with the number of times it occurs: routers repeat the same lines,
+/// and the tree only counts words.
+fn distinct(details: Vec<&str>) -> Vec<(Vec<&str>, usize)> {
+    let mut counts: HashMap<&str, usize> = HashMap::new();
+    for d in details {
+        *counts.entry(d).or_insert(0) += 1;
     }
-    let mut out: Vec<(Vec<&str>, usize)> = counts.into_iter().collect();
+    let mut out: Vec<(&str, usize)> = counts.into_iter().collect();
     out.sort_unstable();
-    out
+    out.into_iter()
+        .map(|(d, n)| (d.split_whitespace().collect(), n))
+        .collect()
 }
 
 /// Recursively split one tree node.
