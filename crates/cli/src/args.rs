@@ -1,17 +1,26 @@
 //! Minimal `--flag value` argument parsing (no external dependency).
 
-use std::collections::HashMap;
 use std::fmt;
 
-/// Parsed command line: the subcommand and its `--key value` options.
+/// Parsed command line: the subcommand and its `--key value` options and
+/// bare `--key` flags.
 #[derive(Debug, Clone, Default)]
 pub struct Parsed {
     /// Subcommand name (first positional argument).
     pub command: String,
-    /// `--key value` pairs.
-    options: HashMap<String, String>,
-    /// `--key` flags with no value.
-    flags: Vec<String>,
+    /// Each `--key` in command-line order, with its value (`None` for a
+    /// bare flag). A later repeat of an option overrides an earlier one.
+    args: Vec<(String, Option<String>)>,
+}
+
+/// The names one subcommand accepts: options, which take a value, and
+/// flags, which take none.
+#[derive(Debug, Clone, Copy)]
+pub struct Accepts {
+    /// Options (`--key value`).
+    pub options: &'static [&'static str],
+    /// Flags (bare `--key`).
+    pub flags: &'static [&'static str],
 }
 
 /// Argument errors with user-facing messages.
@@ -44,33 +53,60 @@ impl Parsed {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(ArgError(format!("unexpected positional argument {a:?}")));
             };
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let v = it.next().expect("peeked");
-                    parsed.options.insert(key.to_owned(), v);
-                }
-                _ => parsed.flags.push(key.to_owned()),
-            }
+            let value = it.next_if(|v| !v.starts_with("--"));
+            parsed.args.push((key.to_owned(), value));
         }
         Ok(parsed)
     }
 
+    /// Fail on the first `--key`, in command-line order, that `accepts`
+    /// does not declare, on an option given no value and on a flag given
+    /// one. Each error names the key and the subcommand.
+    pub fn check(&self, accepts: &Accepts) -> Result<(), ArgError> {
+        let cmd = &self.command;
+        for (key, value) in &self.args {
+            let (is_option, is_flag) = (
+                accepts.options.contains(&key.as_str()),
+                accepts.flags.contains(&key.as_str()),
+            );
+            match value {
+                None if is_option => {
+                    return Err(ArgError(format!("missing value for --{key} ({cmd})")))
+                }
+                Some(v) if is_flag => {
+                    return Err(ArgError(format!(
+                        "--{key} takes no value, got {v:?} ({cmd})"
+                    )))
+                }
+                _ if !is_option && !is_flag => {
+                    return Err(ArgError(format!(
+                        "unknown option --{key} for {cmd} (see sdigest help)"
+                    )))
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+
     /// Required string option.
     pub fn req(&self, key: &str) -> Result<&str, ArgError> {
-        self.options
-            .get(key)
-            .map(String::as_str)
+        self.opt(key)
             .ok_or_else(|| ArgError(format!("missing required option --{key}")))
     }
 
     /// Optional string option.
     pub fn opt(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.args
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_deref())
     }
 
     /// Optional parsed option with a default.
     pub fn opt_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.options.get(key) {
+        match self.opt(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -80,7 +116,7 @@ impl Parsed {
 
     /// Whether a bare `--flag` was present.
     pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        self.args.iter().any(|(k, v)| k == key && v.is_none())
     }
 }
 
@@ -112,6 +148,63 @@ mod tests {
         assert!(e.0.contains("--log"));
         let p = Parsed::parse(v(&["x", "--top", "abc"])).unwrap();
         assert!(p.opt_parse("top", 1usize).is_err());
+    }
+
+    const DIGEST: Accepts = Accepts {
+        options: &["knowledge", "log", "checkpoint"],
+        flags: &["stream"],
+    };
+
+    #[test]
+    fn check_accepts_what_the_subcommand_declares() {
+        let p = Parsed::parse(v(&[
+            "digest",
+            "--log",
+            "x",
+            "--stream",
+            "--checkpoint",
+            "c",
+        ]));
+        assert_eq!(p.unwrap().check(&DIGEST), Ok(()));
+        assert_eq!(
+            Parsed::parse(v(&["digest"])).unwrap().check(&DIGEST),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn check_names_the_first_unknown_option_and_the_subcommand() {
+        let p = Parsed::parse(v(&[
+            "digest",
+            "--stream",
+            "--chekpoint",
+            "run.ckpt",
+            "--verbose",
+        ]))
+        .unwrap();
+        let e = p.check(&DIGEST).unwrap_err().0;
+        assert!(e.contains("--chekpoint") && e.contains("digest"), "{e}");
+        assert!(!e.contains("--verbose"), "{e}");
+        // A bare unknown flag fails the same way.
+        let p = Parsed::parse(v(&["digest", "--log", "x", "--strem"])).unwrap();
+        let e = p.check(&DIGEST).unwrap_err().0;
+        assert!(e.contains("--strem") && e.contains("digest"), "{e}");
+    }
+
+    #[test]
+    fn check_rejects_an_option_without_value_and_a_flag_with_one() {
+        let p = Parsed::parse(v(&["digest", "--log", "x", "--checkpoint"])).unwrap();
+        let e = p.check(&DIGEST).unwrap_err().0;
+        assert!(e.contains("missing value for --checkpoint"), "{e}");
+        let p = Parsed::parse(v(&["digest", "--stream", "yes"])).unwrap();
+        let e = p.check(&DIGEST).unwrap_err().0;
+        assert!(e.contains("--stream takes no value"), "{e}");
+    }
+
+    #[test]
+    fn a_repeated_option_keeps_its_last_value() {
+        let p = Parsed::parse(v(&["stats", "--top", "3", "--top", "7"])).unwrap();
+        assert_eq!(p.opt_parse("top", 0usize).unwrap(), 7);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Subcommand implementations for `sdigest`.
 
-use crate::args::{ArgError, Parsed};
+use crate::args::{Accepts, ArgError, Parsed};
 use crate::output::{Jsonl, LogFormat};
 use sd_model::{MalformedReport, Parallelism, ParseError, RawMessage, Vendor};
 use sd_netsim::{apply_fault, inject, Dataset, DatasetSpec, FaultSpec, StorageFault};
@@ -371,10 +371,24 @@ fn stream_digest(
     Ok(events)
 }
 
+/// `digest` options only the `--stream` path reads; batch rejects them
+/// rather than run without, say, the checkpoint they ask for.
+const STREAM_ONLY: &[&str] = &[
+    "max-skew",
+    "max-open",
+    "checkpoint",
+    "checkpoint-every",
+    "checkpoint-keep",
+];
+
 /// `sdigest digest --knowledge FILE --log FILE [--top N] [--stages TRC] [--threads N]
 ///  [--metrics-out FILE] [--trace FILE] [--log-format text|json]
 ///  [--stream [--max-skew S] [--max-open M] [--checkpoint FILE] [--checkpoint-every N]]`
 pub fn cmd_digest(p: &Parsed) -> CmdResult {
+    let stream = p.flag("stream");
+    if let Some(key) = STREAM_ONLY.iter().find(|&&k| !stream && p.opt(k).is_some()) {
+        return Err(ArgError(format!("--{key} needs --stream (digest)")));
+    }
     let k = load_knowledge(p)?;
     let log = Path::new(p.req("log")?);
     let top: usize = p.opt_parse("top", 20)?;
@@ -385,7 +399,7 @@ pub fn cmd_digest(p: &Parsed) -> CmdResult {
     let trace = jsonl_sink(p, "trace", "trace file")?;
 
     let mut out = String::new();
-    let events = if p.flag("stream") {
+    let events = if stream {
         stream_digest(
             p,
             &k,
@@ -579,6 +593,7 @@ pub fn usage() -> &'static str {
      \n\
      USAGE:\n\
        sdigest generate --out DIR [--dataset A|B] [--scale F] [--seed N]\n\
+                        [--metrics-out FILE]\n\
        sdigest learn    --configs DIR --log FILE --out FILE [--profile A|B] [--threads N]\n\
                         [--metrics-out FILE] [--log-format text|json]\n\
        sdigest digest   --knowledge FILE --log FILE [--top N] [--stages T|TR|TRC]\n\
@@ -588,7 +603,7 @@ pub fn usage() -> &'static str {
                         [--checkpoint FILE] [--checkpoint-every N]\n\
                         [--checkpoint-keep K]]\n\
        sdigest explain  --knowledge FILE --log FILE --event ID [--stages T|TR|TRC]\n\
-                        [--threads N]\n\
+                        [--threads N] [--log-format text|json]\n\
        sdigest inject   --log FILE --out FILE [--preset clean|bounded|hostile] [--seed N]\n\
        sdigest inject   --artifact FILE [--storage truncate|bitflip|short-write|disk-full]\n\
                         [--at BYTE] [--seed N] [--out FILE]\n\
@@ -616,21 +631,127 @@ pub fn usage() -> &'static str {
                             digest is as if those messages were absent\n"
 }
 
-/// Dispatch a parsed command line.
+/// A subcommand: its name, the options and flags it accepts, and its
+/// implementation. Every subcommand accepts `--log-format`, because
+/// `main` writes its errors in that format.
+struct Command {
+    name: &'static str,
+    accepts: Accepts,
+    run: fn(&Parsed) -> CmdResult,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        accepts: Accepts {
+            options: &[
+                "out",
+                "dataset",
+                "scale",
+                "seed",
+                "metrics-out",
+                "log-format",
+            ],
+            flags: &[],
+        },
+        run: cmd_generate,
+    },
+    Command {
+        name: "learn",
+        accepts: Accepts {
+            options: &[
+                "configs",
+                "log",
+                "out",
+                "profile",
+                "threads",
+                "metrics-out",
+                "log-format",
+            ],
+            flags: &[],
+        },
+        run: cmd_learn,
+    },
+    Command {
+        name: "digest",
+        accepts: Accepts {
+            options: &[
+                "knowledge",
+                "log",
+                "top",
+                "stages",
+                "threads",
+                "metrics-out",
+                "trace",
+                "log-format",
+                "quarantine-out",
+                "max-skew",
+                "max-open",
+                "checkpoint",
+                "checkpoint-every",
+                "checkpoint-keep",
+            ],
+            flags: &["stream"],
+        },
+        run: cmd_digest,
+    },
+    Command {
+        name: "explain",
+        accepts: Accepts {
+            options: &[
+                "knowledge",
+                "log",
+                "event",
+                "stages",
+                "threads",
+                "log-format",
+            ],
+            flags: &[],
+        },
+        run: cmd_explain,
+    },
+    Command {
+        name: "inject",
+        accepts: Accepts {
+            options: &[
+                "log",
+                "out",
+                "preset",
+                "seed",
+                "artifact",
+                "storage",
+                "at",
+                "log-format",
+            ],
+            flags: &[],
+        },
+        run: cmd_inject,
+    },
+    Command {
+        name: "stats",
+        accepts: Accepts {
+            options: &["log", "top", "log-format"],
+            flags: &[],
+        },
+        run: cmd_stats,
+    },
+];
+
+/// Dispatch a parsed command line. Options and flags the subcommand does
+/// not accept fail before it runs.
 pub fn dispatch(p: &Parsed) -> CmdResult {
-    match p.command.as_str() {
-        "generate" => cmd_generate(p),
-        "learn" => cmd_learn(p),
-        "digest" => cmd_digest(p),
-        "explain" => cmd_explain(p),
-        "inject" => cmd_inject(p),
-        "stats" => cmd_stats(p),
-        "help" | "--help" => Ok(usage().to_owned()),
-        other => Err(ArgError(format!(
-            "unknown subcommand {other:?}\n\n{}",
-            usage()
-        ))),
+    if p.command == "help" {
+        return Ok(usage().to_owned());
     }
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == p.command) else {
+        return Err(ArgError(format!(
+            "unknown subcommand {:?}\n\n{}",
+            p.command,
+            usage()
+        )));
+    };
+    p.check(&cmd.accepts)?;
+    (cmd.run)(p)
 }
 
 #[cfg(test)]
@@ -1121,6 +1242,84 @@ mod tests {
         assert!(msg.contains("invalid value for --event"), "{msg}");
 
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A misspelled option fails before any work: the error names it and
+    /// the subcommand, and no checkpoint is written (the knowledge file
+    /// does not even exist, so a run would have failed on reading it).
+    #[test]
+    fn unknown_options_fail_before_the_subcommand_runs() {
+        let dir = tmpdir("unknown-option");
+        let ckpt = dir.join("run.ckpt");
+        let (m, c) = (dir.join("missing.bin"), ckpt.to_str().unwrap());
+        let inputs = [
+            "--knowledge",
+            m.to_str().unwrap(),
+            "--log",
+            m.to_str().unwrap(),
+        ];
+        let digest = |rest: &[&str]| {
+            let args: Vec<&str> = ["digest"]
+                .iter()
+                .chain(&inputs)
+                .chain(rest)
+                .copied()
+                .collect();
+            dispatch(&parse(&args)).unwrap_err().0
+        };
+        let e = digest(&["--stream", "--chekpoint", c]);
+        assert!(e.contains("--chekpoint") && e.contains("digest"), "{e}");
+        // So does a stream-only option without `--stream`.
+        let e = digest(&["--checkpoint", c]);
+        assert!(e.contains("--checkpoint needs --stream"), "{e}");
+        assert!(!ckpt.exists());
+        // An option of another subcommand is unknown here too.
+        let e = dispatch(&parse(&["stats", "--log", "x.log", "--knowledge", "k"]))
+            .unwrap_err()
+            .0;
+        assert!(e.contains("--knowledge") && e.contains("stats"), "{e}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The options each subcommand accepts are the ones its usage lines
+    /// list, apart from `--log-format`, which every subcommand accepts.
+    #[test]
+    fn accepted_options_match_the_usage_text() {
+        let mut listed: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        let mut current = None;
+        for line in usage().lines().map(str::trim) {
+            if let Some(rest) = line.strip_prefix("sdigest ") {
+                current = rest.split_whitespace().next();
+            } else if !line.starts_with('[') && !line.starts_with("--") {
+                current = None;
+            }
+            let Some(cmd) = current else { continue };
+            for tok in line.split_whitespace() {
+                if let Some(name) = tok.trim_start_matches('[').strip_prefix("--") {
+                    listed
+                        .entry(cmd)
+                        .or_default()
+                        .push(name.trim_end_matches(']'));
+                }
+            }
+        }
+        assert_eq!(listed.len(), COMMANDS.len());
+        for c in COMMANDS {
+            let names = &listed[c.name];
+            let declared: Vec<&str> = c
+                .accepts
+                .options
+                .iter()
+                .chain(c.accepts.flags)
+                .copied()
+                .collect();
+            for n in names {
+                assert!(declared.contains(n), "{}: usage lists --{n}", c.name);
+            }
+            for n in declared.iter().filter(|&&n| n != "log-format") {
+                assert!(names.contains(n), "{}: --{n} is not in the usage", c.name);
+            }
+        }
     }
 
     #[test]

@@ -7,17 +7,25 @@
 //! PR runs keep the defaults.
 
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
+use sd_conformance::ref_grouping::ref_edges;
 use sd_conformance::ref_rules::{ref_count, ref_mine, RefRule};
 use sd_conformance::ref_templates::{ref_learn, ref_match};
 use sd_conformance::ref_temporal::ref_group_series;
 use sd_conformance::verify_dataset;
-use sd_model::{ErrorCode, Parallelism, RawMessage, RouterId, TemplateId, Timestamp};
+use sd_locations::LocationDictionary;
+use sd_model::{
+    ErrorCode, Interner, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
+    Timestamp,
+};
+use sd_netsim::config::render_all;
 use sd_netsim::corpus::Corpus;
-use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
-use sd_templates::{learn, LearnerConfig};
+use sd_netsim::scenario::toy_topology;
+use sd_rules::{mine, CoOccurrence, MineConfig, Rule, RuleSet, StreamItem};
+use sd_templates::{learn, LearnerConfig, TemplateSet};
 use sd_temporal::{group_series, TemporalConfig};
+use std::collections::BTreeSet;
 use syslogdigest::offline::OfflineConfig;
-use syslogdigest::GroupingConfig;
+use syslogdigest::{stage_edges, DomainKnowledge, GroupingConfig, UNKNOWN_TEMPLATE};
 
 /// Proptest config honoring `PROPTEST_CASES` (the vendored proptest does
 /// not read the environment itself).
@@ -174,5 +182,101 @@ proptest! {
                 ref_match(&set, &code, unseen)
             );
         }
+    }
+}
+
+// ------------------------------------------------------ rule-stage oracle
+
+/// Window of the rule-dense toy knowledge, in seconds.
+const TOY_W: i64 = 10;
+
+/// The toy template numbered `t`: 6 stands for [`UNKNOWN_TEMPLATE`], which
+/// a weekly refresh can mine into a rule.
+fn toy_template(t: u32) -> TemplateId {
+    if t == 6 {
+        UNKNOWN_TEMPLATE
+    } else {
+        TemplateId(t)
+    }
+}
+
+/// A knowledge base over the toy topology's locations whose rule set
+/// relates the given toy template pairs, plus two fixed self-rules:
+/// `2 ⇒ 2` (template 2 may have partners too) and `5 ⇒ 5` (template 5 has
+/// none). Template 4 is in no rule.
+fn rule_dense_knowledge(pairs: &[(u32, u32)]) -> DomainKnowledge {
+    let dict = LocationDictionary::build(&render_all(&toy_topology()));
+    let rules = pairs
+        .iter()
+        .chain(&[(2, 2), (5, 5)])
+        .map(|&(x, y)| Rule {
+            x: toy_template(x),
+            y: toy_template(y),
+            support: 0.5,
+            confidence: 0.9,
+        })
+        .collect();
+    DomainKnowledge::new(
+        TemplateSet::default(),
+        Interner::new(),
+        dict,
+        TemporalConfig::dataset_a(),
+        RuleSet::new(rules),
+        TOY_W,
+        Default::default(),
+    )
+}
+
+proptest! {
+    #![proptest_config(cases(300))]
+    /// The rule stage alone finds exactly the reference's rule edges on
+    /// feeds with same-second arrivals, gaps of exactly W and W + 1,
+    /// re-seen `(template, location)` keys, messages with no location and
+    /// the unknown template as a rule partner.
+    #[test]
+    fn rule_stage_matches_reference(
+        pairs in proptest::collection::vec((0u32..5, 0u32..5), 0..8),
+        spec in proptest::collection::vec((0usize..6, 0u32..7, 0usize..6), 1..60),
+    ) {
+        // Pair ends 0..4 are templates 0..3 and the unknown template.
+        let pairs: Vec<(u32, u32)> = pairs
+            .iter()
+            .map(|&(x, y)| (if x == 4 { 6 } else { x }, if y == 4 { 6 } else { y }))
+            .collect();
+        let k = rule_dense_knowledge(&pairs);
+        let n_locs = k.dict.len() as u32;
+        let gaps = [0, 0, 1, TOY_W - 1, TOY_W, TOY_W + 1];
+        let mut ts = 0;
+        let batch: Vec<SyslogPlus> = spec
+            .iter()
+            .enumerate()
+            .map(|(idx, &(gap, template, loc))| {
+                ts += gaps[gap];
+                // Index 5 is no location; 0..5 pick among the first few,
+                // so keys repeat.
+                let locations: Vec<LocationId> = (loc < 5)
+                    .then(|| LocationId(loc as u32 % n_locs))
+                    .into_iter()
+                    .collect();
+                let router = locations
+                    .first()
+                    .map_or(RouterId(0), |&l| k.dict.router_of(l));
+                SyslogPlus {
+                    idx,
+                    ts: Timestamp(ts),
+                    router,
+                    template: Some(toy_template(template)),
+                    locations,
+                }
+            })
+            .collect();
+        let cfg = GroupingConfig {
+            temporal: false,
+            cross: false,
+            ..GroupingConfig::default()
+        };
+        let opt: BTreeSet<_> = stage_edges(&k, &batch, &cfg).into_iter().collect();
+        let reference: BTreeSet<_> = ref_edges(&k, &batch, &cfg).into_iter().collect();
+        prop_assert_eq!(reference, opt);
     }
 }

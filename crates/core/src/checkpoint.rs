@@ -15,8 +15,8 @@
 //!   count not at all, so equal states give equal bytes.
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
 //!   [`envelope`], whose header carries the artifact kind and the
-//!   **format version** ([`SNAPSHOT_VERSION`], 6 since the fingerprint
-//!   covers content), and writes atomically
+//!   **format version** ([`SNAPSHOT_VERSION`], 7 since the rule and
+//!   cross-router lookbacks are indexed by dense ids), and writes atomically
 //!   (temp file + rename), so a crash mid-write can never leave a
 //!   truncated snapshot where a good one used to be — and any truncation
 //!   or bit flip that slips through is caught at load time as a typed
@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot format version, written and checked in the envelope header
 /// only. Bump on any incompatible change to [`StreamSnapshot`]'s shape;
 /// older snapshots are then rejected instead of being misdecoded.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Counters of the ingest layer: feed lines consumed, the reorder
 /// buffer's late and duplicate counts, and the malformed-line report.
@@ -376,6 +376,46 @@ mod tests {
                 );
             }
             other => panic!("expected an unsupported version, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint of the previous format (version 6, before the rule
+    /// and cross-router lookbacks were indexed) fails on its header, and
+    /// recovery skips it exactly as it skips any other version.
+    #[test]
+    fn a_version_6_checkpoint_is_refused_like_any_other_version() {
+        let dir = std::env::temp_dir().join("sd_checkpoint_version_6_test");
+        let path = dir.join("run.ckpt");
+        let p1 = generation_path(&path, 1);
+        let save_old = |p: &Path, old: u32| {
+            envelope::save_json(p, ArtifactKind::CHECKPOINT, old, &snap_with_fp(9)).unwrap();
+        };
+        for old in [6, 2] {
+            let why = format!("unsupported schema version {old}");
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            snap_with_fp(1).save_rotated(&path, 2).unwrap();
+            snap_with_fp(2).save_rotated(&path, 2).unwrap();
+            save_old(&path, old);
+            let err = StreamSnapshot::load(&path).unwrap_err();
+            assert!(err.to_string().contains(&why), "{err}");
+
+            let (snap, report) = StreamSnapshot::recover_last_good(&path, 2)
+                .unwrap()
+                .expect("generation 1 is current");
+            assert_eq!((snap.knowledge_fp, report.generation), (1, 1));
+            assert_eq!(report.n_corrupt, 1);
+            assert!(report.skipped[0].1.contains(&why));
+
+            save_old(&p1, old);
+            match StreamSnapshot::recover_last_good(&path, 2) {
+                Err(CheckpointError::NoUsableSnapshot { tried, .. }) => {
+                    assert_eq!(tried.len(), 2);
+                    assert!(tried.iter().all(|(_, e)| e.contains(&why)));
+                }
+                other => panic!("expected NoUsableSnapshot, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -6,7 +6,7 @@
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::MergeCause;
 use crate::union_find::UnionFind;
-use sd_model::{LocationId, Parallelism, SortedMap, SyslogPlus, TemplateId, Timestamp};
+use sd_model::{LocationId, Parallelism, SortedMap, SyslogPlus, Timestamp};
 use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
@@ -102,8 +102,9 @@ pub const CROSS_WINDOW_SECS: i64 = 1;
 /// it; only the reference oracle in `sd-conformance` is uncapped.
 const CROSS_QUEUE_CAP: usize = 1024;
 
-/// The latest `(id, ts)` per `(template, location)` of one router.
-type RuleLookback = SortedMap<(u32, u32), (u64, Timestamp)>;
+/// The rule stage's lookback for one `(router, partner slot)`: the latest
+/// `(location, id, ts)` per location, within W once the stage has passed.
+type RuleLookback = Vec<(u32, u64, Timestamp)>;
 
 /// State and per-message step of the three grouping stages. The step has
 /// two drivers: the batch pass behind [`group`] and [`stage_edges`], and
@@ -113,14 +114,19 @@ type RuleLookback = SortedMap<(u32, u32), (u64, Timestamp)>;
 /// in batch, sequence numbers in the stream. Each step appends the links
 /// `(earlier id, cause)` from the current message to a caller-owned list.
 /// The stream digester checkpoints it as it is.
+///
+/// The rule and cross lookbacks are reached by dense ids the knowledge
+/// minted (router, partner slot, template), never by hashing a key.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub(crate) struct Stages {
     /// §4.2.1: EWMA tracker and last id per (router, template, location).
     trackers: SortedMap<(u32, u32, u32), (EwmaTracker, u64)>,
-    /// §4.2.2: rule lookback per router.
-    recent_rules: SortedMap<u32, RuleLookback>,
-    /// §4.2.3: recent `(id, ts)` per template, oldest first.
-    recent_cross: SortedMap<u32, VecDeque<(u64, Timestamp)>>,
+    /// §4.2.2: rule lookback per router and partner slot, at
+    /// `router * RuleSet::n_slots() + slot`.
+    recent_rules: Vec<RuleLookback>,
+    /// §4.2.3: recent `(id, ts)` per template, oldest first, at the
+    /// template id plus one (wrapping, so the unknown template is 0).
+    recent_cross: Vec<VecDeque<(u64, Timestamp)>>,
 }
 
 impl Stages {
@@ -174,7 +180,9 @@ impl Stages {
 
     /// Rule-based stage: link to each recent message of the same router
     /// within W whose template is related to this one by a mined rule and
-    /// whose location spatially matches.
+    /// whose location spatially matches. Only templates with a rule
+    /// partner are kept, and only the partners' lookbacks are scanned;
+    /// entries older than W are dropped as the scan passes them.
     fn rule(
         &mut self,
         k: &DomainKnowledge,
@@ -182,27 +190,33 @@ impl Stages {
         id: u64,
         links: &mut Vec<(u64, MergeCause)>,
     ) {
-        let Some(tj) = sp.template else { return };
-        let w = k.window_secs;
-        let rmap = self.recent_rules.entry(sp.router.0).or_default();
-        if let Some(loc_j) = sp.primary_location() {
-            for (&(t2, loc2), &(i2, ts2)) in rmap.iter() {
-                if sp.ts.seconds_since(ts2) > w
-                    || t2 == tj.0
-                    || !k.rules.related(tj, TemplateId(t2))
-                {
-                    continue;
-                }
-                if k.dict.spatially_match(loc_j, LocationId(loc2)) {
-                    links.push((i2, MergeCause::Rule(tj.0.min(t2), tj.0.max(t2))));
-                }
-            }
-            rmap.insert((tj.0, loc_j.0), (id, sp.ts));
+        let (Some(tj), Some(loc_j)) = (sp.template, sp.primary_location()) else {
+            return;
+        };
+        let rules = &k.rules;
+        let Some(slot) = rules.slot(tj) else { return };
+        let (w, now) = (k.window_secs, sp.ts);
+        let n = rules.n_slots();
+        let row = sp.router.0 as usize * n;
+        if self.recent_rules.len() < row + n {
+            self.recent_rules.resize_with(row + n, Vec::new);
         }
-        // Prune stale representatives occasionally.
-        if rmap.len() > 256 {
-            let now = sp.ts;
-            rmap.retain(|_, &mut (_, ts)| now.seconds_since(ts) <= w);
+        let lookback = &mut self.recent_rules[row..row + n];
+        for &(partner, t2) in rules.partners(slot) {
+            let cause = MergeCause::Rule(tj.0.min(t2.0), tj.0.max(t2.0));
+            lookback[partner as usize].retain(|&(loc2, i2, ts2)| {
+                let fresh = now.seconds_since(ts2) <= w;
+                if fresh && k.dict.spatially_match(loc_j, LocationId(loc2)) {
+                    links.push((i2, cause));
+                }
+                fresh
+            });
+        }
+        let own = &mut lookback[slot];
+        own.retain(|&(_, _, ts)| now.seconds_since(ts) <= w);
+        match own.iter_mut().find(|e| e.0 == loc_j.0) {
+            Some(e) => (e.1, e.2) = (id, now),
+            None => own.push((loc_j.0, id, now)),
         }
     }
 
@@ -219,7 +233,13 @@ impl Stages {
         links: &mut Vec<(u64, MergeCause)>,
     ) {
         let Some(tj) = sp.template else { return };
-        let q = self.recent_cross.entry(tj.0).or_default();
+        // Knowledge-minted ids are dense below UNKNOWN_TEMPLATE (u32::MAX),
+        // which this shift moves to index 0.
+        let t = tj.0.wrapping_add(1) as usize;
+        if self.recent_cross.len() <= t {
+            self.recent_cross.resize_with(t + 1, VecDeque::new);
+        }
+        let q = &mut self.recent_cross[t];
         while q
             .front()
             .is_some_and(|&(_, ts)| sp.ts.seconds_since(ts) > CROSS_WINDOW_SECS)

@@ -160,36 +160,54 @@ impl RawMessage {
     /// Returns a structured [`ParseError`] for blank lines or lines that
     /// do not carry all four fields — callers decide whether that is an
     /// error or skippable noise, and can report *why* a line was bad.
+    ///
+    /// A line that starts with the canonical 20 bytes
+    /// `YYYY-MM-DD HH:MM:SS ` (as `to_line` writes them) has its timestamp
+    /// read in place and only router, code and detail split off; every
+    /// other line takes the general path, which trims and splits the
+    /// timestamp fields and gives the same result on canonical lines.
     pub fn parse_line(line: &str) -> Result<Self, ParseError> {
         let line = line.trim_end_matches(['\r', '\n']);
+        if let Some(ts) = line
+            .as_bytes()
+            .get(..20)
+            .filter(|b| b[19] == b' ')
+            .and_then(|b| Timestamp::parse_canonical(&b[..19]))
+        {
+            let (router, code, detail) = split_fields(&line[20..])?;
+            return Ok(RawMessage::new(ts, router, ErrorCode::from(code), detail));
+        }
         if line.trim().is_empty() {
             return Err(ParseError::Blank);
         }
         // Timestamp occupies the first two whitespace-separated fields.
-        let mut parts = line.splitn(5, ' ');
+        let mut parts = line.splitn(3, ' ');
         let date = parts.next().ok_or(ParseError::Missing("date"))?;
         let time = parts.next().ok_or(ParseError::Missing("time"))?;
-        let router = parts.next().ok_or(ParseError::Missing("router"))?;
-        let code = parts.next().ok_or(ParseError::Missing("code"))?;
-        let detail = parts.next().unwrap_or("");
-        if router.is_empty() {
-            return Err(ParseError::Empty("router"));
-        }
-        if code.is_empty() {
-            return Err(ParseError::Empty("code"));
-        }
+        let rest = parts.next().ok_or(ParseError::Missing("router"))?;
+        let (router, code, detail) = split_fields(rest)?;
         // Equal to `Timestamp::parse` of `"{date} {time}"`: its trim can
         // only reach the date's leading and the time's trailing whitespace.
         let ts = Timestamp::parse_fields(date.trim_start(), time.trim_end())
             .ok_or(ParseError::BadTimestamp)?;
-        Ok(RawMessage {
-            ts,
-            router: router.to_owned(),
-            code: ErrorCode::from(code),
-            detail: detail.to_owned(),
-            gt_event: None,
-        })
+        Ok(RawMessage::new(ts, router, ErrorCode::from(code), detail))
     }
+}
+
+/// Split `<router> <code> <detail...>`, the part of a line after its
+/// timestamp, and require a non-empty router and code.
+fn split_fields(rest: &str) -> Result<(&str, &str, &str), ParseError> {
+    let mut parts = rest.splitn(3, ' ');
+    let router = parts.next().unwrap_or("");
+    let code = parts.next().ok_or(ParseError::Missing("code"))?;
+    let detail = parts.next().unwrap_or("");
+    if router.is_empty() {
+        return Err(ParseError::Empty("router"));
+    }
+    if code.is_empty() {
+        return Err(ParseError::Empty("code"));
+    }
+    Ok((router, code, detail))
 }
 
 impl fmt::Display for RawMessage {
@@ -286,9 +304,31 @@ mod tests {
         "2010-01",
         "",
         "r1",
+        // Fixed-width near-misses of the canonical prefix.
+        "2010-01-10T00:00:15",
+        "2010/01/10",
+        "20100-01-10",
+        "\u{ff12}\u{ff10}\u{ff11}\u{ff10}-01-10",
+        "2010-01-1\u{ff10}",
+        "2010-00-10",
+        "0000-12-31",
     ];
     const TIMES: &[&str] = &[
-        "00:00:15", "23:59:59", "24:00:00", "+0:00:15", "00:0+:15", "00:00", "", "r1",
+        "00:00:15",
+        "23:59:59",
+        "24:00:00",
+        "+0:00:15",
+        "00:0+:15",
+        "00:00",
+        "",
+        "r1",
+        // Fixed-width near-misses of the canonical prefix.
+        "00:00:15\t",
+        "00:00:15 ",
+        "00-00-15",
+        "00:00:1\u{ff15}",
+        "00:60:00",
+        "000:00:15",
     ];
     /// Field-ish and whitespace-ish pieces for the rest of a line.
     const PIECES: &[&str] = &[
@@ -306,6 +346,8 @@ mod tests {
         "-",
         ":",
         "7",
+        "r1 ",
+        "r1 LINK-3-UPDOWN",
     ];
 
     /// `<ws>DATE<ws> <ws>TIME<ws> rest…`, with each part drawn from the
@@ -342,6 +384,57 @@ mod tests {
         }
     }
 
+    /// `DATE TIME rest…` with single spaces and no other whitespace, so
+    /// every canonical date and time meets the in-place timestamp read.
+    fn near_canonical_strategy() -> impl Strategy<Value = String> {
+        (
+            0..DATES.len(),
+            0..TIMES.len(),
+            proptest::collection::vec(0..PIECES.len(), 0..6),
+        )
+            .prop_map(|(d, t, rest)| {
+                let rest: String = rest.iter().map(|&i| PIECES[i]).collect();
+                format!("{} {} {rest}", DATES[d], TIMES[t])
+            })
+    }
+
+    /// Messages `to_line` writes with a canonical timestamp: years 0000
+    /// to 9999, router and code without spaces, and a detail of printable
+    /// ASCII, tabs and a few non-ASCII characters.
+    fn message_strategy() -> impl Strategy<Value = RawMessage> {
+        let lo = Timestamp::from_ymd_hms(0, 1, 1, 0, 0, 0).0;
+        let hi = Timestamp::from_ymd_hms(9999, 12, 31, 23, 59, 59).0;
+        (
+            lo..=hi,
+            "[a-z0-9.-]{1,12}",
+            "[A-Z0-9_-]{1,20}",
+            "[ -~\t\u{a0}\u{e9}\u{3000}]{0,40}",
+        )
+            .prop_map(|(ts, router, code, detail)| {
+                RawMessage::new(Timestamp(ts), router, ErrorCode(code), detail)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+        #[test]
+        fn parse_line_matches_reference_near_canonical(line in near_canonical_strategy()) {
+            for (cut, _) in line.char_indices().chain([(line.len(), ' ')]) {
+                let l = &line[..cut];
+                prop_assert_eq!(RawMessage::parse_line(l), parse_line_reference(l), "line {:?}", l);
+            }
+        }
+
+        #[test]
+        fn to_line_parses_back_through_the_canonical_prefix(m in message_strategy()) {
+            let line = m.to_line();
+            let b = line.as_bytes();
+            prop_assert_eq!(b[19], b' ');
+            prop_assert_eq!(Timestamp::parse_canonical(&b[..19]), Some(m.ts));
+            prop_assert_eq!(RawMessage::parse_line(&line), Ok(m));
+        }
+    }
+
     #[test]
     fn parse_line_matches_reference_on_edge_cases() {
         for line in [
@@ -371,6 +464,21 @@ mod tests {
             "2010-02-31 00:00:00 r1 C d",
             "\r\n",
             " \u{3000} ",
+            "2010-01-10T00:00:15 r1 C d",
+            "2010/01/10 00:00:15 r1 C d",
+            "20100-01-10 00:00:15 r1 C d",
+            "\u{ff12}010-01-10 00:00:15 r1 C d",
+            "2010-01-10 00:00:1\u{ff15} r1 C d",
+            "2010-01-10 00:00:15\tr1 C d",
+            "2010-01-10 00:00:15\t r1 C d",
+            "2010-01-10 00:00:15  r1 C d",
+            "2010-01-10 00:00:15 r1 ",
+            "2010-01-10 00:00:15 ",
+            "2010-01-10 00:00:15 r1 C",
+            "2010-01-10 24:00:00 r1",
+            "2010-01-10 24:00:00 r1 C d",
+            "2010-01-32 00:00:00 r1 C d",
+            "2010-01-10 00:00:15 r1 C d\r",
         ] {
             assert_eq!(
                 RawMessage::parse_line(line),

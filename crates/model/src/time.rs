@@ -102,6 +102,29 @@ impl Timestamp {
         }
         Some(Self::from_ymd_hms(year, month, day, h, m, s))
     }
+
+    /// Parse exactly the canonical 19 bytes `YYYY-MM-DD HH:MM:SS` (ASCII
+    /// digits, fixed width), digit by digit, with the range checks of
+    /// [`Timestamp::parse_fields`]. `None` for any other spelling and for
+    /// an out-of-range field; wherever this accepts, `parse_fields` of
+    /// the two halves accepts with the same instant.
+    pub fn parse_canonical(b: &[u8]) -> Option<Self> {
+        let b: &[u8; 19] = b.try_into().ok()?;
+        if b[4] != b'-' || b[7] != b'-' || b[10] != b' ' || b[13] != b':' || b[16] != b':' {
+            return None;
+        }
+        let digit = |i: usize| {
+            let d = b[i].wrapping_sub(b'0');
+            (d < 10).then_some(u32::from(d))
+        };
+        let two = |i: usize| Some(digit(i)? * 10 + digit(i + 1)?);
+        let year = two(0)? * 100 + two(2)?;
+        let (month, day, h, m, s) = (two(5)?, two(8)?, two(11)?, two(14)?, two(17)?);
+        if month == 0 || month > 12 || day == 0 || day > 31 || h > 23 || m > 59 || s > 59 {
+            return None;
+        }
+        Some(Self::from_ymd_hms(year as i32, month, day, h, m, s))
+    }
 }
 
 impl fmt::Display for Timestamp {

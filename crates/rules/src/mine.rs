@@ -40,11 +40,22 @@ impl Default for MineConfig {
 /// A queryable set of rules. Direction is kept for bookkeeping but the
 /// grouper's `related` query is undirected (§4.2.2 ignores direction).
 /// The lookup holds learned template pairs only, so it is Fx-hashed.
+///
+/// The partner index serves the rule stage: every template related to
+/// some *other* template gets a dense slot, in template-id order, and each
+/// slot lists its partners' slots in ascending order. Self-pairs `x ⇒ x`
+/// give no partner, because the stage never links a template to itself.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct RuleSet {
     rules: Vec<Rule>,
     #[serde(skip)]
     undirected: FxHashSet<(u32, u32)>,
+    /// Template id per slot, ascending; a template's slot is its position.
+    #[serde(skip)]
+    slot_template: Vec<u32>,
+    /// `(slot, template)` of each partner per slot, ascending.
+    #[serde(skip)]
+    partners: Vec<Vec<(u32, TemplateId)>>,
 }
 
 impl RuleSet {
@@ -52,19 +63,36 @@ impl RuleSet {
     pub fn new(rules: Vec<Rule>) -> Self {
         let mut s = RuleSet {
             rules,
-            undirected: FxHashSet::default(),
+            ..RuleSet::default()
         };
         s.rebuild_index();
         s
     }
 
-    /// Rebuild the undirected lookup (after deserialization).
+    /// Rebuild the undirected lookup and the partner index (after
+    /// deserialization).
     pub fn rebuild_index(&mut self) {
         self.undirected = self
             .rules
             .iter()
             .map(|r| (r.x.0.min(r.y.0), r.x.0.max(r.y.0)))
             .collect();
+        let mut pairs: Vec<(u32, u32)> = self
+            .undirected
+            .iter()
+            .filter(|&&(a, b)| a != b)
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .collect();
+        pairs.sort_unstable();
+        self.slot_template = pairs.iter().map(|&(a, _)| a).collect();
+        self.slot_template.dedup();
+        let slots = &self.slot_template;
+        let slot = |t: u32| slots.binary_search(&t).expect("paired");
+        let mut partners = vec![Vec::new(); slots.len()];
+        for &(a, b) in &pairs {
+            partners[slot(a)].push((slot(b) as u32, TemplateId(b)));
+        }
+        self.partners = partners;
     }
 
     /// All rules.
@@ -85,6 +113,23 @@ impl RuleSet {
     /// Whether templates `a` and `b` are associated (either direction).
     pub fn related(&self, a: TemplateId, b: TemplateId) -> bool {
         self.undirected.contains(&(a.0.min(b.0), a.0.max(b.0)))
+    }
+
+    /// Number of partner slots: templates related to another template.
+    pub fn n_slots(&self) -> usize {
+        self.slot_template.len()
+    }
+
+    /// The partner slot of template `t`, if `t` is related to a template
+    /// other than itself.
+    pub fn slot(&self, t: TemplateId) -> Option<usize> {
+        self.slot_template.binary_search(&t.0).ok()
+    }
+
+    /// The `(slot, template)` of each template related to the template in
+    /// `slot` (itself excluded), ascending.
+    pub fn partners(&self, slot: usize) -> &[(u32, TemplateId)] {
+        &self.partners[slot]
     }
 }
 
@@ -253,6 +298,64 @@ mod tests {
         let mut back: RuleSet = serde_json::from_str(&json).unwrap();
         back.rebuild_index();
         assert!(back.related(TemplateId(1), TemplateId(2)));
+    }
+
+    fn rule(x: u32, y: u32) -> Rule {
+        Rule {
+            x: TemplateId(x),
+            y: TemplateId(y),
+            support: 0.5,
+            confidence: 0.9,
+        }
+    }
+
+    #[test]
+    fn partner_index_skips_self_pairs_and_partnerless_templates() {
+        // 7 ⇒ 7 alone gives 7 no partner; 2 ⇔ 9 counts once.
+        let rs = RuleSet::new(vec![
+            rule(9, 2),
+            rule(2, 9),
+            rule(7, 7),
+            rule(2, 5),
+            rule(5, 5),
+        ]);
+        assert!(rs.related(TemplateId(7), TemplateId(7)));
+        assert_eq!(rs.n_slots(), 3);
+        let slot = |t: u32| rs.slot(TemplateId(t));
+        assert_eq!([slot(2), slot(5), slot(9)], [Some(0), Some(1), Some(2)]);
+        assert_eq!(slot(7), None);
+        assert_eq!(slot(100), None);
+        let partners = |t: u32| -> Vec<(u32, u32)> {
+            rs.partners(slot(t).unwrap())
+                .iter()
+                .map(|&(s, t2)| (s, t2.0))
+                .collect()
+        };
+        assert_eq!(partners(2), [(1, 5), (2, 9)]);
+        assert_eq!(partners(5), [(0, 2)]);
+        assert_eq!(partners(9), [(0, 2)]);
+        // Deserialization leaves the index empty until it is rebuilt.
+        let mut back: RuleSet = serde_json::from_str(&serde_json::to_string(&rs).unwrap()).unwrap();
+        assert_eq!(back.n_slots(), 0);
+        back.rebuild_index();
+        assert_eq!(back.slot(TemplateId(9)), rs.slot(TemplateId(9)));
+        assert_eq!(back.partners(0), rs.partners(0));
+    }
+
+    #[test]
+    fn partner_index_takes_the_unknown_template_without_a_dense_table() {
+        // A weekly refresh mines with the old knowledge, so a code new that
+        // week is `u32::MAX` and can end up in a rule.
+        let rs = RuleSet::new(vec![rule(u32::MAX, 1), rule(1, 3)]);
+        assert_eq!(rs.n_slots(), 3);
+        let s = rs.slot(TemplateId(u32::MAX)).unwrap();
+        assert_eq!(rs.partners(s), [(0, TemplateId(1))]);
+        let one = rs.slot(TemplateId(1)).unwrap();
+        assert_eq!(
+            rs.partners(one),
+            [(1, TemplateId(3)), (2, TemplateId(u32::MAX))]
+        );
+        assert_eq!(rs.slot(TemplateId(2)), None);
     }
 
     #[test]
