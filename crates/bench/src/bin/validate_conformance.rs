@@ -25,10 +25,10 @@
 //!
 //! Exits non-zero with full provenance on the first divergence.
 
-use sd_conformance::golden::{compute_entry, default_golden_path, GoldenEntry};
+use sd_conformance::{compute_entry, default_golden_path, GoldenEntry};
 use sd_conformance::{GoldenFile, GOLDEN_VERSION};
-use sd_netsim::corpus::{Corpus, GOLDEN_SCALE, GOLDEN_SEEDS};
 use sd_netsim::{inject, FaultSpec};
+use sd_netsim::{Corpus, GOLDEN_SCALE, GOLDEN_SEEDS};
 use syslogdigest::offline::{learn, OfflineConfig};
 use syslogdigest::GroupingConfig;
 
@@ -198,7 +198,7 @@ fn main() {
         // Golden digests per fault variant.
         let k = learn(&d.configs, d.train(), &ocfg);
         let mut by_variant = Vec::new();
-        for variant in sd_conformance::golden::VARIANTS {
+        for variant in sd_conformance::VARIANTS {
             let entry = compute_entry(&k, d.online(), seed, variant, skew);
             println!(
                 "   seed {seed} {variant}: {} lines -> {} events, partition {}",

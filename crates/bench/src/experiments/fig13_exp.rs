@@ -4,7 +4,7 @@
 //! best compression.
 
 use crate::ctx::{paper, section, Ctx};
-use syslogdigest::viz::gini;
+use syslogdigest::gini;
 use syslogdigest::{per_router_counts, GroupingConfig};
 
 /// Run the Figure 13 analysis.

@@ -4,7 +4,7 @@
 
 use crate::ctx::{paper, section, Ctx};
 use sd_model::{RawMessage, Timestamp};
-use sd_netsim::scenario::{fig4_controller, fig5_tcp_badauth};
+use sd_netsim::{fig4_controller, fig5_tcp_badauth};
 use sd_temporal::{group_series, TemporalConfig};
 
 fn timeline(msgs: &[&RawMessage], t0: Timestamp, hours: i64) -> String {

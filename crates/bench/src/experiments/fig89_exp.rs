@@ -4,21 +4,17 @@
 //! week ~6 for dataset A and ~8 for dataset B.
 
 use crate::ctx::{paper, section, Ctx};
-use sd_rules::{CoOccurrence, RuleBase, UpdateStats};
-use syslogdigest::history;
+use sd_rules::{RuleBase, UpdateStats};
+use syslogdigest::offline::refresh_weekly;
 
 /// Run the weekly update experiment for one bundle; returns per-week stats.
 pub fn weekly(b: &crate::ctx::Bundle) -> Vec<UpdateStats> {
+    let mut k = b.knowledge.clone();
     let mut base = RuleBase::new();
     let weeks = b.data.spec.train_days / 7;
-    let mut out = Vec::new();
-    for w in 0..weeks {
-        let msgs = b.data.train_week(w);
-        let stream = history(&b.knowledge, msgs, b.offline.par).stream;
-        let co = CoOccurrence::count(&stream, b.knowledge.window_secs, b.offline.par);
-        out.push(base.update(&co, &b.offline.mine));
-    }
-    out
+    (0..weeks)
+        .map(|w| refresh_weekly(&mut k, &mut base, b.data.train_week(w), &b.offline))
+        .collect()
 }
 
 /// Run Figures 8 and 9.

@@ -7,7 +7,7 @@
 
 use crate::ctx::{paper, section, Ctx};
 use sd_tickets::{correlate, generate_tickets, top_tickets};
-use syslogdigest::baselines::severity_rank;
+use syslogdigest::severity_rank;
 use syslogdigest::{digest, GroupingConfig};
 
 /// Run the ranking comparison for both datasets.

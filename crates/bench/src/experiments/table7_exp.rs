@@ -4,8 +4,8 @@
 //! ground truth and the EWMA temporal stage against a fixed-gap splitter.
 
 use crate::ctx::{paper, section, Ctx};
-use syslogdigest::baselines::{ewma_group_count, fixed_gap_group_count};
 use syslogdigest::{augment_batch_isolated, compression_table, evaluate_grouping, GroupingConfig};
+use syslogdigest::{ewma_group_count, fixed_gap_group_count};
 
 /// Run the Table 7 experiment.
 pub fn run(ctx: &Ctx) {

@@ -3,8 +3,8 @@
 //! window of the online period.
 
 use crate::ctx::{paper, section, Ctx};
-use syslogdigest::viz::{gini, snapshot};
 use syslogdigest::{digest, GroupingConfig};
+use syslogdigest::{gini, snapshot};
 
 /// Run the visualization snapshot on dataset A.
 pub fn run(ctx: &Ctx) {

@@ -7,7 +7,7 @@ use std::fmt;
 #[derive(Debug, Clone, Default)]
 pub struct Parsed {
     /// Subcommand name (first positional argument).
-    pub command: String,
+    pub(crate) command: String,
     /// Each `--key` in command-line order, with its value (`None` for a
     /// bare flag). A later repeat of an option overrides an earlier one.
     args: Vec<(String, Option<String>)>,
@@ -16,16 +16,16 @@ pub struct Parsed {
 /// The names one subcommand accepts: options, which take a value, and
 /// flags, which take none.
 #[derive(Debug, Clone, Copy)]
-pub struct Accepts {
+pub(crate) struct Accepts<'a> {
     /// Options (`--key value`).
-    pub options: &'static [&'static str],
+    pub(crate) options: &'a [&'a str],
     /// Flags (bare `--key`).
-    pub flags: &'static [&'static str],
+    pub(crate) flags: &'a [&'a str],
 }
 
 /// Argument errors with user-facing messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
+pub struct ArgError(pub(crate) String);
 
 impl fmt::Display for ArgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -62,7 +62,7 @@ impl Parsed {
     /// Fail on the first `--key`, in command-line order, that `accepts`
     /// does not declare, on an option given no value and on a flag given
     /// one. Each error names the key and the subcommand.
-    pub fn check(&self, accepts: &Accepts) -> Result<(), ArgError> {
+    pub(crate) fn check(&self, accepts: &Accepts<'_>) -> Result<(), ArgError> {
         let cmd = &self.command;
         for (key, value) in &self.args {
             let (is_option, is_flag) = (
@@ -90,13 +90,13 @@ impl Parsed {
     }
 
     /// Required string option.
-    pub fn req(&self, key: &str) -> Result<&str, ArgError> {
+    pub(crate) fn req(&self, key: &str) -> Result<&str, ArgError> {
         self.opt(key)
             .ok_or_else(|| ArgError(format!("missing required option --{key}")))
     }
 
     /// Optional string option.
-    pub fn opt(&self, key: &str) -> Option<&str> {
+    pub(crate) fn opt(&self, key: &str) -> Option<&str> {
         self.args
             .iter()
             .rev()
@@ -105,7 +105,11 @@ impl Parsed {
     }
 
     /// Optional parsed option with a default.
-    pub fn opt_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn opt_parse<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         match self.opt(key) {
             None => Ok(default),
             Some(v) => v
@@ -115,7 +119,7 @@ impl Parsed {
     }
 
     /// Whether a bare `--flag` was present.
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         self.args.iter().any(|(k, v)| k == key && v.is_none())
     }
 }

@@ -14,10 +14,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod args;
-pub mod commands;
-pub mod output;
+mod args;
+mod commands;
+mod output;
 
-pub use args::{ArgError, Parsed};
-pub use commands::{cmd_digest, cmd_explain, cmd_generate, cmd_learn, cmd_stats};
+pub use args::Parsed;
+pub use commands::{dispatch, usage};
+pub use output::LogFormat;

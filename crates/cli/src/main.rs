@@ -1,7 +1,7 @@
 //! `sdigest` — the SyslogDigest command line (see `sd_cli` for the
 //! subcommand implementations).
 
-use sd_cli::output::LogFormat;
+use sd_cli::LogFormat;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -13,7 +13,7 @@ fn main() {
         .and_then(|w| w[1].parse().ok())
         .unwrap_or(LogFormat::Text);
     if args.is_empty() {
-        eprint!("{}", sd_cli::commands::usage());
+        eprint!("{}", sd_cli::usage());
         std::process::exit(2);
     }
     let parsed = match sd_cli::Parsed::parse(args) {
@@ -23,7 +23,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match sd_cli::commands::dispatch(&parsed) {
+    match sd_cli::dispatch(&parsed) {
         Ok(out) => println!("{out}"),
         Err(e) => {
             fmt.emit("error", &e.to_string(), &[]);

@@ -42,7 +42,7 @@ impl LogFormat {
     /// One diagnostic record as a line: a `level` (`warn`, `error`), a
     /// free-text message and key/value fields. The format decides the
     /// rendering only; a string field reads bare in text.
-    pub fn render(self, level: &str, message: &str, fields: &[(&str, Value)]) -> String {
+    pub(crate) fn render(self, level: &str, message: &str, fields: &[(&str, Value)]) -> String {
         let mut line = match self {
             LogFormat::Text => {
                 let mut line = format!("{level}: {message}");
@@ -68,7 +68,7 @@ impl LogFormat {
         line
     }
 
-    /// Write one record to stderr (see [`LogFormat::render`]).
+    /// Write one record to stderr (see `LogFormat::render`).
     pub fn emit(self, level: &str, message: &str, fields: &[(&str, Value)]) {
         let _ = io::stderr().write_all(self.render(level, message, fields).as_bytes());
     }
@@ -81,16 +81,16 @@ fn json(v: Value) -> String {
 /// A JSONL sidecar: one record per line, each written whole in a single
 /// unbuffered call, so `tail -f` on a live file only ever sees whole
 /// lines.
-pub struct Jsonl(File);
+pub(crate) struct Jsonl(File);
 
 impl Jsonl {
     /// Create (truncate) the file at `path`.
-    pub fn create(path: &Path) -> io::Result<Jsonl> {
+    pub(crate) fn create(path: &Path) -> io::Result<Jsonl> {
         File::create(path).map(Jsonl)
     }
 
     /// Append `records`, one JSON text per line.
-    pub fn write(&self, records: impl IntoIterator<Item = String>) -> io::Result<()> {
+    pub(crate) fn write(&self, records: impl IntoIterator<Item = String>) -> io::Result<()> {
         for mut line in records {
             line.push('\n');
             (&self.0).write_all(line.as_bytes())?;

@@ -20,7 +20,7 @@ use sd_temporal::group_series;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use syslogdigest::offline::{history, learn, OfflineConfig};
-use syslogdigest::provenance::MergeCause;
+use syslogdigest::MergeCause;
 use syslogdigest::{augment_batch_isolated, group, stage_edges, DomainKnowledge, GroupingConfig};
 
 /// Which oracle observed the divergence.
@@ -42,7 +42,7 @@ pub enum Stage {
 
 impl Stage {
     /// Short stage name for reports.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Stage::Templates => "templates",
             Stage::Matching => "matching",
@@ -58,9 +58,9 @@ impl Stage {
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// The oracle that caught it.
-    pub stage: Stage,
+    pub(crate) stage: Stage,
     /// Full provenance of the differing decision.
-    pub detail: String,
+    pub(crate) detail: String,
 }
 
 impl fmt::Display for Divergence {

@@ -15,9 +15,9 @@ use sd_model::Fnv;
 use sd_netsim::{inject, FaultSpec};
 use sd_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
-use syslogdigest::ingest::{FaultTolerantIngest, IngestStats};
-use syslogdigest::stream::StreamConfig;
+use syslogdigest::StreamConfig;
 use syslogdigest::{DomainKnowledge, GroupingConfig, NetworkEvent};
+use syslogdigest::{FaultTolerantIngest, IngestStats};
 
 /// Format version of the golden file.
 pub const GOLDEN_VERSION: u32 = 1;
@@ -29,9 +29,9 @@ pub const VARIANTS: [&str; 3] = ["clean", "bounded", "hostile"];
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GoldenEntry {
     /// Dataset seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Fault preset: `clean`, `bounded`, or `hostile`.
-    pub variant: String,
+    pub(crate) variant: String,
     /// Feed lines after fault injection.
     pub n_lines: usize,
     /// Events the streaming digest emitted.
@@ -104,7 +104,7 @@ fn hex(h: Fnv) -> String {
 /// digest equal iff they emitted the same partition of the same accepted
 /// messages (sequence ids are assigned by the ingest layer in arrival
 /// order, so they line up across runs of the same feed).
-pub fn partition_digest(events: &[NetworkEvent]) -> String {
+pub(crate) fn partition_digest(events: &[NetworkEvent]) -> String {
     let mut groups: Vec<Vec<usize>> = events
         .iter()
         .map(|e| {
@@ -126,7 +126,7 @@ pub fn partition_digest(events: &[NetworkEvent]) -> String {
 }
 
 /// Digest of the learned template set: the sorted masked strings.
-pub fn template_digest(k: &DomainKnowledge) -> String {
+pub(crate) fn template_digest(k: &DomainKnowledge) -> String {
     let mut masked: Vec<String> = k.templates.iter().map(|(_, t)| t.masked()).collect();
     masked.sort();
     let mut h = Fnv::default();
@@ -139,7 +139,7 @@ pub fn template_digest(k: &DomainKnowledge) -> String {
 
 /// Digest of the mined rule set: directed ids plus the exact statistic
 /// bits (support and confidence are deterministic integer divisions).
-pub fn rule_digest(k: &DomainKnowledge) -> String {
+pub(crate) fn rule_digest(k: &DomainKnowledge) -> String {
     let mut h = Fnv::default();
     for r in k.rules.rules() {
         h.write_u64(r.x.0 as u64);
@@ -151,7 +151,7 @@ pub fn rule_digest(k: &DomainKnowledge) -> String {
 }
 
 /// Stream a feed through the fault-tolerant ingest layer.
-pub fn run_feed(
+pub(crate) fn run_feed(
     k: &DomainKnowledge,
     lines: &[String],
     max_skew_secs: i64,

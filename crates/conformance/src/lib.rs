@@ -12,30 +12,37 @@
 //! windowed pairwise rule mining, §4.2.1–§4.2.3 grouping), with none of
 //! the production code's indexes, sharding, or incremental state:
 //!
-//! * [`ref_templates`] — recursive sub-type tree construction and a
+//! * `ref_templates` — recursive sub-type tree construction and a
 //!   scan-every-template matcher;
-//! * [`ref_temporal`] — the EWMA recurrence, re-derived;
-//! * [`ref_rules`] — per-anchor window enumeration and threshold checks;
-//! * [`ref_grouping`] — the three stage edge sets plus naive
+//! * `ref_temporal` — the EWMA recurrence, re-derived;
+//! * `ref_rules` — per-anchor window enumeration and threshold checks;
+//! * `ref_grouping` — the three stage edge sets plus naive
 //!   label-propagation connected components.
 //!
 //! [`diff::verify_dataset`] runs reference and optimized side by side on a
 //! netsim-generated corpus and reports the **first divergence with full
 //! provenance** (message seq, template ids, the decision that differed).
-//! [`golden`] pins snapshot digests of ~6 seeds × clean/bounded/hostile
+//! `golden` pins snapshot digests of ~6 seeds × clean/bounded/hostile
 //! corpora, regenerated via `validate_conformance --bless`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod diff;
-pub mod golden;
-pub mod recovery;
-pub mod ref_grouping;
-pub mod ref_rules;
-pub mod ref_templates;
-pub mod ref_temporal;
+mod diff;
+mod golden;
+mod recovery;
+mod ref_grouping;
+mod ref_rules;
+mod ref_templates;
+mod ref_temporal;
 
-pub use diff::{verify_dataset, ConformanceSummary, Divergence, Stage};
-pub use golden::{GoldenEntry, GoldenFile, GOLDEN_VERSION};
-pub use recovery::{verify_recovery, RecoveryOutcome, RECOVERY_FAULT_KINDS};
+pub use diff::{verify_dataset, Stage};
+pub use golden::{
+    compute_entry, default_golden_path, GoldenEntry, GoldenFile, GOLDEN_VERSION, VARIANTS,
+};
+pub use recovery::verify_recovery;
+pub use ref_grouping::ref_edges;
+pub use ref_rules::{ref_count, ref_mine, RefRule};
+pub use ref_templates::{ref_learn, ref_match};
+pub use ref_temporal::ref_group_series;

@@ -30,20 +30,20 @@ use syslogdigest::{
 /// The storage-fault kinds every recovery conformance run must survive.
 /// (`short-write` leaves the same on-disk image as `truncate`, so the
 /// matrix covers the three distinct damage shapes.)
-pub const RECOVERY_FAULT_KINDS: [&str; 3] = ["truncate", "bitflip", "disk-full"];
+pub(crate) const RECOVERY_FAULT_KINDS: [&str; 3] = ["truncate", "bitflip", "disk-full"];
 
 /// What one fault scenario recovered to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryOutcome {
     /// Fault kind injected into the newest generation (`"none"` for the
     /// pristine control scenario).
-    pub fault: String,
+    pub(crate) fault: String,
     /// Generation the recovery settled on (0 = newest).
-    pub generation: u32,
+    pub(crate) generation: u32,
     /// Generations skipped as corrupt on the way there.
-    pub n_corrupt: usize,
+    pub(crate) n_corrupt: usize,
     /// Feed lines replayed after the recovered snapshot.
-    pub lines_replayed: usize,
+    pub(crate) lines_replayed: usize,
 }
 
 impl fmt::Display for RecoveryOutcome {
@@ -62,7 +62,7 @@ impl fmt::Display for RecoveryOutcome {
 /// durability contract. Checkpoint files are written under `dir` (one
 /// subdirectory per scenario); the caller owns cleanup.
 ///
-/// Returns one [`RecoveryOutcome`] per scenario, or a description of the
+/// Returns one `RecoveryOutcome` per scenario, or a description of the
 /// first violated guarantee.
 pub fn verify_recovery(
     k: &DomainKnowledge,

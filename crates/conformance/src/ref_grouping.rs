@@ -14,8 +14,8 @@
 
 use sd_model::{LocationId, SyslogPlus};
 use std::collections::{BTreeMap, BTreeSet};
-use syslogdigest::grouping::CROSS_WINDOW_SECS;
-use syslogdigest::provenance::MergeCause;
+use syslogdigest::MergeCause;
+use syslogdigest::CROSS_WINDOW_SECS;
 use syslogdigest::{DomainKnowledge, GroupingConfig};
 
 /// All union edges the configured stages produce over a time-sorted batch,
@@ -133,7 +133,10 @@ fn ref_cross_related(k: &DomainKnowledge, a: &SyslogPlus, b: &SyslogPlus) -> boo
 /// Naive connected components over `n` nodes: propagate the minimum label
 /// along edges until a fixpoint, then relabel densely by first appearance
 /// — the same canonical form `UnionFind::groups()` returns.
-pub fn ref_components(n: usize, edges: &[(usize, usize, MergeCause)]) -> (Vec<usize>, usize) {
+pub(crate) fn ref_components(
+    n: usize,
+    edges: &[(usize, usize, MergeCause)],
+) -> (Vec<usize>, usize) {
     let mut label: Vec<usize> = (0..n).collect();
     loop {
         let mut changed = false;
@@ -181,7 +184,7 @@ mod tests {
 
     #[test]
     fn components_match_union_find() {
-        use syslogdigest::union_find::UnionFind;
+        use syslogdigest::UnionFind;
         let edges = vec![
             (3, 1, MergeCause::Temporal),
             (4, 5, MergeCause::Cross),

@@ -168,7 +168,7 @@ pub fn ref_match(set: &TemplateSet, code: &ErrorCode, detail: &str) -> Option<Te
 /// Resolve a template id the way `DomainKnowledge::resolve_template` does,
 /// but through [`ref_match`]: learned template, else the per-code fallback
 /// pseudo-template, else `UNKNOWN_TEMPLATE`.
-pub fn ref_resolve(
+pub(crate) fn ref_resolve(
     k: &syslogdigest::DomainKnowledge,
     code: &ErrorCode,
     detail: &str,

@@ -63,14 +63,6 @@ pub fn ref_group_series(ts: &[Timestamp], cfg: &TemporalConfig) -> Vec<usize> {
     labels
 }
 
-/// Number of clusters [`ref_group_series`] produces.
-pub fn ref_count_groups(ts: &[Timestamp], cfg: &TemporalConfig) -> usize {
-    match ref_group_series(ts, cfg).last() {
-        Some(&g) => g + 1,
-        None => 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,7 +79,7 @@ mod tests {
     #[test]
     fn periodic_series_is_one_group() {
         let ts: Vec<Timestamp> = (0..40).map(|i| Timestamp(i * 300)).collect();
-        assert_eq!(ref_count_groups(&ts, &cfg(0.05, 2.0)), 1);
+        assert_eq!(ref_group_series(&ts, &cfg(0.05, 2.0)).last(), Some(&0));
     }
 
     #[test]
@@ -98,6 +90,6 @@ mod tests {
             Timestamp(10),
             Timestamp(10 + 2 * 3600),
         ];
-        assert_eq!(ref_count_groups(&ts, &cfg(0.05, 5.0)), 2);
+        assert_eq!(ref_group_series(&ts, &cfg(0.05, 5.0)).last(), Some(&1));
     }
 }

@@ -7,19 +7,19 @@
 //! PR runs keep the defaults.
 
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
-use sd_conformance::ref_grouping::ref_edges;
-use sd_conformance::ref_rules::{ref_count, ref_mine, RefRule};
-use sd_conformance::ref_templates::{ref_learn, ref_match};
-use sd_conformance::ref_temporal::ref_group_series;
+use sd_conformance::ref_edges;
+use sd_conformance::ref_group_series;
 use sd_conformance::verify_dataset;
+use sd_conformance::{ref_count, ref_mine, RefRule};
+use sd_conformance::{ref_learn, ref_match};
 use sd_locations::LocationDictionary;
 use sd_model::{
     ErrorCode, Interner, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
     Timestamp,
 };
 use sd_netsim::config::render_all;
-use sd_netsim::corpus::Corpus;
-use sd_netsim::scenario::toy_topology;
+use sd_netsim::toy_topology;
+use sd_netsim::Corpus;
 use sd_rules::{mine, CoOccurrence, MineConfig, Rule, RuleSet, StreamItem};
 use sd_templates::{learn, LearnerConfig, TemplateSet};
 use sd_temporal::{group_series, TemporalConfig};

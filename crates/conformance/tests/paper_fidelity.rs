@@ -10,8 +10,8 @@ use sd_model::{ErrorCode, Parallelism, RawMessage, Timestamp};
 use sd_rules::{mine, CoOccurrence, MineConfig, RuleBase};
 use sd_templates::{learn, LearnerConfig};
 use sd_temporal::{group_series, EwmaTracker, TemporalConfig};
-use syslogdigest::grouping::CROSS_WINDOW_SECS;
 use syslogdigest::offline::OfflineConfig;
+use syslogdigest::CROSS_WINDOW_SECS;
 
 // ---------------------------------------------------------------- constants
 

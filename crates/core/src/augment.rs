@@ -10,8 +10,8 @@
 use crate::knowledge::DomainKnowledge;
 use sd_locations::extract_with;
 use sd_model::{
-    catch_panic, par_chunks_isolated, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus,
-    TemplateId, TokenScratch,
+    catch_panic, par_chunks, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
+    TokenScratch,
 };
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -221,16 +221,30 @@ impl AugmentMemo {
         out
     }
 
-    /// Augment `chunk`, whose first message sits at batch position `start`.
-    fn augment_all(
+    /// Augment `chunk`, whose first message sits at batch position
+    /// `start`, each message under its own `catch_panic`. A panic
+    /// quarantines that message and replaces the memo, which may hold
+    /// torn state.
+    fn augment_isolated(
         &mut self,
         k: &DomainKnowledge,
         start: usize,
         chunk: &[RawMessage],
-    ) -> Vec<Option<SyslogPlus>> {
-        let mut out = Vec::with_capacity(chunk.len());
+    ) -> IsolatedAugment {
+        let mut out = IsolatedAugment {
+            augmented: Vec::with_capacity(chunk.len()),
+            quarantined: Vec::new(),
+        };
         for (off, m) in chunk.iter().enumerate() {
-            out.push(self.augment(k, start + off, m));
+            let idx = start + off;
+            match catch_panic(|| self.augment(k, idx, m)) {
+                Ok(sp) => out.augmented.push(sp),
+                Err(reason) => {
+                    *self = AugmentMemo::new();
+                    out.augmented.push(None);
+                    out.quarantined.push((idx, reason));
+                }
+            }
         }
         out
     }
@@ -254,9 +268,8 @@ pub struct IsolatedAugment {
     /// `quarantined` to tell them apart).
     pub augmented: Vec<Option<SyslogPlus>>,
     /// `(batch offset, rendered panic payload)` for every message whose
-    /// augmentation panicked — even after its shard was retried
-    /// sequentially, one message at a time.
-    pub quarantined: Vec<(usize, String)>,
+    /// augmentation panicked, in ascending offset order.
+    pub(crate) quarantined: Vec<(usize, String)>,
 }
 
 impl IsolatedAugment {
@@ -272,14 +285,11 @@ impl IsolatedAugment {
     }
 }
 
-/// Augment a batch with each shard of the `par` fan-out running under
-/// `catch_unwind`: a panicking shard does not abort the run. The
-/// poisoned shard is retried sequentially message-by-message (with a
-/// fresh memo — the panicked one may hold torn state) so only the
-/// truly offending messages are quarantined; every healthy message in
-/// the shard still augments. Shards are split only while every worker
-/// gets at least 4,096 messages, each shard augments through a memo of
-/// its own, and chunks are concatenated in input order, so the output is
+/// Augment a batch with each message under its own `catch_unwind`: a
+/// message whose augmentation panics is quarantined, and every other
+/// message still augments. Shards are split only while every worker gets
+/// at least 4,096 messages, each shard augments through a memo of its
+/// own, and shards are concatenated in input order, so the output is
 /// deterministic and identical for every thread count.
 pub fn augment_batch_isolated(
     k: &DomainKnowledge,
@@ -300,40 +310,21 @@ pub(crate) fn augment_isolated(
     memo: &mut AugmentMemo,
 ) -> IsolatedAugment {
     let par = augment_par(par, batch.len());
-    let shards = if par.is_sequential() {
-        vec![(0, catch_panic(|| memo.augment_all(k, 0, batch)))]
-    } else {
-        par_chunks_isolated(par, batch, |start, chunk| {
-            AugmentMemo::new().augment_all(k, start, chunk)
-        })
+    if par.is_sequential() {
+        return memo.augment_isolated(k, 0, batch);
+    }
+    let shards = par_chunks(par, batch, |start, chunk| {
+        AugmentMemo::new().augment_isolated(k, start, chunk)
+    });
+    let mut out = IsolatedAugment {
+        augmented: Vec::with_capacity(batch.len()),
+        quarantined: Vec::new(),
     };
-    let starts: Vec<usize> = shards.iter().map(|(s, _)| *s).collect();
-    let mut augmented: Vec<Option<SyslogPlus>> = Vec::with_capacity(batch.len());
-    let mut quarantined: Vec<(usize, String)> = Vec::new();
-    for (si, (start, res)) in shards.into_iter().enumerate() {
-        match res {
-            Ok(chunk_out) => augmented.extend(chunk_out),
-            Err(_) => {
-                // Poisoned shard: retry each message alone.
-                *memo = AugmentMemo::new();
-                let end = starts.get(si + 1).copied().unwrap_or(batch.len());
-                for (off, m) in batch[start..end].iter().enumerate() {
-                    let idx = start + off;
-                    match catch_panic(|| memo.augment(k, idx, m)) {
-                        Ok(sp) => augmented.push(sp),
-                        Err(reason) => {
-                            augmented.push(None);
-                            quarantined.push((idx, reason));
-                        }
-                    }
-                }
-            }
-        }
+    for shard in shards {
+        out.augmented.extend(shard.augmented);
+        out.quarantined.extend(shard.quarantined);
     }
-    IsolatedAugment {
-        augmented,
-        quarantined,
-    }
+    out
 }
 
 #[cfg(test)]
@@ -624,12 +615,12 @@ interface Serial1/5
         );
         let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_poison_marker(None);
-        sd.push(&line(0));
-        sd.push(&line(1));
+        sd.push_batch(&[line(0)]);
+        sd.push_batch(&[line(1)]);
         assert_eq!(sd.stats().n_quarantined, 0);
         set_poison_marker(Some("MEMOSTREAMPOISON"));
-        sd.push(&line(2));
-        sd.push(&line(3));
+        sd.push_batch(&[line(2)]);
+        sd.push_batch(&[line(3)]);
         set_poison_marker(None);
         let stats = sd.stats();
         assert_eq!((stats.n_input, stats.n_quarantined), (4, 2));

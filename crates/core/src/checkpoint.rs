@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot format version, written and checked in the envelope header
 /// only. Bump on any incompatible change to [`StreamSnapshot`]'s shape;
 /// older snapshots are then rejected instead of being misdecoded.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub(crate) const SNAPSHOT_VERSION: u32 = 7;
 
 /// Counters of the ingest layer: feed lines consumed, the reorder
 /// buffer's late and duplicate counts, and the malformed-line report.
@@ -81,7 +81,7 @@ pub(crate) struct IngestState {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamSnapshot {
     /// Fingerprint of the knowledge base the digester ran against.
-    pub knowledge_fp: u64,
+    pub(crate) knowledge_fp: u64,
     /// The digester's live state.
     pub(crate) digester: StreamState,
     /// The digester's counters.
@@ -161,7 +161,7 @@ pub struct RecoveryReport {
     /// Feed lines already consumed by the recovered snapshot.
     pub lines_consumed: usize,
     /// Every skipped generation as `(path, why)`.
-    pub skipped: Vec<(String, String)>,
+    pub(crate) skipped: Vec<(String, String)>,
 }
 
 /// On-disk path of checkpoint generation `g` for base `path`

@@ -32,20 +32,20 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Leading magic bytes of every enveloped artifact ("SyslogDigest ARtifact").
-pub const ENVELOPE_MAGIC: [u8; 4] = *b"SDAR";
+pub(crate) const ENVELOPE_MAGIC: [u8; 4] = *b"SDAR";
 
 /// Total header size in bytes (magic + kind + version + length + checksum).
 const HEADER_LEN: usize = 28;
 
 /// Four-byte artifact-kind tag inside the envelope header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArtifactKind(pub [u8; 4]);
+pub(crate) struct ArtifactKind(pub [u8; 4]);
 
 impl ArtifactKind {
     /// Stream checkpoint ([`crate::checkpoint::StreamSnapshot`]).
-    pub const CHECKPOINT: ArtifactKind = ArtifactKind(*b"CKPT");
+    pub(crate) const CHECKPOINT: ArtifactKind = ArtifactKind(*b"CKPT");
     /// Learned domain knowledge ([`crate::knowledge::DomainKnowledge`]).
-    pub const KNOWLEDGE: ArtifactKind = ArtifactKind(*b"KNOW");
+    pub(crate) const KNOWLEDGE: ArtifactKind = ArtifactKind(*b"KNOW");
 
     fn name(self) -> String {
         self.0.iter().map(|&b| b as char).collect()
@@ -62,7 +62,7 @@ impl fmt::Display for ArtifactKind {
 /// stopped: the variants earlier in the enum mean less of the file
 /// could be trusted.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EnvelopeError {
+pub(crate) enum EnvelopeError {
     /// The file does not start with [`ENVELOPE_MAGIC`].
     BadMagic,
     /// The envelope is valid but holds a different artifact kind.
@@ -152,16 +152,16 @@ impl std::error::Error for EnvelopeError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArtifactError {
     /// Path of the artifact that failed.
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
     /// Checkpoint generation (0 = newest), when applicable.
-    pub generation: Option<u32>,
+    pub(crate) generation: Option<u32>,
     /// The underlying failure.
-    pub error: EnvelopeError,
+    pub(crate) error: EnvelopeError,
 }
 
 impl ArtifactError {
     /// Wrap `error` with the failing `path` (no generation).
-    pub fn at(path: &Path, error: EnvelopeError) -> Self {
+    pub(crate) fn at(path: &Path, error: EnvelopeError) -> Self {
         ArtifactError {
             path: path.to_path_buf(),
             generation: None,
@@ -170,7 +170,7 @@ impl ArtifactError {
     }
 
     /// Attach a checkpoint generation to this error.
-    pub fn with_generation(mut self, generation: u32) -> Self {
+    pub(crate) fn with_generation(mut self, generation: u32) -> Self {
         self.generation = Some(generation);
         self
     }
@@ -189,7 +189,7 @@ impl fmt::Display for ArtifactError {
 impl std::error::Error for ArtifactError {}
 
 /// Serialize `payload` into a fully framed artifact image.
-pub fn encode(kind: ArtifactKind, version: u32, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode(kind: ArtifactKind, version: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&ENVELOPE_MAGIC);
     out.extend_from_slice(&kind.0);
@@ -213,7 +213,7 @@ fn le_u64(b: &[u8]) -> u64 {
 /// Verification order: magic → kind → version (must be exactly
 /// `expected_version` — snapshots are not forward-compatible) →
 /// declared length vs file size → checksum.
-pub fn decode(
+pub(crate) fn decode(
     bytes: &[u8],
     kind: ArtifactKind,
     expected_version: u32,
@@ -309,7 +309,7 @@ fn load_bytes(path: &Path) -> Result<Vec<u8>, ArtifactError> {
 }
 
 /// Atomically write `value` as a JSON `kind` artifact at `version`.
-pub fn save_json<T: Serialize>(
+pub(crate) fn save_json<T: Serialize>(
     path: &Path,
     kind: ArtifactKind,
     version: u32,
@@ -322,7 +322,7 @@ pub fn save_json<T: Serialize>(
 
 /// Read the JSON `kind` artifact at `path`, written at `version` by
 /// [`save_json`]; envelope and decode failures carry the path.
-pub fn load_json<T: Deserialize>(
+pub(crate) fn load_json<T: Deserialize>(
     path: &Path,
     kind: ArtifactKind,
     version: u32,

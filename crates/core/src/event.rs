@@ -292,7 +292,7 @@ fn render_location(k: &DomainKnowledge, rname: &str, loc: LocationId) -> String 
 /// Derive an operator-facing event label from the member signatures.
 /// Heuristic but vendor-neutral: driven by error-code facilities and the
 /// state words surviving in the masked signatures.
-pub fn label_for(signatures: &[String]) -> String {
+pub(crate) fn label_for(signatures: &[String]) -> String {
     let mut labels: Vec<&str> = Vec::new();
     let has = |needle: &str| signatures.iter().any(|s| s.contains(needle));
     fn add<'a>(l: &'a str, labels: &mut Vec<&'a str>) {
@@ -376,7 +376,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use sd_model::{ErrorCode, Parallelism, RawMessage};
     use sd_netsim::config::render_all;
-    use sd_netsim::scenario::{toy_table2_messages, toy_topology};
+    use sd_netsim::{toy_table2_messages, toy_topology};
     use sd_netsim::{Dataset, DatasetSpec};
     use sd_telemetry::Telemetry;
     use std::sync::OnceLock;

@@ -71,12 +71,12 @@ pub struct GroupingResult {
     pub n_groups: usize,
     /// Undirected rule pairs that actually merged messages ("active
     /// rules", the third series of Figure 12).
-    pub active_rules: HashSet<(u32, u32)>,
+    pub(crate) active_rules: HashSet<(u32, u32)>,
 }
 
 impl GroupingResult {
     /// Compression ratio: groups / messages (0 on an empty batch).
-    pub fn compression_ratio(&self) -> f64 {
+    pub(crate) fn compression_ratio(&self) -> f64 {
         if self.group_of.is_empty() {
             return 0.0;
         }
@@ -366,7 +366,7 @@ mod tests {
     use crate::offline::{learn, OfflineConfig};
     use sd_model::{ErrorCode, RawMessage, Timestamp};
     use sd_netsim::config::render_all;
-    use sd_netsim::scenario::{toy_table2_messages, toy_topology};
+    use sd_netsim::{toy_table2_messages, toy_topology};
 
     /// Training data that teaches the four Table 2 templates with masked
     /// interfaces: the toy flaps replayed over many synthetic interfaces.

@@ -149,15 +149,10 @@ impl<'k> FaultTolerantIngest<'k> {
         &self.malformed.samples
     }
 
-    /// Drain the quarantine records of messages whose augmentation shard
-    /// panicked (see [`crate::quarantine`]); empty in a healthy run.
+    /// Drain the quarantine records of messages whose augmentation
+    /// panicked (see `crate::quarantine`); empty in a healthy run.
     pub fn take_quarantined(&mut self) -> Vec<QuarantineRecord> {
         self.digester.take_quarantined()
-    }
-
-    /// Messages currently held in the reorder buffer.
-    pub fn buffered(&self) -> usize {
-        self.reorder.buffered()
     }
 
     /// Snapshot digester *and* reorder-buffer state together.

@@ -18,7 +18,7 @@ pub const UNKNOWN_TEMPLATE: TemplateId = TemplateId(u32::MAX);
 
 /// On-disk schema version of enveloped knowledge artifacts. Bump on any
 /// incompatible change to the serialized [`DomainKnowledge`] shape.
-pub const KNOWLEDGE_VERSION: u32 = 1;
+pub(crate) const KNOWLEDGE_VERSION: u32 = 1;
 
 /// Everything the online digester needs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -71,7 +71,7 @@ impl DomainKnowledge {
 
     /// Rebuild all skipped lookup structures (after deserialization; the
     /// template set rebuilds its own index as it deserializes).
-    pub fn rebuild_index(&mut self) {
+    pub(crate) fn rebuild_index(&mut self) {
         self.fallback_codes.rebuild_index();
         self.dict.rebuild_index();
         self.rules.rebuild_index();
@@ -91,17 +91,17 @@ impl DomainKnowledge {
     }
 
     /// Persist to `path` inside the checksummed artifact envelope
-    /// (kind `KNOW`, version [`KNOWLEDGE_VERSION`]), atomically.
+    /// (kind `KNOW`, version `KNOWLEDGE_VERSION`), atomically.
     pub fn save(&self, path: &std::path::Path) -> Result<(), ArtifactError> {
         envelope::save_json(path, ArtifactKind::KNOWLEDGE, KNOWLEDGE_VERSION, self)
     }
 
     /// Load from `path`, an enveloped artifact written by
     /// [`DomainKnowledge::save`]; a file without the envelope fails with
-    /// [`EnvelopeError::BadMagic`](crate::envelope::EnvelopeError::BadMagic).
+    /// `EnvelopeError::BadMagic`.
     /// Truncation, bit flips, kind confusion (e.g. pointing `--knowledge`
     /// at a checkpoint) and version skew all surface as typed
-    /// [`ArtifactError`]s carrying the file path.
+    /// `ArtifactError`s carrying the file path.
     pub fn load(path: &std::path::Path) -> Result<Self, ArtifactError> {
         let mut k: DomainKnowledge =
             envelope::load_json(path, ArtifactKind::KNOWLEDGE, KNOWLEDGE_VERSION)?;
@@ -141,7 +141,7 @@ impl DomainKnowledge {
     /// [`DomainKnowledge::resolve_template`] reading the tokens of
     /// `detail` from `toks` (already filled by `toks.tokenize(detail)`),
     /// so batch loops resolve every message allocation-free.
-    pub fn resolve_template_with(
+    pub(crate) fn resolve_template_with(
         &self,
         code: &ErrorCode,
         detail: &str,
@@ -171,13 +171,13 @@ impl DomainKnowledge {
     }
 
     /// Historical frequency `f_m` of template `t` on `router` (min 1).
-    pub fn frequency(&self, router: RouterId, t: TemplateId) -> u64 {
+    pub(crate) fn frequency(&self, router: RouterId, t: TemplateId) -> u64 {
         self.freq_map.get(&(router.0, t.0)).copied().unwrap_or(1)
     }
 
     /// Fold additional per-(router, template) observation counts into the
     /// frequency table (used by the weekly refresh as new history accrues).
-    pub fn merge_frequencies(&mut self, items: impl IntoIterator<Item = ((u32, u32), u64)>) {
+    pub(crate) fn merge_frequencies(&mut self, items: impl IntoIterator<Item = ((u32, u32), u64)>) {
         for (key, n) in items {
             *self.freq_map.entry(key).or_insert(0) += n;
         }

@@ -13,7 +13,7 @@
 //!   configs (`sd-locations`), temporal pattern calibration
 //!   (`sd-temporal`) and association rule mining (`sd-rules`), packaged
 //!   into a serializable [`DomainKnowledge`] base.
-//! * **Online processing** ([`pipeline::digest`]): augment each raw
+//! * **Online processing** ([`digest`]): augment each raw
 //!   message into Syslog+ form, group via the temporal, rule-based and
 //!   cross-router stages (merged through a union-find so stage order is
 //!   irrelevant), prioritize with the §4.2.4 score, and present one line
@@ -22,8 +22,7 @@
 //! ```
 //! use sd_netsim::{Dataset, DatasetSpec};
 //! use syslogdigest::offline::{learn, OfflineConfig};
-//! use syslogdigest::pipeline::digest;
-//! use syslogdigest::grouping::GroupingConfig;
+//! use syslogdigest::{digest, GroupingConfig};
 //! use sd_telemetry::Telemetry;
 //!
 //! let data = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
@@ -35,43 +34,41 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod augment;
-pub mod baselines;
-pub mod checkpoint;
-pub mod envelope;
-pub mod event;
-pub mod grouping;
-pub mod ingest;
-pub mod knowledge;
-pub mod metrics;
+mod augment;
+mod baselines;
+mod checkpoint;
+mod envelope;
+mod event;
+mod grouping;
+mod ingest;
+mod knowledge;
+mod metrics;
 pub mod offline;
-pub mod pipeline;
-pub mod priority;
-pub mod provenance;
-pub mod quarantine;
-pub mod reorder;
-pub mod stream;
-pub mod union_find;
-pub mod viz;
+mod pipeline;
+mod priority;
+mod provenance;
+mod quarantine;
+mod reorder;
+mod stream;
+mod union_find;
+mod viz;
 
-pub use augment::{augment, augment_batch_isolated, IsolatedAugment};
-pub use checkpoint::{
-    generation_path, CheckpointError, RecoveryReport, StreamSnapshot, SNAPSHOT_VERSION,
-};
-pub use envelope::{ArtifactError, ArtifactKind, EnvelopeError, ENVELOPE_MAGIC};
-pub use event::{build_event, label_for, NetworkEvent};
-pub use grouping::{group, stage_edges, GroupingConfig, GroupingResult};
+pub use augment::{augment, augment_batch_isolated};
+pub use baselines::{ewma_group_count, fixed_gap_group_count, severity_rank};
+pub use checkpoint::{generation_path, CheckpointError, StreamSnapshot};
+pub use event::{build_event, NetworkEvent};
+pub use grouping::{group, stage_edges, GroupingConfig, CROSS_WINDOW_SECS};
 pub use ingest::{FaultTolerantIngest, IngestStats};
-pub use knowledge::{DomainKnowledge, KNOWLEDGE_VERSION, UNKNOWN_TEMPLATE};
-pub use metrics::{
-    compression_table, evaluate_grouping, gt_quality, per_day_series, per_router_counts, DayStats,
-    GtQuality,
-};
-pub use offline::{history, learn, learn_instrumented, History, OfflineConfig};
+pub use knowledge::{DomainKnowledge, UNKNOWN_TEMPLATE};
+pub use metrics::{compression_table, evaluate_grouping, per_day_series, per_router_counts};
+pub use offline::{history, learn, learn_instrumented, OfflineConfig};
 pub use pipeline::{digest, digest_instrumented, Digest};
 pub use priority::score_group;
-pub use provenance::{CloseReason, EventProvenance, GroupProv, MergeCause};
+pub use provenance::{EventProvenance, GroupProv, MergeCause};
 pub use quarantine::{set_poison_marker, QuarantineRecord};
 pub use reorder::ReorderBuffer;
 pub use stream::{StreamConfig, StreamDigester, StreamStats};
+pub use union_find::UnionFind;
+pub use viz::{gini, snapshot};

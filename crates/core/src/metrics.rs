@@ -115,7 +115,11 @@ pub struct GtQuality {
 
 /// Compare a grouping against ground-truth tags (only tagged messages are
 /// considered; background noise has no ground truth to violate).
-pub fn gt_quality(raw: &[RawMessage], batch_raw_idx: &[usize], g: &GroupingResult) -> GtQuality {
+pub(crate) fn gt_quality(
+    raw: &[RawMessage],
+    batch_raw_idx: &[usize],
+    g: &GroupingResult,
+) -> GtQuality {
     // Contingency counts over (gt event, group).
     let mut cont: HashMap<(GroundTruthId, usize), u64> = HashMap::new();
     let mut per_gt: HashMap<GroundTruthId, u64> = HashMap::new();

@@ -11,7 +11,7 @@ use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp};
 use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
 use sd_telemetry::Telemetry;
 use sd_templates::LearnerConfig;
-use sd_temporal::{calibrate, SeriesSet, TemporalConfig};
+use sd_temporal::{SeriesSet, TemporalConfig};
 use std::collections::{BTreeMap, HashMap};
 
 /// Offline learning configuration.
@@ -23,19 +23,14 @@ pub struct OfflineConfig {
     pub mine: MineConfig,
     /// Transaction / rule-grouping window W in seconds.
     pub window_secs: i64,
-    /// α grid for temporal calibration (Figure 10).
-    pub alphas: Vec<f64>,
-    /// β grid for temporal calibration (Figure 11).
-    pub betas: Vec<f64>,
-    /// Relative-improvement knee for β selection.
-    pub knee: f64,
-    /// Skip the α/β sweeps and use `fixed_temporal` instead (the online
-    /// experiments re-learn weekly and don't want to pay for sweeps).
-    pub fixed_temporal: Option<TemporalConfig>,
+    /// The calibrated EWMA α/β handed to the online half (Table 6). The
+    /// Table 6 and Figure 10–11 experiments calibrate them on
+    /// [`history`] with `sd_temporal::calibrate`.
+    pub temporal: TemporalConfig,
     /// Worker threads for the offline passes (template learning, history
-    /// augmentation, calibration sweeps, transaction counting). `threads
-    /// == 1` takes the exact sequential code path; every thread count
-    /// learns identical knowledge.
+    /// augmentation, transaction counting). `threads == 1` takes the
+    /// exact sequential code path; every thread count learns identical
+    /// knowledge.
     pub par: Parallelism,
 }
 
@@ -46,10 +41,7 @@ impl OfflineConfig {
             learner: LearnerConfig::default(),
             mine: MineConfig::default(),
             window_secs: 120,
-            alphas: vec![0.0, 0.025, 0.05, 0.075, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-            betas: vec![2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-            knee: 0.03,
-            fixed_temporal: Some(TemporalConfig::dataset_a()),
+            temporal: TemporalConfig::dataset_a(),
             par: Parallelism::default(),
         }
     }
@@ -58,17 +50,9 @@ impl OfflineConfig {
     pub fn dataset_b() -> Self {
         OfflineConfig {
             window_secs: 40,
-            fixed_temporal: Some(TemporalConfig::dataset_b()),
+            temporal: TemporalConfig::dataset_b(),
             ..Self::dataset_a()
         }
-    }
-
-    /// Enable the calibration sweeps (slower; used by the Table 6
-    /// experiment itself).
-    #[must_use]
-    pub fn with_calibration(mut self) -> Self {
-        self.fixed_temporal = None;
-        self
     }
 }
 
@@ -109,7 +93,7 @@ pub fn learn_instrumented(
         templates,
         fallback,
         dict,
-        cfg.fixed_temporal.unwrap_or_default(),
+        cfg.temporal,
         sd_rules::RuleSet::default(),
         cfg.window_secs,
         HashMap::new(),
@@ -122,16 +106,7 @@ pub fn learn_instrumented(
         history(&k, train, cfg.par)
     };
 
-    // 5. Temporal mining (Figures 10–11) unless fixed.
-    let temporal = match cfg.fixed_temporal {
-        Some(t) => t,
-        None => {
-            let _g = tel.time("learn.calibrate");
-            calibrate(&h.series, &cfg.alphas, &cfg.betas, cfg.knee, cfg.par)
-        }
-    };
-
-    // 6. Rule mining (transaction counting parallel per router).
+    // 5. Rule mining (transaction counting parallel per router).
     let rules = {
         let _g = tel.time("learn.rules");
         let co = CoOccurrence::count(&h.stream, cfg.window_secs, cfg.par);
@@ -140,7 +115,6 @@ pub fn learn_instrumented(
 
     // Finish the provisional knowledge in place; its frequency table is
     // still empty, so merging sets it to exactly `h.freq`.
-    k.temporal = temporal;
     k.rules = rules;
     k.merge_frequencies(h.freq);
     tel.counter("learn.n_train").add(train.len() as u64);
@@ -159,7 +133,7 @@ pub struct History {
     /// for the α/β calibration sweeps (Figures 10–11).
     pub series: SeriesSet,
     /// `(router, template)` message counts for the priority score.
-    pub freq: HashMap<(u32, u32), u64>,
+    pub(crate) freq: HashMap<(u32, u32), u64>,
 }
 
 /// Augment time-sorted history once and build its [`History`].
@@ -215,12 +189,12 @@ pub fn refresh_weekly(
     k: &mut DomainKnowledge,
     base: &mut sd_rules::RuleBase,
     week: &[RawMessage],
-    cfg: &MineConfig,
+    cfg: &OfflineConfig,
 ) -> sd_rules::UpdateStats {
-    let h = history(k, week, Parallelism::sequential());
+    let h = history(k, week, cfg.par);
     k.merge_frequencies(h.freq);
-    let co = CoOccurrence::count(&h.stream, k.window_secs, Parallelism::sequential());
-    let stats = base.update(&co, cfg);
+    let co = CoOccurrence::count(&h.stream, k.window_secs, cfg.par);
+    let stats = base.update(&co, &cfg.mine);
     k.rules = base.snapshot();
     stats
 }
@@ -287,23 +261,12 @@ mod tests {
                 &mut k,
                 &mut base,
                 d.train_week(w),
-                &OfflineConfig::dataset_a().mine,
+                &OfflineConfig::dataset_a(),
             );
             assert_eq!(stats.total, base.len());
             last_total = stats.total;
         }
         assert!(last_total > 0, "no rules after weekly refresh");
         assert_eq!(k.rules.len(), last_total, "snapshot swapped in");
-    }
-
-    #[test]
-    fn calibration_mode_produces_plausible_parameters() {
-        let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.08), &Telemetry::disabled());
-        let mut cfg = OfflineConfig::dataset_a().with_calibration();
-        cfg.alphas = vec![0.0, 0.05, 0.2, 0.5];
-        cfg.betas = vec![2.0, 5.0, 7.0];
-        let k = learn(&d.configs, d.train(), &cfg);
-        assert!(k.temporal.alpha <= 0.5);
-        assert!((2.0..=7.0).contains(&k.temporal.beta));
     }
 }

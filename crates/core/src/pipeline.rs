@@ -21,8 +21,8 @@ pub struct Digest {
     pub n_input: usize,
     /// Messages dropped because their router is unknown.
     pub n_dropped: usize,
-    /// Messages quarantined because their augmentation shard panicked
-    /// even on sequential retry (0 in a healthy run).
+    /// Messages quarantined because their augmentation panicked (0 in a
+    /// healthy run).
     pub n_quarantined: usize,
     /// Provenance for every quarantined message (JSONL sidecar fodder).
     pub quarantined: Vec<QuarantineRecord>,

@@ -14,10 +14,10 @@ use sd_model::SyslogPlus;
 /// weights; a signature with almost no history has an unreliable
 /// frequency estimate, so the denominator is floored as if it had been
 /// seen at least this often.
-pub const FREQ_FLOOR: f64 = 8.0;
+pub(crate) const FREQ_FLOOR: f64 = 8.0;
 
 /// Score one group of messages (batch indices into `batch`), flooring
-/// each frequency at [`FREQ_FLOOR`].
+/// each frequency at `FREQ_FLOOR`.
 pub fn score_group(k: &DomainKnowledge, batch: &[SyslogPlus], members: &[usize]) -> f64 {
     GroupSummary::of(k, batch, members).score(k)
 }

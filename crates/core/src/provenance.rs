@@ -28,7 +28,7 @@ pub enum MergeCause {
 
 /// Why a group stopped accepting messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CloseReason {
+pub(crate) enum CloseReason {
     /// Batch digest: groups close when the batch ends.
     Batch,
     /// Streaming idle close: the α/β-calibrated idle horizon elapsed with
@@ -42,7 +42,7 @@ pub enum CloseReason {
 
 impl CloseReason {
     /// Lowercase name used in traces and `sdigest explain`.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CloseReason::Batch => "batch",
             CloseReason::Idle => "idle",
@@ -57,17 +57,17 @@ impl CloseReason {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupProv {
     /// Links contributed by the temporal stage.
-    pub n_temporal: u64,
+    pub(crate) n_temporal: u64,
     /// Links contributed by the cross-router stage.
-    pub n_cross: u64,
+    pub(crate) n_cross: u64,
     /// Rule firings: `((lo_template, hi_template), times_fired)`, sorted
     /// by pair.
-    pub rules: Vec<((u32, u32), u64)>,
+    pub(crate) rules: Vec<((u32, u32), u64)>,
 }
 
 impl GroupProv {
     /// Record one merge link.
-    pub fn record(&mut self, cause: MergeCause) {
+    pub(crate) fn record(&mut self, cause: MergeCause) {
         match cause {
             MergeCause::Temporal => self.n_temporal += 1,
             MergeCause::Cross => self.n_cross += 1,
@@ -76,14 +76,14 @@ impl GroupProv {
     }
 
     /// Fold another accumulator in (used when two open groups union).
-    pub fn absorb(&mut self, other: &GroupProv) {
+    pub(crate) fn absorb(&mut self, other: &GroupProv) {
         self.n_temporal += other.n_temporal;
         self.n_cross += other.n_cross;
         add_counts(&mut self.rules, other.rules.iter().copied());
     }
 
     /// Total rule-stage links.
-    pub fn n_rule(&self) -> u64 {
+    pub(crate) fn n_rule(&self) -> u64 {
         self.rules.iter().map(|(_, n)| n).sum()
     }
 }
@@ -100,18 +100,18 @@ pub struct EventProvenance {
     pub routers: Vec<String>,
     /// `(template_id, signature, members_matched)` for every template that
     /// matched at least one member, sorted by id.
-    pub templates: Vec<(u32, String, u64)>,
+    pub(crate) templates: Vec<(u32, String, u64)>,
     /// Link counts per grouping stage and per fired rule.
     pub links: GroupProv,
     /// Signatures of the templates in each fired rule, aligned with
     /// `links.rules`.
-    pub rule_signatures: Vec<(String, String)>,
+    pub(crate) rule_signatures: Vec<(String, String)>,
     /// The decision that closed the group.
-    pub closed_by: CloseReason,
+    pub(crate) closed_by: CloseReason,
     /// For [`CloseReason::Idle`]: the observed quiet gap in seconds.
-    pub idle_gap_secs: Option<i64>,
+    pub(crate) idle_gap_secs: Option<i64>,
     /// For streaming closes: the configured idle horizon in seconds.
-    pub idle_close_secs: Option<i64>,
+    pub(crate) idle_close_secs: Option<i64>,
 }
 
 /// A JSON object with `fields` in order.

@@ -1,8 +1,8 @@
 //! Quarantine of poison messages and the injected-panic hook.
 //!
-//! When a shard of the parallel augmentation fan-out panics
-//! ([`crate::augment::augment_batch_isolated`]), the shard is retried
-//! sequentially and the individual messages that still panic are
+//! Augmentation catches panics at one boundary per message
+//! ([`crate::augment::augment_batch_isolated`]); there is no shard-level
+//! catch and no retry. A message whose augmentation panics is
 //! *quarantined*: excluded from the digest exactly as if they had never
 //! been fed, counted under `n_quarantined`, and recorded as
 //! [`QuarantineRecord`]s for the `--quarantine-out` JSONL sidecar. A
@@ -25,31 +25,31 @@ use std::sync::RwLock;
 
 /// One quarantined message with enough provenance to replay or debug
 /// it: the wire-format line, where it sat in the feed, and why its
-/// shard panicked. Serialized as one JSON object per line in the
+/// augmentation panicked. Serialized as one JSON object per line in the
 /// `--quarantine-out` sidecar.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QuarantineRecord {
     /// 1-based position of the message in the input order (counts every
     /// pushed message, including dropped and quarantined ones).
-    pub position: u64,
+    pub(crate) position: u64,
     /// The offending message, re-rendered in wire format.
-    pub line: String,
+    pub(crate) line: String,
     /// Originating router.
-    pub router: String,
+    pub(crate) router: String,
     /// Message timestamp (epoch seconds).
-    pub ts: i64,
+    pub(crate) ts: i64,
     /// Vendor error code.
-    pub code: String,
-    /// Pipeline stage whose shard panicked (currently `"augment"`).
-    pub stage: String,
+    pub(crate) code: String,
+    /// Pipeline stage that panicked (currently `"augment"`).
+    pub(crate) stage: String,
     /// Rendered panic payload.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl QuarantineRecord {
     /// Build a record for `m`, quarantined at input `position` by a
     /// panic in `stage` with the given rendered `reason`.
-    pub fn from_message(position: u64, m: &RawMessage, stage: &str, reason: &str) -> Self {
+    pub(crate) fn from_message(position: u64, m: &RawMessage, stage: &str, reason: &str) -> Self {
         QuarantineRecord {
             position,
             line: m.to_line(),
@@ -72,7 +72,7 @@ static POISON_MARKER: RwLock<Option<String>> = RwLock::new(None);
 
 /// Arm (`Some`) or disarm (`None`) the injected-panic hook: while
 /// armed, augmenting any message whose detail contains `marker` panics
-/// inside the shard doing the work. Process-global; used by the fault
+/// inside that message's augmentation. Process-global; used by the fault
 /// harness and quarantine tests to simulate a latent grammar bug.
 pub fn set_poison_marker(marker: Option<&str>) {
     let mut guard = POISON_MARKER.write().unwrap_or_else(|e| e.into_inner());
@@ -83,7 +83,7 @@ pub fn set_poison_marker(marker: Option<&str>) {
 /// Panic if the poison hook is armed and `detail` contains the marker.
 /// The disarmed fast path is a single relaxed atomic load.
 #[inline]
-pub fn poison_check(detail: &str) {
+pub(crate) fn poison_check(detail: &str) {
     if !POISON_ENABLED.load(Ordering::Relaxed) {
         return;
     }

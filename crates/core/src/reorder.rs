@@ -129,7 +129,7 @@ impl ReorderBuffer {
 
     /// Current watermark: releases happen strictly below it, arrivals
     /// strictly below it are late. `None` until the first message.
-    pub fn watermark(&self) -> Option<Timestamp> {
+    pub(crate) fn watermark(&self) -> Option<Timestamp> {
         // Saturating: extreme parsed timestamps must not overflow.
         self.high
             .map(|h| Timestamp(h.0.saturating_sub(self.max_skew)))

@@ -42,7 +42,7 @@ use crate::reorder::ReorderBuffer;
 use sd_model::{RawMessage, SortedMap, SyslogPlus, Timestamp};
 use sd_telemetry::{Counter, SpanHandle, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A closed group's event and, when tracing, its provenance record, both
 /// still without their event id.
@@ -161,10 +161,9 @@ pub struct StreamStats {
     /// healthy run; nonzero values indicate a bug worth filing, but never
     /// abort the process.
     pub n_inconsistent: usize,
-    /// Messages quarantined because their augmentation shard panicked
-    /// even on sequential retry (see [`crate::quarantine`]). They are
-    /// excluded from the digest exactly as if never fed; records drain
-    /// via [`StreamDigester::take_quarantined`].
+    /// Messages quarantined because their augmentation panicked. They are
+    /// excluded from the digest exactly as if never fed; their records
+    /// drain through `FaultTolerantIngest::take_quarantined`.
     pub n_quarantined: usize,
 }
 
@@ -288,7 +287,7 @@ impl<'k> StreamDigester<'k> {
 
     /// Drain the [`QuarantineRecord`]s of messages quarantined since the
     /// last drain (empty in a healthy run).
-    pub fn take_quarantined(&mut self) -> Vec<QuarantineRecord> {
+    pub(crate) fn take_quarantined(&mut self) -> Vec<QuarantineRecord> {
         std::mem::take(&mut self.quarantined)
     }
 
@@ -303,11 +302,6 @@ impl<'k> StreamDigester<'k> {
     /// drain (empty unless [`set_trace`](Self::set_trace) is on).
     pub fn take_provenance(&mut self) -> Vec<EventProvenance> {
         std::mem::take(&mut self.trace_out)
-    }
-
-    /// The effective idle-closure horizon in seconds.
-    pub fn idle_close_secs(&self) -> i64 {
-        self.st.scfg.idle_close
     }
 
     /// Number of currently open groups.
@@ -359,27 +353,17 @@ impl<'k> StreamDigester<'k> {
         groot.links.record(cause);
     }
 
-    /// Feed one message (must be non-decreasing in time — route unordered
-    /// feeds through [`ReorderBuffer`]
-    /// first); returns any events that became closable. A panic inside
-    /// augmentation quarantines the message instead of aborting the run
-    /// (see [`push_batch`](Self::push_batch)). A message older than the
-    /// clock, which the ingest layer never sends, may find fewer links:
-    /// the lookback deque follows the clock, not the message.
-    pub fn push(&mut self, m: &RawMessage) -> Vec<NetworkEvent> {
-        self.push_batch(std::slice::from_ref(m))
-    }
-
-    /// Feed a slice of messages, augmenting them on `cfg.par` threads
-    /// before the (inherently sequential) incremental grouping stages.
-    /// Emits exactly what the equivalent sequence of [`push`] calls would:
-    /// augmentation is per-message pure, so only the stages that carry
-    /// state stay on the calling thread. Each augmentation shard runs
-    /// under `catch_unwind`: a poisoned shard is retried sequentially and
-    /// only the offending messages are quarantined
-    /// ([`take_quarantined`](Self::take_quarantined)).
-    ///
-    /// [`push`]: StreamDigester::push
+    /// Feed a slice of messages (non-decreasing in time — route unordered
+    /// feeds through [`ReorderBuffer`] first), augmenting them on
+    /// `cfg.par` threads before the (inherently sequential) incremental
+    /// grouping stages; returns any events that became closable. Slicing
+    /// a feed differently emits the same events: augmentation is
+    /// per-message pure, so only the stages that carry state stay on the
+    /// calling thread. Each message augments under its own
+    /// `catch_unwind`, and a message whose augmentation panics is
+    /// quarantined. A message older than the clock, which the ingest
+    /// layer never sends, may find fewer links: the lookback deque
+    /// follows the clock, not the message.
     pub fn push_batch(&mut self, msgs: &[RawMessage]) -> Vec<NetworkEvent> {
         let _g = self.sp_push.start();
         let k = self.k;
@@ -390,10 +374,11 @@ impl<'k> StreamDigester<'k> {
             let _g = self.sp_augment.start();
             augment_isolated(k, msgs, self.st.cfg.par, &mut self.memo)
         };
-        let poisoned: HashMap<usize, String> = iso.quarantined.into_iter().collect();
+        // Quarantined offsets come in ascending order.
+        let mut poisoned = iso.quarantined.into_iter().peekable();
         let mut events = Vec::new();
         for (i, (m, sp)) in msgs.iter().zip(iso.augmented).enumerate() {
-            if let Some(reason) = poisoned.get(&i) {
+            if let Some((_, reason)) = poisoned.next_if(|(q, _)| *q == i) {
                 // Counted as input, excluded from the digest exactly as if
                 // never fed (no sequence number, no clock advance, no
                 // sweep tick), so the surviving output is byte-identical
@@ -404,7 +389,7 @@ impl<'k> StreamDigester<'k> {
                     self.counters.n_input.get(),
                     m,
                     "augment",
-                    reason,
+                    &reason,
                 ));
                 continue;
             }
@@ -595,6 +580,10 @@ impl<'k> StreamDigester<'k> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn push(sd: &mut StreamDigester<'_>, m: &RawMessage) -> Vec<NetworkEvent> {
+        sd.push_batch(std::slice::from_ref(m))
+    }
     use crate::offline::{learn, OfflineConfig};
     use crate::pipeline::digest;
     use sd_netsim::{Dataset, DatasetSpec};
@@ -627,7 +616,7 @@ mod tests {
         let mut sd = digester(&k, cfg, StreamConfig::default());
         let mut events = Vec::new();
         for m in online {
-            events.extend(sd.push(m));
+            events.extend(push(&mut sd, m));
         }
         events.extend(sd.finish());
 
@@ -655,7 +644,7 @@ mod tests {
         let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let mut early = 0usize;
         for m in &online[..online.len() * 3 / 4] {
-            early += sd.push(m).len();
+            early += push(&mut sd, m).len();
         }
         assert!(early > 0, "no events emitted in the first three quarters");
         let rest = sd.finish();
@@ -671,7 +660,7 @@ mod tests {
         let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let mut max_open = 0usize;
         for m in online {
-            sd.push(m);
+            push(&mut sd, m);
             max_open = max_open.max(sd.open_groups());
         }
         assert!(
@@ -689,10 +678,10 @@ mod tests {
         let (d, k) = setup();
         let online = d.online();
         let mut sd = digester(&k, GroupingConfig::default(), StreamConfig::default());
-        let idle = sd.idle_close_secs();
+        let idle = sd.st.scfg.idle_close;
         let mut from = 0;
         for (i, m) in online.iter().enumerate() {
-            sd.push(m);
+            push(&mut sd, m);
             while m.ts.seconds_since(online[from].ts) > idle {
                 from += 1;
             }
@@ -713,8 +702,8 @@ mod tests {
             max_open_messages: 0,
         };
         let sd = digester(&k, GroupingConfig::default(), scfg);
-        assert!(sd.idle_close_secs() >= k.temporal.s_max);
-        assert!(sd.idle_close_secs() >= k.window_secs);
+        assert!(sd.st.scfg.idle_close >= k.temporal.s_max);
+        assert!(sd.st.scfg.idle_close >= k.window_secs);
     }
 
     /// `push_batch` (parallel augmentation) emits exactly what the same
@@ -727,7 +716,7 @@ mod tests {
         let mut one = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e1 = Vec::new();
         for m in online {
-            e1.extend(one.push(m));
+            e1.extend(push(&mut one, m));
         }
         e1.extend(one.finish());
 
@@ -757,7 +746,7 @@ mod tests {
             sd_model::ErrorCode::from("X-1-Y"),
             "whatever",
         );
-        sd.push(&m);
+        push(&mut sd, &m);
         assert_eq!(sd.stats().n_dropped, 1);
         assert_eq!(sd.finish().len(), 0);
     }
@@ -772,10 +761,10 @@ mod tests {
         let n = online.len().min(2000);
         // Feed a prefix backwards, then forwards again.
         for m in online[..n].iter().rev() {
-            sd.push(m);
+            push(&mut sd, m);
         }
         for m in &online[..n] {
-            sd.push(m);
+            push(&mut sd, m);
         }
         let events = sd.finish();
         assert!(!events.is_empty());
@@ -798,7 +787,7 @@ mod tests {
         for m in online.iter().take(3000) {
             let mut m = m.clone();
             m.ts = frozen;
-            sd.push(&m);
+            push(&mut sd, &m);
             peak = peak.max(sd.open_messages());
             let bodies = sd.st.recent.iter().filter(|r| r.3.is_some()).count();
             peak_bodies = peak_bodies.max(bodies);

@@ -22,7 +22,7 @@ impl UnionFind {
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, x: usize) -> usize {
+    pub(crate) fn find(&mut self, x: usize) -> usize {
         let mut x = x as u32;
         while self.parent[x as usize] != x {
             self.parent[x as usize] = self.parent[self.parent[x as usize] as usize];
@@ -47,7 +47,7 @@ impl UnionFind {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.parent.len()
     }
 

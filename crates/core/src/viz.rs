@@ -19,7 +19,7 @@ pub struct RouterSnapshot {
     /// Digested events active in the window (Figure 14 circles).
     pub n_events: usize,
     /// Highest event score touching this router in the window.
-    pub top_score: f64,
+    pub(crate) top_score: f64,
     /// Label of that top event.
     pub top_label: String,
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LocationInfo {
     /// Owning router.
-    pub router: RouterId,
+    pub(crate) router: RouterId,
     /// Hierarchy level.
     pub level: LocationLevel,
     /// Canonical name (`Serial1/0.10/10:0`, `slot 3`, `T3 1/0/0`, an LSP
@@ -393,12 +393,12 @@ impl LocationDictionary {
     }
 
     /// Look up a slot node.
-    pub fn slot(&self, r: RouterId, slot: u8) -> Option<LocationId> {
+    pub(crate) fn slot(&self, r: RouterId, slot: u8) -> Option<LocationId> {
         self.by_slot.get(&(r.0, slot)).copied().map(LocationId)
     }
 
     /// Look up the interface that owns an address.
-    pub fn by_ip(&self, ip: &str) -> Option<LocationId> {
+    pub(crate) fn by_ip(&self, ip: &str) -> Option<LocationId> {
         self.by_ip.get(ip).copied().map(LocationId)
     }
 
@@ -418,11 +418,6 @@ impl LocationDictionary {
             .iter()
             .find(|(p, _)| *p == loc.0)
             .map(|(_, m)| m.as_slice())
-    }
-
-    /// BGP sessions as `(local router, neighbor address, vrf)`.
-    pub fn sessions(&self) -> &[(u32, String, Option<String>)] {
-        &self.sessions
     }
 
     /// Walk `loc` and its ancestors up to the router node (inclusive).
@@ -491,7 +486,7 @@ impl LocationDictionary {
     }
 
     /// Whether two routers terminate a common link.
-    pub fn routers_adjacent(&self, a: RouterId, b: RouterId) -> bool {
+    pub(crate) fn routers_adjacent(&self, a: RouterId, b: RouterId) -> bool {
         self.adjacent.contains(&key_pair(a.0, b.0))
     }
 }
@@ -604,7 +599,7 @@ interface Serial1/0.20/20:0
 
     #[test]
     fn chain_walks_equal_ancestor_lists_on_generated_networks() {
-        use sd_netsim::topology::{TopoSpec, Topology};
+        use sd_netsim::{TopoSpec, Topology};
         for (vendor, seed) in [(sd_model::Vendor::V1, 3), (sd_model::Vendor::V2, 5)] {
             let topo = Topology::generate(&TopoSpec {
                 n_routers: 8,

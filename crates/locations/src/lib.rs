@@ -10,12 +10,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod dict;
-pub mod extract;
-pub mod names;
-pub mod parse;
+mod dict;
+mod extract;
+mod names;
+mod parse;
 
-pub use dict::{LocationDictionary, LocationInfo};
-pub use extract::{extract, extract_with, Extracted};
-pub use parse::{parse_config, ParsedConfig};
+pub use dict::LocationDictionary;
+pub use extract::{extract, extract_with};
+pub use names::{parse_iface_name, parse_ip_token};
+pub use parse::parse_config;

@@ -43,7 +43,7 @@ pub enum IfaceStruct {
     Other,
 }
 
-/// Decode an interface name. Returns [`IfaceStruct::Other`] for names that
+/// Decode an interface name. Returns `IfaceStruct::Other` for names that
 /// do not follow a known convention (never panics on message-derived junk).
 pub fn parse_iface_name(name: &str) -> IfaceStruct {
     if let Some(rest) = name.strip_prefix("Serial") {

@@ -8,36 +8,36 @@
 
 /// One `interface`/`port` stanza.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedIface {
+pub(crate) struct ParsedIface {
     /// Interface name.
-    pub name: String,
+    pub(crate) name: String,
     /// Configured address (dotted quad, mask/prefix dropped).
-    pub ip: Option<String>,
+    pub(crate) ip: Option<String>,
     /// `link to <router> <iface>` description target, if present.
-    pub link_to: Option<(String, String)>,
+    pub(crate) link_to: Option<(String, String)>,
 }
 
 /// Everything location-relevant in one router config.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParsedConfig {
     /// `hostname` / `system name`.
-    pub hostname: String,
+    pub(crate) hostname: String,
     /// Site code, if present.
-    pub site: Option<String>,
+    pub(crate) site: Option<String>,
     /// State code, if present (ticket-matching granularity).
-    pub state: Option<String>,
+    pub(crate) state: Option<String>,
     /// All interface stanzas.
-    pub interfaces: Vec<ParsedIface>,
+    pub(crate) interfaces: Vec<ParsedIface>,
     /// Controller names (e.g. `T3 1/0/0`).
-    pub controllers: Vec<String>,
+    pub(crate) controllers: Vec<String>,
     /// Multilink bundles: `(bundle name, member interface names)`.
-    pub bundles: Vec<(String, Vec<String>)>,
+    pub(crate) bundles: Vec<(String, Vec<String>)>,
     /// BGP neighbor addresses with optional VRF.
-    pub bgp_neighbors: Vec<(String, Option<String>)>,
+    pub(crate) bgp_neighbors: Vec<(String, Option<String>)>,
     /// LSP stanzas: `(lsp name, router names along the path)`.
-    pub lsps: Vec<(String, Vec<String>)>,
+    pub(crate) lsps: Vec<(String, Vec<String>)>,
     /// PIM stanzas: `(peer router, local iface, secondary lsp name)`.
-    pub pim: Vec<(String, String, String)>,
+    pub(crate) pim: Vec<(String, String, String)>,
 }
 
 /// Parse one config text (either vendor's format).

@@ -2,8 +2,8 @@
 //! well-behaved relation.
 
 use proptest::prelude::*;
-use sd_locations::names::{parse_iface_name, parse_ip_token};
 use sd_locations::{extract, parse_config, LocationDictionary};
+use sd_locations::{parse_iface_name, parse_ip_token};
 use sd_model::{ErrorCode, LocationId, RawMessage, Timestamp};
 
 proptest! {

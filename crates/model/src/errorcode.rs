@@ -86,18 +86,6 @@ impl ErrorCode {
         &self.0
     }
 
-    /// The facility (leading segment before the first `-`), e.g. `LINK`.
-    pub fn facility(&self) -> &str {
-        self.0.split('-').next().unwrap_or("")
-    }
-
-    /// The trailing mnemonic/name after the second `-`, e.g. `UPDOWN`.
-    ///
-    /// Codes with fewer than three segments return the last segment.
-    pub fn mnemonic(&self) -> &str {
-        self.0.splitn(3, '-').last().unwrap_or("")
-    }
-
     /// The vendor severity embedded in the middle segment, if recognized.
     pub fn severity(&self) -> Option<Severity> {
         let mid = self.0.split('-').nth(1)?;
@@ -138,16 +126,12 @@ mod tests {
     fn v1_code_decomposes() {
         let c = ErrorCode::v1("LINK", 3, "UPDOWN");
         assert_eq!(c.as_str(), "LINK-3-UPDOWN");
-        assert_eq!(c.facility(), "LINK");
-        assert_eq!(c.mnemonic(), "UPDOWN");
         assert_eq!(c.severity(), Some(Severity::Level(3)));
     }
 
     #[test]
     fn v2_code_decomposes() {
         let c = ErrorCode::v2("SVCMGR", "MAJOR", "sapPortStateChangeProcessed");
-        assert_eq!(c.facility(), "SVCMGR");
-        assert_eq!(c.mnemonic(), "sapPortStateChangeProcessed");
         assert_eq!(c.severity(), Some(Severity::Major));
         assert_eq!(c.severity().unwrap().rank(), 3);
     }
@@ -167,11 +151,5 @@ mod tests {
         assert_eq!(ErrorCode::from("SNMP-ODD-linkDown").severity(), None);
         assert_eq!(ErrorCode::from("SNMP-42-linkDown").severity(), None);
         assert_eq!(ErrorCode::from("PLAIN").severity(), None);
-    }
-
-    #[test]
-    fn mnemonic_with_embedded_dashes_is_kept_whole() {
-        let c = ErrorCode::from("OSPF-5-ADJCHG-EXTRA");
-        assert_eq!(c.mnemonic(), "ADJCHG-EXTRA");
     }
 }

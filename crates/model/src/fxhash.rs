@@ -10,9 +10,9 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// A `HashMap` hashed with [`FxHasher`].
+/// A `HashMap` hashed with `FxHasher`.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// A `HashSet` hashed with [`FxHasher`].
+/// A `HashSet` hashed with `FxHasher`.
 pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

@@ -57,14 +57,6 @@ impl Interner {
         self.names.is_empty()
     }
 
-    /// Iterate `(id, name)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (i as u32, n.as_str()))
-    }
-
     /// Rebuild the reverse map after deserialization (serde skips it).
     pub fn rebuild_index(&mut self) {
         self.map = self
@@ -105,15 +97,5 @@ mod tests {
         back.rebuild_index();
         assert_eq!(back.get("beta"), Some(1));
         assert_eq!(back.resolve(0), "alpha");
-    }
-
-    #[test]
-    fn iter_follows_id_order() {
-        let mut it = Interner::new();
-        for n in ["z", "y", "x"] {
-            it.intern(n);
-        }
-        let order: Vec<&str> = it.iter().map(|(_, n)| n).collect();
-        assert_eq!(order, vec!["z", "y", "x"]);
     }
 }

@@ -11,25 +11,26 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod augmented;
-pub mod errorcode;
-pub mod fnv;
-pub mod fxhash;
-pub mod intern;
-pub mod message;
+mod augmented;
+mod errorcode;
+mod fnv;
+mod fxhash;
+mod intern;
+mod message;
 pub mod par;
-pub mod sorted_map;
-pub mod time;
-pub mod tokens;
+mod sorted_map;
+mod time;
+mod tokens;
 
 pub use augmented::{LocationId, LocationLevel, RouterId, SyslogPlus, TemplateId};
 pub use errorcode::{ErrorCode, Severity};
 pub use fnv::Fnv;
-pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use intern::Interner;
 pub use message::{sort_batch, GroundTruthId, MalformedReport, ParseError, RawMessage, Vendor};
-pub use par::{catch_panic, par_chunks, par_chunks_isolated, par_map, Parallelism};
+pub use par::{catch_panic, par_chunks, par_map, Parallelism};
 pub use sorted_map::SortedMap;
-pub use time::{Timestamp, DAY, HOUR, MINUTE, WEEK};
+pub use time::{Timestamp, DAY, WEEK};
 pub use tokens::TokenScratch;

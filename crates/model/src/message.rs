@@ -82,10 +82,10 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// How many malformed lines a [`MalformedReport`] keeps verbatim.
-pub const MALFORMED_SAMPLES: usize = 5;
+pub(crate) const MALFORMED_SAMPLES: usize = 5;
 
 /// The malformed lines of a feed: how many there were, and the first
-/// [`MALFORMED_SAMPLES`] with line numbers and reasons, so operators see
+/// `MALFORMED_SAMPLES` with line numbers and reasons, so operators see
 /// *why* lines were rejected, not only how many.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MalformedReport {
@@ -97,7 +97,7 @@ pub struct MalformedReport {
 
 impl MalformedReport {
     /// Count malformed line `line_no`, keeping it as a sample while fewer
-    /// than [`MALFORMED_SAMPLES`] are kept.
+    /// than `MALFORMED_SAMPLES` are kept.
     pub fn record(&mut self, line_no: usize, err: &ParseError) {
         self.count += 1;
         if self.samples.len() < MALFORMED_SAMPLES {

@@ -136,30 +136,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Like [`par_chunks`], but each chunk (shard) runs under
-/// [`catch_panic`]: a panicking shard yields `Err(panic message)` for
-/// that chunk instead of unwinding the worker thread and aborting the
-/// whole fan-out. Returns `(chunk_start, result)` pairs in input order;
-/// chunk starts are contiguous, so a caller can recover each chunk's
-/// extent from the next start (or `items.len()` for the last chunk) and
-/// retry a poisoned shard sequentially.
-pub fn par_chunks_isolated<T, R, F>(
-    par: Parallelism,
-    items: &[T],
-    f: F,
-) -> Vec<(usize, Result<R, String>)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    // The catch happens *inside* the worker closure, so scoped threads
-    // never unwind and the `join()` in `par_map` stays infallible.
-    par_chunks(par, items, |start, chunk| {
-        (start, catch_panic(|| f(start, chunk)))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,25 +193,5 @@ mod tests {
         assert_eq!(err, Err("boom 42".to_string()));
         let err = catch_panic(|| -> u32 { panic!("static str") });
         assert_eq!(err, Err("static str".to_string()));
-    }
-
-    #[test]
-    fn isolated_chunks_survive_a_poisoned_shard() {
-        let items: Vec<usize> = (0..97).collect();
-        for threads in [1, 3, 8] {
-            let out =
-                par_chunks_isolated(Parallelism::with_threads(threads), &items, |_, chunk| {
-                    if chunk.contains(&41) {
-                        panic!("poisoned shard");
-                    }
-                    chunk.iter().sum::<usize>()
-                });
-            // Starts are in order beginning at 0, and exactly one chunk
-            // carries the panic (41 lives in a single shard).
-            assert_eq!(out[0].0, 0);
-            assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
-            let errs: Vec<&String> = out.iter().filter_map(|(_, r)| r.as_ref().err()).collect();
-            assert_eq!(errs, vec!["poisoned shard"], "threads={threads}");
-        }
     }
 }

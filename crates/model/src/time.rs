@@ -10,9 +10,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Seconds in one minute.
-pub const MINUTE: i64 = 60;
+pub(crate) const MINUTE: i64 = 60;
 /// Seconds in one hour.
-pub const HOUR: i64 = 3600;
+pub(crate) const HOUR: i64 = 3600;
 /// Seconds in one day.
 pub const DAY: i64 = 86_400;
 /// Seconds in one week.
@@ -82,7 +82,7 @@ impl Timestamp {
     /// given separately, with no trimming: [`Timestamp::parse`] of
     /// `text` is this function on the two halves of `text.trim()` around
     /// its first space.
-    pub fn parse_fields(date: &str, time: &str) -> Option<Self> {
+    pub(crate) fn parse_fields(date: &str, time: &str) -> Option<Self> {
         let mut dit = date.split('-');
         let year: i32 = dit.next()?.parse().ok()?;
         let month: u32 = dit.next()?.parse().ok()?;
@@ -108,7 +108,7 @@ impl Timestamp {
     /// [`Timestamp::parse_fields`]. `None` for any other spelling and for
     /// an out-of-range field; wherever this accepts, `parse_fields` of
     /// the two halves accepts with the same instant.
-    pub fn parse_canonical(b: &[u8]) -> Option<Self> {
+    pub(crate) fn parse_canonical(b: &[u8]) -> Option<Self> {
         let b: &[u8; 19] = b.try_into().ok()?;
         if b[4] != b'-' || b[7] != b'-' || b[10] != b' ' || b[13] != b':' || b[16] != b':' {
             return None;

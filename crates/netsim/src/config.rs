@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 /// (with member lists), link descriptions naming the remote router and
 /// interface, BGP neighbor statements (with VRFs), LSP path stanzas and PIM
 /// adjacency stanzas.
-pub fn render_config(topo: &Topology, idx: usize) -> String {
+pub(crate) fn render_config(topo: &Topology, idx: usize) -> String {
     let r = &topo.routers[idx];
     let mut out = String::with_capacity(4096);
     match r.vendor {

@@ -12,7 +12,6 @@
 //! digest of a corpus run can be pinned in version control.
 
 use crate::dataset::{Dataset, DatasetSpec};
-use crate::faults::{inject, FaultReport, FaultSpec};
 use sd_telemetry::Telemetry;
 
 /// The seeds the checked-in golden corpus pins (6 seeds × 3 variants).
@@ -26,8 +25,6 @@ pub const GOLDEN_SCALE: f64 = 0.05;
 
 /// A deterministic conformance corpus.
 pub struct Corpus {
-    /// The seed that generated everything below.
-    pub seed: u64,
     /// The generated dataset (training + online periods).
     pub dataset: Dataset,
 }
@@ -39,38 +36,24 @@ impl Corpus {
         spec.seed = seed;
         spec.name = format!("conformance-{seed}");
         Corpus {
-            seed,
             dataset: Dataset::generate(spec, &Telemetry::disabled()),
         }
-    }
-
-    /// The online period as a faulted wire feed under `spec` (the fault
-    /// RNG is independent of the dataset seed, so the same corpus can be
-    /// replayed under every variant).
-    pub fn feed(&self, spec: &FaultSpec) -> (Vec<String>, FaultReport) {
-        inject(self.dataset.online(), spec)
-    }
-
-    /// [`Corpus::feed`] for a named variant (`clean`/`bounded`/`hostile`),
-    /// seeding the fault RNG with the corpus seed.
-    pub fn variant_feed(&self, variant: &str) -> (Vec<String>, FaultReport) {
-        let spec = FaultSpec::preset(variant, self.seed)
-            .unwrap_or_else(|| panic!("unknown corpus variant {variant:?}"));
-        self.feed(&spec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{inject, FaultSpec};
 
     #[test]
     fn corpus_is_deterministic_in_the_seed() {
         let a = Corpus::generate(3, 0.05);
         let b = Corpus::generate(3, 0.05);
         assert_eq!(a.dataset.messages.len(), b.dataset.messages.len());
-        let (fa, ra) = a.variant_feed("bounded");
-        let (fb, rb) = b.variant_feed("bounded");
+        let bounded = FaultSpec::preset("bounded", 3).expect("known preset");
+        let (fa, ra) = inject(a.dataset.online(), &bounded);
+        let (fb, rb) = inject(b.dataset.online(), &bounded);
         assert_eq!(fa, fb);
         assert_eq!(ra, rb);
     }
@@ -78,13 +61,19 @@ mod tests {
     #[test]
     fn variants_differ_from_clean() {
         let c = Corpus::generate(1, 0.05);
-        let (clean, r0) = c.variant_feed("clean");
+        let (clean, r0) = inject(
+            c.dataset.online(),
+            &FaultSpec::preset("clean", 1).expect("known preset"),
+        );
         assert_eq!(
             r0.n_reordered + r0.n_duplicated + r0.n_corrupted + r0.n_dropped + r0.n_skewed,
             0
         );
         assert_eq!(r0.n_lines, r0.n_input);
-        let (bounded, rb) = c.variant_feed("bounded");
+        let (bounded, rb) = inject(
+            c.dataset.online(),
+            &FaultSpec::preset("bounded", 1).expect("known preset"),
+        );
         assert!(rb.n_duplicated > 0 || rb.n_reordered > 0);
         assert_ne!(clean, bounded);
     }

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// Username pool for config sessions, login events and noise. Large enough
 /// that the template learner sees usernames as a variable field.
-pub const USERS: &[&str] = &[
+pub(crate) const USERS: &[&str] = &[
     "jsmith",
     "ops1",
     "neteng",
@@ -110,7 +110,7 @@ impl EventKind {
 
     /// Baseline operational importance in [0, 1] used to derive trouble
     /// tickets (higher = more likely to be ticketed).
-    pub fn base_importance(self) -> f64 {
+    pub(crate) fn base_importance(self) -> f64 {
         match self {
             EventKind::PimNeighborLoss => 1.0,
             EventKind::LineCardCrash | EventKind::CardFail => 0.9,
@@ -139,7 +139,7 @@ pub struct GtEvent {
     /// Indices of involved routers in the topology.
     pub routers: Vec<usize>,
     /// Number of syslog messages the event emitted.
-    pub n_messages: usize,
+    pub(crate) n_messages: usize,
     /// Importance in [0, 1] (kind baseline scaled by size), for tickets.
     pub importance: f64,
 }
@@ -147,9 +147,9 @@ pub struct GtEvent {
 /// Emits event cascades into a message buffer.
 pub struct EventSim<'a> {
     /// The network.
-    pub topo: &'a Topology,
+    pub(crate) topo: &'a Topology,
     /// The vendor grammar (must match the network's vendor).
-    pub grammar: &'a Grammar,
+    pub(crate) grammar: &'a Grammar,
     /// All emitted messages (unsorted; callers sort once at the end).
     pub msgs: Vec<RawMessage>,
     /// All recorded ground-truth events.
@@ -369,7 +369,7 @@ impl<'a> EventSim<'a> {
     /// Controller instability (Figure 4): clustered controller up/down
     /// cycles; child serial interfaces follow 10–30 s later (the lag the
     /// paper observes when growing the rule window from 10 to 30 s).
-    pub fn controller_flap(
+    pub(crate) fn controller_flap(
         &mut self,
         rng: &mut StdRng,
         router: usize,
@@ -484,7 +484,7 @@ impl<'a> EventSim<'a> {
 
     /// A BGP session reset: notification sent on one side, received on the
     /// other, session re-established after the hold time.
-    pub fn bgp_session_reset(&mut self, rng: &mut StdRng, session: usize, start: Timestamp) {
+    pub(crate) fn bgp_session_reset(&mut self, rng: &mut StdRng, session: usize, start: Timestamp) {
         let id = self.begin();
         let s = self.topo.bgp_sessions[session].clone();
         let vrf = s.vrf.clone().unwrap_or_else(|| "1000:1000".to_owned());
@@ -536,7 +536,7 @@ impl<'a> EventSim<'a> {
     /// When `after_config` is set the spike follows a config session —
     /// a correlation that exists only while the workload schedules it,
     /// exercising weekly rule deletion.
-    pub fn cpu_spike(
+    pub(crate) fn cpu_spike(
         &mut self,
         rng: &mut StdRng,
         router: usize,
@@ -575,7 +575,7 @@ impl<'a> EventSim<'a> {
 
     /// Linecard crash: card down, every interface on the slot (and the
     /// far end of every affected link) goes down; recovery after a while.
-    pub fn linecard_crash(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
+    pub(crate) fn linecard_crash(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
         let id = self.begin();
         let r = &self.topo.routers[router];
         let mut slots: Vec<u8> = r
@@ -663,7 +663,7 @@ impl<'a> EventSim<'a> {
     /// clears at the end (the temp<->fan association only enters the rule
     /// base once this event kind activates, driving Figure 8's week-2+
     /// additions).
-    pub fn env_alarm(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
+    pub(crate) fn env_alarm(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
         let id = self.begin();
         let slot = rng
             .gen_range(0..self.topo.routers[router].slots)
@@ -690,7 +690,7 @@ impl<'a> EventSim<'a> {
     }
 
     /// Operator configuration session: a handful of CONFIG_I messages.
-    pub fn config_session(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
+    pub(crate) fn config_session(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
         let id = self.begin();
         let user = pick_user(rng);
         let src = format!("192.168.200.{}", rng.gen_range(2..250));
@@ -705,7 +705,7 @@ impl<'a> EventSim<'a> {
 
     /// Periodic TCP MD5 bad-auth messages (Figure 5): fixed period with
     /// small jitter, lasting hours — the canonical temporal-grouping case.
-    pub fn tcp_badauth_wave(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
+    pub(crate) fn tcp_badauth_wave(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
         let id = self.begin();
         let period = rng.gen_range(240..360);
         let n = rng.gen_range(20..60);
@@ -747,7 +747,7 @@ impl<'a> EventSim<'a> {
 
     /// V2 port flap: linkDown/linkup plus SAP state processing 5–40 s later
     /// (the lag behind dataset B's rule-window saturation at W ≈ 40 s).
-    pub fn port_flap(
+    pub(crate) fn port_flap(
         &mut self,
         rng: &mut StdRng,
         link_idx: usize,
@@ -972,7 +972,7 @@ impl<'a> EventSim<'a> {
     /// head-end and the failing hop both log messages naming the LSP —
     /// the shared path location that lets cross-router grouping stitch
     /// the head-end's view to the hop's link flap.
-    pub fn mpls_reroute(&mut self, rng: &mut StdRng, path_idx: usize, start: Timestamp) {
+    pub(crate) fn mpls_reroute(&mut self, rng: &mut StdRng, path_idx: usize, start: Timestamp) {
         let id = self.begin();
         let path = self.topo.paths[path_idx].clone();
         let head = path.from;
@@ -1035,7 +1035,7 @@ impl<'a> EventSim<'a> {
 
     /// Correlated ftp/ssh login-failure wave from one scanner, ssh trailing
     /// ftp by 30–40 s (dataset B's W = 30–40 s rule in §5.2.2).
-    pub fn login_failure_wave(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
+    pub(crate) fn login_failure_wave(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
         let id = self.begin();
         let scanner = format!("203.0.{}.{}", rng.gen_range(0..255), rng.gen_range(1..254));
         let user = pick_user(rng);
@@ -1061,7 +1061,7 @@ impl<'a> EventSim<'a> {
     /// correlation the dataset-B workload schedules only during its first
     /// weeks, so the corresponding learned rule is later *deleted* by the
     /// weekly update (Figure 9).
-    pub fn svc_flap(
+    pub(crate) fn svc_flap(
         &mut self,
         rng: &mut StdRng,
         router: usize,
@@ -1101,7 +1101,7 @@ impl<'a> EventSim<'a> {
 
     /// V2 chassis card failure: card down, its ports down (and link peers),
     /// recovery later.
-    pub fn card_fail(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
+    pub(crate) fn card_fail(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
         let id = self.begin();
         let r = &self.topo.routers[router];
         let mut slots: Vec<u8> = r
@@ -1181,7 +1181,7 @@ impl<'a> EventSim<'a> {
     /// sensor or timer re-reports the *same* location — which is what
     /// makes such chatter both frequent in history (high `f_m`) and
     /// trivially compressible by temporal grouping.
-    pub fn timer_noise(
+    pub(crate) fn timer_noise(
         &mut self,
         rng: &mut StdRng,
         router: usize,
@@ -1218,7 +1218,7 @@ impl<'a> EventSim<'a> {
     /// with frozen values (a scanner retrying, an ACL hit repeating),
     /// 5-40 s apart. Bursts keep noise *volume* realistic while temporal
     /// grouping still folds each one into a single group.
-    pub fn background_burst(
+    pub(crate) fn background_burst(
         &mut self,
         rng: &mut StdRng,
         router: usize,

@@ -34,30 +34,30 @@ use sd_model::{Fnv, RawMessage};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Seed for the fault RNG (independent of the dataset seed).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Maximum delivery delay, in seconds, for reordered messages.
     pub reorder_secs: i64,
     /// Probability a message is delayed (and thus possibly reordered).
-    pub reorder_prob: f64,
+    pub(crate) reorder_prob: f64,
     /// Probability a message is delivered twice.
-    pub dup_prob: f64,
+    pub(crate) dup_prob: f64,
     /// Probability a corrupted copy precedes a message's intact line.
-    pub corrupt_prob: f64,
+    pub(crate) corrupt_prob: f64,
     /// Probability a message is silently lost (hostile only — breaks
     /// equivalence by construction).
-    pub drop_prob: f64,
+    pub(crate) drop_prob: f64,
     /// Constant clock offset, in seconds, applied to the *timestamps* of
     /// skewed routers (hostile only — alters content).
-    pub clock_skew_secs: i64,
+    pub(crate) clock_skew_secs: i64,
     /// Every `n`-th router (by name hash) runs on a skewed clock;
     /// `0` disables skew.
-    pub skew_router_every: u64,
+    pub(crate) skew_router_every: u64,
     /// Extra copies of each message inside the burst window (`0` = none).
-    pub burst_copies: usize,
+    pub(crate) burst_copies: usize,
     /// Start of the burst window, as a message index into the feed.
-    pub burst_at: usize,
+    pub(crate) burst_at: usize,
     /// Length of the burst window in messages.
-    pub burst_len: usize,
+    pub(crate) burst_len: usize,
 }
 
 impl FaultSpec {

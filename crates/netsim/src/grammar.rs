@@ -65,7 +65,7 @@ pub enum VarKind {
 
 impl VarKind {
     /// How many whitespace tokens an instance of this slot renders to.
-    pub fn token_count(self) -> usize {
+    pub(crate) fn token_count(self) -> usize {
         match self {
             VarKind::PidList => 3,
             _ => 1,
@@ -75,7 +75,7 @@ impl VarKind {
 
 /// One element of a template's detail text.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Part {
+pub(crate) enum Part {
     /// A literal whitespace-delimited word.
     Lit(String),
     /// A token containing one or more variable slots with constant glue
@@ -94,16 +94,16 @@ pub enum Part {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GrammarTemplate {
     /// Stable key used by event emitters to fetch this template.
-    pub key: &'static str,
+    pub(crate) key: &'static str,
     /// The message type / error code.
     pub code: ErrorCode,
     /// Detail pattern.
-    pub parts: Vec<Part>,
+    pub(crate) parts: Vec<Part>,
     /// Vendor whose routers emit this.
-    pub vendor: Vendor,
+    pub(crate) vendor: Vendor,
     /// Relative rate of *background* (event-less) emissions of this
     /// template; 0 for templates only produced by simulated events.
-    pub tail_rate: f64,
+    pub(crate) tail_rate: f64,
 }
 
 impl GrammarTemplate {
@@ -130,7 +130,7 @@ impl GrammarTemplate {
     /// The masked ground-truth form: `<code> w1 w2 * w4 …`. A token
     /// containing any variable slot masks to `*` (one star per rendered
     /// token — the multi-token process list masks to three).
-    pub fn masked(&self) -> String {
+    pub(crate) fn masked(&self) -> String {
         let mut words: Vec<&str> = vec![self.code.as_str()];
         for p in &self.parts {
             match p {
@@ -149,7 +149,7 @@ impl GrammarTemplate {
     }
 
     /// The variable slots in order.
-    pub fn vars(&self) -> Vec<VarKind> {
+    pub(crate) fn vars(&self) -> Vec<VarKind> {
         self.parts
             .iter()
             .flat_map(|p| match p {
@@ -213,7 +213,7 @@ fn var_kind(name: &str) -> VarKind {
 /// template list.
 #[derive(Debug, Clone)]
 pub struct Grammar {
-    templates: Vec<GrammarTemplate>,
+    pub(crate) templates: Vec<GrammarTemplate>,
     by_key: HashMap<&'static str, usize>,
 }
 
@@ -250,13 +250,8 @@ impl Grammar {
             .unwrap_or_else(|| panic!("no template {key}"))]
     }
 
-    /// All templates.
-    pub fn templates(&self) -> &[GrammarTemplate] {
-        &self.templates
-    }
-
     /// Templates with a nonzero background rate, with their rates.
-    pub fn tail_templates(&self) -> impl Iterator<Item = (&GrammarTemplate, f64)> {
+    pub(crate) fn tail_templates(&self) -> impl Iterator<Item = (&GrammarTemplate, f64)> {
         self.templates
             .iter()
             .filter(|t| t.tail_rate > 0.0)
@@ -783,7 +778,7 @@ mod tests {
     fn catalogs_have_unique_keys_and_parse() {
         for vendor in [Vendor::V1, Vendor::V2] {
             let g = Grammar::for_vendor(vendor);
-            let mut keys: Vec<&str> = g.templates().iter().map(|t| t.key).collect();
+            let mut keys: Vec<&str> = g.templates.iter().map(|t| t.key).collect();
             let n = keys.len();
             keys.sort_unstable();
             keys.dedup();

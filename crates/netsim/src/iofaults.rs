@@ -9,8 +9,8 @@
 //!
 //! * [`StorageFault`] — the fault taxonomy: truncation at byte N, a
 //!   single flipped bit, a silent short write, and a disk-full error.
-//! * [`apply_fault`] / [`corrupt_file`] — damage a byte image / a file
-//!   on disk the way the fault would have left it.
+//! * [`apply_fault`] — damage a byte image the way the fault would
+//!   have left it.
 //!
 //! Determinism contract (same philosophy as [`crate::faults`]): the
 //! fault derived by [`StorageFault::from_seed`] depends only on
@@ -19,8 +19,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io;
-use std::path::Path;
 
 /// One injected storage fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,16 +51,12 @@ pub enum StorageFault {
     },
 }
 
-/// The storage-fault kinds [`StorageFault::from_seed`] understands, in
-/// canonical spelling (CLI `--storage` values and CI matrix axes).
-pub const STORAGE_FAULT_KINDS: [&str; 4] = ["truncate", "bitflip", "short-write", "disk-full"];
-
 impl StorageFault {
     /// Derive a fault of `kind` deterministically from `seed` for an
     /// artifact of `len` bytes. Offsets land uniformly in `0..len`
     /// (0 when the artifact is empty). Returns `None` for an unknown
-    /// kind; accepted spellings are [`STORAGE_FAULT_KINDS`] (plus the
-    /// `short`/`diskfull` shorthands).
+    /// kind; accepted spellings are the [`kind`](Self::kind) names
+    /// (plus the `short`/`diskfull` shorthands).
     pub fn from_seed(kind: &str, seed: u64, len: usize) -> Option<StorageFault> {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5d_10_fa_17);
         let at = if len == 0 { 0 } else { rng.gen_range(0..len) };
@@ -84,7 +78,8 @@ impl StorageFault {
         }
     }
 
-    /// Canonical kind name (matches [`STORAGE_FAULT_KINDS`]).
+    /// Canonical kind name: `truncate`, `bitflip`, `short-write` or
+    /// `disk-full` (CLI `--storage` values and CI matrix axes).
     pub fn kind(&self) -> &'static str {
         match self {
             StorageFault::Truncate { .. } => "truncate",
@@ -113,15 +108,11 @@ pub fn apply_fault(bytes: &[u8], fault: &StorageFault) -> Vec<u8> {
     }
 }
 
-/// Damage the artifact at `path` in place, as `fault` would have.
-pub fn corrupt_file(path: &Path, fault: &StorageFault) -> io::Result<()> {
-    let bytes = std::fs::read(path)?;
-    std::fs::write(path, apply_fault(&bytes, fault))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const STORAGE_FAULT_KINDS: [&str; 4] = ["truncate", "bitflip", "short-write", "disk-full"];
 
     #[test]
     fn from_seed_is_deterministic_and_in_range() {
@@ -180,16 +171,5 @@ mod tests {
         assert_eq!(out.len(), payload.len());
         assert_eq!(out[10], payload[10] ^ 1);
         assert_eq!(out[11], payload[11]);
-    }
-
-    #[test]
-    fn corrupt_file_damages_in_place() {
-        let dir = std::env::temp_dir().join("sd_iofaults_test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("artifact.bin");
-        std::fs::write(&path, [7u8; 100]).expect("write");
-        corrupt_file(&path, &StorageFault::Truncate { at: 25 }).expect("corrupt");
-        assert_eq!(std::fs::read(&path).expect("read").len(), 25);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,25 +8,12 @@ use std::fmt;
 /// We avoid `std::net::Ipv4Addr` only because we need serde derives and
 /// cheap arithmetic allocation; conversion is provided where useful.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Ipv4(pub u32);
+pub(crate) struct Ipv4(pub u32);
 
 impl Ipv4 {
     /// Build from dotted-quad octets.
-    pub fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
+    pub(crate) fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
         Ipv4(u32::from(a) << 24 | u32::from(b) << 16 | u32::from(c) << 8 | u32::from(d))
-    }
-
-    /// Parse dotted-quad text.
-    pub fn parse(s: &str) -> Option<Self> {
-        let mut it = s.split('.');
-        let a: u8 = it.next()?.parse().ok()?;
-        let b: u8 = it.next()?.parse().ok()?;
-        let c: u8 = it.next()?.parse().ok()?;
-        let d: u8 = it.next()?.parse().ok()?;
-        if it.next().is_some() {
-            return None;
-        }
-        Some(Ipv4::new(a, b, c, d))
     }
 }
 
@@ -46,19 +33,19 @@ impl fmt::Display for Ipv4 {
 
 /// Sequential allocator handing out addresses from a private block.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct IpAllocator {
+pub(crate) struct IpAllocator {
     next: u32,
 }
 
 impl IpAllocator {
     /// Allocator starting at `10.0.0.1`-style base.
-    pub fn new(base: Ipv4) -> Self {
+    pub(crate) fn new(base: Ipv4) -> Self {
         IpAllocator { next: base.0 }
     }
 
     /// Hand out the next address, skipping `.0` and `.255` host octets so
     /// rendered configs look like real unicast interface addresses.
-    pub fn alloc(&mut self) -> Ipv4 {
+    pub(crate) fn alloc(&mut self) -> Ipv4 {
         loop {
             let v = self.next;
             self.next = self.next.wrapping_add(1);
@@ -75,13 +62,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_and_parse_roundtrip() {
+    fn display_is_dotted_quad() {
         let ip = Ipv4::new(192, 168, 32, 42);
         assert_eq!(ip.to_string(), "192.168.32.42");
-        assert_eq!(Ipv4::parse("192.168.32.42"), Some(ip));
-        assert!(Ipv4::parse("192.168.32").is_none());
-        assert!(Ipv4::parse("192.168.32.256").is_none());
-        assert!(Ipv4::parse("192.168.32.42.1").is_none());
     }
 
     #[test]

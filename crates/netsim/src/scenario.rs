@@ -166,45 +166,6 @@ pub fn fig5_tcp_badauth(seed: u64) -> (Topology, Vec<RawMessage>) {
     (topo, msgs)
 }
 
-/// The §6.1 case study: an IPTV network where a PIM adjacency suffers the
-/// dual failure (broken secondary path + primary link failure). Background
-/// noise is layered around the cascade so the grouping actually has to
-/// separate the event from chaff. Returns `(topology, messages, gt-id)`.
-pub fn pim_case(seed: u64) -> (Topology, Vec<RawMessage>, u64) {
-    let topo = Topology::generate(&crate::topology::TopoSpec {
-        n_routers: 16,
-        vendor: Vendor::V2,
-        iptv: true,
-        seed,
-    });
-    let grammar = Grammar::for_vendor(Vendor::V2);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x616d);
-    let mut sim = EventSim::new(&topo, &grammar);
-    let t0 = Timestamp::from_ymd_hms(2009, 12, 5, 12, 0, 0);
-    sim.pim_neighbor_loss(&mut rng, 0, t0);
-    let gt = sim.events[0].id;
-    // Chaff: scattered background messages across the same window.
-    for i in 0..200 {
-        let router = (i * 7) % topo.routers.len();
-        let keys = [
-            "LOGIN_V2",
-            "SNMP_AUTH_V2",
-            "CHASSIS_FAN",
-            "NTP_V2",
-            "IGMP_QUERY",
-        ];
-        sim.background(
-            &mut rng,
-            router,
-            keys[i % keys.len()],
-            t0.plus((i as i64 * 67) % 14_400),
-        );
-    }
-    let mut msgs = sim.msgs;
-    sd_model::sort_batch(&mut msgs);
-    (topo, msgs, gt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,14 +215,5 @@ mod tests {
         // Span multiple hours.
         let span = ctl.last().unwrap().ts.seconds_since(ctl[0].ts);
         assert!(span > 2 * 3600, "span {span}");
-    }
-
-    #[test]
-    fn pim_case_returns_gt_event_covering_many_codes() {
-        let (_, msgs, gt) = pim_case(11);
-        let event_msgs: Vec<_> = msgs.iter().filter(|m| m.gt_event == Some(gt)).collect();
-        assert!(event_msgs.len() > 20);
-        let noise = msgs.iter().filter(|m| m.gt_event.is_none()).count();
-        assert!(noise >= 150);
     }
 }

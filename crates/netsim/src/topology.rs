@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 /// (city code, state code) pool for router sites; state codes are what
 /// trouble tickets carry (§5.3 matches locations "at the state level").
-pub const SITES: &[(&str, &str)] = &[
+pub(crate) const SITES: &[(&str, &str)] = &[
     ("nyc", "NY"),
     ("chi", "IL"),
     ("dal", "TX"),
@@ -58,20 +58,20 @@ pub struct Interface {
     /// Slot (linecard) index on the chassis.
     pub slot: u8,
     /// Port index within the slot.
-    pub port: u8,
+    pub(crate) port: u8,
     /// Sub-interface / channel discriminator, `None` for physical ports.
-    pub sub: Option<u16>,
+    pub(crate) sub: Option<u16>,
     /// Index of the parent physical interface for logical sub-interfaces.
-    pub parent: Option<usize>,
+    pub(crate) parent: Option<usize>,
     /// Assigned address, if the interface is L3-configured.
-    pub ip: Option<Ipv4>,
+    pub(crate) ip: Option<Ipv4>,
     /// Media/vendor kind.
     pub kind: IfaceKind,
 }
 
 impl Interface {
     /// Whether this is a logical sub-interface.
-    pub fn is_logical(&self) -> bool {
+    pub(crate) fn is_logical(&self) -> bool {
         self.parent.is_some()
     }
 }
@@ -79,31 +79,31 @@ impl Interface {
 /// A channelized controller (V1 only), the port-level parent of serial
 /// interfaces; the Figure 4 instability scenario flaps one of these.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Controller {
+pub(crate) struct Controller {
     /// Controller name, e.g. `T3 1/0/0`.
     pub name: String,
     /// Slot index.
     pub slot: u8,
     /// Port index.
-    pub port: u8,
+    pub(crate) port: u8,
     /// Indices (into `Router::interfaces`) of child serial interfaces.
-    pub children: Vec<usize>,
+    pub(crate) children: Vec<usize>,
 }
 
 /// A multilink bundle aggregating several physical member interfaces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Bundle {
+pub(crate) struct Bundle {
     /// Bundle interface name, e.g. `Multilink3`.
     pub name: String,
     /// Member physical-interface indices.
     pub members: Vec<usize>,
     /// Bundle L3 address.
-    pub ip: Ipv4,
+    pub(crate) ip: Ipv4,
 }
 
 /// Role of a router in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RouterRole {
+pub(crate) enum RouterRole {
     /// Backbone core router (or IPTV VHO core).
     Core,
     /// Aggregation / edge router.
@@ -117,30 +117,30 @@ pub struct Router {
     /// single syslog field).
     pub name: String,
     /// City code of the hosting site.
-    pub site: String,
+    pub(crate) site: String,
     /// State code (ticket-matching granularity).
     pub state: String,
     /// Vendor family, determining message grammar and interface naming.
     pub vendor: Vendor,
     /// Network role.
-    pub role: RouterRole,
+    pub(crate) role: RouterRole,
     /// Loopback address.
-    pub loopback: Ipv4,
+    pub(crate) loopback: Ipv4,
     /// Number of slots in the chassis (slot indices `0..slots`).
-    pub slots: u8,
+    pub(crate) slots: u8,
     /// Ports per slot (port indices `0..ports_per_slot`).
-    pub ports_per_slot: u8,
+    pub(crate) ports_per_slot: u8,
     /// All interfaces, physical first then logical children.
-    pub interfaces: Vec<Interface>,
+    pub(crate) interfaces: Vec<Interface>,
     /// Channelized controllers (V1 only).
-    pub controllers: Vec<Controller>,
+    pub(crate) controllers: Vec<Controller>,
     /// Multilink bundles.
-    pub bundles: Vec<Bundle>,
+    pub(crate) bundles: Vec<Bundle>,
 }
 
 impl Router {
     /// Find an interface index by name.
-    pub fn iface_by_name(&self, name: &str) -> Option<usize> {
+    pub(crate) fn iface_by_name(&self, name: &str) -> Option<usize> {
         self.interfaces.iter().position(|i| i.name == name)
     }
 }
@@ -149,9 +149,9 @@ impl Router {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct EndPoint {
     /// Index into `Topology::routers`.
-    pub router: usize,
+    pub(crate) router: usize,
     /// Index into that router's `interfaces`.
-    pub iface: usize,
+    pub(crate) iface: usize,
 }
 
 /// A physical/logical inter-router link.
@@ -165,7 +165,7 @@ pub struct Link {
 
 impl Link {
     /// The opposite endpoint, given one side's router index.
-    pub fn peer_of(&self, router: usize) -> Option<EndPoint> {
+    pub(crate) fn peer_of(&self, router: usize) -> Option<EndPoint> {
         if self.a.router == router {
             Some(self.b)
         } else if self.b.router == router {
@@ -184,11 +184,11 @@ pub struct BgpSession {
     /// Other endpoint router index.
     pub b: usize,
     /// Address `a` uses to reach `b` (the "neighbor" address in `a`'s logs).
-    pub b_addr: Ipv4,
+    pub(crate) b_addr: Ipv4,
     /// Address `b` uses to reach `a`.
-    pub a_addr: Ipv4,
+    pub(crate) a_addr: Ipv4,
     /// VRF id (`1000:1001` style) for VPN sessions, `None` for plain iBGP.
-    pub vrf: Option<String>,
+    pub(crate) vrf: Option<String>,
     /// Index of the link the session rides on, when single-hop.
     pub link: Option<usize>,
 }
@@ -199,25 +199,25 @@ pub struct PathRoute {
     /// LSP name, e.g. `LSP-cr1.dal-cr2.atl-sec`.
     pub name: String,
     /// Head-end router index.
-    pub from: usize,
+    pub(crate) from: usize,
     /// Tail-end router index.
-    pub to: usize,
+    pub(crate) to: usize,
     /// Link indices the path traverses, in order.
-    pub hops: Vec<usize>,
+    pub(crate) hops: Vec<usize>,
 }
 
 /// A PIM adjacency (IPTV multicast-tree edge) with primary and secondary
 /// delivery paths (§6.1).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PimAdjacency {
+pub(crate) struct PimAdjacency {
     /// One endpoint router index.
     pub a: usize,
     /// Other endpoint router index.
     pub b: usize,
     /// Primary single-hop link index.
-    pub primary_link: usize,
+    pub(crate) primary_link: usize,
     /// Secondary multi-hop path index into `Topology::paths`.
-    pub secondary_path: usize,
+    pub(crate) secondary_path: usize,
 }
 
 /// The whole generated network.
@@ -232,7 +232,7 @@ pub struct Topology {
     /// Multi-hop protection paths.
     pub paths: Vec<PathRoute>,
     /// PIM multicast-tree adjacencies (empty for non-IPTV networks).
-    pub pim: Vec<PimAdjacency>,
+    pub(crate) pim: Vec<PimAdjacency>,
 }
 
 /// Parameters for topology generation.
@@ -256,7 +256,7 @@ impl Topology {
     }
 
     /// Find the link connecting two routers, if any single-hop link exists.
-    pub fn link_between(&self, a: usize, b: usize) -> Option<usize> {
+    pub(crate) fn link_between(&self, a: usize, b: usize) -> Option<usize> {
         self.links.iter().position(|l| {
             (l.a.router == a && l.b.router == b) || (l.a.router == b && l.b.router == a)
         })

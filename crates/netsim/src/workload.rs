@@ -24,7 +24,7 @@ pub struct KindMix {
     /// Relative arrival weight once active.
     pub weight: f64,
     /// First week (0-based, relative to workload start) the kind occurs.
-    pub activation_week: u32,
+    pub(crate) activation_week: u32,
 }
 
 /// Workload parameters.
@@ -60,7 +60,7 @@ pub struct WorkloadSpec {
 
 impl WorkloadSpec {
     /// Default mix for a vendor-V1 ISP backbone (dataset A).
-    pub fn mix_v1() -> Vec<KindMix> {
+    pub(crate) fn mix_v1() -> Vec<KindMix> {
         use EventKind::*;
         vec![
             KindMix {
@@ -107,7 +107,7 @@ impl WorkloadSpec {
     }
 
     /// Default mix for a vendor-V2 IPTV backbone (dataset B).
-    pub fn mix_v2() -> Vec<KindMix> {
+    pub(crate) fn mix_v2() -> Vec<KindMix> {
         use EventKind::*;
         vec![
             KindMix {
@@ -150,11 +150,11 @@ pub struct Workload {
     /// All messages, time-sorted.
     pub messages: Vec<RawMessage>,
     /// All ground-truth events.
-    pub events: Vec<crate::events::GtEvent>,
+    pub(crate) events: Vec<crate::events::GtEvent>,
 }
 
 /// Sample a Poisson count (Knuth for small λ, normal approximation above).
-pub fn poisson(rng: &mut StdRng, lambda: f64) -> usize {
+pub(crate) fn poisson(rng: &mut StdRng, lambda: f64) -> usize {
     if lambda <= 0.0 {
         return 0;
     }
@@ -481,11 +481,8 @@ mod tests {
         let (topo, grammar, spec) = small_spec(Vendor::V2, 2);
         let w = run(&topo, &grammar, &spec);
         assert!(!w.messages.is_empty());
-        let known: std::collections::HashSet<&str> = grammar
-            .templates()
-            .iter()
-            .map(|t| t.code.as_str())
-            .collect();
+        let known: std::collections::HashSet<&str> =
+            grammar.templates.iter().map(|t| t.code.as_str()).collect();
         for m in &w.messages {
             assert!(known.contains(m.code.as_str()), "alien code {}", m.code);
         }

@@ -7,10 +7,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod mine;
-pub mod transactions;
-pub mod update;
+mod mine;
+mod transactions;
+mod update;
 
 pub use mine::{coverage, mine, MineConfig, Rule, RuleSet};
 pub use transactions::{CoOccurrence, StreamItem};

@@ -36,17 +36,8 @@ impl CoOccurrence {
         *self.item_counts.get(&t.0).unwrap_or(&0) as f64 / self.n_transactions as f64
     }
 
-    /// Support of an unordered pair.
-    pub fn pair_support(&self, a: TemplateId, b: TemplateId) -> f64 {
-        if self.n_transactions == 0 {
-            return 0.0;
-        }
-        let key = (a.0.min(b.0), a.0.max(b.0));
-        *self.pair_counts.get(&key).unwrap_or(&0) as f64 / self.n_transactions as f64
-    }
-
     /// Confidence of `x ⇒ y`.
-    pub fn confidence(&self, x: TemplateId, y: TemplateId) -> Option<f64> {
+    pub(crate) fn confidence(&self, x: TemplateId, y: TemplateId) -> Option<f64> {
         let sx = *self.item_counts.get(&x.0).unwrap_or(&0);
         if sx == 0 {
             return None;
@@ -189,7 +180,7 @@ mod tests {
     fn different_routers_never_share_transactions() {
         let stream = vec![s(0, 0, 1), s(1, 1, 2), s(2, 0, 1), s(3, 1, 2)];
         let co = CoOccurrence::count(&stream, 100, Parallelism::sequential());
-        assert_eq!(co.pair_support(TemplateId(1), TemplateId(2)), 0.0);
+        assert_eq!(co.pair_counts.get(&(1, 2)), None);
     }
 
     #[test]
@@ -201,8 +192,8 @@ mod tests {
         }
         let narrow = CoOccurrence::count(&stream, 30, Parallelism::sequential());
         let wide = CoOccurrence::count(&stream, 40, Parallelism::sequential());
-        assert_eq!(narrow.pair_support(TemplateId(1), TemplateId(2)), 0.0);
-        assert!(wide.pair_support(TemplateId(1), TemplateId(2)) > 0.3);
+        assert_eq!(narrow.pair_counts.get(&(1, 2)), None);
+        assert!(wide.pair_counts[&(1, 2)] as f64 / wide.n_transactions as f64 > 0.3);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!
 //! * [`Telemetry`] — a cloneable handle bundling an atomic
 //!   [`Counter`] registry and hierarchical [`SpanHandle`] timers.
-//!   It is *global-but-injectable*: library code takes a handle (or
-//!   constructs a disabled one), binaries either create their own or use
-//!   [`global()`]. A [`Telemetry::disabled`] handle costs nothing — span
+//!   There is no process-wide handle: library code takes a handle (or
+//!   constructs a disabled one) and binaries create their own. A
+//!   [`Telemetry::disabled`] handle costs nothing — span
 //!   timing is skipped entirely and counters degrade to detached atomics
 //!   (they still count, so stats views stay correct; they just are not
 //!   exported).
@@ -33,9 +33,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod prometheus;
 mod registry;
 
 pub use prometheus::validate_exposition;
-pub use registry::{global, Counter, Snapshot, SpanGuard, SpanHandle, SpanStat, Telemetry};
+pub use registry::{Counter, Snapshot, SpanHandle, Telemetry};

@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A monotonically increasing atomic counter.
@@ -12,7 +12,7 @@ use std::time::Instant;
 /// Handles are cheap to clone (an `Arc` bump) and safe to increment from
 /// any thread. A counter is either *registered* — obtained from
 /// [`Telemetry::counter`], visible in snapshots — or *detached*
-/// ([`Counter::detached`]): it still counts, it just belongs to no
+/// (`Counter::detached`): it still counts, it just belongs to no
 /// registry. Detached counters are what a [`Telemetry::disabled`] handle
 /// hands out, so stats structs backed by counters keep working with
 /// telemetry off.
@@ -21,7 +21,7 @@ pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     /// A counter registered nowhere (see the type docs).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         Counter::default()
     }
 
@@ -79,7 +79,7 @@ pub struct SpanHandle {
 
 impl SpanHandle {
     /// A handle that records nothing (what disabled telemetry hands out).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         SpanHandle {
             cell: Arc::new(SpanCell::default()),
             enabled: false,
@@ -121,7 +121,7 @@ pub struct SpanStat {
     /// Number of completed timed calls.
     pub calls: u64,
     /// Total wall-clock nanoseconds across all calls.
-    pub nanos: u64,
+    pub(crate) nanos: u64,
 }
 
 impl SpanStat {
@@ -265,13 +265,6 @@ impl Snapshot {
     }
 }
 
-/// The process-wide telemetry handle, for binaries that don't thread
-/// their own. Created enabled on first use.
-pub fn global() -> Telemetry {
-    static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
-    GLOBAL.get_or_init(Telemetry::new).clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,11 +324,5 @@ mod tests {
         assert_eq!(names, vec!["a", "b"]);
         let paths: Vec<&str> = snap.spans.iter().map(|(p, _)| p.as_str()).collect();
         assert_eq!(paths, vec!["a.s", "z.s"]);
-    }
-
-    #[test]
-    fn global_is_shared() {
-        global().counter("global.test").inc();
-        assert!(global().snapshot().counter("global.test").unwrap_or(0) >= 1);
     }
 }

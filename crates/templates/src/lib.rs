@@ -9,9 +9,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod learner;
-pub mod set;
+mod learner;
+mod set;
 
 pub use learner::{learn, LearnerConfig};
 pub use sd_model::TemplateId;

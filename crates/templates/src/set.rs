@@ -67,7 +67,7 @@ impl Template {
 
     /// [`Template::matches`] against tokens given as byte spans of
     /// `detail` (see [`TokenScratch`]) — no token vector required.
-    pub fn matches_spans(&self, detail: &str, spans: &[(u32, u32)]) -> bool {
+    pub(crate) fn matches_spans(&self, detail: &str, spans: &[(u32, u32)]) -> bool {
         self.toks.len() == spans.len()
             && self.toks.iter().zip(spans).all(|(t, &(a, b))| match t {
                 MaskTok::Word(w) => w == &detail[a as usize..b as usize],

@@ -6,9 +6,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod calibrate;
-pub mod ewma;
+mod calibrate;
+mod ewma;
 
 pub use calibrate::{calibrate, compression_ratio, sweep_alpha, sweep_beta, SeriesSet};
 pub use ewma::{count_groups, group_series, EwmaTracker, TemporalConfig};

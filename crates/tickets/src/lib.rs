@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,23 +24,23 @@ use syslogdigest::{DomainKnowledge, NetworkEvent};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ticket {
     /// Unique case identifier.
-    pub case_id: u64,
+    pub(crate) case_id: u64,
     /// Creation time (within the underlying incident).
-    pub created: Timestamp,
+    pub(crate) created: Timestamp,
     /// Times the ticket was investigated/updated (proxy for importance).
-    pub updates: Vec<Timestamp>,
+    pub(crate) updates: Vec<Timestamp>,
     /// Location at state granularity (e.g. `TX`).
-    pub state: String,
+    pub(crate) state: String,
     /// Free-text event type.
     pub kind: String,
     /// Hidden ground-truth link (evaluation only; a real ticket system
     /// has no such field).
-    pub gt_event: GroundTruthId,
+    pub(crate) gt_event: GroundTruthId,
 }
 
 impl Ticket {
     /// Number of investigations — the §5.3 ranking key.
-    pub fn n_updates(&self) -> usize {
+    pub(crate) fn n_updates(&self) -> usize {
         self.updates.len()
     }
 }
@@ -122,7 +123,7 @@ pub fn top_tickets(tickets: &[Ticket], n: usize) -> Vec<&Ticket> {
 /// §5.3 match predicate: the digest event's duration covers the ticket's
 /// creation time, and the event's location is consistent with the ticket's
 /// at state granularity.
-pub fn matches(k: &DomainKnowledge, ticket: &Ticket, event: &NetworkEvent) -> bool {
+pub(crate) fn matches(k: &DomainKnowledge, ticket: &Ticket, event: &NetworkEvent) -> bool {
     if ticket.created < event.start || ticket.created > event.end {
         return false;
     }
@@ -142,7 +143,7 @@ pub struct TicketMatchReport {
     /// Tickets whose best match ranks in the top `percentile` of events.
     pub n_matched_top: usize,
     /// The rank percentile threshold used (paper: 5 %).
-    pub percentile: f64,
+    pub(crate) percentile: f64,
     /// Best (smallest) matching rank per ticket, `usize::MAX` if unmatched.
     pub best_ranks: Vec<usize>,
 }

@@ -11,9 +11,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use syslogdigest_repro::digest::grouping::GroupingConfig;
+use syslogdigest_repro::digest::digest;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::pipeline::digest;
+use syslogdigest_repro::digest::GroupingConfig;
 use syslogdigest_repro::model::{sort_batch, Timestamp};
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec, EventSim};
 use syslogdigest_repro::telemetry::Telemetry;

@@ -7,10 +7,10 @@
 //! cargo run --release --example network_dashboard
 //! ```
 
-use syslogdigest_repro::digest::grouping::GroupingConfig;
+use syslogdigest_repro::digest::digest;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::pipeline::digest;
-use syslogdigest_repro::digest::viz::{gini, snapshot};
+use syslogdigest_repro::digest::GroupingConfig;
+use syslogdigest_repro::digest::{gini, snapshot};
 use syslogdigest_repro::model::DAY;
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
 use syslogdigest_repro::telemetry::Telemetry;

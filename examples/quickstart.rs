@@ -5,9 +5,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use syslogdigest_repro::digest::grouping::GroupingConfig;
+use syslogdigest_repro::digest::digest;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::pipeline::digest;
+use syslogdigest_repro::digest::GroupingConfig;
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
 use syslogdigest_repro::telemetry::Telemetry;
 

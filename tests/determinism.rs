@@ -4,13 +4,14 @@
 //! presets and on arbitrary proptest-generated streams.
 
 use proptest::prelude::*;
-use syslogdigest_repro::digest::grouping::{group, stage_edges, GroupingConfig};
-use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::union_find::UnionFind;
+use syslogdigest_repro::digest::offline::{history, learn, OfflineConfig};
+use syslogdigest_repro::digest::UnionFind;
 use syslogdigest_repro::digest::{augment_batch_isolated, digest, Digest, DomainKnowledge};
+use syslogdigest_repro::digest::{group, stage_edges, GroupingConfig};
 use syslogdigest_repro::model::{sort_batch, ErrorCode, Parallelism, RawMessage, Timestamp};
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
 use syslogdigest_repro::telemetry::Telemetry;
+use syslogdigest_repro::temporal::calibrate;
 
 fn with_threads(mut cfg: OfflineConfig, n: usize) -> OfflineConfig {
     cfg.par = Parallelism::with_threads(n);
@@ -70,18 +71,21 @@ fn preset_b_is_thread_count_invariant() {
     );
 }
 
-/// Calibration mode exercises the parallel α/β sweeps and the key-ordered
-/// series merge; the picked parameters must not depend on thread count.
+/// The α/β calibration (Table 6) runs the parallel sweeps over the
+/// key-ordered series merge of `history`; the picked parameters must not
+/// depend on thread count.
 #[test]
 fn calibration_is_thread_count_invariant() {
     let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
-    let mut cfg = OfflineConfig::dataset_a().with_calibration();
-    cfg.alphas = vec![0.0, 0.05, 0.2, 0.5];
-    cfg.betas = vec![2.0, 5.0, 7.0];
-    let k1 = learn(&d.configs, d.train(), &with_threads(cfg.clone(), 1));
-    let k4 = learn(&d.configs, d.train(), &with_threads(cfg, 4));
-    assert_eq!(k1.temporal.alpha, k4.temporal.alpha);
-    assert_eq!(k1.temporal.beta, k4.temporal.beta);
+    let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
+    let pick = |n| {
+        let par = Parallelism::with_threads(n);
+        let series = history(&k, d.train(), par).series;
+        calibrate(&series, &[0.0, 0.05, 0.2, 0.5], &[2.0, 5.0, 7.0], 0.03, par)
+    };
+    let (t1, t4) = (pick(1), pick(4));
+    assert_eq!(t1.alpha, t4.alpha);
+    assert_eq!(t1.beta, t4.beta);
 }
 
 // ----------------------------------------------------- proptest streams --

@@ -2,10 +2,10 @@
 //! the knowledge base, digest online traffic — across crates, through the
 //! workspace facade.
 
-use syslogdigest_repro::digest::grouping::GroupingConfig;
-use syslogdigest_repro::digest::knowledge::DomainKnowledge;
+use syslogdigest_repro::digest::digest;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::pipeline::digest;
+use syslogdigest_repro::digest::DomainKnowledge;
+use syslogdigest_repro::digest::GroupingConfig;
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
 use syslogdigest_repro::telemetry::Telemetry;
 

@@ -1,16 +1,16 @@
 //! The paper's worked examples, end to end through the facade: the Table 2
 //! toy flap, the §3.2 grouping progression, and the §6.1 PIM case.
 
-use syslogdigest_repro::digest::grouping::GroupingConfig;
+use syslogdigest_repro::digest::digest;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::pipeline::digest;
+use syslogdigest_repro::digest::GroupingConfig;
 use syslogdigest_repro::model::{sort_batch, ErrorCode, RawMessage, Timestamp};
 use syslogdigest_repro::netsim::config::render_all;
-use syslogdigest_repro::netsim::scenario::{toy_table2_messages, toy_topology};
+use syslogdigest_repro::netsim::{toy_table2_messages, toy_topology};
 
 /// Training data teaching the Table 2 templates and the LINK<->LINEPROTO
 /// rule (the toy's 16 messages are too few to mine from).
-fn toy_knowledge() -> syslogdigest_repro::digest::knowledge::DomainKnowledge {
+fn toy_knowledge() -> syslogdigest_repro::digest::DomainKnowledge {
     let topo = toy_topology();
     let configs = render_all(&topo);
     let mut train = Vec::new();

@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 use syslogdigest_repro::digest::augment_batch_isolated;
-use syslogdigest_repro::digest::grouping::{group, GroupingConfig};
-use syslogdigest_repro::digest::knowledge::DomainKnowledge;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::union_find::UnionFind;
+use syslogdigest_repro::digest::DomainKnowledge;
+use syslogdigest_repro::digest::UnionFind;
+use syslogdigest_repro::digest::{group, GroupingConfig};
 use syslogdigest_repro::model::{
     sort_batch, ErrorCode, Interner, Parallelism, RawMessage, SyslogPlus, Timestamp,
 };

@@ -13,17 +13,17 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use syslogdigest_repro::digest::checkpoint::{CheckpointError, StreamSnapshot};
-use syslogdigest_repro::digest::grouping::GroupingConfig;
-use syslogdigest_repro::digest::ingest::FaultTolerantIngest;
-use syslogdigest_repro::digest::knowledge::DomainKnowledge;
+use syslogdigest_repro::digest::digest_instrumented;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::digest::pipeline::digest_instrumented;
-use syslogdigest_repro::digest::stream::{StreamConfig, StreamDigester};
+use syslogdigest_repro::digest::DomainKnowledge;
+use syslogdigest_repro::digest::FaultTolerantIngest;
+use syslogdigest_repro::digest::GroupingConfig;
 use syslogdigest_repro::digest::{
     augment_batch_isolated, generation_path, set_poison_marker, stage_edges, GroupProv, MergeCause,
     NetworkEvent,
 };
+use syslogdigest_repro::digest::{CheckpointError, StreamSnapshot};
+use syslogdigest_repro::digest::{StreamConfig, StreamDigester};
 use syslogdigest_repro::model::Parallelism;
 use syslogdigest_repro::netsim::{
     inject, poison_message, Corpus, Dataset, DatasetSpec, FaultSpec, GOLDEN_SCALE, GOLDEN_SEEDS,
@@ -57,10 +57,7 @@ fn ingest_lines<'a>(
     k: &'a DomainKnowledge,
     lines: impl Iterator<Item = &'a str>,
     max_skew: i64,
-) -> (
-    Vec<NetworkEvent>,
-    syslogdigest_repro::digest::ingest::IngestStats,
-) {
+) -> (Vec<NetworkEvent>, syslogdigest_repro::digest::IngestStats) {
     let mut ing = new_ingest(k, max_skew);
     let mut events = Vec::new();
     for line in lines {

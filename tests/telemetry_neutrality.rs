@@ -12,12 +12,12 @@
 //!   emitted events.
 
 use std::sync::OnceLock;
-use syslogdigest_repro::digest::grouping::GroupingConfig;
-use syslogdigest_repro::digest::ingest::FaultTolerantIngest;
-use syslogdigest_repro::digest::knowledge::DomainKnowledge;
 use syslogdigest_repro::digest::offline::{learn, learn_instrumented, OfflineConfig};
-use syslogdigest_repro::digest::pipeline::{digest, digest_instrumented};
-use syslogdigest_repro::digest::stream::StreamConfig;
+use syslogdigest_repro::digest::DomainKnowledge;
+use syslogdigest_repro::digest::FaultTolerantIngest;
+use syslogdigest_repro::digest::GroupingConfig;
+use syslogdigest_repro::digest::StreamConfig;
+use syslogdigest_repro::digest::{digest, digest_instrumented};
 use syslogdigest_repro::model::Parallelism;
 use syslogdigest_repro::netsim::{inject, Dataset, DatasetSpec, FaultSpec};
 use syslogdigest_repro::telemetry::{validate_exposition, Telemetry};
@@ -232,8 +232,8 @@ fn event_ids_continue_across_checkpoint_resume() {
     let snap = first.checkpoint();
     drop(first);
     let json = snap.to_json().expect("snapshot serializes");
-    let snap = syslogdigest_repro::digest::checkpoint::StreamSnapshot::from_json(&json)
-        .expect("snapshot parses");
+    let snap =
+        syslogdigest_repro::digest::StreamSnapshot::from_json(&json).expect("snapshot parses");
     let mut second =
         FaultTolerantIngest::resume_with_telemetry(k, &snap, &Telemetry::new()).expect("resume");
     for m in &online[cut..n] {
