@@ -2,11 +2,10 @@
 //!
 //! For every golden seed it generates the netsim corpus, runs the
 //! differential driver (`sd_conformance::verify_dataset`) — naive
-//! paper-faithful reference oracles vs. the optimized pipeline, with
-//! thread-count determinism checks — then streams the clean / bounded /
-//! hostile faulted feeds through the fault-tolerant ingest layer and
-//! compares the resulting partition / template / rule digests against
-//! the checked-in golden corpus.
+//! paper-faithful reference oracles vs. the optimized pipeline — then
+//! streams the clean / bounded / hostile faulted feeds through the
+//! fault-tolerant ingest layer and compares the resulting partition /
+//! template / rule digests against the checked-in golden corpus.
 //!
 //! Structural invariant checked on every run, independent of the golden
 //! file: the `bounded` variant's partition must equal `clean`'s (its
@@ -15,7 +14,7 @@
 //!
 //! * `--golden PATH` — golden file (default: the checked-in one);
 //! * `--bless` — regenerate the golden file instead of comparing;
-//! * `--scale F`, `--seeds a,b,c`, `--threads N`, `--skew S` — corpus
+//! * `--scale F`, `--seeds a,b,c`, `--skew S` — corpus
 //!   shape overrides (the defaults are what the golden file pins);
 //! * `--recovery` — run the crash/corrupt/recover/replay conformance
 //!   matrix instead ([`sd_conformance::verify_recovery`]): for each seed,
@@ -115,7 +114,6 @@ fn main() {
     let mut recovery = false;
     let mut scale = GOLDEN_SCALE;
     let mut seeds: Vec<u64> = GOLDEN_SEEDS.to_vec();
-    let mut threads = 4usize;
     let mut skew = 30i64;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -135,12 +133,6 @@ fn main() {
                     .split(',')
                     .map(|s| s.trim().parse().unwrap_or_else(|_| fail("invalid --seeds")))
                     .collect();
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("invalid --threads"))
             }
             "--skew" => {
                 skew = args
@@ -184,12 +176,11 @@ fn main() {
         let corpus = Corpus::generate(seed, scale);
         let d = &corpus.dataset;
 
-        // Differential oracles: reference vs optimized, threads 1 vs N.
-        match sd_conformance::verify_dataset(d, &ocfg, &gcfg, threads) {
+        // Differential oracles: reference vs optimized.
+        match sd_conformance::verify_dataset(d, &ocfg, &gcfg) {
             Ok(s) => println!(
                 "ok: seed {seed} conformant — {} train / {} online msgs, \
-                 {} templates, {} rules, {} edges, {} groups \
-                 (threads 1 == {threads})",
+                 {} templates, {} rules, {} edges, {} groups",
                 s.n_train, s.n_online, s.n_templates, s.n_rules, s.n_edges, s.n_groups
             ),
             Err(div) => fail(&format!("seed {seed}: {div}")),

@@ -6,18 +6,17 @@
 //! * `--trace FILE` — validate every JSONL provenance record against the
 //!   documented schema (event_id, n_messages, routers, templates, links,
 //!   closed_by, and the idle fields, integers on an idle close);
-//! * `--overhead` — in this one process, time the 1-thread `digest`
-//!   against `digest_instrumented` with telemetry enabled over
-//!   alternating pairs on dataset A and assert the median per-pair ratio
-//!   (plain time / instrumented time) stays at or above `--min-ratio`
-//!   (default 0.95), i.e. instrumentation costs at most ~5%;
+//! * `--overhead` — in this one process, time `digest` against
+//!   `digest_instrumented` with telemetry enabled over alternating pairs
+//!   on dataset A and assert the median per-pair ratio (plain time /
+//!   instrumented time) stays at or above `--min-ratio` (default 0.95),
+//!   i.e. instrumentation costs at most ~5%;
 //! * `--require-durability` — additionally require the durability
 //!   counters (`sd_ckpt_n_corrupt`, `sd_ckpt_n_fallback`, and a
 //!   quarantine counter) in the `--metrics` snapshot.
 //!
 //! Exits non-zero with a reason on the first violation.
 
-use sd_model::Parallelism;
 use sd_netsim::{Dataset, DatasetSpec};
 use sd_telemetry::{validate_exposition, Telemetry};
 use serde::Value;
@@ -181,10 +180,7 @@ fn check_overhead(min_ratio: f64) {
     );
     let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
     let online = d.online();
-    let gcfg = GroupingConfig {
-        par: Parallelism::with_threads(1),
-        ..GroupingConfig::default()
-    };
+    let gcfg = GroupingConfig::default();
     let tel = Telemetry::new();
     let plain = || {
         let t0 = Instant::now();

@@ -15,8 +15,8 @@ pub fn run(ctx: &Ctx) {
     section("EXP-F10  (Figure 10) — temporal compression ratio vs alpha (beta = 2)");
     paper("larger alpha -> higher (worse) ratio; minima at alpha = 0.05 (A) / 0.075 (B)");
     for (name, b) in ctx.both() {
-        let series = history(&b.knowledge, b.data.train(), b.offline.par).series;
-        let swept = sweep_alpha(&series, &ALPHAS, 2.0, b.offline.par);
+        let series = history(&b.knowledge, b.data.train()).series;
+        let swept = sweep_alpha(&series, &ALPHAS, 2.0);
         print!("  dataset {name}: ");
         for (a, r) in &swept {
             print!("a={a}:{r:.4}  ");

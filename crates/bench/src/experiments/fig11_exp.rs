@@ -15,8 +15,8 @@ pub fn run(ctx: &Ctx) {
     section("EXP-F11  (Figure 11) — temporal compression ratio vs beta (alpha at defaults)");
     paper("ratio decreases with beta and the improvement diminishes; beta = 5 chosen");
     for (name, b) in ctx.both() {
-        let series = history(&b.knowledge, b.data.train(), b.offline.par).series;
-        let swept = sweep_beta(&series, &BETAS, b.knowledge.temporal.alpha, b.offline.par);
+        let series = history(&b.knowledge, b.data.train()).series;
+        let swept = sweep_beta(&series, &BETAS, b.knowledge.temporal.alpha);
         print!("  dataset {name} (alpha={}): ", b.knowledge.temporal.alpha);
         for (bv, r) in &swept {
             print!("b={bv}:{r:.4}  ");

@@ -12,11 +12,11 @@ pub const WINDOWS: [i64; 11] = [5, 10, 20, 30, 40, 60, 90, 120, 180, 240, 300];
 
 /// Sweep rules-vs-W for one bundle; returns `(W, #rules)`.
 pub fn sweep(b: &crate::ctx::Bundle) -> Vec<(i64, usize)> {
-    let stream = history(&b.knowledge, b.data.train(), b.offline.par).stream;
+    let stream = history(&b.knowledge, b.data.train()).stream;
     WINDOWS
         .iter()
         .map(|&w| {
-            let co = CoOccurrence::count(&stream, w, b.offline.par);
+            let co = CoOccurrence::count(&stream, w);
             (w, mine(&co, &MineConfig::default()).len())
         })
         .collect()

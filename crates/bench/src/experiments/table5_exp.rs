@@ -18,8 +18,8 @@ pub fn run(ctx: &Ctx) {
         "dataset", "SPmin", "top types %", "coverage %"
     );
     for (name, b) in ctx.both() {
-        let stream = history(&b.knowledge, b.data.train(), b.offline.par).stream;
-        let co = CoOccurrence::count(&stream, b.knowledge.window_secs, b.offline.par);
+        let stream = history(&b.knowledge, b.data.train()).stream;
+        let co = CoOccurrence::count(&stream, b.knowledge.window_secs);
         let mut type_counts: HashMap<u32, u64> = HashMap::new();
         for &(_, _, t) in &stream {
             *type_counts.entry(t.0).or_insert(0) += 1;

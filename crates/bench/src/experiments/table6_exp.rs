@@ -18,13 +18,12 @@ pub fn run(ctx: &Ctx) {
     println!("  (alpha/beta from the Fig 10-11 sweeps; W is the configured Table 6 value,");
     println!("   justified by the Fig 7 growth profile)");
     for (name, b) in ctx.both() {
-        let series = history(&b.knowledge, b.data.train(), b.offline.par).series;
+        let series = history(&b.knowledge, b.data.train()).series;
         let cal = calibrate(
             &series,
             &crate::experiments::fig10_exp::ALPHAS,
             &crate::experiments::fig11_exp::BETAS,
             0.03,
-            b.offline.par,
         );
         println!(
             "  {:<8} {:>7} {:>6} {:>6} {:>8} {:>8}",

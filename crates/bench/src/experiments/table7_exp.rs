@@ -4,6 +4,7 @@
 //! ground truth and the EWMA temporal stage against a fixed-gap splitter.
 
 use crate::ctx::{paper, section, Ctx};
+use sd_model::Parallelism;
 use syslogdigest::{augment_batch_isolated, compression_table, evaluate_grouping, GroupingConfig};
 use syslogdigest::{ewma_group_count, fixed_gap_group_count};
 
@@ -44,7 +45,8 @@ pub fn run(ctx: &Ctx) {
     println!("\n  temporal splitter (not in the paper):");
     for (name, b) in ctx.both() {
         let (batch, _) =
-            augment_batch_isolated(&b.knowledge, b.data.online(), b.offline.par).split();
+            augment_batch_isolated(&b.knowledge, b.data.online(), Parallelism::sequential())
+                .split();
         println!(
             "  dataset {name}: EWMA {} groups vs fixed-gap(300s) {} groups",
             ewma_group_count(&b.knowledge, &batch),

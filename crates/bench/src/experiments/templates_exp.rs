@@ -10,7 +10,7 @@ pub fn run(ctx: &Ctx) {
     section("EXP-TMPL  (section 5.2.1) — template identification accuracy");
     paper("94% of message templates match the hard-coded ground truth");
     for (name, b) in ctx.both() {
-        let set = learn(b.data.train(), &LearnerConfig::default(), b.offline.par);
+        let set = learn(b.data.train(), &LearnerConfig::default());
         let gt = b.data.grammar.masked_set();
         let acc = set.accuracy_against(&gt);
         // Message-weighted variant: the share of messages whose matched
@@ -46,7 +46,7 @@ pub fn run(ctx: &Ctx) {
                     k,
                     ..LearnerConfig::default()
                 };
-                format!("k={k}: {}", learn(slice, &cfg, b.offline.par).len())
+                format!("k={k}: {}", learn(slice, &cfg).len())
             })
             .collect();
         println!("  dataset {name}: templates learned {}", counts.join(", "));

@@ -2,7 +2,7 @@
 
 use crate::args::{Accepts, ArgError, Parsed};
 use crate::output::{Jsonl, LogFormat};
-use sd_model::{MalformedReport, Parallelism, ParseError, RawMessage};
+use sd_model::{MalformedReport, ParseError, RawMessage};
 use sd_netsim::{apply_fault, inject, Dataset, DatasetSpec, FaultSpec, StorageFault};
 use sd_telemetry::Telemetry;
 use serde::Serialize;
@@ -54,16 +54,6 @@ fn profile(name: &str) -> Result<OfflineConfig, ArgError> {
         "B" | "b" | "iptv" => Ok(OfflineConfig::dataset_b()),
         other => Err(ArgError(format!("unknown profile {other:?} (use A or B)"))),
     }
-}
-
-/// `--threads N` (0 or absent = all cores; 1 = exact sequential path).
-fn threads_arg(p: &Parsed) -> Result<Parallelism, ArgError> {
-    let n: usize = p.opt_parse("threads", 0)?;
-    Ok(if n == 0 {
-        Parallelism::default()
-    } else {
-        Parallelism::with_threads(n)
-    })
 }
 
 /// `--log-format text|json` (default text): how diagnostics reach stderr.
@@ -207,8 +197,7 @@ pub(crate) fn cmd_learn(p: &Parsed) -> CmdResult {
     let cfg_dir = Path::new(p.req("configs")?);
     let log = Path::new(p.req("log")?);
     let out = Path::new(p.req("out")?);
-    let mut cfg = profile(p.opt("profile").unwrap_or("A"))?;
-    cfg.par = threads_arg(p)?;
+    let cfg = profile(p.opt("profile").unwrap_or("A"))?;
     let (tel, metrics) = telemetry_for(p);
     let log_fmt = log_format(p)?;
 
@@ -365,8 +354,7 @@ pub(crate) fn cmd_digest(p: &Parsed) -> CmdResult {
     let k = load_knowledge(p)?;
     let log = Path::new(p.req("log")?);
     let top: usize = p.opt_parse("top", 20)?;
-    let mut gcfg = stages(p.opt("stages").unwrap_or("TRC"))?;
-    gcfg.par = threads_arg(p)?;
+    let gcfg = stages(p.opt("stages").unwrap_or("TRC"))?;
     let (tel, metrics) = telemetry_for(p);
     let log_fmt = log_format(p)?;
     let trace = jsonl_sink(p, "trace", "trace file")?;
@@ -434,8 +422,7 @@ pub(crate) fn cmd_explain(p: &Parsed) -> CmdResult {
         .req("event")?
         .parse()
         .map_err(|_| ArgError("invalid value for --event: expected an event id".to_owned()))?;
-    let mut gcfg = stages(p.opt("stages").unwrap_or("TRC"))?;
-    gcfg.par = threads_arg(p)?;
+    let gcfg = stages(p.opt("stages").unwrap_or("TRC"))?;
     let log_fmt = log_format(p)?;
 
     let (msgs, bad) = read_log(log)?;
@@ -587,7 +574,6 @@ const DIGEST: &[Opt] = &[
     ("log", "FILE", Required),
     ("top", "N", Optional),
     ("stages", "T|TR|TRC", Optional),
-    ("threads", "N", Optional),
     ("metrics-out", "FILE", Optional),
     ("trace", "FILE", Optional),
     ("quarantine-out", "FILE", Optional),
@@ -618,7 +604,6 @@ const COMMANDS: &[Command] = &[
             ("log", "FILE", Required),
             ("out", "FILE", Required),
             ("profile", "A|B", Optional),
-            ("threads", "N", Optional),
             ("metrics-out", "FILE", Optional),
         ],
         run: cmd_learn,
@@ -635,7 +620,6 @@ const COMMANDS: &[Command] = &[
             ("log", "FILE", Required),
             ("event", "ID", Required),
             ("stages", "T|TR|TRC", Optional),
-            ("threads", "N", Optional),
         ],
         run: cmd_explain,
     },

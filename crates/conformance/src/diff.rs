@@ -7,7 +7,7 @@
 //! the root cause: learned template sets first (everything downstream
 //! keys off template ids), then per-message matching, temporal clustering,
 //! co-occurrence counts and mined rules, the grouping edge sets, and
-//! finally the partitions themselves plus thread-count determinism.
+//! finally the partitions themselves.
 
 use crate::ref_grouping::{ref_components, ref_edges};
 use crate::ref_rules::{ref_count, ref_mine};
@@ -36,8 +36,6 @@ pub enum Stage {
     Rules,
     /// The grouping edge sets or partitions differ.
     Grouping,
-    /// The optimized pipeline disagreed with itself across thread counts.
-    Determinism,
 }
 
 impl Stage {
@@ -49,7 +47,6 @@ impl Stage {
             Stage::Temporal => "temporal",
             Stage::Rules => "rules",
             Stage::Grouping => "grouping",
-            Stage::Determinism => "determinism",
         }
     }
 }
@@ -90,25 +87,13 @@ fn diverge(stage: Stage, detail: String) -> Divergence {
     Divergence { stage, detail }
 }
 
-/// Run the full differential suite over one dataset. `threads` is the
-/// parallel lane compared against the sequential one (the determinism
-/// oracle); every reference comparison runs against the sequential lane.
+/// Run the full differential suite over one dataset.
 pub fn verify_dataset(
     d: &Dataset,
     ocfg: &OfflineConfig,
     gcfg: &GroupingConfig,
-    threads: usize,
 ) -> Result<ConformanceSummary, Divergence> {
-    let mut seq = ocfg.clone();
-    seq.par = Parallelism::sequential();
-    let k = learn(&d.configs, d.train(), &seq);
-
-    // ---- determinism: knowledge learned at threads=N is identical -------
-    let mut par = ocfg.clone();
-    par.par = Parallelism::with_threads(threads);
-    let kn = learn(&d.configs, d.train(), &par);
-    check_knowledge_determinism(&k, &kn, threads)?;
-    drop(kn);
+    let k = learn(&d.configs, d.train(), ocfg);
 
     // ---- template learning oracle ---------------------------------------
     let reference = ref_learn(d.train(), &ocfg.learner);
@@ -142,9 +127,7 @@ pub fn verify_dataset(
     }
 
     // ---- grouping stage oracles over the augmented online batch ----------
-    let (batch, _) = augment_batch_isolated(&k, d.online(), gcfg.par).split();
-    let mut g1 = *gcfg;
-    g1.par = Parallelism::sequential();
+    let (batch, _) = augment_batch_isolated(&k, d.online(), Parallelism::sequential()).split();
 
     // Temporal clustering, series by series.
     let mut series: BTreeMap<(u32, u32, u32), Vec<usize>> = BTreeMap::new();
@@ -174,9 +157,9 @@ pub fn verify_dataset(
     }
 
     // Co-occurrence counts and mined rules over the training stream.
-    let stream = history(&k, d.train(), Parallelism::sequential()).stream;
+    let stream = history(&k, d.train()).stream;
     let ref_co = ref_count(&stream, ocfg.window_secs);
-    let opt_co = CoOccurrence::count(&stream, ocfg.window_secs, Parallelism::sequential());
+    let opt_co = CoOccurrence::count(&stream, ocfg.window_secs);
     if let Some(msg) = count_diff(&ref_co, &opt_co) {
         return Err(diverge(Stage::Rules, msg));
     }
@@ -200,8 +183,8 @@ pub fn verify_dataset(
     }
 
     // Edge sets: the per-decision comparison.
-    let opt_edges = stage_edges(&k, &batch, &g1);
-    let reference_edges = ref_edges(&k, &batch, &g1);
+    let opt_edges = stage_edges(&k, &batch, gcfg);
+    let reference_edges = ref_edges(&k, &batch, gcfg);
     let opt_set: BTreeSet<EdgeKey> = opt_edges.iter().map(edge_key).collect();
     let ref_set: BTreeSet<EdgeKey> = reference_edges.iter().map(edge_key).collect();
     if let Some(&e) = opt_set.difference(&ref_set).next() {
@@ -218,7 +201,7 @@ pub fn verify_dataset(
     }
 
     // Partitions (follows from the edges, asserted end to end anyway).
-    let opt_grouping = group(&k, &batch, &g1);
+    let opt_grouping = group(&k, &batch, gcfg);
     let (ref_labels, ref_n) = ref_components(batch.len(), &reference_edges);
     if opt_grouping.group_of != ref_labels {
         let at = opt_grouping
@@ -233,26 +216,6 @@ pub fn verify_dataset(
                 "partitions differ first at message seq {at}: optimized group {}, \
                  reference group {} ({} vs {} groups)",
                 opt_grouping.group_of[at], ref_labels[at], opt_grouping.n_groups, ref_n
-            ),
-        ));
-    }
-
-    // ---- determinism: grouping at threads=N is identical ------------------
-    let mut gn = *gcfg;
-    gn.par = Parallelism::with_threads(threads);
-    let par_grouping = group(&k, &batch, &gn);
-    if par_grouping.group_of != opt_grouping.group_of {
-        let at = par_grouping
-            .group_of
-            .iter()
-            .zip(&opt_grouping.group_of)
-            .position(|(a, b)| a != b)
-            .unwrap_or(0);
-        return Err(diverge(
-            Stage::Determinism,
-            format!(
-                "grouping differs between threads=1 and threads={threads} \
-                 first at message seq {at}"
             ),
         ));
     }
@@ -306,42 +269,6 @@ fn edge_report(
         describe(a),
         describe(b)
     )
-}
-
-fn check_knowledge_determinism(
-    k: &DomainKnowledge,
-    kn: &DomainKnowledge,
-    threads: usize,
-) -> Result<(), Divergence> {
-    let masked = |k: &DomainKnowledge| -> Vec<String> {
-        k.templates.iter().map(|(_, t)| t.masked()).collect()
-    };
-    if masked(k) != masked(kn) {
-        return Err(diverge(
-            Stage::Determinism,
-            format!("template sets differ between threads=1 and threads={threads}"),
-        ));
-    }
-    let rules = |k: &DomainKnowledge| -> Vec<(u32, u32, u64, u64)> {
-        k.rules
-            .rules()
-            .iter()
-            .map(|r| (r.x.0, r.y.0, r.support.to_bits(), r.confidence.to_bits()))
-            .collect()
-    };
-    if rules(k) != rules(kn) {
-        return Err(diverge(
-            Stage::Determinism,
-            format!("rule sets differ between threads=1 and threads={threads}"),
-        ));
-    }
-    if k.temporal != kn.temporal {
-        return Err(diverge(
-            Stage::Determinism,
-            format!("temporal parameters differ between threads=1 and threads={threads}"),
-        ));
-    }
-    Ok(())
 }
 
 fn first_list_diff(stage: Stage, reference: &[String], optimized: &[String]) -> Divergence {

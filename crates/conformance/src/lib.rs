@@ -4,13 +4,13 @@
 //! SyslogDigest reproduction.
 //!
 //! Every optimized path in the workspace — the indexed zero-allocation
-//! template matcher, the sharded learner, the run-compressed transaction
-//! counter, the union-find grouping — is only ever tested against itself
-//! elsewhere. This crate holds small, deliberately naive implementations
+//! template matcher, the distinct-detail learner, the run-compressed
+//! transaction counter, the union-find grouping — is only ever tested
+//! against itself elsewhere. This crate holds small, deliberately naive implementations
 //! of each pipeline stage written straight from the paper's equations
 //! (§4.1.1 sub-type trees, §4.1.3 EWMA interarrival clustering, §4.1.4
 //! windowed pairwise rule mining, §4.2.1–§4.2.3 grouping), with none of
-//! the production code's indexes, sharding, or incremental state:
+//! the production code's indexes, memos, or incremental state:
 //!
 //! * `ref_templates` — recursive sub-type tree construction and a
 //!   scan-every-template matcher;

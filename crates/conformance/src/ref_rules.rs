@@ -1,6 +1,6 @@
 //! Reference windowed pairwise rule mining (§4.1.4), enumerated one
-//! transaction at a time — no run compression, no sharding, no incremental
-//! multiset maintenance.
+//! transaction at a time — no run compression, no incremental multiset
+//! maintenance.
 //!
 //! "We use a sliding window W. It starts with the first message and slides
 //! message by message. Each time there is one transaction" whose items are

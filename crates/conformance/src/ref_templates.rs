@@ -1,6 +1,6 @@
 //! Reference template learning and matching (§4.1.1), written as a plain
 //! recursive tree construction over owned strings — no span indexes, no
-//! per-bucket threading, no borrowed-key maps.
+//! distinct-detail counting, no borrowed-key maps.
 //!
 //! §4.1.1 builds, per message type, a *sub-type tree* over the
 //! whitespace-tokenized detail texts: repeatedly pick the most frequent

@@ -14,8 +14,7 @@ use sd_conformance::{ref_count, ref_mine, RefRule};
 use sd_conformance::{ref_learn, ref_match};
 use sd_locations::LocationDictionary;
 use sd_model::{
-    ErrorCode, Interner, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
-    Timestamp,
+    ErrorCode, Interner, LocationId, RawMessage, RouterId, SyslogPlus, TemplateId, Timestamp,
 };
 use sd_netsim::config::render_all;
 use sd_netsim::toy_topology;
@@ -40,14 +39,14 @@ fn cases(default: u32) -> ProptestConfig {
 // ------------------------------------------------------ end-to-end corpora
 
 /// Every oracle agrees with the optimized pipeline on a full netsim
-/// corpus, and the pipeline agrees with itself across thread counts.
+/// corpus.
 #[test]
 fn full_corpus_is_conformant() {
     let ocfg = OfflineConfig::dataset_a();
     let gcfg = GroupingConfig::default();
     for (seed, scale) in [(1u64, 0.05), (2, 0.03)] {
         let corpus = Corpus::generate(seed, scale);
-        let summary = verify_dataset(&corpus.dataset, &ocfg, &gcfg, 3)
+        let summary = verify_dataset(&corpus.dataset, &ocfg, &gcfg)
             .unwrap_or_else(|d| panic!("seed {seed}: {d}"));
         assert!(summary.n_templates > 0 && summary.n_groups > 0);
     }
@@ -97,7 +96,7 @@ proptest! {
         w in 0i64..60,
     ) {
         let stream = stream_of(&spec);
-        let opt = CoOccurrence::count(&stream, w, Parallelism::sequential());
+        let opt = CoOccurrence::count(&stream, w);
         let reference = ref_count(&stream, w);
         prop_assert_eq!(reference.n_transactions, opt.n_transactions);
         let items: std::collections::BTreeMap<u32, u64> =
@@ -120,7 +119,7 @@ proptest! {
     ) {
         let stream = stream_of(&spec);
         let cfg = MineConfig { sp_min, conf_min };
-        let opt = mine(&CoOccurrence::count(&stream, w, Parallelism::sequential()), &cfg);
+        let opt = mine(&CoOccurrence::count(&stream, w), &cfg);
         let opt: Vec<RefRule> = opt
             .rules()
             .iter()
@@ -161,7 +160,7 @@ proptest! {
             .map(|&(c, words)| vocab_msg(if c == 0 { "C-1-A" } else { "C-2-B" }, words))
             .collect();
         let cfg = LearnerConfig { k, ..LearnerConfig::default() };
-        let set = learn(&msgs, &cfg, Parallelism::sequential());
+        let set = learn(&msgs, &cfg);
         let mut opt: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         opt.sort();
         prop_assert_eq!(ref_learn(&msgs, &cfg), opt);

@@ -10,27 +10,11 @@
 use crate::knowledge::DomainKnowledge;
 use sd_locations::extract_with;
 use sd_model::{
-    catch_panic, par_chunks, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
+    catch_panic, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
     TokenScratch,
 };
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
-
-/// Fewest messages each worker must get before a batch's augmentation is
-/// split across threads; smaller batches stay on the calling thread.
-///
-/// Measured on a shared 2-core x86-64 host, over the 252,690-line
-/// `sdigest generate --dataset A --scale 0.3 --seed 7` feed cut into
-/// batches, median of five: one thread augments a message in 0.22–0.47 µs
-/// through its memo (about 0.85 µs without one), and every shard of a
-/// fork-join learns its own memo from scratch. Two threads ran 0.62–0.80×
-/// as fast as one at 2,048 messages, 0.80–0.98× at 4,096, 1.13–1.23× at
-/// 8,192 and 1.17–1.31× at 16,384–32,768. The stream path hands over
-/// reorder-buffer releases of a few messages each, which threads would
-/// slow several times over. The floor lives here rather than in
-/// `par_chunks`: learning fans out over a few heavy per-code items, which
-/// must keep splitting.
-const MIN_MSGS_PER_WORKER: usize = 4096;
 
 /// Slots in an [`AugmentMemo`] table (a power of two).
 const MEMO_SLOTS: usize = 4096;
@@ -46,12 +30,6 @@ const MEMO_EPOCH: u32 = 1024;
 
 /// Most epochs one [`AugmentMemo`] bypass lasts.
 const MEMO_MAX_BYPASS: u32 = 64;
-
-/// `par` capped so every worker augments at least
-/// [`MIN_MSGS_PER_WORKER`] of `n` messages.
-fn augment_par(par: Parallelism, n: usize) -> Parallelism {
-    Parallelism::with_threads(par.threads.min(n / MIN_MSGS_PER_WORKER))
-}
 
 /// Augment one raw message. Returns `None` when the originating router is
 /// unknown to the location dictionary (such messages are counted and
@@ -221,22 +199,19 @@ impl AugmentMemo {
         out
     }
 
-    /// Augment `chunk`, whose first message sits at batch position
-    /// `start`, each message under its own `catch_panic`. A panic
+    /// Augment `batch`, each message under its own `catch_panic`. A panic
     /// quarantines that message and replaces the memo, which may hold
     /// torn state.
-    fn augment_isolated(
+    pub(crate) fn augment_isolated(
         &mut self,
         k: &DomainKnowledge,
-        start: usize,
-        chunk: &[RawMessage],
+        batch: &[RawMessage],
     ) -> IsolatedAugment {
         let mut out = IsolatedAugment {
-            augmented: Vec::with_capacity(chunk.len()),
+            augmented: Vec::with_capacity(batch.len()),
             quarantined: Vec::new(),
         };
-        for (off, m) in chunk.iter().enumerate() {
-            let idx = start + off;
+        for (idx, m) in batch.iter().enumerate() {
             match catch_panic(|| self.augment(k, idx, m)) {
                 Ok(sp) => out.augmented.push(sp),
                 Err(reason) => {
@@ -287,44 +262,14 @@ impl IsolatedAugment {
 
 /// Augment a batch with each message under its own `catch_unwind`: a
 /// message whose augmentation panics is quarantined, and every other
-/// message still augments. Shards are split only while every worker gets
-/// at least 4,096 messages, each shard augments through a memo of its
-/// own, and shards are concatenated in input order, so the output is
-/// deterministic and identical for every thread count.
+/// message still augments. The batch augments through one memo, on the
+/// calling thread; `_par` is ignored.
 pub fn augment_batch_isolated(
     k: &DomainKnowledge,
     batch: &[RawMessage],
-    par: Parallelism,
+    _par: Parallelism,
 ) -> IsolatedAugment {
-    augment_isolated(k, batch, par, &mut AugmentMemo::new())
-}
-
-/// [`augment_batch_isolated`] augmenting through `memo` whenever the batch
-/// stays on the calling thread, so a caller that augments many small
-/// batches keeps what earlier ones taught it. After a panic `memo` is
-/// replaced by a fresh one.
-pub(crate) fn augment_isolated(
-    k: &DomainKnowledge,
-    batch: &[RawMessage],
-    par: Parallelism,
-    memo: &mut AugmentMemo,
-) -> IsolatedAugment {
-    let par = augment_par(par, batch.len());
-    if par.is_sequential() {
-        return memo.augment_isolated(k, 0, batch);
-    }
-    let shards = par_chunks(par, batch, |start, chunk| {
-        AugmentMemo::new().augment_isolated(k, start, chunk)
-    });
-    let mut out = IsolatedAugment {
-        augmented: Vec::with_capacity(batch.len()),
-        quarantined: Vec::new(),
-    };
-    for shard in shards {
-        out.augmented.extend(shard.augmented);
-        out.quarantined.extend(shard.quarantined);
-    }
-    out
+    AugmentMemo::new().augment_isolated(k, batch)
 }
 
 #[cfg(test)]
@@ -355,7 +300,7 @@ mod tests {
                 )
             })
             .collect();
-        let templates = learn(&train, &LearnerConfig::default(), Parallelism::sequential());
+        let templates = learn(&train, &LearnerConfig::default());
         let mut fallback = Interner::new();
         fallback.intern("LINK-3-UPDOWN");
         let cfg = "\
@@ -414,8 +359,7 @@ interface Serial1/5
     #[test]
     fn isolated_batch_quarantines_only_the_poison_message() {
         let k = knowledge();
-        // Big enough that four threads really shard the batch four ways.
-        let mut batch: Vec<RawMessage> = (0..4 * MIN_MSGS_PER_WORKER as i64)
+        let mut batch: Vec<RawMessage> = (0..200)
             .map(|i| {
                 RawMessage::new(
                     Timestamp(i),
@@ -428,28 +372,26 @@ interface Serial1/5
         batch[23].detail = "detail with AUGTESTPOISON inside".to_string();
         let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::quarantine::set_poison_marker(Some("AUGTESTPOISON"));
-        for threads in [1usize, 4] {
-            let iso = augment_batch_isolated(&k, &batch, Parallelism::with_threads(threads));
-            assert_eq!(iso.augmented.len(), batch.len());
-            assert_eq!(iso.quarantined.len(), 1, "threads={threads}");
-            assert_eq!(iso.quarantined[0].0, 23);
-            assert!(iso.quarantined[0].1.contains("AUGTESTPOISON"));
-            assert!(iso.augmented[23].is_none());
-            // Every other message still augmented despite sharing a shard
-            // with the poison message.
-            for (i, sp) in iso.augmented.iter().enumerate() {
-                if i != 23 {
-                    assert!(sp.is_some(), "message {i} lost (threads={threads})");
-                    assert_eq!(sp.as_ref().unwrap().idx, i);
-                }
+        let iso = augment_batch_isolated(&k, &batch, Parallelism::sequential());
+        assert_eq!(iso.augmented.len(), batch.len());
+        assert_eq!(iso.quarantined.len(), 1);
+        assert_eq!(iso.quarantined[0].0, 23);
+        assert!(iso.quarantined[0].1.contains("AUGTESTPOISON"));
+        assert!(iso.augmented[23].is_none());
+        // Every other message still augmented, through the memo that the
+        // panic replaced.
+        for (i, sp) in iso.augmented.iter().enumerate() {
+            if i != 23 {
+                assert!(sp.is_some(), "message {i} lost");
+                assert_eq!(sp.as_ref().unwrap().idx, i);
             }
-            // A quarantined message is kept nowhere and is no drop.
-            let (kept, dropped) = iso.split();
-            assert_eq!((kept.len(), dropped), (batch.len() - 1, 0));
         }
+        // A quarantined message is kept nowhere and is no drop.
+        let (kept, dropped) = iso.split();
+        assert_eq!((kept.len(), dropped), (batch.len() - 1, 0));
         crate::quarantine::set_poison_marker(None);
         // Disarmed: identical to the plain batch path.
-        let iso = augment_batch_isolated(&k, &batch, Parallelism::with_threads(4));
+        let iso = augment_batch_isolated(&k, &batch, Parallelism::sequential());
         assert!(iso.quarantined.is_empty());
         assert!(iso.augmented.iter().all(Option::is_some));
     }

@@ -11,8 +11,8 @@
 //!   and the reorder buffer's live state serialized as they are, and the
 //!   counters of every layer. The digester's open state is the open
 //!   groups' summaries and the lookback deque of open messages (see
-//!   [`crate::stream`]). Maps are written in key order and the thread
-//!   count not at all, so equal states give equal bytes.
+//!   [`crate::stream`]). Maps are written in key order, so equal states
+//!   give equal bytes.
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
 //!   [`envelope`], whose header carries the artifact kind and the
 //!   **format version** ([`SNAPSHOT_VERSION`], 7 since the rule and

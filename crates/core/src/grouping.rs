@@ -10,7 +10,7 @@ use sd_model::{LocationId, Parallelism, SortedMap, SyslogPlus, Timestamp};
 use sd_temporal::EwmaTracker;
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Which stages to run (Table 7 compares T, T+R, T+R+C).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -22,12 +22,8 @@ pub struct GroupingConfig {
     pub rules: bool,
     /// Cross-router grouping (same template, connected locations, ~1 s).
     pub cross: bool,
-    /// Thread count for augmentation (batch `digest` and the stream's
-    /// `push_batch`). Grouping is always one sequential pass: a link is
-    /// unioned as soon as it is found, which a fan-out over routers would
-    /// have to buffer and merge, and that costs more than the stages.
-    /// Output is identical for every thread count, so checkpoints leave it
-    /// out.
+    /// Ignored: augmentation and grouping are one sequential pass.
+    /// Checkpoints leave it out.
     #[serde(skip)]
     pub par: Parallelism,
 }
@@ -38,7 +34,7 @@ impl Default for GroupingConfig {
             temporal: true,
             rules: true,
             cross: true,
-            par: Parallelism::default(),
+            par: Parallelism::sequential(),
         }
     }
 }
@@ -69,9 +65,6 @@ pub struct GroupingResult {
     pub group_of: Vec<usize>,
     /// Number of groups.
     pub n_groups: usize,
-    /// Undirected rule pairs that actually merged messages ("active
-    /// rules", the third series of Figure 12).
-    pub(crate) active_rules: HashSet<(u32, u32)>,
 }
 
 impl GroupingResult {
@@ -299,8 +292,7 @@ pub fn stage_edges(
 }
 
 /// Group a time-sorted augmented batch: one sequential pass of the stages,
-/// each link unioned as it is found. `cfg.par` plays no part, so the
-/// result is the same for every thread count.
+/// each link unioned as it is found.
 pub fn group(k: &DomainKnowledge, batch: &[SyslogPlus], cfg: &GroupingConfig) -> GroupingResult {
     group_with(k, batch, cfg, |_, _| {})
 }
@@ -314,20 +306,12 @@ pub(crate) fn group_with(
     mut on_link: impl FnMut(usize, MergeCause),
 ) -> GroupingResult {
     let mut uf = UnionFind::new(batch.len());
-    let mut active_rules = HashSet::new();
     for_each_link(k, batch, cfg, |a, b, cause| {
         uf.union(a, b);
-        if let MergeCause::Rule(x, y) = cause {
-            active_rules.insert((x, y));
-        }
         on_link(a, cause);
     });
     let (group_of, n_groups) = uf.groups();
-    GroupingResult {
-        group_of,
-        n_groups,
-        active_rules,
-    }
+    GroupingResult { group_of, n_groups }
 }
 
 /// The §4.2.1 series key `(router, template, location)`, `u32::MAX` for a
@@ -425,7 +409,8 @@ mod tests {
 
         let tr = group(&k, &batch, &GroupingConfig::t_r());
         assert_eq!(tr.n_groups, 2, "T+R: one group per router");
-        assert!(!tr.active_rules.is_empty());
+        let edges = stage_edges(&k, &batch, &GroupingConfig::t_r());
+        assert!(edges.iter().any(|e| matches!(e.2, MergeCause::Rule(..))));
 
         let trc = group(&k, &batch, &GroupingConfig::default());
         assert_eq!(trc.n_groups, 1, "T+R+C: the single network event");

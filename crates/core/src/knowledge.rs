@@ -18,7 +18,8 @@ pub const UNKNOWN_TEMPLATE: TemplateId = TemplateId(u32::MAX);
 
 /// On-disk schema version of enveloped knowledge artifacts. Bump on any
 /// incompatible change to the serialized [`DomainKnowledge`] shape.
-pub(crate) const KNOWLEDGE_VERSION: u32 = 1;
+/// Version 2 dropped the location dictionary's unread BGP `sessions`.
+pub(crate) const KNOWLEDGE_VERSION: u32 = 2;
 
 /// Everything the online digester needs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -190,7 +191,6 @@ impl DomainKnowledge {
 mod tests {
     use super::*;
     use crate::envelope::EnvelopeError;
-    use sd_model::Parallelism;
     use sd_templates::{learn, LearnerConfig};
 
     fn tiny_knowledge() -> DomainKnowledge {
@@ -204,7 +204,7 @@ mod tests {
                 )
             })
             .collect();
-        let templates = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
+        let templates = learn(&msgs, &LearnerConfig::default());
         let mut fallback = Interner::new();
         fallback.intern("LINK-3-UPDOWN");
         fallback.intern("SYS-1-CPURISINGTHRESHOLD");
@@ -355,6 +355,34 @@ mod tests {
             Err(CheckpointError::Artifact(e)) => assert_eq!(e.error, EnvelopeError::BadMagic),
             other => panic!("expected bad magic, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A knowledge file from before the BGP sessions were dropped is
+    /// refused by its version, not misread.
+    #[test]
+    fn version_1_knowledge_is_refused() {
+        let dir = std::env::temp_dir().join("sd_knowledge_version_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("knowledge.bin");
+        let json = tiny_knowledge().to_json().unwrap();
+        std::fs::write(
+            &path,
+            envelope::encode(ArtifactKind::KNOWLEDGE, 1, json.as_bytes()),
+        )
+        .unwrap();
+        let err = DomainKnowledge::load(&path).unwrap_err();
+        assert!(matches!(
+            err.error,
+            EnvelopeError::VersionUnsupported {
+                found: 1,
+                expected: 2
+            }
+        ));
+        assert!(err
+            .to_string()
+            .contains("unsupported schema version 1 (this build reads up to 2)"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,8 +6,9 @@
 use crate::augment::augment_batch_isolated;
 use crate::grouping::{group, GroupingConfig, GroupingResult};
 use crate::knowledge::DomainKnowledge;
-use crate::pipeline::digest;
+use crate::pipeline::{digest, digest_instrumented};
 use sd_model::{GroundTruthId, Parallelism, RawMessage, Timestamp, DAY};
+use sd_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -39,7 +40,8 @@ pub struct DayStats {
 
 /// Digest each civil day independently (the paper's operational mode —
 /// "it generally takes less than one hour to digest one day's syslog")
-/// and report the per-day counts.
+/// and report the per-day counts. A day's active rules are the distinct
+/// rule pairs in its traced provenance, which records every link.
 pub fn per_day_series(
     k: &DomainKnowledge,
     raw: &[RawMessage],
@@ -55,12 +57,19 @@ pub fn per_day_series(
         let day = raw[lo].ts.day_index(epoch);
         let day_end = Timestamp(epoch.0 + (day + 1) * DAY);
         let hi = lo + raw[lo..].partition_point(|m| m.ts < day_end);
-        let dg = digest(k, &raw[lo..hi], cfg);
+        let (dg, prov) = digest_instrumented(k, &raw[lo..hi], cfg, &Telemetry::disabled(), true);
+        let mut rules: Vec<(u32, u32)> = prov
+            .iter()
+            .flatten()
+            .flat_map(|p| p.links.rules.iter().map(|&(pair, _)| pair))
+            .collect();
+        rules.sort_unstable();
+        rules.dedup();
         out.push(DayStats {
             day,
             n_messages: hi - lo,
             n_events: dg.events.len(),
-            n_active_rules: dg.grouping.active_rules.len(),
+            n_active_rules: rules.len(),
         });
         lo = hi;
     }
@@ -182,7 +191,7 @@ pub fn evaluate_grouping(
     raw: &[RawMessage],
     cfg: &GroupingConfig,
 ) -> GtQuality {
-    let (batch, _) = augment_batch_isolated(k, raw, cfg.par).split();
+    let (batch, _) = augment_batch_isolated(k, raw, Parallelism::sequential()).split();
     let g = group(k, &batch, cfg);
     let idxs: Vec<usize> = batch.iter().map(|sp| sp.idx).collect();
     gt_quality(raw, &idxs, &g)
@@ -225,6 +234,32 @@ mod tests {
         for s in &series {
             assert!(s.n_events <= s.n_messages);
         }
+    }
+
+    /// A day's active rules are the distinct rule pairs among that day's
+    /// grouping links.
+    #[test]
+    fn active_rules_are_the_distinct_rule_links_of_the_day() {
+        let (d, k) = setup();
+        let online = d.online();
+        let day_end = Timestamp(online[0].ts.start_of_day().0 + DAY);
+        let day = &online[..online.partition_point(|m| m.ts < day_end)];
+        let cfg = GroupingConfig::default();
+        let series = per_day_series(&k, day, &cfg);
+        assert_eq!(series.len(), 1);
+
+        let (batch, _) = augment_batch_isolated(&k, day, Parallelism::sequential()).split();
+        let mut pairs: Vec<(u32, u32)> = crate::grouping::stage_edges(&k, &batch, &cfg)
+            .into_iter()
+            .filter_map(|(_, _, cause)| match cause {
+                crate::provenance::MergeCause::Rule(x, y) => Some((x, y)),
+                _ => None,
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert!(!pairs.is_empty(), "no rule fired on the first day");
+        assert_eq!(series[0].n_active_rules, pairs.len());
     }
 
     #[test]

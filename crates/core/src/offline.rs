@@ -7,7 +7,7 @@ use crate::augment::AugmentMemo;
 use crate::grouping::tkey;
 use crate::knowledge::DomainKnowledge;
 use sd_locations::LocationDictionary;
-use sd_model::{par_chunks, Interner, Parallelism, RawMessage, Timestamp};
+use sd_model::{Interner, Parallelism, RawMessage, Timestamp};
 use sd_rules::{mine, CoOccurrence, MineConfig, StreamItem};
 use sd_telemetry::Telemetry;
 use sd_templates::LearnerConfig;
@@ -27,10 +27,7 @@ pub struct OfflineConfig {
     /// Table 6 and Figure 10–11 experiments calibrate them on
     /// [`history`] with `sd_temporal::calibrate`.
     pub temporal: TemporalConfig,
-    /// Worker threads for the offline passes (template learning, history
-    /// augmentation, transaction counting). `threads == 1` takes the
-    /// exact sequential code path; every thread count learns identical
-    /// knowledge.
+    /// Ignored: every offline pass runs on the calling thread.
     pub par: Parallelism,
 }
 
@@ -42,7 +39,7 @@ impl OfflineConfig {
             mine: MineConfig::default(),
             window_secs: 120,
             temporal: TemporalConfig::dataset_a(),
-            par: Parallelism::default(),
+            par: Parallelism::sequential(),
         }
     }
 
@@ -70,10 +67,10 @@ pub fn learn_instrumented(
     cfg: &OfflineConfig,
     tel: &Telemetry,
 ) -> DomainKnowledge {
-    // 1. Signature identification (parallel over per-code buckets).
+    // 1. Signature identification.
     let templates = {
         let _g = tel.time("learn.templates");
-        sd_templates::learn(train, &cfg.learner, cfg.par)
+        sd_templates::learn(train, &cfg.learner)
     };
 
     // 2. Per-code fallbacks for online messages that match nothing.
@@ -99,17 +96,17 @@ pub fn learn_instrumented(
         HashMap::new(),
     );
 
-    // 4. Augment history once (parallel over contiguous chunks); build the
-    //    mining stream, the temporal series and the frequency table.
+    // 4. Augment history once; build the mining stream, the temporal
+    //    series and the frequency table.
     let h = {
         let _g = tel.time("learn.history");
-        history(&k, train, cfg.par)
+        history(&k, train)
     };
 
-    // 5. Rule mining (transaction counting parallel per router).
+    // 5. Rule mining.
     let rules = {
         let _g = tel.time("learn.rules");
-        let co = CoOccurrence::count(&h.stream, cfg.window_secs, cfg.par);
+        let co = CoOccurrence::count(&h.stream, cfg.window_secs);
         mine(&co, &cfg.mine)
     };
 
@@ -136,42 +133,23 @@ pub struct History {
     pub(crate) freq: HashMap<(u32, u32), u64>,
 }
 
-/// Augment time-sorted history once and build its [`History`].
-///
-/// Chunks are augmented on `par.threads` threads (each through its own
-/// augmentation memo) and merged in input order; the series are
-/// key-ordered so that the [`SeriesSet`] handed to calibration is
-/// deterministic (its f64 ratio sums are order-sensitive). The result is
-/// identical for every thread count.
-pub fn history(k: &DomainKnowledge, msgs: &[RawMessage], par: Parallelism) -> History {
-    type Series = BTreeMap<(u32, u32, u32), Vec<Timestamp>>;
-    let chunks = par_chunks(par, msgs, |start, chunk| {
-        let mut stream: Vec<StreamItem> = Vec::with_capacity(chunk.len());
-        let mut series = Series::new();
-        let mut freq: HashMap<(u32, u32), u64> = HashMap::new();
-        let mut memo = AugmentMemo::new();
-        for (off, m) in chunk.iter().enumerate() {
-            let Some(sp) = memo.augment(k, start + off, m) else {
-                continue;
-            };
-            let t = sp.template.expect("offline augmentation always assigns");
-            stream.push((sp.ts, sp.router, t));
-            *freq.entry((sp.router.0, t.0)).or_insert(0) += 1;
-            series.entry(tkey(&sp)).or_default().push(sp.ts);
-        }
-        (stream, series, freq)
-    });
+/// Augment time-sorted history once, through one augmentation memo, and
+/// build its [`History`]. The series are key-ordered so that the
+/// [`SeriesSet`] handed to calibration is deterministic (its f64 ratio
+/// sums are order-sensitive).
+pub fn history(k: &DomainKnowledge, msgs: &[RawMessage]) -> History {
     let mut stream: Vec<StreamItem> = Vec::with_capacity(msgs.len());
-    let mut series = Series::new();
+    let mut series: BTreeMap<(u32, u32, u32), Vec<Timestamp>> = BTreeMap::new();
     let mut freq: HashMap<(u32, u32), u64> = HashMap::new();
-    for (cs, cser, cf) in chunks {
-        stream.extend(cs);
-        for (key, ts) in cser {
-            series.entry(key).or_default().extend(ts);
-        }
-        for (key, n) in cf {
-            *freq.entry(key).or_insert(0) += n;
-        }
+    let mut memo = AugmentMemo::new();
+    for (idx, m) in msgs.iter().enumerate() {
+        let Some(sp) = memo.augment(k, idx, m) else {
+            continue;
+        };
+        let t = sp.template.expect("offline augmentation always assigns");
+        stream.push((sp.ts, sp.router, t));
+        *freq.entry((sp.router.0, t.0)).or_insert(0) += 1;
+        series.entry(tkey(&sp)).or_default().push(sp.ts);
     }
     History {
         stream,
@@ -191,9 +169,9 @@ pub fn refresh_weekly(
     week: &[RawMessage],
     cfg: &OfflineConfig,
 ) -> sd_rules::UpdateStats {
-    let h = history(k, week, cfg.par);
+    let h = history(k, week);
     k.merge_frequencies(h.freq);
-    let co = CoOccurrence::count(&h.stream, k.window_secs, cfg.par);
+    let co = CoOccurrence::count(&h.stream, k.window_secs);
     let stats = base.update(&co, &cfg.mine);
     k.rules = base.snapshot();
     stats
@@ -231,22 +209,16 @@ mod tests {
         );
     }
 
-    /// The three views of one history pass count the same messages, and
-    /// the pass does not depend on the thread count.
+    /// The three views of one history pass count the same messages.
     #[test]
-    fn history_views_agree_for_every_thread_count() {
+    fn history_views_agree() {
         let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
         let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
-        let h = history(&k, d.train(), Parallelism::sequential());
+        let h = history(&k, d.train());
         let n = h.stream.len();
         assert!(n > 0);
         assert_eq!(h.series.iter().map(Vec::len).sum::<usize>(), n);
         assert_eq!(h.freq.values().sum::<u64>(), n as u64);
-        let h4 = history(&k, d.train(), Parallelism::with_threads(4));
-        assert_eq!(
-            (h4.stream, h4.series, h4.freq),
-            (h.stream, h.series, h.freq)
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The online SyslogDigest pipeline (right half of Figure 1): augment →
 //! group (temporal, rule-based, cross-router) → prioritize → present.
 
-use crate::augment::augment_batch_isolated;
+use crate::augment::AugmentMemo;
 use crate::event::{GroupSummary, NetworkEvent};
 use crate::grouping::{group_with, GroupingConfig, GroupingResult};
 use crate::knowledge::DomainKnowledge;
@@ -53,10 +53,9 @@ impl Digest {
     }
 }
 
-/// Run the full online pipeline over time-sorted raw messages.
-/// `cfg.par` parallelizes augmentation; grouping is one sequential pass
-/// that unions each link as it is found, so no edge list is built. The
-/// digest is identical for every thread count.
+/// Run the full online pipeline over time-sorted raw messages: one
+/// sequential pass augments, and one unions each grouping link as it is
+/// found, so no edge list is built.
 pub fn digest(k: &DomainKnowledge, raw: &[RawMessage], cfg: &GroupingConfig) -> Digest {
     digest_instrumented(k, raw, cfg, &Telemetry::disabled(), false).0
 }
@@ -75,7 +74,7 @@ pub fn digest_instrumented(
 ) -> (Digest, Option<Vec<EventProvenance>>) {
     let (batch, n_dropped, quarantined) = {
         let _g = tel.time("digest.augment");
-        let iso = augment_batch_isolated(k, raw, cfg.par);
+        let iso = AugmentMemo::new().augment_isolated(k, raw);
         let quarantined: Vec<QuarantineRecord> = iso
             .quarantined
             .iter()

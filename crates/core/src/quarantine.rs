@@ -1,7 +1,7 @@
 //! Quarantine of poison messages and the injected-panic hook.
 //!
 //! Augmentation catches panics at one boundary per message
-//! ([`crate::augment::augment_batch_isolated`]); there is no shard-level
+//! ([`crate::augment::augment_batch_isolated`]); there is no batch-level
 //! catch and no retry. A message whose augmentation panics is
 //! *quarantined*: excluded from the digest exactly as if they had never
 //! been fed, counted under `n_quarantined`, and recorded as

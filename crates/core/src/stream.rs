@@ -31,7 +31,7 @@
 //!
 //! [`CROSS_WINDOW_SECS`]: crate::grouping::CROSS_WINDOW_SECS
 
-use crate::augment::{augment_isolated, AugmentMemo};
+use crate::augment::AugmentMemo;
 use crate::checkpoint::{CheckpointError, IngestState, StreamSnapshot};
 use crate::event::{GroupSummary, NetworkEvent};
 use crate::grouping::{GroupingConfig, Stages, CROSS_WINDOW_SECS};
@@ -354,16 +354,14 @@ impl<'k> StreamDigester<'k> {
     }
 
     /// Feed a slice of messages (non-decreasing in time — route unordered
-    /// feeds through [`ReorderBuffer`] first), augmenting them on
-    /// `cfg.par` threads before the (inherently sequential) incremental
-    /// grouping stages; returns any events that became closable. Slicing
-    /// a feed differently emits the same events: augmentation is
-    /// per-message pure, so only the stages that carry state stay on the
-    /// calling thread. Each message augments under its own
-    /// `catch_unwind`, and a message whose augmentation panics is
-    /// quarantined. A message older than the clock, which the ingest
-    /// layer never sends, may find fewer links: the lookback deque
-    /// follows the clock, not the message.
+    /// feeds through [`ReorderBuffer`] first), augmenting them through the
+    /// digester's memo before the incremental grouping stages; returns any
+    /// events that became closable. Slicing a feed differently emits the
+    /// same events: augmentation is per-message pure. Each message
+    /// augments under its own `catch_unwind`, and a message whose
+    /// augmentation panics is quarantined. A message older than the
+    /// clock, which the ingest layer never sends, may find fewer links:
+    /// the lookback deque follows the clock, not the message.
     pub fn push_batch(&mut self, msgs: &[RawMessage]) -> Vec<NetworkEvent> {
         let _g = self.sp_push.start();
         let k = self.k;
@@ -372,7 +370,7 @@ impl<'k> StreamDigester<'k> {
         // `push` would have).
         let iso = {
             let _g = self.sp_augment.start();
-            augment_isolated(k, msgs, self.st.cfg.par, &mut self.memo)
+            self.memo.augment_isolated(k, msgs)
         };
         // Quarantined offsets come in ascending order.
         let mut poisoned = iso.quarantined.into_iter().peekable();
@@ -706,8 +704,8 @@ mod tests {
         assert!(sd.st.scfg.idle_close >= k.window_secs);
     }
 
-    /// `push_batch` (parallel augmentation) emits exactly what the same
-    /// messages pushed one at a time do.
+    /// `push_batch` (one augmentation pass over the slice) emits exactly
+    /// what the same messages pushed one at a time do.
     #[test]
     fn push_batch_matches_push_loop() {
         let (d, k) = setup();
@@ -720,11 +718,7 @@ mod tests {
         }
         e1.extend(one.finish());
 
-        let cfg = GroupingConfig {
-            par: sd_model::Parallelism::with_threads(4),
-            ..GroupingConfig::default()
-        };
-        let mut batched = digester(&k, cfg, StreamConfig::default());
+        let mut batched = digester(&k, GroupingConfig::default(), StreamConfig::default());
         let mut e2 = batched.push_batch(online);
         e2.extend(batched.finish());
 

@@ -1,6 +1,6 @@
 //! The location dictionary: every location each router knows, arranged in
-//! the Figure 3 hierarchy, plus cross-router relationships (links, BGP
-//! sessions, LSP paths) — all learned **only** from router configs.
+//! the Figure 3 hierarchy, plus cross-router relationships (links and LSP
+//! paths) — all learned **only** from router configs.
 
 use crate::names::{parse_iface_name, IfaceStruct};
 use crate::parse::{parse_config, ParsedConfig};
@@ -33,8 +33,6 @@ pub struct LocationDictionary {
     bundle_members: Vec<(u32, Vec<u32>)>,
     /// Symmetric link peers: pairs of interface locations.
     peers: Vec<(u32, u32)>,
-    /// BGP sessions: (local router, neighbor address, optional vrf).
-    sessions: Vec<(u32, String, Option<String>)>,
     /// Path location -> router ids along the path.
     path_members: Vec<(u32, Vec<u32>)>,
     /// Per-router state code (ticket matching granularity).
@@ -220,10 +218,6 @@ impl LocationDictionary {
                     .filter_map(|m| d.by_name[rid as usize].get(m).copied())
                     .collect();
                 d.bundle_members.push((bloc, member_locs));
-            }
-
-            for (addr, vrf) in &cfg.bgp_neighbors {
-                d.sessions.push((rid, addr.clone(), vrf.clone()));
             }
 
             for (name, routers) in &cfg.lsps {
@@ -461,8 +455,9 @@ impl LocationDictionary {
 
     /// Cross-router relatedness (§4.2.3): equal locations (shared path or
     /// remote reference), link-peer interfaces (or descendants thereof),
-    /// or two router-level locations whose routers share a link/session —
-    /// the paper's "two ends of one link, two ends of one BGP session".
+    /// or two router-level locations whose routers share a link — the
+    /// paper's "two ends of one link, two ends of one BGP session" (a BGP
+    /// message names its neighbour by IP, which resolves to a location).
     pub fn cross_router_related(&self, a: LocationId, b: LocationId) -> bool {
         if a == b {
             return true;

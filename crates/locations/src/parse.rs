@@ -32,8 +32,6 @@ pub struct ParsedConfig {
     pub(crate) controllers: Vec<String>,
     /// Multilink bundles: `(bundle name, member interface names)`.
     pub(crate) bundles: Vec<(String, Vec<String>)>,
-    /// BGP neighbor addresses with optional VRF.
-    pub(crate) bgp_neighbors: Vec<(String, Option<String>)>,
     /// LSP stanzas: `(lsp name, router names along the path)`.
     pub(crate) lsps: Vec<(String, Vec<String>)>,
     /// PIM stanzas: `(peer router, local iface, secondary lsp name)`.
@@ -45,7 +43,6 @@ pub fn parse_config(text: &str) -> ParsedConfig {
     let mut cfg = ParsedConfig::default();
     let mut cur_iface: Option<usize> = None;
     let mut cur_bundle: Option<usize> = None;
-    let mut cur_vrf: Option<String> = None;
 
     for raw in text.lines() {
         let line = raw.trim_end();
@@ -57,7 +54,6 @@ pub fn parse_config(text: &str) -> ParsedConfig {
         if !indented {
             cur_iface = None;
             cur_bundle = None;
-            cur_vrf = None;
         }
         match (indented, toks.as_slice()) {
             (false, ["hostname", name]) => cfg.hostname = (*name).to_owned(),
@@ -102,7 +98,6 @@ pub fn parse_config(text: &str) -> ParsedConfig {
                 });
                 cur_iface = Some(cfg.interfaces.len() - 1);
             }
-            (false, ["router", ..]) => { /* bgp block follows, neighbors indented */ }
             (false, ["mpls", "lsp", name, "to", _to, "path", routers @ ..]) => {
                 cfg.lsps.push((
                     (*name).to_owned(),
@@ -142,17 +137,6 @@ pub fn parse_config(text: &str) -> ParsedConfig {
                 if let Some(b) = cur_bundle {
                     cfg.bundles[b].1.push((*name).to_owned());
                 }
-            }
-            (true, ["neighbor", addr, ..]) => {
-                cfg.bgp_neighbors
-                    .push(((*addr).to_owned(), cur_vrf.clone()));
-            }
-            (true, ["address-family", "ipv4", "vrf", vrf]) => {
-                cur_vrf = Some((*vrf).to_owned());
-            }
-            (true, ["vrf", vrf, "neighbor", addr]) => {
-                cfg.bgp_neighbors
-                    .push(((*addr).to_owned(), Some((*vrf).to_owned())));
             }
             _ => {}
         }
@@ -210,12 +194,6 @@ pim neighbor cr2.chi primary Serial1/0.10/10:0 secondary-lsp LSP-a-b-sec
         );
         assert_eq!(c.bundles.len(), 1);
         assert_eq!(c.bundles[0].1, vec!["Serial1/0", "Serial1/1"]);
-        assert_eq!(c.bgp_neighbors.len(), 2);
-        assert_eq!(c.bgp_neighbors[0], ("10.255.0.2".to_owned(), None));
-        assert_eq!(
-            c.bgp_neighbors[1],
-            ("10.0.0.2".to_owned(), Some("1000:1001".to_owned()))
-        );
         assert_eq!(c.lsps.len(), 1);
         assert_eq!(c.lsps[0].1, vec!["cr1.nyc", "cr3.dal", "cr2.chi"]);
         assert_eq!(c.pim.len(), 1);
@@ -250,11 +228,6 @@ router bgp
         assert_eq!(
             c.interfaces[1].link_to,
             Some(("rb.chi".to_owned(), "0/1/2".to_owned()))
-        );
-        assert_eq!(c.bgp_neighbors.len(), 2);
-        assert_eq!(
-            c.bgp_neighbors[1],
-            ("10.0.0.6".to_owned(), Some("1000:1002".to_owned()))
         );
     }
 

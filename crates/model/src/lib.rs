@@ -30,7 +30,7 @@ pub use fnv::Fnv;
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use intern::Interner;
 pub use message::{sort_batch, GroundTruthId, MalformedReport, ParseError, RawMessage, Vendor};
-pub use par::{catch_panic, par_chunks, par_map, Parallelism};
+pub use par::{catch_panic, Parallelism};
 pub use sorted_map::SortedMap;
 pub use time::{Timestamp, DAY, WEEK};
 pub use tokens::TokenScratch;

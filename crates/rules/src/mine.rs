@@ -204,7 +204,7 @@ pub fn coverage(
 mod tests {
     use super::*;
     use crate::transactions::StreamItem;
-    use sd_model::{Parallelism, RouterId, Timestamp};
+    use sd_model::{RouterId, Timestamp};
 
     fn stream_pairs() -> Vec<StreamItem> {
         let mut stream = Vec::new();
@@ -224,7 +224,7 @@ mod tests {
 
     #[test]
     fn mines_the_reliable_pair_only() {
-        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream_pairs(), 10);
         let rs = mine(
             &co,
             &MineConfig {
@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn conf_min_prunes() {
-        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream_pairs(), 10);
         let loose = mine(
             &co,
             &MineConfig {
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn sp_min_excludes_rare_items() {
-        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream_pairs(), 10);
         // Template 3 appears in ~1/9 of transactions; a high SPmin excludes it.
         let rs = mine(
             &co,
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn coverage_shrinks_with_higher_sp_min() {
-        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream_pairs(), 10);
         let mut counts = std::collections::HashMap::new();
         counts.insert(1u32, 200u64);
         counts.insert(2u32, 200u64);
@@ -292,7 +292,7 @@ mod tests {
 
     #[test]
     fn serde_roundtrip_restores_relatedness() {
-        let co = CoOccurrence::count(&stream_pairs(), 10, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream_pairs(), 10);
         let rs = mine(&co, &MineConfig::default());
         let json = serde_json::to_string(&rs).unwrap();
         let mut back: RuleSet = serde_json::from_str(&json).unwrap();

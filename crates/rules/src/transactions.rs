@@ -9,7 +9,7 @@
 //! match). One counting pass per window size serves every `(SPmin,
 //! Confmin)` combination, which is what makes the Figure 6/7 sweeps cheap.
 
-use sd_model::{par_map, Parallelism, RouterId, TemplateId, Timestamp};
+use sd_model::{RouterId, TemplateId, Timestamp};
 use std::collections::HashMap;
 
 /// One event in the mining stream: `(time, router, template)`.
@@ -47,45 +47,22 @@ impl CoOccurrence {
         Some(sxy as f64 / sx as f64)
     }
 
-    /// Count transactions over a time-sorted stream with window `w_secs`,
-    /// the per-router passes running on `par.threads` scoped threads.
-    /// Windows never span routers, so each router's counts are
-    /// independent; the per-router results are sum-merged in sorted
-    /// router order (all merges are `u64` additions), giving counts
-    /// identical for every thread count.
-    pub fn count(stream: &[StreamItem], w_secs: i64, par: Parallelism) -> CoOccurrence {
+    /// Count transactions over a time-sorted stream with window `w_secs`.
+    /// Windows never span routers, so the stream is split per router and
+    /// each router's stream counted in sorted router order.
+    pub fn count(stream: &[StreamItem], w_secs: i64) -> CoOccurrence {
         // Split per router, preserving time order.
         let mut per_router: HashMap<u32, Vec<(Timestamp, u32)>> = HashMap::new();
         for &(ts, r, t) in stream {
             per_router.entry(r.0).or_default().push((ts, t.0));
         }
-        let mut routers: Vec<u32> = per_router.keys().copied().collect();
-        routers.sort_unstable();
-        let shards: Vec<Vec<(Timestamp, u32)>> = routers
-            .iter()
-            .map(|r| per_router.remove(r).expect("router shard"))
-            .collect();
-        let parts = par_map(par, &shards, |_, msgs| {
-            let mut co = CoOccurrence::default();
-            co.count_router(msgs, w_secs);
-            co
-        });
+        let mut routers: Vec<(u32, Vec<(Timestamp, u32)>)> = per_router.into_iter().collect();
+        routers.sort_unstable_by_key(|&(r, _)| r);
         let mut co = CoOccurrence::default();
-        for p in parts {
-            co.merge(p);
+        for (_, msgs) in &routers {
+            co.count_router(msgs, w_secs);
         }
         co
-    }
-
-    /// Add another pass's counts into this one.
-    fn merge(&mut self, other: CoOccurrence) {
-        self.n_transactions += other.n_transactions;
-        for (k, v) in other.item_counts {
-            *self.item_counts.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.pair_counts {
-            *self.pair_counts.entry(k).or_insert(0) += v;
-        }
     }
 
     /// Count one router's stream. A multiset of in-window templates is
@@ -164,7 +141,7 @@ mod tests {
             stream.push(s(i * 100, 0, 1));
             stream.push(s(i * 100 + 5, 0, 2));
         }
-        let co = CoOccurrence::count(&stream, 10, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream, 10);
         assert_eq!(co.n_transactions, 200);
         let conf = co.confidence(TemplateId(1), TemplateId(2)).unwrap();
         assert!(conf > 0.95, "conf {conf}");
@@ -179,7 +156,7 @@ mod tests {
     #[test]
     fn different_routers_never_share_transactions() {
         let stream = vec![s(0, 0, 1), s(1, 1, 2), s(2, 0, 1), s(3, 1, 2)];
-        let co = CoOccurrence::count(&stream, 100, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream, 100);
         assert_eq!(co.pair_counts.get(&(1, 2)), None);
     }
 
@@ -190,8 +167,8 @@ mod tests {
             stream.push(s(i * 1000, 0, 1));
             stream.push(s(i * 1000 + 35, 0, 2)); // 35 s lag
         }
-        let narrow = CoOccurrence::count(&stream, 30, Parallelism::sequential());
-        let wide = CoOccurrence::count(&stream, 40, Parallelism::sequential());
+        let narrow = CoOccurrence::count(&stream, 30);
+        let wide = CoOccurrence::count(&stream, 40);
         assert_eq!(narrow.pair_counts.get(&(1, 2)), None);
         assert!(wide.pair_counts[&(1, 2)] as f64 / wide.n_transactions as f64 > 0.3);
     }
@@ -199,7 +176,7 @@ mod tests {
     #[test]
     fn supports_are_fractions_of_transactions() {
         let stream = vec![s(0, 0, 7), s(1, 0, 7), s(5000, 0, 8)];
-        let co = CoOccurrence::count(&stream, 10, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream, 10);
         assert_eq!(co.n_transactions, 3);
         assert!((co.support(TemplateId(7)) - 2.0 / 3.0).abs() < 1e-9);
         assert!((co.support(TemplateId(8)) - 1.0 / 3.0).abs() < 1e-9);
@@ -208,7 +185,7 @@ mod tests {
 
     #[test]
     fn empty_stream() {
-        let co = CoOccurrence::count(&[], 60, Parallelism::sequential());
+        let co = CoOccurrence::count(&[], 60);
         assert_eq!(co.n_transactions, 0);
         assert_eq!(co.support(TemplateId(0)), 0.0);
     }
@@ -218,7 +195,7 @@ mod tests {
         // 1000 identical messages at 1 s spacing: the run-compression path
         // must still count 1000 transactions.
         let stream: Vec<StreamItem> = (0..1000).map(|i| s(i, 0, 3)).collect();
-        let co = CoOccurrence::count(&stream, 60, Parallelism::sequential());
+        let co = CoOccurrence::count(&stream, 60);
         assert_eq!(co.n_transactions, 1000);
         assert_eq!(*co.item_counts.get(&3).unwrap(), 1000);
     }

@@ -17,7 +17,7 @@
 //! Table 3/4 situation.
 
 use crate::set::{MaskTok, Template, TemplateSet};
-use sd_model::{par_map, ErrorCode, Parallelism, RawMessage};
+use sd_model::{ErrorCode, RawMessage};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -42,13 +42,11 @@ impl Default for LearnerConfig {
     }
 }
 
-/// Learn a [`TemplateSet`] from historical raw messages, building the
-/// per-`(code, token count)` sub-type trees on `par.threads` scoped
-/// threads. Each bucket's tree is independent and the per-bucket template
-/// lists are concatenated in sorted key order (then canonicalized by
-/// [`TemplateSet::from_templates`]), so the learned set is identical for
-/// every thread count.
-pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) -> TemplateSet {
+/// Learn a [`TemplateSet`] from historical raw messages: one sub-type
+/// tree per `(code, token count)` bucket, the trees' templates
+/// concatenated in sorted bucket order and canonicalized by
+/// [`TemplateSet::from_templates`].
+pub fn learn(messages: &[RawMessage], config: &LearnerConfig) -> TemplateSet {
     // Bucket the borrowed details by (code, token count).
     let mut buckets: HashMap<(&ErrorCode, usize), Vec<&str>> = HashMap::new();
     let mut counts: HashMap<&ErrorCode, usize> = HashMap::new();
@@ -61,36 +59,27 @@ pub fn learn(messages: &[RawMessage], config: &LearnerConfig, par: Parallelism) 
             .push(&m.detail);
     }
 
-    // One work item per (code, token count) bucket with its sampled
-    // token-vectors, each distinct detail once with its count.
-    type Bucket<'a> = ((&'a ErrorCode, usize), Vec<(Vec<&'a str>, usize)>);
-    // Deterministic order: sort bucket keys, sampling each bucket up front.
+    // Buckets in sorted key order, each stride-sampled to the per-code cap
+    // and reduced to its distinct details.
     let mut keys: Vec<(&ErrorCode, usize)> = buckets.keys().copied().collect();
     keys.sort();
-    let work: Vec<Bucket<'_>> = keys
-        .into_iter()
-        .map(|key| {
-            let mut details = buckets.remove(&key).expect("bucket exists");
-            let total_for_code = counts[&key.0];
-            if total_for_code > config.max_per_code {
-                // Stride-sample to the cap, preserving time spread.
-                let keep = (config.max_per_code * details.len() / total_for_code).max(64);
-                if details.len() > keep {
-                    let stride = details.len() / keep;
-                    details = details.into_iter().step_by(stride.max(1)).collect();
-                }
+    let mut out = Vec::new();
+    for key in keys {
+        let mut details = buckets.remove(&key).expect("bucket exists");
+        let total_for_code = counts[&key.0];
+        if total_for_code > config.max_per_code {
+            // Stride-sample to the cap, preserving time spread.
+            let keep = (config.max_per_code * details.len() / total_for_code).max(64);
+            if details.len() > keep {
+                let stride = details.len() / keep;
+                details = details.into_iter().step_by(stride.max(1)).collect();
             }
-            (key, distinct(details))
-        })
-        .collect();
-
-    let per_bucket: Vec<Vec<Template>> = par_map(par, &work, |_, (key, msgs)| {
-        let mut out = Vec::new();
+        }
+        let msgs = distinct(details);
         let idx: Vec<usize> = (0..msgs.len()).collect();
-        split_node(key.0, msgs, idx, vec![None; key.1], config, &mut out);
-        out
-    });
-    TemplateSet::from_templates(per_bucket.concat())
+        split_node(key.0, &msgs, idx, vec![None; key.1], config, &mut out);
+    }
+    TemplateSet::from_templates(out)
 }
 
 /// Each distinct detail of `details` once, in sorted order, tokenized,
@@ -236,7 +225,6 @@ mod tests {
                 k: 3,
                 max_per_code: 1000,
             },
-            Parallelism::sequential(),
         );
         let mut masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         masked.sort();
@@ -263,7 +251,7 @@ mod tests {
                 ));
             }
         }
-        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
+        let set = learn(&msgs, &LearnerConfig::default());
         let mut masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         masked.sort();
         assert_eq!(
@@ -285,7 +273,7 @@ mod tests {
                 msgs.push(msg("X-1-Y", &format!("Interface {ifc} flapped")));
             }
         }
-        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
+        let set = learn(&msgs, &LearnerConfig::default());
         assert_eq!(set.len(), 2, "expected a (harmless) spurious split");
     }
 
@@ -296,7 +284,7 @@ mod tests {
             msgs.push(msg("C-1-M", &format!("alpha beta value{i}")));
             msgs.push(msg("C-1-M", &format!("alpha beta value{i} gamma")));
         }
-        let set = learn(&msgs, &LearnerConfig::default(), Parallelism::sequential());
+        let set = learn(&msgs, &LearnerConfig::default());
         let masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         assert!(masked.contains(&"C-1-M alpha beta *".to_owned()));
         assert!(masked.contains(&"C-1-M alpha beta * gamma".to_owned()));
@@ -304,7 +292,7 @@ mod tests {
 
     #[test]
     fn empty_input_learns_nothing() {
-        let set = learn(&[], &LearnerConfig::default(), Parallelism::sequential());
+        let set = learn(&[], &LearnerConfig::default());
         assert_eq!(set.len(), 0);
     }
 
@@ -323,7 +311,6 @@ mod tests {
                 k: 10,
                 max_per_code: 500,
             },
-            Parallelism::sequential(),
         );
         let masked: Vec<String> = set.iter().map(|(_, t)| t.masked()).collect();
         assert_eq!(

@@ -6,7 +6,6 @@
 //! *period* but keep per-day rates at preset levels (the `exp_templates`
 //! bench binary runs the full 12-week version).
 
-use sd_model::Parallelism;
 use sd_netsim::{Dataset, DatasetSpec};
 use sd_telemetry::Telemetry;
 use sd_templates::{learn, LearnerConfig};
@@ -18,11 +17,7 @@ fn check(mut spec: DatasetSpec, floor: f64) {
     spec.noise_per_day *= 3.0; // concentrate tail-type instances into fewer days
     let name = spec.name.clone();
     let d = Dataset::generate(spec, &Telemetry::disabled());
-    let set = learn(
-        d.train(),
-        &LearnerConfig::default(),
-        Parallelism::sequential(),
-    );
+    let set = learn(d.train(), &LearnerConfig::default());
     let gt = d.grammar.masked_set();
     let acc = set.accuracy_against(&gt);
     assert!(

@@ -7,7 +7,7 @@
 //! defaults used online.
 
 use crate::ewma::{count_groups, TemporalConfig};
-use sd_model::{par_map, Parallelism, Timestamp};
+use sd_model::Timestamp;
 
 /// A collection of per-key timestamp series (one per
 /// `(router, template, location)` in the driver).
@@ -27,72 +27,45 @@ pub fn compression_ratio(series: &SeriesSet, cfg: &TemporalConfig) -> f64 {
     groups as f64 / msgs as f64
 }
 
-/// Compression ratio at each `(alpha, beta)` of `grid`, evaluated on
-/// `par.threads` scoped threads. Every point is an independent pass over
-/// `series`, so results are identical for every thread count.
-fn sweep(series: &SeriesSet, grid: Vec<(f64, f64)>, par: Parallelism) -> Vec<f64> {
-    par_map(par, &grid, |_, &(alpha, beta)| {
-        let cfg = TemporalConfig {
-            alpha,
-            beta,
-            ..TemporalConfig::default()
-        };
-        compression_ratio(series, &cfg)
-    })
+/// Compression ratio with `alpha` and `beta` (other parameters default).
+fn ratio_at(series: &SeriesSet, alpha: f64, beta: f64) -> f64 {
+    let cfg = TemporalConfig {
+        alpha,
+        beta,
+        ..TemporalConfig::default()
+    };
+    compression_ratio(series, &cfg)
 }
 
 /// Sweep α at fixed β, returning `(alpha, ratio)` pairs (Figure 10).
-pub fn sweep_alpha(
-    series: &SeriesSet,
-    alphas: &[f64],
-    beta: f64,
-    par: Parallelism,
-) -> Vec<(f64, f64)> {
-    let grid = alphas.iter().map(|&a| (a, beta)).collect();
+pub fn sweep_alpha(series: &SeriesSet, alphas: &[f64], beta: f64) -> Vec<(f64, f64)> {
     alphas
         .iter()
-        .copied()
-        .zip(sweep(series, grid, par))
+        .map(|&a| (a, ratio_at(series, a, beta)))
         .collect()
 }
 
 /// Sweep β at fixed α, returning `(beta, ratio)` pairs (Figure 11).
-pub fn sweep_beta(
-    series: &SeriesSet,
-    betas: &[f64],
-    alpha: f64,
-    par: Parallelism,
-) -> Vec<(f64, f64)> {
-    let grid = betas.iter().map(|&b| (alpha, b)).collect();
+pub fn sweep_beta(series: &SeriesSet, betas: &[f64], alpha: f64) -> Vec<(f64, f64)> {
     betas
         .iter()
-        .copied()
-        .zip(sweep(series, grid, par))
+        .map(|&b| (b, ratio_at(series, alpha, b)))
         .collect()
 }
 
 /// Full calibration: pick the α minimizing the ratio at β = 2, then the
 /// smallest β (from `betas`) whose further increase improves the ratio by
 /// less than `knee` relatively — the paper's "improvement of compression
-/// diminishes" rule that selected β = 5. Both sweeps run their grid
-/// points on `par.threads` threads; the β sweep follows the α sweep (its
-/// grid depends on the chosen α), and the picked parameters are identical
-/// for every thread count.
-pub fn calibrate(
-    series: &SeriesSet,
-    alphas: &[f64],
-    betas: &[f64],
-    knee: f64,
-    par: Parallelism,
-) -> TemporalConfig {
-    let by_alpha = sweep_alpha(series, alphas, 2.0, par);
+/// diminishes" rule that selected β = 5.
+pub fn calibrate(series: &SeriesSet, alphas: &[f64], betas: &[f64], knee: f64) -> TemporalConfig {
+    let by_alpha = sweep_alpha(series, alphas, 2.0);
     let alpha = by_alpha
         .iter()
         .copied()
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(a, _)| a)
         .unwrap_or(0.05);
-    let by_beta = sweep_beta(series, betas, alpha, par);
+    let by_beta = sweep_beta(series, betas, alpha);
     let mut beta = by_beta.last().map(|(b, _)| *b).unwrap_or(5.0);
     for w in by_beta.windows(2) {
         let (b0, r0) = w[0];
@@ -112,8 +85,6 @@ pub fn calibrate(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const SEQ: Parallelism = Parallelism { threads: 1 };
 
     fn t(secs: i64) -> Timestamp {
         Timestamp(secs)
@@ -141,7 +112,7 @@ mod tests {
     #[test]
     fn small_alpha_beats_large_alpha_on_jitter() {
         let series = jittery_series(5);
-        let swept = sweep_alpha(&series, &[0.05, 0.6], 2.0, SEQ);
+        let swept = sweep_alpha(&series, &[0.05, 0.6], 2.0);
         assert!(
             swept[0].1 < swept[1].1,
             "alpha 0.05 ratio {} should beat alpha 0.6 ratio {}",
@@ -153,7 +124,7 @@ mod tests {
     #[test]
     fn ratio_monotone_in_beta() {
         let series = jittery_series(4);
-        let swept = sweep_beta(&series, &[2.0, 3.0, 4.0, 5.0, 6.0, 7.0], 0.05, SEQ);
+        let swept = sweep_beta(&series, &[2.0, 3.0, 4.0, 5.0, 6.0, 7.0], 0.05);
         for w in swept.windows(2) {
             assert!(
                 w[1].1 <= w[0].1 + 1e-12,
@@ -170,7 +141,6 @@ mod tests {
             &[0.0, 0.05, 0.1, 0.2, 0.4, 0.6],
             &[2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
             0.02,
-            SEQ,
         );
         assert!(cfg.alpha <= 0.2, "alpha {}", cfg.alpha);
         assert!((2.0..=7.0).contains(&cfg.beta), "beta {}", cfg.beta);
@@ -182,7 +152,7 @@ mod tests {
             compression_ratio(&Vec::new(), &TemporalConfig::default()),
             0.0
         );
-        let cfg = calibrate(&Vec::new(), &[0.05], &[2.0, 5.0], 0.02, SEQ);
+        let cfg = calibrate(&Vec::new(), &[0.05], &[2.0, 5.0], 0.02);
         assert_eq!(cfg.alpha, 0.05);
     }
 

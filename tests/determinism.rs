@@ -1,7 +1,9 @@
-//! Thread-count invariance of the parallel sharded pipeline: offline
-//! learning must produce byte-identical knowledge and the online digest
-//! an identical event partition for every thread count, on both dataset
-//! presets and on arbitrary proptest-generated streams.
+//! Run-to-run determinism: learning and digesting the same input twice in
+//! one process gives byte-identical knowledge and identical digests, on
+//! both dataset presets and on arbitrary proptest-generated streams. Every
+//! `HashMap` with the default hasher draws fresh SipHash keys, so the two
+//! runs iterate their maps in different orders; output that followed hash
+//! order would differ between them.
 
 use proptest::prelude::*;
 use syslogdigest_repro::digest::offline::{history, learn, OfflineConfig};
@@ -13,18 +15,6 @@ use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
 use syslogdigest_repro::telemetry::Telemetry;
 use syslogdigest_repro::temporal::calibrate;
 
-fn with_threads(mut cfg: OfflineConfig, n: usize) -> OfflineConfig {
-    cfg.par = Parallelism::with_threads(n);
-    cfg
-}
-
-fn digest_cfg(n: usize) -> GroupingConfig {
-    GroupingConfig {
-        par: Parallelism::with_threads(n),
-        ..GroupingConfig::default()
-    }
-}
-
 /// The observable shape of a digest: each event's member indices (in
 /// emission order) plus its score.
 fn event_shape(d: &Digest) -> Vec<(Vec<usize>, f64)> {
@@ -34,58 +24,54 @@ fn event_shape(d: &Digest) -> Vec<(Vec<usize>, f64)> {
         .collect()
 }
 
-fn assert_threads_invariant(spec: DatasetSpec, off: OfflineConfig) {
+fn assert_runs_agree(spec: DatasetSpec, off: OfflineConfig) {
     let d = Dataset::generate(spec, &Telemetry::disabled());
-    let k1 = learn(&d.configs, d.train(), &with_threads(off.clone(), 1));
-    let j1 = k1.to_json().expect("knowledge serializes");
-    for n in [2usize, 4, 8] {
-        let kn = learn(&d.configs, d.train(), &with_threads(off.clone(), n));
-        let jn = kn.to_json().expect("knowledge serializes");
-        assert_eq!(j1, jn, "learned knowledge differs at {n} threads");
-    }
-    let base = digest(&k1, d.online(), &digest_cfg(1));
-    for n in [2usize, 4, 8] {
-        let dn = digest(&k1, d.online(), &digest_cfg(n));
-        assert_eq!(base.n_dropped, dn.n_dropped);
-        assert_eq!(
-            event_shape(&base),
-            event_shape(&dn),
-            "digest differs at {n} threads"
-        );
-    }
+    let k1 = learn(&d.configs, d.train(), &off);
+    let k2 = learn(&d.configs, d.train(), &off);
+    assert_eq!(
+        k1.to_json().expect("knowledge serializes"),
+        k2.to_json().expect("knowledge serializes"),
+        "learned knowledge differs between runs"
+    );
+    let cfg = GroupingConfig::default();
+    let (d1, d2) = (digest(&k1, d.online(), &cfg), digest(&k1, d.online(), &cfg));
+    assert_eq!(d1.n_dropped, d2.n_dropped);
+    assert_eq!(
+        event_shape(&d1),
+        event_shape(&d2),
+        "digest differs between runs"
+    );
 }
 
 #[test]
-fn preset_a_is_thread_count_invariant() {
-    assert_threads_invariant(
+fn preset_a_learns_and_digests_alike_twice() {
+    assert_runs_agree(
         DatasetSpec::preset_a().scaled(0.06),
         OfflineConfig::dataset_a(),
     );
 }
 
 #[test]
-fn preset_b_is_thread_count_invariant() {
-    assert_threads_invariant(
+fn preset_b_learns_and_digests_alike_twice() {
+    assert_runs_agree(
         DatasetSpec::preset_b().scaled(0.06),
         OfflineConfig::dataset_b(),
     );
 }
 
-/// The α/β calibration (Table 6) runs the parallel sweeps over the
-/// key-ordered series merge of `history`; the picked parameters must not
-/// depend on thread count.
+/// The α/β calibration (Table 6) sums f64 ratios over the key-ordered
+/// series of `history`; two runs must pick the same parameters.
 #[test]
-fn calibration_is_thread_count_invariant() {
+fn calibration_picks_alike_twice() {
     let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
     let k = learn(&d.configs, d.train(), &OfflineConfig::dataset_a());
-    let pick = |n| {
-        let par = Parallelism::with_threads(n);
-        let series = history(&k, d.train(), par).series;
-        calibrate(&series, &[0.0, 0.05, 0.2, 0.5], &[2.0, 5.0, 7.0], 0.03, par)
+    let pick = || {
+        let series = history(&k, d.train()).series;
+        calibrate(&series, &[0.0, 0.05, 0.2, 0.5], &[2.0, 5.0, 7.0], 0.03)
     };
-    let (t1, t4) = (pick(1), pick(4));
-    assert_eq!(t1.alpha, t4.alpha);
-    assert_eq!(t1.beta, t4.beta);
+    let (t1, t2) = (pick(), pick());
+    assert_eq!(t1.alpha, t2.alpha);
+    assert_eq!(t1.beta, t2.beta);
 }
 
 // ----------------------------------------------------- proptest streams --
@@ -160,35 +146,39 @@ fn arbitrary_stream() -> impl Strategy<Value = Vec<RawMessage>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// digest(threads = 1) == digest(threads = N) on arbitrary streams:
-    /// identical dropped count, identical group labels, identically
-    /// ordered events.
+    /// `digest` equals its stages run one after another by hand (augment,
+    /// then group) and a second `digest` of the same stream: identical
+    /// dropped count, group labels and events.
     #[test]
     fn digest_equals_sequential_digest(stream in arbitrary_stream()) {
         let k = tiny_knowledge();
-        let base = digest(&k, &stream, &digest_cfg(1));
-        for n in [2usize, 4, 8] {
-            let dn = digest(&k, &stream, &digest_cfg(n));
-            prop_assert_eq!(base.n_dropped, dn.n_dropped);
-            prop_assert_eq!(&base.grouping.group_of, &dn.grouping.group_of);
-            prop_assert_eq!(event_shape(&base), event_shape(&dn));
-        }
+        let cfg = GroupingConfig::default();
+        let base = digest(&k, &stream, &cfg);
+        let (batch, dropped) =
+            augment_batch_isolated(&k, &stream, Parallelism::sequential()).split();
+        prop_assert_eq!(base.n_dropped, dropped);
+        prop_assert_eq!(&base.grouping.group_of, &group(&k, &batch, &cfg).group_of);
+        let again = digest(&k, &stream, &cfg);
+        prop_assert_eq!(base.n_dropped, again.n_dropped);
+        prop_assert_eq!(&base.grouping.group_of, &again.grouping.group_of);
+        prop_assert_eq!(event_shape(&base), event_shape(&again));
     }
 
-    /// The grouping stage alone is thread-count invariant on shared
-    /// augmented batches, down to the order of its edge list, and `group`
-    /// is the union-find fold of `stage_edges`.
+    /// Grouping a shared augmented batch twice gives the same labels and,
+    /// down to its order, the same edge list; `group` is the union-find
+    /// fold of `stage_edges`.
     #[test]
-    fn grouping_labels_are_thread_count_invariant(stream in arbitrary_stream()) {
+    fn grouping_repeats_and_folds_stage_edges(stream in arbitrary_stream()) {
         let k = tiny_knowledge();
+        let cfg = GroupingConfig::default();
         let (batch, _) = augment_batch_isolated(&k, &stream, Parallelism::sequential()).split();
-        let base = group(&k, &batch, &digest_cfg(1));
-        let par = group(&k, &batch, &digest_cfg(4));
-        prop_assert_eq!(base.n_groups, par.n_groups);
-        prop_assert_eq!(&base.group_of, &par.group_of);
+        let base = group(&k, &batch, &cfg);
+        let again = group(&k, &batch, &cfg);
+        prop_assert_eq!(base.n_groups, again.n_groups);
+        prop_assert_eq!(&base.group_of, &again.group_of);
 
-        let edges = stage_edges(&k, &batch, &digest_cfg(1));
-        prop_assert_eq!(&edges, &stage_edges(&k, &batch, &digest_cfg(4)));
+        let edges = stage_edges(&k, &batch, &cfg);
+        prop_assert_eq!(&edges, &stage_edges(&k, &batch, &cfg));
         let mut uf = UnionFind::new(batch.len());
         for &(a, b, _) in &edges {
             uf.union(a, b);

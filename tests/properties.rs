@@ -8,7 +8,7 @@ use syslogdigest_repro::digest::DomainKnowledge;
 use syslogdigest_repro::digest::UnionFind;
 use syslogdigest_repro::digest::{group, GroupingConfig};
 use syslogdigest_repro::model::{
-    sort_batch, ErrorCode, Interner, Parallelism, RawMessage, SyslogPlus, Timestamp,
+    sort_batch, ErrorCode, Interner, Parallelism, RawMessage, Timestamp,
 };
 use syslogdigest_repro::temporal::{count_groups, group_series, TemporalConfig};
 
@@ -337,11 +337,3 @@ proptest! {
         prop_assert_eq!(n_late, 0);
     }
 }
-
-// A compile-time check that SyslogPlus stays Send + Sync (the streaming
-// digest shares batches across worker threads).
-const _: fn() = || {
-    fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<SyslogPlus>();
-    assert_send_sync::<DomainKnowledge>();
-};

@@ -328,10 +328,10 @@ fn cause_counts(causes: impl Iterator<Item = MergeCause>) -> (u64, u64, u64) {
 }
 
 /// Batch and stream are one function of a clean feed, down to the links.
-/// For every golden seed and thread count, the streaming digester emits
-/// the batch digest's events, each event carries the same per-stage link
-/// counts, and the stream's link counters equal the per-cause counts of
-/// the batch edge set.
+/// For every golden seed, the streaming digester emits the batch digest's
+/// events, each event carries the same per-stage link counts, and the
+/// stream's link counters equal the per-cause counts of the batch edge
+/// set.
 #[test]
 fn batch_and_stream_agree_link_for_link_on_golden_seeds() {
     for seed in GOLDEN_SEEDS {
@@ -344,67 +344,58 @@ fn batch_and_stream_agree_link_for_link_on_golden_seeds() {
         // Stream sequence numbers equal batch indices only without drops.
         assert_eq!(dropped, 0, "seed {seed}");
 
-        for threads in [1, 4] {
-            let cfg = GroupingConfig {
-                par: Parallelism::with_threads(threads),
-                ..GroupingConfig::default()
-            };
-            let (batch, batch_prov) =
-                digest_instrumented(&k, online, &cfg, &Telemetry::disabled(), true);
-            let batch_prov = batch_prov.expect("tracing was enabled");
+        let cfg = GroupingConfig::default();
+        let (batch, batch_prov) =
+            digest_instrumented(&k, online, &cfg, &Telemetry::disabled(), true);
+        let batch_prov = batch_prov.expect("tracing was enabled");
 
-            let tel = Telemetry::new();
-            let mut sd = StreamDigester::with_telemetry(&k, cfg, StreamConfig::default(), &tel);
-            sd.set_trace(true);
-            let mut events = sd.push_batch(online);
-            events.extend(sd.finish());
-            let stream_prov = sd.take_provenance();
+        let tel = Telemetry::new();
+        let mut sd = StreamDigester::with_telemetry(&k, cfg, StreamConfig::default(), &tel);
+        sd.set_trace(true);
+        let mut events = sd.push_batch(online);
+        events.extend(sd.finish());
+        let stream_prov = sd.take_provenance();
 
-            let first = |e: &NetworkEvent| e.message_idxs.iter().copied().min();
-            let batch_by_first: BTreeMap<_, _> = batch
-                .events
-                .iter()
-                .zip(&batch_prov)
-                .map(|(e, p)| (first(e), (e, &p.links)))
-                .collect();
-            let links_by_id: BTreeMap<u64, &GroupProv> =
-                stream_prov.iter().map(|p| (p.event_id, &p.links)).collect();
-            let stream_by_first: BTreeMap<_, _> = events
-                .iter()
-                .map(|e| (first(e), (e, links_by_id[&e.id])))
-                .collect();
-            assert_eq!(
-                stream_by_first.len(),
-                events.len(),
-                "seed {seed} threads {threads}"
-            );
-            assert_eq!(
-                batch_by_first.keys().collect::<Vec<_>>(),
-                stream_by_first.keys().collect::<Vec<_>>(),
-                "seed {seed} threads {threads}: event sets differ"
-            );
-            for (key, (be, bl)) in &batch_by_first {
-                let (se, sl) = stream_by_first[key];
-                let ctx = format!("seed {seed} threads {threads} event at {key:?}");
-                assert_eq!(be.message_idxs, se.message_idxs, "{ctx}");
-                assert_eq!(be.format_line(), se.format_line(), "{ctx}");
-                assert_eq!(be.score.to_bits(), se.score.to_bits(), "{ctx}");
-                assert_eq!(*bl, sl, "{ctx}: links differ");
-            }
-
-            let edges = stage_edges(&k, &augmented, &cfg);
-            let counters = tel.snapshot();
-            let counter = |name| counters.counter(name).unwrap_or(0);
-            assert_eq!(
-                cause_counts(edges.iter().map(|&(_, _, cause)| cause)),
-                (
-                    counter("stream.links_temporal"),
-                    counter("stream.links_rule"),
-                    counter("stream.links_cross"),
-                ),
-                "seed {seed} threads {threads}: per-stage link counts differ"
-            );
+        let first = |e: &NetworkEvent| e.message_idxs.iter().copied().min();
+        let batch_by_first: BTreeMap<_, _> = batch
+            .events
+            .iter()
+            .zip(&batch_prov)
+            .map(|(e, p)| (first(e), (e, &p.links)))
+            .collect();
+        let links_by_id: BTreeMap<u64, &GroupProv> =
+            stream_prov.iter().map(|p| (p.event_id, &p.links)).collect();
+        let stream_by_first: BTreeMap<_, _> = events
+            .iter()
+            .map(|e| (first(e), (e, links_by_id[&e.id])))
+            .collect();
+        assert_eq!(stream_by_first.len(), events.len(), "seed {seed}");
+        assert_eq!(
+            batch_by_first.keys().collect::<Vec<_>>(),
+            stream_by_first.keys().collect::<Vec<_>>(),
+            "seed {seed}: event sets differ"
+        );
+        for (key, (be, bl)) in &batch_by_first {
+            let (se, sl) = stream_by_first[key];
+            let ctx = format!("seed {seed} event at {key:?}");
+            assert_eq!(be.message_idxs, se.message_idxs, "{ctx}");
+            assert_eq!(be.format_line(), se.format_line(), "{ctx}");
+            assert_eq!(be.score.to_bits(), se.score.to_bits(), "{ctx}");
+            assert_eq!(*bl, sl, "{ctx}: links differ");
         }
+
+        let edges = stage_edges(&k, &augmented, &cfg);
+        let counters = tel.snapshot();
+        let counter = |name| counters.counter(name).unwrap_or(0);
+        assert_eq!(
+            cause_counts(edges.iter().map(|&(_, _, cause)| cause)),
+            (
+                counter("stream.links_temporal"),
+                counter("stream.links_rule"),
+                counter("stream.links_cross"),
+            ),
+            "seed {seed}: per-stage link counts differ"
+        );
     }
 }
 
