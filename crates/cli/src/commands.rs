@@ -326,9 +326,18 @@ fn stream_digest(
     events.extend(rest);
     flush(&mut ingest)?;
     events.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.start.cmp(&b.start)));
+    // Table 7's metric, as the batch line prints it: events per message
+    // the digester took in, both counted from the start of the feed, so a
+    // resumed run reports the whole feed's ratio.
+    let d = &stats.digester;
+    let compression = if d.n_input == 0 {
+        0.0
+    } else {
+        d.n_events as f64 / d.n_input as f64
+    };
     out.push_str(&format!(
         "streamed {} lines ({} malformed, {} late, {} duplicate, {} unknown-router, \
-         {} force-closed, {} quarantined) -> {} events\n",
+         {} force-closed, {} quarantined) -> {} events (compression {compression:.2e})\n",
         stats.n_lines,
         stats.n_malformed,
         stats.n_late,
@@ -962,6 +971,23 @@ mod tests {
         .unwrap();
         assert!(report.contains("streamed"), "{report}");
         assert!(ckpt.exists(), "checkpoint file was not written");
+        // The summary line carries Table 7's compression ratio: events per
+        // message the digester took in, which is every line but the
+        // malformed, late and duplicate ones.
+        let summary = report.lines().find(|l| l.starts_with("streamed")).unwrap();
+        let numbers: Vec<f64> = summary
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '.' || c == '-'))
+            .filter_map(|w| w.parse().ok())
+            .collect();
+        let [lines, malformed, late, duplicate, _, _, _, events, compression] = numbers[..] else {
+            panic!("unexpected summary line: {summary}");
+        };
+        let expected = events / (lines - malformed - late - duplicate);
+        assert!(
+            summary.contains(&format!("(compression {expected:.2e})")),
+            "{summary}"
+        );
+        assert!(compression > 0.0 && compression < 0.2, "{summary}");
 
         // A second run resumes from the checkpoint instead of starting over.
         let resumed = cmd_digest(&parse(&[
@@ -978,6 +1004,18 @@ mod tests {
         ]))
         .unwrap();
         assert!(resumed.contains("resumed from"), "{resumed}");
+        // The last checkpoint was taken at the end of the feed, before the
+        // final flush, so the resumed run only closes what was open then;
+        // its ratio still counts the whole feed's events and messages.
+        let compression_of = |report: &str| {
+            let at = report.find("(compression ").expect(report);
+            report[at..].split(')').next().unwrap().to_string()
+        };
+        assert_eq!(compression_of(&resumed), compression_of(&report));
+        assert!(
+            !resumed.contains(&format!("-> {events} events")),
+            "{resumed}"
+        );
 
         let _ = fs::remove_dir_all(&dir);
     }

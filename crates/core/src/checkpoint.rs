@@ -10,17 +10,17 @@
 //!   [`DomainKnowledge::fingerprint`]), the digester's
 //!   and the reorder buffer's live state serialized as they are, and the
 //!   counters of every layer. The digester's open state is the open
-//!   groups' summaries and the lookback deque of open messages (see
-//!   [`crate::stream`]). Maps are written in key order, so equal states
-//!   give equal bytes.
+//!   groups' summaries by slot and the lookback deques of open messages
+//!   (see [`crate::stream`]). Maps are written in key order, so equal
+//!   states give equal bytes.
 //! * [`StreamSnapshot::save`] wraps the JSON in the checksummed
 //!   [`envelope`], whose header carries the artifact kind and the
-//!   **format version** ([`SNAPSHOT_VERSION`], 7 since the rule and
-//!   cross-router lookbacks are indexed by dense ids), and writes atomically
-//!   (temp file + rename), so a crash mid-write can never leave a
-//!   truncated snapshot where a good one used to be — and any truncation
-//!   or bit flip that slips through is caught at load time as a typed
-//!   [`EnvelopeError`] rather than a panic or silent misdecode.
+//!   **format version** ([`SNAPSHOT_VERSION`], 8 since open groups are
+//!   held in dense slots), and writes atomically (temp file + rename), so
+//!   a crash mid-write can never leave a truncated snapshot where a good
+//!   one used to be — and any truncation or bit flip that slips through
+//!   is caught at load time as a typed [`EnvelopeError`] rather than a
+//!   panic or silent misdecode.
 //! * [`StreamSnapshot::save_rotated`] keeps the last `keep` generations
 //!   (`run.ckpt` → `run.ckpt.1` → …), rotating them only once the new
 //!   image is written, and
@@ -64,7 +64,7 @@ use std::path::{Path, PathBuf};
 /// Snapshot format version, written and checked in the envelope header
 /// only. Bump on any incompatible change to [`StreamSnapshot`]'s shape;
 /// older snapshots are then rejected instead of being misdecoded.
-pub(crate) const SNAPSHOT_VERSION: u32 = 7;
+pub(crate) const SNAPSHOT_VERSION: u32 = 8;
 
 /// Counters of the ingest layer: feed lines consumed, the reorder
 /// buffer's late and duplicate counts, and the malformed-line report.
@@ -380,18 +380,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A checkpoint of the previous format (version 6, before the rule
-    /// and cross-router lookbacks were indexed) fails on its header, and
-    /// recovery skips it exactly as it skips any other version.
+    /// A checkpoint of the previous format (version 7, open groups keyed
+    /// by root) fails on its header, and recovery skips it exactly as it
+    /// skips any other version.
     #[test]
-    fn a_version_6_checkpoint_is_refused_like_any_other_version() {
-        let dir = std::env::temp_dir().join("sd_checkpoint_version_6_test");
+    fn a_version_7_checkpoint_is_refused_like_any_other_version() {
+        let dir = std::env::temp_dir().join("sd_checkpoint_version_7_test");
         let path = dir.join("run.ckpt");
         let p1 = generation_path(&path, 1);
         let save_old = |p: &Path, old: u32| {
             envelope::save_json(p, ArtifactKind::CHECKPOINT, old, &snap_with_fp(9)).unwrap();
         };
-        for old in [6, 2] {
+        for old in [7, 2] {
             let why = format!("unsupported schema version {old}");
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();

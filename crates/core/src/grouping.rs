@@ -1,7 +1,7 @@
 //! The three grouping stages (§4.2.1–§4.2.3), implemented once in
-//! `Stages`: driven over a Syslog+ batch here and message by message by
-//! the stream digester, and fused through a union-find so the stage order
-//! cannot change the result.
+//! `Stages` and driven by the stream digester, the engine behind `digest`.
+//! The batch pass here fuses their links through a union-find, so the
+//! stage order cannot change the result.
 
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::MergeCause;
@@ -91,17 +91,17 @@ pub const CROSS_WINDOW_SECS: i64 = 1;
 
 /// Most messages the cross-router stage keeps per template; beyond it the
 /// oldest falls out of the lookback even inside the window. Bounds the
-/// per-message scan under a simultaneity storm. Batch and stream share
-/// it; only the reference oracle in `sd-conformance` is uncapped.
+/// per-message scan under a simultaneity storm. Every pass shares it;
+/// only the reference oracle in `sd-conformance` is uncapped.
 const CROSS_QUEUE_CAP: usize = 1024;
 
 /// The rule stage's lookback for one `(router, partner slot)`: the latest
 /// `(location, id, ts)` per location, within W once the stage has passed.
 type RuleLookback = Vec<(u32, u64, Timestamp)>;
 
-/// State and per-message step of the three grouping stages. The step has
-/// two drivers: the batch pass behind [`group`] and [`stage_edges`], and
-/// the streaming closure ([`StreamDigester`](crate::StreamDigester)).
+/// State and per-message step of the three grouping stages, driven by the
+/// [`StreamDigester`](crate::StreamDigester) and by the batch pass behind
+/// [`group`] and [`stage_edges`] (the composed and conformance seams).
 ///
 /// Messages must arrive in time order. Ids are the caller's: batch indices
 /// in batch, sequence numbers in the stream. Each step appends the links
@@ -292,23 +292,12 @@ pub fn stage_edges(
 }
 
 /// Group a time-sorted augmented batch: one sequential pass of the stages,
-/// each link unioned as it is found.
+/// each link unioned as it is found, so no edge list is built. The
+/// composed form of what [`digest`](crate::digest) groups.
 pub fn group(k: &DomainKnowledge, batch: &[SyslogPlus], cfg: &GroupingConfig) -> GroupingResult {
-    group_with(k, batch, cfg, |_, _| {})
-}
-
-/// [`group`], handing each link's earlier message and cause to `on_link`
-/// as it is unioned.
-pub(crate) fn group_with(
-    k: &DomainKnowledge,
-    batch: &[SyslogPlus],
-    cfg: &GroupingConfig,
-    mut on_link: impl FnMut(usize, MergeCause),
-) -> GroupingResult {
     let mut uf = UnionFind::new(batch.len());
-    for_each_link(k, batch, cfg, |a, b, cause| {
+    for_each_link(k, batch, cfg, |a, b, _| {
         uf.union(a, b);
-        on_link(a, cause);
     });
     let (group_of, n_groups) = uf.groups();
     GroupingResult { group_of, n_groups }

@@ -13,11 +13,11 @@
 //!   configs (`sd-locations`), temporal pattern calibration
 //!   (`sd-temporal`) and association rule mining (`sd-rules`), packaged
 //!   into a serializable [`DomainKnowledge`] base.
-//! * **Online processing** ([`digest`]): augment each raw
-//!   message into Syslog+ form, group via the temporal, rule-based and
-//!   cross-router stages (merged through a union-find so stage order is
-//!   irrelevant), prioritize with the §4.2.4 score, and present one line
-//!   per event.
+//! * **Online processing** ([`digest`], or [`StreamDigester`] on a live
+//!   feed: one engine): augment each raw message into Syslog+ form, group
+//!   via the temporal, rule-based and cross-router stages (each link
+//!   merges two groups, so stage order is irrelevant), prioritize with
+//!   the §4.2.4 score, and present one line per event.
 //!
 //! ```
 //! use sd_netsim::{Dataset, DatasetSpec};

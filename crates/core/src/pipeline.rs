@@ -1,12 +1,13 @@
 //! The online SyslogDigest pipeline (right half of Figure 1): augment →
-//! group (temporal, rule-based, cross-router) → prioritize → present.
+//! group (temporal, rule-based, cross-router) → prioritize → present, by
+//! the stream digester run over the sorted batch a chunk at a time.
 
-use crate::augment::AugmentMemo;
-use crate::event::{GroupSummary, NetworkEvent};
-use crate::grouping::{group_with, GroupingConfig, GroupingResult};
+use crate::event::NetworkEvent;
+use crate::grouping::GroupingConfig;
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::{CloseReason, EventProvenance};
 use crate::quarantine::QuarantineRecord;
+use crate::stream::{StreamConfig, StreamDigester};
 use sd_model::RawMessage;
 use sd_telemetry::Telemetry;
 
@@ -15,8 +16,6 @@ use sd_telemetry::Telemetry;
 pub struct Digest {
     /// Events, highest priority first.
     pub events: Vec<NetworkEvent>,
-    /// Raw grouping result (batch-index space).
-    pub grouping: GroupingResult,
     /// Input messages.
     pub n_input: usize,
     /// Messages dropped because their router is unknown.
@@ -53,9 +52,9 @@ impl Digest {
     }
 }
 
-/// Run the full online pipeline over time-sorted raw messages: one
-/// sequential pass augments, and one unions each grouping link as it is
-/// found, so no edge list is built.
+/// Run the full online pipeline over time-sorted raw messages: the stream
+/// digester groups the batch in one pass, and the events are ranked by
+/// score, then start, then lowest member.
 pub fn digest(k: &DomainKnowledge, raw: &[RawMessage], cfg: &GroupingConfig) -> Digest {
     digest_instrumented(k, raw, cfg, &Telemetry::disabled(), false).0
 }
@@ -72,63 +71,41 @@ pub fn digest_instrumented(
     tel: &Telemetry,
     trace: bool,
 ) -> (Digest, Option<Vec<EventProvenance>>) {
-    let (batch, n_dropped, quarantined) = {
-        let _g = tel.time("digest.augment");
-        let iso = AugmentMemo::new().augment_isolated(k, raw);
-        let quarantined: Vec<QuarantineRecord> = iso
-            .quarantined
-            .iter()
-            .map(|(i, reason)| {
-                QuarantineRecord::from_message(*i as u64 + 1, &raw[*i], "augment", reason)
-            })
-            .collect();
-        let (batch, n_dropped) = iso.split();
-        (batch, n_dropped, quarantined)
-    };
-    let (grouping, mut groups) = {
-        let _g = tel.time("digest.group");
-        // Provenance replays the causes over the final partition; it is
-        // never consulted while merging.
-        let mut traced = Vec::new();
-        let grouping = group_with(k, &batch, cfg, |a, cause| {
-            if trace {
-                traced.push((a, cause));
-            }
-        });
-        let mut groups = vec![GroupSummary::default(); grouping.n_groups];
-        for (a, cause) in traced {
-            groups[grouping.group_of[a]].links.record(cause);
-        }
-        (grouping, groups)
-    };
-    let mut events: Vec<(NetworkEvent, GroupSummary)> = {
-        let _g = tel.time("digest.events");
-        for (sp, &g) in batch.iter().zip(&grouping.group_of) {
-            groups[g].add(k, sp);
-        }
-        groups
-            .into_iter()
-            .map(|s| (s.event(k, s.score(k)), s))
-            .collect()
-    };
+    let scfg = StreamConfig::default();
+    let mut sd = StreamDigester::with_telemetry(k, *cfg, scfg, &Telemetry::disabled());
+    sd.set_trace(trace);
+    sd.time_as(tel.span("digest.augment"), tel.span("digest.group"));
+    // The raw index of each message the digester numbers: drops and
+    // quarantined messages get no number.
+    let mut raw_of = Vec::new();
+    let mut events = sd.push_numbered(raw, |i| raw_of.push(i));
+    let _g = tel.time("digest.events");
+    events.extend(sd.finish());
+    for i in events.iter_mut().flat_map(|ev| &mut ev.message_idxs) {
+        *i = raw_of[*i];
+    }
     events.sort_by(|a, b| {
-        b.0.score
-            .total_cmp(&a.0.score)
-            .then(a.0.start.cmp(&b.0.start))
+        b.score
+            .total_cmp(&a.score)
+            .then(a.start.cmp(&b.start))
+            .then(a.message_idxs.cmp(&b.message_idxs))
     });
-    for (rank, (ev, _)) in events.iter_mut().enumerate() {
+    // The digester's ids number its records in emission order.
+    let records = sd.take_provenance();
+    let provenance = trace.then(|| {
+        let record = |(rank, ev): (usize, &NetworkEvent)| EventProvenance {
+            event_id: rank as u64 + 1,
+            closed_by: CloseReason::Batch,
+            idle_gap_secs: None,
+            idle_close_secs: None,
+            ..records[ev.id as usize - 1].clone()
+        };
+        events.iter().enumerate().map(record).collect()
+    });
+    for (rank, ev) in events.iter_mut().enumerate() {
         ev.id = rank as u64 + 1;
     }
-    let provenance = trace.then(|| {
-        events
-            .iter()
-            .map(|(ev, s)| EventProvenance {
-                event_id: ev.id,
-                ..s.provenance(k, CloseReason::Batch, None, None)
-            })
-            .collect()
-    });
-    let events: Vec<NetworkEvent> = events.into_iter().map(|(ev, _)| ev).collect();
+    let (n_dropped, quarantined) = (sd.stats().n_dropped, sd.take_quarantined());
     tel.counter("digest.n_input").add(raw.len() as u64);
     tel.counter("digest.n_dropped").add(n_dropped as u64);
     tel.counter("digest.n_events").add(events.len() as u64);
@@ -137,7 +114,6 @@ pub fn digest_instrumented(
     (
         Digest {
             events,
-            grouping,
             n_input: raw.len(),
             n_dropped,
             n_quarantined: quarantined.len(),
@@ -150,8 +126,10 @@ pub fn digest_instrumented(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::augment::augment_batch_isolated;
+    use crate::grouping::group;
     use crate::offline::{learn, OfflineConfig};
-    use sd_model::Parallelism;
+    use sd_model::{Parallelism, SyslogPlus};
     use sd_netsim::{Dataset, DatasetSpec};
 
     fn small_digest() -> (Dataset, DomainKnowledge, Digest) {
@@ -161,14 +139,23 @@ mod tests {
         (d, k, dg)
     }
 
+    /// The augmented batch `digest` groups, for comparing against the
+    /// composed pipeline.
+    fn augmented(d: &Dataset, k: &DomainKnowledge) -> Vec<SyslogPlus> {
+        augment_batch_isolated(k, d.online(), Parallelism::sequential())
+            .split()
+            .0
+    }
+
     #[test]
     fn digest_compresses_by_orders_of_magnitude() {
-        let (_d, _k, dg) = small_digest();
+        let (d, k, dg) = small_digest();
         assert!(dg.n_input > 500, "n_input {}", dg.n_input);
         assert_eq!(dg.n_dropped, 0);
         let ratio = dg.compression_ratio();
         assert!(ratio < 0.15, "compression ratio {ratio}");
-        assert_eq!(dg.events.len(), dg.grouping.n_groups);
+        let grouping = group(&k, &augmented(&d, &k), &GroupingConfig::default());
+        assert_eq!(dg.events.len(), grouping.n_groups);
     }
 
     #[test]
@@ -202,13 +189,15 @@ mod tests {
     /// raise priority, never lower it.
     #[test]
     fn score_is_additive_over_members() {
-        use crate::augment::augment_batch_isolated;
         use crate::priority::score_group;
         let (d, k, dg) = small_digest();
-        let (batch, _) = augment_batch_isolated(&k, d.online(), Parallelism::sequential()).split();
-        let members = dg.grouping.members();
-        let biggest = members.iter().max_by_key(|m| m.len()).unwrap();
-        let whole = score_group(&k, &batch, biggest);
+        let batch = augmented(&d, &k);
+        let event = dg.events.iter().max_by_key(|e| e.size()).unwrap();
+        // Raw indices to batch positions (the batch keeps raw order).
+        let at = |i: &usize| batch.binary_search_by_key(i, |sp| sp.idx).unwrap();
+        let biggest: Vec<usize> = event.message_idxs.iter().map(at).collect();
+        let whole = score_group(&k, &batch, &biggest);
+        assert_eq!(whole.to_bits(), event.score.to_bits());
         let parts: f64 = biggest.iter().map(|&i| score_group(&k, &batch, &[i])).sum();
         assert!(
             (whole - parts).abs() < 1e-6 * whole.max(1.0),

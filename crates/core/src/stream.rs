@@ -1,21 +1,19 @@
 //! Streaming online digestion.
 //!
-//! [`StreamDigester`] takes the feed one message at a time, runs it
-//! through the per-message grouping step that batch drives too
-//! (`grouping::Stages::step`, one sequential pass in both, because each
-//! stage's lookback follows the clock), unions the links into its open
-//! groups, and *closes* a group, emitting
-//! its [`NetworkEvent`], once it has been idle longer than any stage looks
-//! back: `Smax` (temporal), `W` (rule-based) and [`CROSS_WINDOW_SECS`]
-//! (cross-router). With `idle_close` at least that long, the streaming
-//! partition is **identical** to the batch partition of the same input (a
-//! property the integration tests assert).
+//! [`StreamDigester`] is the one grouping engine (batch
+//! [`digest`](crate::digest) runs it too). It runs each message through
+//! the grouping step (`grouping::Stages::step`), unions the links into its
+//! open groups, and *closes* a group, emitting its [`NetworkEvent`], once
+//! it has been idle longer than any stage looks back: `Smax` (temporal),
+//! `W` (rule-based) and [`CROSS_WINDOW_SECS`] (cross-router). With
+//! `idle_close` at least that long, its partition is **identical** to the
+//! union-find partition of [`group`](crate::group) over the same input.
 //!
-//! Open state is what the stages can still reach. A message is folded
-//! into its group's summary (`event::GroupSummary`) on arrival and stays
-//! in one lookback deque, with its group root, while it is within
-//! `idle_close` of the clock; its body stays only while it is within
-//! [`CROSS_WINDOW_SECS`], for the cross-router stage.
+//! Open state is what the stages can still reach. Each open group has a
+//! dense slot and a summary (`event::GroupSummary`) that folds each
+//! member in on arrival. A message's slot stays in the lookback deque
+//! while it is within `idle_close` of the clock, its body only while it
+//! is within [`CROSS_WINDOW_SECS`], for the cross-router stage.
 //!
 //! A digester that runs for months against a live feed never aborts.
 //! Out-of-order timestamps, unknown routers and internal invariant
@@ -39,19 +37,20 @@ use crate::knowledge::DomainKnowledge;
 use crate::provenance::{CloseReason, EventProvenance, MergeCause};
 use crate::quarantine::QuarantineRecord;
 use crate::reorder::ReorderBuffer;
-use sd_model::{RawMessage, SortedMap, SyslogPlus, Timestamp};
+use sd_model::{RawMessage, SyslogPlus, Timestamp};
 use sd_telemetry::{Counter, SpanHandle, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// A closed group's event and, when tracing, its provenance record, both
-/// still without their event id.
+/// Messages augmented and grouped at once, so few Syslog+ forms are held.
+const CHUNK: usize = 1024;
+
+/// A closed group's event and, when tracing, its provenance, without ids.
 type Closed = (NetworkEvent, Option<EventProvenance>);
 
 /// The digester's complete mutable state, the part a checkpoint carries.
 /// The digester works on this struct directly and a [`StreamSnapshot`]
-/// serializes it as it is; its maps write their entries in key order, so
-/// equal states serialize to equal bytes.
+/// serializes it as it is, so equal states serialize to equal bytes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct StreamState {
     cfg: GroupingConfig,
@@ -62,24 +61,47 @@ pub(crate) struct StreamState {
     next_event_id: u64,
     clock: Timestamp,
     since_sweep: usize,
-    /// The lookback deque of open messages, in sequence order.
-    recent: VecDeque<Recent>,
-    /// Open group summaries, keyed by root (the sequence number of one
-    /// member).
-    groups: SortedMap<u64, GroupSummary>,
+    /// `(timestamp, group slot)` of the numbered messages from the oldest
+    /// within the idle horizon to the newest (`next_seq - 1`); the slot is
+    /// `None` once the message's group closed.
+    recent: VecDeque<(Timestamp, Option<usize>)>,
+    /// The bodies within the cross window, for the cross-router stage,
+    /// ending like `recent`; `None` once the group closed.
+    bodies: VecDeque<Option<SyslogPlus>>,
+    /// Messages in `recent` whose group is open.
+    n_open: usize,
+    /// Open group summaries by dense slot; `None` is a free slot.
+    groups: Vec<Option<GroupSummary>>,
+    /// The free slots, the last freed reused first.
+    free: Vec<usize>,
     /// Lookback state of the grouping stages.
     stages: Stages,
 }
 
-/// A lookback entry: sequence number, timestamp, group root and body (the
-/// bodies form a suffix), a tuple so checkpoints write short arrays.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Recent(u64, Timestamp, u64, Option<SyslogPlus>);
-
 impl StreamState {
-    /// The group root of open message `id`.
-    fn root_of(&self, id: u64) -> Option<u64> {
-        position(&self.recent, id).map(|j| self.recent[j].2)
+    /// Where message `id` sits in a deque that ends at the newest message.
+    fn at(&self, id: u64, len: usize) -> Option<usize> {
+        let j = id.checked_sub(self.next_seq - len as u64)?;
+        (j < len as u64).then_some(j as usize)
+    }
+
+    /// The group slot of open message `id`.
+    fn slot_of(&self, id: u64) -> Option<usize> {
+        self.recent[self.at(id, self.recent.len())?].1
+    }
+
+    /// Fold message `sp` into the group in `slot`, or into a new group in
+    /// a free slot for `None`; returns the group's slot.
+    fn join(&mut self, slot: Option<usize>, k: &DomainKnowledge, sp: &SyslogPlus) -> usize {
+        let slot = slot
+            .or_else(|| self.free.pop())
+            .unwrap_or(self.groups.len());
+        self.groups
+            .resize_with(self.groups.len().max(slot + 1), || None);
+        self.groups[slot]
+            .get_or_insert_with(GroupSummary::default)
+            .add(k, sp);
+        slot
     }
 
     /// The instant `secs` before the clock (saturating: it starts at MIN).
@@ -87,45 +109,35 @@ impl StreamState {
         Timestamp(self.clock.0.saturating_sub(secs))
     }
 
-    /// Drop the entries past the idle horizon, which no stage can link to
-    /// any more, and the bodies past the cross window.
+    /// Drop the entries past the idle horizon (no stage links to them), the
+    /// bodies past the cross window, and any leading closed one.
     fn retire(&mut self) {
         let idle = self.horizon(self.scfg.idle_close);
-        let cross = self.horizon(CROSS_WINDOW_SECS);
-        while self.recent.front().is_some_and(|r| r.1 < idle) {
+        while let Some(&(_, slot)) = self.recent.front().filter(|r| r.1.is_none() || r.0 < idle) {
             self.recent.pop_front();
+            self.n_open -= usize::from(slot.is_some());
         }
-        let mut j = self.recent.partition_point(|r| r.3.is_none());
-        while let Some(r) = self.recent.get_mut(j).filter(|r| r.1 < cross) {
-            r.3 = None;
-            j += 1;
+        let cross = self.horizon(CROSS_WINDOW_SECS);
+        let stale = |b: &Option<SyslogPlus>| b.as_ref().is_none_or(|b| b.ts < cross);
+        while self.bodies.front().is_some_and(stale) {
+            self.bodies.pop_front();
         }
     }
 
-    /// Drop the entries of a closed group, given its ascending member ids.
+    /// Mark a closed group's entries and bodies closed, given its ascending
+    /// member ids, so none names a slot that is free or reused.
     fn drop_entries(&mut self, members: &[usize]) {
-        let first = self.recent.front().map_or(u64::MAX, |r| r.0);
-        for m in members
-            .iter()
-            .rev()
-            .map(|&m| m as u64)
-            .take_while(|&m| m >= first)
-        {
-            if let Some(j) = position(&self.recent, m) {
-                self.recent.remove(j);
+        for &m in members.iter().rev() {
+            let Some(j) = self.at(m as u64, self.recent.len()) else {
+                break;
+            };
+            self.n_open -= usize::from(self.recent[j].1.take().is_some());
+            if let Some(j) = self.at(m as u64, self.bodies.len()) {
+                self.bodies[j] = None;
             }
         }
+        self.retire();
     }
-}
-
-/// Position of open message `id` in the lookback deque: where its id
-/// puts it unless a force-close left a gap, else by binary search.
-fn position(recent: &VecDeque<Recent>, id: u64) -> Option<usize> {
-    let guess = id.checked_sub(recent.front()?.0)? as usize;
-    if recent.get(guess).is_some_and(|r| r.0 == id) {
-        return Some(guess);
-    }
-    recent.binary_search_by_key(&id, |r| r.0).ok()
 }
 
 /// Operational knobs of the streaming digester beyond the grouping
@@ -165,69 +177,48 @@ pub struct StreamStats {
     /// excluded from the digest exactly as if never fed; their records
     /// drain through `FaultTolerantIngest::take_quarantined`.
     pub n_quarantined: usize,
+    /// Events emitted since the feed began, a resumed run's included.
+    pub n_events: usize,
 }
 
-/// Registry-backed counters of one digester. Detached atomics when the
-/// digester runs without telemetry (they still count — [`StreamStats`] is
-/// a view over them either way), registered under `stream.*` names when a
-/// [`Telemetry`] handle is attached.
-struct StreamCounters {
+/// Incremental digester over a time-ordered syslog feed.
+pub struct StreamDigester<'k> {
+    k: &'k DomainKnowledge,
+    /// `k.fingerprint()`, computed at the first checkpoint or resume (`k`
+    /// is borrowed immutably for the digester's life), so a batch digest,
+    /// which never checkpoints, does not hash the knowledge.
+    knowledge_fp: std::cell::OnceCell<u64>,
+    /// Everything a checkpoint carries.
+    st: StreamState,
+    /// Augmentation of the lines seen so far, a cache over the fixed
+    /// knowledge (never checkpointed; a panic inside it empties it).
+    memo: AugmentMemo,
+
+    /// Registry-backed counters, [`StreamStats`] and the `links_*` per
+    /// stage: registered under `stream.*` names when a [`Telemetry`]
+    /// handle is attached, detached atomics that still count otherwise.
     n_input: Counter,
     n_dropped: Counter,
     n_force_closed: Counter,
     n_inconsistent: Counter,
     n_quarantined: Counter,
     n_events: Counter,
-    links_temporal: Counter,
-    links_rule: Counter,
-    links_cross: Counter,
-}
-
-impl StreamCounters {
-    fn new(tel: &Telemetry) -> Self {
-        StreamCounters {
-            n_input: tel.counter("stream.n_input"),
-            n_dropped: tel.counter("stream.n_dropped"),
-            n_force_closed: tel.counter("stream.n_force_closed"),
-            n_inconsistent: tel.counter("stream.n_inconsistent"),
-            n_quarantined: tel.counter("stream.n_quarantined"),
-            n_events: tel.counter("stream.n_events"),
-            links_temporal: tel.counter("stream.links_temporal"),
-            links_rule: tel.counter("stream.links_rule"),
-            links_cross: tel.counter("stream.links_cross"),
-        }
-    }
-}
-
-/// Incremental digester over a time-ordered syslog feed.
-pub struct StreamDigester<'k> {
-    k: &'k DomainKnowledge,
-    /// `k.fingerprint()`, computed once: `k` is borrowed immutably for
-    /// the digester's life.
-    knowledge_fp: u64,
-    /// Everything a checkpoint carries.
-    st: StreamState,
-    /// Augmentation of the lines seen so far. A cache over the fixed
-    /// knowledge, so it is never checkpointed; a panic inside
-    /// augmentation replaces it with an empty one.
-    memo: AugmentMemo,
-
-    /// Drop / degradation / throughput counters ([`StreamStats`] is a
-    /// view over these; with telemetry attached they are also exported).
-    counters: StreamCounters,
+    links: [Counter; 3],
+    /// Links unioned per stage and not yet added to `links`.
+    n_links: [u64; 3],
 
     /// Emit one [`EventProvenance`] per event (drained via
     /// [`StreamDigester::take_provenance`]).
     trace: bool,
     trace_out: Vec<EventProvenance>,
-    /// Quarantined-message records pending drain
-    /// ([`StreamDigester::take_quarantined`]). Not checkpointed —
-    /// records are sidecar output, only the counter survives resume.
+    /// Quarantined-message records pending drain (sidecar output, never
+    /// checkpointed; only the counter survives resume).
     quarantined: Vec<QuarantineRecord>,
 
     // Cached span handles (cheap no-ops without telemetry).
     sp_push: SpanHandle,
     sp_augment: SpanHandle,
+    sp_group: SpanHandle,
     sp_sweep: SpanHandle,
 }
 
@@ -247,7 +238,7 @@ impl<'k> StreamDigester<'k> {
         let floor = k.temporal.s_max.max(k.window_secs).max(CROSS_WINDOW_SECS);
         StreamDigester {
             k,
-            knowledge_fp: k.fingerprint(),
+            knowledge_fp: std::cell::OnceCell::new(),
             st: StreamState {
                 cfg,
                 scfg: StreamConfig {
@@ -259,30 +250,48 @@ impl<'k> StreamDigester<'k> {
                 clock: Timestamp(i64::MIN),
                 since_sweep: 0,
                 recent: VecDeque::new(),
-                groups: SortedMap::default(),
+                bodies: VecDeque::new(),
+                n_open: 0,
+                groups: Vec::new(),
+                free: Vec::new(),
                 stages: Stages::default(),
             },
             memo: AugmentMemo::new(),
-            counters: StreamCounters::new(tel),
+            n_links: [0; 3],
+            n_input: tel.counter("stream.n_input"),
+            n_dropped: tel.counter("stream.n_dropped"),
+            n_force_closed: tel.counter("stream.n_force_closed"),
+            n_inconsistent: tel.counter("stream.n_inconsistent"),
+            n_quarantined: tel.counter("stream.n_quarantined"),
+            n_events: tel.counter("stream.n_events"),
+            links: ["temporal", "rule", "cross"]
+                .map(|stage| tel.counter(&format!("stream.links_{stage}"))),
             trace: false,
             trace_out: Vec::new(),
             quarantined: Vec::new(),
             sp_push: tel.span("stream.push"),
             sp_augment: tel.span("stream.augment"),
+            sp_group: Telemetry::disabled().span("stream.group"),
             sp_sweep: tel.span("stream.sweep"),
         }
     }
 
-    /// Current counters as a plain [`StreamStats`] value, read from the
-    /// registry-backed counters.
+    /// Current counters as a plain [`StreamStats`] value.
     pub fn stats(&self) -> StreamStats {
         StreamStats {
-            n_input: self.counters.n_input.get() as usize,
-            n_dropped: self.counters.n_dropped.get() as usize,
-            n_force_closed: self.counters.n_force_closed.get() as usize,
-            n_inconsistent: self.counters.n_inconsistent.get() as usize,
-            n_quarantined: self.counters.n_quarantined.get() as usize,
+            n_input: self.n_input.get() as usize,
+            n_dropped: self.n_dropped.get() as usize,
+            n_force_closed: self.n_force_closed.get() as usize,
+            n_inconsistent: self.n_inconsistent.get() as usize,
+            n_quarantined: self.n_quarantined.get() as usize,
+            n_events: self.n_events.get() as usize,
         }
+    }
+
+    /// Time augmentation and grouping under `augment` and `group`, for
+    /// batch [`digest`](crate::digest), which reports its own spans.
+    pub(crate) fn time_as(&mut self, augment: SpanHandle, group: SpanHandle) {
+        (self.sp_augment, self.sp_group) = (augment, group);
     }
 
     /// Drain the [`QuarantineRecord`]s of messages quarantined since the
@@ -306,51 +315,38 @@ impl<'k> StreamDigester<'k> {
 
     /// Number of currently open groups.
     pub fn open_groups(&self) -> usize {
-        self.st.groups.len()
+        self.st.groups.len() - self.st.free.len()
     }
 
     /// Number of open messages, those a stage can still link to.
     pub fn open_messages(&self) -> usize {
-        self.st.recent.len()
+        self.st.n_open
     }
 
-    /// Merge the groups of open messages `a` (the earlier one) and `b`.
-    /// The larger group's root survives (ties keep `a`'s), and the smaller
-    /// group's open members are re-pointed at it, so every open message
-    /// always names its group directly.
-    fn union(&mut self, a: u64, b: u64, cause: MergeCause) {
-        let (Some(ra), Some(rb)) = (self.st.root_of(a), self.st.root_of(b)) else {
-            self.counters.n_inconsistent.inc();
-            return;
+    /// Merge the groups in slots `a` (the earlier message's) and `b`, and
+    /// return the merged group's slot. The larger group survives (ties
+    /// keep `a`'s), and the smaller group's open members are re-pointed at
+    /// its slot, so every open message always names its group directly.
+    fn union(&mut self, a: usize, b: usize) -> usize {
+        let st = &mut self.st;
+        let size = |s: usize| st.groups[s].as_ref().map(|g| g.members.len());
+        let (Some(na), Some(nb)) = (size(a), size(b)) else {
+            self.n_inconsistent.inc();
+            return b;
         };
-        match cause {
-            MergeCause::Temporal => self.counters.links_temporal.inc(),
-            MergeCause::Rule(_, _) => self.counters.links_rule.inc(),
-            MergeCause::Cross => self.counters.links_cross.inc(),
-        }
-        let size = |r| self.st.groups.get(&r).map(|g| g.members.len());
-        let (Some(na), Some(nb)) = (size(ra), size(rb)) else {
-            self.counters.n_inconsistent.inc();
-            return;
-        };
-        let (root, child) = if nb > na { (rb, ra) } else { (ra, rb) };
-        let gchild = (child != root).then(|| self.st.groups.remove(&child));
-        let gchild = gchild.flatten();
-        let Some(groot) = self.st.groups.get_mut(&root) else {
-            return;
-        };
-        if let Some(g) = gchild {
-            let recent = &mut self.st.recent;
+        let (root, child) = if nb > na { (b, a) } else { (a, b) };
+        if let Some(g) = (a != b).then(|| st.groups[child].take()).flatten() {
             for &m in &g.members {
-                if let Some(j) = position(recent, m as u64) {
-                    recent[j].2 = root;
+                if let Some(j) = st.at(m as u64, st.recent.len()) {
+                    st.recent[j].1 = Some(root);
                 }
             }
-            groot.absorb(g);
+            st.free.push(child);
+            if let Some(r) = st.groups[root].as_mut() {
+                r.absorb(g);
+            }
         }
-        // A link inside one group still happened (the batch path records
-        // every edge too), so it still counts as provenance.
-        groot.links.record(cause);
+        root
     }
 
     /// Feed a slice of messages (non-decreasing in time — route unordered
@@ -363,87 +359,133 @@ impl<'k> StreamDigester<'k> {
     /// clock, which the ingest layer never sends, may find fewer links:
     /// the lookback deque follows the clock, not the message.
     pub fn push_batch(&mut self, msgs: &[RawMessage]) -> Vec<NetworkEvent> {
+        self.push_numbered(msgs, |_| {})
+    }
+
+    /// [`push_batch`](Self::push_batch), handing `numbered` the position in
+    /// `msgs` of each message that gets a sequence number (one neither
+    /// dropped nor quarantined), in sequence order. Each chunk is grouped
+    /// in two tight passes: the stages step every message, then each is
+    /// grouped by its links and closes what its clock lets close. The
+    /// result is that of one message at a time.
+    pub(crate) fn push_numbered(
+        &mut self,
+        msgs: &[RawMessage],
+        mut numbered: impl FnMut(usize),
+    ) -> Vec<NetworkEvent> {
         let _g = self.sp_push.start();
-        let k = self.k;
-        // The batch offset passed as idx is a placeholder; the real
-        // sequence number is assigned in `push_augmented` (exactly as
-        // `push` would have).
-        let iso = {
-            let _g = self.sp_augment.start();
-            self.memo.augment_isolated(k, msgs)
-        };
-        // Quarantined offsets come in ascending order.
-        let mut poisoned = iso.quarantined.into_iter().peekable();
         let mut events = Vec::new();
-        for (i, (m, sp)) in msgs.iter().zip(iso.augmented).enumerate() {
-            if let Some((_, reason)) = poisoned.next_if(|(q, _)| *q == i) {
-                // Counted as input, excluded from the digest exactly as if
-                // never fed (no sequence number, no clock advance, no
-                // sweep tick), so the surviving output is byte-identical
-                // to a feed without the poison message.
-                self.counters.n_input.inc();
-                self.counters.n_quarantined.inc();
-                self.quarantined.push(QuarantineRecord::from_message(
-                    self.counters.n_input.get(),
-                    m,
-                    "augment",
-                    &reason,
-                ));
-                continue;
+        for (c, chunk) in msgs.chunks(CHUNK).enumerate() {
+            let iso = {
+                let _g = self.sp_augment.start();
+                self.memo.augment_isolated(self.k, chunk)
+            };
+            let _g = self.sp_group.start();
+            let n_before = self.n_input.get();
+            self.n_input.add(chunk.len() as u64);
+            let mut poisoned = iso.quarantined.into_iter().peekable();
+            // Number the augmented messages (a quarantined one is `None`,
+            // like a drop) and step them; an earlier message is in the
+            // chunk or among the bodies.
+            let kept: Vec<bool> = iso.augmented.iter().map(Option::is_some).collect();
+            let mut sps: Vec<SyslogPlus> = iso.augmented.into_iter().flatten().collect();
+            let base = self.st.next_seq;
+            for (sp, seq) in sps.iter_mut().zip(base as usize..) {
+                sp.idx = seq;
             }
-            events.extend(self.push_augmented(m, sp));
+            let mut links = Vec::with_capacity(4 * sps.len());
+            let mut ends = Vec::with_capacity(sps.len());
+            let st = &mut self.st;
+            let (bodies, from_bodies) = (&st.bodies, base - st.bodies.len() as u64);
+            let lookup = |id: u64| match id.checked_sub(base) {
+                Some(j) => sps.get(j as usize),
+                None => bodies.get(id.checked_sub(from_bodies)? as usize)?.as_ref(),
+            };
+            for (sp, seq) in sps.iter().zip(base..) {
+                st.stages.step(self.k, &st.cfg, sp, seq, lookup, &mut links);
+                ends.push(links.len());
+            }
+            let (mut from, mut stepped) = (0, sps.into_iter().zip(ends));
+            for (i, m) in chunk.iter().enumerate() {
+                // A quarantined message is left out exactly as if never fed
+                // (no clock advance, no sweep tick), so the surviving output
+                // is byte-identical to a feed without it.
+                if let Some((_, reason)) = poisoned.next_if(|(q, _)| *q == i) {
+                    self.n_quarantined.inc();
+                    let at = n_before + i as u64 + 1;
+                    let record = QuarantineRecord::from_message(at, m, "augment", &reason);
+                    self.quarantined.push(record);
+                    continue;
+                }
+                if m.ts > self.st.clock {
+                    self.st.clock = m.ts;
+                    self.st.retire();
+                }
+                match kept[i].then(|| stepped.next()).flatten() {
+                    Some((sp, to)) => {
+                        numbered(c * CHUNK + i);
+                        self.group(sp, &links[std::mem::replace(&mut from, to)..to]);
+                    }
+                    None => self.n_dropped.inc(),
+                }
+                self.st.since_sweep = (self.st.since_sweep + 1) % 256;
+                if self.st.since_sweep == 0 {
+                    let closed = self.sweep(CloseReason::Idle);
+                    self.finalize(closed, &mut events);
+                }
+                if self.st.scfg.max_open_messages > 0 {
+                    self.enforce_open_bound(&mut events);
+                }
+            }
+        }
+        for (c, n) in self.links.iter().zip(std::mem::take(&mut self.n_links)) {
+            c.add(n);
         }
         events
     }
 
-    fn push_augmented(&mut self, m: &RawMessage, sp: Option<SyslogPlus>) -> Vec<NetworkEvent> {
-        self.counters.n_input.inc();
-        self.st.clock = self.st.clock.max(m.ts);
-        self.st.retire();
-        let seq = self.st.next_seq;
-        let Some(mut sp) = sp else {
-            self.counters.n_dropped.inc();
-            let closed = self.maybe_sweep();
-            return self.finalize(closed);
-        };
-        sp.idx = seq as usize;
-        self.st.next_seq += 1;
-        let mut links = Vec::new();
-        let st = &mut self.st;
-        let recent = &st.recent;
-        let lookup = |i| recent[position(recent, i)?].3.as_ref();
-        st.stages
-            .step(self.k, &st.cfg, &sp, seq, lookup, &mut links);
-        // Applied in one fixed order, so group roots and member order do
-        // not follow the hash order the rule stage found its links in. A
-        // link to a message whose group already closed merges nothing.
-        links.sort_unstable();
-        links.retain(|&(e, _)| st.root_of(e).is_some_and(|r| st.groups.contains_key(&r)));
-        // The message joins the group of its first link, where a union
-        // would put its singleton group; every link is then unioned.
-        let first = links.first().and_then(|&(e, _)| st.root_of(e));
-        let root = first.unwrap_or(seq);
-        st.groups.entry(root).or_default().add(self.k, &sp);
-        st.recent
-            .push_back(Recent(seq, sp.ts, root, st.cfg.cross.then_some(sp)));
-        for (earlier, cause) in links {
-            self.union(earlier, seq, cause);
+    /// Group numbered message `sp`: it joins the group of its first link to
+    /// an open message, where a union would put its singleton group, and
+    /// each further link unions. A link to a message no longer open merges
+    /// nothing; one inside a group still counts as provenance.
+    fn group(&mut self, sp: SyslogPlus, links: &[(u64, MergeCause)]) {
+        let mut slot = None;
+        for &(earlier, cause) in links {
+            let Some(a) = self.st.slot_of(earlier) else {
+                continue;
+            };
+            let s = match slot {
+                Some(b) if b == a => a,
+                Some(b) => self.union(a, b),
+                None => self.st.join(Some(a), self.k, &sp),
+            };
+            if let Some(g) = self.st.groups[s].as_mut() {
+                g.links.record(cause);
+            }
+            self.n_links[match cause {
+                MergeCause::Temporal => 0,
+                MergeCause::Rule(_, _) => 1,
+                MergeCause::Cross => 2,
+            }] += 1;
+            slot = Some(s);
         }
-
-        let mut closed = self.maybe_sweep();
-        self.enforce_open_bound(&mut closed);
-        self.finalize(closed)
+        let st = &mut self.st;
+        let slot = slot.unwrap_or_else(|| st.join(None, self.k, &sp));
+        st.recent.push_back((sp.ts, Some(slot)));
+        (st.next_seq, st.n_open) = (st.next_seq + 1, st.n_open + 1);
+        if st.cfg.cross {
+            st.bodies.push_back(Some(sp));
+        }
     }
 
     /// Assign emission-order event ids, and hand each provenance record
     /// its id. Runs on every emission path, unconditionally — ids must
     /// not depend on telemetry or tracing being attached.
-    fn finalize(&mut self, closed: Vec<Closed>) -> Vec<NetworkEvent> {
-        let mut events = Vec::with_capacity(closed.len());
+    fn finalize(&mut self, closed: Vec<Closed>, events: &mut Vec<NetworkEvent>) {
         for (mut ev, prov) in closed {
             self.st.next_event_id += 1;
             ev.id = self.st.next_event_id;
-            self.counters.n_events.inc();
+            self.n_events.inc();
             if let Some(p) = prov {
                 self.trace_out.push(EventProvenance {
                     event_id: ev.id,
@@ -452,28 +494,21 @@ impl<'k> StreamDigester<'k> {
             }
             events.push(ev);
         }
-        events
     }
 
-    fn maybe_sweep(&mut self) -> Vec<Closed> {
-        self.st.since_sweep += 1;
-        if self.st.since_sweep < 256 {
-            return Vec::new();
-        }
-        self.st.since_sweep = 0;
-        self.sweep(CloseReason::Idle)
-    }
-
-    /// Close one group by root, building its event (and, when tracing,
-    /// its provenance) from its summary. `None` if the root has no state.
-    fn close_root(&mut self, root: u64, reason: CloseReason) -> Option<Closed> {
-        let g = self.st.groups.remove(&root)?;
+    /// Close the group in `slot` (`None` if free): its event and, when
+    /// tracing, its provenance; its open entries are dropped.
+    fn close_slot(&mut self, slot: usize, reason: CloseReason) -> Option<Closed> {
+        let g = self.st.groups.get_mut(slot)?.take()?;
+        self.st.free.push(slot);
         let idle_gap = (reason == CloseReason::Idle).then(|| self.st.clock.seconds_since(g.end));
         let horizon = Some(self.st.scfg.idle_close);
         let prov = self
             .trace
             .then(|| g.provenance(self.k, reason, idle_gap, horizon));
-        Some((g.event(self.k, g.score(self.k)), prov))
+        let ev = g.event(self.k, g.score(self.k));
+        self.st.drop_entries(&ev.message_idxs);
+        Some((ev, prov))
     }
 
     /// Close every group idle past the horizon, or every group for
@@ -482,54 +517,52 @@ impl<'k> StreamDigester<'k> {
         let _g = self.sp_sweep.start();
         let close_all = reason == CloseReason::Finish;
         let horizon = self.st.horizon(self.st.scfg.idle_close);
-        let closable: Vec<u64> = self
-            .st
-            .groups
-            .iter()
-            .filter(|(_, g)| close_all || g.end < horizon)
-            .map(|(&root, _)| root)
-            .collect();
-        let mut closed: Vec<Closed> = closable
-            .into_iter()
-            .filter_map(|root| self.close_root(root, reason))
-            .collect();
+        let mut closed = Vec::new();
+        for slot in 0..self.st.groups.len() {
+            let g = self.st.groups[slot].as_ref();
+            if g.is_some_and(|g| close_all || g.end < horizon) {
+                closed.extend(self.close_slot(slot, reason));
+            }
+        }
         // Total order: `start` alone ties when two groups begin the same
-        // second, and a stable sort would then keep HashMap iteration
-        // order — nondeterministic across digester instances. The lowest
-        // member sequence number breaks ties reproducibly.
+        // second, and slot order follows slot reuse, not time. The lowest
+        // member sequence number breaks such ties reproducibly.
         closed.sort_by_key(|(ev, _)| (ev.start, ev.message_idxs.first().copied()));
         closed
     }
 
     /// Memory-pressure guard: while more than `max_open_messages` messages
     /// are open, force-close the *least recently active* group holding some
-    /// (none idle past the horizon does), appending its premature event.
-    fn enforce_open_bound(&mut self, closed: &mut Vec<Closed>) {
+    /// (its first member breaking ties), emitting its premature event.
+    fn enforce_open_bound(&mut self, events: &mut Vec<NetworkEvent>) {
         let max = self.st.scfg.max_open_messages;
         let horizon = self.st.horizon(self.st.scfg.idle_close);
-        let from = closed.len();
-        while max > 0 && self.st.recent.len() > max {
-            let groups = self.st.groups.iter().filter(|(_, g)| g.end >= horizon);
+        let mut closed = Vec::new();
+        while max > 0 && self.st.n_open > max {
+            let groups = self.st.groups.iter().enumerate();
             let oldest = groups
-                .min_by_key(|&(&root, g)| (g.end, root))
-                .map(|(&r, _)| r);
-            let Some(c) = oldest.and_then(|r| self.close_root(r, CloseReason::ForceClosed)) else {
+                .filter_map(|(s, g)| Some((g.as_ref()?, s)))
+                .filter(|(g, _)| g.end >= horizon)
+                .min_by_key(|(g, _)| (g.end, g.members.first().copied()))
+                .map(|(_, s)| s);
+            let Some(c) = oldest.and_then(|s| self.close_slot(s, CloseReason::ForceClosed)) else {
                 break;
             };
-            self.counters.n_force_closed.inc();
-            self.st.drop_entries(&c.0.message_idxs);
+            self.n_force_closed.inc();
             closed.push(c);
         }
-        closed[from..].sort_by_key(|(ev, _)| ev.start);
+        closed.sort_by_key(|(ev, _)| ev.start);
+        self.finalize(closed, events);
     }
 
-    /// Close and emit every remaining group (end of the feed). Their
-    /// provenance records drain through
-    /// [`take_provenance`](Self::take_provenance) like any others.
+    /// Close and emit every remaining group (end of the feed); their
+    /// provenance drains through [`take_provenance`](Self::take_provenance).
     pub fn finish(&mut self) -> Vec<NetworkEvent> {
+        (self.st.recent, self.st.bodies, self.st.n_open) = Default::default();
         let closed = self.sweep(CloseReason::Finish);
-        self.st.recent.clear();
-        self.finalize(closed)
+        let mut events = Vec::new();
+        self.finalize(closed, &mut events);
+        events
     }
 
     // ------------------------------------------------- checkpoint/restore --
@@ -542,7 +575,7 @@ impl<'k> StreamDigester<'k> {
         ingest: IngestState,
     ) -> StreamSnapshot {
         StreamSnapshot {
-            knowledge_fp: self.knowledge_fp,
+            knowledge_fp: *self.knowledge_fp.get_or_init(|| self.k.fingerprint()),
             digester: self.st.clone(),
             stats: self.stats(),
             reorder: reorder.clone(),
@@ -551,20 +584,19 @@ impl<'k> StreamDigester<'k> {
     }
 
     /// Rebuild the digester of a snapshot taken by
-    /// [`checkpoint`](StreamDigester::checkpoint), with counters
-    /// registered in `tel` and set to their checkpointed values. Fails if
-    /// the snapshot was taken against a different knowledge base.
+    /// [`checkpoint`](StreamDigester::checkpoint), its counters registered
+    /// in `tel` at their checkpointed values; fails for other knowledge.
     pub(crate) fn resume_with_telemetry(
         k: &'k DomainKnowledge,
         snapshot: &StreamSnapshot,
         tel: &Telemetry,
     ) -> Result<Self, CheckpointError> {
         let mut sd = Self::with_telemetry(k, snapshot.digester.cfg, snapshot.digester.scfg, tel);
-        if snapshot.knowledge_fp != sd.knowledge_fp {
+        if snapshot.knowledge_fp != *sd.knowledge_fp.get_or_init(|| k.fingerprint()) {
             return Err(CheckpointError::KnowledgeMismatch);
         }
         sd.st = snapshot.digester.clone();
-        let (c, s) = (&sd.counters, &snapshot.stats);
+        let (c, s) = (&sd, &snapshot.stats);
         c.n_input.set(s.n_input as u64);
         c.n_dropped.set(s.n_dropped as u64);
         c.n_force_closed.set(s.n_force_closed as u64);
@@ -730,6 +762,80 @@ mod tests {
         assert_eq!(norm(&e1), norm(&e2));
     }
 
+    /// One dataset and its knowledge for every proptest case.
+    fn shared() -> &'static (Dataset, DomainKnowledge) {
+        static SHARED: std::sync::OnceLock<(Dataset, DomainKnowledge)> = std::sync::OnceLock::new();
+        SHARED.get_or_init(setup)
+    }
+
+    /// What a digester's checkpoint carries of it: its state as JSON and
+    /// its counters.
+    fn state(sd: &StreamDigester<'_>) -> (String, StreamStats) {
+        (serde_json::to_string(&sd.st).unwrap(), sd.stats())
+    }
+
+    /// Each emitted event's id, members, score bits and line.
+    fn shape(evs: &[NetworkEvent]) -> Vec<(u64, Vec<usize>, u64, String)> {
+        let shape = |e: &NetworkEvent| {
+            (
+                e.id,
+                e.message_idxs.clone(),
+                e.score.to_bits(),
+                e.format_line(),
+            )
+        };
+        evs.iter().map(shape).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Pushing a sorted batch in any chunk split, from single messages
+        /// to the whole batch (longer than one internal chunk), emits the
+        /// same events, scores, provenance and checkpointed state after
+        /// every prefix as one `push_batch` of that prefix.
+        #[test]
+        fn chunk_splits_push_like_one_batch(
+            start in 0usize..20_000,
+            len in 1usize..(2 * CHUNK),
+            cuts in proptest::collection::vec(0.0f64..1.0, 0..10),
+        ) {
+            let (d, k) = shared();
+            let online = d.online();
+            let start = start % online.len();
+            let msgs = &online[start..(start + len).min(online.len())];
+            let mut cuts: Vec<usize> = cuts.iter().map(|f| (f * msgs.len() as f64) as usize).collect();
+            cuts.push(msgs.len());
+            cuts.sort_unstable();
+            cuts.dedup();
+            let traced = || {
+                let mut sd = digester(k, GroupingConfig::default(), StreamConfig::default());
+                sd.set_trace(true);
+                sd
+            };
+            let (mut split, mut events, mut from) = (traced(), Vec::new(), 0);
+            for &to in &cuts {
+                events.extend(split.push_batch(&msgs[from..to]));
+                from = to;
+                let mut whole = traced();
+                let whole_events = whole.push_batch(&msgs[..to]);
+                proptest::prop_assert_eq!(shape(&events), shape(&whole_events));
+                proptest::prop_assert_eq!(state(&split), state(&whole));
+                if to == msgs.len() {
+                    events.extend(split.finish());
+                    let mut all = whole_events;
+                    all.extend(whole.finish());
+                    proptest::prop_assert_eq!(shape(&events), shape(&all));
+                    let records = |sd: &mut StreamDigester<'_>| {
+                        let p = sd.take_provenance();
+                        p.iter().map(|p| p.to_json()).collect::<Vec<_>>()
+                    };
+                    proptest::prop_assert_eq!(records(&mut split), records(&mut whole));
+                }
+            }
+        }
+    }
+
     #[test]
     fn unknown_routers_are_counted_not_grouped() {
         let (_, k) = setup();
@@ -783,8 +889,7 @@ mod tests {
             m.ts = frozen;
             push(&mut sd, &m);
             peak = peak.max(sd.open_messages());
-            let bodies = sd.st.recent.iter().filter(|r| r.3.is_some()).count();
-            peak_bodies = peak_bodies.max(bodies);
+            peak_bodies = peak_bodies.max(sd.st.bodies.iter().flatten().count());
         }
         assert!(
             peak <= 64 + 1,

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use syslogdigest_repro::digest::offline::{history, learn, OfflineConfig};
 use syslogdigest_repro::digest::UnionFind;
 use syslogdigest_repro::digest::{augment_batch_isolated, digest, Digest, DomainKnowledge};
-use syslogdigest_repro::digest::{group, stage_edges, GroupingConfig};
+use syslogdigest_repro::digest::{build_event, group, score_group, stage_edges, GroupingConfig};
 use syslogdigest_repro::model::{sort_batch, ErrorCode, Parallelism, RawMessage, Timestamp};
 use syslogdigest_repro::netsim::{Dataset, DatasetSpec};
 use syslogdigest_repro::telemetry::Telemetry;
@@ -22,6 +22,14 @@ fn event_shape(d: &Digest) -> Vec<(Vec<usize>, f64)> {
         .iter()
         .map(|e| (e.message_idxs.clone(), e.score))
         .collect()
+}
+
+/// The partition a digest's events make of the raw indices, as sorted
+/// member lists in sorted order.
+fn partition(d: &Digest) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = d.events.iter().map(|e| e.message_idxs.clone()).collect();
+    groups.sort();
+    groups
 }
 
 fn assert_runs_agree(spec: DatasetSpec, off: OfflineConfig) {
@@ -146,9 +154,10 @@ fn arbitrary_stream() -> impl Strategy<Value = Vec<RawMessage>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `digest` equals its stages run one after another by hand (augment,
-    /// then group) and a second `digest` of the same stream: identical
-    /// dropped count, group labels and events.
+    /// `digest` equals its stages composed by hand (augment, `group`,
+    /// then `build_event` with `score_group` per group, ranked by score,
+    /// start and lowest member) and a second `digest` of the same stream:
+    /// identical dropped count, partition and events.
     #[test]
     fn digest_equals_sequential_digest(stream in arbitrary_stream()) {
         let k = tiny_knowledge();
@@ -157,10 +166,34 @@ proptest! {
         let (batch, dropped) =
             augment_batch_isolated(&k, &stream, Parallelism::sequential()).split();
         prop_assert_eq!(base.n_dropped, dropped);
-        prop_assert_eq!(&base.grouping.group_of, &group(&k, &batch, &cfg).group_of);
+        let mut composed: Vec<_> = group(&k, &batch, &cfg)
+            .members()
+            .iter()
+            .map(|m| build_event(&k, &batch, m, score_group(&k, &batch, m)))
+            .collect();
+        composed.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then(a.start.cmp(&b.start))
+                .then(a.message_idxs.cmp(&b.message_idxs))
+        });
+        prop_assert_eq!(base.events.len(), composed.len());
+        for (rank, (ev, c)) in base.events.iter().zip(&composed).enumerate() {
+            prop_assert_eq!(ev.id, rank as u64 + 1);
+            prop_assert_eq!(&ev.message_idxs, &c.message_idxs);
+            prop_assert_eq!(ev.score.to_bits(), c.score.to_bits());
+            prop_assert_eq!(ev.format_line(), c.format_line());
+        }
+        let mut grouped: Vec<Vec<usize>> = group(&k, &batch, &cfg)
+            .members()
+            .iter()
+            .map(|m| m.iter().map(|&i| batch[i].idx).collect())
+            .collect();
+        grouped.sort();
+        prop_assert_eq!(partition(&base), grouped);
         let again = digest(&k, &stream, &cfg);
         prop_assert_eq!(base.n_dropped, again.n_dropped);
-        prop_assert_eq!(&base.grouping.group_of, &again.grouping.group_of);
+        prop_assert_eq!(partition(&base), partition(&again));
         prop_assert_eq!(event_shape(&base), event_shape(&again));
     }
 
