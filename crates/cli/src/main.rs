@@ -2,6 +2,7 @@
 //! subcommand implementations).
 
 use sd_cli::LogFormat;
+use std::io::{self, Write};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -23,10 +24,23 @@ fn main() {
             std::process::exit(2);
         }
     };
-    match sd_cli::dispatch(&parsed) {
-        Ok(out) => println!("{out}"),
+    let out = match sd_cli::dispatch(&parsed) {
+        Ok(out) => out + "\n",
         Err(e) => {
             fmt.emit("error", &e.to_string(), &[]);
+            std::process::exit(1);
+        }
+    };
+    let mut stdout = io::stdout().lock();
+    let written = stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush());
+    match written {
+        Ok(()) => {}
+        // A reader that stops early (`| head`) has what it wanted.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            fmt.emit("error", &format!("writing to stdout: {e}"), &[]);
             std::process::exit(1);
         }
     }

@@ -121,7 +121,8 @@ impl DomainKnowledge {
     /// are dense indexes, and replaying them against another base (even
     /// one learned from another week with the same component counts)
     /// would silently mis-group rather than fail. It encodes the whole
-    /// base, so a stream digester computes it once, when it is built.
+    /// base, so a stream digester computes it once, at its first
+    /// checkpoint or resume (a run that does neither never pays for it).
     pub fn fingerprint(&self) -> u64 {
         Fnv::hash(
             self.to_json()

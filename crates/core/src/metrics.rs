@@ -3,25 +3,35 @@
 //! the paper — quantitative grouping quality against the simulator's
 //! ground-truth event tags.
 
-use crate::augment::augment_batch_isolated;
-use crate::grouping::{group, GroupingConfig, GroupingResult};
+use crate::event::NetworkEvent;
+use crate::grouping::GroupingConfig;
 use crate::knowledge::DomainKnowledge;
 use crate::pipeline::{digest, digest_instrumented};
-use sd_model::{GroundTruthId, Parallelism, RawMessage, Timestamp, DAY};
+use sd_model::{GroundTruthId, RawMessage, Timestamp, DAY};
 use sd_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Compression ratios for T, T+R and T+R+C (the three Table 7 rows).
+/// Compression ratios for T, T+R and T+R+C (the three Table 7 rows): the
+/// events `digest` closes per message it groups (drops and quarantined
+/// messages excluded).
 pub fn compression_table(k: &DomainKnowledge, raw: &[RawMessage]) -> Vec<(String, f64)> {
-    let (batch, _) = augment_batch_isolated(k, raw, Parallelism::sequential()).split();
     [
         ("T", GroupingConfig::t_only()),
         ("T+R", GroupingConfig::t_r()),
         ("T+R+C", GroupingConfig::default()),
     ]
     .into_iter()
-    .map(|(name, cfg)| (name.to_owned(), group(k, &batch, &cfg).compression_ratio()))
+    .map(|(name, cfg)| {
+        let d = digest(k, raw, &cfg);
+        let grouped = d.n_input - d.n_dropped - d.n_quarantined;
+        let ratio = if grouped == 0 {
+            0.0
+        } else {
+            d.events.len() as f64 / grouped as f64
+        };
+        (name.to_owned(), ratio)
+    })
     .collect()
 }
 
@@ -122,20 +132,16 @@ pub struct GtQuality {
     pub purity: f64,
 }
 
-/// Compare a grouping against ground-truth tags (only tagged messages are
-/// considered; background noise has no ground truth to violate).
-pub(crate) fn gt_quality(
-    raw: &[RawMessage],
-    batch_raw_idx: &[usize],
-    g: &GroupingResult,
-) -> GtQuality {
+/// Compare digested events against ground-truth tags (only tagged
+/// messages are considered; background noise has no ground truth to
+/// violate). `events` index into `raw`.
+pub(crate) fn gt_quality(raw: &[RawMessage], events: &[NetworkEvent]) -> GtQuality {
     // Contingency counts over (gt event, group).
     let mut cont: HashMap<(GroundTruthId, usize), u64> = HashMap::new();
     let mut per_gt: HashMap<GroundTruthId, u64> = HashMap::new();
     let mut per_group: HashMap<usize, u64> = HashMap::new();
-    for (bi, &ri) in batch_raw_idx.iter().enumerate() {
-        if let Some(gt) = raw[ri].gt_event {
-            let grp = g.group_of[bi];
+    for (grp, ev) in events.iter().enumerate() {
+        for gt in ev.message_idxs.iter().filter_map(|&i| raw[i].gt_event) {
             *cont.entry((gt, grp)).or_insert(0) += 1;
             *per_gt.entry(gt).or_insert(0) += 1;
             *per_group.entry(grp).or_insert(0) += 1;
@@ -185,22 +191,21 @@ pub(crate) fn gt_quality(
     }
 }
 
-/// Convenience: augment + group + score quality in one call.
+/// Digest `raw` with `cfg` and score the events against ground truth.
 pub fn evaluate_grouping(
     k: &DomainKnowledge,
     raw: &[RawMessage],
     cfg: &GroupingConfig,
 ) -> GtQuality {
-    let (batch, _) = augment_batch_isolated(k, raw, Parallelism::sequential()).split();
-    let g = group(k, &batch, cfg);
-    let idxs: Vec<usize> = batch.iter().map(|sp| sp.idx).collect();
-    gt_quality(raw, &idxs, &g)
+    gt_quality(raw, &digest(k, raw, cfg).events)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::augment::augment_batch_isolated;
     use crate::offline::{learn, OfflineConfig};
+    use sd_model::Parallelism;
     use sd_netsim::{Dataset, DatasetSpec};
     use sd_telemetry::Telemetry;
 

@@ -8,7 +8,7 @@
 //! paper lacked (it validated by expert inspection).
 
 use crate::grammar::{Grammar, VarKind};
-use crate::topology::Topology;
+use crate::topology::{BgpSession, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sd_model::{GroundTruthId, RawMessage, Timestamp};
@@ -49,8 +49,8 @@ pub(crate) const USERS: &[&str] = &[
     "labuser",
 ];
 
-fn pick_user(rng: &mut StdRng) -> String {
-    USERS[rng.gen_range(0..USERS.len())].to_owned()
+fn pick_user(rng: &mut StdRng) -> &'static str {
+    USERS[rng.gen_range(0..USERS.len())]
 }
 
 /// The kind of a ground-truth event.
@@ -144,6 +144,15 @@ pub struct GtEvent {
     pub importance: f64,
 }
 
+/// The event a cascade has opened: its id and the span and count of the
+/// messages it has emitted so far.
+struct OpenEvent {
+    id: GroundTruthId,
+    start: Timestamp,
+    end: Timestamp,
+    n: usize,
+}
+
 /// Emits event cascades into a message buffer.
 pub struct EventSim<'a> {
     /// The network.
@@ -155,6 +164,9 @@ pub struct EventSim<'a> {
     /// All recorded ground-truth events.
     pub events: Vec<GtEvent>,
     next_id: GroundTruthId,
+    /// The event being emitted; `None` between cascades, where messages
+    /// are background noise.
+    open: Option<OpenEvent>,
 }
 
 impl<'a> EventSim<'a> {
@@ -166,63 +178,63 @@ impl<'a> EventSim<'a> {
             msgs: Vec::new(),
             events: Vec::new(),
             next_id: 1,
+            open: None,
         }
     }
 
-    fn push(
-        &mut self,
-        ts: Timestamp,
-        router: usize,
-        key: &str,
-        vals: &[String],
-        gt: GroundTruthId,
-    ) {
+    /// The one emission path: render template `key` with `vals` (one per
+    /// variable slot, in slot order) and push it as sent by `router` at
+    /// `ts`, tagged with the open event, whose span and count it extends.
+    fn emit(&mut self, ts: Timestamp, router: usize, key: &str, vals: &[&str]) {
         let t = self.grammar.get(key);
         let mut it = vals.iter();
-        let detail = t.render(|_| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {key}"))
-                .clone()
-        });
+        let missing = || panic!("missing value for {key}");
+        let detail = t.render(|_| *it.next().unwrap_or_else(missing));
         assert!(it.next().is_none(), "extra var values for {key}");
+        let gt_event = self.open.as_mut().map(|ev| {
+            ev.start = ev.start.min(ts);
+            ev.end = ev.end.max(ts);
+            ev.n += 1;
+            ev.id
+        });
         self.msgs.push(RawMessage {
             ts,
             router: self.topo.routers[router].name.clone(),
             code: t.code.clone(),
             detail,
-            gt_event: Some(gt),
+            gt_event,
         });
     }
 
-    fn begin(&mut self) -> GroundTruthId {
-        let id = self.next_id;
+    /// Open a new ground-truth event: every message emitted until
+    /// [`EventSim::finish`] carries its id.
+    fn begin(&mut self) {
+        self.open = Some(OpenEvent {
+            id: self.next_id,
+            start: Timestamp(i64::MAX),
+            end: Timestamp(i64::MIN),
+            n: 0,
+        });
         self.next_id += 1;
-        id
     }
 
-    fn finish(&mut self, id: GroundTruthId, kind: EventKind, routers: Vec<usize>) {
-        let mine: Vec<&RawMessage> = self
-            .msgs
-            .iter()
-            .filter(|m| m.gt_event == Some(id))
-            .collect();
-        if mine.is_empty() {
+    /// Close the open event and record it (if it emitted anything) with
+    /// the routers it `involved`.
+    fn finish(&mut self, kind: EventKind, involved: impl IntoIterator<Item = usize>) {
+        let Some(ev) = self.open.take().filter(|ev| ev.n > 0) else {
             return;
-        }
-        let start = mine.iter().map(|m| m.ts).min().unwrap();
-        let end = mine.iter().map(|m| m.ts).max().unwrap();
-        let n = mine.len();
-        let importance = (kind.base_importance() * (1.0 + (n as f64).ln() / 10.0)).min(1.0);
-        let mut routers = routers;
+        };
+        let importance = (kind.base_importance() * (1.0 + (ev.n as f64).ln() / 10.0)).min(1.0);
+        let mut routers: Vec<usize> = involved.into_iter().collect();
         routers.sort_unstable();
         routers.dedup();
         self.events.push(GtEvent {
-            id,
+            id: ev.id,
             kind,
-            start,
-            end,
+            start: ev.start,
+            end: ev.end,
             routers,
-            n_messages: n,
+            n_messages: ev.n,
             importance,
         });
     }
@@ -240,95 +252,49 @@ impl<'a> EventSim<'a> {
         n_flaps: usize,
         base_gap: f64,
     ) {
-        let id = self.begin();
-        let link = self.topo.links[link_idx].clone();
-        let ends = [link.a, link.b];
-        let names: Vec<String> = ends
-            .iter()
-            .map(|e| self.topo.endpoint(*e).1.name.clone())
-            .collect();
-        let peer_ips: Vec<String> = [link.b, link.a]
-            .iter()
-            .map(|e| {
-                self.topo
-                    .endpoint(*e)
-                    .1
-                    .ip
-                    .map(|ip| ip.to_string())
-                    .unwrap_or_default()
-            })
-            .collect();
+        self.begin();
+        let topo = self.topo;
+        let link = &topo.links[link_idx];
+        // Each end with the address of the OSPF neighbor it loses.
+        let ends = [(link.a, link.b), (link.b, link.a)].map(|(me, peer)| {
+            let ip = topo.endpoint(peer).1.ip;
+            let peer_ip = ip.map(|ip| ip.to_string()).unwrap_or_default();
+            (me.router, topo.endpoint(me).1.name.as_str(), peer_ip)
+        });
         let with_ospf = rng.gen_bool(0.6);
-        let bgp = self
-            .topo
+        let bgp = topo
             .bgp_sessions
             .iter()
-            .position(|s| s.link == Some(link_idx) && rng.gen_bool(0.8));
+            .find(|s| s.link == Some(link_idx) && rng.gen_bool(0.8));
 
         let mut gap = base_gap.max(60.0);
         let mut t = start;
         let mut last = start;
         for flap in 0..n_flaps.max(1) {
             let down_dur = rng.gen_range(2..12);
-            for (e, ep) in ends.iter().enumerate() {
-                self.push(t, ep.router, "LINK_DOWN", &[names[e].clone()], id);
-                self.push(
-                    t.plus(1),
-                    ep.router,
-                    "LINEPROTO_DOWN",
-                    &[names[e].clone()],
-                    id,
-                );
+            for (r, name, peer_ip) in &ends {
+                self.emit(t, *r, "LINK_DOWN", &[name]);
+                self.emit(t.plus(1), *r, "LINEPROTO_DOWN", &[name]);
                 if with_ospf {
-                    self.push(
-                        t.plus(2),
-                        ep.router,
-                        "OSPF_DOWN",
-                        &[peer_ips[e].clone(), names[e].clone()],
-                        id,
-                    );
+                    self.emit(t.plus(2), *r, "OSPF_DOWN", &[peer_ip, name]);
                 }
             }
             let up = t.plus(down_dur);
-            for (e, ep) in ends.iter().enumerate() {
-                self.push(up, ep.router, "LINK_UP", &[names[e].clone()], id);
-                self.push(
-                    up.plus(1),
-                    ep.router,
-                    "LINEPROTO_UP",
-                    &[names[e].clone()],
-                    id,
-                );
+            for (r, name, peer_ip) in &ends {
+                self.emit(up, *r, "LINK_UP", &[name]);
+                self.emit(up.plus(1), *r, "LINEPROTO_UP", &[name]);
                 if with_ospf {
-                    self.push(
-                        up.plus(3),
-                        ep.router,
-                        "OSPF_UP",
-                        &[peer_ips[e].clone(), names[e].clone()],
-                        id,
-                    );
+                    self.emit(up.plus(3), *r, "OSPF_UP", &[peer_ip, name]);
                 }
             }
             last = up.plus(3);
             if flap == 0 {
-                if let Some(si) = bgp {
-                    let s = self.topo.bgp_sessions[si].clone();
+                if let Some(s) = bgp {
                     let hold = rng.gen_range(60..120);
-                    let vrf = s.vrf.clone().unwrap_or_else(|| "1000:1000".to_owned());
-                    self.push(
-                        t.plus(hold),
-                        s.a,
-                        "BGP_DOWN_IFFLAP",
-                        &[s.b_addr.to_string(), vrf.clone()],
-                        id,
-                    );
-                    self.push(
-                        t.plus(hold + 1),
-                        s.b,
-                        "BGP_DOWN_RECV",
-                        &[s.a_addr.to_string(), vrf],
-                        id,
-                    );
+                    let vrf = session_vrf(s);
+                    let (a_addr, b_addr) = (s.a_addr.to_string(), s.b_addr.to_string());
+                    self.emit(t.plus(hold), s.a, "BGP_DOWN_IFFLAP", &[&b_addr, vrf]);
+                    self.emit(t.plus(hold + 1), s.b, "BGP_DOWN_RECV", &[&a_addr, vrf]);
                 }
             }
             // Cycle spacing drifts slowly (EWMA-friendly) in a band whose
@@ -345,25 +311,15 @@ impl<'a> EventSim<'a> {
             };
             t = t.plus(((gap * jitter) as i64).max(15) + down_dur);
         }
-        if let Some(si) = bgp {
-            let s = self.topo.bgp_sessions[si].clone();
-            let vrf = s.vrf.clone().unwrap_or_else(|| "1000:1000".to_owned());
-            self.push(
-                last.plus(rng.gen_range(30..90)),
-                s.a,
-                "BGP_UP",
-                &[s.b_addr.to_string(), vrf.clone()],
-                id,
-            );
-            self.push(
-                last.plus(rng.gen_range(30..90)),
-                s.b,
-                "BGP_UP",
-                &[s.a_addr.to_string(), vrf],
-                id,
-            );
+        if let Some(s) = bgp {
+            let vrf = session_vrf(s);
+            let (a_addr, b_addr) = (s.a_addr.to_string(), s.b_addr.to_string());
+            let at = last.plus(rng.gen_range(30..90));
+            self.emit(at, s.a, "BGP_UP", &[&b_addr, vrf]);
+            let at = last.plus(rng.gen_range(30..90));
+            self.emit(at, s.b, "BGP_UP", &[&a_addr, vrf]);
         }
-        self.finish(id, EventKind::LinkFlap, vec![link.a.router, link.b.router]);
+        self.finish(EventKind::LinkFlap, [link.a.router, link.b.router]);
     }
 
     /// Controller instability (Figure 4): clustered controller up/down
@@ -377,159 +333,67 @@ impl<'a> EventSim<'a> {
         start: Timestamp,
         n_cycles: usize,
     ) {
-        let id = self.begin();
-        let r = &self.topo.routers[router];
-        let ctl = r.controllers[ctl_idx].clone();
-        let ctl_tail = ctl.name.trim_start_matches("T3 ").to_owned();
+        self.begin();
+        let topo = self.topo;
+        let rt = &topo.routers[router];
+        let ctl = &rt.controllers[ctl_idx];
+        let ctl_tail = ctl.name.trim_start_matches("T3 ");
         // Affected interfaces: logical children of the controller's ports.
-        let mut child_ifaces: Vec<String> = Vec::new();
+        let mut child_ifaces: Vec<&str> = Vec::new();
         for &phys in &ctl.children {
-            for ifc in &r.interfaces {
+            for ifc in &rt.interfaces {
                 if ifc.parent == Some(phys) {
-                    child_ifaces.push(ifc.name.clone());
+                    child_ifaces.push(&ifc.name);
                 }
             }
         }
-        let peers: Vec<(usize, String)> = child_peer_ends(self.topo, router, &child_ifaces);
+        let ends = iface_ends(topo, router, &child_ifaces);
 
         let mut t = start;
-        let mut involved = vec![router];
         for _ in 0..n_cycles.max(1) {
-            self.push(
-                t,
-                router,
-                "CONTROLLER_DOWN",
-                std::slice::from_ref(&ctl_tail),
-                id,
-            );
+            self.emit(t, router, "CONTROLLER_DOWN", &[ctl_tail]);
             let lag = rng.gen_range(10..30);
-            for ifn in &child_ifaces {
-                self.push(
-                    t.plus(lag),
-                    router,
-                    "LINK_DOWN",
-                    std::slice::from_ref(ifn),
-                    id,
-                );
-                self.push(
-                    t.plus(lag + 1),
-                    router,
-                    "LINEPROTO_DOWN",
-                    std::slice::from_ref(ifn),
-                    id,
-                );
-            }
-            for (pr, pifn) in &peers {
-                self.push(
-                    t.plus(lag),
-                    *pr,
-                    "LINK_DOWN",
-                    std::slice::from_ref(pifn),
-                    id,
-                );
-                self.push(
-                    t.plus(lag + 1),
-                    *pr,
-                    "LINEPROTO_DOWN",
-                    std::slice::from_ref(pifn),
-                    id,
-                );
-                involved.push(*pr);
+            for &(r, ifn) in &ends {
+                self.emit(t.plus(lag), r, "LINK_DOWN", &[ifn]);
+                self.emit(t.plus(lag + 1), r, "LINEPROTO_DOWN", &[ifn]);
             }
             let dur = rng.gen_range(5..40);
-            self.push(
-                t.plus(lag + dur),
-                router,
-                "CONTROLLER_UP",
-                std::slice::from_ref(&ctl_tail),
-                id,
-            );
-            for ifn in &child_ifaces {
-                self.push(
-                    t.plus(lag + dur + 2),
-                    router,
-                    "LINK_UP",
-                    std::slice::from_ref(ifn),
-                    id,
-                );
-                self.push(
-                    t.plus(lag + dur + 3),
-                    router,
-                    "LINEPROTO_UP",
-                    std::slice::from_ref(ifn),
-                    id,
-                );
-            }
-            for (pr, pifn) in &peers {
-                self.push(
-                    t.plus(lag + dur + 2),
-                    *pr,
-                    "LINK_UP",
-                    std::slice::from_ref(pifn),
-                    id,
-                );
-                self.push(
-                    t.plus(lag + dur + 3),
-                    *pr,
-                    "LINEPROTO_UP",
-                    std::slice::from_ref(pifn),
-                    id,
-                );
+            self.emit(t.plus(lag + dur), router, "CONTROLLER_UP", &[ctl_tail]);
+            for &(r, ifn) in &ends {
+                self.emit(t.plus(lag + dur + 2), r, "LINK_UP", &[ifn]);
+                self.emit(t.plus(lag + dur + 3), r, "LINEPROTO_UP", &[ifn]);
             }
             let cluster_gap = rng.gen_range(400..1200);
             t = t.plus(lag + dur + cluster_gap);
         }
-        self.finish(id, EventKind::ControllerFlap, involved);
+        let involved = ends.iter().map(|e| e.0);
+        self.finish(EventKind::ControllerFlap, involved.chain([router]));
     }
 
     /// A BGP session reset: notification sent on one side, received on the
     /// other, session re-established after the hold time.
     pub(crate) fn bgp_session_reset(&mut self, rng: &mut StdRng, session: usize, start: Timestamp) {
-        let id = self.begin();
-        let s = self.topo.bgp_sessions[session].clone();
-        let vrf = s.vrf.clone().unwrap_or_else(|| "1000:1000".to_owned());
-        let closer_is_a = rng.gen_bool(0.5);
-        let (snd, rcv) = if closer_is_a { (s.a, s.b) } else { (s.b, s.a) };
-        let (snd_peer, rcv_peer) = if closer_is_a {
-            (s.b_addr.to_string(), s.a_addr.to_string())
+        self.begin();
+        let s = &self.topo.bgp_sessions[session];
+        let vrf = session_vrf(s);
+        // Each side names the address it uses to reach the other.
+        let (a_side, b_side) = ((s.a, s.b_addr.to_string()), (s.b, s.a_addr.to_string()));
+        let ((snd, snd_peer), (rcv, rcv_peer)) = if rng.gen_bool(0.5) {
+            (a_side, b_side)
         } else {
-            (s.a_addr.to_string(), s.b_addr.to_string())
+            (b_side, a_side)
         };
-        if rng.gen_bool(0.5) {
-            self.push(
-                start,
-                snd,
-                "BGP_DOWN_SENT",
-                &[snd_peer.clone(), vrf.clone()],
-                id,
-            );
-            self.push(
-                start.plus(1),
-                rcv,
-                "BGP_DOWN_RECV",
-                &[rcv_peer.clone(), vrf.clone()],
-                id,
-            );
+        let (sent, received) = if rng.gen_bool(0.5) {
+            ("BGP_DOWN_SENT", "BGP_DOWN_RECV")
         } else {
-            self.push(
-                start,
-                snd,
-                "BGP_DOWN_CLOSED",
-                &[snd_peer.clone(), vrf.clone()],
-                id,
-            );
-            self.push(
-                start.plus(1),
-                rcv,
-                "BGP_DOWN_CLOSED",
-                &[rcv_peer.clone(), vrf.clone()],
-                id,
-            );
-        }
+            ("BGP_DOWN_CLOSED", "BGP_DOWN_CLOSED")
+        };
+        self.emit(start, snd, sent, &[&snd_peer, vrf]);
+        self.emit(start.plus(1), rcv, received, &[&rcv_peer, vrf]);
         let re = start.plus(rng.gen_range(30..115));
-        self.push(re, snd, "BGP_UP", &[snd_peer, vrf.clone()], id);
-        self.push(re.plus(1), rcv, "BGP_UP", &[rcv_peer, vrf], id);
-        self.finish(id, EventKind::BgpSessionReset, vec![s.a, s.b]);
+        self.emit(re, snd, "BGP_UP", &[&snd_peer, vrf]);
+        self.emit(re.plus(1), rcv, "BGP_UP", &[&rcv_peer, vrf]);
+        self.finish(EventKind::BgpSessionReset, [s.a, s.b]);
     }
 
     /// CPU spike: rising threshold, optional re-alarms, falling threshold.
@@ -543,15 +407,15 @@ impl<'a> EventSim<'a> {
         start: Timestamp,
         after_config: bool,
     ) {
-        let id = self.begin();
+        self.begin();
         let mut t = start;
         if after_config {
             let user = pick_user(rng);
             let src = format!("192.168.200.{}", rng.gen_range(2..250));
-            self.push(t, router, "CONFIG_I", &[user, src], id);
+            self.emit(t, router, "CONFIG_I", &[user, &src]);
             t = t.plus(rng.gen_range(10..60));
         }
-        let pct = rng.gen_range(85..99);
+        let pct = rng.gen_range(85..99).to_string();
         let pidlist = format!(
             "{}/{}%, {}/{}%, {}/{}%",
             rng.gen_range(1..300),
@@ -561,101 +425,33 @@ impl<'a> EventSim<'a> {
             rng.gen_range(1..300),
             rng.gen_range(1..9)
         );
-        self.push(t, router, "CPU_RISE", &[pct.to_string(), pidlist], id);
+        self.emit(t, router, "CPU_RISE", &[&pct, &pidlist]);
         let dur = rng.gen_range(45..110);
-        self.push(
-            t.plus(dur),
-            router,
-            "CPU_FALL",
-            &[rng.gen_range(20..40).to_string()],
-            id,
-        );
-        self.finish(id, EventKind::CpuSpike, vec![router]);
+        let fall = rng.gen_range(20..40).to_string();
+        self.emit(t.plus(dur), router, "CPU_FALL", &[&fall]);
+        self.finish(EventKind::CpuSpike, [router]);
     }
 
     /// Linecard crash: card down, every interface on the slot (and the
     /// far end of every affected link) goes down; recovery after a while.
     pub(crate) fn linecard_crash(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
-        let id = self.begin();
-        let r = &self.topo.routers[router];
-        let mut slots: Vec<u8> = r
-            .interfaces
-            .iter()
-            .filter(|i| i.ip.is_some() && i.slot > 0)
-            .map(|i| i.slot)
-            .collect();
-        slots.sort_unstable();
-        slots.dedup();
-        let slot = if slots.is_empty() {
-            1
-        } else {
-            slots[rng.gen_range(0..slots.len())]
-        };
-        let affected: Vec<String> = r
-            .interfaces
-            .iter()
-            .filter(|i| i.slot == slot && i.ip.is_some())
-            .map(|i| i.name.clone())
-            .collect();
-        let peers = child_peer_ends(self.topo, router, &affected);
-        self.push(start, router, "LC_FAIL", &[slot.to_string()], id);
-        let mut involved = vec![router];
-        for ifn in &affected {
-            self.push(
-                start.plus(2),
-                router,
-                "LINK_DOWN",
-                std::slice::from_ref(ifn),
-                id,
-            );
-            self.push(
-                start.plus(3),
-                router,
-                "LINEPROTO_DOWN",
-                std::slice::from_ref(ifn),
-                id,
-            );
-        }
-        for (pr, pifn) in &peers {
-            self.push(
-                start.plus(2),
-                *pr,
-                "LINK_DOWN",
-                std::slice::from_ref(pifn),
-                id,
-            );
-            self.push(
-                start.plus(3),
-                *pr,
-                "LINEPROTO_DOWN",
-                std::slice::from_ref(pifn),
-                id,
-            );
-            involved.push(*pr);
+        self.begin();
+        let topo = self.topo;
+        let (slot, affected) = failed_slot(rng, topo, router);
+        let ends = iface_ends(topo, router, &affected);
+        self.emit(start, router, "LC_FAIL", &[&slot]);
+        for &(r, ifn) in &ends {
+            self.emit(start.plus(2), r, "LINK_DOWN", &[ifn]);
+            self.emit(start.plus(3), r, "LINEPROTO_DOWN", &[ifn]);
         }
         let up = start.plus(rng.gen_range(120..600));
-        self.push(up, router, "LC_UP", &[slot.to_string()], id);
-        for ifn in &affected {
-            self.push(up.plus(4), router, "LINK_UP", std::slice::from_ref(ifn), id);
-            self.push(
-                up.plus(5),
-                router,
-                "LINEPROTO_UP",
-                std::slice::from_ref(ifn),
-                id,
-            );
+        self.emit(up, router, "LC_UP", &[&slot]);
+        for &(r, ifn) in &ends {
+            self.emit(up.plus(4), r, "LINK_UP", &[ifn]);
+            self.emit(up.plus(5), r, "LINEPROTO_UP", &[ifn]);
         }
-        for (pr, pifn) in &peers {
-            self.push(up.plus(4), *pr, "LINK_UP", std::slice::from_ref(pifn), id);
-            self.push(
-                up.plus(5),
-                *pr,
-                "LINEPROTO_UP",
-                std::slice::from_ref(pifn),
-                id,
-            );
-        }
-        self.finish(id, EventKind::LineCardCrash, involved);
+        let involved = ends.iter().map(|e| e.0);
+        self.finish(EventKind::LineCardCrash, involved.chain([router]));
     }
 
     /// Environmental temperature alarm repeating every ~60 s while hot;
@@ -664,7 +460,7 @@ impl<'a> EventSim<'a> {
     /// base once this event kind activates, driving Figure 8's week-2+
     /// additions).
     pub(crate) fn env_alarm(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
-        let id = self.begin();
+        self.begin();
         let slot = rng
             .gen_range(0..self.topo.routers[router].slots)
             .to_string();
@@ -673,76 +469,52 @@ impl<'a> EventSim<'a> {
         let mut t = start;
         for i in 0..n {
             let temp = rng.gen_range(70..95).to_string();
-            self.push(t, router, "ENV_TEMP", &[slot.clone(), temp], id);
+            self.emit(t, router, "ENV_TEMP", &[&slot, &temp]);
             if i == 0 {
-                self.push(
-                    t.plus(rng.gen_range(5..25)),
-                    router,
-                    "FAN_FAIL",
-                    std::slice::from_ref(&tray),
-                    id,
-                );
+                self.emit(t.plus(rng.gen_range(5..25)), router, "FAN_FAIL", &[&tray]);
             }
             t = t.plus(rng.gen_range(55..70));
         }
-        self.push(t, router, "FAN_OK", &[tray], id);
-        self.finish(id, EventKind::EnvAlarm, vec![router]);
+        self.emit(t, router, "FAN_OK", &[&tray]);
+        self.finish(EventKind::EnvAlarm, [router]);
     }
 
     /// Operator configuration session: a handful of CONFIG_I messages.
     pub(crate) fn config_session(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
-        let id = self.begin();
+        self.begin();
         let user = pick_user(rng);
         let src = format!("192.168.200.{}", rng.gen_range(2..250));
         let n = rng.gen_range(1..5);
         let mut t = start;
         for _ in 0..n {
-            self.push(t, router, "CONFIG_I", &[user.clone(), src.clone()], id);
+            self.emit(t, router, "CONFIG_I", &[user, &src]);
             t = t.plus(rng.gen_range(30..300));
         }
-        self.finish(id, EventKind::ConfigSession, vec![router]);
+        self.finish(EventKind::ConfigSession, [router]);
     }
 
     /// Periodic TCP MD5 bad-auth messages (Figure 5): fixed period with
     /// small jitter, lasting hours — the canonical temporal-grouping case.
     pub(crate) fn tcp_badauth_wave(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
-        let id = self.begin();
+        self.begin();
         let period = rng.gen_range(240..360);
         let n = rng.gen_range(20..60);
         let attacker = format!("172.16.{}.{}", rng.gen_range(0..255), rng.gen_range(1..254));
         let local = self.topo.routers[router].loopback.to_string();
         let mut t = start;
         for _ in 0..n {
-            self.push(
-                t,
-                router,
-                "TCP_BADAUTH",
-                &[
-                    attacker.clone(),
-                    rng.gen_range(1024..65000).to_string(),
-                    local.clone(),
-                    "179".to_owned(),
-                ],
-                id,
-            );
+            let port = rng.gen_range(1024..65000).to_string();
+            self.emit(t, router, "TCP_BADAUTH", &[&attacker, &port, &local, "179"]);
             // The scanner also trips an ACL moments later — a correlation
             // that only exists once this event kind activates (week 3),
             // so the tcp<->acl rule is a Figure 8 late addition.
-            self.push(
-                t.plus(rng.gen_range(5..20)),
-                router,
-                "ACL_DENY",
-                &[
-                    rng.gen_range(100..200).to_string(),
-                    attacker.clone(),
-                    local.clone(),
-                    rng.gen_range(1024..65000).to_string(),
-                ],
-                id,
-            );
+            let at = t.plus(rng.gen_range(5..20));
+            let acl = rng.gen_range(100..200).to_string();
+            let port = rng.gen_range(1024..65000).to_string();
+            self.emit(at, router, "ACL_DENY", &[&acl, &attacker, &local, &port]);
             t = t.plus(period + rng.gen_range(0..8));
         }
-        self.finish(id, EventKind::TcpBadAuthWave, vec![router]);
+        self.finish(EventKind::TcpBadAuthWave, [router]);
     }
 
     /// V2 port flap: linkDown/linkup plus SAP state processing 5–40 s later
@@ -754,13 +526,8 @@ impl<'a> EventSim<'a> {
         start: Timestamp,
         n_flaps: usize,
     ) {
-        let id = self.begin();
-        let link = self.topo.links[link_idx].clone();
-        let ends = [link.a, link.b];
-        let names: Vec<String> = ends
-            .iter()
-            .map(|e| self.topo.endpoint(*e).1.name.clone())
-            .collect();
+        self.begin();
+        let ends = link_ends(self.topo, link_idx);
         let mut gap: f64 = rng.gen_range(80.0..350.0);
         let mut t = start;
         let svc = rng.gen_range(100..999).to_string();
@@ -772,31 +539,19 @@ impl<'a> EventSim<'a> {
             // inside dataset B's W = 40 s so down/SAP/up associate.
             let sap_lag = rng.gen_range(5..35);
             let down_dur = sap_lag + rng.gen_range(2..5);
-            for (e, ep) in ends.iter().enumerate() {
-                self.push(t, ep.router, "SNMP_LINKDOWN", &[names[e].clone()], id);
-                self.push(
-                    t.plus(sap_lag),
-                    ep.router,
-                    "SAP_CHANGE",
-                    &[names[e].clone()],
-                    id,
-                );
+            for &(r, name) in &ends {
+                self.emit(t, r, "SNMP_LINKDOWN", &[name]);
+                self.emit(t.plus(sap_lag), r, "SAP_CHANGE", &[name]);
                 // Services ride the SAPs: the first flap takes the service
                 // oper-state down on both ends (router-scoped messages, the
                 // reason port flaps page people).
                 if with_svc && flap == 0 {
-                    self.push(
-                        t.plus(sap_lag + 1),
-                        ep.router,
-                        "SVC_DOWN",
-                        std::slice::from_ref(&svc),
-                        id,
-                    );
+                    self.emit(t.plus(sap_lag + 1), r, "SVC_DOWN", &[&svc]);
                 }
             }
             let up = t.plus(down_dur);
-            for (e, ep) in ends.iter().enumerate() {
-                self.push(up, ep.router, "SNMP_LINKUP", &[names[e].clone()], id);
+            for &(r, name) in &ends {
+                self.emit(up, r, "SNMP_LINKUP", &[name]);
             }
             last_up = up;
             // Same principle as link_flap: cycle spacing spread wide
@@ -812,17 +567,11 @@ impl<'a> EventSim<'a> {
             t = up.plus(((gap * jitter) as i64).max(15));
         }
         if with_svc {
-            for ep in &ends {
-                self.push(
-                    last_up.plus(2),
-                    ep.router,
-                    "SVC_UP",
-                    std::slice::from_ref(&svc),
-                    id,
-                );
+            for &(r, _) in &ends {
+                self.emit(last_up.plus(2), r, "SVC_UP", &[&svc]);
             }
         }
-        self.finish(id, EventKind::PortFlap, vec![link.a.router, link.b.router]);
+        self.finish(EventKind::PortFlap, ends.map(|e| e.0));
     }
 
     /// The §6.1 case: the secondary protection path of a PIM adjacency has
@@ -831,139 +580,74 @@ impl<'a> EventSim<'a> {
     /// neighbor session — which dual protection should have preserved —
     /// drops, with fallout on every router along both paths.
     pub fn pim_neighbor_loss(&mut self, rng: &mut StdRng, adj_idx: usize, start: Timestamp) {
-        let id = self.begin();
-        let adj = self.topo.pim[adj_idx].clone();
-        let path = self.topo.paths[adj.secondary_path].clone();
-        let lsp = path.name.clone();
+        self.begin();
+        let topo = self.topo;
+        let adj = &topo.pim[adj_idx];
+        let path = &topo.paths[adj.secondary_path];
+        let lsp = path.name.as_str();
         let head = path.from;
 
         // Phase 1: secondary path broken, retrying every ~5 min.
-        self.push(start, head, "LSP_DOWN", std::slice::from_ref(&lsp), id);
+        self.emit(start, head, "LSP_DOWN", &[lsp]);
         let retries = rng.gen_range(12..30);
         let mut t = start.plus(300);
         for i in 0..retries {
-            self.push(
-                t,
-                head,
-                "LSP_RETRY",
-                &[lsp.clone(), (i + 1).to_string()],
-                id,
-            );
+            self.emit(t, head, "LSP_RETRY", &[lsp, &(i + 1).to_string()]);
             t = t.plus(295 + rng.gen_range(0..10));
         }
 
         // Phase 2: primary link fails mid-retry; FRR fires but the
         // secondary is down, so the PIM session drops.
         let fail = start.plus(300 * (retries as i64 / 2));
-        let plink = self.topo.links[adj.primary_link].clone();
-        let mut involved = vec![adj.a, adj.b, head];
-        for ep in [plink.a, plink.b] {
-            let name = self.topo.endpoint(ep).1.name.clone();
-            self.push(
-                fail,
-                ep.router,
-                "SNMP_LINKDOWN",
-                std::slice::from_ref(&name),
-                id,
-            );
-            self.push(
-                fail.plus(rng.gen_range(5..30)),
-                ep.router,
-                "SAP_CHANGE",
-                &[name],
-                id,
-            );
+        let plink = link_ends(topo, adj.primary_link);
+        for &(r, name) in &plink {
+            self.emit(fail, r, "SNMP_LINKDOWN", &[name]);
+            self.emit(fail.plus(rng.gen_range(5..30)), r, "SAP_CHANGE", &[name]);
         }
-        self.push(
-            fail.plus(1),
-            head,
-            "FRR_SWITCH",
-            std::slice::from_ref(&lsp),
-            id,
-        );
-        self.push(
-            fail.plus(1),
-            head,
-            "RSVP_V2",
-            std::slice::from_ref(&lsp),
-            id,
-        );
-        for ep in [plink.a, plink.b] {
-            self.push(
-                fail.plus(1),
-                ep.router,
-                "RSVP_V2",
-                std::slice::from_ref(&lsp),
-                id,
-            );
+        self.emit(fail.plus(1), head, "FRR_SWITCH", &[lsp]);
+        self.emit(fail.plus(1), head, "RSVP_V2", &[lsp]);
+        for &(r, _) in &plink {
+            self.emit(fail.plus(1), r, "RSVP_V2", &[lsp]);
         }
         let (ra, rb) = (adj.a, adj.b);
-        let a_ip = self.topo.routers[ra].loopback.to_string();
-        let b_ip = self.topo.routers[rb].loopback.to_string();
-        let a_if = self.topo.endpoint(plink.a).1.name.clone();
-        let b_if = self.topo.endpoint(plink.b).1.name.clone();
-        self.push(
-            fail.plus(2),
-            ra,
-            "PIM_NBR_LOSS",
-            &[b_ip.clone(), a_if.clone()],
-            id,
-        );
-        self.push(
-            fail.plus(2),
-            rb,
-            "PIM_NBR_LOSS",
-            &[a_ip.clone(), b_if.clone()],
-            id,
-        );
+        let a_ip = topo.routers[ra].loopback.to_string();
+        let b_ip = topo.routers[rb].loopback.to_string();
+        let (a_if, b_if) = (plink[0].1, plink[1].1);
+        self.emit(fail.plus(2), ra, "PIM_NBR_LOSS", &[&b_ip, a_if]);
+        self.emit(fail.plus(2), rb, "PIM_NBR_LOSS", &[&a_ip, b_if]);
         // Fallout along the secondary path's hop routers.
         let mut cur = path.from;
-        for &h in &path.hops {
-            if let Some(peer) = self.topo.links[h].peer_of(cur) {
-                cur = peer.router;
-                involved.push(cur);
-                self.push(
-                    fail.plus(rng.gen_range(3..15)),
-                    cur,
-                    "SVC_DOWN",
-                    &[rng.gen_range(100..999).to_string()],
-                    id,
-                );
-                let vrf = format!("1000:{}", 1000 + rng.gen_range(0..400));
-                self.push(
-                    fail.plus(rng.gen_range(3..20)),
-                    cur,
-                    "BGP_BWT",
-                    &[a_ip.clone(), vrf],
-                    id,
-                );
-            }
+        let hop_routers: Vec<usize> = path
+            .hops
+            .iter()
+            .filter_map(|&h| {
+                cur = topo.links[h].peer_of(cur)?.router;
+                Some(cur)
+            })
+            .collect();
+        for &r in &hop_routers {
+            let at = fail.plus(rng.gen_range(3..15));
+            self.emit(at, r, "SVC_DOWN", &[&rng.gen_range(100..999).to_string()]);
+            let vrf = format!("1000:{}", 1000 + rng.gen_range(0..400));
+            let at = fail.plus(rng.gen_range(3..20));
+            self.emit(at, r, "BGP_BWT", &[&a_ip, &vrf]);
         }
 
         // Phase 3: recovery.
         let rec = fail.plus(rng.gen_range(300..1800));
-        for ep in [plink.a, plink.b] {
-            let name = self.topo.endpoint(ep).1.name.clone();
-            self.push(rec, ep.router, "SNMP_LINKUP", &[name], id);
+        for &(r, name) in &plink {
+            self.emit(rec, r, "SNMP_LINKUP", &[name]);
         }
-        self.push(rec.plus(2), ra, "PIM_NBR_UP", &[b_ip, a_if], id);
-        self.push(rec.plus(2), rb, "PIM_NBR_UP", &[a_ip.clone(), b_if], id);
-        self.push(rec.plus(5), head, "LSP_UP", std::slice::from_ref(&lsp), id);
-        self.push(rec.plus(6), head, "FRR_REVERT", &[lsp], id);
-        let mut cur = path.from;
-        for &h in &path.hops {
-            if let Some(peer) = self.topo.links[h].peer_of(cur) {
-                cur = peer.router;
-                self.push(
-                    rec.plus(rng.gen_range(5..20)),
-                    cur,
-                    "SVC_UP",
-                    &[rng.gen_range(100..999).to_string()],
-                    id,
-                );
-            }
+        self.emit(rec.plus(2), ra, "PIM_NBR_UP", &[&b_ip, a_if]);
+        self.emit(rec.plus(2), rb, "PIM_NBR_UP", &[&a_ip, b_if]);
+        self.emit(rec.plus(5), head, "LSP_UP", &[lsp]);
+        self.emit(rec.plus(6), head, "FRR_REVERT", &[lsp]);
+        for &r in &hop_routers {
+            let at = rec.plus(rng.gen_range(5..20));
+            self.emit(at, r, "SVC_UP", &[&rng.gen_range(100..999).to_string()]);
         }
-        self.finish(id, EventKind::PimNeighborLoss, involved);
+        let involved = [ra, rb, head].into_iter().chain(hop_routers);
+        self.finish(EventKind::PimNeighborLoss, involved);
     }
 
     /// A successful MPLS FRR protection switch (no PIM impact): one hop of
@@ -973,87 +657,43 @@ impl<'a> EventSim<'a> {
     /// the shared path location that lets cross-router grouping stitch
     /// the head-end's view to the hop's link flap.
     pub(crate) fn mpls_reroute(&mut self, rng: &mut StdRng, path_idx: usize, start: Timestamp) {
-        let id = self.begin();
-        let path = self.topo.paths[path_idx].clone();
+        self.begin();
+        let topo = self.topo;
+        let path = &topo.paths[path_idx];
+        let lsp = path.name.as_str();
         let head = path.from;
         let hop = path.hops[rng.gen_range(0..path.hops.len())];
-        let link = self.topo.links[hop].clone();
-        let mut involved = vec![head];
-        for ep in [link.a, link.b] {
-            let name = self.topo.endpoint(ep).1.name.clone();
-            self.push(
-                start,
-                ep.router,
-                "SNMP_LINKDOWN",
-                std::slice::from_ref(&name),
-                id,
-            );
-            self.push(
-                start.plus(1),
-                ep.router,
-                "RSVP_V2",
-                std::slice::from_ref(&path.name),
-                id,
-            );
-            self.push(
-                start.plus(rng.gen_range(5..35)),
-                ep.router,
-                "SAP_CHANGE",
-                &[name],
-                id,
-            );
-            involved.push(ep.router);
+        let ends = link_ends(topo, hop);
+        for &(r, name) in &ends {
+            self.emit(start, r, "SNMP_LINKDOWN", &[name]);
+            self.emit(start.plus(1), r, "RSVP_V2", &[lsp]);
+            self.emit(start.plus(rng.gen_range(5..35)), r, "SAP_CHANGE", &[name]);
         }
-        self.push(
-            start.plus(1),
-            head,
-            "RSVP_V2",
-            std::slice::from_ref(&path.name),
-            id,
-        );
-        self.push(
-            start.plus(1),
-            head,
-            "FRR_SWITCH",
-            std::slice::from_ref(&path.name),
-            id,
-        );
+        self.emit(start.plus(1), head, "RSVP_V2", &[lsp]);
+        self.emit(start.plus(1), head, "FRR_SWITCH", &[lsp]);
         let rec = start.plus(rng.gen_range(60..600));
-        for ep in [link.a, link.b] {
-            let name = self.topo.endpoint(ep).1.name.clone();
-            self.push(rec, ep.router, "SNMP_LINKUP", &[name], id);
+        for &(r, name) in &ends {
+            self.emit(rec, r, "SNMP_LINKUP", &[name]);
         }
-        self.push(
-            rec.plus(2),
-            head,
-            "FRR_REVERT",
-            std::slice::from_ref(&path.name),
-            id,
-        );
-        self.finish(id, EventKind::MplsReroute, involved);
+        self.emit(rec.plus(2), head, "FRR_REVERT", &[lsp]);
+        self.finish(EventKind::MplsReroute, [head, ends[0].0, ends[1].0]);
     }
 
     /// Correlated ftp/ssh login-failure wave from one scanner, ssh trailing
     /// ftp by 30–40 s (dataset B's W = 30–40 s rule in §5.2.2).
     pub(crate) fn login_failure_wave(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
-        let id = self.begin();
+        self.begin();
         let scanner = format!("203.0.{}.{}", rng.gen_range(0..255), rng.gen_range(1..254));
         let user = pick_user(rng);
         let n = rng.gen_range(3..12);
         let mut t = start;
         for _ in 0..n {
-            self.push(t, router, "FTP_FAIL", &[user.clone(), scanner.clone()], id);
+            self.emit(t, router, "FTP_FAIL", &[user, &scanner]);
             let lag = rng.gen_range(30..40);
-            self.push(
-                t.plus(lag),
-                router,
-                "SSH_FAIL",
-                &[user.clone(), scanner.clone()],
-                id,
-            );
+            self.emit(t.plus(lag), router, "SSH_FAIL", &[user, &scanner]);
             t = t.plus(lag + rng.gen_range(400..900));
         }
-        self.finish(id, EventKind::LoginFailureWave, vec![router]);
+        self.finish(EventKind::LoginFailureWave, [router]);
     }
 
     /// Service oper-state flapping on one V2 router. With `with_video` the
@@ -1068,111 +708,49 @@ impl<'a> EventSim<'a> {
         start: Timestamp,
         with_video: bool,
     ) {
-        let id = self.begin();
+        self.begin();
         let svc = rng.gen_range(100..999).to_string();
         let n = rng.gen_range(2..10);
         let mut t = start;
         for _ in 0..n {
-            self.push(t, router, "SVC_DOWN", std::slice::from_ref(&svc), id);
+            self.emit(t, router, "SVC_DOWN", &[&svc]);
             if with_video {
-                self.push(
-                    t.plus(rng.gen_range(10..25)),
-                    router,
-                    "VIDEO_GAP",
-                    &[
-                        format!("232.0.{}.{}", rng.gen_range(0..16), rng.gen_range(1..254)),
-                        rng.gen_range(40..4000).to_string(),
-                    ],
-                    id,
-                );
+                let at = t.plus(rng.gen_range(10..25));
+                let group = format!("232.0.{}.{}", rng.gen_range(0..16), rng.gen_range(1..254));
+                let ms = rng.gen_range(40..4000).to_string();
+                self.emit(at, router, "VIDEO_GAP", &[&group, &ms]);
             }
             let dur = rng.gen_range(26..39);
-            self.push(
-                t.plus(dur),
-                router,
-                "SVC_UP",
-                std::slice::from_ref(&svc),
-                id,
-            );
+            self.emit(t.plus(dur), router, "SVC_UP", &[&svc]);
             t = t.plus(dur + rng.gen_range(400..1200));
         }
-        self.finish(id, EventKind::SvcFlap, vec![router]);
+        self.finish(EventKind::SvcFlap, [router]);
     }
 
     /// V2 chassis card failure: card down, its ports down (and link peers),
     /// recovery later.
     pub(crate) fn card_fail(&mut self, rng: &mut StdRng, router: usize, start: Timestamp) {
-        let id = self.begin();
-        let r = &self.topo.routers[router];
-        let mut slots: Vec<u8> = r
-            .interfaces
-            .iter()
-            .filter(|i| i.ip.is_some() && i.slot > 0)
-            .map(|i| i.slot)
-            .collect();
-        slots.sort_unstable();
-        slots.dedup();
-        let slot = if slots.is_empty() {
-            1
-        } else {
-            slots[rng.gen_range(0..slots.len())]
-        };
-        let affected: Vec<String> = r
-            .interfaces
-            .iter()
-            .filter(|i| i.slot == slot && i.ip.is_some())
-            .map(|i| i.name.clone())
-            .collect();
-        let peers = child_peer_ends(self.topo, router, &affected);
-        self.push(start, router, "CARD_FAIL", &[slot.to_string()], id);
-        let mut involved = vec![router];
-        for ifn in &affected {
-            self.push(
-                start.plus(2),
-                router,
-                "SNMP_LINKDOWN",
-                std::slice::from_ref(ifn),
-                id,
-            );
-            self.push(
-                start.plus(rng.gen_range(7..40)),
-                router,
-                "SAP_CHANGE",
-                std::slice::from_ref(ifn),
-                id,
-            );
+        self.begin();
+        let topo = self.topo;
+        let (slot, affected) = failed_slot(rng, topo, router);
+        let ends = iface_ends(topo, router, &affected);
+        let (own, peers) = ends.split_at(affected.len());
+        self.emit(start, router, "CARD_FAIL", &[&slot]);
+        for &(_, ifn) in own {
+            self.emit(start.plus(2), router, "SNMP_LINKDOWN", &[ifn]);
+            let at = start.plus(rng.gen_range(7..40));
+            self.emit(at, router, "SAP_CHANGE", &[ifn]);
         }
-        for (pr, pifn) in &peers {
-            self.push(
-                start.plus(2),
-                *pr,
-                "SNMP_LINKDOWN",
-                std::slice::from_ref(pifn),
-                id,
-            );
-            involved.push(*pr);
+        for &(pr, pifn) in peers {
+            self.emit(start.plus(2), pr, "SNMP_LINKDOWN", &[pifn]);
         }
         let up = start.plus(rng.gen_range(180..900));
-        self.push(up, router, "CARD_UP", &[slot.to_string()], id);
-        for ifn in &affected {
-            self.push(
-                up.plus(3),
-                router,
-                "SNMP_LINKUP",
-                std::slice::from_ref(ifn),
-                id,
-            );
+        self.emit(up, router, "CARD_UP", &[&slot]);
+        for &(r, ifn) in &ends {
+            self.emit(up.plus(3), r, "SNMP_LINKUP", &[ifn]);
         }
-        for (pr, pifn) in &peers {
-            self.push(
-                up.plus(3),
-                *pr,
-                "SNMP_LINKUP",
-                std::slice::from_ref(pifn),
-                id,
-            );
-        }
-        self.finish(id, EventKind::CardFail, involved);
+        let involved = ends.iter().map(|e| e.0);
+        self.finish(EventKind::CardFail, involved.chain([router]));
     }
 
     /// Emit a periodic timer series of template `key` on `router`: the
@@ -1190,26 +768,13 @@ impl<'a> EventSim<'a> {
         start: Timestamp,
         duration: i64,
     ) {
-        let t = self.grammar.get(key);
-        let vals: Vec<String> = t
-            .vars()
-            .iter()
-            .map(|k| self.random_value(rng, router, *k))
-            .collect();
-        let mut it = vals.iter().cycle();
+        let vals = self.noise_values(rng, router, key);
+        let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
         let mut ts = start.plus(rng.gen_range(0..period.max(1)));
         let end = start.plus(duration);
         let jitter = (period / 20).max(1);
         while ts < end {
-            let mut vit = it.by_ref().take(vals.len());
-            let detail = t.render(|_| vit.next().unwrap().clone());
-            self.msgs.push(RawMessage {
-                ts,
-                router: self.topo.routers[router].name.clone(),
-                code: t.code.clone(),
-                detail,
-                gt_event: None,
-            });
+            self.emit(ts, router, key, &vals);
             ts = ts.plus(period + rng.gen_range(-jitter..=jitter));
         }
     }
@@ -1226,23 +791,11 @@ impl<'a> EventSim<'a> {
         ts: Timestamp,
         n: usize,
     ) {
-        let t = self.grammar.get(key);
-        let vals: Vec<String> = t
-            .vars()
-            .iter()
-            .map(|k| self.random_value(rng, router, *k))
-            .collect();
+        let vals = self.noise_values(rng, router, key);
+        let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
         let mut cur = ts;
         for _ in 0..n.max(1) {
-            let mut it = vals.iter();
-            let detail = t.render(|_| it.next().unwrap().clone());
-            self.msgs.push(RawMessage {
-                ts: cur,
-                router: self.topo.routers[router].name.clone(),
-                code: t.code.clone(),
-                detail,
-                gt_event: None,
-            });
+            self.emit(cur, router, key, &vals);
             cur = cur.plus(rng.gen_range(5..40));
         }
     }
@@ -1250,21 +803,18 @@ impl<'a> EventSim<'a> {
     /// Emit one background-noise instance of `tmpl` at `ts` on `router`,
     /// synthesizing plausible values for each variable slot.
     pub fn background(&mut self, rng: &mut StdRng, router: usize, key: &str, ts: Timestamp) {
-        let t = self.grammar.get(key);
-        let vals: Vec<String> = t
-            .vars()
-            .iter()
-            .map(|k| self.random_value(rng, router, *k))
-            .collect();
-        let mut it = vals.iter();
-        let detail = t.render(|_| it.next().unwrap().clone());
-        self.msgs.push(RawMessage {
-            ts,
-            router: self.topo.routers[router].name.clone(),
-            code: t.code.clone(),
-            detail,
-            gt_event: None,
-        });
+        let vals = self.noise_values(rng, router, key);
+        let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
+        self.emit(ts, router, key, &vals);
+    }
+
+    /// One plausible value per variable slot of template `key` on
+    /// `router`, in slot order: the values a noise series keeps frozen.
+    fn noise_values(&self, rng: &mut StdRng, router: usize, key: &str) -> Vec<String> {
+        let vars = self.grammar.get(key).vars();
+        vars.into_iter()
+            .map(|k| self.random_value(rng, router, k))
+            .collect()
     }
 
     /// Synthesize a plausible value for a variable slot on `router`:
@@ -1307,7 +857,7 @@ impl<'a> EventSim<'a> {
             VarKind::Vrf => format!("1000:{}", 1000 + rng.gen_range(0..400)),
             VarKind::Percent => rng.gen_range(1..100).to_string(),
             VarKind::Num => rng.gen_range(0..10_000).to_string(),
-            VarKind::User => pick_user(rng),
+            VarKind::User => pick_user(rng).to_owned(),
             VarKind::PortNum => rng.gen_range(1..65_000).to_string(),
             VarKind::Name => {
                 if rng.gen_bool(0.5) {
@@ -1335,20 +885,56 @@ impl<'a> EventSim<'a> {
     }
 }
 
-/// For each named interface on `router` that terminates a link, the peer's
-/// `(router index, interface name)`.
-fn child_peer_ends(topo: &Topology, router: usize, iface_names: &[String]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
+/// A session's VRF as it appears in its messages (`1000:1000` for plain
+/// iBGP).
+fn session_vrf(s: &BgpSession) -> &str {
+    s.vrf.as_deref().unwrap_or("1000:1000")
+}
+
+/// Both ends of link `link_idx` as `(router index, interface name)`.
+fn link_ends(topo: &Topology, link_idx: usize) -> [(usize, &str); 2] {
+    let link = &topo.links[link_idx];
+    [link.a, link.b].map(|ep| (ep.router, topo.endpoint(ep).1.name.as_str()))
+}
+
+/// A random L3 slot of `router` (slot 1 when it has none) as text, with
+/// the names of that slot's L3 interfaces.
+fn failed_slot<'t>(rng: &mut StdRng, topo: &'t Topology, router: usize) -> (String, Vec<&'t str>) {
+    let r = &topo.routers[router];
+    let mut slots: Vec<u8> = r
+        .interfaces
+        .iter()
+        .filter(|i| i.ip.is_some() && i.slot > 0)
+        .map(|i| i.slot)
+        .collect();
+    slots.sort_unstable();
+    slots.dedup();
+    let slot = if slots.is_empty() {
+        1
+    } else {
+        slots[rng.gen_range(0..slots.len())]
+    };
+    let affected = r
+        .interfaces
+        .iter()
+        .filter(|i| i.slot == slot && i.ip.is_some())
+        .map(|i| i.name.as_str())
+        .collect();
+    (slot.to_string(), affected)
+}
+
+/// The named interfaces of `router` as `(router index, interface name)`,
+/// followed by the far end of every link one of them terminates.
+fn iface_ends<'t>(topo: &'t Topology, router: usize, ifaces: &[&'t str]) -> Vec<(usize, &'t str)> {
+    let mut out: Vec<(usize, &str)> = ifaces.iter().map(|&i| (router, i)).collect();
     for l in &topo.links {
         for (me, peer) in [(l.a, l.b), (l.b, l.a)] {
             if me.router != router {
                 continue;
             }
             let name = &topo.routers[me.router].interfaces[me.iface].name;
-            if iface_names.iter().any(|n| n == name) {
-                let (pr, pi) = topo.endpoint(peer);
-                let _ = pr;
-                out.push((peer.router, pi.name.clone()));
+            if ifaces.contains(&name.as_str()) {
+                out.push((peer.router, topo.endpoint(peer).1.name.as_str()));
             }
         }
     }

@@ -109,22 +109,24 @@ pub struct GrammarTemplate {
 impl GrammarTemplate {
     /// Render the detail text, pulling a value for each variable slot from
     /// `supply` (called in slot order).
-    pub fn render(&self, mut supply: impl FnMut(VarKind) -> String) -> String {
-        let mut words: Vec<String> = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
+    pub fn render<S: AsRef<str>>(&self, mut supply: impl FnMut(VarKind) -> S) -> String {
+        let mut out = String::new();
+        for (i, p) in self.parts.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
             match p {
-                Part::Lit(w) => words.push(w.clone()),
+                Part::Lit(w) => out.push_str(w),
                 Part::Var { kinds, texts } => {
-                    let mut tok = texts[0].clone();
-                    for (i, k) in kinds.iter().enumerate() {
-                        tok.push_str(&supply(*k));
-                        tok.push_str(&texts[i + 1]);
+                    out.push_str(&texts[0]);
+                    for (k, glue) in kinds.iter().zip(&texts[1..]) {
+                        out.push_str(supply(*k).as_ref());
+                        out.push_str(glue);
                     }
-                    words.push(tok);
                 }
             }
         }
-        words.join(" ")
+        out
     }
 
     /// The masked ground-truth form: `<code> w1 w2 * w4 …`. A token

@@ -103,7 +103,7 @@ pub fn toy_table2_messages() -> Vec<RawMessage> {
     let mut out = Vec::with_capacity(16);
     let mut push = |ts: Timestamp, router: &str, key: &str, iface: &str| {
         let t = g.get(key);
-        let detail = t.render(|_| iface.to_owned());
+        let detail = t.render(|_| iface);
         out.push(RawMessage::new(ts, router, t.code.clone(), detail).with_gt(1));
     };
     for (i, state) in ["DOWN", "UP", "DOWN", "UP"].iter().enumerate() {

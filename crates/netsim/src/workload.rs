@@ -13,7 +13,7 @@ use crate::grammar::Grammar;
 use crate::topology::Topology;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sd_model::{RawMessage, Timestamp, Vendor, DAY, WEEK};
+use sd_model::{RawMessage, Timestamp, DAY, WEEK};
 use serde::{Deserialize, Serialize};
 
 /// Relative weight and activation week for one event kind.
@@ -204,7 +204,6 @@ fn weighted_pick(rng: &mut StdRng, weights: &[f64]) -> usize {
 pub fn run(topo: &Topology, grammar: &Grammar, spec: &WorkloadSpec) -> Workload {
     let mut rng = StdRng::seed_from_u64(spec.seed ^ 0x0eab_10ad);
     let mut sim = EventSim::new(topo, grammar);
-    let vendor = topo.routers[0].vendor;
 
     let link_weights = flappiness(&mut rng, topo.links.len());
     let router_weights = flappiness(&mut rng, topo.routers.len());
@@ -253,7 +252,6 @@ pub fn run(topo: &Topology, grammar: &Grammar, spec: &WorkloadSpec) -> Workload 
                 spec,
                 &link_weights,
                 &router_weights,
-                vendor,
             );
         }
 
@@ -298,7 +296,6 @@ fn dispatch(
     spec: &WorkloadSpec,
     link_weights: &[f64],
     router_weights: &[f64],
-    vendor: Vendor,
 ) {
     let correlated = week < spec.decorrelation_week;
     let boost = |n: usize| ((n as f64 * spec.intensity) as usize).max(1);
@@ -387,7 +384,6 @@ fn dispatch(
             sim.card_fail(rng, router, t);
         }
     }
-    let _ = vendor;
 }
 
 /// Heavy-tailed flap count. Cycle spacing is several minutes, so the
@@ -409,6 +405,7 @@ fn sample_flap_count(rng: &mut StdRng) -> usize {
 mod tests {
     use super::*;
     use crate::topology::TopoSpec;
+    use sd_model::Vendor;
 
     fn small_spec(vendor: Vendor, days: u32) -> (Topology, Grammar, WorkloadSpec) {
         let topo = Topology::generate(&TopoSpec {
