@@ -36,7 +36,7 @@ pub fn run(_ctx: &Ctx) {
     let (_, msgs4) = fig4_controller(20101);
     let ctl: Vec<&RawMessage> = msgs4
         .iter()
-        .filter(|m| m.code.as_str() == "CONTROLLER-5-UPDOWN")
+        .filter(|m| m.code() == "CONTROLLER-5-UPDOWN")
         .collect();
     let t0 = ctl[0].ts.start_of_day();
     println!(
@@ -53,7 +53,7 @@ pub fn run(_ctx: &Ctx) {
     let (_, msgs5) = fig5_tcp_badauth(20102);
     let tcp: Vec<&RawMessage> = msgs5
         .iter()
-        .filter(|m| m.code.as_str() == "TCP-6-BADAUTH")
+        .filter(|m| m.code() == "TCP-6-BADAUTH")
         .collect();
     let t0 = tcp[0].ts.start_of_day();
     println!(

@@ -78,11 +78,8 @@ pub fn run(ctx: &Ctx) {
         pieces.len()
     );
     for (e, n, rank) in pieces.iter().take(4) {
-        let codes: std::collections::BTreeSet<&str> = e
-            .message_idxs
-            .iter()
-            .map(|&i| msgs[i].code.as_str())
-            .collect();
+        let codes: std::collections::BTreeSet<&str> =
+            e.message_idxs.iter().map(|&i| msgs[i].code()).collect();
         let protocols: std::collections::BTreeSet<&str> = codes
             .iter()
             .map(|c| c.split('-').next().unwrap_or(""))
@@ -90,7 +87,7 @@ pub fn run(ctx: &Ctx) {
         let retries = e
             .message_idxs
             .iter()
-            .filter(|&&i| msgs[i].code.as_str().contains("lspPathRetry"))
+            .filter(|&&i| msgs[i].code().contains("lspPathRetry"))
             .count();
         println!("    rank {:>3}: {}", rank + 1, e.format_line());
         println!(

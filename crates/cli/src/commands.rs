@@ -326,15 +326,9 @@ fn stream_digest(
     events.extend(rest);
     flush(&mut ingest)?;
     events.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.start.cmp(&b.start)));
-    // Table 7's metric, as the batch line prints it: events per message
-    // the digester took in, both counted from the start of the feed, so a
-    // resumed run reports the whole feed's ratio.
-    let d = &stats.digester;
-    let compression = if d.n_input == 0 {
-        0.0
-    } else {
-        d.n_events as f64 / d.n_input as f64
-    };
+    // Table 7's metric, as the batch line prints it, counted from the
+    // start of the feed, so a resumed run reports the whole feed's ratio.
+    let compression = stats.digester.compression_ratio();
     out.push_str(&format!(
         "streamed {} lines ({} malformed, {} late, {} duplicate, {} unknown-router, \
          {} force-closed, {} quarantined) -> {} events (compression {compression:.2e})\n",
@@ -456,8 +450,8 @@ pub(crate) fn cmd_stats(p: &Parsed) -> CmdResult {
     let mut by_code: BTreeMap<&str, usize> = BTreeMap::new();
     let mut by_router: BTreeMap<&str, usize> = BTreeMap::new();
     for m in &msgs {
-        *by_code.entry(m.code.as_str()).or_insert(0) += 1;
-        *by_router.entry(m.router.as_str()).or_insert(0) += 1;
+        *by_code.entry(m.code()).or_insert(0) += 1;
+        *by_router.entry(m.router()).or_insert(0) += 1;
     }
     let mut out = format!(
         "{} messages ({bad}), {} codes, {} routers",
@@ -972,17 +966,19 @@ mod tests {
         assert!(report.contains("streamed"), "{report}");
         assert!(ckpt.exists(), "checkpoint file was not written");
         // The summary line carries Table 7's compression ratio: events per
-        // message the digester took in, which is every line but the
-        // malformed, late and duplicate ones.
+        // message grouped, which is every line but the malformed, late,
+        // duplicate, unknown-router and quarantined ones.
         let summary = report.lines().find(|l| l.starts_with("streamed")).unwrap();
         let numbers: Vec<f64> = summary
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '.' || c == '-'))
             .filter_map(|w| w.parse().ok())
             .collect();
-        let [lines, malformed, late, duplicate, _, _, _, events, compression] = numbers[..] else {
+        let [lines, malformed, late, duplicate, unknown, _, quarantined, events, compression] =
+            numbers[..]
+        else {
             panic!("unexpected summary line: {summary}");
         };
-        let expected = events / (lines - malformed - late - duplicate);
+        let expected = events / (lines - malformed - late - duplicate - unknown - quarantined);
         assert!(
             summary.contains(&format!("(compression {expected:.2e})")),
             "{summary}"
@@ -1139,7 +1135,7 @@ mod tests {
         let log_path = dir.join("syslog.log");
         let text = fs::read_to_string(&log_path).unwrap();
         let last = RawMessage::parse_line(text.lines().last().unwrap()).unwrap();
-        let poison = sd_netsim::poison_message(sd_model::Timestamp(last.ts.0 + 1), &last.router);
+        let poison = sd_netsim::poison_message(sd_model::Timestamp(last.ts.0 + 1), last.router());
         fs::write(&log_path, format!("{text}{}\n", poison.to_line())).unwrap();
 
         syslogdigest::set_poison_marker(Some(sd_netsim::POISON_MARKER));

@@ -105,8 +105,8 @@ pub fn verify_dataset(
 
     // ---- template matching oracle ----------------------------------------
     for (i, m) in d.online().iter().enumerate() {
-        let opt = k.resolve_template(&m.code, &m.detail);
-        let refv = ref_resolve(&k, &m.code, &m.detail);
+        let opt = k.resolve_template(m.code(), m.detail());
+        let refv = ref_resolve(&k, m.code(), m.detail());
         if opt != refv {
             return Err(diverge(
                 Stage::Matching,
@@ -114,9 +114,9 @@ pub fn verify_dataset(
                     "message seq {i} ts {} router {} code {} detail {:?}: \
                      optimized -> t{} ({}), reference -> t{} ({})",
                     m.ts.0,
-                    m.router,
-                    m.code.as_str(),
-                    m.detail,
+                    m.router(),
+                    m.code(),
+                    m.detail(),
                     opt.0,
                     k.template_signature(opt),
                     refv.0,

@@ -48,10 +48,10 @@ pub fn ref_learn(messages: &[RawMessage], cfg: &LearnerConfig) -> Vec<String> {
     let mut buckets: BTreeMap<(ErrorCode, usize), Vec<Vec<String>>> = BTreeMap::new();
     let mut counts: BTreeMap<ErrorCode, usize> = BTreeMap::new();
     for m in messages {
-        let toks: Vec<String> = m.detail.split_whitespace().map(str::to_owned).collect();
-        *counts.entry(m.code.clone()).or_insert(0) += 1;
+        let toks: Vec<String> = m.detail().split_whitespace().map(str::to_owned).collect();
+        *counts.entry(ErrorCode::from(m.code())).or_insert(0) += 1;
         buckets
-            .entry((m.code.clone(), toks.len()))
+            .entry((ErrorCode::from(m.code()), toks.len()))
             .or_default()
             .push(toks);
     }
@@ -149,11 +149,11 @@ fn render(code: &ErrorCode, fields: &[Field]) -> String {
 /// template: among matches of the right code, the **most specific** (most
 /// fixed words) wins, and the lowest id breaks specificity ties — the
 /// tie-break the production index's stable specificity sort implements.
-pub fn ref_match(set: &TemplateSet, code: &ErrorCode, detail: &str) -> Option<TemplateId> {
+pub fn ref_match(set: &TemplateSet, code: &str, detail: &str) -> Option<TemplateId> {
     let toks: Vec<&str> = detail.split_whitespace().collect();
     let mut best: Option<(usize, TemplateId)> = None;
     for (id, t) in set.iter() {
-        if &t.code != code || !t.matches(&toks) {
+        if t.code.as_str() != code || !t.matches(&toks) {
             continue;
         }
         let spec = t.specificity();
@@ -170,13 +170,13 @@ pub fn ref_match(set: &TemplateSet, code: &ErrorCode, detail: &str) -> Option<Te
 /// pseudo-template, else `UNKNOWN_TEMPLATE`.
 pub(crate) fn ref_resolve(
     k: &syslogdigest::DomainKnowledge,
-    code: &ErrorCode,
+    code: &str,
     detail: &str,
 ) -> TemplateId {
     if let Some(t) = ref_match(&k.templates, code, detail) {
         return t;
     }
-    match k.fallback_codes.get(code.as_str()) {
+    match k.fallback_codes.get(code) {
         Some(i) => TemplateId(k.templates.len() as u32 + i),
         None => syslogdigest::UNKNOWN_TEMPLATE,
     }
@@ -229,11 +229,10 @@ mod tests {
                 .collect(),
         };
         let set = TemplateSet::from_templates(vec![t("a * c"), t("a b c"), t("* b c")]);
-        let code = ErrorCode::from("C-1-M");
-        let hit = ref_match(&set, &code, "a b c").unwrap();
+        let hit = ref_match(&set, "C-1-M", "a b c").unwrap();
         assert_eq!(set.get(hit).masked(), "C-1-M a b c");
         // Two 2-specific candidates match "a x c" → only "a * c" does.
-        let hit = ref_match(&set, &code, "a x c").unwrap();
+        let hit = ref_match(&set, "C-1-M", "a x c").unwrap();
         assert_eq!(set.get(hit).masked(), "C-1-M a * c");
     }
 }

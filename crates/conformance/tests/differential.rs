@@ -167,18 +167,18 @@ proptest! {
         // Matching: every training message and some unseen details resolve
         // to the same template in both matchers.
         for m in &msgs {
-            let toks: Vec<&str> = m.detail.split_whitespace().collect();
+            let toks: Vec<&str> = m.detail().split_whitespace().collect();
             prop_assert_eq!(
-                set.match_detail(&m.code, &toks),
-                ref_match(&set, &m.code, &m.detail)
+                set.match_detail(m.code(), &toks),
+                ref_match(&set, m.code(), m.detail())
             );
         }
-        let code = ErrorCode::from("C-1-A");
+        let code = "C-1-A";
         for unseen in ["w0 w99 w0", "w99 w99 w99", "w0 w0", "w0 w0 w0 w0"] {
             let toks: Vec<&str> = unseen.split_whitespace().collect();
             prop_assert_eq!(
-                set.match_detail(&code, &toks),
-                ref_match(&set, &code, unseen)
+                set.match_detail(code, &toks),
+                ref_match(&set, code, unseen)
             );
         }
     }
@@ -265,7 +265,7 @@ proptest! {
                     ts: Timestamp(ts),
                     router,
                     template: Some(toy_template(template)),
-                    locations,
+                    locations: locations.into(),
                 }
             })
             .collect();

@@ -15,13 +15,15 @@ use sd_model::{
 };
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
+use std::sync::Arc;
 
 /// Slots in an [`AugmentMemo`] table (a power of two).
 const MEMO_SLOTS: usize = 4096;
 
-/// Longest `router + code + detail`, in bytes, an [`AugmentMemo`]
-/// remembers; longer lines are augmented afresh, so the table never holds
-/// more than `MEMO_SLOTS × MEMO_MAX_KEY` bytes of keys.
+/// Longest key, in bytes, an [`AugmentMemo`] remembers: the key is a
+/// message's [`RawMessage::text`], `"router code detail"`. Longer lines
+/// are augmented afresh, so the slots' key buffers never hold more than
+/// `MEMO_SLOTS × MEMO_MAX_KEY` bytes.
 const MEMO_MAX_KEY: usize = 1024;
 
 /// Table lookups per [`AugmentMemo`] epoch; an epoch with fewer than a
@@ -35,7 +37,7 @@ const MEMO_MAX_BYPASS: u32 = 64;
 /// unknown to the location dictionary (such messages are counted and
 /// skipped by the pipeline — there is nothing to anchor them to).
 pub fn augment(k: &DomainKnowledge, idx: usize, m: &RawMessage) -> Option<SyslogPlus> {
-    crate::quarantine::poison_check(&m.detail);
+    crate::quarantine::poison_check(m.detail());
     augment_fresh(k, idx, m, &mut TokenScratch::new())
 }
 
@@ -48,15 +50,15 @@ fn augment_fresh(
     m: &RawMessage,
     scratch: &mut TokenScratch,
 ) -> Option<SyslogPlus> {
-    scratch.tokenize(&m.detail);
+    scratch.tokenize(m.detail());
     let ex = extract_with(&k.dict, m, scratch)?;
-    let template = k.resolve_template_with(&m.code, &m.detail, scratch);
+    let template = k.resolve_template_with(m.code(), m.detail(), scratch);
     Some(SyslogPlus {
         idx,
         ts: m.ts,
         router: ex.router,
         template: Some(template),
-        locations: ex.locations,
+        locations: Arc::from(ex.locations),
     })
 }
 
@@ -67,11 +69,13 @@ fn augment_fresh(
 /// fields and the fixed knowledge, so the output equals [`augment`]'s.
 ///
 /// * The table is [`MEMO_SLOTS`] reusable slots. A line hashes to one
-///   slot and evicts whatever held it, so memory stays bounded and a miss
-///   allocates nothing of its own. The hash is SipHash with a per-memo
-///   key: the feed chooses these keys. Router and code are length-prefixed
-///   in the hash and compared field by field, so router `ab` with code `c`
-///   never answers for router `a` with code `bc`.
+///   slot and evicts whatever held it, so memory stays bounded. A hit
+///   shares the slot's locations (a reference count, no allocation), and
+///   a miss reuses the slot's key buffer. The hash is SipHash with a
+///   per-memo key: the feed chooses these keys. The key is the message's
+///   joined text together with the router's and the code's lengths, so
+///   router `ab` with code `c` never answers for router `a` with code
+///   `bc`, even where spaces make the joined texts equal.
 /// * A feed where nothing repeats would pay for hashing and storing every
 ///   line. After each epoch of [`MEMO_EPOCH`] lookups with fewer than a
 ///   quarter hits, the memo steps aside for 1, 2, 4, … up to
@@ -97,45 +101,41 @@ pub(crate) struct AugmentMemo {
 struct Slot {
     /// The line's hash; `None` while the slot is empty.
     hash: Option<u64>,
-    router: String,
-    code: String,
-    detail: String,
-    /// `None` for a router the dictionary does not know.
-    router_id: Option<RouterId>,
-    template: Option<TemplateId>,
-    locations: Vec<LocationId>,
+    /// The line's [`RawMessage::text`] and its router's and code's lengths.
+    text: String,
+    router_len: usize,
+    code_len: usize,
+    /// Router, template and locations; `None` for a router the
+    /// dictionary does not know.
+    aug: Option<(RouterId, Option<TemplateId>, Arc<[LocationId]>)>,
 }
 
 impl Slot {
     fn holds(&self, hash: u64, m: &RawMessage) -> bool {
         self.hash == Some(hash)
-            && self.router == m.router
-            && self.code == m.code.as_str()
-            && self.detail == m.detail
+            && self.router_len == m.router().len()
+            && self.code_len == m.code().len()
+            && self.text == m.text()
     }
 
     fn get(&self, idx: usize, m: &RawMessage) -> Option<SyslogPlus> {
+        let (router, template, locations) = self.aug.as_ref()?;
         Some(SyslogPlus {
             idx,
             ts: m.ts,
-            router: self.router_id?,
-            template: self.template,
-            locations: self.locations.clone(),
+            router: *router,
+            template: *template,
+            locations: Arc::clone(locations),
         })
     }
 
-    /// Remember `m` and its augmentation `sp`, reusing the slot's buffers.
+    /// Remember `m` and its augmentation `sp`, reusing the key buffer.
     fn store(&mut self, hash: u64, m: &RawMessage, sp: Option<&SyslogPlus>) {
         self.hash = Some(hash);
-        self.router.clone_from(&m.router);
-        self.code.clone_from(&m.code.0);
-        self.detail.clone_from(&m.detail);
-        self.router_id = sp.map(|sp| sp.router);
-        self.template = sp.and_then(|sp| sp.template);
-        match sp {
-            Some(sp) => self.locations.clone_from(&sp.locations),
-            None => self.locations.clear(),
-        }
+        self.text.clear();
+        self.text.push_str(m.text());
+        (self.router_len, self.code_len) = (m.router().len(), m.code().len());
+        self.aug = sp.map(|sp| (sp.router, sp.template, Arc::clone(&sp.locations)));
     }
 }
 
@@ -165,13 +165,12 @@ impl AugmentMemo {
         idx: usize,
         m: &RawMessage,
     ) -> Option<SyslogPlus> {
-        crate::quarantine::poison_check(&m.detail);
+        crate::quarantine::poison_check(m.detail());
         if self.bypass > 0 {
             self.bypass -= 1;
             return augment_fresh(k, idx, m, &mut self.scratch);
         }
-        let key_len = m.router.len() + m.code.as_str().len() + m.detail.len();
-        let out = if key_len > MEMO_MAX_KEY {
+        let out = if m.text().len() > MEMO_MAX_KEY {
             augment_fresh(k, idx, m, &mut self.scratch)
         } else {
             let hash = self.hash(m);
@@ -226,11 +225,9 @@ impl AugmentMemo {
 
     fn hash(&self, m: &RawMessage) -> u64 {
         let mut h = self.hasher.build_hasher();
-        h.write_usize(m.router.len());
-        h.write(m.router.as_bytes());
-        h.write_usize(m.code.as_str().len());
-        h.write(m.code.as_str().as_bytes());
-        h.write(m.detail.as_bytes());
+        h.write_usize(m.router().len());
+        h.write_usize(m.code().len());
+        h.write(m.text().as_bytes());
         h.finish()
     }
 }
@@ -369,7 +366,12 @@ interface Serial1/5
                 )
             })
             .collect();
-        batch[23].detail = "detail with AUGTESTPOISON inside".to_string();
+        batch[23] = msg(
+            23,
+            "r1",
+            "LINK-3-UPDOWN",
+            "detail with AUGTESTPOISON inside",
+        );
         let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         crate::quarantine::set_poison_marker(Some("AUGTESTPOISON"));
         let iso = augment_batch_isolated(&k, &batch, Parallelism::sequential());

@@ -17,7 +17,7 @@ pub fn severity_rank(events: &mut [NetworkEvent], raw: &[RawMessage]) {
     let sev_of = |e: &NetworkEvent| -> u8 {
         e.message_idxs
             .iter()
-            .filter_map(|&i| raw.get(i).and_then(|m| m.code.severity()))
+            .filter_map(|&i| raw.get(i).and_then(|m| Severity::of_code(m.code())))
             .map(Severity::rank)
             .min()
             .unwrap_or(7)
@@ -67,6 +67,7 @@ pub fn ewma_group_count(k: &DomainKnowledge, batch: &[SyslogPlus]) -> usize {
 mod tests {
     use super::*;
     use sd_model::{ErrorCode, RouterId, TemplateId, Timestamp};
+    use std::sync::Arc;
 
     fn sp(ts: i64, t: u32) -> SyslogPlus {
         SyslogPlus {
@@ -74,7 +75,7 @@ mod tests {
             ts: Timestamp(ts),
             router: RouterId(0),
             template: Some(TemplateId(t)),
-            locations: vec![],
+            locations: Arc::from([]),
         }
     }
 

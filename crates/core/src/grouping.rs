@@ -309,8 +309,8 @@ pub(crate) fn tkey(sp: &SyslogPlus) -> (u32, u32, u32) {
 /// shared LSP path or each other's elements) or locations that are the two
 /// ends of one link.
 fn cross_related(k: &DomainKnowledge, a: &SyslogPlus, b: &SyslogPlus) -> bool {
-    for &x in &a.locations {
-        for &y in &b.locations {
+    for &x in a.locations.iter() {
+        for &y in b.locations.iter() {
             if x == y || k.dict.cross_router_related(x, y) {
                 return true;
             }

@@ -6,7 +6,7 @@
 
 use crate::envelope::{self, ArtifactError, ArtifactKind};
 use sd_locations::LocationDictionary;
-use sd_model::{ErrorCode, Fnv, FxHashMap, Interner, RouterId, TemplateId, TokenScratch};
+use sd_model::{Fnv, FxHashMap, Interner, RouterId, TemplateId, TokenScratch};
 use sd_rules::RuleSet;
 use sd_templates::TemplateSet;
 use sd_temporal::TemporalConfig;
@@ -134,7 +134,7 @@ impl DomainKnowledge {
     /// Resolve a message's template: learned template if one matches, the
     /// per-code fallback if the code was seen in training, otherwise
     /// [`UNKNOWN_TEMPLATE`].
-    pub fn resolve_template(&self, code: &ErrorCode, detail: &str) -> TemplateId {
+    pub fn resolve_template(&self, code: &str, detail: &str) -> TemplateId {
         let mut toks = TokenScratch::new();
         toks.tokenize(detail);
         self.resolve_template_with(code, detail, &toks)
@@ -145,14 +145,14 @@ impl DomainKnowledge {
     /// so batch loops resolve every message allocation-free.
     pub(crate) fn resolve_template_with(
         &self,
-        code: &ErrorCode,
+        code: &str,
         detail: &str,
         toks: &TokenScratch,
     ) -> TemplateId {
         if let Some(t) = self.templates.match_tokens(code, detail, toks) {
             return t;
         }
-        match self.fallback_codes.get(code.as_str()) {
+        match self.fallback_codes.get(code) {
             Some(i) => TemplateId(self.templates.len() as u32 + i),
             None => UNKNOWN_TEMPLATE,
         }
@@ -200,7 +200,7 @@ mod tests {
                 sd_model::RawMessage::new(
                     sd_model::Timestamp(i),
                     "r1",
-                    ErrorCode::from("LINK-3-UPDOWN"),
+                    "LINK-3-UPDOWN",
                     format!("Interface Serial{i}/0, changed state to down"),
                 )
             })
@@ -227,7 +227,7 @@ mod tests {
     fn resolve_prefers_learned_template() {
         let k = tiny_knowledge();
         let t = k.resolve_template(
-            &ErrorCode::from("LINK-3-UPDOWN"),
+            "LINK-3-UPDOWN",
             "Interface Serial9/0, changed state to down",
         );
         assert!(t.0 < k.templates.len() as u32);
@@ -241,11 +241,11 @@ mod tests {
     fn resolve_falls_back_per_code() {
         let k = tiny_knowledge();
         // Known code, never-seen shape.
-        let t = k.resolve_template(&ErrorCode::from("SYS-1-CPURISINGTHRESHOLD"), "whatever");
+        let t = k.resolve_template("SYS-1-CPURISINGTHRESHOLD", "whatever");
         assert_eq!(t.0, k.templates.len() as u32 + 1);
         assert_eq!(k.template_signature(t), "SYS-1-CPURISINGTHRESHOLD *");
         // Unknown code.
-        let u = k.resolve_template(&ErrorCode::from("NEVER-1-SEEN"), "x");
+        let u = k.resolve_template("NEVER-1-SEEN", "x");
         assert_eq!(u, UNKNOWN_TEMPLATE);
         assert_eq!(k.template_signature(u), "?");
     }
@@ -393,7 +393,7 @@ mod tests {
         let json = k.to_json().unwrap();
         let back = DomainKnowledge::from_json(&json).unwrap();
         let t = back.resolve_template(
-            &ErrorCode::from("LINK-3-UPDOWN"),
+            "LINK-3-UPDOWN",
             "Interface Serial3/0, changed state to down",
         );
         assert!(t.0 < back.templates.len() as u32);

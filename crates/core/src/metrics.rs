@@ -12,9 +12,9 @@ use sd_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// Compression ratios for T, T+R and T+R+C (the three Table 7 rows): the
-/// events `digest` closes per message it groups (drops and quarantined
-/// messages excluded).
+/// Compression ratios for T, T+R and T+R+C (the three Table 7 rows):
+/// [`Digest::compression_ratio`](crate::Digest::compression_ratio), the
+/// events `digest` closes per message it groups.
 pub fn compression_table(k: &DomainKnowledge, raw: &[RawMessage]) -> Vec<(String, f64)> {
     [
         ("T", GroupingConfig::t_only()),
@@ -22,16 +22,7 @@ pub fn compression_table(k: &DomainKnowledge, raw: &[RawMessage]) -> Vec<(String
         ("T+R+C", GroupingConfig::default()),
     ]
     .into_iter()
-    .map(|(name, cfg)| {
-        let d = digest(k, raw, &cfg);
-        let grouped = d.n_input - d.n_dropped - d.n_quarantined;
-        let ratio = if grouped == 0 {
-            0.0
-        } else {
-            d.events.len() as f64 / grouped as f64
-        };
-        (name.to_owned(), ratio)
-    })
+    .map(|(name, cfg)| (name.to_owned(), digest(k, raw, &cfg).compression_ratio()))
     .collect()
 }
 
@@ -96,7 +87,7 @@ pub fn per_router_counts(
     let dg = digest(k, raw, cfg);
     let mut msgs: HashMap<String, usize> = HashMap::new();
     for m in raw {
-        *msgs.entry(m.router.clone()).or_insert(0) += 1;
+        *msgs.entry(m.router().to_owned()).or_insert(0) += 1;
     }
     let mut events: HashMap<String, usize> = HashMap::new();
     for e in &dg.events {

@@ -76,7 +76,7 @@ pub fn learn_instrumented(
     // 2. Per-code fallbacks for online messages that match nothing.
     let mut fallback = Interner::new();
     for m in train {
-        fallback.intern(m.code.as_str());
+        fallback.intern(m.code());
     }
 
     // 3. Location dictionary from configs.

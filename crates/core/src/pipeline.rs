@@ -27,13 +27,31 @@ pub struct Digest {
     pub quarantined: Vec<QuarantineRecord>,
 }
 
+/// Table 7's compression ratio: events per message grouped, that is per
+/// input message less unknown-router drops and quarantined messages (0
+/// when nothing was grouped).
+pub(crate) fn compression_ratio(
+    n_events: usize,
+    n_input: usize,
+    n_dropped: usize,
+    n_quarantined: usize,
+) -> f64 {
+    match n_input - n_dropped - n_quarantined {
+        0 => 0.0,
+        grouped => n_events as f64 / grouped as f64,
+    }
+}
+
 impl Digest {
-    /// Overall compression ratio: events / input messages.
+    /// Table 7's compression ratio: events per message grouped (input
+    /// less drops and quarantined messages).
     pub fn compression_ratio(&self) -> f64 {
-        if self.n_input == 0 {
-            return 0.0;
-        }
-        self.events.len() as f64 / self.n_input as f64
+        compression_ratio(
+            self.events.len(),
+            self.n_input,
+            self.n_dropped,
+            self.n_quarantined,
+        )
     }
 
     /// Top `n` events (already rank-ordered).

@@ -53,9 +53,9 @@ impl QuarantineRecord {
         QuarantineRecord {
             position,
             line: m.to_line(),
-            router: m.router.clone(),
+            router: m.router().to_owned(),
             ts: m.ts.0,
-            code: m.code.to_string(),
+            code: m.code().to_owned(),
             stage: stage.to_string(),
             reason: reason.to_string(),
         }

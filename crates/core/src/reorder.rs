@@ -43,7 +43,7 @@
 //! the watermark and it is dropped as late. Either way a duplicate can
 //! never reach the digester twice.
 
-use sd_model::{ErrorCode, RawMessage, Timestamp};
+use sd_model::{RawMessage, Timestamp};
 use sd_telemetry::{Counter, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -56,9 +56,9 @@ use std::collections::BTreeSet;
 struct Queued(RawMessage);
 
 impl Queued {
-    fn key(&self) -> (Timestamp, &str, &ErrorCode, &str) {
+    fn key(&self) -> (Timestamp, &str, &str, &str) {
         let m = &self.0;
-        (m.ts, &m.router, &m.code, &m.detail)
+        (m.ts, m.router(), m.code(), m.detail())
     }
 }
 
@@ -176,7 +176,7 @@ mod tests {
     use super::*;
 
     fn msg(ts: i64, router: &str, detail: &str) -> RawMessage {
-        RawMessage::new(Timestamp(ts), router, ErrorCode::from("A-1-X"), detail)
+        RawMessage::new(Timestamp(ts), router, "A-1-X", detail)
     }
 
     fn release_all(skew: i64, feed: Vec<RawMessage>) -> (Vec<RawMessage>, ReorderBuffer) {
@@ -250,11 +250,44 @@ mod tests {
     fn same_second_bursts_release_in_total_order() {
         let feed = vec![msg(10, "r2", "b"), msg(10, "r1", "z"), msg(10, "r1", "a")];
         let (out, _) = release_all(5, feed);
-        let ids: Vec<(&str, &str)> = out
-            .iter()
-            .map(|m| (m.router.as_str(), m.detail.as_str()))
-            .collect();
+        let ids: Vec<(&str, &str)> = out.iter().map(|m| (m.router(), m.detail())).collect();
         assert_eq!(ids, vec![("r1", "a"), ("r1", "z"), ("r2", "b")]);
+    }
+
+    /// Router `r1\t` sorts after `r1` field by field, but its joined
+    /// text `"r1\t A-1-X x"` sorts before `"r1 A-1-X x"`: the buffer must
+    /// compare fields.
+    #[test]
+    fn same_second_order_compares_fields_not_the_joined_text() {
+        let feed = vec![msg(10, "r1\t", "x"), msg(10, "r1", "x")];
+        let (out, _) = release_all(5, feed);
+        let routers: Vec<&str> = out.iter().map(RawMessage::router).collect();
+        assert_eq!(routers, vec!["r1", "r1\t"]);
+    }
+
+    /// A checkpoint holds the buffer as this JSON; pinned so its bytes do
+    /// not move between builds.
+    #[test]
+    fn buffer_persists_as_pinned_json() {
+        let mut rb = ReorderBuffer::new(30);
+        let mut out = Vec::new();
+        rb.push(msg(10, "r2", "b"), &mut out);
+        rb.push(msg(10, "r1", "a").with_gt(7), &mut out);
+        assert!(out.is_empty());
+        let json = serde_json::to_string(&rb).unwrap();
+        assert_eq!(
+            json,
+            r#"{"buf":[{"ts":10,"router":"r1","code":"A-1-X","detail":"a","gt_event":7},"#
+                .to_owned()
+                + r#"{"ts":10,"router":"r2","code":"A-1-X","detail":"b","gt_event":null}],"#
+                + r#""high":10,"max_skew":30}"#
+        );
+        let back: ReorderBuffer = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        rb.flush(&mut a);
+        { back }.flush(&mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -181,6 +181,20 @@ pub struct StreamStats {
     pub n_events: usize,
 }
 
+impl StreamStats {
+    /// Table 7's compression ratio, as
+    /// [`Digest::compression_ratio`](crate::Digest::compression_ratio)
+    /// counts it: events per message grouped since the feed began.
+    pub fn compression_ratio(&self) -> f64 {
+        crate::pipeline::compression_ratio(
+            self.n_events,
+            self.n_input,
+            self.n_dropped,
+            self.n_quarantined,
+        )
+    }
+}
+
 /// Incremental digester over a time-ordered syslog feed.
 pub struct StreamDigester<'k> {
     k: &'k DomainKnowledge,

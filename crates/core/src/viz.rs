@@ -39,9 +39,9 @@ pub fn snapshot<'a>(
     for m in raw {
         if m.ts >= from && m.ts < to {
             let e = rows
-                .entry(m.router.clone())
+                .entry(m.router().to_owned())
                 .or_insert_with(|| RouterSnapshot {
-                    router: m.router.clone(),
+                    router: m.router().to_owned(),
                     n_messages: 0,
                     n_events: 0,
                     top_score: 0.0,

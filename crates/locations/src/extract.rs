@@ -26,12 +26,12 @@ pub struct Extracted {
 /// originating router is not in the dictionary at all.
 pub fn extract(dict: &LocationDictionary, m: &RawMessage) -> Option<Extracted> {
     let mut toks = TokenScratch::new();
-    toks.tokenize(&m.detail);
+    toks.tokenize(m.detail());
     extract_with(dict, m, &toks)
 }
 
-/// [`extract`] reading the tokens of `m.detail` from `toks`, which the
-/// caller has filled with `toks.tokenize(&m.detail)` — the online path
+/// [`extract`] reading the tokens of `m.detail()` from `toks`, which the
+/// caller has filled with `toks.tokenize(m.detail())` — the online path
 /// tokenizes each message once for both template matching and location
 /// extraction, and borrows every token instead of copying it.
 pub fn extract_with(
@@ -39,7 +39,7 @@ pub fn extract_with(
     m: &RawMessage,
     toks: &TokenScratch,
 ) -> Option<Extracted> {
-    let rid = dict.router_id(&m.router)?;
+    let rid = dict.router_id(m.router())?;
     let mut locals: Vec<LocationId> = Vec::new();
     let mut remotes: Vec<LocationId> = Vec::new();
 
@@ -53,7 +53,7 @@ pub fn extract_with(
         }
     };
 
-    let detail = m.detail.as_str();
+    let detail = m.detail();
     for (i, raw) in toks.tokens(detail).enumerate() {
         let tok = strip(raw);
         if tok.is_empty() {
@@ -168,7 +168,7 @@ interface Serial1/0.20/20:0
     /// `extract` as it was before it read borrowed spans: a
     /// `split_whitespace` token vector and an owned IP string per probe.
     fn extract_reference(dict: &LocationDictionary, m: &RawMessage) -> Option<Extracted> {
-        let rid = dict.router_id(&m.router)?;
+        let rid = dict.router_id(m.router())?;
         let mut locals: Vec<LocationId> = Vec::new();
         let mut remotes: Vec<LocationId> = Vec::new();
         let push =
@@ -181,7 +181,7 @@ interface Serial1/0.20/20:0
                     remotes.push(loc);
                 }
             };
-        let toks: Vec<&str> = m.detail.split_whitespace().collect();
+        let toks: Vec<&str> = m.detail().split_whitespace().collect();
         for (i, raw) in toks.iter().enumerate() {
             let tok = strip(raw);
             if tok.is_empty() {

@@ -42,7 +42,7 @@ fn check(spec: DatasetSpec) {
     let mut total = 0usize;
     let mut sub_router = 0usize;
     for m in d.messages.iter().step_by(11) {
-        let e = extract(&dict, m).unwrap_or_else(|| panic!("router {} unknown", m.router));
+        let e = extract(&dict, m).unwrap_or_else(|| panic!("router {} unknown", m.router()));
         assert!(!e.locations.is_empty());
         total += 1;
         if dict.info(e.locations[0]).level != LocationLevel::Router {

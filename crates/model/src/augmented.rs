@@ -4,6 +4,7 @@
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense id of a learned message template (minted by the template learner).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -114,8 +115,9 @@ pub struct SyslogPlus {
     /// (unmatched messages fall back to per-error-code handling).
     pub template: Option<TemplateId>,
     /// Locations extracted from the message and verified against the
-    /// dictionary, most specific first.
-    pub locations: Vec<LocationId>,
+    /// dictionary, most specific first. Shared: repeats of one line point
+    /// at one slice, so augmenting a repeat allocates nothing.
+    pub locations: Arc<[LocationId]>,
 }
 
 impl SyslogPlus {
@@ -161,7 +163,7 @@ mod tests {
             ts: Timestamp(0),
             router: RouterId(1),
             template: Some(TemplateId(7)),
-            locations: vec![LocationId(5), LocationId(2)],
+            locations: Arc::from([LocationId(5), LocationId(2)]),
         };
         assert_eq!(sp.primary_location(), Some(LocationId(5)));
     }

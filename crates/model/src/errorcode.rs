@@ -17,8 +17,8 @@ use std::fmt;
 
 /// A message type / error code, stored verbatim.
 ///
-/// Codes are compared byte-for-byte; accessor methods lazily decompose the
-/// vendor-specific parts.
+/// Codes are compared byte-for-byte; [`Severity::of_code`] reads the
+/// vendor severity out of a code's text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ErrorCode(pub String);
 
@@ -55,6 +55,26 @@ impl Severity {
             Severity::Info => 6,
         }
     }
+
+    /// The vendor severity embedded in the middle segment of error code
+    /// `code`, if recognized.
+    pub fn of_code(code: &str) -> Option<Severity> {
+        let mid = code.split('-').nth(1)?;
+        if let Ok(n) = mid.parse::<u8>() {
+            if n <= 7 {
+                return Some(Severity::Level(n));
+            }
+            return None;
+        }
+        match mid {
+            "CRITICAL" => Some(Severity::Critical),
+            "MAJOR" => Some(Severity::Major),
+            "MINOR" => Some(Severity::Minor),
+            "WARNING" => Some(Severity::Warning),
+            "INFO" => Some(Severity::Info),
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Severity {
@@ -85,30 +105,17 @@ impl ErrorCode {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// The vendor severity embedded in the middle segment, if recognized.
-    pub fn severity(&self) -> Option<Severity> {
-        let mid = self.0.split('-').nth(1)?;
-        if let Ok(n) = mid.parse::<u8>() {
-            if n <= 7 {
-                return Some(Severity::Level(n));
-            }
-            return None;
-        }
-        match mid {
-            "CRITICAL" => Some(Severity::Critical),
-            "MAJOR" => Some(Severity::Major),
-            "MINOR" => Some(Severity::Minor),
-            "WARNING" => Some(Severity::Warning),
-            "INFO" => Some(Severity::Info),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ErrorCode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
+    }
+}
+
+impl AsRef<str> for ErrorCode {
+    fn as_ref(&self) -> &str {
+        &self.0
     }
 }
 
@@ -126,14 +133,14 @@ mod tests {
     fn v1_code_decomposes() {
         let c = ErrorCode::v1("LINK", 3, "UPDOWN");
         assert_eq!(c.as_str(), "LINK-3-UPDOWN");
-        assert_eq!(c.severity(), Some(Severity::Level(3)));
+        assert_eq!(Severity::of_code(c.as_str()), Some(Severity::Level(3)));
     }
 
     #[test]
     fn v2_code_decomposes() {
         let c = ErrorCode::v2("SVCMGR", "MAJOR", "sapPortStateChangeProcessed");
-        assert_eq!(c.severity(), Some(Severity::Major));
-        assert_eq!(c.severity().unwrap().rank(), 3);
+        assert_eq!(Severity::of_code(c.as_str()), Some(Severity::Major));
+        assert_eq!(Severity::of_code(c.as_str()).unwrap().rank(), 3);
     }
 
     #[test]
@@ -148,8 +155,8 @@ mod tests {
 
     #[test]
     fn unknown_middle_segment_has_no_severity() {
-        assert_eq!(ErrorCode::from("SNMP-ODD-linkDown").severity(), None);
-        assert_eq!(ErrorCode::from("SNMP-42-linkDown").severity(), None);
-        assert_eq!(ErrorCode::from("PLAIN").severity(), None);
+        assert_eq!(Severity::of_code("SNMP-ODD-linkDown"), None);
+        assert_eq!(Severity::of_code("SNMP-42-linkDown"), None);
+        assert_eq!(Severity::of_code("PLAIN"), None);
     }
 }

@@ -1,8 +1,7 @@
 //! Raw syslog messages and their wire format.
 
-use crate::errorcode::ErrorCode;
 use crate::time::Timestamp;
-use serde::{Deserialize, Serialize};
+use serde::{de_field, DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
 /// Router vendor family, as in Table 1 of the paper.
@@ -35,16 +34,23 @@ impl fmt::Display for Vendor {
 pub type GroundTruthId = u64;
 
 /// One raw router syslog message (Table 1 fields).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Router, code and detail live in one buffer, `"router code detail"`,
+/// with the router's and the code's byte lengths beside it: a message is
+/// one heap allocation and 48 bytes, and the fields are read through
+/// [`router`](Self::router), [`code`](Self::code) and
+/// [`detail`](Self::detail). Because the lengths delimit the fields, any
+/// field may hold spaces. Equality and every order compare the fields one
+/// by one, never the joined buffer: a field holding a byte below space
+/// (`"r1\t"` against `"r1"`) sorts differently from the buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawMessage {
     /// NTP-synchronized generation time, 1 s granularity.
     pub ts: Timestamp,
-    /// Name of the originating router.
-    pub router: String,
-    /// Message type / error code.
-    pub code: ErrorCode,
-    /// Free-form detailed message text.
-    pub detail: String,
+    /// `router`, a space, `code`, a space, `detail`.
+    text: Box<str>,
+    router_len: u32,
+    code_len: u32,
     /// Simulator-only ground-truth tag; `None` for messages parsed from text
     /// and for simulated background noise that belongs to no event.
     pub gt_event: Option<GroundTruthId>,
@@ -66,6 +72,8 @@ pub enum ParseError {
     Empty(&'static str),
     /// The first two fields do not form a `YYYY-MM-DD HH:MM:SS` timestamp.
     BadTimestamp,
+    /// The named field is 4 GiB or longer, more than a message stores.
+    TooLong(&'static str),
 }
 
 impl fmt::Display for ParseError {
@@ -75,6 +83,7 @@ impl fmt::Display for ParseError {
             ParseError::Missing(field) => write!(f, "truncated line: missing {field}"),
             ParseError::Empty(field) => write!(f, "empty {field} field"),
             ParseError::BadTimestamp => write!(f, "malformed timestamp"),
+            ParseError::TooLong(field) => write!(f, "{field} field of 4 GiB or more"),
         }
     }
 }
@@ -123,19 +132,54 @@ impl fmt::Display for MalformedReport {
 
 impl RawMessage {
     /// Construct a message with no ground-truth tag.
+    ///
+    /// # Panics
+    /// If the router or the code is 4 GiB or longer.
     pub fn new(
         ts: Timestamp,
-        router: impl Into<String>,
-        code: ErrorCode,
-        detail: impl Into<String>,
+        router: impl AsRef<str>,
+        code: impl AsRef<str>,
+        detail: impl AsRef<str>,
     ) -> Self {
+        let (router, code, detail) = (router.as_ref(), code.as_ref(), detail.as_ref());
+        let mut text = String::with_capacity(router.len() + code.len() + detail.len() + 2);
+        text.push_str(router);
+        text.push(' ');
+        text.push_str(code);
+        text.push(' ');
+        text.push_str(detail);
         RawMessage {
             ts,
-            router: router.into(),
-            code,
-            detail: detail.into(),
+            text: text.into_boxed_str(),
+            router_len: u32::try_from(router.len()).expect("router name under 4 GiB"),
+            code_len: u32::try_from(code.len()).expect("error code under 4 GiB"),
             gt_event: None,
         }
+    }
+
+    /// Name of the originating router.
+    pub fn router(&self) -> &str {
+        &self.text[..self.router_len as usize]
+    }
+
+    /// Message type / error code, as written; [`ErrorCode::from`] makes
+    /// an owned [`ErrorCode`] of it.
+    pub fn code(&self) -> &str {
+        let start = self.router_len as usize + 1;
+        &self.text[start..start + self.code_len as usize]
+    }
+
+    /// Free-form detailed message text.
+    pub fn detail(&self) -> &str {
+        &self.text[self.router_len as usize + self.code_len as usize + 2..]
+    }
+
+    /// Router, code and detail joined by single spaces: the line after its
+    /// timestamp. With the lengths of [`router`](Self::router) and
+    /// [`code`](Self::code) it determines all three fields, so it serves
+    /// as one lookup key for them.
+    pub fn text(&self) -> &str {
+        &self.text
     }
 
     /// Attach a ground-truth event id (builder style).
@@ -152,7 +196,7 @@ impl RawMessage {
     /// the format unambiguous; the ground-truth tag is deliberately *not*
     /// serialized (it does not exist on the wire).
     pub fn to_line(&self) -> String {
-        format!("{} {} {} {}", self.ts, self.router, self.code, self.detail)
+        format!("{} {}", self.ts, self.text)
     }
 
     /// Parse the wire format produced by [`RawMessage::to_line`].
@@ -175,7 +219,7 @@ impl RawMessage {
             .and_then(|b| Timestamp::parse_canonical(&b[..19]))
         {
             let (router, code, detail) = split_fields(&line[20..])?;
-            return Ok(RawMessage::new(ts, router, ErrorCode::from(code), detail));
+            return Ok(RawMessage::new(ts, router, code, detail));
         }
         if line.trim().is_empty() {
             return Err(ParseError::Blank);
@@ -190,12 +234,39 @@ impl RawMessage {
         // only reach the date's leading and the time's trailing whitespace.
         let ts = Timestamp::parse_fields(date.trim_start(), time.trim_end())
             .ok_or(ParseError::BadTimestamp)?;
-        Ok(RawMessage::new(ts, router, ErrorCode::from(code), detail))
+        Ok(RawMessage::new(ts, router, code, detail))
+    }
+}
+
+/// The persisted form is the map `{ts, router, code, detail, gt_event}`,
+/// as it was while the fields were stored apart, so checkpoints keep
+/// their bytes.
+impl Serialize for RawMessage {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("ts".to_owned(), self.ts.to_value()),
+            ("router".to_owned(), self.router().to_value()),
+            ("code".to_owned(), self.code().to_value()),
+            ("detail".to_owned(), self.detail().to_value()),
+            ("gt_event".to_owned(), self.gt_event.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for RawMessage {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let ts = de_field(v, "ts")?;
+        let router: String = de_field(v, "router")?;
+        let code: String = de_field(v, "code")?;
+        let detail: String = de_field(v, "detail")?;
+        let mut m = RawMessage::new(ts, router, code, detail);
+        m.gt_event = de_field(v, "gt_event")?;
+        Ok(m)
     }
 }
 
 /// Split `<router> <code> <detail...>`, the part of a line after its
-/// timestamp, and require a non-empty router and code.
+/// timestamp, and require a non-empty router and code, each under 4 GiB.
 fn split_fields(rest: &str) -> Result<(&str, &str, &str), ParseError> {
     let mut parts = rest.splitn(3, ' ');
     let router = parts.next().unwrap_or("");
@@ -206,6 +277,13 @@ fn split_fields(rest: &str) -> Result<(&str, &str, &str), ParseError> {
     }
     if code.is_empty() {
         return Err(ParseError::Empty("code"));
+    }
+    // `RawMessage` stores the two lengths as `u32`.
+    if u32::try_from(router.len()).is_err() {
+        return Err(ParseError::TooLong("router"));
+    }
+    if u32::try_from(code.len()).is_err() {
+        return Err(ParseError::TooLong("code"));
     }
     Ok((router, code, detail))
 }
@@ -224,14 +302,15 @@ impl fmt::Display for RawMessage {
 pub fn sort_batch(batch: &mut [RawMessage]) {
     batch.sort_by(|a, b| {
         a.ts.cmp(&b.ts)
-            .then_with(|| a.router.cmp(&b.router))
-            .then_with(|| a.code.cmp(&b.code))
+            .then_with(|| a.router().cmp(b.router()))
+            .then_with(|| a.code().cmp(b.code()))
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ErrorCode;
     use proptest::prelude::*;
 
     /// `parse_line` as it was before it parsed the timestamp fields in
@@ -255,13 +334,7 @@ mod tests {
         }
         let ts =
             timestamp_parse_reference(&format!("{date} {time}")).ok_or(ParseError::BadTimestamp)?;
-        Ok(RawMessage {
-            ts,
-            router: router.to_owned(),
-            code: ErrorCode::from(code),
-            detail: detail.to_owned(),
-            gt_event: None,
-        })
+        Ok(RawMessage::new(ts, router, code, detail))
     }
 
     /// `Timestamp::parse` as it was before `parse_fields` was split out.
@@ -517,6 +590,55 @@ mod tests {
         assert_eq!(back.gt_event, None);
     }
 
+    /// Any field text, spaces, tabs and multibyte characters included.
+    fn field() -> impl Strategy<Value = String> {
+        "[ \ta-z0-9\u{e9}\u{3000}\u{1F600}]{0,12}"
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        #[test]
+        fn fields_survive_new_and_serde(
+            ts in i64::MIN..i64::MAX,
+            router in field(),
+            code in field(),
+            detail in field(),
+            tagged in prop::bool::ANY,
+            gt in 0..u64::MAX,
+        ) {
+            let mut m = RawMessage::new(Timestamp(ts), &router, &code, &detail);
+            m.gt_event = tagged.then_some(gt);
+            prop_assert_eq!(m.router(), router.as_str());
+            prop_assert_eq!(m.code(), code.as_str());
+            prop_assert_eq!(m.detail(), detail.as_str());
+            prop_assert_eq!(m.text(), format!("{router} {code} {detail}"));
+            let json = serde_json::to_string(&m).unwrap();
+            let back: RawMessage = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(back.router(), router.as_str());
+            prop_assert_eq!(back.code(), code.as_str());
+            prop_assert_eq!(back.detail(), detail.as_str());
+            prop_assert_eq!(back, m);
+        }
+    }
+
+    /// The persisted form is the five-field map, pinned so checkpoint
+    /// bytes do not move between builds.
+    #[test]
+    fn message_persists_as_pinned_json() {
+        let m = sample().with_gt(42);
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(
+            json,
+            r#"{"ts":1263081615,"router":"r1","code":"LINEPROTO-5-UPDOWN","#.to_owned()
+                + r#""detail":"Line protocol on Interface Serial13/0.10/20:0, changed "#
+                + r#"state to down","gt_event":42}"#
+        );
+        assert_eq!(serde_json::from_str::<RawMessage>(&json).unwrap(), m);
+        // A missing field is named.
+        let err = serde_json::from_str::<RawMessage>(r#"{"ts":0,"router":"r1"}"#).unwrap_err();
+        assert!(err.to_string().contains("missing field `code`"), "{err}");
+    }
+
     #[test]
     fn parse_rejects_garbage_with_reasons() {
         assert_eq!(RawMessage::parse_line(""), Err(ParseError::Blank));
@@ -557,7 +679,7 @@ mod tests {
     fn empty_detail_is_allowed() {
         let line = "2010-01-10 00:00:15 r1 SYS-5-RESTART";
         let m = RawMessage::parse_line(line).unwrap();
-        assert_eq!(m.detail, "");
+        assert_eq!(m.detail(), "");
     }
 
     #[test]
@@ -570,10 +692,10 @@ mod tests {
             RawMessage::new(t, "r1", ErrorCode::from("A-1-X"), "x"),
         ];
         sort_batch(&mut batch);
-        assert_eq!(batch[0].router, "r9");
-        assert_eq!(batch[1].router, "r1");
-        assert_eq!(batch[1].code.as_str(), "A-1-X");
-        assert_eq!(batch[2].code.as_str(), "B-1-X");
-        assert_eq!(batch[3].router, "r2");
+        assert_eq!(batch[0].router(), "r9");
+        assert_eq!(batch[1].router(), "r1");
+        assert_eq!(batch[1].code(), "A-1-X");
+        assert_eq!(batch[2].code(), "B-1-X");
+        assert_eq!(batch[3].router(), "r2");
     }
 }

@@ -197,13 +197,9 @@ impl<'a> EventSim<'a> {
             ev.n += 1;
             ev.id
         });
-        self.msgs.push(RawMessage {
-            ts,
-            router: self.topo.routers[router].name.clone(),
-            code: t.code.clone(),
-            detail,
-            gt_event,
-        });
+        let mut m = RawMessage::new(ts, &self.topo.routers[router].name, &t.code, detail);
+        m.gt_event = gt_event;
+        self.msgs.push(m);
     }
 
     /// Open a new ground-truth event: every message emitted until
@@ -978,13 +974,10 @@ mod tests {
         }
         // Both ends emit LINK and LINEPROTO.
         let routers: std::collections::HashSet<&str> =
-            sim.msgs.iter().map(|m| m.router.as_str()).collect();
+            sim.msgs.iter().map(|m| m.router()).collect();
         assert_eq!(routers.len(), 2);
-        assert!(sim.msgs.iter().any(|m| m.code.as_str() == "LINK-3-UPDOWN"));
-        assert!(sim
-            .msgs
-            .iter()
-            .any(|m| m.code.as_str() == "LINEPROTO-5-UPDOWN"));
+        assert!(sim.msgs.iter().any(|m| m.code() == "LINK-3-UPDOWN"));
+        assert!(sim.msgs.iter().any(|m| m.code() == "LINEPROTO-5-UPDOWN"));
     }
 
     #[test]
@@ -1023,7 +1016,7 @@ mod tests {
         let down_ctl: Vec<_> = sim
             .msgs
             .iter()
-            .filter(|m| m.code.as_str() == "CONTROLLER-5-UPDOWN" && m.detail.contains("down"))
+            .filter(|m| m.code() == "CONTROLLER-5-UPDOWN" && m.detail().contains("down"))
             .collect();
         assert_eq!(down_ctl.len(), 3);
         // Child link messages trail the controller drop by 10..30 s.
@@ -1031,7 +1024,7 @@ mod tests {
         let first_link = sim
             .msgs
             .iter()
-            .filter(|m| m.code.as_str() == "LINK-3-UPDOWN")
+            .filter(|m| m.code() == "LINK-3-UPDOWN")
             .map(|m| m.ts)
             .min();
         if let Some(fl) = first_link {
@@ -1049,8 +1042,7 @@ mod tests {
         let ev = &sim.events[0];
         assert_eq!(ev.kind, EventKind::PimNeighborLoss);
         assert!(ev.routers.len() >= 3, "routers {:?}", ev.routers);
-        let codes: std::collections::HashSet<&str> =
-            sim.msgs.iter().map(|m| m.code.as_str()).collect();
+        let codes: std::collections::HashSet<&str> = sim.msgs.iter().map(|m| m.code()).collect();
         assert!(codes.len() >= 6, "distinct codes {}", codes.len());
         assert!(codes.contains("PIM-WARNING-pimNeighborLoss"));
         assert!(codes.contains("MPLS-MINOR-lspPathRetry"));
@@ -1058,7 +1050,7 @@ mod tests {
         let retries: Vec<Timestamp> = sim
             .msgs
             .iter()
-            .filter(|m| m.code.as_str() == "MPLS-MINOR-lspPathRetry")
+            .filter(|m| m.code() == "MPLS-MINOR-lspPathRetry")
             .map(|m| m.ts)
             .collect();
         assert!(retries.len() >= 10);
@@ -1076,14 +1068,8 @@ mod tests {
         sim.login_failure_wave(&mut rng, 0, Timestamp(0));
         let mut sorted = sim.msgs.clone();
         sd_model::sort_batch(&mut sorted);
-        let ftp: Vec<_> = sorted
-            .iter()
-            .filter(|m| m.code.as_str().contains("ftp"))
-            .collect();
-        let ssh: Vec<_> = sorted
-            .iter()
-            .filter(|m| m.code.as_str().contains("ssh"))
-            .collect();
+        let ftp: Vec<_> = sorted.iter().filter(|m| m.code().contains("ftp")).collect();
+        let ssh: Vec<_> = sorted.iter().filter(|m| m.code().contains("ssh")).collect();
         assert_eq!(ftp.len(), ssh.len());
         for (f, s) in ftp.iter().zip(&ssh) {
             let lag = s.ts.seconds_since(f.ts);
@@ -1104,9 +1090,9 @@ mod tests {
             assert_eq!(m.gt_event, None);
             // Detail embeds one of the router's real interface names.
             assert!(
-                r.interfaces.iter().any(|i| m.detail.contains(&i.name)),
+                r.interfaces.iter().any(|i| m.detail().contains(&i.name)),
                 "no real iface in {:?}",
-                m.detail
+                m.detail()
             );
         }
     }
@@ -1120,7 +1106,7 @@ mod tests {
         let ts: Vec<Timestamp> = sim
             .msgs
             .iter()
-            .filter(|m| m.code.as_str() == "TCP-6-BADAUTH")
+            .filter(|m| m.code() == "TCP-6-BADAUTH")
             .map(|m| m.ts)
             .collect();
         assert!(ts.len() >= 20);

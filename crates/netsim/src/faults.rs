@@ -211,7 +211,7 @@ pub fn inject(msgs: &[RawMessage], spec: &FaultSpec) -> (Vec<String>, FaultRepor
 
         let skewed = spec.skew_router_every > 0
             && spec.clock_skew_secs != 0
-            && Fnv::hash(m.router.as_bytes()).is_multiple_of(spec.skew_router_every);
+            && Fnv::hash(m.router().as_bytes()).is_multiple_of(spec.skew_router_every);
         let line = if skewed {
             report.n_skewed += 1;
             let mut sm = m.clone();
@@ -315,7 +315,7 @@ mod tests {
             .filter_map(|l| RawMessage::parse_line(l).ok())
             .collect();
         parsed.sort_by(|a, b| {
-            (a.ts, &a.router, &a.code, &a.detail).cmp(&(b.ts, &b.router, &b.code, &b.detail))
+            (a.ts, a.router(), a.code(), a.detail()).cmp(&(b.ts, b.router(), b.code(), b.detail()))
         });
         parsed.dedup();
         let mut clean: Vec<RawMessage> = msgs
@@ -323,7 +323,7 @@ mod tests {
             .map(|m| RawMessage::parse_line(&m.to_line()).unwrap())
             .collect();
         clean.sort_by(|a, b| {
-            (a.ts, &a.router, &a.code, &a.detail).cmp(&(b.ts, &b.router, &b.code, &b.detail))
+            (a.ts, a.router(), a.code(), a.detail()).cmp(&(b.ts, b.router(), b.code(), b.detail()))
         });
         clean.dedup();
         assert_eq!(parsed, clean);

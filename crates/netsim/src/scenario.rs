@@ -209,7 +209,7 @@ mod tests {
         let (_, msgs) = fig4_controller(3);
         let ctl: Vec<_> = msgs
             .iter()
-            .filter(|m| m.code.as_str() == "CONTROLLER-5-UPDOWN")
+            .filter(|m| m.code() == "CONTROLLER-5-UPDOWN")
             .collect();
         assert!(ctl.len() >= 24, "got {}", ctl.len());
         // Span multiple hours.

@@ -481,7 +481,7 @@ mod tests {
         let known: std::collections::HashSet<&str> =
             grammar.templates.iter().map(|t| t.code.as_str()).collect();
         for m in &w.messages {
-            assert!(known.contains(m.code.as_str()), "alien code {}", m.code);
+            assert!(known.contains(m.code()), "alien code {}", m.code());
         }
     }
 

@@ -48,25 +48,25 @@ impl Default for LearnerConfig {
 /// [`TemplateSet::from_templates`].
 pub fn learn(messages: &[RawMessage], config: &LearnerConfig) -> TemplateSet {
     // Bucket the borrowed details by (code, token count).
-    let mut buckets: HashMap<(&ErrorCode, usize), Vec<&str>> = HashMap::new();
-    let mut counts: HashMap<&ErrorCode, usize> = HashMap::new();
+    let mut buckets: HashMap<(&str, usize), Vec<&str>> = HashMap::new();
+    let mut counts: HashMap<&str, usize> = HashMap::new();
     for m in messages {
-        *counts.entry(&m.code).or_insert(0) += 1;
-        let n_toks = m.detail.split_whitespace().count();
+        *counts.entry(m.code()).or_insert(0) += 1;
+        let n_toks = m.detail().split_whitespace().count();
         buckets
-            .entry((&m.code, n_toks))
+            .entry((m.code(), n_toks))
             .or_default()
-            .push(&m.detail);
+            .push(m.detail());
     }
 
     // Buckets in sorted key order, each stride-sampled to the per-code cap
     // and reduced to its distinct details.
-    let mut keys: Vec<(&ErrorCode, usize)> = buckets.keys().copied().collect();
+    let mut keys: Vec<(&str, usize)> = buckets.keys().copied().collect();
     keys.sort();
     let mut out = Vec::new();
     for key in keys {
         let mut details = buckets.remove(&key).expect("bucket exists");
-        let total_for_code = counts[&key.0];
+        let total_for_code = counts[key.0];
         if total_for_code > config.max_per_code {
             // Stride-sample to the cap, preserving time spread.
             let keep = (config.max_per_code * details.len() / total_for_code).max(64);
@@ -105,7 +105,7 @@ fn distinct(details: Vec<&str>) -> Vec<(Vec<&str>, usize)> {
 /// so masked positions are recorded in a parallel fashion: a position
 /// masked on this path is fixed as `Some(MASK)`.
 fn split_node(
-    code: &ErrorCode,
+    code: &str,
     msgs: &[(Vec<&str>, usize)],
     members: Vec<usize>,
     mut pattern: Vec<Option<String>>,
@@ -169,7 +169,7 @@ fn split_node(
     }
 }
 
-fn emit(code: &ErrorCode, pattern: &[Option<String>], out: &mut Vec<Template>, mask: &str) {
+fn emit(code: &str, pattern: &[Option<String>], out: &mut Vec<Template>, mask: &str) {
     let toks: Vec<MaskTok> = pattern
         .iter()
         .map(|p| match p.as_deref() {
@@ -179,7 +179,7 @@ fn emit(code: &ErrorCode, pattern: &[Option<String>], out: &mut Vec<Template>, m
         })
         .collect();
     out.push(Template {
-        code: code.clone(),
+        code: ErrorCode::from(code),
         toks,
     });
 }

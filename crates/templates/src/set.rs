@@ -178,13 +178,13 @@ impl TemplateSet {
     /// matching template.
     pub fn match_message(&self, m: &RawMessage) -> Option<TemplateId> {
         let mut toks = TokenScratch::new();
-        toks.tokenize(&m.detail);
-        self.match_tokens(&m.code, &m.detail, &toks)
+        toks.tokenize(m.detail());
+        self.match_tokens(m.code(), m.detail(), &toks)
     }
 
     /// Match `(code, detail tokens)` against the set.
-    pub fn match_detail(&self, code: &ErrorCode, toks: &[&str]) -> Option<TemplateId> {
-        let cands = self.index.get(code.as_str())?.get(&toks.len())?;
+    pub fn match_detail(&self, code: &str, toks: &[&str]) -> Option<TemplateId> {
+        let cands = self.index.get(code)?.get(&toks.len())?;
         cands
             .iter()
             .find(|&&i| self.templates[i as usize].matches(toks))
@@ -196,11 +196,11 @@ impl TemplateSet {
     /// by tokenizing `detail` (the same spans serve location extraction).
     pub fn match_tokens(
         &self,
-        code: &ErrorCode,
+        code: &str,
         detail: &str,
         toks: &TokenScratch,
     ) -> Option<TemplateId> {
-        let cands = self.index.get(code.as_str())?.get(&toks.len())?;
+        let cands = self.index.get(code)?.get(&toks.len())?;
         cands
             .iter()
             .find(|&&i| self.templates[i as usize].matches_spans(detail, toks.spans()))
@@ -333,12 +333,11 @@ mod tests {
             ("D-2-N", "x y anything"),
             ("E-0-Z", "x y anything"),
         ] {
-            let code = ErrorCode::from(code);
             let toks: Vec<&str> = detail.split_whitespace().collect();
             scratch.tokenize(detail);
             assert_eq!(
-                set.match_tokens(&code, detail, &scratch),
-                set.match_detail(&code, &toks),
+                set.match_tokens(code, detail, &scratch),
+                set.match_detail(code, &toks),
                 "code {code:?} detail {detail:?}"
             );
         }

@@ -69,7 +69,7 @@ proptest! {
         for m in &msgs {
             let id = set.match_message(m).expect("total");
             let t = set.get(id);
-            let toks: Vec<&str> = m.detail.split_whitespace().collect();
+            let toks: Vec<&str> = m.detail().split_whitespace().collect();
             prop_assert!(t.matches(&toks));
             let stars = t.toks.iter().filter(|x| matches!(x, MaskTok::Star)).count();
             prop_assert_eq!(t.extract_vars(&toks).len(), stars);

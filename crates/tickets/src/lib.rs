@@ -60,10 +60,7 @@ pub fn generate_tickets(data: &Dataset, seed: u64) -> Vec<Ticket> {
         std::collections::HashMap::new();
     for m in data.online() {
         if let Some(gt) = m.gt_event {
-            alarms
-                .entry(gt)
-                .or_default()
-                .push((m.ts, m.router.as_str()));
+            alarms.entry(gt).or_default().push((m.ts, m.router()));
         }
     }
     let state_of: std::collections::HashMap<&str, &str> = data

@@ -85,11 +85,8 @@ fn main() {
 
     println!("the outage as the operator sees it (largest pieces):");
     for (e, _) in pieces.iter().take(3) {
-        let codes: std::collections::BTreeSet<&str> = e
-            .message_idxs
-            .iter()
-            .map(|&i| msgs[i].code.as_str())
-            .collect();
+        let codes: std::collections::BTreeSet<&str> =
+            e.message_idxs.iter().map(|&i| msgs[i].code()).collect();
         println!("  {}", e.format_line());
         println!(
             "    {} msgs | {} routers | codes: {}",
@@ -104,7 +101,7 @@ fn main() {
     // failure event on the same LSP path.
     let retries: Vec<&syslogdigest_repro::model::RawMessage> = msgs
         .iter()
-        .filter(|m| m.code.as_str().contains("lspPathRetry"))
+        .filter(|m| m.code().contains("lspPathRetry"))
         .collect();
     println!(
         "\nsmoking gun: {} secondary-path setup retries, ~5 minutes apart:",

@@ -110,7 +110,7 @@ fn main() {
     println!("\nraw BGP messages recovered via the event index:");
     for &i in &flap.message_idxs {
         let m = &incident[i];
-        if m.code.as_str().starts_with("BGP") {
+        if m.code().starts_with("BGP") {
             println!("  {}", m.to_line());
         }
     }

@@ -139,7 +139,7 @@ fn pim_dual_failure_cascade_is_recovered() {
         let codes: std::collections::HashSet<&str> = report.events[i]
             .message_idxs
             .iter()
-            .map(|&ix| msgs[ix].code.as_str())
+            .map(|&ix| msgs[ix].code())
             .collect();
         codes.len() >= 2
     });

@@ -45,11 +45,11 @@ proptest! {
         let line = m.to_line();
         let back = RawMessage::parse_line(&line).expect("parses");
         prop_assert_eq!(back.ts, m.ts);
-        prop_assert_eq!(back.router, m.router);
-        prop_assert_eq!(back.code, m.code);
+        prop_assert_eq!(back.router(), m.router());
+        prop_assert_eq!(back.code(), m.code());
         prop_assert_eq!(
-            back.detail.split_whitespace().collect::<Vec<_>>(),
-            m.detail.split_whitespace().collect::<Vec<_>>()
+            back.detail().split_whitespace().collect::<Vec<_>>(),
+            m.detail().split_whitespace().collect::<Vec<_>>()
         );
     }
 

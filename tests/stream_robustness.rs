@@ -296,7 +296,7 @@ fn quarantined_poison_message_leaves_digest_byte_identical() {
     let msgs = &d.online()[..n];
     let clean: Vec<String> = msgs.iter().map(|m| m.to_line()).collect();
     let mid = n / 2;
-    let poison = poison_message(msgs[mid].ts, &msgs[mid].router);
+    let poison = poison_message(msgs[mid].ts, msgs[mid].router());
     let mut poisoned = clean.clone();
     poisoned.insert(mid, poison.to_line());
 
