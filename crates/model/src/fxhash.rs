@@ -5,7 +5,9 @@
 //! it is not keyed: an adversary who picks the keys can collide them. Use
 //! it only for maps whose keys come from configs or learned data, which
 //! the feed can look up but never insert into; maps keyed by feed content
-//! keep SipHash.
+//! keep SipHash. The one exception is the message line cache, a
+//! direct-mapped table that never probes or grows: colliding lines only
+//! evict each other, and a miss costs what every line cost without it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,8 +1,12 @@
 //! Raw syslog messages and their wire format.
 
+use crate::fxhash::FxHasher;
 use crate::time::Timestamp;
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
+use std::cell::RefCell;
 use std::fmt;
+use std::hash::Hasher;
+use std::sync::Arc;
 
 /// Router vendor family, as in Table 1 of the paper.
 ///
@@ -35,20 +39,23 @@ pub type GroundTruthId = u64;
 
 /// One raw router syslog message (Table 1 fields).
 ///
-/// Router, code and detail live in one buffer, `"router code detail"`,
-/// with the router's and the code's byte lengths beside it: a message is
-/// one heap allocation and 48 bytes, and the fields are read through
+/// Router, code and detail live in one shared text, `"router code
+/// detail"`, with the router's and the code's byte lengths beside it: a
+/// message is 48 bytes, and the fields are read through
 /// [`router`](Self::router), [`code`](Self::code) and
 /// [`detail`](Self::detail). Because the lengths delimit the fields, any
-/// field may hold spaces. Equality and every order compare the fields one
-/// by one, never the joined buffer: a field holding a byte below space
-/// (`"r1\t"` against `"r1"`) sorts differently from the buffer.
+/// field may hold spaces. Every constructor takes the text from a bounded
+/// per-thread cache of recent lines, so a line repeated while its text is
+/// still cached allocates nothing and shares the first copy; cloning a
+/// message bumps a reference count. Equality and every order compare the
+/// fields one by one, never the joined text: a field holding a byte below
+/// space (`"r1\t"` against `"r1"`) sorts differently from the text.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawMessage {
     /// NTP-synchronized generation time, 1 s granularity.
     pub ts: Timestamp,
-    /// `router`, a space, `code`, a space, `detail`.
-    text: Box<str>,
+    /// `router`, a space, `code`, a space, `detail`, from [`share`].
+    text: Arc<str>,
     router_len: u32,
     code_len: u32,
     /// Simulator-only ground-truth tag; `None` for messages parsed from text
@@ -142,19 +149,37 @@ impl RawMessage {
         detail: impl AsRef<str>,
     ) -> Self {
         let (router, code, detail) = (router.as_ref(), code.as_ref(), detail.as_ref());
-        let mut text = String::with_capacity(router.len() + code.len() + detail.len() + 2);
-        text.push_str(router);
-        text.push(' ');
-        text.push_str(code);
-        text.push(' ');
-        text.push_str(detail);
+        RawMessage::from_text(
+            ts,
+            share_joined(router, code, detail),
+            router.len(),
+            code.len(),
+        )
+    }
+
+    /// A message over `text`, `"router code detail"`, whose router and
+    /// code are `router_len` and `code_len` bytes long.
+    fn from_text(ts: Timestamp, text: Arc<str>, router_len: usize, code_len: usize) -> Self {
         RawMessage {
             ts,
-            text: text.into_boxed_str(),
-            router_len: u32::try_from(router.len()).expect("router name under 4 GiB"),
-            code_len: u32::try_from(code.len()).expect("error code under 4 GiB"),
+            text,
+            router_len: u32::try_from(router_len).expect("router name under 4 GiB"),
+            code_len: u32::try_from(code_len).expect("error code under 4 GiB"),
             gt_event: None,
         }
+    }
+
+    /// A message at `ts` with the fields [`split_fields`] found in `rest`,
+    /// the line after its timestamp. When `rest` is already the joined
+    /// text (a detail follows the code) it is shared in place; otherwise
+    /// the fields are joined first.
+    fn from_rest(ts: Timestamp, rest: &str, (router, code, detail): (&str, &str, &str)) -> Self {
+        let text = if router.len() + code.len() + detail.len() + 2 == rest.len() {
+            share(rest)
+        } else {
+            share_joined(router, code, detail)
+        };
+        RawMessage::from_text(ts, text, router.len(), code.len())
     }
 
     /// Name of the originating router.
@@ -164,6 +189,9 @@ impl RawMessage {
 
     /// Message type / error code, as written; [`ErrorCode::from`] makes
     /// an owned [`ErrorCode`] of it.
+    ///
+    /// [`ErrorCode`]: crate::ErrorCode
+    /// [`ErrorCode::from`]: crate::ErrorCode
     pub fn code(&self) -> &str {
         let start = self.router_len as usize + 1;
         &self.text[start..start + self.code_len as usize]
@@ -177,7 +205,10 @@ impl RawMessage {
     /// Router, code and detail joined by single spaces: the line after its
     /// timestamp. With the lengths of [`router`](Self::router) and
     /// [`code`](Self::code) it determines all three fields, so it serves
-    /// as one lookup key for them.
+    /// as one lookup key for them. Messages built from the same recent
+    /// line share this text; messages whose fields split it differently
+    /// (router `a b` and code `c`, router `a` and code `b c`) may share it
+    /// too, and still compare unequal.
     pub fn text(&self) -> &str {
         &self.text
     }
@@ -218,8 +249,8 @@ impl RawMessage {
             .filter(|b| b[19] == b' ')
             .and_then(|b| Timestamp::parse_canonical(&b[..19]))
         {
-            let (router, code, detail) = split_fields(&line[20..])?;
-            return Ok(RawMessage::new(ts, router, code, detail));
+            let rest = &line[20..];
+            return Ok(RawMessage::from_rest(ts, rest, split_fields(rest)?));
         }
         if line.trim().is_empty() {
             return Err(ParseError::Blank);
@@ -229,12 +260,12 @@ impl RawMessage {
         let date = parts.next().ok_or(ParseError::Missing("date"))?;
         let time = parts.next().ok_or(ParseError::Missing("time"))?;
         let rest = parts.next().ok_or(ParseError::Missing("router"))?;
-        let (router, code, detail) = split_fields(rest)?;
+        let fields = split_fields(rest)?;
         // Equal to `Timestamp::parse` of `"{date} {time}"`: its trim can
         // only reach the date's leading and the time's trailing whitespace.
         let ts = Timestamp::parse_fields(date.trim_start(), time.trim_end())
             .ok_or(ParseError::BadTimestamp)?;
-        Ok(RawMessage::new(ts, router, code, detail))
+        Ok(RawMessage::from_rest(ts, rest, fields))
     }
 }
 
@@ -256,13 +287,110 @@ impl Serialize for RawMessage {
 impl Deserialize for RawMessage {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let ts = de_field(v, "ts")?;
-        let router: String = de_field(v, "router")?;
-        let code: String = de_field(v, "code")?;
-        let detail: String = de_field(v, "detail")?;
+        let router = de_str(v, "router")?;
+        let code = de_str(v, "code")?;
+        let detail = de_str(v, "detail")?;
         let mut m = RawMessage::new(ts, router, code, detail);
         m.gt_event = de_field(v, "gt_event")?;
         Ok(m)
     }
+}
+
+/// String field `name` of map `v`, borrowed, with [`de_field`]'s errors.
+fn de_str<'v>(v: &'v Value, name: &str) -> Result<&'v str, DeError> {
+    match v.get_field(name) {
+        Some(Value::Str(s)) => Ok(s),
+        Some(other) => Err(DeError::unexpected("string", other)),
+        None => Err(DeError(format!("missing field `{name}`"))),
+    }
+}
+
+/// Slots in each thread's line cache.
+const LINE_CACHE_SLOTS: usize = 4096;
+/// Longest text the line cache keeps, in bytes.
+const LINE_CACHE_MAX_TEXT: usize = 1024;
+
+/// The texts of recent messages, so that a repeated line shares the text
+/// of its first copy instead of allocating its own.
+///
+/// Direct-mapped: a text hashes to one slot, a hit clones the slot's
+/// `Arc`, and a miss allocates the text and evicts what the slot held.
+/// The table never probes or grows, so it holds at most its slot count of
+/// texts of at most [`LINE_CACHE_MAX_TEXT`] bytes each; longer texts are
+/// never kept. The hash is the unkeyed Fx: chosen colliding lines can
+/// only force misses, and a miss costs the one allocation every line
+/// would cost without the cache.
+struct LineCache {
+    slots: RefCell<Box<[Option<Arc<str>>]>>,
+    /// Where [`share_joined`] joins fields, reused across messages; it
+    /// holds any text the cache keeps without growing.
+    join: RefCell<String>,
+}
+
+impl LineCache {
+    /// An empty cache of `n` slots, a power of two.
+    fn with_slots(n: usize) -> Self {
+        debug_assert!(n.is_power_of_two());
+        LineCache {
+            slots: RefCell::new(vec![None; n].into_boxed_slice()),
+            join: RefCell::new(String::with_capacity(LINE_CACHE_MAX_TEXT)),
+        }
+    }
+
+    /// `text` as the cached copy, or a new one that takes its slot.
+    fn share(&self, text: &str) -> Arc<str> {
+        if text.len() > LINE_CACHE_MAX_TEXT {
+            return Arc::from(text);
+        }
+        let mut h = FxHasher::default();
+        h.write(text.as_bytes());
+        let mut slots = self.slots.borrow_mut();
+        let mask = slots.len() - 1;
+        let slot = &mut slots[h.finish() as usize & mask];
+        match slot {
+            Some(cached) if **cached == *text => Arc::clone(cached),
+            _ => Arc::clone(slot.insert(Arc::from(text))),
+        }
+    }
+}
+
+thread_local! {
+    static LINE_CACHE: LineCache = LineCache::with_slots(LINE_CACHE_SLOTS);
+}
+
+/// The one source of message text: `text` through this thread's
+/// [`LineCache`], or an unshared copy while the thread tears down.
+fn share(text: &str) -> Arc<str> {
+    LINE_CACHE
+        .try_with(|cache| cache.share(text))
+        .unwrap_or_else(|_| Arc::from(text))
+}
+
+/// `"router code detail"`, joined in the line cache's reused buffer and
+/// then [`share`]d. A text too long to cache is joined in its own buffer,
+/// so the reused one stays small.
+fn share_joined(router: &str, code: &str, detail: &str) -> Arc<str> {
+    let join = |buf: &mut String| {
+        buf.clear();
+        buf.push_str(router);
+        buf.push(' ');
+        buf.push_str(code);
+        buf.push(' ');
+        buf.push_str(detail);
+    };
+    let len = router.len() + code.len() + detail.len() + 2;
+    if len <= LINE_CACHE_MAX_TEXT {
+        if let Ok(text) = LINE_CACHE.try_with(|cache| {
+            let mut buf = cache.join.borrow_mut();
+            join(&mut buf);
+            share(&buf)
+        }) {
+            return text;
+        }
+    }
+    let mut buf = String::with_capacity(len);
+    join(&mut buf);
+    share(&buf)
 }
 
 /// Split `<router> <code> <detail...>`, the part of a line after its
@@ -637,6 +765,61 @@ mod tests {
         // A missing field is named.
         let err = serde_json::from_str::<RawMessage>(r#"{"ts":0,"router":"r1"}"#).unwrap_err();
         assert!(err.to_string().contains("missing field `code`"), "{err}");
+    }
+
+    #[test]
+    fn colliding_texts_each_come_back_as_their_own() {
+        let cache = LineCache::with_slots(1);
+        let a = cache.share("r1 C-1-X down");
+        let b = cache.share("r2 C-1-X up");
+        assert_eq!((&*a, &*b), ("r1 C-1-X down", "r2 C-1-X up"));
+        // `b` evicted `a`: `a` comes back as a new copy, `b` as the cached one.
+        let a2 = cache.share("r1 C-1-X down");
+        assert_eq!(&*a2, "r1 C-1-X down");
+        assert!(!Arc::ptr_eq(&a, &a2));
+        assert!(Arc::ptr_eq(&a2, &cache.share("r1 C-1-X down")));
+        // A text over the limit is never kept.
+        let long = "x".repeat(LINE_CACHE_MAX_TEXT + 1);
+        assert!(!Arc::ptr_eq(&cache.share(&long), &cache.share(&long)));
+    }
+
+    #[test]
+    fn a_shared_text_keeps_each_message_s_fields() {
+        let ts = Timestamp::from_ymd_hms(2010, 1, 10, 0, 0, 0);
+        let ab = RawMessage::new(ts, "a b", "c", "d");
+        let a = RawMessage::new(ts, "a", "b c", "d");
+        assert!(Arc::ptr_eq(&ab.text, &a.text), "one text for both");
+        assert_eq!((ab.router(), ab.code(), ab.detail()), ("a b", "c", "d"));
+        assert_eq!((a.router(), a.code(), a.detail()), ("a", "b c", "d"));
+        assert_ne!(ab, a);
+        let mut batch = vec![ab.clone(), a.clone()];
+        sort_batch(&mut batch);
+        assert_eq!(batch, [a, ab]);
+    }
+
+    /// A router or code: no spaces, but tabs and multibyte characters.
+    fn word() -> impl Strategy<Value = String> {
+        "[\ta-z0-9\u{e9}\u{3000}\u{1F600}]{1,12}"
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+        #[test]
+        fn to_line_parses_back_twice_the_second_time_from_the_cache(
+            ts in Timestamp::from_ymd_hms(0, 1, 1, 0, 0, 0).0
+                ..=Timestamp::from_ymd_hms(9999, 12, 31, 23, 59, 59).0,
+            router in word(),
+            code in word(),
+            detail in field(),
+        ) {
+            let m = RawMessage::new(Timestamp(ts), &router, &code, &detail);
+            let line = m.to_line();
+            let first = RawMessage::parse_line(&line).unwrap();
+            let second = RawMessage::parse_line(&line).unwrap();
+            prop_assert!(Arc::ptr_eq(&first.text, &second.text));
+            prop_assert_eq!(&first, &m);
+            prop_assert_eq!(second, m);
+        }
     }
 
     #[test]

@@ -167,6 +167,8 @@ pub struct EventSim<'a> {
     /// The event being emitted; `None` between cascades, where messages
     /// are background noise.
     open: Option<OpenEvent>,
+    /// Where [`EventSim::emit`] renders each detail, reused across lines.
+    detail: String,
 }
 
 impl<'a> EventSim<'a> {
@@ -179,6 +181,7 @@ impl<'a> EventSim<'a> {
             events: Vec::new(),
             next_id: 1,
             open: None,
+            detail: String::new(),
         }
     }
 
@@ -189,7 +192,7 @@ impl<'a> EventSim<'a> {
         let t = self.grammar.get(key);
         let mut it = vals.iter();
         let missing = || panic!("missing value for {key}");
-        let detail = t.render(|_| *it.next().unwrap_or_else(missing));
+        t.render_into(&mut self.detail, |_| *it.next().unwrap_or_else(missing));
         assert!(it.next().is_none(), "extra var values for {key}");
         let gt_event = self.open.as_mut().map(|ev| {
             ev.start = ev.start.min(ts);
@@ -197,7 +200,7 @@ impl<'a> EventSim<'a> {
             ev.n += 1;
             ev.id
         });
-        let mut m = RawMessage::new(ts, &self.topo.routers[router].name, &t.code, detail);
+        let mut m = RawMessage::new(ts, &self.topo.routers[router].name, &t.code, &self.detail);
         m.gt_event = gt_event;
         self.msgs.push(m);
     }

@@ -109,8 +109,20 @@ pub struct GrammarTemplate {
 impl GrammarTemplate {
     /// Render the detail text, pulling a value for each variable slot from
     /// `supply` (called in slot order).
-    pub fn render<S: AsRef<str>>(&self, mut supply: impl FnMut(VarKind) -> S) -> String {
+    pub fn render<S: AsRef<str>>(&self, supply: impl FnMut(VarKind) -> S) -> String {
         let mut out = String::new();
+        self.render_into(&mut out, supply);
+        out
+    }
+
+    /// [`render`](Self::render) into `out`, which is cleared first, so a
+    /// caller that keeps one buffer renders without allocating.
+    pub fn render_into<S: AsRef<str>>(
+        &self,
+        out: &mut String,
+        mut supply: impl FnMut(VarKind) -> S,
+    ) {
+        out.clear();
         for (i, p) in self.parts.iter().enumerate() {
             if i > 0 {
                 out.push(' ');
@@ -126,7 +138,6 @@ impl GrammarTemplate {
                 }
             }
         }
-        out
     }
 
     /// The masked ground-truth form: `<code> w1 w2 * w4 …`. A token

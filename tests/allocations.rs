@@ -1,7 +1,8 @@
 //! Heap allocations on the batch hot path, counted by a global allocator
-//! that tallies each thread's calls: parsing a line allocates once, and a
-//! batch of repeated lines augments with allocations that grow with its
-//! distinct lines, not with its length.
+//! that tallies each thread's calls: parsing a line allocates only for a
+//! text the line cache does not hold, and a batch of repeated lines
+//! augments with allocations that grow with its distinct lines, not with
+//! its length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -70,17 +71,39 @@ fn a_message_is_at_most_48_bytes() {
     }
 }
 
+/// Parsing allocates only for a text the line cache does not hold: a new
+/// line once, a repeat (parsed or built) never, a text too long to cache
+/// once every time, a rejected line never.
 #[test]
-fn parse_line_allocates_once_per_line() {
-    for line in [
+fn parse_line_allocates_only_for_an_uncached_text() {
+    // The first message on a thread also allocates the cache's table.
+    let warm = "2010-01-10 00:00:15 warm-up WARM-0-UP first message on this thread";
+    assert!(RawMessage::parse_line(warm).is_ok());
+    let lines = [
         "2010-01-10 00:00:15 r1 LINK-3-UPDOWN Interface Serial1/5, changed state to down",
         "2010-01-10 00:00:15 r1 SYS-5-RESTART",
-        "2010-01-10 00:00:15 r1 SYS-5-RESTART ",
+        "2010-01-10 00:00:15 r1 SYS-5-RELOAD ",
         "2010-01-10 00:00:15\u{a0} core-7.nyc SNMP-WARNING-linkDown caf\u{e9} \u{3000}x",
-    ] {
+    ];
+    for line in lines {
         let (m, n) = allocations(|| RawMessage::parse_line(line));
         assert!(m.is_ok(), "{line:?}");
-        assert_eq!(n, 1, "{line:?}");
+        assert_eq!(n, 1, "new line {line:?}");
+        let (again, n) = allocations(|| RawMessage::parse_line(line));
+        assert_eq!(again, m, "{line:?}");
+        assert_eq!(n, 0, "repeated line {line:?}");
+    }
+    // Built from its fields, a recent text is shared too.
+    let m = RawMessage::parse_line(lines[0]).unwrap();
+    let (built, n) = allocations(|| RawMessage::new(m.ts, m.router(), m.code(), m.detail()));
+    assert_eq!(built, m);
+    assert_eq!(n, 0, "RawMessage::new of a recent text");
+    // A text over 1 KiB is never cached.
+    let long = format!("2010-01-10 00:00:15 r1 LOG-6-LONG {}", "x".repeat(1100));
+    for _ in 0..3 {
+        let (m, n) = allocations(|| RawMessage::parse_line(&long));
+        assert!(m.is_ok());
+        assert_eq!(n, 1, "text over 1 KiB");
     }
     // A rejected line allocates nothing.
     let (m, n) = allocations(|| RawMessage::parse_line("2010-01-10 00:00:15 r1"));
