@@ -48,7 +48,7 @@ pub fn run(ctx: &Ctx) {
     }
     let mut msgs = sim.msgs;
     sort_batch(&mut msgs);
-    let cascade = msgs.iter().filter(|m| m.gt_event == Some(gt)).count();
+    let cascade = msgs.iter().filter(|m| m.gt_event() == Some(gt)).count();
     println!(
         "  staged incident: {} messages in the window, {} belong to the outage",
         msgs.len(),
@@ -65,7 +65,7 @@ pub fn run(ctx: &Ctx) {
             let n = e
                 .message_idxs
                 .iter()
-                .filter(|&&i| msgs[i].gt_event == Some(gt))
+                .filter(|&&i| msgs[i].gt_event() == Some(gt))
                 .count();
             (n > 0).then_some((e, n, rank))
         })

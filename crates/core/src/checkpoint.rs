@@ -569,6 +569,47 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A buffered message whose router or code is 64 KiB or more, which
+    /// no `RawMessage` can hold, fails its generation with an error, not
+    /// a panic, and recovery falls back to the previous generation.
+    #[test]
+    fn an_oversized_buffered_message_fails_its_generation() {
+        let dir = std::env::temp_dir().join("sd_checkpoint_oversized_test");
+        let path = dir.join("run.ckpt");
+        let fields = r#""router":"r1","code":"LINK-3-UPDOWN""#;
+        let long = "x".repeat(1 << 16);
+        for (field, oversized) in [
+            (
+                "router",
+                format!(r#""router":"{long}","code":"LINK-3-UPDOWN""#),
+            ),
+            ("code", format!(r#""router":"r1","code":"{long}""#)),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            snap_with_fp(1).save_rotated(&path, 2).unwrap();
+            snap_with_fp(2).save_rotated(&path, 2).unwrap();
+            // Generation 0 becomes save 2 with one field grown past the limit.
+            let json = snap_with_fp(2).to_json().unwrap();
+            assert!(json.contains(fields), "{json}");
+            let json = json.replacen(fields, &oversized, 1);
+            let bytes =
+                envelope::encode(ArtifactKind::CHECKPOINT, SNAPSHOT_VERSION, json.as_bytes());
+            std::fs::write(&path, bytes).unwrap();
+
+            let why = format!("`{field}` of 64 KiB or more");
+            let err = StreamSnapshot::load(&path).unwrap_err();
+            assert!(err.to_string().contains(&why), "{err}");
+            let (snap, report) = StreamSnapshot::recover_last_good(&path, 2)
+                .unwrap()
+                .expect("generation 1 is intact");
+            assert_eq!((snap.knowledge_fp, report.generation), (1, 1));
+            assert_eq!(report.n_corrupt, 1);
+            assert!(report.skipped[0].1.contains(&why), "{:?}", report.skipped);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn recovery_falls_back_past_damaged_generations() {
         let dir = std::env::temp_dir().join("sd_checkpoint_fallback_test");

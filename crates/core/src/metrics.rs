@@ -132,7 +132,7 @@ pub(crate) fn gt_quality(raw: &[RawMessage], events: &[NetworkEvent]) -> GtQuali
     let mut per_gt: HashMap<GroundTruthId, u64> = HashMap::new();
     let mut per_group: HashMap<usize, u64> = HashMap::new();
     for (grp, ev) in events.iter().enumerate() {
-        for gt in ev.message_idxs.iter().filter_map(|&i| raw[i].gt_event) {
+        for gt in ev.message_idxs.iter().filter_map(|&i| raw[i].gt_event()) {
             *cont.entry((gt, grp)).or_insert(0) += 1;
             *per_gt.entry(gt).or_insert(0) += 1;
             *per_group.entry(grp).or_insert(0) += 1;

@@ -93,14 +93,17 @@ pub fn digest_instrumented(
     let mut sd = StreamDigester::with_telemetry(k, *cfg, scfg, &Telemetry::disabled());
     sd.set_trace(trace);
     sd.time_as(tel.span("digest.augment"), tel.span("digest.group"));
-    // The raw index of each message the digester numbers: drops and
-    // quarantined messages get no number.
-    let mut raw_of = Vec::new();
-    let mut events = sd.push_numbered(raw, |i| raw_of.push(i));
+    // The digester numbers the messages it groups 0, 1, …; drops and
+    // quarantined messages get no number. The j-th of those, at raw
+    // position p, is kept as p − j, the count of numbered messages before
+    // it, so number `id` is at raw position `id` plus the count of kept
+    // entries ≤ `id`, and a batch without drops keeps nothing.
+    let mut skipped = Vec::new();
+    let mut events = sd.push_skipping(raw, |p| skipped.push(p - skipped.len()));
     let _g = tel.time("digest.events");
     events.extend(sd.finish());
-    for i in events.iter_mut().flat_map(|ev| &mut ev.message_idxs) {
-        *i = raw_of[*i];
+    for id in events.iter_mut().flat_map(|ev| &mut ev.message_idxs) {
+        *id += skipped.partition_point(|&s| s <= *id);
     }
     events.sort_by(|a, b| {
         b.score
@@ -200,6 +203,43 @@ mod tests {
         assert_eq!(report.lines().count(), dg.events.len());
         let first = report.lines().next().unwrap();
         assert_eq!(first.split('|').count(), 4, "line: {first}");
+    }
+
+    /// Unknown-router drops and a quarantined message at the start, in
+    /// the middle and at the end of a batch get no sequence number, yet
+    /// every member index still names that message's raw position: the
+    /// batch digests exactly as it does without them.
+    #[test]
+    fn member_indices_are_raw_positions_around_drops_and_quarantine() {
+        use crate::quarantine::{set_poison_marker, POISON_TEST_LOCK};
+        let (d, k, plain) = small_digest();
+        let online = d.online();
+        let (mid, last) = (online.len() / 2, online.len() - 1);
+        let (mut raw, mut orig) = (Vec::new(), Vec::new());
+        for (i, m) in online.iter().enumerate() {
+            if [0, mid, last].contains(&i) {
+                let (ts, code, detail) = (m.ts, m.code(), m.detail());
+                raw.push(RawMessage::new(ts, "no-such-router", code, detail));
+                raw.push(RawMessage::new(ts, m.router(), code, "PIPELINEPOISON"));
+                raw.push(RawMessage::new(ts, "no-such-router", code, detail));
+                orig.extend([None; 3]);
+            }
+            raw.push(m.clone());
+            orig.push(Some(i));
+        }
+        let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_poison_marker(Some("PIPELINEPOISON"));
+        let dg = digest(&k, &raw, &GroupingConfig::default());
+        set_poison_marker(None);
+        assert_eq!((dg.n_dropped, dg.n_quarantined), (6, 3));
+        assert_eq!(dg.events.len(), plain.events.len());
+        for (ev, want) in dg.events.iter().zip(&plain.events) {
+            let back: Vec<usize> = ev.message_idxs.iter().map(|&i| orig[i].unwrap()).collect();
+            assert_eq!(back, want.message_idxs);
+            for &i in &ev.message_idxs {
+                assert_eq!(raw[i], online[orig[i].unwrap()]);
+            }
+        }
     }
 
     /// §4.2.4's score is a per-message sum, so an event's score must equal

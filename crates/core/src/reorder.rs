@@ -27,12 +27,12 @@
 //! `(ts, router, code, detail)` order, less repeats of an earlier key
 //! (see *Duplicates*). So a feed and any bounded reordering of it release
 //! the same sequence (`tests/stream_robustness.rs` asserts identical
-//! digests). That sequence is not always the feed sorted by
-//! [`sort_batch`](sd_model::sort_batch), which the batch path uses:
-//! `sort_batch` is a stable `(ts, router, code)` sort, so lines sharing
-//! `(ts, router, code)` keep their file order, and the two orders differ
-//! wherever such lines' details are not in lexicographic order. The
-//! ROADMAP item *Batch ≡ stream through the CLI* tracks closing that gap.
+//! digests). Both this buffer and [`sort_batch`](sd_model::sort_batch),
+//! which the batch path uses, order by
+//! [`RawMessage::canonical_cmp`], so a feed of distinct messages releases
+//! exactly the sequence `sort_batch` makes of it. Only content dedup still
+//! differs: `sort_batch` keeps repeats of a key that this buffer absorbs
+//! (the ROADMAP item *Batch ≡ stream through the CLI* tracks that gap).
 //!
 //! # Duplicates
 //!
@@ -49,22 +49,16 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-/// A buffered message, ordered by `(ts, router, code, detail)`: a total
-/// order even for same-second bursts, so a given message multiset always
-/// releases in exactly one order, and the identity duplicates share.
+/// A buffered message, in the canonical `(ts, router, code, detail)`
+/// order ([`RawMessage::canonical_cmp`]): a total order even for
+/// same-second bursts, so a given message multiset always releases in
+/// exactly one order, and the identity duplicates share.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Queued(RawMessage);
 
-impl Queued {
-    fn key(&self) -> (Timestamp, &str, &str, &str) {
-        let m = &self.0;
-        (m.ts, m.router(), m.code(), m.detail())
-    }
-}
-
 impl PartialEq for Queued {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.cmp(other).is_eq()
     }
 }
 
@@ -78,7 +72,7 @@ impl PartialOrd for Queued {
 
 impl Ord for Queued {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
+        self.0.canonical_cmp(&other.0)
     }
 }
 

@@ -373,19 +373,19 @@ impl<'k> StreamDigester<'k> {
     /// clock, which the ingest layer never sends, may find fewer links:
     /// the lookback deque follows the clock, not the message.
     pub fn push_batch(&mut self, msgs: &[RawMessage]) -> Vec<NetworkEvent> {
-        self.push_numbered(msgs, |_| {})
+        self.push_skipping(msgs, |_| {})
     }
 
-    /// [`push_batch`](Self::push_batch), handing `numbered` the position in
-    /// `msgs` of each message that gets a sequence number (one neither
-    /// dropped nor quarantined), in sequence order. Each chunk is grouped
-    /// in two tight passes: the stages step every message, then each is
-    /// grouped by its links and closes what its clock lets close. The
-    /// result is that of one message at a time.
-    pub(crate) fn push_numbered(
+    /// [`push_batch`](Self::push_batch), handing `skipped` the position in
+    /// `msgs` of each message that gets no sequence number (one dropped or
+    /// quarantined), in feed order. Each chunk is grouped in two tight
+    /// passes: the stages step every message, then each is grouped by its
+    /// links and closes what its clock lets close. The result is that of
+    /// one message at a time.
+    pub(crate) fn push_skipping(
         &mut self,
         msgs: &[RawMessage],
-        mut numbered: impl FnMut(usize),
+        mut skipped: impl FnMut(usize),
     ) -> Vec<NetworkEvent> {
         let _g = self.sp_push.start();
         let mut events = Vec::new();
@@ -429,6 +429,7 @@ impl<'k> StreamDigester<'k> {
                     let at = n_before + i as u64 + 1;
                     let record = QuarantineRecord::from_message(at, m, "augment", &reason);
                     self.quarantined.push(record);
+                    skipped(c * CHUNK + i);
                     continue;
                 }
                 if m.ts > self.st.clock {
@@ -436,11 +437,11 @@ impl<'k> StreamDigester<'k> {
                     self.st.retire();
                 }
                 match kept[i].then(|| stepped.next()).flatten() {
-                    Some((sp, to)) => {
-                        numbered(c * CHUNK + i);
-                        self.group(sp, &links[std::mem::replace(&mut from, to)..to]);
+                    Some((sp, to)) => self.group(sp, &links[std::mem::replace(&mut from, to)..to]),
+                    None => {
+                        self.n_dropped.inc();
+                        skipped(c * CHUNK + i);
                     }
-                    None => self.n_dropped.inc(),
                 }
                 self.st.since_sweep = (self.st.since_sweep + 1) % 256;
                 if self.st.since_sweep == 0 {

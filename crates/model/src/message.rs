@@ -4,8 +4,10 @@ use crate::fxhash::FxHasher;
 use crate::time::Timestamp;
 use serde::{de_field, DeError, Deserialize, Serialize, Value};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hasher;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// Router vendor family, as in Table 1 of the paper.
@@ -34,33 +36,37 @@ impl fmt::Display for Vendor {
 ///
 /// Real syslog obviously has no such field; the generator attaches it so
 /// the reproduction can score grouping quality quantitatively (the paper
-/// validated groups manually with domain experts).
-pub type GroundTruthId = u64;
+/// validated groups manually with domain experts). Every id but
+/// `u32::MAX` can tag a message.
+pub type GroundTruthId = u32;
 
 /// One raw router syslog message (Table 1 fields).
 ///
 /// Router, code and detail live in one shared text, `"router code
-/// detail"`, with the router's and the code's byte lengths beside it: a
-/// message is 48 bytes, and the fields are read through
-/// [`router`](Self::router), [`code`](Self::code) and
-/// [`detail`](Self::detail). Because the lengths delimit the fields, any
-/// field may hold spaces. Every constructor takes the text from a bounded
-/// per-thread cache of recent lines, so a line repeated while its text is
-/// still cached allocates nothing and shares the first copy; cloning a
-/// message bumps a reference count. Equality and every order compare the
-/// fields one by one, never the joined text: a field holding a byte below
-/// space (`"r1\t"` against `"r1"`) sorts differently from the text.
+/// detail"`, with the router's and the code's byte lengths beside it
+/// (`u16` each, so either is under 64 KiB) and the 4-byte ground-truth
+/// tag: a message is 32 bytes, and the fields are read through
+/// [`router`](Self::router), [`code`](Self::code),
+/// [`detail`](Self::detail) and [`gt_event`](Self::gt_event). Because the
+/// lengths delimit the fields, any field may hold spaces. Every
+/// constructor takes the text from a bounded per-thread cache of recent
+/// lines, so a line repeated while its text is still cached allocates
+/// nothing and shares the first copy; cloning a message bumps a reference
+/// count. Equality and every order compare the fields one by one, never
+/// the joined text: a field holding a byte below space (`"r1\t"` against
+/// `"r1"`) sorts differently from the text (see
+/// [`canonical_cmp`](Self::canonical_cmp)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawMessage {
     /// NTP-synchronized generation time, 1 s granularity.
     pub ts: Timestamp,
     /// `router`, a space, `code`, a space, `detail`, from [`share`].
     text: Arc<str>,
-    router_len: u32,
-    code_len: u32,
-    /// Simulator-only ground-truth tag; `None` for messages parsed from text
-    /// and for simulated background noise that belongs to no event.
-    pub gt_event: Option<GroundTruthId>,
+    router_len: u16,
+    code_len: u16,
+    /// The ground-truth tag plus one, so that an untagged message (`None`)
+    /// takes no more room than a tagged one.
+    gt: Option<NonZeroU32>,
 }
 
 /// Why a wire-format line failed to parse (see [`RawMessage::parse_line`]).
@@ -79,7 +85,7 @@ pub enum ParseError {
     Empty(&'static str),
     /// The first two fields do not form a `YYYY-MM-DD HH:MM:SS` timestamp.
     BadTimestamp,
-    /// The named field is 4 GiB or longer, more than a message stores.
+    /// The named field is 64 KiB or longer, more than a message stores.
     TooLong(&'static str),
 }
 
@@ -90,7 +96,7 @@ impl fmt::Display for ParseError {
             ParseError::Missing(field) => write!(f, "truncated line: missing {field}"),
             ParseError::Empty(field) => write!(f, "empty {field} field"),
             ParseError::BadTimestamp => write!(f, "malformed timestamp"),
-            ParseError::TooLong(field) => write!(f, "{field} field of 4 GiB or more"),
+            ParseError::TooLong(field) => write!(f, "{field} field of 64 KiB or more"),
         }
     }
 }
@@ -141,7 +147,7 @@ impl RawMessage {
     /// Construct a message with no ground-truth tag.
     ///
     /// # Panics
-    /// If the router or the code is 4 GiB or longer.
+    /// If the router or the code is 64 KiB or longer.
     pub fn new(
         ts: Timestamp,
         router: impl AsRef<str>,
@@ -163,9 +169,9 @@ impl RawMessage {
         RawMessage {
             ts,
             text,
-            router_len: u32::try_from(router_len).expect("router name under 4 GiB"),
-            code_len: u32::try_from(code_len).expect("error code under 4 GiB"),
-            gt_event: None,
+            router_len: u16::try_from(router_len).expect("router name under 64 KiB"),
+            code_len: u16::try_from(code_len).expect("error code under 64 KiB"),
+            gt: None,
         }
     }
 
@@ -213,10 +219,33 @@ impl RawMessage {
         &self.text
     }
 
+    /// The canonical order of messages: by timestamp, then router, code
+    /// and detail, each compared as a field, never the joined text.
+    /// [`sort_batch`] and the reorder buffer both order by it, so a batch
+    /// and a stream of the same distinct messages see one sequence. It
+    /// ignores the ground-truth tag: messages equal under it carry the
+    /// same line.
+    pub fn canonical_cmp(&self, other: &Self) -> Ordering {
+        self.ts
+            .cmp(&other.ts)
+            .then_with(|| self.router().cmp(other.router()))
+            .then_with(|| self.code().cmp(other.code()))
+            .then_with(|| self.detail().cmp(other.detail()))
+    }
+
+    /// Simulator-only ground-truth tag; `None` for messages parsed from
+    /// text and for simulated background noise that belongs to no event.
+    pub fn gt_event(&self) -> Option<GroundTruthId> {
+        self.gt.map(|g| g.get() - 1)
+    }
+
     /// Attach a ground-truth event id (builder style).
+    ///
+    /// # Panics
+    /// If `gt` is `u32::MAX`.
     #[must_use]
     pub fn with_gt(mut self, gt: GroundTruthId) -> Self {
-        self.gt_event = Some(gt);
+        self.gt = Some(tag(gt).expect("ground-truth id below u32::MAX"));
         self
     }
 
@@ -279,7 +308,7 @@ impl Serialize for RawMessage {
             ("router".to_owned(), self.router().to_value()),
             ("code".to_owned(), self.code().to_value()),
             ("detail".to_owned(), self.detail().to_value()),
-            ("gt_event".to_owned(), self.gt_event.to_value()),
+            ("gt_event".to_owned(), self.gt_event().to_value()),
         ])
     }
 }
@@ -290,10 +319,25 @@ impl Deserialize for RawMessage {
         let router = de_str(v, "router")?;
         let code = de_str(v, "code")?;
         let detail = de_str(v, "detail")?;
-        let mut m = RawMessage::new(ts, router, code, detail);
-        m.gt_event = de_field(v, "gt_event")?;
-        Ok(m)
+        for (name, field) in [("router", router), ("code", code)] {
+            if u16::try_from(field.len()).is_err() {
+                return Err(DeError(format!("`{name}` of 64 KiB or more")));
+            }
+        }
+        let gt = de_field::<Option<GroundTruthId>>(v, "gt_event")?
+            .map(|id| tag(id).ok_or_else(|| DeError(format!("`gt_event` {id} out of range"))))
+            .transpose()?;
+        Ok(RawMessage {
+            gt,
+            ..RawMessage::new(ts, router, code, detail)
+        })
     }
+}
+
+/// How a message stores ground-truth id `id`: `None` for `u32::MAX`,
+/// which no message can carry.
+fn tag(id: GroundTruthId) -> Option<NonZeroU32> {
+    NonZeroU32::new(id.wrapping_add(1))
 }
 
 /// String field `name` of map `v`, borrowed, with [`de_field`]'s errors.
@@ -394,7 +438,7 @@ fn share_joined(router: &str, code: &str, detail: &str) -> Arc<str> {
 }
 
 /// Split `<router> <code> <detail...>`, the part of a line after its
-/// timestamp, and require a non-empty router and code, each under 4 GiB.
+/// timestamp, and require a non-empty router and code, each under 64 KiB.
 fn split_fields(rest: &str) -> Result<(&str, &str, &str), ParseError> {
     let mut parts = rest.splitn(3, ' ');
     let router = parts.next().unwrap_or("");
@@ -406,11 +450,11 @@ fn split_fields(rest: &str) -> Result<(&str, &str, &str), ParseError> {
     if code.is_empty() {
         return Err(ParseError::Empty("code"));
     }
-    // `RawMessage` stores the two lengths as `u32`.
-    if u32::try_from(router.len()).is_err() {
+    // `RawMessage` stores the two lengths as `u16`.
+    if u16::try_from(router.len()).is_err() {
         return Err(ParseError::TooLong("router"));
     }
-    if u32::try_from(code.len()).is_err() {
+    if u16::try_from(code.len()).is_err() {
         return Err(ParseError::TooLong("code"));
     }
     Ok((router, code, detail))
@@ -422,17 +466,17 @@ impl fmt::Display for RawMessage {
     }
 }
 
-/// Sort a batch of messages by `(timestamp, router, code)`.
+/// Sort a batch of messages in place into the
+/// [canonical order](RawMessage::canonical_cmp), ties broken by the
+/// ground-truth tag.
 ///
 /// All mining components assume time-ordered input; the secondary keys make
 /// the order deterministic for equal timestamps so experiments are exactly
-/// reproducible from a seed.
+/// reproducible from a seed. The order is total: messages it ties are
+/// equal, so the unstable sort, which allocates nothing, gives what a
+/// stable one would, and a batch sorts the same whatever its file order.
 pub fn sort_batch(batch: &mut [RawMessage]) {
-    batch.sort_by(|a, b| {
-        a.ts.cmp(&b.ts)
-            .then_with(|| a.router().cmp(b.router()))
-            .then_with(|| a.code().cmp(b.code()))
-    });
+    batch.sort_unstable_by(|a, b| a.canonical_cmp(b).then(a.gt.cmp(&b.gt)));
 }
 
 #[cfg(test)]
@@ -715,7 +759,7 @@ mod tests {
     fn gt_tag_is_not_serialized_to_wire() {
         let m = sample().with_gt(42);
         let back = RawMessage::parse_line(&m.to_line()).unwrap();
-        assert_eq!(back.gt_event, None);
+        assert_eq!(back.gt_event(), None);
     }
 
     /// Any field text, spaces, tabs and multibyte characters included.
@@ -732,10 +776,13 @@ mod tests {
             code in field(),
             detail in field(),
             tagged in prop::bool::ANY,
-            gt in 0..u64::MAX,
+            gt in 0..u32::MAX,
         ) {
             let mut m = RawMessage::new(Timestamp(ts), &router, &code, &detail);
-            m.gt_event = tagged.then_some(gt);
+            if tagged {
+                m = m.with_gt(gt);
+            }
+            prop_assert_eq!(m.gt_event(), tagged.then_some(gt));
             prop_assert_eq!(m.router(), router.as_str());
             prop_assert_eq!(m.code(), code.as_str());
             prop_assert_eq!(m.detail(), detail.as_str());
@@ -856,6 +903,58 @@ mod tests {
         assert_eq!(r.samples.len(), MALFORMED_SAMPLES);
         assert_eq!(r.samples[0], (1, "malformed timestamp".to_owned()));
         assert!(r.to_string().starts_with("7 malformed (first: line 1: "));
+    }
+
+    /// A router or a code up to 65,535 bytes fits the `u16` lengths; one
+    /// byte more is `TooLong`, from `parse_line` and from serde alike.
+    #[test]
+    fn fields_under_64_kib_parse_and_longer_ones_are_too_long() {
+        let max = "r".repeat(usize::from(u16::MAX));
+        let over = "r".repeat(usize::from(u16::MAX) + 1);
+        let line = |router: &str, code: &str| format!("2010-01-10 00:00:15 {router} {code} d");
+        let m = RawMessage::parse_line(&line(&max, &max)).unwrap();
+        assert_eq!((m.router(), m.code(), m.detail()), (&*max, &*max, "d"));
+        assert_eq!(
+            RawMessage::parse_line(&line(&over, "C")),
+            Err(ParseError::TooLong("router"))
+        );
+        assert_eq!(
+            RawMessage::parse_line(&line("r1", &over)),
+            Err(ParseError::TooLong("code"))
+        );
+        assert_eq!(
+            ParseError::TooLong("code").to_string(),
+            "code field of 64 KiB or more"
+        );
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(serde_json::from_str::<RawMessage>(&json).unwrap(), m);
+        for (field, router, code) in [("router", &over, &max), ("code", &max, &over)] {
+            let json = format!(
+                r#"{{"ts":0,"router":"{router}","code":"{code}","detail":"d","gt_event":null}}"#
+            );
+            let err = serde_json::from_str::<RawMessage>(&json).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("`{field}` of 64 KiB")),
+                "{err}"
+            );
+        }
+    }
+
+    /// Every id but `u32::MAX` tags a message and persists; a persisted
+    /// id out of that range is an error, not a panic.
+    #[test]
+    fn ground_truth_ids_round_trip_up_to_the_largest_storable() {
+        for id in [0, 1, u32::MAX - 1] {
+            let m = sample().with_gt(id);
+            assert_eq!(m.gt_event(), Some(id));
+            let json = serde_json::to_string(&m).unwrap();
+            assert_eq!(serde_json::from_str::<RawMessage>(&json).unwrap(), m);
+        }
+        let json = serde_json::to_string(&sample()).unwrap();
+        for id in [u64::from(u32::MAX), u64::MAX] {
+            let bad = json.replace(r#""gt_event":null"#, &format!(r#""gt_event":{id}"#));
+            assert!(serde_json::from_str::<RawMessage>(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

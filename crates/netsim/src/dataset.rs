@@ -238,10 +238,10 @@ mod tests {
         for m in &d.messages {
             h.write(m.to_line().as_bytes());
             // Event ids start at 1, so 0 marks background noise.
-            h.write_u64(m.gt_event.unwrap_or(0));
+            h.write_u64(m.gt_event().map_or(0, u64::from));
         }
         for e in &d.gt_events {
-            h.write_u64(e.id);
+            h.write_u64(u64::from(e.id));
             h.write(e.kind.label().as_bytes());
             h.write_u64(e.start.0 as u64);
             h.write_u64(e.end.0 as u64);
@@ -261,8 +261,8 @@ mod tests {
     #[test]
     fn generated_bytes_are_pinned() {
         for (name, spec, pinned) in [
-            ("A", DatasetSpec::preset_a(), 0xd5ae_0b8d_c131_7ece),
-            ("B", DatasetSpec::preset_b(), 0x96fe_d528_128f_6dbf),
+            ("A", DatasetSpec::preset_a(), 0xaaf0_17e0_d284_5334),
+            ("B", DatasetSpec::preset_b(), 0xfd7d_caac_8431_a1c7),
         ] {
             let got = generator_hash(spec.scaled(0.05));
             assert_eq!(

@@ -200,9 +200,11 @@ impl<'a> EventSim<'a> {
             ev.n += 1;
             ev.id
         });
-        let mut m = RawMessage::new(ts, &self.topo.routers[router].name, &t.code, &self.detail);
-        m.gt_event = gt_event;
-        self.msgs.push(m);
+        let m = RawMessage::new(ts, &self.topo.routers[router].name, &t.code, &self.detail);
+        self.msgs.push(match gt_event {
+            Some(id) => m.with_gt(id),
+            None => m,
+        });
     }
 
     /// Open a new ground-truth event: every message emitted until
@@ -972,7 +974,7 @@ mod tests {
         assert!(ev.n_messages >= 4 * 2 * 4, "got {}", ev.n_messages);
         // Every message is tagged and within the event window.
         for m in &sim.msgs {
-            assert_eq!(m.gt_event, Some(ev.id));
+            assert_eq!(m.gt_event(), Some(ev.id));
             assert!(m.ts >= ev.start && m.ts <= ev.end);
         }
         // Both ends emit LINK and LINEPROTO.
@@ -1090,7 +1092,7 @@ mod tests {
         }
         let r = &topo.routers[2];
         for m in &sim.msgs {
-            assert_eq!(m.gt_event, None);
+            assert_eq!(m.gt_event(), None);
             // Detail embeds one of the router's real interface names.
             assert!(
                 r.interfaces.iter().any(|i| m.detail().contains(&i.name)),

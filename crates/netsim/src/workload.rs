@@ -405,7 +405,7 @@ fn sample_flap_count(rng: &mut StdRng) -> usize {
 mod tests {
     use super::*;
     use crate::topology::TopoSpec;
-    use sd_model::Vendor;
+    use sd_model::{GroundTruthId, Vendor};
 
     fn small_spec(vendor: Vendor, days: u32) -> (Topology, Grammar, WorkloadSpec) {
         let topo = Topology::generate(&TopoSpec {
@@ -447,10 +447,10 @@ mod tests {
     fn event_messages_reference_recorded_events() {
         let (topo, grammar, spec) = small_spec(Vendor::V1, 2);
         let w = run(&topo, &grammar, &spec);
-        let ids: std::collections::HashSet<u64> = w.events.iter().map(|e| e.id).collect();
+        let ids: std::collections::HashSet<GroundTruthId> = w.events.iter().map(|e| e.id).collect();
         let mut tagged = 0usize;
         for m in &w.messages {
-            if let Some(gt) = m.gt_event {
+            if let Some(gt) = m.gt_event() {
                 assert!(ids.contains(&gt), "dangling gt id {gt}");
                 tagged += 1;
             }
@@ -465,7 +465,7 @@ mod tests {
         let (topo, grammar, mut spec) = small_spec(Vendor::V1, 3);
         spec.timers_per_router = 0; // compare cascades against sparse noise only
         let w = run(&topo, &grammar, &spec);
-        let noise = w.messages.iter().filter(|m| m.gt_event.is_none()).count();
+        let noise = w.messages.iter().filter(|m| m.gt_event().is_none()).count();
         let tagged = w.messages.len() - noise;
         assert!(
             tagged > noise * 3,

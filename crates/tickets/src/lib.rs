@@ -59,7 +59,7 @@ pub fn generate_tickets(data: &Dataset, seed: u64) -> Vec<Ticket> {
     let mut alarms: std::collections::HashMap<GroundTruthId, Vec<(Timestamp, &str)>> =
         std::collections::HashMap::new();
     for m in data.online() {
-        if let Some(gt) = m.gt_event {
+        if let Some(gt) = m.gt_event() {
             alarms.entry(gt).or_default().push((m.ts, m.router()));
         }
     }

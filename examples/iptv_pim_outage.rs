@@ -54,7 +54,7 @@ fn main() {
     }
     let mut msgs = sim.msgs;
     sort_batch(&mut msgs);
-    let cascade = msgs.iter().filter(|m| m.gt_event == Some(gt)).count();
+    let cascade = msgs.iter().filter(|m| m.gt_event() == Some(gt)).count();
     println!(
         "  {} messages in the window, {} belong to the outage",
         msgs.len(),
@@ -76,7 +76,7 @@ fn main() {
             let n = e
                 .message_idxs
                 .iter()
-                .filter(|&&i| msgs[i].gt_event == Some(gt))
+                .filter(|&&i| msgs[i].gt_event() == Some(gt))
                 .count();
             (n > 0).then_some((e, n))
         })

@@ -60,7 +60,7 @@ fn main() {
     sort_batch(&mut incident);
     let gt_size = incident
         .iter()
-        .filter(|m| m.gt_event == Some(flap_id))
+        .filter(|m| m.gt_event() == Some(flap_id))
         .count();
     println!(
         "  {} messages total, {} belong to the flap",
@@ -98,7 +98,7 @@ fn main() {
     let member_gt = flap
         .message_idxs
         .iter()
-        .filter(|&&i| incident[i].gt_event == Some(flap_id))
+        .filter(|&&i| incident[i].gt_event() == Some(flap_id))
         .count();
     println!(
         "\nground-truth check: {member_gt}/{} flap messages captured, {} foreign",

@@ -1,14 +1,14 @@
 //! Heap allocations on the batch hot path, counted by a global allocator
 //! that tallies each thread's calls: parsing a line allocates only for a
-//! text the line cache does not hold, and a batch of repeated lines
-//! augments with allocations that grow with its distinct lines, not with
-//! its length.
+//! text the line cache does not hold, sorting a batch allocates nothing,
+//! and a batch of repeated lines augments with allocations that grow with
+//! its distinct lines, not with its length.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use syslogdigest_repro::digest::augment_batch_isolated;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
-use syslogdigest_repro::model::{Parallelism, RawMessage, Timestamp};
+use syslogdigest_repro::model::{sort_batch, Parallelism, RawMessage, Timestamp};
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
 /// calls made by the current thread (so tests running in parallel do not
@@ -65,10 +65,45 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 #[test]
-fn a_message_is_at_most_48_bytes() {
+fn a_message_is_32_bytes() {
     if cfg!(target_pointer_width = "64") {
-        assert!(std::mem::size_of::<RawMessage>() <= 48);
+        assert_eq!(std::mem::size_of::<RawMessage>(), 32);
     }
+}
+
+/// `sort_batch` sorts in place: no scratch buffer, whatever the order
+/// it starts from.
+#[test]
+fn sort_batch_allocates_nothing() {
+    let routers = ["r1", "r2", "core-7.nyc"];
+    let codes = ["LINK-3-UPDOWN", "SYS-5-RESTART"];
+    let mut batch: Vec<RawMessage> = (0..10_000u32)
+        .map(|i| {
+            let i = i as usize;
+            let m = RawMessage::new(
+                Timestamp((i / 7) as i64),
+                routers[i % 3],
+                codes[i % 2],
+                format!("Interface Serial1/{}", i % 5),
+            );
+            if i.is_multiple_of(4) {
+                m.with_gt((i % 9) as u32)
+            } else {
+                m
+            }
+        })
+        .collect();
+    // A fixed Fisher–Yates shuffle (64-bit LCG).
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..batch.len()).rev() {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        batch.swap(i, (x >> 33) as usize % (i + 1));
+    }
+    let ((), n) = allocations(|| sort_batch(&mut batch));
+    assert_eq!(n, 0, "sort_batch allocated");
+    assert!(batch.windows(2).all(|w| w[0].canonical_cmp(&w[1]).is_le()));
 }
 
 /// Parsing allocates only for a text the line cache does not hold: a new

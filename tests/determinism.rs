@@ -82,6 +82,32 @@ fn calibration_picks_alike_twice() {
     assert_eq!(t1.beta, t2.beta);
 }
 
+/// `sort_batch` puts a history in one canonical order, so the knowledge
+/// learned from it does not depend on the order lines of one second
+/// arrived in: shuffling each second's lines changes no fingerprint.
+#[test]
+fn learning_ignores_the_order_within_a_second() {
+    let d = Dataset::generate(DatasetSpec::preset_a().scaled(0.05), &Telemetry::disabled());
+    let off = OfflineConfig::dataset_a();
+    let train = d.train().to_vec();
+    let mut shuffled = train.clone();
+    // Reverse every other second's lines and rotate the rest by one.
+    let mut seconds: Vec<&mut [RawMessage]> = shuffled.chunk_by_mut(|a, b| a.ts == b.ts).collect();
+    for (i, second) in seconds.iter_mut().enumerate() {
+        if i % 2 == 0 {
+            second.reverse();
+        } else {
+            second.rotate_left(1);
+        }
+    }
+    assert_ne!(shuffled, train, "the shuffle moved no line");
+    sort_batch(&mut shuffled);
+    assert_eq!(
+        learn(&d.configs, &shuffled, &off).fingerprint(),
+        learn(&d.configs, &train, &off).fingerprint()
+    );
+}
+
 // ----------------------------------------------------- proptest streams --
 
 /// A tiny fixed knowledge base (mirrors tests/properties.rs).

@@ -115,7 +115,7 @@ fn pim_dual_failure_cascade_is_recovered() {
             let n = e
                 .message_idxs
                 .iter()
-                .filter(|&&ix| msgs[ix].gt_event == Some(gt))
+                .filter(|&&ix| msgs[ix].gt_event() == Some(gt))
                 .count();
             (n > 0).then_some((i, n))
         })

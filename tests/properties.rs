@@ -337,3 +337,76 @@ proptest! {
         prop_assert_eq!(n_late, 0);
     }
 }
+
+// ---------------------------------------------------------------- order --
+
+/// Up to 60 messages over four seconds, three routers (`r1\t` sorts
+/// after `r1` field by field but before it in the joined text), two codes
+/// and four details, so seconds hold lines sharing a router, a code or
+/// the whole line; a quarter carry one of three ground-truth tags. Each
+/// comes with a key that shuffles the batch.
+fn order_batch() -> impl Strategy<Value = Vec<(RawMessage, u64)>> {
+    let spec = (
+        (0i64..4, 0usize..3, 0usize..2),
+        (0usize..4, 0u32..12, 0u64..1 << 40),
+    );
+    proptest::collection::vec(spec, 0..60).prop_map(|specs| {
+        specs
+            .into_iter()
+            .map(|((ts, r, c), (d, gt, key))| {
+                let m = RawMessage::new(
+                    Timestamp(ts),
+                    ["r1", "r1\t", "r2"][r],
+                    ["A-1-X", "B-1-X"][c],
+                    ["", "a", "a b", "z"][d],
+                );
+                (if gt < 3 { m.with_gt(gt) } else { m }, key)
+            })
+            .collect()
+    })
+}
+
+/// The messages of `batch` in the order of their shuffle keys.
+fn shuffled(batch: &[(RawMessage, u64)]) -> Vec<RawMessage> {
+    let mut keyed = batch.to_vec();
+    keyed.sort_by_key(|&(_, key)| key);
+    keyed.into_iter().map(|(m, _)| m).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// The in-place unstable `sort_batch` orders a batch exactly as a
+    /// stable sort with the same comparator: the order is total, so the
+    /// messages it ties are equal.
+    #[test]
+    fn sort_batch_equals_a_stable_sort_in_the_canonical_order(batch in order_batch()) {
+        let mut stable = shuffled(&batch);
+        stable.sort_by(|a, b| a.canonical_cmp(b).then(a.gt_event().cmp(&b.gt_event())));
+        let mut sorted = shuffled(&batch);
+        sort_batch(&mut sorted);
+        prop_assert_eq!(sorted, stable);
+    }
+
+    /// A reorder buffer whose skew covers the batch's span releases a
+    /// shuffle of distinct messages in `sort_batch`'s order: batch and
+    /// stream see one sequence.
+    #[test]
+    fn sort_batch_equals_the_reorder_buffer_release_order(batch in order_batch()) {
+        use syslogdigest_repro::digest::ReorderBuffer;
+
+        let mut distinct: Vec<RawMessage> = batch.iter().map(|(m, _)| m.clone()).collect();
+        sort_batch(&mut distinct);
+        distinct.dedup_by(|a, b| a.canonical_cmp(b).is_eq());
+        let keys = batch.iter().map(|&(_, key)| key);
+        let feed = shuffled(&distinct.iter().cloned().zip(keys).collect::<Vec<_>>());
+
+        let mut rb = ReorderBuffer::new(4);
+        let mut out = Vec::new();
+        for m in feed {
+            prop_assert!(rb.push(m, &mut out));
+        }
+        rb.flush(&mut out);
+        prop_assert_eq!(out, distinct);
+    }
+}
