@@ -279,3 +279,45 @@ proptest! {
         prop_assert_eq!(reference, opt);
     }
 }
+
+proptest! {
+    #![proptest_config(cases(300))]
+    /// The temporal stage alone finds exactly the reference's temporal
+    /// edges on feeds with many templates at one location, locationless
+    /// messages on several routers, primary locations owned by another
+    /// router than the message's, and the unknown template, with gaps
+    /// from the same second to past Smax.
+    #[test]
+    fn temporal_stage_matches_reference(
+        spec in proptest::collection::vec((0usize..7, 0u32..4, 0u32..7, 0usize..5), 1..80),
+    ) {
+        let k = rule_dense_knowledge(&[]);
+        let n_locs = k.dict.len() as u32;
+        let gaps = [0, 1, 2, 5, 60, 3_000, 20_000];
+        let mut ts = 0;
+        let batch: Vec<SyslogPlus> = spec
+            .iter()
+            .enumerate()
+            .map(|(idx, &(gap, router, template, loc))| {
+                ts += gaps[gap];
+                // Index 4 is no location; 0..4 pick among a few, whose
+                // owner need not be the message's router.
+                let locations: Vec<LocationId> = (loc < 4)
+                    .then(|| LocationId((7 * loc as u32) % n_locs))
+                    .into_iter()
+                    .collect();
+                SyslogPlus {
+                    idx,
+                    ts: Timestamp(ts),
+                    router: RouterId(router),
+                    template: Some(toy_template(template)),
+                    locations: locations.into(),
+                }
+            })
+            .collect();
+        let cfg = GroupingConfig::t_only();
+        let opt: BTreeSet<_> = stage_edges(&k, &batch, &cfg).into_iter().collect();
+        let reference: BTreeSet<_> = ref_edges(&k, &batch, &cfg).into_iter().collect();
+        prop_assert_eq!(reference, opt);
+    }
+}

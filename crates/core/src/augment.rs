@@ -10,11 +10,10 @@
 use crate::knowledge::DomainKnowledge;
 use sd_locations::extract_with;
 use sd_model::{
-    catch_panic, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
+    catch_panic, FxHasher, LocationId, Parallelism, RawMessage, RouterId, SyslogPlus, TemplateId,
     TokenScratch,
 };
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Slots in an [`AugmentMemo`] table (a power of two).
@@ -71,11 +70,15 @@ fn augment_fresh(
 /// * The table is [`MEMO_SLOTS`] reusable slots. A line hashes to one
 ///   slot and evicts whatever held it, so memory stays bounded. A hit
 ///   shares the slot's locations (a reference count, no allocation), and
-///   a miss reuses the slot's key buffer. The hash is SipHash with a
-///   per-memo key: the feed chooses these keys. The key is the message's
-///   joined text together with the router's and the code's lengths, so
-///   router `ab` with code `c` never answers for router `a` with code
-///   `bc`, even where spaces make the joined texts equal.
+///   a miss reuses the slot's key buffer. The key is the message's joined
+///   text together with the router's and the code's lengths, so router
+///   `ab` with code `c` never answers for router `a` with code `bc`, even
+///   where spaces make the joined texts equal.
+/// * The hash is the unkeyed Fx over the key, as in the message line
+///   cache, and the slot is its top bits, where Fx's last multiply mixes
+///   best. The table is direct-mapped and never probes, so lines the
+///   feed makes collide can only force misses, which a feed of unique
+///   lines causes anyway, and the bypass below caps what misses cost.
 /// * A feed where nothing repeats would pay for hashing and storing every
 ///   line. After each epoch of [`MEMO_EPOCH`] lookups with fewer than a
 ///   quarter hits, the memo steps aside for 1, 2, 4, … up to
@@ -85,7 +88,6 @@ fn augment_fresh(
 ///   quarantining hook armed after a line was memoized still catches it.
 pub(crate) struct AugmentMemo {
     scratch: TokenScratch,
-    hasher: RandomState,
     slots: Vec<Slot>,
     /// Lookups and hits so far in the current epoch.
     lookups: u32,
@@ -149,7 +151,6 @@ impl AugmentMemo {
         debug_assert!(n.is_power_of_two());
         AugmentMemo {
             scratch: TokenScratch::new(),
-            hasher: RandomState::new(),
             slots: std::iter::repeat_with(Slot::default).take(n).collect(),
             lookups: 0,
             hits: 0,
@@ -174,8 +175,9 @@ impl AugmentMemo {
             augment_fresh(k, idx, m, &mut self.scratch)
         } else {
             let hash = self.hash(m);
-            let mask = self.slots.len() - 1;
-            let slot = &mut self.slots[hash as usize & mask];
+            // The top bits; a one-slot table shifts by all 64.
+            let shift = 64 - self.slots.len().trailing_zeros();
+            let slot = &mut self.slots[hash.checked_shr(shift).unwrap_or(0) as usize];
             if slot.holds(hash, m) {
                 self.hits += 1;
                 slot.get(idx, m)
@@ -198,33 +200,39 @@ impl AugmentMemo {
         out
     }
 
-    /// Augment `batch`, each message under its own `catch_panic`. A panic
-    /// quarantines that message and replaces the memo, which may hold
-    /// torn state.
-    pub(crate) fn augment_isolated(
+    /// Augment each message of `batch` in order, at its position, and hand
+    /// `out` the position and the result: the augmentation (`None` for a
+    /// router the dictionary does not know), or the panic's message for a
+    /// message whose augmentation panicked. Such a message is quarantined
+    /// and replaces the memo, which may hold torn state.
+    ///
+    /// One `catch_panic` guards a whole run of messages, not each one.
+    /// After a panic the next run starts at the message after it, so each
+    /// message augments once, and the results are those of one guard per
+    /// message. `out` must not panic: it runs inside the guard.
+    pub(crate) fn augment_each(
         &mut self,
         k: &DomainKnowledge,
         batch: &[RawMessage],
-    ) -> IsolatedAugment {
-        let mut out = IsolatedAugment {
-            augmented: Vec::with_capacity(batch.len()),
-            quarantined: Vec::new(),
-        };
-        for (idx, m) in batch.iter().enumerate() {
-            match catch_panic(|| self.augment(k, idx, m)) {
-                Ok(sp) => out.augmented.push(sp),
-                Err(reason) => {
-                    *self = AugmentMemo::new();
-                    out.augmented.push(None);
-                    out.quarantined.push((idx, reason));
+        mut out: impl FnMut(usize, Result<Option<SyslogPlus>, String>),
+    ) {
+        let mut next = 0;
+        while next < batch.len() {
+            let run = catch_panic(|| {
+                for (i, m) in batch.iter().enumerate().skip(next) {
+                    next = i + 1;
+                    out(i, Ok(self.augment(k, i, m)));
                 }
+            });
+            if let Err(reason) = run {
+                *self = AugmentMemo::new();
+                out(next - 1, Err(reason));
             }
         }
-        out
     }
 
     fn hash(&self, m: &RawMessage) -> u64 {
-        let mut h = self.hasher.build_hasher();
+        let mut h = FxHasher::default();
         h.write_usize(m.router().len());
         h.write_usize(m.code().len());
         h.write(m.text().as_bytes());
@@ -257,16 +265,27 @@ impl IsolatedAugment {
     }
 }
 
-/// Augment a batch with each message under its own `catch_unwind`: a
-/// message whose augmentation panics is quarantined, and every other
-/// message still augments. The batch augments through one memo, on the
-/// calling thread; `_par` is ignored.
+/// Augment a batch with panics isolated per message: a message whose
+/// augmentation panics is quarantined, and every other message still
+/// augments. The batch augments through one memo, on the calling thread,
+/// as the stream digester does; `_par` is ignored.
 pub fn augment_batch_isolated(
     k: &DomainKnowledge,
     batch: &[RawMessage],
     _par: Parallelism,
 ) -> IsolatedAugment {
-    AugmentMemo::new().augment_isolated(k, batch)
+    let mut out = IsolatedAugment {
+        augmented: Vec::with_capacity(batch.len()),
+        quarantined: Vec::new(),
+    };
+    AugmentMemo::new().augment_each(k, batch, |i, result| match result {
+        Ok(sp) => out.augmented.push(sp),
+        Err(reason) => {
+            out.augmented.push(None);
+            out.quarantined.push((i, reason));
+        }
+    });
+    out
 }
 
 #[cfg(test)]
@@ -535,6 +554,138 @@ interface Serial1/5
         assert_eq!(offsets, vec![1, 4, 7, 10]);
         let (kept, dropped) = iso.split();
         assert_eq!((kept.len(), dropped), (8, 0));
+    }
+
+    /// What augmenting a batch produced: the kept messages, the positions
+    /// of unknown-router drops, and `(position, panic message)` per
+    /// quarantined message.
+    type Outcome = (Vec<SyslogPlus>, Vec<usize>, Vec<(usize, String)>);
+
+    /// The guard `augment_each` replaced, kept as its reference: each
+    /// message under its own `catch_panic`, the memo replaced after a
+    /// panic.
+    fn augment_per_message(k: &DomainKnowledge, batch: &[RawMessage]) -> Outcome {
+        let (mut memo, mut out) = (AugmentMemo::new(), Outcome::default());
+        for (i, m) in batch.iter().enumerate() {
+            match catch_panic(|| memo.augment(k, i, m)) {
+                Ok(Some(sp)) => out.0.push(sp),
+                Ok(None) => out.1.push(i),
+                Err(reason) => {
+                    memo = AugmentMemo::new();
+                    out.2.push((i, reason));
+                }
+            }
+        }
+        out
+    }
+
+    /// `augment_each`, one guard per run, collected like the reference.
+    fn augment_per_run(k: &DomainKnowledge, batch: &[RawMessage]) -> Outcome {
+        let mut out = Outcome::default();
+        AugmentMemo::new().augment_each(k, batch, |i, result| match result {
+            Ok(Some(sp)) => out.0.push(sp),
+            Ok(None) => out.1.push(i),
+            Err(reason) => out.2.push((i, reason)),
+        });
+        out
+    }
+
+    /// A batch of `len` lines over a known and an unknown router, which
+    /// repeat, with the poison marker in the detail of each message
+    /// `poisoned` names.
+    fn poisoned_batch(len: usize, poisoned: impl Fn(usize) -> bool) -> Vec<RawMessage> {
+        (0..len)
+            .map(|i| {
+                let router = if i % 5 == 3 { "ghost" } else { "r1" };
+                let detail = format!(
+                    "Interface Serial1/{}, changed state to down{}",
+                    i % 4,
+                    if poisoned(i) { " RUNPOISON" } else { "" }
+                );
+                msg(i as i64, router, "LINK-3-UPDOWN", &detail)
+            })
+            .collect()
+    }
+
+    /// Poisoned message `i` of a batch of `len` under pattern `shape`:
+    /// none, the first, the last, two adjacent, every message, or each
+    /// with probability one half (by the bits of `bits`).
+    fn poison_pattern(shape: u8, len: usize, at: usize, bits: u64) -> impl Fn(usize) -> bool {
+        let at = at % len;
+        move |i| match shape {
+            0 => false,
+            1 => i == 0,
+            2 => i == len - 1,
+            3 => i == at || i == at + 1,
+            4 => true,
+            _ => bits >> (i % 64) & 1 == 1,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One guard per run keeps, drops and quarantines exactly what one
+        /// guard per message does, and each poisoned message panics once.
+        #[test]
+        fn one_guard_per_run_equals_one_per_message(
+            len in 1usize..120,
+            shape in 0u8..6,
+            at in 0usize..120,
+            bits in 0u64..u64::MAX,
+        ) {
+            use crate::quarantine::POISON_PANICS;
+            use std::sync::atomic::Ordering;
+            let k = knowledge();
+            let poisoned = poison_pattern(shape, len, at, bits);
+            let batch = poisoned_batch(len, &poisoned);
+            let n_poisoned = (0..len).filter(|&i| poisoned(i)).count();
+            let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            set_poison_marker(Some("RUNPOISON"));
+            POISON_PANICS.store(0, Ordering::Relaxed);
+            let per_run = augment_per_run(&k, &batch);
+            let panics = POISON_PANICS.load(Ordering::Relaxed);
+            let per_message = augment_per_message(&k, &batch);
+            set_poison_marker(None);
+            prop_assert_eq!(panics, n_poisoned, "a poisoned message panicked other than once");
+            prop_assert_eq!(per_run.2.len(), n_poisoned);
+            prop_assert_eq!(per_run, per_message);
+        }
+    }
+
+    /// Poison on both sides of `push_batch`'s chunk boundaries, in a batch
+    /// of more than two chunks: the digester quarantines, drops and keeps
+    /// what one guard per message does over the whole batch.
+    #[test]
+    fn poison_across_chunk_boundaries_is_quarantined_as_per_message() {
+        use crate::stream::CHUNK;
+        let k = knowledge();
+        let len = 2 * CHUNK + 7;
+        let poisoned = |i: usize| [0, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, len - 1].contains(&i);
+        let batch = poisoned_batch(len, poisoned);
+        let mut sd = StreamDigester::with_telemetry(
+            &k,
+            GroupingConfig::default(),
+            StreamConfig::default(),
+            &Telemetry::disabled(),
+        );
+        let _lock = POISON_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_poison_marker(Some("RUNPOISON"));
+        sd.push_batch(&batch);
+        let (kept, dropped, quarantined) = augment_per_message(&k, &batch);
+        set_poison_marker(None);
+        let records: Vec<(usize, String)> = sd
+            .take_quarantined()
+            .into_iter()
+            .map(|r| (r.position as usize - 1, r.reason))
+            .collect();
+        assert_eq!(records, quarantined);
+        let stats = sd.stats();
+        assert_eq!(
+            (stats.n_input, stats.n_dropped, stats.n_quarantined),
+            (len, dropped.len(), quarantined.len())
+        );
+        assert_eq!(sd.open_messages(), kept.len());
     }
 
     /// The stream digester's memo learns a line while the poison hook is

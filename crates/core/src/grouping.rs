@@ -6,10 +6,9 @@
 use crate::knowledge::DomainKnowledge;
 use crate::provenance::MergeCause;
 use crate::union_find::UnionFind;
-use sd_model::{LocationId, Parallelism, SortedMap, SyslogPlus, Timestamp};
+use sd_model::{LocationId, Parallelism, SyslogPlus, Timestamp};
 use sd_temporal::EwmaTracker;
-use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::VecDeque;
 
 /// Which stages to run (Table 7 compares T, T+R, T+R+C).
@@ -100,12 +99,12 @@ type RuleLookback = Vec<(u32, u64, Timestamp)>;
 /// `(earlier id, cause)` from the current message to a caller-owned list.
 /// The stream digester checkpoints it as it is.
 ///
-/// The rule and cross lookbacks are reached by dense ids the knowledge
-/// minted (router, partner slot, template), never by hashing a key.
+/// Every lookback is reached by dense ids the knowledge minted (location,
+/// router, partner slot, template), never by hashing a key.
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub(crate) struct Stages {
     /// §4.2.1: EWMA tracker and last id per (router, template, location).
-    trackers: SortedMap<(u32, u32, u32), (EwmaTracker, u64)>,
+    trackers: Trackers,
     /// §4.2.2: rule lookback per router and partner slot, at
     /// `router * RuleSet::n_slots() + slot`.
     recent_rules: Vec<RuleLookback>,
@@ -147,20 +146,46 @@ impl Stages {
         id: u64,
         links: &mut Vec<(u64, MergeCause)>,
     ) {
-        match self.trackers.entry(tkey(sp)) {
-            Entry::Vacant(e) => {
+        let (router, template, location) = tkey(sp);
+        let series = self.trackers.at(router, location);
+        match series.binary_search_by_key(&(router, template), |s| s.0) {
+            Err(i) => {
                 let mut tr = EwmaTracker::new();
                 tr.observe(sp.ts, &k.temporal);
-                e.insert((tr, id));
+                series.insert(i, ((router, template), (tr, id)));
             }
-            Entry::Occupied(mut e) => {
-                let (tr, last) = e.get_mut();
+            Ok(i) => {
+                let (tr, last) = &mut series[i].1;
                 if !tr.observe(sp.ts, &k.temporal) {
                     links.push((*last, MergeCause::Temporal));
                 }
                 *last = id;
             }
         }
+    }
+
+    /// Place the series a checkpoint named in the tables, once each id
+    /// they name is one `k` minted: a router below the router count and a
+    /// location below the location count. An id out of range fails before
+    /// it sizes a table.
+    pub(crate) fn place_series(&mut self, k: &DomainKnowledge) -> Result<(), String> {
+        let (n_routers, n_locations) = (k.dict.routers.len(), k.dict.len());
+        for ((router, template, location), value) in std::mem::take(&mut self.trackers.unplaced) {
+            if router as usize >= n_routers
+                || (location != u32::MAX && location as usize >= n_locations)
+            {
+                return Err(format!(
+                    "temporal series ({router}, {template}, {location}) names an id \
+                     the knowledge does not have ({n_routers} routers, {n_locations} locations)"
+                ));
+            }
+            let series = self.trackers.at(router, location);
+            match series.binary_search_by_key(&(router, template), |s| s.0) {
+                Ok(i) => series[i].1 = value,
+                Err(i) => series.insert(i, ((router, template), value)),
+            }
+        }
+        Ok(())
     }
 
     /// Rule-based stage: link to each recent message of the same router
@@ -241,6 +266,79 @@ impl Stages {
         if q.len() > CROSS_QUEUE_CAP {
             q.pop_front();
         }
+    }
+}
+
+/// A temporal series' EWMA tracker and the id of its latest message.
+type Tracked = (EwmaTracker, u64);
+
+/// A temporal series' `(router, template)` and what is tracked of it.
+type Series = ((u32, u32), Tracked);
+
+/// The §4.2.1 series, one per `(router, template, location)`, reached by
+/// the dense ids the knowledge minted: a series with a primary location
+/// sits at that location's id, one without at its router's id. Each entry
+/// is a short list sorted by `(router, template)`, searched by bisection;
+/// the router stays in the key because a primary location may belong to
+/// another router.
+///
+/// A checkpoint holds the series as one `[key, value]` list in ascending
+/// key order. The ids it names are checked against the knowledge before
+/// any of them indexes a table ([`Stages::place_series`]).
+#[derive(Debug, Default, Clone)]
+struct Trackers {
+    /// Located series, at the location id.
+    located: Vec<Vec<Series>>,
+    /// Locationless series, at the router id.
+    unlocated: Vec<Vec<Series>>,
+    /// Series read from a checkpoint and not yet placed in the tables.
+    unplaced: Vec<((u32, u32, u32), Tracked)>,
+}
+
+impl Trackers {
+    /// The list of series at `location`, or at `router` for none
+    /// (`u32::MAX`), grown to hold it.
+    fn at(&mut self, router: u32, location: u32) -> &mut Vec<Series> {
+        let (table, at) = match location {
+            u32::MAX => (&mut self.unlocated, router as usize),
+            _ => (&mut self.located, location as usize),
+        };
+        if table.len() <= at {
+            table.resize_with(at + 1, Vec::new);
+        }
+        &mut table[at]
+    }
+}
+
+/// Every series as `[[router, template, location], [tracker, last id]]`
+/// in ascending key order: the bytes checkpoints held while the series
+/// lived in a hash map that serialized sorted by key.
+impl Serialize for Trackers {
+    fn to_value(&self) -> Value {
+        let tables = [(&self.located, None), (&self.unlocated, Some(u32::MAX))];
+        let mut all: Vec<((u32, u32, u32), &Tracked)> = tables
+            .into_iter()
+            .flat_map(|(table, location)| {
+                table.iter().zip(0u32..).flat_map(move |(series, at)| {
+                    let location = location.unwrap_or(at);
+                    series
+                        .iter()
+                        .map(move |((r, t), v)| ((*r, *t, location), v))
+                })
+            })
+            .chain(self.unplaced.iter().map(|(key, v)| (*key, v)))
+            .collect();
+        all.sort_unstable_by_key(|e| e.0);
+        all.to_value()
+    }
+}
+
+impl Deserialize for Trackers {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(Trackers {
+            unplaced: Vec::from_value(v)?,
+            ..Trackers::default()
+        })
     }
 }
 
@@ -429,6 +527,66 @@ mod tests {
     }
 
     use sd_netsim::Grammar;
+
+    /// The temporal stage's series table serializes as a `[key, value]`
+    /// list in ascending `(router, template, location)` order, whatever
+    /// order the series were first seen in, so checkpoints keep their
+    /// bytes. The feed has a locationless series on two routers, a
+    /// location shared by series of two routers, several templates at one
+    /// location and the unknown template.
+    #[test]
+    fn tracker_table_serializes_as_a_sorted_key_value_list() {
+        let k = toy_knowledge();
+        let unknown = crate::knowledge::UNKNOWN_TEMPLATE.0;
+        let feed: [(i64, u32, u32, &[u32]); 9] = [
+            (0, 2, 1, &[5]),
+            (1, 0, 0, &[]),
+            (2, 1, unknown, &[3, 4]),
+            (3, 0, 0, &[5]),
+            (5, 2, 1, &[5]),
+            (6, 0, 0, &[]),
+            (7, 1, 2, &[3]),
+            (9, 1, 0, &[]),
+            (9, 1, unknown, &[3]),
+        ];
+        let mut stages = Stages::default();
+        let mut links = Vec::new();
+        for (id, &(ts, router, template, locs)) in feed.iter().enumerate() {
+            let sp = SyslogPlus {
+                idx: id,
+                ts: Timestamp(ts),
+                router: sd_model::RouterId(router),
+                template: Some(sd_model::TemplateId(template)),
+                locations: locs.iter().map(|&l| LocationId(l)).collect(),
+            };
+            stages.step(
+                &k,
+                &GroupingConfig::t_only(),
+                &sp,
+                id as u64,
+                |_| None,
+                &mut links,
+            );
+        }
+        let tracker =
+            |last: i64, pred: &str, id: u32| format!(r#"[{{"last":{last},"pred":{pred}}},{id}]"#);
+        let want = [
+            format!("[[0,0,5],{}]", tracker(3, "null", 3)),
+            format!("[[0,0,4294967295],{}]", tracker(6, "5.0", 5)),
+            format!("[[1,0,4294967295],{}]", tracker(9, "null", 7)),
+            format!("[[1,2,3],{}]", tracker(7, "null", 6)),
+            format!("[[1,4294967295,3],{}]", tracker(9, "7.0", 8)),
+            format!("[[2,1,5],{}]", tracker(5, "5.0", 4)),
+        ]
+        .join(",");
+        let json = serde_json::to_string(&stages).unwrap();
+        assert_eq!(
+            json,
+            format!(r#"{{"trackers":[{want}],"recent_rules":[],"recent_cross":[]}}"#)
+        );
+        let back: Stages = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
 
     #[test]
     fn empty_batch() {

@@ -1,10 +1,13 @@
 //! Quarantine of poison messages and the injected-panic hook.
 //!
-//! Augmentation catches panics at one boundary per message
-//! ([`crate::augment::augment_batch_isolated`]); there is no batch-level
-//! catch and no retry. A message whose augmentation panics is
-//! *quarantined*: excluded from the digest exactly as if they had never
-//! been fed, counted under `n_quarantined`, and recorded as
+//! Augmentation catches panics with one boundary per run of messages
+//! (`AugmentMemo::augment_each`, behind the stream digester and
+//! [`crate::augment::augment_batch_isolated`]): after a panic the next run
+//! starts at the following message, so no message is retried and the
+//! result is that of one boundary per message. A message whose
+//! augmentation panics is *quarantined*: excluded from the digest exactly
+//! as if it had never been fed, counted under `n_quarantined`, and
+//! recorded as
 //! [`QuarantineRecord`]s for the `--quarantine-out` JSONL sidecar. A
 //! quarantined message is never assigned a sequence number, so the
 //! surviving digest is byte-identical to a run over the same feed with
@@ -90,10 +93,18 @@ pub(crate) fn poison_check(detail: &str) {
     let guard = POISON_MARKER.read().unwrap_or_else(|e| e.into_inner());
     if let Some(marker) = guard.as_deref() {
         if detail.contains(marker) {
+            #[cfg(test)]
+            POISON_PANICS.fetch_add(1, Ordering::Relaxed);
             panic!("injected poison panic: message detail contains {marker:?}");
         }
     }
 }
+
+/// Panics the armed hook has raised, for tests (which hold
+/// [`POISON_TEST_LOCK`]) that count them.
+#[cfg(test)]
+pub(crate) static POISON_PANICS: std::sync::atomic::AtomicUsize =
+    std::sync::atomic::AtomicUsize::new(0);
 
 /// Held by every unit test that arms or disarms the process-global poison
 /// hook, so tests running in parallel never see each other's marker.

@@ -43,7 +43,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Messages augmented and grouped at once, so few Syslog+ forms are held.
-const CHUNK: usize = 1024;
+pub(crate) const CHUNK: usize = 1024;
 
 /// A closed group's event and, when tracing, its provenance, without ids.
 type Closed = (NetworkEvent, Option<EventProvenance>);
@@ -155,6 +155,22 @@ pub struct StreamConfig {
     pub max_open_messages: usize,
 }
 
+/// What [`StreamDigester::push_skipping`] works on within one chunk; each
+/// is empty between chunks and keeps its capacity.
+#[derive(Default)]
+struct ChunkBuffers {
+    /// The chunk's augmented messages, numbered on from `next_seq`.
+    sps: Vec<SyslogPlus>,
+    /// The chunk positions of the messages that get no number, in order:
+    /// `None` for an unknown router, the panic's message for a quarantined
+    /// message.
+    gaps: Vec<(usize, Option<String>)>,
+    /// The links `(earlier id, cause)` of every augmented message, and
+    /// where each message's links end.
+    links: Vec<(u64, MergeCause)>,
+    ends: Vec<usize>,
+}
+
 /// Drop / degradation counters of one digester run. Every hostile input
 /// condition increments a counter here instead of corrupting state or
 /// panicking; operators alert on these.
@@ -207,6 +223,9 @@ pub struct StreamDigester<'k> {
     /// Augmentation of the lines seen so far, a cache over the fixed
     /// knowledge (never checkpointed; a panic inside it empties it).
     memo: AugmentMemo,
+    /// The working buffers of one chunk, reused by the next (never
+    /// checkpointed), so a chunk allocates nothing.
+    chunk: ChunkBuffers,
 
     /// Registry-backed counters, [`StreamStats`] and the `links_*` per
     /// stage: registered under `stream.*` names when a [`Telemetry`]
@@ -271,6 +290,7 @@ impl<'k> StreamDigester<'k> {
                 stages: Stages::default(),
             },
             memo: AugmentMemo::new(),
+            chunk: ChunkBuffers::default(),
             n_links: [0; 3],
             n_input: tel.counter("stream.n_input"),
             n_dropped: tel.counter("stream.n_dropped"),
@@ -367,9 +387,10 @@ impl<'k> StreamDigester<'k> {
     /// feeds through [`ReorderBuffer`] first), augmenting them through the
     /// digester's memo before the incremental grouping stages; returns any
     /// events that became closable. Slicing a feed differently emits the
-    /// same events: augmentation is per-message pure. Each message
-    /// augments under its own `catch_unwind`, and a message whose
-    /// augmentation panics is quarantined. A message older than the
+    /// same events: augmentation is per-message pure. A message whose
+    /// augmentation panics is quarantined, and every other message still
+    /// augments (one `catch_unwind` guards each run of messages, see
+    /// `AugmentMemo::augment_each`). A message older than the
     /// clock, which the ingest layer never sends, may find fewer links:
     /// the lookback deque follows the clock, not the message.
     pub fn push_batch(&mut self, msgs: &[RawMessage]) -> Vec<NetworkEvent> {
@@ -389,42 +410,49 @@ impl<'k> StreamDigester<'k> {
     ) -> Vec<NetworkEvent> {
         let _g = self.sp_push.start();
         let mut events = Vec::new();
+        let mut buf = std::mem::take(&mut self.chunk);
         for (c, chunk) in msgs.chunks(CHUNK).enumerate() {
-            let iso = {
+            let base = self.st.next_seq;
+            {
                 let _g = self.sp_augment.start();
-                self.memo.augment_isolated(self.k, chunk)
-            };
+                let (sps, gaps) = (&mut buf.sps, &mut buf.gaps);
+                // Number the augmented messages as they come.
+                self.memo
+                    .augment_each(self.k, chunk, |i, result| match result {
+                        Ok(Some(sp)) => sps.push(SyslogPlus {
+                            idx: base as usize + sps.len(),
+                            ..sp
+                        }),
+                        Ok(None) => gaps.push((i, None)),
+                        Err(reason) => gaps.push((i, Some(reason))),
+                    });
+            }
             let _g = self.sp_group.start();
             let n_before = self.n_input.get();
             self.n_input.add(chunk.len() as u64);
-            let mut poisoned = iso.quarantined.into_iter().peekable();
-            // Number the augmented messages (a quarantined one is `None`,
-            // like a drop) and step them; an earlier message is in the
+            // Step the augmented messages; an earlier message is in the
             // chunk or among the bodies.
-            let kept: Vec<bool> = iso.augmented.iter().map(Option::is_some).collect();
-            let mut sps: Vec<SyslogPlus> = iso.augmented.into_iter().flatten().collect();
-            let base = self.st.next_seq;
-            for (sp, seq) in sps.iter_mut().zip(base as usize..) {
-                sp.idx = seq;
-            }
-            let mut links = Vec::with_capacity(4 * sps.len());
-            let mut ends = Vec::with_capacity(sps.len());
             let st = &mut self.st;
             let (bodies, from_bodies) = (&st.bodies, base - st.bodies.len() as u64);
+            let sps = &buf.sps;
             let lookup = |id: u64| match id.checked_sub(base) {
                 Some(j) => sps.get(j as usize),
                 None => bodies.get(id.checked_sub(from_bodies)? as usize)?.as_ref(),
             };
             for (sp, seq) in sps.iter().zip(base..) {
-                st.stages.step(self.k, &st.cfg, sp, seq, lookup, &mut links);
-                ends.push(links.len());
+                st.stages
+                    .step(self.k, &st.cfg, sp, seq, lookup, &mut buf.links);
+                buf.ends.push(buf.links.len());
             }
-            let (mut from, mut stepped) = (0, sps.into_iter().zip(ends));
+            let mut from = 0;
+            let mut stepped = buf.sps.drain(..).zip(buf.ends.drain(..));
+            let mut gaps = buf.gaps.drain(..).peekable();
             for (i, m) in chunk.iter().enumerate() {
+                let gap = gaps.next_if(|(at, _)| *at == i);
                 // A quarantined message is left out exactly as if never fed
                 // (no clock advance, no sweep tick), so the surviving output
                 // is byte-identical to a feed without it.
-                if let Some((_, reason)) = poisoned.next_if(|(q, _)| *q == i) {
+                if let Some((_, Some(reason))) = gap {
                     self.n_quarantined.inc();
                     let at = n_before + i as u64 + 1;
                     let record = QuarantineRecord::from_message(at, m, "augment", &reason);
@@ -436,8 +464,11 @@ impl<'k> StreamDigester<'k> {
                     self.st.clock = m.ts;
                     self.st.retire();
                 }
-                match kept[i].then(|| stepped.next()).flatten() {
-                    Some((sp, to)) => self.group(sp, &links[std::mem::replace(&mut from, to)..to]),
+                match gap.is_none().then(|| stepped.next()).flatten() {
+                    Some((sp, to)) => {
+                        let links = &buf.links[std::mem::replace(&mut from, to)..to];
+                        self.group(sp, links);
+                    }
                     None => {
                         self.n_dropped.inc();
                         skipped(c * CHUNK + i);
@@ -452,7 +483,9 @@ impl<'k> StreamDigester<'k> {
                     self.enforce_open_bound(&mut events);
                 }
             }
+            buf.links.clear();
         }
+        self.chunk = buf;
         for (c, n) in self.links.iter().zip(std::mem::take(&mut self.n_links)) {
             c.add(n);
         }
@@ -611,6 +644,10 @@ impl<'k> StreamDigester<'k> {
             return Err(CheckpointError::KnowledgeMismatch);
         }
         sd.st = snapshot.digester.clone();
+        sd.st
+            .stages
+            .place_series(k)
+            .map_err(CheckpointError::Corrupt)?;
         let (c, s) = (&sd, &snapshot.stats);
         c.n_input.set(s.n_input as u64);
         c.n_dropped.set(s.n_dropped as u64);

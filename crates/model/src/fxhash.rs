@@ -1,13 +1,18 @@
 //! The Fx hash (the rustc/Firefox multiply-rotate hash) for lookup maps
-//! keyed by the knowledge base.
+//! keyed by the knowledge base, and for the two direct-mapped line tables.
 //!
 //! Fx is several times cheaper than the default SipHash on short keys, but
 //! it is not keyed: an adversary who picks the keys can collide them. Use
-//! it only for maps whose keys come from configs or learned data, which
-//! the feed can look up but never insert into; maps keyed by feed content
-//! keep SipHash. The one exception is the message line cache, a
-//! direct-mapped table that never probes or grows: colliding lines only
-//! evict each other, and a miss costs what every line cost without it.
+//! it for maps whose keys come from configs or learned data, which the
+//! feed can look up but never insert into. A map the feed inserts into
+//! keeps SipHash, but no such map sits on the per-message path.
+//!
+//! The exceptions are the two tables keyed by a message's text: the
+//! message line cache and the augmentation memo. Each is direct-mapped and
+//! never probes or grows, so colliding lines only evict each other, and a
+//! miss costs what every line cost without the table. The last step of Fx
+//! is a multiply, which mixes the high bits best: the memo takes its slot
+//! from the top bits.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

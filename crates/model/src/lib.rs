@@ -20,17 +20,15 @@ mod fxhash;
 mod intern;
 mod message;
 pub mod par;
-mod sorted_map;
 mod time;
 mod tokens;
 
 pub use augmented::{LocationId, LocationLevel, RouterId, SyslogPlus, TemplateId};
 pub use errorcode::{ErrorCode, Severity};
 pub use fnv::Fnv;
-pub use fxhash::{FxHashMap, FxHashSet};
+pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::Interner;
 pub use message::{sort_batch, GroundTruthId, MalformedReport, ParseError, RawMessage, Vendor};
 pub use par::{catch_panic, Parallelism};
-pub use sorted_map::SortedMap;
 pub use time::{Timestamp, DAY, WEEK};
 pub use tokens::TokenScratch;

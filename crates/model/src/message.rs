@@ -226,9 +226,20 @@ impl RawMessage {
     /// ignores the ground-truth tag: messages equal under it carry the
     /// same line.
     pub fn canonical_cmp(&self, other: &Self) -> Ordering {
-        self.ts
-            .cmp(&other.ts)
-            .then_with(|| self.router().cmp(other.router()))
+        self.ts.cmp(&other.ts).then_with(|| self.fields_cmp(other))
+    }
+
+    /// [`canonical_cmp`](Self::canonical_cmp) without the timestamp:
+    /// router, code and detail, field by field. Two messages split one
+    /// shared text alike are equal without reading it.
+    fn fields_cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.text, &other.text)
+            && (self.router_len, self.code_len) == (other.router_len, other.code_len)
+        {
+            return Ordering::Equal;
+        }
+        self.router()
+            .cmp(other.router())
             .then_with(|| self.code().cmp(other.code()))
             .then_with(|| self.detail().cmp(other.detail()))
     }
@@ -440,10 +451,15 @@ fn share_joined(router: &str, code: &str, detail: &str) -> Arc<str> {
 /// Split `<router> <code> <detail...>`, the part of a line after its
 /// timestamp, and require a non-empty router and code, each under 64 KiB.
 fn split_fields(rest: &str) -> Result<(&str, &str, &str), ParseError> {
-    let mut parts = rest.splitn(3, ' ');
-    let router = parts.next().unwrap_or("");
-    let code = parts.next().ok_or(ParseError::Missing("code"))?;
-    let detail = parts.next().unwrap_or("");
+    // A space is one byte and never inside a multibyte character, so
+    // both cuts fall on character boundaries.
+    let space = |s: &str| s.bytes().position(|b| b == b' ');
+    let cut = space(rest).ok_or(ParseError::Missing("code"))?;
+    let (router, after) = (&rest[..cut], &rest[cut + 1..]);
+    let (code, detail) = match space(after) {
+        Some(cut) => (&after[..cut], &after[cut + 1..]),
+        None => (after, ""),
+    };
     if router.is_empty() {
         return Err(ParseError::Empty("router"));
     }
@@ -475,8 +491,20 @@ impl fmt::Display for RawMessage {
 /// reproducible from a seed. The order is total: messages it ties are
 /// equal, so the unstable sort, which allocates nothing, gives what a
 /// stable one would, and a batch sorts the same whatever its file order.
+///
+/// A batch already in order, such as a clean feed read back, is left
+/// after one comparison per adjacent pair. Any other batch is sorted on
+/// the inline timestamp first, which reads no text, and then each run of
+/// one second by the remaining keys.
 pub fn sort_batch(batch: &mut [RawMessage]) {
-    batch.sort_unstable_by(|a, b| a.canonical_cmp(b).then(a.gt.cmp(&b.gt)));
+    let within_second = |a: &RawMessage, b: &RawMessage| a.fields_cmp(b).then(a.gt.cmp(&b.gt));
+    if batch.is_sorted_by(|a, b| a.ts.cmp(&b.ts).then_with(|| within_second(a, b)).is_le()) {
+        return;
+    }
+    batch.sort_unstable_by_key(|m| m.ts);
+    for second in batch.chunk_by_mut(|a, b| a.ts == b.ts) {
+        second.sort_unstable_by(within_second);
+    }
 }
 
 #[cfg(test)]

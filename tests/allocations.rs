@@ -1,14 +1,18 @@
-//! Heap allocations on the batch hot path, counted by a global allocator
-//! that tallies each thread's calls: parsing a line allocates only for a
-//! text the line cache does not hold, sorting a batch allocates nothing,
-//! and a batch of repeated lines augments with allocations that grow with
-//! its distinct lines, not with its length.
+//! Heap allocations on the hot paths, counted by a global allocator that
+//! tallies each thread's calls: parsing a line allocates only for a text
+//! the line cache does not hold, sorting a batch allocates nothing, a
+//! batch of repeated lines augments with allocations that grow with its
+//! distinct lines, not with its length, and a warm stream digester
+//! allocates nothing per line, push or chunk.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use syslogdigest_repro::digest::augment_batch_isolated;
 use syslogdigest_repro::digest::offline::{learn, OfflineConfig};
+use syslogdigest_repro::digest::{augment_batch_isolated, DomainKnowledge};
+use syslogdigest_repro::digest::{FaultTolerantIngest, GroupingConfig};
+use syslogdigest_repro::digest::{StreamConfig, StreamDigester};
 use syslogdigest_repro::model::{sort_batch, Parallelism, RawMessage, Timestamp};
+use syslogdigest_repro::telemetry::Telemetry;
 
 /// The system allocator, counting `alloc`, `alloc_zeroed` and `realloc`
 /// calls made by the current thread (so tests running in parallel do not
@@ -146,8 +150,8 @@ fn parse_line_allocates_only_for_an_uncached_text() {
     assert_eq!(n, 0);
 }
 
-#[test]
-fn repeated_lines_augment_without_per_message_allocations() {
+/// Knowledge of one router, `r1`, with one interface, `Serial1/5`.
+fn one_router_knowledge() -> DomainKnowledge {
     let cfg = "hostname r1\n!\ninterface Serial1/5\n ip address 10.0.0.1 255.255.255.252\n";
     let train: Vec<RawMessage> = (0..30)
         .map(|i| {
@@ -159,7 +163,12 @@ fn repeated_lines_augment_without_per_message_allocations() {
             )
         })
         .collect();
-    let k = learn(&[cfg.to_owned()], &train, &OfflineConfig::dataset_a());
+    learn(&[cfg.to_owned()], &train, &OfflineConfig::dataset_a())
+}
+
+#[test]
+fn repeated_lines_augment_without_per_message_allocations() {
+    let k = one_router_knowledge();
     // A known location, a known router with an unknown location, and a
     // router the dictionary does not know.
     let distinct = [
@@ -200,4 +209,72 @@ fn repeated_lines_augment_without_per_message_allocations() {
         "{n_large} allocations for {} distinct lines",
         distinct.len()
     );
+}
+
+/// Lines warmed up before the stream pins count. Two in three are kept,
+/// so they take the open group's member list past 16,384 members to a
+/// capacity of 32,768, and the lookback deque to its steady length (at
+/// one line a second, the 3 h idle horizon holds about 7,200 kept ones).
+/// Up to 21,000 more lines then fit without growing either.
+const WARM_LINES: usize = 27_000;
+
+/// Line `i` of a feed that repeats two lines, one a second: a flap on
+/// `r1`'s `Serial1/5`, which the temporal stage keeps in one group that
+/// never closes, and every third line one from a router the dictionary
+/// does not know, which is dropped.
+fn repeated_line(i: usize) -> RawMessage {
+    let ts = Timestamp::from_ymd_hms(2010, 1, 10, 0, 0, 0).plus(i as i64);
+    match i % 3 {
+        2 => RawMessage::new(ts, "ghost", "LINK-3-UPDOWN", "Interface Serial1/5"),
+        _ => RawMessage::new(
+            ts,
+            "r1",
+            "LINK-3-UPDOWN",
+            "Interface Serial1/5, changed state to down",
+        ),
+    }
+}
+
+/// A warm fault-tolerant ingest layer with no reorder slack, pushing
+/// repeated lines that close no event, allocates as much for 1,000 lines
+/// as for 10,000: parsing, the reorder buffer, augmentation and grouping
+/// allocate nothing per line.
+#[test]
+fn a_warm_ingest_allocates_the_same_for_1k_and_10k_repeated_lines() {
+    let k = one_router_knowledge();
+    let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+    let mut ing = FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 0, &Telemetry::disabled());
+    let lines: Vec<String> = (0..WARM_LINES + 11_000)
+        .map(|i| repeated_line(i).to_line())
+        .collect();
+    let mut push = |lines: &[String]| {
+        let mut n_events = 0;
+        for line in lines {
+            n_events += ing.push_line(line).len();
+        }
+        n_events
+    };
+    assert_eq!(push(&lines[..WARM_LINES]), 0);
+    let (events_1k, n_1k) = allocations(|| push(&lines[WARM_LINES..WARM_LINES + 1_000]));
+    let (events_10k, n_10k) = allocations(|| push(&lines[WARM_LINES + 1_000..]));
+    assert_eq!((events_1k, events_10k), (0, 0), "a line closed an event");
+    assert_eq!(n_1k, n_10k, "allocations grew with the lines pushed");
+}
+
+/// A warm stream digester allocates as much for one `push_batch` of one
+/// chunk as for one of ten chunks: a chunk reuses the digester's buffers.
+/// The feed closes no event, so no allocation is an emitted event's.
+#[test]
+fn push_batch_allocates_the_same_for_1_and_10_chunks() {
+    const CHUNK: usize = 1024;
+    let k = one_router_knowledge();
+    let (cfg, scfg) = (GroupingConfig::default(), StreamConfig::default());
+    let mut sd = StreamDigester::with_telemetry(&k, cfg, scfg, &Telemetry::disabled());
+    let msgs: Vec<RawMessage> = (0..WARM_LINES + 11 * CHUNK).map(repeated_line).collect();
+    let (warm, rest) = msgs.split_at(WARM_LINES);
+    assert!(sd.push_batch(warm).is_empty());
+    let (one, n_one) = allocations(|| sd.push_batch(&rest[..CHUNK]));
+    let (ten, n_ten) = allocations(|| sd.push_batch(&rest[CHUNK..]));
+    assert!(one.is_empty() && ten.is_empty(), "a chunk closed an event");
+    assert_eq!(n_one, n_ten, "allocations grew with the chunks pushed");
 }

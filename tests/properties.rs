@@ -8,7 +8,7 @@ use syslogdigest_repro::digest::DomainKnowledge;
 use syslogdigest_repro::digest::UnionFind;
 use syslogdigest_repro::digest::{group, GroupingConfig};
 use syslogdigest_repro::model::{
-    sort_batch, ErrorCode, Interner, Parallelism, RawMessage, Timestamp,
+    sort_batch, ErrorCode, Interner, Parallelism, ParseError, RawMessage, Timestamp,
 };
 use syslogdigest_repro::temporal::{count_groups, group_series, TemporalConfig};
 
@@ -366,6 +366,44 @@ fn order_batch() -> impl Strategy<Value = Vec<(RawMessage, u64)>> {
     })
 }
 
+/// Up to about 2,000 messages in generation order, each with a delivery
+/// delay of up to 30 s, as a faulted feed delivers them. Each batch draws
+/// a mean run length of up to 200 lines a second, so a second can hold
+/// hundreds of lines.
+fn delayed_batch() -> impl Strategy<Value = Vec<(RawMessage, i64)>> {
+    let spec = (
+        (0u32..1_000, 0usize..3, 0usize..2),
+        (0usize..4, 0u32..12, 0i64..=30),
+    );
+    (proptest::collection::vec(spec, 0..2_000), 1u32..200).prop_map(|(specs, run)| {
+        let mut ts = 0;
+        specs
+            .into_iter()
+            .map(|((new, r, c), (d, gt, delay))| {
+                // A new second with probability 1 / run.
+                if new < 1_000 / run {
+                    ts += 1;
+                }
+                let m = RawMessage::new(
+                    Timestamp(ts),
+                    ["r1", "r1\t", "r2"][r],
+                    ["A-1-X", "B-1-X"][c],
+                    ["", "a", "a b", "z"][d],
+                );
+                (if gt < 3 { m.with_gt(gt) } else { m }, delay)
+            })
+            .collect()
+    })
+}
+
+/// The messages of `batch` in delivery order: by timestamp plus delay,
+/// then generation order.
+fn delivered(batch: &[(RawMessage, i64)]) -> Vec<RawMessage> {
+    let mut order: Vec<usize> = (0..batch.len()).collect();
+    order.sort_by_key(|&i| (batch[i].0.ts.0 + batch[i].1, i));
+    order.into_iter().map(|i| batch[i].0.clone()).collect()
+}
+
 /// The messages of `batch` in the order of their shuffle keys.
 fn shuffled(batch: &[(RawMessage, u64)]) -> Vec<RawMessage> {
     let mut keyed = batch.to_vec();
@@ -408,5 +446,145 @@ proptest! {
         }
         rb.flush(&mut out);
         prop_assert_eq!(out, distinct);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On batches large and disordered enough that the timestamp pass
+    /// leaves its small-sort path, with runs of one second long enough
+    /// that the per-second pass does too, `sort_batch` still equals a
+    /// stable sort in the canonical order.
+    #[test]
+    fn sort_batch_equals_a_stable_sort_on_delayed_batches(batch in delayed_batch()) {
+        let mut stable = delivered(&batch);
+        stable.sort_by(|a, b| a.canonical_cmp(b).then(a.gt_event().cmp(&b.gt_event())));
+        let mut sorted = delivered(&batch);
+        sort_batch(&mut sorted);
+        prop_assert_eq!(&sorted, &stable);
+        // A sorted batch stays as it is.
+        sort_batch(&mut sorted);
+        prop_assert_eq!(sorted, stable);
+    }
+
+    /// A reorder buffer with 30 s of skew releases the distinct messages
+    /// of a delayed batch in `sort_batch`'s order.
+    #[test]
+    fn sort_batch_equals_the_reorder_buffer_release_order_on_delayed_batches(
+        batch in delayed_batch(),
+    ) {
+        use syslogdigest_repro::digest::ReorderBuffer;
+
+        let mut distinct: Vec<RawMessage> = batch.iter().map(|(m, _)| m.clone()).collect();
+        sort_batch(&mut distinct);
+        distinct.dedup_by(|a, b| a.canonical_cmp(b).is_eq());
+        let delays = batch.iter().map(|&(_, delay)| delay);
+        let feed = delivered(&distinct.iter().cloned().zip(delays).collect::<Vec<_>>());
+
+        let mut rb = ReorderBuffer::new(30);
+        let mut out = Vec::new();
+        for m in feed {
+            prop_assert!(rb.push(m, &mut out));
+        }
+        rb.flush(&mut out);
+        prop_assert_eq!(out, distinct);
+    }
+}
+
+/// Rest-of-line pieces around the spaces `parse_line` splits on: double
+/// spaces, tabs beside spaces, a trailing space and multibyte characters
+/// on either side of a space.
+const REST_PIECES: &[&str] = &[
+    "r1",
+    "C-1-X",
+    "d",
+    " ",
+    " ",
+    "  ",
+    "\t",
+    " \t",
+    "\t ",
+    "\u{e9}",
+    "\u{3000}",
+    "\u{1F600}",
+    "\u{e9} ",
+    " \u{e9}",
+    "r1 ",
+    "\u{a0}",
+];
+
+/// The fields `<router> <code> <detail...>` split at the first two
+/// spaces, with `parse_line`'s errors in its order: the split that
+/// `str::splitn` makes.
+fn split_reference(rest: &str) -> Result<(&str, &str, &str), ParseError> {
+    let mut parts = rest.splitn(3, ' ');
+    let router = parts.next().unwrap_or("");
+    let code = parts.next().ok_or(ParseError::Missing("code"))?;
+    let detail = parts.next().unwrap_or("");
+    if router.is_empty() {
+        return Err(ParseError::Empty("router"));
+    }
+    if code.is_empty() {
+        return Err(ParseError::Empty("code"));
+    }
+    Ok((router, code, detail))
+}
+
+/// `parse_line`'s fields of `2010-01-10 00:00:15 {rest}`, or its error.
+fn parsed_fields(rest: &str) -> Result<(String, String, String), ParseError> {
+    let m = RawMessage::parse_line(&format!("2010-01-10 00:00:15 {rest}"))?;
+    Ok((
+        m.router().to_owned(),
+        m.code().to_owned(),
+        m.detail().to_owned(),
+    ))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// Router, code and detail are split at the first two spaces, and
+    /// only there, whatever whitespace and multibyte characters surround
+    /// them.
+    #[test]
+    fn parse_line_splits_fields_at_the_first_two_spaces(
+        pieces in proptest::collection::vec(0..REST_PIECES.len(), 0..8),
+    ) {
+        let rest: String = pieces.iter().map(|&i| REST_PIECES[i]).collect();
+        // A trailing newline is the line's end, not the detail's.
+        let want = split_reference(rest.trim_end_matches(['\r', '\n']))
+            .map(|(r, c, d)| (r.to_owned(), c.to_owned(), d.to_owned()));
+        prop_assert_eq!(parsed_fields(&rest), want, "rest {:?}", rest);
+    }
+}
+
+#[test]
+fn parse_line_splits_fields_on_edge_cases() {
+    for (rest, want) in [
+        ("r1  d", Err(ParseError::Empty("code"))),
+        (" r1 C d", Err(ParseError::Empty("router"))),
+        ("r1 ", Err(ParseError::Empty("code"))),
+        ("r1", Err(ParseError::Missing("code"))),
+        ("", Err(ParseError::Missing("code"))),
+        (" ", Err(ParseError::Empty("router"))),
+        ("r1\t C d", Ok(("r1\t", "C", "d"))),
+        ("r1 \tC d", Ok(("r1", "\tC", "d"))),
+        ("r1 C  d", Ok(("r1", "C", " d"))),
+        ("r1 C ", Ok(("r1", "C", ""))),
+        (
+            "\u{e9} \u{3000} \u{1F600} x",
+            Ok(("\u{e9}", "\u{3000}", "\u{1F600} x")),
+        ),
+        ("r\u{e9} C\u{e9} d", Ok(("r\u{e9}", "C\u{e9}", "d"))),
+    ] {
+        let want =
+            want.map(|(r, c, d): (&str, &str, &str)| (r.to_owned(), c.to_owned(), d.to_owned()));
+        assert_eq!(parsed_fields(rest), want, "rest {rest:?}");
+        assert_eq!(
+            split_reference(rest).map(|(r, c, d)| (r.to_owned(), c.to_owned(), d.to_owned())),
+            want,
+            "reference on {rest:?}"
+        );
     }
 }

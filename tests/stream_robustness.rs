@@ -24,7 +24,7 @@ use syslogdigest_repro::digest::{
 };
 use syslogdigest_repro::digest::{CheckpointError, StreamSnapshot};
 use syslogdigest_repro::digest::{StreamConfig, StreamDigester};
-use syslogdigest_repro::model::Parallelism;
+use syslogdigest_repro::model::{sort_batch, Parallelism, RawMessage};
 use syslogdigest_repro::netsim::{
     inject, poison_message, Corpus, Dataset, DatasetSpec, FaultSpec, GOLDEN_SCALE, GOLDEN_SEEDS,
     POISON_MARKER,
@@ -489,5 +489,138 @@ proptest! {
         prop_assert_eq!(report.generation, 1);
         prop_assert_eq!(snap.lines_consumed(), cut);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ------------------------------------------------------ checkpoint bytes --
+
+/// The run `sdigest generate --dataset A --scale 0.05 --seed 7`, `learn
+/// --profile A` on its configs and log, then `digest --stream --checkpoint
+/// FILE --checkpoint-every 4000` makes: its knowledge, and the JSON of
+/// every checkpoint generation (one every 4,000 lines, one at the end).
+fn pinned_run() -> &'static (DomainKnowledge, Vec<String>) {
+    static CELL: OnceLock<(DomainKnowledge, Vec<String>)> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let spec = DatasetSpec {
+            seed: 7,
+            ..DatasetSpec::preset_a()
+        }
+        .scaled(0.05);
+        let d = Dataset::generate(spec, &Telemetry::disabled());
+        // `learn` reads the configs in file-name order and the log parsed
+        // and sorted.
+        let mut configs: Vec<(String, &String)> = (d.topology.routers.iter())
+            .map(|r| format!("{}.cfg", r.name))
+            .zip(&d.configs)
+            .collect();
+        configs.sort();
+        let configs: Vec<String> = configs.into_iter().map(|(_, c)| c.clone()).collect();
+        let lines: Vec<String> = d.messages.iter().map(RawMessage::to_line).collect();
+        let mut history: Vec<RawMessage> = lines
+            .iter()
+            .map(|l| RawMessage::parse_line(l).unwrap())
+            .collect();
+        sort_batch(&mut history);
+        let k = learn(&configs, &history, &OfflineConfig::dataset_a());
+        let scfg = StreamConfig {
+            idle_close: 0,
+            max_open_messages: 0,
+        };
+        let cfg = GroupingConfig::default();
+        let mut ing = FaultTolerantIngest::with_telemetry(&k, cfg, scfg, 0, &Telemetry::disabled());
+        let mut generations = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            ing.push_line(line);
+            if (i + 1) % 4000 == 0 {
+                generations.push(ing.checkpoint().to_json().unwrap());
+            }
+        }
+        generations.push(ing.checkpoint().to_json().unwrap());
+        (k, generations)
+    })
+}
+
+/// Every checkpoint generation of a fixed run keeps its bytes: a change
+/// to the digester's live state must serialize it as before.
+#[test]
+fn checkpoint_generations_are_pinned() {
+    let (_, generations) = pinned_run();
+    let hashes: Vec<u64> = generations
+        .iter()
+        .map(|json| syslogdigest_repro::model::Fnv::hash(json.as_bytes()))
+        .collect();
+    // FNV-1a of the JSON body of `run.ckpt.4`, `.3`, `.2`, `.1` and
+    // `run.ckpt` that the CLI run writes with `--checkpoint-keep 4`.
+    let pinned: &[u64] = &[
+        0xa27a_bec9_070b_2579,
+        0x9193_2cd6_f0ec_da31,
+        0xb481_42bf_2ecd_5071,
+        0x15fc_945c_090b_6da0,
+        0x057a_0e7e_e2e4_e0d1,
+    ];
+    assert_eq!(
+        hashes, pinned,
+        "checkpoint bytes moved (hashes {hashes:#018x?}); re-pin only with a SNAPSHOT_VERSION bump"
+    );
+}
+
+/// `json` with the key `[router, template, location]` of the first
+/// temporal series `pick` accepts replaced by what `pick` returns.
+fn retarget_series(json: &str, pick: impl Fn([u64; 3]) -> Option<[u64; 3]>) -> String {
+    let start = json.find(r#""trackers":["#).expect("a tracker table") + 12;
+    let end = start
+        + json[start..]
+            .find(r#""recent_rules""#)
+            .expect("rule lookback");
+    let mut at = start;
+    while let Some(off) = json[at..end].find("[[") {
+        let key_start = at + off + 2;
+        let key_end = key_start + json[key_start..].find(']').unwrap();
+        let key: Vec<u64> = json[key_start..key_end]
+            .split(',')
+            .map(|n| n.parse().unwrap())
+            .collect();
+        if let Some([r, t, l]) = pick([key[0], key[1], key[2]]) {
+            return format!("{}{r},{t},{l}{}", &json[..key_start], &json[key_end..]);
+        }
+        at = key_end;
+    }
+    panic!("no temporal series to retarget");
+}
+
+/// A checkpoint whose temporal series name a router or a location the
+/// knowledge does not have fails resume with a typed error; it never sizes
+/// a table by the id it names.
+#[test]
+fn a_checkpoint_naming_an_id_the_knowledge_lacks_fails_resume() {
+    let (k, generations) = pinned_run();
+    let json = &generations[1];
+    let tel = Telemetry::disabled();
+    let resume = |json: &str| {
+        let snap = StreamSnapshot::from_json(json).expect("the JSON decodes");
+        FaultTolerantIngest::resume_with_telemetry(k, &snap, &tel).map(|_| ())
+    };
+    resume(json).expect("the checkpoint as written resumes");
+    let (n_routers, n_locations) = (k.dict.routers.len() as u64, k.dict.len() as u64);
+    let none = u64::from(u32::MAX);
+    for (what, damaged) in [
+        (
+            "location",
+            retarget_series(json, |[r, t, l]| (l != none).then_some([r, t, n_locations])),
+        ),
+        (
+            "router of a located series",
+            retarget_series(json, |[_, t, l]| (l != none).then_some([n_routers, t, l])),
+        ),
+        (
+            "router of a locationless series",
+            retarget_series(json, |[_, t, _]| Some([none - 1, t, none])),
+        ),
+    ] {
+        assert_ne!(&damaged, json);
+        match resume(&damaged) {
+            Err(CheckpointError::Corrupt(why)) => assert!(why.contains("temporal series"), "{why}"),
+            other => panic!("an out-of-range {what} resumed: {other:?}"),
+        }
     }
 }
